@@ -11,12 +11,12 @@
 // the headline features (search → cloud → refine → recommend → plan)
 // on stdout.
 //
-// With -durable DIR the tables live in DIR (pages.db + wal.log): every
-// write is journaled through the write-ahead log before it is applied,
-// and a restart against the same DIR recovers the exact pre-crash state
-// instead of regenerating. -fsync picks the commit policy: "sync"
-// (default) fsyncs every commit, "async" trades the last flush interval
-// for group-commit-free latency.
+// With -durable DIR the tables live in DIR (checkpoint.db + wal.log):
+// every write is journaled through the write-ahead log before it is
+// applied, and a restart against the same DIR recovers the exact
+// pre-crash state instead of regenerating. -fsync picks the commit
+// policy: "sync" (default) fsyncs every commit, "async" trades the last
+// flush interval for group-commit-free latency.
 //
 // With -shards N the student-keyed tables split across N shards after
 // loading: per-student queries route to one shard, everything else
@@ -113,7 +113,7 @@ func main() {
 		}
 		if site.Durable != nil {
 			// Bulk-load outside the journal, then checkpoint once: the
-			// initial corpus lands in the page file, not the WAL.
+			// initial corpus lands in the checkpoint file, not the WAL.
 			err = site.Durable.Bulk(populate)
 		} else {
 			err = populate()

@@ -6,32 +6,14 @@
 //	crbench [-scale tiny|small|paper] [-exp all|table1|figure1|figure2|
 //	        figure3|figure4|figure5a|figure5b|stats|grades|evolution|
 //	        incentives|a1|a2|a3]
-//	crbench -bench [-scale ...] [-benchjson out.json] [-benchfilter re]
-//	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// With -bench, crbench instead times the tracked hot-path workloads
-// (FlexRecs workflows, hardcoded recommenders, search, cloud) with
-// testing.Benchmark and emits machine-readable per-benchmark JSON
-// (ns/op, allocs/op) to -benchjson (default stdout), the format the
-// BENCH_*.json trajectory files record per PR.
+// crbench times nothing. The end-to-end and per-layer benchmark is
+// bench/ (see BENCHMARK.json); micro-scenarios are the Benchmark*
+// functions of the root bench_test.go, run and profiled with stock
+// go test:
 //
-// # Profiling a regression
-//
-// When benchdiff flags a ns/op or allocs/op shift, attribute it instead
-// of guessing: -cpuprofile records a CPU profile across the benchmark
-// run, -memprofile writes allocation profile at exit (after a final GC).
-// Narrow a -bench run to the flagged scenario with -benchfilter (a
-// regexp over scenario names; the view-speedup gate is skipped for
-// filtered runs), then inspect with
-//
-//	crbench -bench -scale small -benchfilter MergeJoin -cpuprofile cpu.pprof
-//	go tool pprof -peek 'drainCursor' cpu.pprof  # callers + callees of one frame
-//	go tool pprof -top cpu.pprof            # where the time went
-//	go tool pprof -top -sample_index=alloc_objects mem.pprof
-//	go tool pprof -top -sample_index=alloc_space mem.pprof
-//
-// and diff against a profile from the baseline commit before concluding
-// anything — bench machines are noisy, allocation counts are not.
+//	go test -run '^$' -bench MergeJoinOrdered -benchmem -cpuprofile cpu.pprof .
+//	go tool pprof -top cpu.pprof
 //
 // Paper-scale generation builds the full 18,605-course / 134,000-comment
 // deployment and takes tens of seconds; small (a tenth) is the default.
@@ -41,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"courserank/internal/datagen"
@@ -52,43 +32,7 @@ import (
 func main() {
 	scale := flag.String("scale", "small", "deployment scale: tiny, small, paper")
 	exp := flag.String("exp", "all", "experiment to run")
-	bench := flag.Bool("bench", false, "run the tracked micro-benchmarks and emit JSON instead of experiments")
-	benchJSON := flag.String("benchjson", "", "write benchmark JSON to this file (default stdout)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
-	benchFilter := flag.String("benchfilter", "", "with -bench, run only scenarios whose name matches this regexp")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live objects so the profile shows true retention
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}()
-	}
 
 	var cfg datagen.Config
 	switch *scale {
@@ -103,38 +47,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// In -bench mode stdout may carry the JSON report, so progress
-	// chatter goes to stderr to keep the stream machine-readable.
-	progress := os.Stdout
-	if *bench {
-		progress = os.Stderr
-	}
-	fmt.Fprintf(progress, "generating %s-scale deployment (seed %d)...\n", *scale, cfg.Seed)
+	fmt.Printf("generating %s-scale deployment (seed %d)...\n", *scale, cfg.Seed)
 	t0 := time.Now()
 	r, err := experiments.NewRunner(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "generate:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(progress, "generated in %v\n\n", time.Since(t0).Round(time.Millisecond))
-
-	if *bench {
-		out := os.Stdout
-		if *benchJSON != "" {
-			f, err := os.Create(*benchJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := runBenchmarks(r, *scale, *benchFilter, out); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
+	fmt.Printf("generated in %v\n\n", time.Since(t0).Round(time.Millisecond))
 
 	type experiment struct {
 		name string

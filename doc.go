@@ -8,6 +8,9 @@
 // with a SQL engine (internal/sqlmini).
 //
 // Start with internal/core.NewSite, populate it via internal/datagen,
-// and see examples/quickstart. The benchmarks in this package regenerate
-// every table and figure of the paper; cmd/crbench prints them.
+// and see examples/quickstart. The benchmarks in this package
+// (bench_test.go, plain go test -bench) time every table and figure of
+// the paper plus the engine micro-scenarios; cmd/crbench prints the
+// tables and figures; bench/ is the end-to-end HTTP benchmark that
+// BENCHMARK.json declares.
 package courserank

@@ -83,8 +83,9 @@ func NewSite() (*Site, error) {
 }
 
 // NewDurableSite opens (or recovers) a CourseRank instance whose
-// database lives at dir behind the pager + WAL storage engine: every
-// mutation any subsystem makes is journaled before it is acknowledged,
+// database lives at dir behind the durable storage engine (one
+// checkpoint file + WAL): every mutation any subsystem makes is
+// journaled before it is acknowledged,
 // and reopening after a crash replays the committed tail onto the last
 // checkpoint. The subsystem Setups adopt recovered tables via
 // DB.Ensure, so opening an existing directory yields the same wired

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"courserank/internal/bookx"
 	"courserank/internal/catalog"
@@ -564,7 +565,15 @@ func (g *generator) genPrereqs() error {
 	for _, cid := range g.courseIDs {
 		byDept[g.courseDept[cid]] = append(byDept[g.courseDept[cid]], cid)
 	}
-	for _, ids := range byDept {
+	// Sorted, because the loop draws from the rng: map order would give
+	// two processes with one seed different Prereqs tables.
+	depts := make([]string, 0, len(byDept))
+	for dep := range byDept {
+		depts = append(depts, dep)
+	}
+	sort.Strings(depts)
+	for _, dep := range depts {
+		ids := byDept[dep]
 		for i := 1; i < len(ids); i++ {
 			if g.rng.Float64() < 0.12 {
 				if err := g.site.Catalog.AddPrereq(ids[i], ids[g.rng.Intn(i)]); err != nil {

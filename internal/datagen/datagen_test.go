@@ -2,6 +2,8 @@ package datagen
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"courserank/internal/core"
@@ -216,6 +218,20 @@ func TestDeterminism(t *testing.T) {
 	}
 	if len(r1.Hits) > 0 && r1.Hits[0].DocID != r2.Hits[0].DocID {
 		t.Error("rankings differ across identical seeds")
+	}
+	// Prereqs is the table whose generator draws from the rng inside a
+	// per-department loop: the loop's order must not come from a map.
+	prereqs := func(s *core.Site) []string {
+		var rows []string
+		s.DB.MustTable("Prereqs").Scan(func(_ int, r relation.Row) bool {
+			rows = append(rows, fmt.Sprint(r))
+			return true
+		})
+		return rows
+	}
+	p1, p2 := prereqs(s1), prereqs(s2)
+	if len(p1) == 0 || !reflect.DeepEqual(p1, p2) {
+		t.Errorf("Prereqs differ across identical seeds (%d vs %d rows)", len(p1), len(p2))
 	}
 }
 

@@ -31,26 +31,6 @@ func Tokens(s string) TokenSet {
 	return set
 }
 
-// JaccardTokens computes |A∩B| / |A∪B| over two token sets, in [0,1].
-// Two empty sets have similarity 0.
-func JaccardTokens(a, b TokenSet) float64 {
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
-	}
-	inter := 0
-	for w := range small {
-		if _, ok := big[w]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // JaccardAgainst computes the Jaccard similarity between a raw token
 // slice (as Tokenize produces; duplicates tolerated) and a precomputed
 // reference set. Short slices — titles, the common case in the

@@ -27,9 +27,6 @@ type QueryStat struct {
 	errs        atomic.Uint64
 }
 
-// Hist exposes the latency histogram.
-func (q *QueryStat) Hist() *Histogram { return &q.hist }
-
 // QuerySummary is one fingerprint's extract: counts, percentiles and
 // the route the statement last took. Shaped for /api/queries.
 type QuerySummary struct {

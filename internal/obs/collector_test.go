@@ -128,18 +128,3 @@ func TestCollectorTxCounts(t *testing.T) {
 		t.Fatalf("tx counts = %d/%d/%d", commits, conflicts, rollbacks)
 	}
 }
-
-func TestTraceSpans(t *testing.T) {
-	tr := NewTrace()
-	end := tr.Start("phase-a")
-	time.Sleep(time.Millisecond)
-	end()
-	tr.Add("phase-b", time.Now(), 2*time.Millisecond)
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[0].Name != "phase-a" || spans[0].DurNs <= 0 {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if s := tr.String(); s == "" {
-		t.Fatal("String() empty")
-	}
-}

@@ -1,7 +1,7 @@
 // Package obs is the query-observability layer: latency histograms,
-// a slow-query log, transaction-outcome counters, and trace spans,
-// shared by every execution layer (sqlmini statements, shard
-// scatter-gather, the HTTP handlers).
+// a slow-query log and transaction-outcome counters, shared by every
+// execution layer (sqlmini statements, shard scatter-gather, the HTTP
+// handlers).
 //
 // # Design
 //
@@ -20,7 +20,7 @@
 // with a single atomic load before ever taking its insertion lock.
 // When no collector is installed the execution layers skip all of it
 // behind one atomic-pointer nil check, so the bare path stays at its
-// benchmarked cost (the crbench ObservedVsBare scenario measures the
+// benchmarked cost (bench/'s obs.overhead_ratio probe measures the
 // difference).
 //
 // # Slow-query plan capture

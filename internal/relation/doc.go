@@ -4,7 +4,7 @@
 // predicate-based scans, and two interchangeable backends: a pure
 // in-memory store (NewDB) and a durable store (OpenDurable) that
 // journals every mutation through a write-ahead log and checkpoints
-// into a page file. The SQL engine in package sqlmini executes against
+// into one checksummed file. The SQL engine in package sqlmini executes against
 // this store, which is the "conventional DBMS" the paper's FlexRecs
 // workflows compile into.
 //
@@ -63,19 +63,21 @@
 // Every appended record gets the next LSN; Commit(lsn) makes it
 // durable per the sync policy. A checkpoint (DurableStore.Checkpoint)
 // takes the gate exclusively (quiescing mutators), snapshots every
-// table into the page file, and truncates the WAL up to the snapshot
-// LSN. Snapshots are written ping-pong: the new snapshot lands in
-// pages disjoint from the active region, is flushed and synced, and
-// only then does the header metadata {LSN, start, pages, length} swap
-// to it — the swap is the commit point, so a crash mid-checkpoint
-// leaves the previous snapshot intact. Recovery loads the snapshot,
+// table into checkpoint.db, and truncates the WAL up to the snapshot
+// LSN. The snapshot is streamed to checkpoint.tmp — header {magic,
+// format version, LSN, payload length}, JSON-lines payload,
+// CRC32-Castagnoli trailer — fsynced, renamed over checkpoint.db, and
+// the directory is fsynced: the rename is the commit point, so a crash
+// mid-checkpoint leaves the previous snapshot intact and at most a
+// stray checkpoint.tmp that the next open removes. Recovery verifies
+// the whole file against its checksum before applying a row, loads it,
 // then replays only WAL records with LSN > snapshot LSN (covering a
-// crash between the metadata swap and the log truncation).
+// crash between the rename and the log truncation).
 // Checkpoints also run automatically every CheckpointEvery journaled
 // records (synchronously, inside the WaitDurable of the record that
 // crossed the threshold), and DurableStore.Bulk loads data with the
 // journal detached and checkpoints once at the end — the bulk corpus
-// lands in the page file, not the log.
+// lands in the checkpoint file, not the log.
 //
 // # Sync vs async commit
 //
@@ -89,6 +91,6 @@
 //
 // The durable fixture serves CourseRank end to end: core.NewDurableSite
 // opens a site over OpenDurable, cmd/courserank exposes it as
-// -durable DIR -fsync sync|async, and /api/stats reports the WAL,
-// pager and checkpoint counters under "durability".
+// -durable DIR -fsync sync|async, and /api/stats reports the WAL and
+// checkpoint counters under "durability".
 package relation

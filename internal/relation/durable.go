@@ -3,40 +3,45 @@ package relation
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"courserank/internal/pager"
 	"courserank/internal/wal"
 )
 
 // DurableStore is the disk-backed Storage implementation: every
 // mutation is journaled through an append-only WAL before the mutator
-// returns, and checkpoints stream a slot-preserving snapshot of the
-// whole database through the pager, after which the WAL is truncated.
-// OpenDurable recovers by loading the checkpoint snapshot and replaying
-// WAL records past the checkpoint LSN slot-for-slot.
+// returns, and checkpoints write a slot-preserving snapshot of the
+// whole database to one checksummed file, after which the WAL is
+// truncated. OpenDurable recovers by loading the checkpoint snapshot
+// and replaying WAL records past the checkpoint LSN slot-for-slot.
 //
 // Layout under the store directory:
 //
-//	pages.db — page file; header meta holds the active snapshot extent
-//	           {lsn, start page, page count, byte length}
-//	wal.log  — redo log of records since (at most) the checkpoint LSN
+//	checkpoint.db  — the latest snapshot: header {magic, format version,
+//	                 checkpoint LSN, payload length}, JSON-lines payload,
+//	                 CRC32-Castagnoli over both
+//	checkpoint.tmp — the next snapshot while it is being written
+//	wal.log        — redo log of records since (at most) the checkpoint LSN
 //
-// Checkpoints ping-pong between two page regions so a crash mid-write
-// never corrupts the active snapshot: the new region is written and
-// synced first, then the header meta swaps to it in a single small
-// header write.
+// A checkpoint writes checkpoint.tmp, fsyncs it, renames it over
+// checkpoint.db and fsyncs the directory, so a crash at any instant
+// leaves either the old image or the new one whole; a leftover
+// checkpoint.tmp is discarded at open.
 type DurableStore struct {
 	dir string
 	db  *DB
 	log *wal.Log
-	pg  *pager.Pager
 
 	// gate is the checkpoint gate: mutators hold the shared side across
 	// apply+journal (Storage.BeginMutate/EndMutate); Checkpoint holds it
@@ -72,9 +77,6 @@ type DurableOptions struct {
 	// checkpoints; 0 means DefaultCheckpointEvery, negative disables
 	// auto-checkpointing (explicit Checkpoint calls only).
 	CheckpointEvery int
-	// PageSize and PoolPages pass through to the pager.
-	PageSize  int
-	PoolPages int
 }
 
 // WAL record types.
@@ -123,12 +125,33 @@ type walAlter struct {
 	Col   string `json:"c"`
 }
 
-// pagerMeta is the checkpoint descriptor stored in the pager header.
-type pagerMeta struct {
-	LSN   uint64 `json:"lsn"`   // WAL records at or below this are in the snapshot
-	Start int    `json:"start"` // first page of the active snapshot region
-	Pages int    `json:"pages"` // pages in the region
-	Len   int64  `json:"len"`   // snapshot byte length
+// Checkpoint file names and framing. The header is ckMagic, a uint32
+// format version, the uint64 checkpoint LSN (WAL records at or below it
+// are in the snapshot) and the uint64 payload length, little-endian;
+// the payload follows, then a CRC32-Castagnoli trailer.
+const (
+	checkpointFile = "checkpoint.db"
+	checkpointTmp  = "checkpoint.tmp"
+	legacyPageFile = "pages.db" // the page-file layout this format replaced
+
+	ckMagic      = "CRCKPT\r\n"
+	ckVersion    = 1
+	ckHeaderSize = len(ckMagic) + 4 + 8 + 8
+	ckSumSize    = 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// errCheckpointSum marks a checkpoint file whose contents do not match
+// its checksum.
+var errCheckpointSum = errors.New("checksum mismatch")
+
+func checkpointHeader(lsn, payloadLen uint64) []byte {
+	h := make([]byte, 0, ckHeaderSize)
+	h = append(h, ckMagic...)
+	h = binary.LittleEndian.AppendUint32(h, ckVersion)
+	h = binary.LittleEndian.AppendUint64(h, lsn)
+	return binary.LittleEndian.AppendUint64(h, payloadLen)
 }
 
 // durableHeader heads one table in the checkpoint snapshot. Unlike the
@@ -142,36 +165,29 @@ type durableHeader struct {
 }
 
 // OpenDurable opens (or creates) a durable database in dir: it loads
-// the checkpoint snapshot through the pager, replays committed WAL
-// records past the checkpoint LSN, and attaches the store so every
-// subsequent mutation is journaled. The returned DB is ready to serve.
+// the checkpoint snapshot, replays committed WAL records past the
+// checkpoint LSN, and attaches the store so every subsequent mutation
+// is journaled. The returned DB is ready to serve.
 func OpenDurable(dir string, opts DurableOptions) (*DB, *DurableStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("relation: durable open: %w", err)
 	}
-	pg, err := pager.Open(filepath.Join(dir, "pages.db"), pager.Options{PageSize: opts.PageSize, PoolPages: opts.PoolPages})
-	if err != nil {
-		return nil, nil, fmt.Errorf("relation: durable open: %w", err)
-	}
 	db := NewDB()
-	meta, err := loadCheckpoint(pg, db)
+	ckLSN, err := loadCheckpoint(dir, db)
 	if err != nil {
-		pg.Close()
 		return nil, nil, err
 	}
 	log, recs, err := wal.Open(filepath.Join(dir, "wal.log"), wal.Options{Sync: opts.Sync, FlushEvery: opts.FlushEvery})
 	if err != nil {
-		pg.Close()
 		return nil, nil, fmt.Errorf("relation: durable open: %w", err)
 	}
-	s := &DurableStore{dir: dir, db: db, log: log, pg: pg, ckEvery: int64(opts.CheckpointEvery)}
+	s := &DurableStore{dir: dir, db: db, log: log, ckEvery: int64(opts.CheckpointEvery)}
 	if opts.CheckpointEvery == 0 {
 		s.ckEvery = DefaultCheckpointEvery
 	}
-	s.ckLSN.Store(meta.LSN)
-	if err := s.replay(recs, meta.LSN); err != nil {
+	s.ckLSN.Store(ckLSN)
+	if err := s.replay(recs, ckLSN); err != nil {
 		log.Close()
-		pg.Close()
 		return nil, nil, err
 	}
 	// Snapshot load and replay both poke slots directly; settle the
@@ -187,36 +203,58 @@ func OpenDurable(dir string, opts DurableOptions) (*DB, *DurableStore, error) {
 	return db, s, nil
 }
 
-// loadCheckpoint reads the active snapshot region into db. A fresh or
-// empty page file yields an empty database and a zero meta.
-func loadCheckpoint(pg *pager.Pager, db *DB) (pagerMeta, error) {
-	var meta pagerMeta
-	raw := pg.Meta()
-	if len(raw) == 0 {
-		return meta, nil
+// loadCheckpoint reads dir's checkpoint file into db and returns its
+// LSN; a directory without one (first run, or no checkpoint yet) yields
+// an empty database and LSN 0. The whole file is verified against its
+// checksum before the first row is applied. A checkpoint.tmp left by a
+// crash before the rename is removed.
+func loadCheckpoint(dir string, db *DB) (uint64, error) {
+	if _, err := os.Stat(filepath.Join(dir, legacyPageFile)); err == nil {
+		return 0, fmt.Errorf("relation: durable open: %s holds %s, the page-file layout this version no longer reads", dir, legacyPageFile)
 	}
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return meta, fmt.Errorf("relation: corrupt checkpoint meta: %w", err)
+	if err := os.Remove(filepath.Join(dir, checkpointTmp)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("relation: durable open: %w", err)
 	}
-	if meta.Len == 0 {
-		return meta, nil
+	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
 	}
-	data := make([]byte, 0, meta.Len)
-	for i := 0; i < meta.Pages; i++ {
-		p, err := pg.Acquire(meta.Start + i)
-		if err != nil {
-			return meta, fmt.Errorf("relation: checkpoint page %d: %w", meta.Start+i, err)
-		}
-		data = append(data, p.Data()...)
-		p.Release()
+	if err != nil {
+		return 0, fmt.Errorf("relation: durable open: %w", err)
 	}
-	if int64(len(data)) < meta.Len {
-		return meta, fmt.Errorf("relation: checkpoint region holds %d bytes, meta says %d", len(data), meta.Len)
+	lsn, payload, err := verifyCheckpoint(data)
+	if err != nil {
+		return 0, fmt.Errorf("relation: %s: %w", checkpointFile, err)
 	}
-	if err := loadDurableSnapshot(db, data[:meta.Len]); err != nil {
-		return meta, err
+	return lsn, loadDurableSnapshot(db, payload)
+}
+
+// verifyCheckpoint checks a checkpoint file's framing and checksum and
+// returns its LSN and payload.
+func verifyCheckpoint(data []byte) (lsn uint64, payload []byte, err error) {
+	if len(data) < ckHeaderSize+ckSumSize {
+		return 0, nil, fmt.Errorf("truncated: %d bytes, header and checksum need %d", len(data), ckHeaderSize+ckSumSize)
 	}
-	return meta, nil
+	head := data[:ckHeaderSize]
+	if string(head[:len(ckMagic)]) != ckMagic {
+		return 0, nil, errors.New("bad magic: not a checkpoint file")
+	}
+	fields := head[len(ckMagic):]
+	if v := binary.LittleEndian.Uint32(fields); v != ckVersion {
+		return 0, nil, fmt.Errorf("format version %d, this build reads %d", v, ckVersion)
+	}
+	lsn = binary.LittleEndian.Uint64(fields[4:])
+	body := data[ckHeaderSize : len(data)-ckSumSize]
+	if n := binary.LittleEndian.Uint64(fields[12:]); n != uint64(len(body)) {
+		return 0, nil, fmt.Errorf("truncated: holds %d payload bytes, header says %d", len(body), n)
+	}
+	// The sum runs over the payload, then the header: the order the
+	// writer learns them in (see writeCheckpoint).
+	sum := crc32.Update(crc32.Checksum(body, castagnoli), castagnoli, head)
+	if want := binary.LittleEndian.Uint32(data[len(data)-ckSumSize:]); sum != want {
+		return 0, nil, fmt.Errorf("%w: computed %08x, stored %08x", errCheckpointSum, sum, want)
+	}
+	return lsn, body, nil
 }
 
 // loadDurableSnapshot decodes a slot-preserving snapshot into db.
@@ -285,8 +323,8 @@ func loadDurableSnapshot(db *DB, data []byte) error {
 
 // replay applies committed WAL records past the checkpoint LSN. Records
 // at or below ckLSN are already inside the snapshot — they survive in
-// the log only when a crash landed between the checkpoint's meta swap
-// and its WAL truncation. Replay is two-pass: the first pass collects
+// the log only when a crash landed between the checkpoint's rename and
+// its WAL truncation. Replay is two-pass: the first pass collects
 // the IDs of transactions whose commit record made it to the log, the
 // second applies records in LSN order, skipping transaction effects
 // whose commit never landed — a crash mid-transaction loses the whole
@@ -546,10 +584,10 @@ func (s *DurableStore) maybeCheckpoint() {
 
 // --- checkpointing ------------------------------------------------------
 
-// Checkpoint freezes the database, streams a slot-preserving snapshot
-// of every table through the pager, swaps the header meta to the new
-// region, and truncates the WAL. Mutators block for the duration
-// (readers do not).
+// Checkpoint freezes the database, writes a slot-preserving snapshot of
+// every table to a new checkpoint file, renames it over the old one,
+// and truncates the WAL. Mutators block for the duration (readers do
+// not).
 func (s *DurableStore) Checkpoint() error {
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
@@ -559,12 +597,8 @@ func (s *DurableStore) Checkpoint() error {
 	s.gate.Lock()
 	defer s.gate.Unlock()
 	lsn := s.log.LastLSN()
-	data, err := s.encodeSnapshot()
-	if err != nil {
-		return err
-	}
-	if err := s.writeSnapshot(data, lsn); err != nil {
-		return err
+	if err := s.writeCheckpoint(lsn); err != nil {
+		return fmt.Errorf("relation: checkpoint: %w", err)
 	}
 	if err := s.log.Truncate(lsn); err != nil {
 		return err
@@ -575,12 +609,12 @@ func (s *DurableStore) Checkpoint() error {
 	return nil
 }
 
-// encodeSnapshot serializes every table in the slot-preserving format.
-// Caller holds the gate exclusively, so table state cannot move; row
-// reads still take each table's read lock for the race detector's sake.
-func (s *DurableStore) encodeSnapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+// encodeSnapshot streams every table to w in the slot-preserving
+// format. Caller holds the gate exclusively, so table state cannot
+// move; row reads still take each table's read lock for the race
+// detector's sake.
+func (s *DurableStore) encodeSnapshot(w io.Writer) error {
+	enc := json.NewEncoder(w)
 	for _, name := range s.db.Names() {
 		t := s.db.MustTable(name)
 		// headerFor takes the table's read lock internally; build it
@@ -591,7 +625,7 @@ func (s *DurableStore) encodeSnapshot() ([]byte, error) {
 		head.NextAuto = t.nextAut
 		if err := enc.Encode(head); err != nil {
 			t.mu.RUnlock()
-			return nil, err
+			return err
 		}
 		for slot, r := range t.rows {
 			if r == nil {
@@ -611,83 +645,75 @@ func (s *DurableStore) encodeSnapshot() ([]byte, error) {
 			}
 			if err := enc.Encode(line); err != nil {
 				t.mu.RUnlock()
-				return nil, err
+				return err
 			}
 		}
 		t.mu.RUnlock()
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
-// writeSnapshot writes data into a page region disjoint from the active
-// one, syncs it, then swaps the header meta — the commit point — and
-// reclaims file space when the new region is the prefix.
-func (s *DurableStore) writeSnapshot(data []byte, lsn uint64) error {
-	payload := s.pg.PayloadSize()
-	need := (len(data) + payload - 1) / payload
-	var old pagerMeta
-	if raw := s.pg.Meta(); len(raw) > 0 {
-		if err := json.Unmarshal(raw, &old); err != nil {
-			return fmt.Errorf("relation: corrupt checkpoint meta: %w", err)
-		}
-	}
-	start := 1
-	if old.Pages > 0 && old.Start <= need {
-		start = old.Start + old.Pages
-	}
-	for i := 0; i < need; i++ {
-		id := start + i
-		var p *pager.Page
-		var err error
-		if id <= s.pg.PageCount() {
-			p, err = s.pg.Acquire(id)
-		} else {
-			p, err = s.pg.Allocate()
-		}
-		if err != nil {
-			return err
-		}
-		chunk := data[i*payload:]
-		if len(chunk) > payload {
-			chunk = chunk[:payload]
-		}
-		n := copy(p.Data(), chunk)
-		for j := n; j < payload; j++ {
-			p.Data()[j] = 0
-		}
-		p.MarkDirty()
-		p.Release()
-	}
-	newMeta, err := json.Marshal(pagerMeta{LSN: lsn, Start: start, Pages: need, Len: int64(len(data))})
+// writeCheckpoint writes the snapshot as of lsn to checkpoint.tmp,
+// fsyncs it, renames it over checkpoint.db — the commit point — and
+// fsyncs the directory so the rename itself survives a crash. The
+// payload is streamed, so its length is known only at the end: the
+// header is written last, into the space left for it, and the checksum
+// runs over the payload first and the header second.
+func (s *DurableStore) writeCheckpoint(lsn uint64) (err error) {
+	tmp := filepath.Join(s.dir, checkpointTmp)
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	// New region durable first, then the meta swap commits it.
-	if err := s.pg.FlushAll(); err != nil {
-		return err
-	}
-	if err := s.pg.Sync(); err != nil {
-		return err
-	}
-	if err := s.pg.SetMeta(newMeta); err != nil {
-		return err
-	}
-	if err := s.pg.FlushAll(); err != nil {
-		return err
-	}
-	if err := s.pg.Sync(); err != nil {
-		return err
-	}
-	if start == 1 && s.pg.PageCount() > need {
-		// The old region sits past the new one; drop it.
-		if err := s.pg.Truncate(need); err != nil {
-			return err
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
 		}
-		if err := s.pg.FlushAll(); err != nil {
-			return err
-		}
+	}()
+	if _, err := f.Seek(int64(ckHeaderSize), io.SeekStart); err != nil {
+		return err
 	}
-	return nil
+	sum := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(f, sum), 1<<16)
+	if err := s.encodeSnapshot(bw); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	head := checkpointHeader(lsn, uint64(end)-uint64(ckHeaderSize))
+	sum.Write(head)
+	if _, err := f.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32())); err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(head, 0); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(s.dir, checkpointFile)); err != nil {
+		return err
+	}
+	return syncDir(s.dir)
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // --- lifecycle ----------------------------------------------------------
@@ -705,42 +731,36 @@ func (s *DurableStore) Bulk(fn func() error) error {
 	return s.Checkpoint()
 }
 
-// Close drains the store: outstanding WAL records are synced and dirty
-// pages flushed, but the WAL is NOT truncated — reopening replays it.
-// Call Checkpoint first for a clean (replay-free) shutdown. Idempotent.
+// Close drains the store: outstanding WAL records are synced, but the
+// WAL is NOT truncated — reopening replays it. Call Checkpoint first
+// for a clean (replay-free) shutdown. Idempotent.
 func (s *DurableStore) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	s.ckMu.Lock() // let an in-flight checkpoint finish
 	defer s.ckMu.Unlock()
-	err := s.log.Close()
-	if perr := s.pg.Close(); err == nil {
-		err = perr
-	}
-	return err
+	return s.log.Close()
 }
 
 // DurableStats is a point-in-time view of the store for /api/stats.
 type DurableStats struct {
-	Dir              string      `json:"dir"`
-	Policy           string      `json:"policy"`
-	WAL              wal.Stats   `json:"wal"`
-	Pager            pager.Stats `json:"pager"`
-	Checkpoints      uint64      `json:"checkpoints"`
-	CheckpointLSN    uint64      `json:"checkpointLSN"`
-	RecordsSinceCk   int64       `json:"recordsSinceCheckpoint"`
-	RecoveredRecords int         `json:"recoveredRecords"`
+	Dir              string    `json:"dir"`
+	Policy           string    `json:"policy"`
+	WAL              wal.Stats `json:"wal"`
+	Checkpoints      uint64    `json:"checkpoints"`
+	CheckpointLSN    uint64    `json:"checkpointLSN"`
+	RecordsSinceCk   int64     `json:"recordsSinceCheckpoint"`
+	RecoveredRecords int       `json:"recoveredRecords"`
 }
 
-// Stats returns WAL, pager and checkpoint counters.
+// Stats returns WAL and checkpoint counters.
 func (s *DurableStore) Stats() DurableStats {
 	ws := s.log.Stats()
 	return DurableStats{
 		Dir:              s.dir,
 		Policy:           s.log.Policy().String(),
 		WAL:              ws,
-		Pager:            s.pg.Stats(),
 		Checkpoints:      s.checkpoints.Load(),
 		CheckpointLSN:    s.ckLSN.Load(),
 		RecordsSinceCk:   s.sinceCk.Load(),

@@ -1,11 +1,13 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -451,6 +453,244 @@ func TestKillReplay(t *testing.T) {
 	}
 }
 
+// checkpointedStorm runs a scripted storm against a durable store with
+// one explicit checkpoint two thirds of the way through, abandons the
+// store the way TestKillReplay does, and returns the abandoned
+// directory with the oracle's fingerprint: recovering it takes both
+// the checkpoint image and the WAL tail behind it.
+func checkpointedStorm(t *testing.T, seed int64) (string, map[string][]string) {
+	t.Helper()
+	const nOps, ckAt = 120, 80
+	ops := makeStorm(rand.New(rand.NewSource(seed)), nOps)
+	dir, db, store, oracle := openStormPair(t)
+	for i, op := range ops {
+		if i == ckAt {
+			if err := store.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op(db)
+		op(oracle)
+	}
+	if got := dirNames(t, dir); fmt.Sprint(got) != "[checkpoint.db wal.log]" {
+		t.Fatalf("durable directory holds %v, want checkpoint.db and wal.log only", got)
+	}
+	return copyDir(t, dir), fingerprint(oracle)
+}
+
+// openStormPair opens a durable store with auto-checkpointing off and
+// an in-memory oracle beside it, both holding an empty KV table. The
+// store is closed when the test ends.
+func openStormPair(t *testing.T) (dir string, db *DB, store *DurableStore, oracle *DB) {
+	t.Helper()
+	dir = t.TempDir()
+	db, store, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	db.MustCreate(kvTable())
+	oracle = NewDB()
+	oracle.MustCreate(kvTable())
+	return dir, db, store, oracle
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// mustNotLoad asserts that OpenDurable refuses dir and that the refused
+// checkpoint applied nothing: verification comes before the first row.
+func mustNotLoad(t *testing.T, dir, label string) error {
+	t.Helper()
+	if _, store, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways}); err == nil {
+		store.Close()
+		t.Fatalf("%s: OpenDurable accepted a damaged checkpoint", label)
+	}
+	db := NewDB()
+	_, err := loadCheckpoint(dir, db)
+	if err == nil {
+		t.Fatalf("%s: loadCheckpoint accepted a damaged checkpoint", label)
+	}
+	if names := db.Names(); len(names) != 0 {
+		t.Fatalf("%s: rejected checkpoint still created tables %v", label, names)
+	}
+	return err
+}
+
+// TestCheckpointChecksumDetectsCorruption flips one byte of
+// checkpoint.db: every header byte in turn, then random offsets across
+// the payload and the trailer. Every flip must be refused before any
+// table exists, and a flip past the header must be refused by the
+// checksum (a header flip may trip the magic, version or length check
+// first).
+func TestCheckpointChecksumDetectsCorruption(t *testing.T) {
+	dir, _ := checkpointedStorm(t, 21)
+	path := filepath.Join(dir, "checkpoint.db")
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	offsets := make([]int, 0, ckHeaderSize+40)
+	for off := 0; off < ckHeaderSize; off++ {
+		offsets = append(offsets, off)
+	}
+	for i := 0; i < 40; i++ {
+		offsets = append(offsets, ckHeaderSize+rng.Intn(len(image)-ckHeaderSize))
+	}
+	for _, off := range offsets {
+		bad := append([]byte(nil), image...)
+		bad[off] ^= byte(1 + rng.Intn(255))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := mustNotLoad(t, dir, fmt.Sprintf("flip at %d of %d", off, len(image)))
+		if off >= ckHeaderSize && !errors.Is(err, errCheckpointSum) {
+			t.Fatalf("flip at %d of %d: refused, but not by the checksum: %v", off, len(image), err)
+		}
+	}
+}
+
+// TestCheckpointTruncatedIsRefused cuts checkpoint.db short at the
+// empty file, inside the header, inside the payload and one byte from
+// the end: each is an error, never a partial load.
+func TestCheckpointTruncatedIsRefused(t *testing.T) {
+	dir, _ := checkpointedStorm(t, 23)
+	path := filepath.Join(dir, "checkpoint.db")
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, ckHeaderSize / 2, ckHeaderSize, ckHeaderSize + 1, len(image) / 2, len(image) - ckSumSize, len(image) - 1} {
+		if err := os.WriteFile(path, image[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mustNotLoad(t, dir, fmt.Sprintf("cut to %d of %d bytes", n, len(image)))
+	}
+}
+
+// TestCheckpointStrayTmpIgnored models a crash before the rename: a
+// half-written checkpoint.tmp sits beside the previous image. Recovery
+// must use the previous image and the WAL, and clear the stray file.
+func TestCheckpointStrayTmpIgnored(t *testing.T) {
+	dir, want := checkpointedStorm(t, 25)
+	image, err := os.ReadFile(filepath.Join(dir, "checkpoint.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "checkpoint.tmp")
+	if err := os.WriteFile(tmp, image[:len(image)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, store, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if got := fingerprint(db); !equalPrints(want, got) {
+		t.Fatalf("recovered DB differs from oracle\nwant %v\ngot  %v", want, got)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stray checkpoint.tmp survived recovery: %v", err)
+	}
+}
+
+// TestCheckpointCrashBeforeWALTruncate models a crash between the
+// rename and the WAL truncation: the new image sits beside a log that
+// still holds every record the image already contains. Replay must skip
+// them all — applying one twice would fail or double an insert.
+func TestCheckpointCrashBeforeWALTruncate(t *testing.T) {
+	dir, db, store, oracle := openStormPair(t)
+	for _, op := range makeStorm(rand.New(rand.NewSource(27)), 80) {
+		op(db)
+		op(oracle)
+	}
+	fullLog, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crash := copyDir(t, dir)
+	if err := os.WriteFile(filepath.Join(crash, "wal.log"), fullLog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, store2, err := OpenDurable(crash, DurableOptions{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if got, want := fingerprint(db2), fingerprint(oracle); !equalPrints(want, got) {
+		t.Fatalf("recovered DB differs from oracle\nwant %v\ngot  %v", want, got)
+	}
+	st := store2.Stats()
+	if st.RecoveredRecords != 0 || st.CheckpointLSN == 0 || st.CheckpointLSN != st.WAL.LastLSN {
+		t.Fatalf("records at or below the checkpoint LSN were replayed: %+v", st)
+	}
+	// LSNs keep rising past the stale log, so the next record is not
+	// mistaken for one the image holds.
+	if _, err := db2.MustTable("KV").Insert(Row{nil, "post-recovery", int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := store2.Stats(); st.WAL.LastLSN <= st.CheckpointLSN {
+		t.Fatalf("post-recovery LSN %d not past checkpoint LSN %d", st.WAL.LastLSN, st.CheckpointLSN)
+	}
+}
+
+// TestRecoverWithoutCheckpointFile covers the first run that died
+// before any checkpoint: a WAL and no checkpoint.db.
+func TestRecoverWithoutCheckpointFile(t *testing.T) {
+	dir, db, _, oracle := openStormPair(t)
+	for _, op := range makeStorm(rand.New(rand.NewSource(29)), 80) {
+		op(db)
+		op(oracle)
+	}
+	crash := copyDir(t, dir)
+	if got := dirNames(t, crash); fmt.Sprint(got) != "[wal.log]" {
+		t.Fatalf("directory holds %v, want wal.log only", got)
+	}
+	db2, store2, err := OpenDurable(crash, DurableOptions{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if got, want := fingerprint(db2), fingerprint(oracle); !equalPrints(want, got) {
+		t.Fatalf("recovered DB differs from oracle\nwant %v\ngot  %v", want, got)
+	}
+	if store2.Stats().RecoveredRecords == 0 {
+		t.Fatal("nothing replayed from the WAL")
+	}
+}
+
+// TestLegacyPageFileRefused: a directory written by the page-file
+// layout is refused by name instead of being read as empty.
+func TestLegacyPageFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "pages.db"), []byte("CRPG"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, store, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways})
+	if err == nil {
+		store.Close()
+		t.Fatal("OpenDurable accepted a pages.db directory")
+	}
+	if !strings.Contains(err.Error(), "pages.db") {
+		t.Fatalf("error does not name pages.db: %v", err)
+	}
+}
+
 // TestReplayAtEveryRecordBoundary is the satellite property test: for a
 // scripted storm it truncates the WAL at every record boundary (and at
 // torn mid-record offsets) and asserts each prefix recovers exactly the
@@ -498,9 +738,9 @@ func TestReplayAtEveryRecordBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, err := os.ReadFile(filepath.Join(dir, "pages.db"))
-	if err != nil {
-		t.Fatal(err)
+	// No checkpoint was ever taken, so wal.log is the whole directory.
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.db")); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint.db with auto-checkpointing off: %v", err)
 	}
 
 	printForRecords := func(m uint64) (map[string][]string, bool) {
@@ -533,9 +773,6 @@ func TestReplayAtEveryRecordBoundary(t *testing.T) {
 			}
 			sub := t.TempDir()
 			if err := os.WriteFile(filepath.Join(sub, "wal.log"), full[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(sub, "pages.db"), pages, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			db2, store2, err := OpenDurable(sub, DurableOptions{Sync: wal.SyncAlways})

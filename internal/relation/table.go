@@ -748,16 +748,11 @@ func (t *Table) GetRefSnap(sn Snap, key ...Value) (Row, bool) {
 	return t.pkFallbackLocked(sn, encodeKey(norm))
 }
 
-// LookupManyRef is LookupMany returning references to the stored rows
-// instead of copies — same slot order, same dedup, one lock
-// acquisition. Rows must not be mutated or retained past the point
+// LookupManyRefSnap is LookupMany as of a snapshot, returning
+// references to the stored rows instead of copies — same slot order,
+// same dedup, one lock acquisition. Rows must not be mutated or retained past the point
 // where a copy would have been taken; see GetRef for why references
 // stay consistent.
-func (t *Table) LookupManyRef(col string, keys []Value) []Row {
-	return t.lookupManySnap(LatestSnap(), col, keys, false)
-}
-
-// LookupManyRefSnap is LookupManyRef as of a snapshot.
 func (t *Table) LookupManyRefSnap(sn Snap, col string, keys []Value) []Row {
 	return t.lookupManySnap(sn, col, keys, false)
 }
@@ -834,14 +829,9 @@ func (t *Table) lookupManySnap(sn Snap, col string, keys []Value, clone bool) []
 	return out
 }
 
-// GetManyRef is GetMany returning references to the stored rows instead
-// of copies — same slot order and dedup. Rows must not be mutated; see
-// GetRef.
-func (t *Table) GetManyRef(keys ...[]Value) []Row {
-	return t.getManySnap(LatestSnap(), keys, false)
-}
-
-// GetManyRefSnap is GetManyRef as of a snapshot.
+// GetManyRefSnap is GetMany as of a snapshot, returning references to
+// the stored rows instead of copies — same slot order and dedup. Rows
+// must not be mutated; see GetRef.
 func (t *Table) GetManyRefSnap(sn Snap, keys ...[]Value) []Row {
 	return t.getManySnap(sn, keys, false)
 }

@@ -706,14 +706,18 @@ func (tx *Tx) Commit() error {
 	tx.clock.complete(seq)
 	tx.finish(seq)
 	tx.clock.committed.Add(1)
+	// Leave the checkpoint gate before waiting: the commit that crosses
+	// the auto-checkpoint threshold runs the checkpoint from WaitDurable,
+	// and Checkpoint takes the gate exclusively.
+	store := tx.gate
+	tx.releaseGate()
 	var err error
-	if tx.gate != nil && commitLSN != 0 {
-		err = tx.gate.WaitDurable(commitLSN)
+	if store != nil && commitLSN != 0 {
+		err = store.WaitDurable(commitLSN)
 	}
 	for t := range tx.tables {
-		t.flushNotifies(commitLSN, err, tx.gate)
+		t.flushNotifies(commitLSN, err, store)
 	}
-	tx.releaseGate()
 	return err
 }
 

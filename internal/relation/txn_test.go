@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"courserank/internal/wal"
 )
@@ -577,6 +578,64 @@ func TestTxCheckpointWaitsForOpenTx(t *testing.T) {
 	defer store2.Close()
 	if r, ok := db2.MustTable("KV").Get(int64(1)); !ok || r[1] != "staged" {
 		t.Fatalf("checkpointed tx row = %v", r)
+	}
+}
+
+// TestTxCommitCrossingAutoCheckpoint is the regression test for the
+// commit self-deadlock: the commit that crosses the auto-checkpoint
+// threshold runs the checkpoint from WaitDurable, and used to do so
+// while still holding the checkpoint gate shared — the checkpoint then
+// waited on its own caller and every later writer queued behind it.
+// This is the configuration `courserank -durable` runs, with a low
+// threshold so every few commits cross it.
+func TestTxCommitCrossingAutoCheckpoint(t *testing.T) {
+	db, store, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncAlways, CheckpointEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreate(kvTable())
+	tbl := db.MustTable("KV")
+
+	const writers, per = 2, 25
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			for i := 0; i < per; i++ {
+				tx := db.Begin()
+				if _, err := tx.Insert(tbl, Row{nil, fmt.Sprintf("w%d-%d", w, i), int64(w)}); err != nil {
+					tx.Rollback()
+					errs <- err
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	watchdog := time.After(5 * time.Second)
+	for w := 0; w < writers; w++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-watchdog:
+			// No store.Close here: it would block behind the stuck
+			// checkpoint and turn the failure into a timeout.
+			t.Fatalf("writers hung: Tx.Commit deadlocked on the auto-checkpoint (%+v)", store.Stats())
+		}
+	}
+	if got := tbl.Len(); got != writers*per {
+		t.Fatalf("table holds %d rows, want %d", got, writers*per)
+	}
+	if store.Stats().Checkpoints == 0 {
+		t.Fatal("no auto-checkpoint ran: the test never crossed the threshold")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -158,11 +158,6 @@ func (ix *Index) Search(query string) *Results {
 	return &Results{Query: q, Hits: ix.ti.Search(q, 0)}
 }
 
-// SearchQuery runs an already-parsed query.
-func (ix *Index) SearchQuery(q textindex.Query) *Results {
-	return &Results{Query: q, Hits: ix.ti.Search(q, 0)}
-}
-
 // Refine narrows previous results by one clicked cloud term: multi-word
 // terms refine as phrases, single words as keywords — exactly the
 // click-to-refine interaction of Figures 3→4. The refined result set is

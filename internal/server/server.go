@@ -366,11 +366,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, u communi
 // registry (hits serve a precomputed snapshot, stale hits serve inside
 // an async bound while a refresh runs behind the read, misses pay for a
 // build), transaction health, plus the deployment scale. Durable sites
-// additionally expose "durability" (WAL, pager and checkpoint
-// counters) and "walWait" (own-fsync vs group-commit-ride wait
-// attribution); sharded sites expose "sharding" (routing health). The
-// payload is the typed statsPayload in observe.go — its key set is the
-// API contract.
+// additionally expose "durability" (WAL and checkpoint counters) and
+// "walWait" (own-fsync vs group-commit-ride wait attribution); sharded
+// sites expose "sharding" (routing health). The payload is the typed
+// statsPayload in observe.go — its key set is the API contract.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ community.User) {
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }

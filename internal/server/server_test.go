@@ -454,8 +454,8 @@ func TestDurableStatsEndpoint(t *testing.T) {
 	if dur["policy"] != "sync" {
 		t.Errorf("policy = %v, want sync", dur["policy"])
 	}
-	if _, ok := dur["pager"].(map[string]any); !ok {
-		t.Errorf("durability missing pager: %v", dur)
+	if ck, ok := dur["checkpoints"].(float64); !ok || ck == 0 {
+		t.Errorf("populated durable site reports no checkpoint: %v", dur)
 	}
 }
 

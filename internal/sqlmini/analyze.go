@@ -92,16 +92,6 @@ type instrCursor struct {
 
 func (c *instrCursor) markTransient() { markTransientCursor(c.in) }
 
-func (c *instrCursor) Next() (relation.Row, error) {
-	t0 := time.Now()
-	row, err := c.in.Next()
-	c.st.ns += int64(time.Since(t0))
-	if row != nil {
-		c.st.rows++
-	}
-	return row, err
-}
-
 func (c *instrCursor) NextBatch() ([]relation.Row, error) {
 	t0 := time.Now()
 	batch, err := c.in.NextBatch()

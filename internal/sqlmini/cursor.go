@@ -19,12 +19,10 @@ import (
 // Batch contract: the slice NextBatch returns — and, for transient
 // cursors, the rows it holds — is owned by the cursor and valid only
 // until the next NextBatch/Close call on that cursor. An empty batch
-// means end of stream. A cursor is consumed through either Next or
-// NextBatch, never interleaved: Next is the one-row adapter kept so
-// every operator interoperates with row-at-a-time consumers, and each
-// cursor's own NextBatch is built from its Next (or vice versa) with
-// direct, non-interface calls, so per-row dynamic dispatch is paid once
-// per batch rather than once per row.
+// means end of stream. NextBatch is the only way to consume a cursor;
+// the join cursors build theirs from an unexported one-row stepper
+// (next) with direct, non-interface calls, so dynamic dispatch is paid
+// once per batch rather than once per row.
 //
 // Allocation discipline: combined (join) and permuted rows carve out of
 // a rowArena — one slab allocation per arenaSlabRows rows instead of
@@ -59,10 +57,9 @@ const (
 )
 
 // cursor is the executor's pull interface. NextBatch returns the next
-// slab of rows under the batch contract above; Next returns (nil, nil)
-// at end of stream. After an error or Close the cursor stays exhausted.
+// slab of rows under the batch contract above. After an error or Close
+// the cursor stays exhausted.
 type cursor interface {
-	Next() (relation.Row, error)
 	NextBatch() ([]relation.Row, error)
 	Close()
 }
@@ -214,15 +211,6 @@ type sliceCursor struct {
 	pos  int
 }
 
-func (c *sliceCursor) Next() (relation.Row, error) {
-	if c.pos >= len(c.rows) {
-		return nil, nil
-	}
-	row := c.rows[c.pos]
-	c.pos++
-	return row, nil
-}
-
 func (c *sliceCursor) NextBatch() ([]relation.Row, error) {
 	if c.pos >= len(c.rows) {
 		return nil, nil
@@ -293,8 +281,8 @@ func (s *rowColSorter) Less(i, j int) bool {
 // in slot order, or range scan in key order): refill pulls one
 // reference slab under the storage lock, applies the degraded-path
 // bounds re-check and the pushed filters across the whole slab
-// (compacting survivors in place), and both Next and NextBatch then
-// drain the filtered buffer. Emitted rows are references to stored rows
+// (compacting survivors in place), and NextBatch then hands out the
+// filtered buffer. Emitted rows are references to stored rows
 // and stay valid indefinitely; the batch slice itself is reused on
 // refill, per the batch contract.
 type batchScanCursor struct {
@@ -359,20 +347,6 @@ func (c *batchScanCursor) refill() error {
 			return nil
 		}
 	}
-}
-
-func (c *batchScanCursor) Next() (relation.Row, error) {
-	for c.pos >= c.n {
-		if c.done {
-			return nil, nil
-		}
-		if err := c.refill(); err != nil {
-			return nil, err
-		}
-	}
-	row := c.buf[c.pos]
-	c.pos++
-	return row, nil
 }
 
 func (c *batchScanCursor) NextBatch() ([]relation.Row, error) {
@@ -626,7 +600,7 @@ func (c *hashJoinCursor) start() error {
 	return nil
 }
 
-func (c *hashJoinCursor) Next() (relation.Row, error) {
+func (c *hashJoinCursor) next() (relation.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
@@ -677,7 +651,7 @@ func (c *hashJoinCursor) NextBatch() ([]relation.Row, error) {
 	n := c.ramp.next(c.e.batch())
 	out := c.nb[:0]
 	for len(out) < n {
-		row, err := c.Next()
+		row, err := c.next()
 		if err != nil {
 			return nil, err
 		}
@@ -781,7 +755,7 @@ func (c *buildLeftJoinCursor) start() error {
 	return nil
 }
 
-func (c *buildLeftJoinCursor) Next() (relation.Row, error) {
+func (c *buildLeftJoinCursor) next() (relation.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
@@ -805,7 +779,7 @@ func (c *buildLeftJoinCursor) NextBatch() ([]relation.Row, error) {
 	n := c.ramp.next(c.e.batch())
 	out := c.nb[:0]
 	for len(out) < n {
-		row, err := c.Next()
+		row, err := c.next()
 		if err != nil {
 			return nil, err
 		}
@@ -827,7 +801,8 @@ func (c *buildLeftJoinCursor) Close() {
 
 // inljCursor is the index nested-loop join: left rows arrive one input
 // batch per dispatch, their join keys drive one batched index probe
-// (LookupManyRef, or GetManyRef through a single-column primary key),
+// (LookupManyRefSnap, or GetManyRefSnap through a single-column primary
+// key),
 // and only the right rows that can possibly match are ever fetched.
 // Output is left-major with right matches in slot order — identical to
 // the hash join — and memory is bounded by one batch. The combined-row
@@ -970,25 +945,6 @@ func (c *inljCursor) fillBatch() error {
 	return nil
 }
 
-func (c *inljCursor) Next() (relation.Row, error) {
-	if c.closed {
-		return nil, nil
-	}
-	for {
-		if c.qi < len(c.queue) {
-			row := c.queue[c.qi]
-			c.qi++
-			return row, nil
-		}
-		if c.leftDone {
-			return nil, nil
-		}
-		if err := c.fillBatch(); err != nil {
-			return nil, err
-		}
-	}
-}
-
 func (c *inljCursor) NextBatch() ([]relation.Row, error) {
 	if c.closed {
 		return nil, nil
@@ -1102,7 +1058,7 @@ func (c *mergeJoinCursor) advanceTo(k relation.Value) error {
 	return nil
 }
 
-func (c *mergeJoinCursor) Next() (relation.Row, error) {
+func (c *mergeJoinCursor) next() (relation.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
@@ -1155,7 +1111,7 @@ func (c *mergeJoinCursor) NextBatch() ([]relation.Row, error) {
 	n := c.ramp.next(c.e.batch())
 	out := c.nb[:0]
 	for len(out) < n {
-		row, err := c.Next()
+		row, err := c.next()
 		if err != nil {
 			return nil, err
 		}
@@ -1314,7 +1270,7 @@ func (c *bandJoinCursor) probeInner(l relation.Row) error {
 	return nil
 }
 
-func (c *bandJoinCursor) Next() (relation.Row, error) {
+func (c *bandJoinCursor) next() (relation.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
@@ -1361,7 +1317,7 @@ func (c *bandJoinCursor) NextBatch() ([]relation.Row, error) {
 	n := c.ramp.next(c.e.batch())
 	out := c.nb[:0]
 	for len(out) < n {
-		row, err := c.Next()
+		row, err := c.next()
 		if err != nil {
 			return nil, err
 		}
@@ -1422,7 +1378,7 @@ func (c *nestedLoopCursor) start() error {
 	return nil
 }
 
-func (c *nestedLoopCursor) Next() (relation.Row, error) {
+func (c *nestedLoopCursor) next() (relation.Row, error) {
 	if c.closed {
 		return nil, nil
 	}
@@ -1471,7 +1427,7 @@ func (c *nestedLoopCursor) NextBatch() ([]relation.Row, error) {
 	n := c.ramp.next(c.e.batch())
 	out := c.nb[:0]
 	for len(out) < n {
-		row, err := c.Next()
+		row, err := c.next()
 		if err != nil {
 			return nil, err
 		}
@@ -1500,8 +1456,6 @@ type permCursor struct {
 	transient bool
 	arena     rowArena
 	out       []relation.Row
-	hand      []relation.Row
-	hi        int
 }
 
 func (c *permCursor) markTransient() {
@@ -1529,19 +1483,6 @@ func (c *permCursor) NextBatch() ([]relation.Row, error) {
 	return out, nil
 }
 
-func (c *permCursor) Next() (relation.Row, error) {
-	for c.hi >= len(c.hand) {
-		b, err := c.NextBatch()
-		if err != nil || len(b) == 0 {
-			return nil, err
-		}
-		c.hand, c.hi = b, 0
-	}
-	row := c.hand[c.hi]
-	c.hi++
-	return row, nil
-}
-
 func (c *permCursor) Close() { c.in.Close() }
 
 // filterCursor applies the post-join WHERE conjuncts one input batch at
@@ -1552,8 +1493,6 @@ type filterCursor struct {
 	rs    *rowset
 	conds []Expr
 	out   []relation.Row
-	hand  []relation.Row
-	hi    int
 }
 
 func (c *filterCursor) markTransient() { markTransientCursor(c.in) }
@@ -1573,19 +1512,6 @@ func (c *filterCursor) NextBatch() ([]relation.Row, error) {
 			return kept, nil
 		}
 	}
-}
-
-func (c *filterCursor) Next() (relation.Row, error) {
-	for c.hi >= len(c.hand) {
-		b, err := c.NextBatch()
-		if err != nil || len(b) == 0 {
-			return nil, err
-		}
-		c.hand, c.hi = b, 0
-	}
-	row := c.hand[c.hi]
-	c.hi++
-	return row, nil
 }
 
 func (c *filterCursor) Close() { c.in.Close() }
@@ -1626,23 +1552,6 @@ func (c *limitCursor) NextBatch() ([]relation.Row, error) {
 		c.remain -= int64(len(batch))
 		return batch, nil
 	}
-}
-
-func (c *limitCursor) Next() (relation.Row, error) {
-	for c.skip > 0 {
-		row, err := c.in.Next()
-		if row == nil || err != nil {
-			return nil, err
-		}
-		c.skip--
-	}
-	if !c.unlimited {
-		if c.remain <= 0 {
-			return nil, nil
-		}
-		c.remain--
-	}
-	return c.in.Next()
 }
 
 func (c *limitCursor) Close() { c.in.Close() }

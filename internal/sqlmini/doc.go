@@ -111,9 +111,9 @@
 // cursor whose native protocol is NextBatch, moving rows through the
 // pipeline in slabs of Engine.batch() rows (256 by default; Explain
 // prints the plan's size as "vectorized batch=N"). Per-row dynamic
-// dispatch is paid once per slab rather than once per row: each
-// cursor's one-row Next is a thin adapter kept for interoperability,
-// and Rows.Next serves from the current slab with a slice index.
+// dispatch is paid once per slab rather than once per row: cursors
+// have no one-row method, and Rows.Next serves from the current slab
+// with a slice index.
 //
 // The batch contract: the slice NextBatch returns — and, for transient
 // cursors, the rows it holds — is owned by the cursor and valid only

@@ -77,10 +77,6 @@ func (tx *Tx) Rollback() error {
 	return err
 }
 
-// Relational exposes the underlying relation-layer transaction, for
-// callers that mix SQL with direct table access (core workflows).
-func (tx *Tx) Relational() *relation.Tx { return tx.rtx }
-
 // QueryTx executes a prepared SELECT inside tx, sharing the statement's
 // cached plan.
 func (s *Stmt) QueryTx(tx *Tx, args ...any) (*Result, error) {

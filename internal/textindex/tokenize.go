@@ -25,9 +25,6 @@ func init() {
 	}
 }
 
-// IsStopword reports whether the lowercase token is a stopword.
-func IsStopword(w string) bool { return stopwords[w] }
-
 // Tokenize lowercases text and splits it into alphanumeric tokens,
 // dropping stopwords and single-character tokens. Token order is
 // preserved; a sentinel gap is NOT inserted at punctuation, so bigram
