@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper, plus the
-// ablations DESIGN.md defines and the engine micro-scenarios that
-// neither they nor bench/probes.go time (one access path or one
+// ablations (A1, A2, ...) and the engine micro-scenarios that neither
+// they nor bench/probes.go time (one access path or one
 // concurrency shape each, guarded by the plan it must ride). This file
 // is the only home of micro-benchmarks; run and profile one with
 //
@@ -15,9 +15,11 @@
 package courserank
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"courserank/internal/catalog"
 	"courserank/internal/cloud"
@@ -38,7 +40,7 @@ var (
 	benchErr  error
 )
 
-func runner(b *testing.B) *experiments.Runner {
+func runner(b testing.TB) *experiments.Runner {
 	b.Helper()
 	benchOnce.Do(func() { benchRun, benchErr = experiments.NewRunner(datagen.Small()) })
 	if benchErr != nil {
@@ -235,30 +237,109 @@ func BenchmarkE1Evolution(b *testing.B) {
 	}
 }
 
+// figure5bBothWays returns the declarative CF workflow and the
+// equivalent hard-coded recommender as two closures over one warm site —
+// the pair A1 and the allocation budget compare.
+func figure5bBothWays(tb testing.TB) (workflow, hardcoded func()) {
+	r := runner(tb)
+	tpl, _ := r.Site.Strategies.Get("cf-courses")
+	workflow = func() {
+		wf, err := tpl.Build(map[string]any{"student": r.Man.SampleStudent, "k": 10, "neighbors": 20})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := r.Site.Flex.Run(wf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	hardcoded = func() {
+		if out := r.Site.Baseline.UserUserCF(r.Man.SampleStudent, 20, 10, false); out == nil {
+			tb.Fatal("no result")
+		}
+	}
+	workflow() // warm both: views built, statements prepared
+	hardcoded()
+	return workflow, hardcoded
+}
+
+// costOf runs fn n times and returns the mean wall time and the mean
+// growth of runtime.MemStats.TotalAlloc per run — a count that, unlike a
+// timing, repeats on a drifting host.
+func costOf(n int, fn func()) (ns, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	d := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	return float64(d.Nanoseconds()) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
 // BenchmarkA1FlexRecsVsHardcoded contrasts the declarative CF workflow
 // with the equivalent hard-coded recommender — the cost of FlexRecs'
-// flexibility (§3.2). Run with -bench A1 to see both lines.
+// flexibility (§3.2). Run with -bench A1 to see both lines; the third,
+// "ratio", runs the two back to back and reports workflow ÷ hardcoded
+// for time and for bytes, which survive host drift where the absolute
+// lines do not.
 func BenchmarkA1FlexRecsVsHardcoded(b *testing.B) {
-	r := runner(b)
+	workflow, hardcoded := figure5bBothWays(b)
 	b.Run("workflow", func(b *testing.B) {
-		tpl, _ := r.Site.Strategies.Get("cf-courses")
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			wf, err := tpl.Build(map[string]any{"student": r.Man.SampleStudent, "k": 10, "neighbors": 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := r.Site.Flex.Run(wf); err != nil {
-				b.Fatal(err)
-			}
+			workflow()
 		}
 	})
 	b.Run("hardcoded", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if out := r.Site.Baseline.UserUserCF(r.Man.SampleStudent, 20, 10, false); out == nil {
-				b.Fatal("no result")
-			}
+			hardcoded()
 		}
 	})
+	b.Run("ratio", func(b *testing.B) {
+		wfNs, wfBytes := costOf(b.N, workflow)
+		hcNs, hcBytes := costOf(b.N, hardcoded)
+		b.ReportMetric(wfNs/hcNs, "time-ratio")
+		b.ReportMetric(wfBytes/hcBytes, "bytes-ratio")
+	})
+}
+
+// TestFlexRecsAllocBudget is the deterministic half of A1's goal: warm,
+// at Small scale, the Figure 5b workflow may allocate at most four times
+// what the hand-written recommender does (40× before the rewriter, when
+// every request re-nested all 13.4k comments twice), and serving a
+// hundred different students registers no view — the nesting is shared,
+// never per student.
+func TestFlexRecsAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the Small-scale site")
+	}
+	workflow, hardcoded := figure5bBothWays(t)
+	_, wf := costOf(20, workflow)
+	_, hc := costOf(20, hardcoded)
+	t.Logf("cf-courses workflow %.0f B/run, hard-coded UserUserCF %.0f B/run, ratio %.2f", wf, hc, wf/hc)
+	if wf > 4*hc {
+		t.Errorf("workflow allocates %.0f B/run, more than 4× the hard-coded %.0f B/run", wf, hc)
+	}
+
+	r := runner(t)
+	students, err := r.Site.SQL.Query(`SELECT DISTINCT SuID FROM Comments ORDER BY SuID LIMIT 100`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(students.Rows) != 100 {
+		t.Fatalf("corpus has %d commenting students, want 100", len(students.Rows))
+	}
+	views := len(r.Site.Views.Views())
+	for _, row := range students.Rows {
+		if _, err := r.Site.Strategies.Run(r.Site.Flex, "cf-courses", map[string]any{"student": row[0], "k": 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.Site.Views.Views()); n != views {
+		t.Errorf("100 warm requests for 100 students registered views: %d → %d", views, n)
+	}
 }
 
 // BenchmarkA2CloudVsResultSize sweeps cloud computation cost against

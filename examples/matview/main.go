@@ -42,7 +42,9 @@ func main() {
 
 	// 1. Single-flight: eight concurrent cold requests for the
 	// department-popular strategy all need the ratings-extend view —
-	// the registry builds it once and everyone shares the result.
+	// which no template asks for: the engine's rewriter materializes
+	// the parameter-free extend on its own — and the registry builds
+	// it once for everyone.
 	fmt.Println("— cold stampede (8 concurrent requests) —")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

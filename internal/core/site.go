@@ -586,16 +586,14 @@ func (s *Site) registerDefaultStrategies() error {
 				if !ok {
 					return nil, fmt.Errorf("department-popular needs a department")
 				}
-				// The reference side — nesting EVERY student's ratings — is
-				// the expensive shared prefix of this workflow: it has no
-				// personalization parameters, so one materialized result
-				// serves every department and every caller until a rating
-				// lands (sync mode: refresh-on-read, single-flighted).
+				// The reference side — nesting EVERY student's ratings — has
+				// no personalization parameters, so the engine materializes
+				// it on its own: the one ratings-extend view that cf-courses
+				// and hybrid read too, until a rating lands.
 				return flexrecs.Recommend(
 					flexrecs.Rel("Courses").Select("DepID = ?", dep),
 					flexrecs.Rel("Comments").Project("SuID", "CourseID", "Rating").
-						Extend("SuID", "CourseID", "Rating", "Ratings").
-						Materialize(flexrecs.MatOptions{Name: "ratings-extend"}),
+						Extend("SuID", "CourseID", "Rating", "Ratings"),
 					flexrecs.AvgOf("CourseID", "Ratings"),
 				).Top(intParam(p, "k", 10)), nil
 			},

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper
 // against a synthetic deployment: Table 1, Figures 1–5, the §2 scale
 // statistics, the §2.2 grade-validity claim and incentive scheme, plus
-// the ablations DESIGN.md defines. Each experiment returns a printable
+// the ablations (A1, A2, ...). Each experiment returns a printable
 // report; cmd/crbench prints them and the root benchmarks time them.
 package experiments
 

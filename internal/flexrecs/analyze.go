@@ -54,7 +54,7 @@ func (e *Engine) RunAnalyze(w *Step) (*Relation, string, error) {
 		return nil, "", err
 	}
 	t0 := time.Now()
-	rel, root, err := e.analyzeStep(w)
+	rel, root, err := e.analyzeStep(e.rewrite(w), true)
 	if err != nil {
 		return nil, "", err
 	}
@@ -71,16 +71,16 @@ func (e *Engine) ExplainAnalyze(w *Step) (string, error) {
 	return report, err
 }
 
-func (e *Engine) analyzeStep(s *Step) (*Relation, *analyzeNode, error) {
+func (e *Engine) analyzeStep(s *Step, private bool) (*Relation, *analyzeNode, error) {
 	if sqlable(s) {
 		return e.analyzeSQL(s)
 	}
 	if s.kind == matStep {
-		return e.analyzeMat(s)
+		return e.analyzeMat(s, private)
 	}
 	node := &analyzeNode{}
-	run := func(cs *Step) (*Relation, error) {
-		rel, child, err := e.analyzeStep(cs)
+	run := func(cs *Step, private bool) (*Relation, error) {
+		rel, child, err := e.analyzeStep(cs, private)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +93,7 @@ func (e *Engine) analyzeStep(s *Step) (*Relation, *analyzeNode, error) {
 		return nil, nil, err
 	}
 	node.line = fmt.Sprintf("%s (actual rows=%d time=%s)",
-		s.describe(), len(rel.Rows), time.Since(t0).Round(time.Microsecond))
+		s.explainLine(), len(rel.Rows), time.Since(t0).Round(time.Microsecond))
 	return rel, node, nil
 }
 
@@ -140,9 +140,9 @@ func (e *Engine) analyzeSQL(s *Step) (*Relation, *analyzeNode, error) {
 // A hit or stale serve never ran the child, so the line is the whole
 // story; a build ran the child uninstrumented inside the registry's
 // single-flight, and the line says what that cost.
-func (e *Engine) analyzeMat(s *Step) (*Relation, *analyzeNode, error) {
+func (e *Engine) analyzeMat(s *Step, private bool) (*Relation, *analyzeNode, error) {
 	t0 := time.Now()
-	rel, serve, hadRegistry, err := e.runMatServe(s)
+	rel, serve, hadRegistry, err := e.runMatServe(s, private)
 	if err != nil {
 		return nil, nil, err
 	}

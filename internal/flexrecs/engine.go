@@ -114,12 +114,13 @@ func (e *Engine) ForceScan() *Engine {
 func (e *Engine) SQL() *sqlmini.Engine { return e.sql }
 
 // Run validates and executes a workflow, returning its materialized
-// result.
+// result. What executes is the rewritten tree (rewrite.go): the same
+// rows in the same order, computed the way the engine chooses.
 func (e *Engine) Run(w *Step) (*Relation, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	return e.runStep(w)
+	return e.runStep(e.rewrite(w), true)
 }
 
 // sqlable reports whether the subtree compiles to a single SQL
@@ -352,20 +353,29 @@ func (e *Engine) runSQL(s *Step) (*Relation, error) {
 	return rel, nil
 }
 
-func (e *Engine) runStep(s *Step) (*Relation, error) {
+// runStep executes a subtree. private asks for a relation the caller may
+// edit in place (sort, truncate); without it a Materialize step hands
+// over the view's shared snapshot itself, which must only be read. Every
+// other step returns a fresh relation either way.
+func (e *Engine) runStep(s *Step, private bool) (*Relation, error) {
 	if sqlable(s) {
 		return e.runSQL(s)
+	}
+	if s.kind == matStep {
+		rel, _, _, err := e.runMatServe(s, private)
+		return rel, err
 	}
 	return e.applyStep(s, e.runStep)
 }
 
-// applyStep executes one non-sqlable operator, obtaining operand
-// relations through run — e.runStep normally, the instrumented
-// recursion under RunAnalyze.
-func (e *Engine) applyStep(s *Step, run func(*Step) (*Relation, error)) (*Relation, error) {
+// applyStep executes one non-sqlable operator other than Materialize,
+// obtaining operand relations through run — e.runStep normally, the
+// instrumented recursion under RunAnalyze. Operators that only read
+// their operands (all but the in-place top and order) take them shared.
+func (e *Engine) applyStep(s *Step, run func(s *Step, private bool) (*Relation, error)) (*Relation, error) {
 	switch s.kind {
 	case selectStep:
-		child, err := run(s.child)
+		child, err := run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
@@ -374,20 +384,35 @@ func (e *Engine) applyStep(s *Step, run func(*Step) (*Relation, error)) (*Relati
 			return nil, err
 		}
 		eval := sqlmini.Evaluator(expr, child.Cols)
-		out := &Relation{Cols: child.Cols}
-		for _, row := range child.Rows {
+		// Mark, count, then size the output exactly: a selection hoisted
+		// above a shared nesting keeps nearly every row (SuID <> ?) or
+		// nearly none (SuID = ?), and growing by doubling costs the
+		// former twice the slice it ends up with.
+		keep := make([]bool, len(child.Rows))
+		n := 0
+		for i, row := range child.Rows {
 			v, err := eval(row)
 			if err != nil {
 				return nil, err
 			}
 			if relation.Truthy(v) {
-				out.Rows = append(out.Rows, row)
+				keep[i] = true
+				n++
+			}
+		}
+		out := &Relation{Cols: child.Cols}
+		if n > 0 {
+			out.Rows = make([][]any, 0, n)
+		}
+		for i, ok := range keep {
+			if ok {
+				out.Rows = append(out.Rows, child.Rows[i])
 			}
 		}
 		return out, nil
 
 	case projectStep:
-		child, err := run(s.child)
+		child, err := run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
@@ -410,40 +435,40 @@ func (e *Engine) applyStep(s *Step, run func(*Step) (*Relation, error)) (*Relati
 		return out, nil
 
 	case joinStep:
-		left, err := run(s.child)
+		left, err := run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
-		right, err := run(s.other)
+		right, err := run(s.other, false)
 		if err != nil {
 			return nil, err
 		}
 		return joinRelations(left, right, s.on)
 
 	case extendStep:
-		child, err := run(s.child)
+		child, err := run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
 		return extend(child, s.groupBy, s.keyCol, s.valCol, s.as)
 
 	case recommendStep:
-		target, err := run(s.child)
+		target, err := run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
-		ref, err := run(s.other)
+		ref, err := run(s.other, false)
 		if err != nil {
 			return nil, err
 		}
 		return recommend(target, ref, s.cmp, s.scoreAs)
 
 	case blendStep:
-		left, err := run(s.child)
+		left, err := run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
-		right, err := run(s.other)
+		right, err := run(s.other, false)
 		if err != nil {
 			return nil, err
 		}
@@ -456,17 +481,17 @@ func (e *Engine) applyStep(s *Step, run func(*Step) (*Relation, error)) (*Relati
 			// is the shape every shipped strategy ends with, and the fused
 			// path skips the whole-catalog stable sort plus one output row
 			// per discarded candidate.
-			target, err := run(s.child.child)
+			target, err := run(s.child.child, false)
 			if err != nil {
 				return nil, err
 			}
-			ref, err := run(s.child.other)
+			ref, err := run(s.child.other, false)
 			if err != nil {
 				return nil, err
 			}
 			return recommendTop(target, ref, s.child.cmp, s.child.scoreAs, s.k)
 		}
-		child, err := run(s.child)
+		child, err := run(s.child, true)
 		if err != nil {
 			return nil, err
 		}
@@ -475,11 +500,8 @@ func (e *Engine) applyStep(s *Step, run func(*Step) (*Relation, error)) (*Relati
 		}
 		return child, nil
 
-	case matStep:
-		return e.runMat(s)
-
 	case orderStep:
-		child, err := run(s.child)
+		child, err := run(s.child, true)
 		if err != nil {
 			return nil, err
 		}
@@ -973,10 +995,11 @@ func blend(left, right *Relation, key, scoreCol string, wL, wR float64) (*Relati
 // Explain renders the workflow plan: operator tree with SQL-compiled
 // subtrees shown as the exact statements shipped to the DBMS, each
 // followed by the physical plan the SQL engine's planner chose for it
-// (access paths, join algorithms, pushed predicates).
+// (access paths, join algorithms, pushed predicates). The tree shown is
+// the rewritten one Run executes, not the one the template drew.
 func (e *Engine) Explain(w *Step) string {
 	var b strings.Builder
-	e.explain(w, 0, &b)
+	e.explain(e.rewrite(w), 0, &b)
 	return b.String()
 }
 
@@ -1005,7 +1028,7 @@ func (e *Engine) explain(s *Step, depth int, b *strings.Builder) {
 		e.explain(s.child, depth+1, b)
 		return
 	}
-	fmt.Fprintf(b, "%s%s\n", indent, s.describe())
+	fmt.Fprintf(b, "%s%s\n", indent, s.explainLine())
 	if s.child != nil {
 		e.explain(s.child, depth+1, b)
 	}

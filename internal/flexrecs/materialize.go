@@ -10,19 +10,20 @@ import (
 	"courserank/internal/matview"
 )
 
-// This file wires Materialize steps to the matview registry. A matStep
-// caches its child subtree's result as a materialized view: the first
-// request registers the view (build = run the child), later requests
-// serve the snapshot — single-flighted when cold, stale-bounded when
-// async. Without UseMatviews the step is transparent and simply runs
-// its child.
+// This file wires Materialize steps — the rewriter's and the few a
+// template places by hand — to the matview registry. A matStep caches
+// its child subtree's result as a materialized view: the first request
+// registers the view (build = run the child), later requests serve the
+// snapshot — single-flighted when cold, stale-bounded when async.
+// Without UseMatviews the step is transparent and simply runs its child.
 
-// UseMatviews attaches a materialized-view registry; Materialize steps
-// in workflows executed after this call cache through it. Call it at
-// wiring time, before the engine serves requests — the field is not
-// synchronized against concurrent Run calls. The Site facade shares one
-// registry (and its refresher pool) across FlexRecs and the baseline
-// recommenders.
+// UseMatviews attaches a materialized-view registry: Materialize steps
+// in workflows executed after this call cache through it, and the
+// rewriter (rewrite.go), which needs somewhere to put its views, starts
+// rewriting. Call it at wiring time, before the engine serves requests —
+// the field is not synchronized against concurrent Run calls. The Site
+// facade shares one registry (and its refresher pool) across FlexRecs
+// and the baseline recommenders.
 func (e *Engine) UseMatviews(reg *matview.Registry) { e.views = reg }
 
 // Matviews returns the attached registry, nil when none.
@@ -126,27 +127,22 @@ func (e *Engine) viewFor(s *Step) (*matview.View, error) {
 		Mode:     mode,
 		MaxStale: s.mat.MaxStale,
 		Build: func() (any, error) {
-			return e.runStep(child)
+			return e.runStep(child, true)
 		},
 	})
 }
 
-// runMat executes a matStep: through the registry when one is attached,
-// transparently otherwise. Snapshots are shared and immutable, so the
-// serve hands downstream operators (which sort and truncate in place) a
-// fresh Relation header and row slice; the row cells themselves are
-// never mutated by any operator.
-func (e *Engine) runMat(s *Step) (*Relation, error) {
-	rel, _, _, err := e.runMatServe(s)
-	return rel, err
-}
-
-// runMatServe is runMat also reporting how the request was served —
-// the serve kind and whether a registry was consulted at all — for
-// EXPLAIN ANALYZE's matview annotations.
-func (e *Engine) runMatServe(s *Step) (*Relation, matview.Serve, bool, error) {
+// runMatServe executes a matStep — through the registry when one is
+// attached, transparently otherwise — also reporting how the request
+// was served (the serve kind, and whether a registry was consulted at
+// all) for EXPLAIN ANALYZE's matview annotations. Snapshots are shared
+// and immutable: a consumer that only reads takes the snapshot as is;
+// one that sorts or truncates in place (private) gets a fresh Relation
+// header and row slice. The row cells themselves — Vector maps included
+// — are never mutated by any operator.
+func (e *Engine) runMatServe(s *Step, private bool) (*Relation, matview.Serve, bool, error) {
 	if e.views == nil {
-		rel, err := e.runStep(s.child)
+		rel, err := e.runStep(s.child, private)
 		return rel, matview.Serve{}, false, err
 	}
 	v, err := e.viewFor(s)
@@ -166,10 +162,13 @@ func (e *Engine) runMatServe(s *Step) (*Relation, matview.Serve, bool, error) {
 		e.matMisses.Add(1)
 	}
 	rel := val.(*Relation)
-	return &Relation{
-		Cols: append([]string(nil), rel.Cols...),
-		Rows: append([][]any(nil), rel.Rows...),
-	}, serve, true, nil
+	if private {
+		rel = &Relation{
+			Cols: append([]string(nil), rel.Cols...),
+			Rows: append([][]any(nil), rel.Rows...),
+		}
+	}
+	return rel, serve, true, nil
 }
 
 // explainMat renders a matStep for Explain, annotating how a request

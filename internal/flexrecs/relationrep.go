@@ -14,6 +14,16 @@
 // (package sqlmini); extend, recommend and post-filters over nested
 // attributes run as external functions — exactly the hybrid execution
 // the paper describes.
+//
+// The tree a template draws is not necessarily the tree that runs: on
+// an engine with a matview registry, Run, Explain and RunAnalyze first
+// pass it through a small rewriter (rewrite.go) that moves selections on
+// an extend's group key above the extend and materializes every
+// parameter-free extend and ▷/blend operand as a shared, version-keyed
+// view. Figure 5(b), drawn with its selections below the extends, so
+// reads one nesting of everybody's ratings instead of re-nesting them
+// per request. Relations a workflow returns may share Vector cells with
+// those views: treat them as read-only.
 package flexrecs
 
 import (

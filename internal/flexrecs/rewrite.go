@@ -1,0 +1,211 @@
+package flexrecs
+
+import (
+	"strings"
+
+	"courserank/internal/sqlmini"
+)
+
+// This file is the workflow rewriter: the one compile-time pass between
+// a validated Step tree and its execution, where the engine — not the
+// template author — decides how a declarative workflow runs (paper
+// §3.2). Two rules, both answer-preserving row for row:
+//
+//	(a) σ/ε commutation. ε[g: k→v as A](X) decides group membership by g
+//	    alone, so a selection of X that mentions no column but g keeps or
+//	    drops whole groups and may run after the nesting instead of
+//	    before it: ε(σ[c](X₀)) ≡ σ[c](ε(X₀)). ε emits groups in
+//	    first-appearance order, so the surviving groups keep their order.
+//	    The move is made only when it leaves X₀ free of '?' arguments —
+//	    the point is to expose a prefix every request shares.
+//	(b) Automatic materialization. Every maximal parameter-free subtree
+//	    that is an ε, or a whole operand of ▷/blend, is wrapped in a sync
+//	    Materialize step named as a pure function of the subtree, so all
+//	    templates (and all students) that nest the same ratings read ONE
+//	    view, invalidated by its base tables' (SchemaEpoch, Version).
+//
+// Figure 5(b) as the template draws it,
+//
+//	▷[inv_Euclidean]( ε(σ[SuID <> ?](ratings)), ε(σ[SuID = ?](ratings)) )
+//
+// therefore runs as two cheap selections over one shared, version-keyed
+// nesting instead of re-nesting every student's ratings per request.
+//
+// The pass needs somewhere to put the views: on an engine without a
+// matview registry it is the identity, which is also what keeps
+// ForceScan handles the naive side of every parity test.
+
+// rewrite returns the tree the engine executes for w. The input is never
+// modified — callers reuse trees across engines — and untouched subtrees
+// are shared with it.
+func (e *Engine) rewrite(w *Step) *Step {
+	if e.views == nil {
+		return w
+	}
+	return materializeFree(hoistGroupSelects(w), false)
+}
+
+// hoistGroupSelects applies rule (a) everywhere below s.
+func hoistGroupSelects(s *Step) *Step {
+	if s == nil || s.kind == matStep || sqlable(s) {
+		// An explicit Materialize is the author's decision and stays as
+		// written; a sqlable subtree holds no ε.
+		return s
+	}
+	child, other := hoistGroupSelects(s.child), hoistGroupSelects(s.other)
+	if child != s.child || other != s.other {
+		dup := *s
+		dup.child, dup.other = child, other
+		s = &dup
+	}
+	if s.kind != extendStep || strings.EqualFold(s.as, s.groupBy) {
+		return s
+	}
+	if !singleTableSpine(s.child) {
+		return s
+	}
+	var moved []*Step
+	x0 := stripGroupSelects(s.child, s.groupBy, &moved)
+	if len(moved) == 0 || !paramFree(x0) {
+		return s
+	}
+	ext := *s
+	ext.child = x0
+	out := &ext
+	for i := len(moved) - 1; i >= 0; i-- {
+		out = &Step{kind: selectStep, cond: moved[i].cond, args: moved[i].args, child: out}
+	}
+	return out
+}
+
+// singleTableSpine reports whether s is a chain of σ/π over one base
+// table — the only operand shape rule (a) moves selections out of.
+// Under a join the unqualified group column could be ambiguous to SQL
+// yet unique in the nested result, and the two forms would then
+// disagree on an error.
+func singleTableSpine(s *Step) bool {
+	for s.kind == selectStep || s.kind == projectStep {
+		s = s.child
+	}
+	return s.kind == relStep
+}
+
+// stripGroupSelects rebuilds a single-table spine without the selections
+// that reference only the group column g, collecting those outermost
+// first.
+func stripGroupSelects(s *Step, g string, moved *[]*Step) *Step {
+	if s.kind == relStep {
+		return s
+	}
+	if s.kind == selectStep && refsOnly(s.cond, s.args, g) {
+		*moved = append(*moved, s)
+		return stripGroupSelects(s.child, g, moved)
+	}
+	child := stripGroupSelects(s.child, g, moved)
+	if child == s.child {
+		return s
+	}
+	dup := *s
+	dup.child = child
+	return &dup
+}
+
+// refsOnly reports whether a selection condition references no column
+// other than the unqualified g. A condition that does not parse is left
+// where it is, to fail where it always has.
+func refsOnly(cond string, args []any, g string) bool {
+	expr, err := sqlmini.ParseExpr(cond, args...)
+	if err != nil {
+		return false
+	}
+	ok := true
+	var walk func(sqlmini.Expr)
+	walk = func(e sqlmini.Expr) {
+		switch x := e.(type) {
+		case nil, *sqlmini.Lit, *sqlmini.Param:
+		case *sqlmini.Ref:
+			if x.Qual != "" || !strings.EqualFold(x.Name, g) {
+				ok = false
+			}
+		case *sqlmini.Unary:
+			walk(x.X)
+		case *sqlmini.Binary:
+			walk(x.L)
+			walk(x.R)
+		case *sqlmini.Call:
+			for _, a := range x.Args {
+				walk(a)
+			}
+		case *sqlmini.In:
+			walk(x.X)
+			for _, a := range x.List {
+				walk(a)
+			}
+		case *sqlmini.Between:
+			walk(x.X)
+			walk(x.Lo)
+			walk(x.Hi)
+		case *sqlmini.IsNull:
+			walk(x.X)
+		case *sqlmini.Case:
+			walk(x.Operand)
+			walk(x.Else)
+			for _, w := range x.Whens {
+				walk(w.Cond)
+				walk(w.Then)
+			}
+		default:
+			ok = false // an expression form this pass does not know
+		}
+	}
+	walk(expr)
+	return ok
+}
+
+// paramFree reports whether a subtree's result is the same for every
+// request: no selection binds a '?' argument. An explicit Materialize
+// counts as parameterized — it may serve a bounded-stale snapshot, and a
+// sync view built over that would look fresh while holding old rows —
+// so the rewriter never wraps one.
+func paramFree(s *Step) bool {
+	if s == nil {
+		return true
+	}
+	if s.kind == matStep || (s.kind == selectStep && len(s.args) > 0) {
+		return false
+	}
+	return paramFree(s.child) && paramFree(s.other)
+}
+
+// materializeFree applies rule (b) top-down, so the views it places are
+// the maximal ones. operand marks a whole operand of ▷ or blend.
+func materializeFree(s *Step, operand bool) *Step {
+	if s == nil || s.kind == matStep {
+		return s
+	}
+	if (operand || s.kind == extendStep) && paramFree(s) {
+		return s.Materialize(MatOptions{Name: autoViewName(s)})
+	}
+	if sqlable(s) {
+		return s
+	}
+	operands := s.kind == recommendStep || s.kind == blendStep
+	child, other := materializeFree(s.child, operands), materializeFree(s.other, operands)
+	if child == s.child && other == s.other {
+		return s
+	}
+	dup := *s
+	dup.child, dup.other = child, other
+	return &dup
+}
+
+// autoViewName names the view over a parameter-free subtree from the
+// subtree alone (matKey appends a fingerprint of its shape): the ε that
+// nests Comments as Ratings is "ratings-extend" in whichever template it
+// appears, a whole-table operand is "courses-operand".
+func autoViewName(s *Step) string {
+	if s.kind == extendStep {
+		return strings.ToLower(s.as) + "-extend"
+	}
+	return strings.ToLower(strings.Join(baseTables(s), "+")) + "-operand"
+}

@@ -2,6 +2,7 @@ package flexrecs
 
 import (
 	"math"
+	"slices"
 
 	"courserank/internal/textindex"
 )
@@ -98,22 +99,33 @@ func commonKeys(a, b Vector) (av, bv []float64) {
 // have similarity 0 (nothing comparable). The accumulation streams over
 // the smaller vector rather than materializing the common keys: this
 // runs once per candidate pair in the CF hot loop.
+//
+// The squared differences are summed in ascending order of their
+// values, not in map order: float addition does not associate, Go
+// randomizes map iteration, and a similarity that moved in its last bit
+// from one run to the next would reorder every ranking built on it
+// (grade points such as 3.7 make the terms inexact; integer ratings
+// never showed it).
 func InvEuclidean(a, b Vector) float64 {
 	small, big := a, b
 	if len(b) < len(a) {
 		small, big = b, a
 	}
-	n := 0
-	sum := 0.0
+	var buf [16]float64 // pairs rarely share more courses than this
+	terms := buf[:0]
 	for k, x := range small {
 		if y, ok := big[k]; ok {
 			d := x - y
-			sum += d * d
-			n++
+			terms = append(terms, d*d)
 		}
 	}
-	if n == 0 {
+	if len(terms) == 0 {
 		return 0
+	}
+	slices.Sort(terms)
+	sum := 0.0
+	for _, t := range terms {
+		sum += t
 	}
 	return 1 / (1 + math.Sqrt(sum))
 }

@@ -144,10 +144,13 @@ type MatOptions struct {
 // Materialize caches this subtree's result in the engine's materialized
 // -view registry: the first request builds it, later requests serve the
 // snapshot until a dependency table mutates (sync) or the staleness
-// bound expires (async). Wrap the expensive shared PREFIX of a workflow
-// — typically an extend step over a whole table — and keep the cheap
-// personalized operators outside the wrapper. On an engine without a
-// registry the step is transparent.
+// bound expires (async). The engine places sync views by itself over
+// every parameter-free extend and ▷/blend operand (rewrite.go), so a
+// template rarely needs this; call it for what the engine will not
+// choose — a bounded-stale (Async) view, or a cached subtree that still
+// binds parameters (one view per binding). The rewriter leaves an
+// explicit Materialize, and everything around and under it, exactly as
+// written. On an engine without a registry the step is transparent.
 func (s *Step) Materialize(o MatOptions) *Step {
 	return &Step{kind: matStep, mat: o, child: s}
 }
@@ -185,6 +188,16 @@ func (s *Step) describe() string {
 		return fmt.Sprintf("matview[%s: %s]", s.mat.Name, mode)
 	}
 	return "?"
+}
+
+// explainLine is describe plus what a plan reader needs beyond the
+// operator's shape: the values bound to a residual selection's '?'s,
+// shown the way compiled statements show theirs.
+func (s *Step) explainLine() string {
+	if s.kind == selectStep && len(s.args) > 0 {
+		return fmt.Sprintf("%s  -- args %v", s.describe(), s.args)
+	}
+	return s.describe()
 }
 
 // Validate checks structural well-formedness of the workflow without

@@ -251,11 +251,18 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // observedServe wraps the mux with endpoint latency recording: one
-// histogram per "METHOD /path" fingerprint, route "http", server
-// errors counted. Runs only when the site has a collector.
+// histogram per route template — the pattern the mux matched and left
+// on the request, e.g. "GET /api/course/{id}" — route "http", server
+// errors counted. The template, not the raw path: course ids alone
+// would use up the collector's 1 024 fingerprints and fold every later
+// endpoint into "(other)". Runs only when the site has a collector.
 func (s *Server) observedServe(c *obs.Collector, w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	start := time.Now()
 	s.mux.ServeHTTP(sw, r)
-	c.Record(r.Method+" "+r.URL.Path, "http", time.Since(start), 0, sw.code >= http.StatusInternalServerError)
+	route := r.Pattern
+	if route == "" {
+		route = "(unmatched)"
+	}
+	c.Record(route, "http", time.Since(start), 0, sw.code >= http.StatusInternalServerError)
 }

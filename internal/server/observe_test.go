@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, as cmd/courserank -pprof does
@@ -174,6 +175,45 @@ func TestQueriesEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueriesFingerprintByRoute: HTTP requests are fingerprinted by the
+// route template the mux matched, so fifty course pages are one entry —
+// not fifty of the collector's 1 024 — and a path no route matches has
+// an entry of its own.
+func TestQueriesFingerprintByRoute(t *testing.T) {
+	ts, _ := observedServer(t)
+	token := login(t, ts, "stu00001")
+	get := func(path string) {
+		t.Helper()
+		r, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+	}
+	for id := 1; id <= 50; id++ {
+		get(fmt.Sprintf("/api/course/%d?token=%s", id, token))
+	}
+	get("/no/such/route")
+	resp, err := http.Get(ts.URL + "/api/queries?k=1000&token=" + token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]float64{}
+	for _, q := range decode[map[string]any](t, resp)["queries"].([]any) {
+		if m := q.(map[string]any); m["route"] == "http" {
+			counts[m["sql"].(string)] = m["count"].(float64)
+		}
+	}
+	if counts["GET /api/course/{id}"] != 50 || counts["(unmatched)"] != 1 {
+		t.Errorf("http fingerprints = %v, want 50 under the course route template and 1 unmatched", counts)
+	}
+	for fp := range counts {
+		if strings.HasPrefix(fp, "GET /api/course/") && fp != "GET /api/course/{id}" {
+			t.Errorf("raw path %q was fingerprinted", fp)
+		}
+	}
+}
+
 // TestSlowlogEndpoint: slow statements land in /api/slowlog and their
 // ANALYZE plans are back-filled by the statement's next execution.
 func TestSlowlogEndpoint(t *testing.T) {
@@ -228,6 +268,17 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 	if out["rows"].(float64) == 0 {
 		t.Errorf("analyze executed no rows: %v", out)
+	}
+	// A rewritten strategy reports how its shared view served this request.
+	resp, err = http.Get(ts.URL + "/api/analyze/cf-courses?k=3&token=" + token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan = decode[map[string]any](t, resp)["plan"].(string)
+	for _, want := range []string{"σ[SuID <> ?]  -- args [", "matview[ratings-extend: sync] — matview "} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("cf-courses analyze report missing %q:\n%s", want, plan)
+		}
 	}
 	missing, err := http.Get(ts.URL + "/api/analyze/no-such-strategy?token=" + token)
 	if err != nil {

@@ -281,6 +281,17 @@ func TestExplainEndpoint(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
+	// What prints is the tree the engine runs: Figure 5(b)'s selections
+	// sit above the one shared nesting of everybody's ratings.
+	resp, err = http.Get(ts.URL + "/api/explain/cf-courses?k=3&token=" + token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan = decode[map[string]string](t, resp)["plan"]
+	sel, view := strings.Index(plan, "σ[SuID <> ?]"), strings.Index(plan, "matview[ratings-extend: sync]")
+	if sel < 0 || view < sel {
+		t.Errorf("cf-courses plan does not show the selection above the shared view:\n%s", plan)
+	}
 	resp2, err := http.Get(ts.URL + "/api/explain/no-such-strategy?token=" + token)
 	if err != nil {
 		t.Fatal(err)

@@ -181,6 +181,97 @@ func TestWorkflowExplainShowsAccessPaths(t *testing.T) {
 	}
 }
 
+// TestWorkflowExplainShowsRewrite: Explain and EXPLAIN ANALYZE print the
+// tree the engine runs, not the one the template drew. The template
+// still reads as Figure 5(b) — both sides of the neighbour ▷ select
+// below their extend, which the forced handle (never rewritten) shows —
+// while the site engine moves the selections above one shared
+// materialized nesting, after which a warm request runs no SQL at all.
+func TestWorkflowExplainShowsRewrite(t *testing.T) {
+	r := parityRunner(t)
+	flex := r.Site.Flex
+	build := func(name string, params map[string]any) *flexrecs.Step {
+		tpl, ok := r.Site.Strategies.Get(name)
+		if !ok {
+			t.Fatalf("missing strategy %q", name)
+		}
+		wf, err := tpl.Build(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wf
+	}
+	cf := func() *flexrecs.Step {
+		return build("cf-courses", map[string]any{"student": r.Man.SampleStudent, "k": 5})
+	}
+
+	drawn := flex.ForceScan().Explain(cf())
+	for _, want := range []string{"WHERE SuID <> ?", "WHERE SuID = ?"} {
+		if !strings.Contains(drawn, want) {
+			t.Errorf("template as drawn should select below the extend (%q):\n%s", want, drawn)
+		}
+	}
+	for _, tpl := range r.Site.Strategies.List() {
+		wf := build(tpl.Name, map[string]any{"student": r.Man.SampleStudent, "title": "Introduction to Programming",
+			"dep": "CS", "course": r.Man.Planted["intro-programming"]})
+		if out := flex.ForceScan().Explain(wf); strings.Contains(out, "matview[") {
+			t.Errorf("template %s places a Materialize by hand:\n%s", tpl.Name, out)
+		}
+	}
+
+	// One request of each strategy that nests ratings or grades.
+	for _, wf := range []*flexrecs.Step{cf(),
+		build("hybrid", map[string]any{"student": r.Man.SampleStudent, "title": "Introduction to Programming"}),
+		build("department-popular", map[string]any{"dep": "CS"}),
+		build("grade-peers", map[string]any{"student": r.Man.SampleStudent}),
+	} {
+		if _, err := flex.Run(wf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := map[string]int{}
+	for _, v := range r.Site.Views.Views() {
+		for _, frag := range []string{"ratings-extend", "grades-extend", "|"} {
+			if name := v.Name(); strings.HasPrefix(name, "flex/") && strings.Contains(name, frag) {
+				count[frag]++
+			}
+		}
+	}
+	if count["ratings-extend"] != 1 || count["grades-extend"] != 1 || count["|"] != 0 {
+		t.Errorf("views after one request of each strategy: %v, want one ratings-extend, one grades-extend, none bound to parameters", count)
+	}
+
+	out := flex.Explain(cf())
+	above := strings.Index(out, "σ[SuID <> ?]")
+	below := strings.Index(out, "matview[ratings-extend: sync] — matview hit (age=")
+	if above < 0 || below < above || !strings.Contains(out, "σ[SuID = ?]") || strings.Contains(out, "WHERE SuID") {
+		t.Errorf("explain does not show the selection above the shared view:\n%s", out)
+	}
+
+	h0, _, m0 := flex.MatStats()
+	ch0, cm0 := flex.CompileStats()
+	_, report, err := flex.RunAnalyze(cf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, _, m1 := flex.MatStats()
+	ch1, cm1 := flex.CompileStats()
+	if m1 != m0 || h1 < h0+2 {
+		t.Errorf("warm cf-courses: matview hits %d→%d misses %d→%d, want both sides of the neighbour ▷ to hit the one view", h0, h1, m0, m1)
+	}
+	if ch1 != ch0 || cm1 != cm0 {
+		t.Errorf("warm cf-courses executed SQL: compile hits %d→%d misses %d→%d", ch0, ch1, cm0, cm1)
+	}
+	for _, want := range []string{"σ[SuID <> ?]  -- args [", "matview[ratings-extend: sync] — matview hit (age=", ", fresh) (actual rows="} {
+		if !strings.Contains(report, want) {
+			t.Errorf("analyze report missing %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, "SQL>") {
+		t.Errorf("warm analyze report shows a statement:\n%s", report)
+	}
+}
+
 // TestWorkflowExplainShowsRangeAndINLJ pins the iterator-executor
 // access paths on live FlexRecs workflows: the recency-scoped Figure
 // 5(a) variant compiles its "Year >= since" predicate to an
