@@ -15,7 +15,10 @@
 package courserank
 
 import (
+	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +30,7 @@ import (
 	"courserank/internal/core"
 	"courserank/internal/datagen"
 	"courserank/internal/experiments"
+	"courserank/internal/flexrecs"
 	"courserank/internal/matview"
 	"courserank/internal/relation"
 	"courserank/internal/render"
@@ -339,6 +343,185 @@ func TestFlexRecsAllocBudget(t *testing.T) {
 	}
 	if n := len(r.Site.Views.Views()); n != views {
 		t.Errorf("100 warm requests for 100 students registered views: %d → %d", views, n)
+	}
+}
+
+// shardedSmall is a second Small-scale site split over two shards — the
+// shape the bench harness's campus workload serves from.
+var shardedSmall struct {
+	once sync.Once
+	run  *experiments.Runner
+	err  error
+}
+
+func shardedRunner(tb testing.TB) *experiments.Runner {
+	tb.Helper()
+	ss := &shardedSmall
+	ss.once.Do(func() {
+		if ss.run, ss.err = experiments.NewRunner(datagen.Small()); ss.err == nil {
+			ss.err = ss.run.Site.EnableSharding(2)
+		}
+	})
+	if ss.err != nil {
+		tb.Fatal(ss.err)
+	}
+	return ss.run
+}
+
+// clusterBackend routes a FlexRecs engine's statements through a site's
+// cluster, as core's own (unexported) backend does: the unrewritten twin
+// of a sharded site has to gather from the same shards.
+type clusterBackend struct{ c *shard.Cluster }
+
+func (b clusterBackend) Prepare(sql string) (flexrecs.PreparedQuery, error) { return b.c.Prepare(sql) }
+func (b clusterBackend) Explain(sql string, args ...any) (string, error) {
+	return b.c.Explain(sql, args...)
+}
+
+// strategyRun returns one warm strategy request as a closure, plus the
+// Explain of exactly the workflow it runs.
+func strategyRun(tb testing.TB, r *experiments.Runner, name string, params map[string]any) (run func() *flexrecs.Relation, explain func() (string, error)) {
+	tb.Helper()
+	tpl, ok := r.Site.Strategies.Get(name)
+	if !ok {
+		tb.Fatalf("missing strategy %q", name)
+	}
+	build := func() *flexrecs.Step {
+		wf, err := tpl.Build(params)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return wf
+	}
+	run = func() *flexrecs.Relation {
+		rel, err := r.Site.Flex.Run(build())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rel
+	}
+	run() // warm: statement compiled and planned
+	return run, func() (string, error) { return r.Site.Flex.Explain(build()), nil }
+}
+
+// BenchmarkTopRated is the feed-style top-k read: top[10] of the
+// best-rated comments with their courses, on the mono site and through
+// the 2-shard cluster. The guard pins what makes it cost ten rows and
+// not the table: the top compiled to LIMIT ?, the join probes Courses'
+// primary key, and the descending index walk stands in for the sort.
+func BenchmarkTopRated(b *testing.B) {
+	for _, site := range []struct {
+		name string
+		r    *experiments.Runner
+	}{{"mono", runner(b)}, {"2shard", shardedRunner(b)}} {
+		b.Run(site.name, func(b *testing.B) {
+			run, explain := strategyRun(b, site.r, "top-rated", map[string]any{"min": 4.0, "k": 10})
+			for _, want := range []string{"ORDER BY Rating DESC LIMIT ?  -- args [4 10]",
+				"index nested loop on (Comments.CourseID = Courses.CourseID), probe=pk(CourseID)",
+				"range scan desc Comments", "order by Rating DESC elided"} {
+				explainExpect(b, explain, want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
+// topKHeadKB is what one warm request allocated at the commit before
+// τ pushdown (mean TotalAlloc growth over 20 runs, this corpus): the
+// whole 7 015-row answer was joined, copied and merged to keep ten rows.
+// rated-courses sorts its dozen rows for real, so its LIMIT neither ends
+// the pipeline early nor gives the planner a row goal: it must cost what
+// it did.
+var topKHeadKB = map[string]map[string]float64{
+	"top-rated":     {"mono": 1795, "2shard": 2650},
+	"rated-courses": {"mono": 30.8, "2shard": 30.8},
+}
+
+// TestTopKAllocBudget is the deterministic half of BenchmarkTopRated:
+// warm, at Small scale, top-rated with k = 10 allocates at most 300 KB a
+// request on the mono and on the 2-shard site, rated-courses stays
+// within 5 % of its reading before the change, both answer exactly what
+// the drained-then-truncated engine answers, and on the cluster each leg
+// hands the coordinator ten rows out of at most two executor batches.
+func TestTopKAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two Small-scale sites")
+	}
+	for _, site := range []struct {
+		name string
+		r    *experiments.Runner
+	}{{"mono", runner(t)}, {"2shard", shardedRunner(t)}} {
+		r := site.r
+		topRated := map[string]any{"min": 4.0, "k": 10}
+		rated := map[string]any{"student": r.Man.SampleStudent, "k": 20}
+		for name, params := range map[string]map[string]any{"top-rated": topRated, "rated-courses": rated} {
+			run, _ := strategyRun(t, r, name, params)
+			_, bytes := costOf(20, func() { run() })
+			kb, head := bytes/1024, topKHeadKB[name][site.name]
+			t.Logf("%s %s: %.1f KB/run (before the change: %.0f KB)", site.name, name, kb, head)
+			switch name {
+			case "top-rated":
+				if kb > 300 {
+					t.Errorf("%s top-rated k=10 allocates %.0f KB/run, budget 300 KB", site.name, kb)
+				}
+			case "rated-courses":
+				if kb > 1.05*head || kb < 0.95*head {
+					t.Errorf("%s rated-courses allocates %.1f KB/run, more than 5 %% off the %.1f KB it did", site.name, kb, head)
+				}
+			}
+		}
+
+		// Same answers as the engine that drains the statement and cuts.
+		twin := flexrecs.NewEngineOver(r.Site.SQL)
+		if r.Site.Sharded != nil {
+			twin = flexrecs.NewEngineWithBackend(r.Site.SQL, clusterBackend{r.Site.Sharded})
+		}
+		for _, k := range []int{1, 10, 50, 300, 1_000_000} {
+			for _, min := range []float64{3, 4, 5, 6} {
+				params := map[string]any{"min": min, "k": k}
+				got, err := r.Site.Strategies.Run(r.Site.Flex, "top-rated", params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := r.Site.Strategies.Run(twin, "top-rated", params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%s top-rated %v: pushed-down and drained-then-truncated answers differ", site.name, params)
+				}
+			}
+		}
+	}
+
+	// The cluster's analyze report: 10 + 10 rows merged, and shard 0's
+	// index walk handed over at most two batches.
+	r := shardedRunner(t)
+	tpl, _ := r.Site.Strategies.Get("top-rated")
+	wf, err := tpl.Build(map[string]any{"min": 4.0, "k": 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, report, err := r.Site.Flex.RunAnalyze(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"(actual rows=10 ", "shard 0: 10 rows in", "shard 1: 10 rows in",
+		"each shard windowed to 10 rows", "merged: 20 rows in, 10 rows out", "(stopped at limit)"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("analyze report missing %q:\n%s", want, report)
+		}
+	}
+	m := regexp.MustCompile(`range scan desc Comments [^\n]*\(actual rows=(\d+) batches=(\d+)`).FindStringSubmatch(report)
+	if m == nil {
+		t.Fatalf("no annotated index walk in the report:\n%s", report)
+	}
+	if rows, _ := strconv.Atoi(m[1]); rows > 512 || m[2] != "1" && m[2] != "2" {
+		t.Errorf("shard 0 walked %s rows in %s batches for top[10], want at most two batches:\n%s", m[1], m[2], report)
 	}
 }
 

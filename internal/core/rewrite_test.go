@@ -164,6 +164,26 @@ func rewriteDraws(t *testing.T, s *core.Site, man *datagen.Manifest) []draw {
 			}
 		}
 	}
+	// The three templates whose top[k] sits on one SQL statement: the
+	// rewriter pushes it down as LIMIT ? and the DBMS stops at k rows, so
+	// the pushed-down answer must be the drained-then-truncated one — k
+	// of one, a screenful, more than the result holds; a threshold that
+	// keeps everything rated, only the long Rating = 5 tie group at the
+	// head of the descending walk (which the write batch extends), and
+	// nothing.
+	for _, k := range []int{1, 10, 50, 1_000_000} {
+		for _, min := range []float64{3, 5, 6} {
+			add("top-rated", true, map[string]any{"min": min, "k": k})
+		}
+		for _, st := range students {
+			add("rated-courses", true, map[string]any{"student": st, "k": k})
+		}
+		for _, c := range courses {
+			for _, band := range []int{1, 2} {
+				add("contemporary-courses", false, map[string]any{"course": c, "band": band, "k": k})
+			}
+		}
+	}
 	for _, tpl := range s.Strategies.List() {
 		if perTemplate[tpl.Name] < 50 {
 			t.Fatalf("template %s has %d draws, want at least 50", tpl.Name, perTemplate[tpl.Name])

@@ -132,16 +132,24 @@ func (e *Engine) Run(w *Step) (*Relation, error) {
 // sort), so those trees keep the step-wise path, which sorts the
 // operand before the enclosing operator consumes it.
 func sqlable(s *Step) bool {
+	if s.kind == limitStep {
+		// A LIMIT closes a statement: nothing compiles above it.
+		return sqlableBody(s.child)
+	}
+	return sqlableBody(s)
+}
+
+func sqlableBody(s *Step) bool {
 	switch s.kind {
 	case relStep:
 		return true
 	case selectStep, projectStep:
-		return sqlable(s.child)
+		return sqlableBody(s.child)
 	case joinStep:
-		return sqlable(s.child) && sqlable(s.other) &&
+		return sqlableBody(s.child) && sqlableBody(s.other) &&
 			!containsOrder(s.child) && !containsOrder(s.other)
 	case orderStep:
-		return sqlable(s.child) && !containsOrder(s.child)
+		return sqlableBody(s.child) && !containsOrder(s.child)
 	}
 	return false
 }
@@ -167,6 +175,7 @@ type sqlParts struct {
 	proj      []string // outermost projection wins; empty = *
 	orderCol  string   // ORDER BY column; empty = none
 	orderDesc bool
+	limit     bool // statement ends in LIMIT ?, bound as the last argument
 }
 
 // gather walks a sqlable subtree, collecting FROM/WHERE/projection.
@@ -202,6 +211,12 @@ func gather(s *Step, p *sqlParts) error {
 	case orderStep:
 		p.orderCol, p.orderDesc = s.orderCol, s.desc
 		return gather(s.child, p)
+	case limitStep:
+		// Outermost, so first into the outermost-first argument list:
+		// CompileSQL's reversal lands k behind every WHERE argument.
+		p.limit = true
+		p.args = append(p.args, int64(s.k))
+		return gather(s.child, p)
 	}
 	return fmt.Errorf("flexrecs: step %s is not SQL-compilable", s.describe())
 }
@@ -232,6 +247,9 @@ func CompileSQL(s *Step) (string, []any, error) {
 		if p.orderDesc {
 			sql += " DESC"
 		}
+	}
+	if p.limit {
+		sql += " LIMIT ?"
 	}
 	// Placeholder args attach in the same outermost-first order the
 	// conditions were gathered, so reverse them alongside.
@@ -278,6 +296,12 @@ func shapeKey(s *Step, b *strings.Builder) {
 		}
 		b.WriteByte(0)
 		shapeKey(s.child, b)
+	case limitStep:
+		// The marker keeps a limited statement out of its unlimited
+		// twin's cache slot; k is an argument, not part of the shape.
+		b.WriteString("L|")
+		b.WriteByte(0)
+		shapeKey(s.child, b)
 	}
 }
 
@@ -291,6 +315,8 @@ func gatherShapeArgs(s *Step, args []any) []any {
 		return gatherShapeArgs(s.child, args)
 	case projectStep, orderStep:
 		return gatherShapeArgs(s.child, args)
+	case limitStep:
+		return gatherShapeArgs(s.child, append(args, int64(s.k)))
 	case joinStep:
 		args = gatherShapeArgs(s.child, args)
 		return gatherShapeArgs(s.other, args)

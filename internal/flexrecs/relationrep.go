@@ -22,8 +22,11 @@
 // parameter-free extend and ▷/blend operand as a shared, version-keyed
 // view. Figure 5(b), drawn with its selections below the extends, so
 // reads one nesting of everybody's ratings instead of re-nesting them
-// per request. Relations a workflow returns may share Vector cells with
-// those views: treat them as read-only.
+// per request. And a top over SQL is a LIMIT: top[k] of a subtree that
+// compiles to one statement ships as that statement plus LIMIT ?, so the
+// DBMS stops at k rows instead of returning everything to be cut.
+// Relations a workflow returns may share Vector cells with the views:
+// treat them as read-only.
 package flexrecs
 
 import (

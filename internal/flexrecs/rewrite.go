@@ -9,7 +9,7 @@ import (
 // This file is the workflow rewriter: the one compile-time pass between
 // a validated Step tree and its execution, where the engine — not the
 // template author — decides how a declarative workflow runs (paper
-// §3.2). Two rules, both answer-preserving row for row:
+// §3.2). Three rules, all answer-preserving row for row:
 //
 //	(a) σ/ε commutation. ε[g: k→v as A](X) decides group membership by g
 //	    alone, so a selection of X that mentions no column but g keeps or
@@ -23,6 +23,14 @@ import (
 //	    Materialize step named as a pure function of the subtree, so all
 //	    templates (and all students) that nest the same ratings read ONE
 //	    view, invalidated by its base tables' (SchemaEpoch, Version).
+//	(d) τ pushdown. top[k](X) over a subtree X that compiles to one SQL
+//	    statement — with or without an outermost order — is that
+//	    statement plus LIMIT ?, k bound as its last argument: one compiled
+//	    shape and one cached plan for every k. The DBMS then stops at k
+//	    rows (sqlmini ends the pipeline at the window and plans its joins
+//	    for k rows, a shard fan-out asks each shard for k) instead of
+//	    handing over its whole result to be cut. top over ▷ keeps the
+//	    fused recommendTop, and a top over anything else stays a slice.
 //
 // Figure 5(b) as the template draws it,
 //
@@ -32,8 +40,11 @@ import (
 // nesting instead of re-nesting every student's ratings per request.
 //
 // The pass needs somewhere to put the views: on an engine without a
-// matview registry it is the identity, which is also what keeps
-// ForceScan handles the naive side of every parity test.
+// matview registry it is the identity — rule (d) included, though it
+// places no view — which is also what keeps ForceScan handles and plain
+// engines the naive, drained-then-truncated side of every parity test.
+// (There is no rule (c): ROADMAP item 1(c) was profile-chosen executor
+// work, not a rewrite.)
 
 // rewrite returns the tree the engine executes for w. The input is never
 // modified — callers reuse trees across engines — and untouched subtrees
@@ -42,7 +53,26 @@ func (e *Engine) rewrite(w *Step) *Step {
 	if e.views == nil {
 		return w
 	}
-	return materializeFree(hoistGroupSelects(w), false)
+	return pushTopK(materializeFree(hoistGroupSelects(w), false))
+}
+
+// pushTopK applies rule (d) everywhere below s.
+func pushTopK(s *Step) *Step {
+	if s == nil || s.kind == matStep || sqlable(s) {
+		// A Materialize, the author's or rule (b)'s, caches its subtree as
+		// written; a sqlable subtree holds no top.
+		return s
+	}
+	if s.kind == topStep && sqlable(s.child) {
+		return &Step{kind: limitStep, k: s.k, child: s.child}
+	}
+	child, other := pushTopK(s.child), pushTopK(s.other)
+	if child == s.child && other == s.other {
+		return s
+	}
+	dup := *s
+	dup.child, dup.other = child, other
+	return &dup
 }
 
 // hoistGroupSelects applies rule (a) everywhere below s.

@@ -112,11 +112,143 @@ func TestRewriteRefusesUnsafeHoists(t *testing.T) {
 	}
 
 	// A tree that compiles to one statement holds nothing to rewrite.
-	sql := Rel("Comments").Select("Comments.SuID = ?", int64(444)).
-		JoinOn(Rel("Courses"), "Comments.CourseID = Courses.CourseID").
-		Project("Courses.CourseID", "Title", "Rating").OrderBy("Rating", true).Top(5)
+	sql := ratedCourses(444)
 	if got := rw.rewrite(sql); got != sql {
 		t.Errorf("sqlable tree was rewritten: %s", tree(got))
+	}
+}
+
+// ratedCourses is the relational body of the rated-courses strategy: one
+// statement, sort included.
+func ratedCourses(student int64) *Step {
+	return Rel("Comments").Select("Comments.SuID = ?", student).
+		JoinOn(Rel("Courses"), "Comments.CourseID = Courses.CourseID").
+		Project("Courses.CourseID", "Title", "Rating").OrderBy("Rating", true)
+}
+
+// TestRewritePushesTopIntoSQL is rule (d) case by case: a top over a
+// statement becomes that statement's LIMIT ?, and nothing else does.
+func TestRewritePushesTopIntoSQL(t *testing.T) {
+	rw, plain := rewritingEngine(t)
+
+	// Through an outermost order, k bound behind the WHERE arguments.
+	got := rw.rewrite(ratedCourses(444).Top(5))
+	if got.kind != limitStep || !sqlable(got) {
+		t.Fatalf("top over order over SQL: %s", tree(got))
+	}
+	sql, args, err := CompileSQL(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "SELECT Courses.CourseID, Title, Rating FROM Comments JOIN Courses ON Comments.CourseID = Courses.CourseID" +
+		" WHERE Comments.SuID = ? ORDER BY Rating DESC LIMIT ?"; sql != want {
+		t.Errorf("compiled\n got %s\nwant %s", sql, want)
+	}
+	if !reflect.DeepEqual(args, []any{int64(444), int64(5)}) {
+		t.Errorf("args = %#v, want the student then k", args)
+	}
+	if out := rw.Explain(ratedCourses(444).Top(5)); !strings.Contains(out, "ORDER BY Rating DESC LIMIT ?  -- args [444 5]") {
+		t.Errorf("Explain does not show the limited statement:\n%s", out)
+	}
+
+	// With no order at all.
+	unordered := Rel("Comments").Select("Rating >= ?", 4.0).Project("SuID", "CourseID")
+	if got := rw.rewrite(unordered.Top(2)); got.kind != limitStep || got.child != unordered {
+		t.Errorf("top over unordered SQL: %s", tree(got))
+	}
+	// Below a non-SQL operator, as an operand that binds a parameter.
+	under := Recommend(Rel("Courses"), unordered.Top(2), JaccardOn("Title"))
+	if got := tree(rw.rewrite(under)); !strings.Contains(got, ", limit[2](π{SuID,CourseID}(σ[Rating >= ?](Comments))))") {
+		t.Errorf("top under ▷: %s", got)
+	}
+
+	// Refused: the fused top(▷), a top over a non-SQL child, and anything
+	// in or under a Materialize — the author's or rule (b)'s.
+	nest := Rel("Comments").Project("SuID", "CourseID", "Rating").Extend("SuID", "CourseID", "Rating", "Ratings")
+	explicit := unordered.Top(2).Materialize(MatOptions{Name: "mine"})
+	for name, wf := range map[string]*Step{
+		"top(▷)":                figure5b(444, 2008),
+		"top over extend":       nest.Select("SuID <> ?", int64(444)).Top(2),
+		"in a Materialize":      explicit,
+		"over a Materialize":    explicit.Top(1),
+		"in rule (b)'s operand": Recommend(Rel("Courses").Select("Year = ?", int64(2008)), Rel("Comments").Top(2), JaccardOn("Text")),
+	} {
+		var walk func(*Step) bool
+		walk = func(s *Step) bool {
+			return s != nil && (s.kind == limitStep || walk(s.child) || walk(s.other))
+		}
+		if got := rw.rewrite(wf); walk(got) {
+			t.Errorf("%s: pushed a LIMIT: %s", name, tree(got))
+		}
+	}
+	// σ over a pushed top stays a step-wise selection of the k rows: a
+	// LIMIT closes its statement.
+	over := unordered.Top(3).Select("SuID > ?", int64(445))
+	if got := rw.rewrite(over); sqlable(got) || got.child.kind != limitStep {
+		t.Errorf("σ over top: %s", tree(got))
+	}
+
+	// Identity without a registry.
+	for _, e := range []*Engine{plain, plain.ForceScan(), rw.ForceScan()} {
+		if wf := ratedCourses(444).Top(5); e.rewrite(wf) != wf {
+			t.Error("an engine without a registry pushed a top")
+		}
+	}
+}
+
+// TestRewriteTopParityAndOneShape runs limited statements beside the
+// drained-then-truncated plain engine for every k, and pins that k is an
+// argument: a new k costs no compile.
+func TestRewriteTopParityAndOneShape(t *testing.T) {
+	rw, plain := rewritingEngine(t)
+	for _, body := range []func() *Step{
+		func() *Step { return ratedCourses(445) },
+		func() *Step { return ratedCourses(999) }, // no rows
+		func() *Step { return Rel("Comments").Select("Rating >= ?", 2.0).Project("SuID", "CourseID", "Rating") },
+		func() *Step {
+			return Rel("Comments").Select("Rating >= ?", 4.0).OrderBy("Rating", true).Select("SuID > 0")
+		}, // order not outermost: step-wise
+	} {
+		for _, k := range []int{1, 2, 3, 100} {
+			want, err := plain.Run(body().Top(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rw.Run(body().Top(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s top[%d]\n got %v\nwant %v", tree(body()), k, got.Rows, want.Rows)
+			}
+		}
+	}
+
+	_, m0 := rw.CompileStats()
+	for _, k := range []int{10, 20, 10} {
+		if _, err := rw.Run(ratedCourses(446).Top(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h1, m1 := rw.CompileStats()
+	if m1 != m0 {
+		t.Errorf("k = 10 then k = 20 compiled %d new shapes, want 0 (the shape was compiled above)", m1-m0)
+	}
+	// The limited and the unlimited statement never share a slot.
+	if _, err := rw.Run(ratedCourses(446)); err != nil {
+		t.Fatal(err)
+	}
+	if h2, m2 := rw.CompileStats(); m2 != m1+1 || h2 != h1 {
+		t.Errorf("unlimited twin: compile hits %d→%d misses %d→%d, want one miss", h1, h2, m1, m2)
+	}
+	fresh, _ := rewritingEngine(t)
+	for _, k := range []int{10, 20} {
+		if _, err := fresh.Run(ratedCourses(446).Top(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, m := fresh.CompileStats(); h != 1 || m != 1 {
+		t.Errorf("k = 10 then k = 20 on a fresh engine: %d hits %d misses, want 1 and 1", h, m)
 	}
 }
 

@@ -1,6 +1,7 @@
 package flexrecs
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -82,15 +83,26 @@ func JaccardText(a, b string) float64 {
 	return JaccardAgainst(textindex.Tokenize(a), Tokens(b))
 }
 
-// commonKeys returns the values of a and b on their shared keys.
-func commonKeys(a, b Vector) (av, bv []float64) {
-	for k, x := range a {
-		if y, ok := b[k]; ok {
-			av = append(av, x)
-			bv = append(bv, y)
-		}
+// Float addition does not associate and Go randomizes map iteration, so
+// a sum accumulated in map order can move in its last bit from one run
+// to the next — and a similarity that does reorders every ranking built
+// on it (grade points such as 3.7 make the terms inexact; integer
+// ratings never showed it). Every vector similarity below therefore
+// collects its terms first and adds them up in an order that depends on
+// their values alone.
+
+// simTerms is the stack buffer the similarities collect into: pairs of
+// students rarely share more courses than this.
+const simTerms = 16
+
+// sortedSum adds terms up in ascending order, reordering them in place.
+func sortedSum(terms []float64) float64 {
+	slices.Sort(terms)
+	sum := 0.0
+	for _, t := range terms {
+		sum += t
 	}
-	return av, bv
+	return sum
 }
 
 // InvEuclidean computes 1 / (1 + d) where d is the Euclidean distance
@@ -99,19 +111,12 @@ func commonKeys(a, b Vector) (av, bv []float64) {
 // have similarity 0 (nothing comparable). The accumulation streams over
 // the smaller vector rather than materializing the common keys: this
 // runs once per candidate pair in the CF hot loop.
-//
-// The squared differences are summed in ascending order of their
-// values, not in map order: float addition does not associate, Go
-// randomizes map iteration, and a similarity that moved in its last bit
-// from one run to the next would reorder every ranking built on it
-// (grade points such as 3.7 make the terms inexact; integer ratings
-// never showed it).
 func InvEuclidean(a, b Vector) float64 {
 	small, big := a, b
 	if len(b) < len(a) {
 		small, big = b, a
 	}
-	var buf [16]float64 // pairs rarely share more courses than this
+	var buf [simTerms]float64
 	terms := buf[:0]
 	for k, x := range small {
 		if y, ok := big[k]; ok {
@@ -122,12 +127,7 @@ func InvEuclidean(a, b Vector) float64 {
 	if len(terms) == 0 {
 		return 0
 	}
-	slices.Sort(terms)
-	sum := 0.0
-	for _, t := range terms {
-		sum += t
-	}
-	return 1 / (1 + math.Sqrt(sum))
+	return 1 / (1 + math.Sqrt(sortedSum(terms)))
 }
 
 // Cosine computes the cosine similarity of two sparse vectors with
@@ -136,50 +136,75 @@ func InvEuclidean(a, b Vector) float64 {
 // a pair with a single shared rating does not degenerate to similarity
 // 1. Zero-norm vectors have similarity 0.
 func Cosine(a, b Vector) float64 {
-	var dot float64
 	small, big := a, b
 	if len(b) < len(a) {
 		small, big = b, a
 	}
+	var buf [simTerms]float64
+	terms := buf[:0]
 	for k, x := range small {
 		if y, ok := big[k]; ok {
-			dot += x * y
+			terms = append(terms, x*y)
 		}
 	}
+	dot := sortedSum(terms)
 	if dot == 0 {
 		return 0
 	}
-	var na, nb float64
-	for _, x := range a {
-		na += x * x
-	}
-	for _, y := range b {
-		nb += y * y
-	}
+	na, nb := sumSquares(a, terms[:0]), sumSquares(b, terms[:0])
 	if na == 0 || nb == 0 {
 		return 0
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
+// sumSquares is the squared norm of v, its terms collected into buf.
+func sumSquares(v Vector, buf []float64) float64 {
+	for _, x := range v {
+		buf = append(buf, x*x)
+	}
+	return sortedSum(buf)
+}
+
 // Pearson computes the Pearson correlation of two sparse vectors over
 // their common keys, in [-1,1]. It requires at least two common keys and
 // non-degenerate variance; otherwise it returns 0.
 func Pearson(a, b Vector) float64 {
-	av, bv := commonKeys(a, b)
-	n := float64(len(av))
+	small, big, swapped := a, b, false
+	if len(b) < len(a) {
+		small, big, swapped = b, a, true
+	}
+	// The common keys' (a, b) value pairs, put in value order: every sum
+	// below then runs over the same sequence whatever the map order was.
+	var buf [simTerms][2]float64
+	pairs := buf[:0]
+	for k, x := range small {
+		if y, ok := big[k]; ok {
+			if swapped {
+				x, y = y, x
+			}
+			pairs = append(pairs, [2]float64{x, y})
+		}
+	}
+	n := float64(len(pairs))
 	if n < 2 {
 		return 0
 	}
+	slices.SortFunc(pairs, func(p, q [2]float64) int {
+		if c := cmp.Compare(p[0], q[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(p[1], q[1])
+	})
 	var sa, sb float64
-	for i := range av {
-		sa += av[i]
-		sb += bv[i]
+	for _, p := range pairs {
+		sa += p[0]
+		sb += p[1]
 	}
 	ma, mb := sa/n, sb/n
 	var cov, va, vb float64
-	for i := range av {
-		da, db := av[i]-ma, bv[i]-mb
+	for _, p := range pairs {
+		da, db := p[0]-ma, p[1]-mb
 		cov += da * db
 		va += da * da
 		vb += db * db

@@ -144,3 +144,37 @@ func TestVectorClone(t *testing.T) {
 		t.Error("Clone must not alias")
 	}
 }
+
+// TestVectorSimilaritiesRepeatBitForBit: Go randomizes map iteration and
+// float addition does not associate, so a similarity summed in map order
+// moves in its last bit between runs once the terms are inexact (grade
+// points like 3.7). Each function must return the identical float every
+// time.
+func TestVectorSimilaritiesRepeatBitForBit(t *testing.T) {
+	grades := []float64{4.0, 3.7, 3.3, 3.0, 2.7, 2.3, 2.0, 1.7, 1.3, 4.3, 0.7}
+	a, b := Vector{}, Vector{}
+	for i := 0; i < 14; i++ {
+		a[int64(i)] = grades[i%len(grades)]
+		if i%4 != 3 {
+			b[int64(i)] = grades[(i*5+2)%len(grades)]
+		}
+	}
+	b[int64(100)] = 3.7 // only in b: counts toward its cosine norm
+	for name, fn := range map[string]func(a, b Vector) float64{
+		"InvEuclidean": InvEuclidean, "Cosine": Cosine, "Pearson": Pearson,
+	} {
+		first := fn(a, b)
+		if first == 0 || math.IsNaN(first) {
+			t.Fatalf("%s = %v on overlapping vectors", name, first)
+		}
+		for run := 0; run < 50; run++ {
+			// Fresh maps each run: iteration order is per map, per range.
+			if got := fn(a.Clone(), b.Clone()); math.Float64bits(got) != math.Float64bits(first) {
+				t.Fatalf("%s run %d = %v, first run = %v (differ in the last bits)", name, run, got, first)
+			}
+			if got, want := fn(b.Clone(), a.Clone()), first; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s is not symmetric bit for bit: %v vs %v", name, got, want)
+			}
+		}
+	}
+}

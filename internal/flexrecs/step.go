@@ -20,6 +20,7 @@ const (
 	topStep
 	orderStep
 	matStep
+	limitStep // top[k] the rewriter pushed into its child's statement (rewrite.go rule d)
 )
 
 // Step is one node of a workflow DAG. Workflows are built fluently:
@@ -51,7 +52,7 @@ type Step struct {
 	blendKey string // blendStep: join key column
 	wL, wR   float64
 
-	k int // topStep
+	k int // topStep, limitStep
 
 	orderCol string // orderStep
 	desc     bool
@@ -174,6 +175,8 @@ func (s *Step) describe() string {
 		return fmt.Sprintf("blend[%s: %.2g·L + %.2g·R on %s]", s.scoreAs, s.wL, s.wR, s.blendKey)
 	case topStep:
 		return fmt.Sprintf("top[%d]", s.k)
+	case limitStep:
+		return fmt.Sprintf("limit[%d]", s.k)
 	case orderStep:
 		dir := "asc"
 		if s.desc {
@@ -246,7 +249,7 @@ func (s *Step) Validate() error {
 		if err := s.other.Validate(); err != nil {
 			return err
 		}
-	case topStep:
+	case topStep, limitStep:
 		if s.k <= 0 {
 			return fmt.Errorf("flexrecs: Top requires k > 0")
 		}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -25,6 +26,7 @@ type orderedEntry struct {
 type orderedIndex struct {
 	col     int
 	entries []orderedEntry
+	gen     uint64 // bumped whenever entries change; open cursors re-seek on it
 }
 
 // search returns the position of the first entry >= (val, slot).
@@ -47,6 +49,7 @@ func (ix *orderedIndex) add(slot int, row Row) {
 	ix.entries = append(ix.entries, orderedEntry{})
 	copy(ix.entries[i+1:], ix.entries[i:])
 	ix.entries[i] = orderedEntry{val: v, slot: slot}
+	ix.gen++
 }
 
 func (ix *orderedIndex) remove(slot int, row Row) {
@@ -57,6 +60,7 @@ func (ix *orderedIndex) remove(slot int, row Row) {
 	i := ix.search(v, slot)
 	if i < len(ix.entries) && ix.entries[i].slot == slot && Equal(ix.entries[i].val, v) {
 		ix.entries = append(ix.entries[:i], ix.entries[i+1:]...)
+		ix.gen++
 	}
 }
 
@@ -86,6 +90,7 @@ func (ix *orderedIndex) update(slot int, old, repl Row) {
 	// still in place at i; the three cases below collapse remove(i) +
 	// insert into a single bounded shift.
 	j := ix.search(nv, slot)
+	ix.gen++
 	switch {
 	case j > i+1: // moving right: (i, j) shifts left, entry lands at j-1
 		copy(ix.entries[i:], ix.entries[i+1:j])
@@ -255,24 +260,53 @@ func (t *Table) RangeCount(col string, lo, hi *RangeBound) (int, bool) {
 }
 
 // RangeCursor iterates the rows an ordered index places inside [lo, hi]
-// in key order (ties in slot order). The matching (key, slot) entries
-// are snapshotted when the cursor opens; rows are then fetched in
-// batches under the read lock, so an open cursor never blocks writers
-// and a long drain holds the lock only per batch. Concurrent DML is
-// handled by comparing each fetched row's current key against the
-// snapshotted one: a deleted row, or one whose key changed since the
-// snapshot (including a slot reused for a different key), is skipped
-// rather than emitted out of order. A slot reused for an EQUAL key may
-// surface a row inserted after the cursor opened — the same
-// read-committed-flavored visibility the scan cursor has — but every
-// emitted row still satisfies the range and the emitted key sequence is
-// always ascending (the basis of ORDER BY elision).
+// in key order (ties in slot order). Opening one costs nothing but the
+// index lookup: the cursor keeps no copy of the matching entries and
+// instead walks the live index a batch at a time under the read lock
+// NextBatch takes anyway, so reading the first k rows of a span costs k
+// rows however long the span is, an open cursor never blocks writers,
+// and a long drain holds the lock only per batch. Between batches the
+// cursor remembers its index position together with the index's change
+// counter; when a writer moved the index in between it re-seeks, by
+// binary search, just past the last (key, slot) entry it consumed.
+//
+// Under concurrent DML every emitted row lies inside the bounds and the
+// emitted key sequence is always ascending with ties in ascending slot
+// order (the basis of ORDER BY elision). A row deleted before the cursor
+// reaches it is skipped, as is a row re-keyed to a position behind the
+// cursor; no slot is ever emitted twice — a row already emitted and then
+// re-keyed ahead of the cursor is not seen again — and rows inserted
+// ahead of the cursor may be seen, the same read-committed-flavored
+// visibility the scan cursor has. Under a transaction snapshot the walk
+// emits exactly the versions the snapshot sees: superseded versions keep
+// their index entries while any snapshot can still read them.
 type RangeCursor struct {
-	t       *Table
-	col     int
-	sn      Snap
-	entries []orderedEntry
-	pos     int
+	t      *Table
+	ix     *orderedIndex
+	sn     Snap
+	lo, hi *RangeBound
+	desc   bool
+
+	// Walk state, trusted only while ix.gen == gen. Ascending, pos runs
+	// to end, the span's end. Descending, pos runs forward through one
+	// key group [gstart, end) at a time and the groups are visited back
+	// to front down to floor, the span's start.
+	gen    uint64
+	pos    int
+	end    int
+	gstart int
+	floor  int
+
+	// The last entry consumed, where a re-seek resumes.
+	started  bool
+	lastVal  Value
+	lastSlot int
+
+	// Slots handed out so far: a list while the index stands still,
+	// turned into a set by the first re-seek — only a moved index can
+	// offer an already emitted slot again.
+	emitted []int
+	seen    map[int]struct{}
 }
 
 // NewRangeCursor opens a range iteration over the column's ordered
@@ -284,16 +318,83 @@ func (t *Table) NewRangeCursor(col string, lo, hi *RangeBound) (*RangeCursor, bo
 // NewRangeCursorSnap is NewRangeCursor as of a snapshot: emitted rows
 // are the versions the snapshot sees, still in ascending key order.
 func (t *Table) NewRangeCursorSnap(sn Snap, col string, lo, hi *RangeBound) (*RangeCursor, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.ordered[strings.ToLower(col)]
+	ix, ok := t.orderedIndexOf(col)
 	if !ok {
 		return nil, false
 	}
-	i, j := ix.span(lo, hi)
-	entries := make([]orderedEntry, j-i)
-	copy(entries, ix.entries[i:j])
-	return &RangeCursor{t: t, col: ix.col, sn: sn, entries: entries}, true
+	return &RangeCursor{t: t, ix: ix, sn: sn, lo: lo, hi: hi}, true
+}
+
+func (t *Table) orderedIndexOf(col string) (*orderedIndex, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ix, ok := t.ordered[strings.ToLower(col)]
+	return ix, ok
+}
+
+// seek positions the walk: at the span's first entry in iteration order
+// when nothing was consumed yet, else just past the last consumed
+// entry. Caller holds the read lock.
+func (c *RangeCursor) seek() {
+	ix := c.ix
+	i, j := ix.span(c.lo, c.hi)
+	c.gen = ix.gen
+	if c.started && c.seen == nil {
+		c.seen = make(map[int]struct{}, 2*len(c.emitted))
+		for _, slot := range c.emitted {
+			c.seen[slot] = struct{}{}
+		}
+		c.emitted = nil
+	}
+	if !c.desc {
+		c.pos, c.end = i, j
+		if c.started {
+			c.pos = max(i, ix.search(c.lastVal, c.lastSlot+1))
+		}
+		return
+	}
+	c.floor = i
+	if !c.started {
+		// An exhausted pseudo-group at the span's end: the first step
+		// moves to the group below it, the span's largest key.
+		c.pos, c.end, c.gstart = j, j, j
+		return
+	}
+	// The rest of the last key's group, then the groups below it.
+	c.pos = ix.search(c.lastVal, c.lastSlot+1)
+	c.gstart = ix.search(c.lastVal, 0)
+	c.end = ix.search(c.lastVal, math.MaxInt)
+}
+
+// groupStart returns where the key group ending just before end begins,
+// never below floor: a few neighbour compares for the short groups of a
+// near-unique column, a binary search for long tie groups.
+func (ix *orderedIndex) groupStart(end, floor int) int {
+	v := ix.entries[end-1].val
+	g := end - 1
+	for n := 0; n < 4 && g > floor && Equal(ix.entries[g-1].val, v); n++ {
+		g--
+	}
+	if g > floor && Equal(ix.entries[g-1].val, v) {
+		g = max(floor, ix.search(v, 0))
+	}
+	return g
+}
+
+// step consumes the next index entry in iteration order.
+func (c *RangeCursor) step() (orderedEntry, bool) {
+	for c.pos >= c.end {
+		if !c.desc || c.gstart <= c.floor {
+			return orderedEntry{}, false
+		}
+		// Descending: step to the key group just below the finished one.
+		c.end = c.gstart
+		c.gstart = c.ix.groupStart(c.end, c.floor)
+		c.pos = c.gstart
+	}
+	en := c.ix.entries[c.pos]
+	c.pos++
+	return en, true
 }
 
 // NextBatch fills dst with row references in key order, returning how
@@ -303,11 +404,18 @@ func (t *Table) NewRangeCursorSnap(sn Snap, col string, lo, hi *RangeBound) (*Ra
 func (c *RangeCursor) NextBatch(dst []Row) int {
 	c.t.mu.RLock()
 	defer c.t.mu.RUnlock()
+	if !c.started || c.gen != c.ix.gen {
+		c.seek()
+	}
 	n := 0
 	fast := c.sn.latest() && len(c.t.vslots) == 0
-	for c.pos < len(c.entries) && n < len(dst) {
-		en := c.entries[c.pos]
-		c.pos++
+	col := c.ix.col
+	for n < len(dst) {
+		en, ok := c.step()
+		if !ok {
+			break
+		}
+		c.started, c.lastVal, c.lastSlot = true, en.val, en.slot
 		if en.slot >= len(c.t.rows) {
 			continue
 		}
@@ -315,8 +423,19 @@ func (c *RangeCursor) NextBatch(dst []Row) int {
 		if !fast {
 			row = c.t.visibleLocked(en.slot, c.sn)
 		}
-		if row == nil || row[c.col] == nil || !Equal(row[c.col], en.val) {
+		if row == nil || row[col] == nil || !Equal(row[col], en.val) {
 			continue
+		}
+		if c.seen != nil {
+			if _, dup := c.seen[en.slot]; dup {
+				continue
+			}
+			c.seen[en.slot] = struct{}{}
+		} else {
+			if c.emitted == nil {
+				c.emitted = make([]int, 0, len(dst))
+			}
+			c.emitted = append(c.emitted, en.slot)
 		}
 		dst[n] = row
 		n++
@@ -348,11 +467,10 @@ func (t *Table) Range(col string, lo, hi *RangeBound) []Row {
 // in DESCENDING key order, with ties in ascending slot order — exactly
 // the sequence a stable descending sort of a slot-order scan produces,
 // which is what lets the SQL planner elide ORDER BY key DESC and still
-// match the sorted path row for row. It shares RangeCursor's DML
-// discipline: the matching (key, slot) entries snapshot when the cursor
-// opens, rows fetch in batches under the read lock, and rows deleted or
-// re-keyed since the snapshot are skipped rather than emitted out of
-// order, so the emitted key sequence is always non-increasing.
+// match the sorted path row for row. It is a RangeCursor walking the
+// live index back to front one key group at a time, with the same
+// opening cost (none) and the same DML discipline, so the emitted key
+// sequence is always non-increasing.
 type DescCursor struct{ RangeCursor }
 
 // NewDescCursor opens a descending range iteration over the column's
@@ -363,25 +481,11 @@ func (t *Table) NewDescCursor(col string, lo, hi *RangeBound) (*DescCursor, bool
 
 // NewDescCursorSnap is NewDescCursor as of a snapshot.
 func (t *Table) NewDescCursorSnap(sn Snap, col string, lo, hi *RangeBound) (*DescCursor, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.ordered[strings.ToLower(col)]
+	ix, ok := t.orderedIndexOf(col)
 	if !ok {
 		return nil, false
 	}
-	i, j := ix.span(lo, hi)
-	// Reverse by key group: groups of equal keys walk back to front,
-	// each group's entries kept in ascending slot order.
-	entries := make([]orderedEntry, 0, j-i)
-	for j > i {
-		gs := j - 1
-		for gs > i && Equal(ix.entries[gs-1].val, ix.entries[j-1].val) {
-			gs--
-		}
-		entries = append(entries, ix.entries[gs:j]...)
-		j = gs
-	}
-	return &DescCursor{RangeCursor{t: t, col: ix.col, sn: sn, entries: entries}}, true
+	return &DescCursor{RangeCursor{t: t, ix: ix, sn: sn, lo: lo, hi: hi, desc: true}}, true
 }
 
 // ScanCursor iterates every live row in slot order, fetching references

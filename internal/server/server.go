@@ -304,10 +304,12 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request, u community.
 // parameters as workflow parameters — the per-student personalization
 // the paper's FlexRecs interface offers.
 // strategyParams collects a strategy's personalization parameters from
-// the query string: the logged-in student plus every non-reserved query
-// key, integers coerced.
+// the query string: every non-reserved query key, integers coerced, plus
+// the student. Who the student is comes from the session alone — a
+// ?student= in the query string must not let one member of the closed
+// community read another's ratings — so it is set last.
 func strategyParams(r *http.Request, u community.User) map[string]any {
-	params := map[string]any{"student": u.ID}
+	params := map[string]any{}
 	for key, vals := range r.URL.Query() {
 		if len(vals) == 0 || key == "token" {
 			continue
@@ -318,6 +320,7 @@ func strategyParams(r *http.Request, u community.User) map[string]any {
 			params[key] = vals[0]
 		}
 	}
+	params["student"] = u.ID
 	return params
 }
 

@@ -265,6 +265,43 @@ func TestRecommendEndpoint(t *testing.T) {
 	}
 }
 
+// TestStudentComesFromTheSession: a ?student= naming somebody else is
+// ignored by every strategy route — the caller reads their own rows.
+func TestStudentComesFromTheSession(t *testing.T) {
+	ts, site, man := testServer(t)
+	token := login(t, ts, "stu00002") // not the manifest's sample student
+	get := func(path string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path + "token=" + token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return decode[map[string]any](t, resp)
+	}
+	other := man.SampleStudent
+	theirs, err := site.Strategies.Run(site.Flex, "rated-courses", map[string]any{"student": other, "k": 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if theirs.Len() == 0 {
+		t.Fatal("the other student has no ratings to leak")
+	}
+	own := get("/api/recommend/rated-courses?k=50&")
+	spoofed := get(fmt.Sprintf("/api/recommend/rated-courses?k=50&student=%d&", other))
+	if fmt.Sprint(spoofed["rows"]) != fmt.Sprint(own["rows"]) {
+		t.Errorf("?student=%d changed the answer:\n got %v\nwant the caller's own %v", other, spoofed["rows"], own["rows"])
+	}
+	for _, route := range []string{"explain", "analyze"} {
+		out := get(fmt.Sprintf("/api/%s/rated-courses?student=%d&", route, other))
+		if text := fmt.Sprint(out); strings.Contains(text, fmt.Sprintf("args [%d ", other)) {
+			t.Errorf("/api/%s bound the spoofed student %d:\n%s", route, other, text)
+		}
+	}
+}
+
 func TestExplainEndpoint(t *testing.T) {
 	ts, _, _ := testServer(t)
 	token := login(t, ts, "stu00001")

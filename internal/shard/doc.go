@@ -52,7 +52,11 @@
 //     contract — each shard's result arrives sorted, so the gather is
 //     a k-way merge on output columns. With LIMIT l OFFSET o each
 //     shard is asked for l+o rows (Stmt.QueryWindow) and the global
-//     window applies once after the merge.
+//     window applies once after the merge. A leg stops at its l+o-th
+//     row: where the statement streams (no aggregate, no DISTINCT, the
+//     ORDER BY elided into an index walk) the shard's executor ends its
+//     pipeline there and reads a batch or two of its partition, so the
+//     coordinator merges shards × (l+o) rows, not the table.
 //   - streaming concat: unordered fan-outs interleave per-shard rows
 //     in arrival order. A LIMIT short-circuit cancels still-running
 //     shard cursors as soon as the window is filled, as does closing

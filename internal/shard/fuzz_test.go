@@ -409,6 +409,110 @@ func TestShardFuzzParity(t *testing.T) {
 		st.FastPath, st.Replicated, st.FanOut, st.MergeOrdered, st.MergeConcat, st.MergeCombine)
 }
 
+// TestShardWindowIsSliceOfUnwindowed is sqlmini's window property across
+// the shard boundary: on a 3-shard cluster, `… LIMIT k OFFSET o` is rows
+// [o : o+k] of what the SAME cluster returns for the statement without a
+// window — every leg now stops at its k+o-th row instead of handing over
+// its whole partition, and a row goal may have changed a leg's join
+// algorithm, yet the coordinator must merge the same prefix. Shapes with
+// tied sort keys compare against the cluster itself (its tie order is
+// its own: shard index, then slot); shapes that pin a total order must
+// also agree with the mono engine and through the streaming gather.
+// Aggregate, DISTINCT and un-elided-sort statements are in the list
+// because no early stop may apply to them.
+func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
+	db, e := shardFuzzBase(t)
+	for i := 0; i < 700; i++ { // enough rows per shard to cross executor batches
+		if _, err := e.Exec(`INSERT INTO Items VALUES (?, ?, ?, ?)`,
+			int64(2000+i), int64((i*7)%25), int64(i%40), []string{"ca", "cb", "cc"}[i%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Split(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		sql   string
+		args  []any
+		total bool // the ORDER BY ends in a key unique per row
+	}{
+		{`SELECT ID, K FROM Items WHERE K >= ? ORDER BY K DESC`, []any{int64(3)}, false},
+		{`SELECT ID, K FROM Items WHERE K <= ? ORDER BY K`, []any{int64(20)}, false},
+		{`SELECT ID, K, Cat FROM Items WHERE V IS NOT NULL`, nil, false},
+		{`SELECT i.ID, i.K, b.ID FROM Items i JOIN Bands b ON i.ID = b.AK WHERE i.K >= ? ORDER BY i.K DESC`, []any{int64(2)}, false},
+		{`SELECT i.ID, i.K, p.ID FROM Items i JOIN Peers p ON i.K = p.K ORDER BY i.K`, nil, false},
+		{`SELECT b.ID, a.ID, a.K FROM Bands b JOIN Items a ON a.K BETWEEN b.Lo AND b.Hi WHERE b.ID = ?`, []any{int64(12)}, false},
+		{`SELECT ID, K FROM Items WHERE K = 7 ORDER BY ID`, nil, true},
+		{`SELECT ID, K FROM Items ORDER BY K DESC, ID`, nil, true},
+		{`SELECT ID, V FROM Items WHERE V IS NOT NULL ORDER BY V DESC, ID`, nil, true},
+		{`SELECT Cat, COUNT(*), SUM(V) FROM Items GROUP BY Cat ORDER BY Cat`, nil, true},
+		{`SELECT K, COUNT(*) FROM Items GROUP BY K ORDER BY K`, nil, true},
+		{`SELECT DISTINCT Cat FROM Items ORDER BY Cat`, nil, true},
+	}
+	for _, sh := range shapes {
+		all, err := c.Query(sh.sql, sh.args...)
+		if err != nil {
+			t.Fatalf("%q: %v", sh.sql, err)
+		}
+		n := len(all.Rows)
+		if n == 0 {
+			t.Fatalf("%q returns nothing", sh.sql)
+		}
+		var mono *sqlmini.Result
+		if sh.total {
+			if mono, err = e.Query(sh.sql, sh.args...); err != nil {
+				t.Fatal(err)
+			}
+			if !rowsClose(all.Rows, mono.Rows) {
+				t.Fatalf("%q: sharded and mono rows diverge before any window", sh.sql)
+			}
+		}
+		for _, k := range []int{0, 1, 255, 256, 257, n, n + 1} {
+			for _, o := range []int{0, 3} {
+				start := min(o, n)
+				want := all.Rows[start:min(start+k, n)]
+				literal := fmt.Sprintf("%s LIMIT %d OFFSET %d", sh.sql, k, o)
+				bound := append(append([]any{}, sh.args...), int64(k), int64(o))
+				for entry, run := range map[string]func() (*sqlmini.Result, error){
+					"literal": func() (*sqlmini.Result, error) { return c.Query(literal, sh.args...) },
+					"bound":   func() (*sqlmini.Result, error) { return c.Query(sh.sql+" LIMIT ? OFFSET ?", bound...) },
+				} {
+					got, err := run()
+					if err != nil {
+						t.Fatalf("%q %s: %v", literal, entry, err)
+					}
+					if !rowsClose(got.Rows, want) {
+						t.Fatalf("%q (%s): %d rows, not rows [%d:%d] of the cluster's unwindowed %d\n got %v\nwant %v",
+							literal, entry, len(got.Rows), o, o+k, n, got.Rows, want)
+					}
+				}
+				if !sh.total {
+					continue // the streaming gather breaks ties by arrival
+				}
+				rows, err := c.QueryRows(literal, sh.args...)
+				if err != nil {
+					t.Fatalf("%q stream: %v", literal, err)
+				}
+				var streamed []relation.Row
+				for rows.Next() {
+					streamed = append(streamed, rows.Row().Clone())
+				}
+				rows.Close()
+				if err := rows.Err(); err != nil {
+					t.Fatalf("%q stream: %v", literal, err)
+				}
+				if !rowsClose(streamed, want) {
+					t.Fatalf("%q: streamed %d rows, want %d", literal, len(streamed), len(want))
+				}
+			}
+		}
+	}
+	if st := c.Stats(); st.FastPath == 0 || st.MergeOrdered == 0 || st.MergeConcat == 0 || st.MergeCombine == 0 {
+		t.Fatalf("window corpus missed a route or a merge: %+v", st)
+	}
+}
+
 // FuzzShardParity is the go-native entry point: each input seeds the
 // generator, committed seeds replay as differential cases and
 // `go test -fuzz=FuzzShardParity ./internal/shard` explores further.

@@ -48,6 +48,7 @@ type analyzeState struct {
 	stats      map[any]*opStat
 	elapsed    time.Duration
 	resultRows int
+	limitStop  bool // the window stage ended the pipeline (limitCursor)
 }
 
 func (a *analyzeState) nodeStat(key any) *opStat {
@@ -78,8 +79,12 @@ func (a *analyzeState) render() string {
 		fmt.Fprintf(&b, " time=%s)", time.Duration(st.ns).Round(time.Microsecond))
 		return b.String()
 	})
-	return tree + fmt.Sprintf("analyzed: %d rows out, total %s\n",
-		a.resultRows, a.elapsed.Round(time.Microsecond))
+	stopped := ""
+	if a.limitStop {
+		stopped = " (stopped at limit)"
+	}
+	return tree + fmt.Sprintf("analyzed: %d rows out, total %s%s\n",
+		a.resultRows, a.elapsed.Round(time.Microsecond), stopped)
 }
 
 // instrCursor wraps one pipeline cursor with rows/batches/time

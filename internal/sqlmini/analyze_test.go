@@ -13,12 +13,12 @@ import (
 // everything else (rows, batches, loops, tree shape).
 var (
 	timeRe  = regexp.MustCompile(`time=[^)]+\)`)
-	totalRe = regexp.MustCompile(`total [^\n]+\n`)
+	totalRe = regexp.MustCompile(`total [0-9.]+(ns|µs|ms|s)`)
 )
 
 func normalizeAnalyze(s string) string {
 	s = timeRe.ReplaceAllString(s, "time=T)")
-	s = totalRe.ReplaceAllString(s, "total T\n")
+	s = totalRe.ReplaceAllString(s, "total T")
 	return s
 }
 
@@ -106,6 +106,20 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 				"  scan CourseYears AS b ~12 of 12 rows (actual rows=12 batches=1 time=T)\n" +
 				"  index probe CourseYears AS a (CourseID = 3) ~1 of 12 rows (actual rows=1 batches=1 loops=1 time=T)\n" +
 				batchLine + "analyzed: 12 rows out, total T\n",
+		},
+		{
+			name: "LIMIT ends a streaming pipeline: the footer says so, and the join emitted one ramp-up batch of its 200 rows",
+			sql:  `SELECT y.CourseID, en.SuID FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID LIMIT 5 OFFSET 2`,
+			want: "merge join on (y.CourseID = en.CourseID) (INNER) (actual rows=32 batches=1 time=T)\n" +
+				"  ordered scan Enrollments AS en (CourseID) ~200 of 200 rows (actual rows=160 batches=2 loops=1 time=T)\n" +
+				"  ordered scan CourseYears AS y (CourseID) ~12 of 12 rows (actual rows=12 batches=1 loops=1 time=T)\n" +
+				batchLine + "analyzed: 5 rows out, total T (stopped at limit)\n",
+		},
+		{
+			name: "LIMIT behind a real sort slices the finished result",
+			sql:  `SELECT SuID, CourseID, Rating FROM Comments WHERE SuID <> 1 ORDER BY CourseID LIMIT 5`,
+			want: "scan Comments filter (SuID <> 1) ~30 of 30 rows (actual rows=25 batches=1 loops=1 time=T)\n" +
+				batchLine + "analyzed: 5 rows out, total T\n",
 		},
 		{
 			name: "post-join WHERE gets its own actuals",

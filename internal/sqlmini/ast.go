@@ -207,6 +207,20 @@ type SelectStmt struct {
 
 func (*SelectStmt) stmt() {}
 
+// aggregates reports whether the statement groups or aggregates — its
+// output rows are then computed from the whole input, not row by row.
+func (s *SelectStmt) aggregates() bool {
+	if len(s.GroupBy) > 0 || hasAggregate(s.Having) {
+		return true
+	}
+	for _, item := range s.List {
+		if hasAggregate(item.Expr) {
+			return true
+		}
+	}
+	return false
+}
+
 // InsertStmt is a parsed INSERT.
 type InsertStmt struct {
 	Table string

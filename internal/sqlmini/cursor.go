@@ -1516,22 +1516,27 @@ func (c *filterCursor) NextBatch() ([]relation.Row, error) {
 
 func (c *filterCursor) Close() { c.in.Close() }
 
-// limitCursor implements streaming OFFSET/LIMIT for pipelines whose
-// output order is already final (no sort pending): skip rows, then stop
-// the whole pipeline — and all the work below it — once the limit is
-// reached, slicing whole batches on the way through.
+// limitCursor is the window stage of a streaming pipeline — one whose
+// output order is already final (no sort pending): skip offset rows,
+// then stop the whole pipeline — and all the work below it — once the
+// limit is reached, slicing whole batches on the way through. remain < 0
+// means no LIMIT. Both the materialized (Query) and the iterator
+// (QueryRows) entry points put this cursor on top of the plan.
 type limitCursor struct {
-	in        cursor
-	skip      int64
-	remain    int64
-	unlimited bool
+	in     cursor
+	skip   int64
+	remain int64
+	an     *analyzeState // EXPLAIN ANALYZE: told when the window ends the pipeline
 }
 
 func (c *limitCursor) markTransient() { markTransientCursor(c.in) }
 
 func (c *limitCursor) NextBatch() ([]relation.Row, error) {
 	for {
-		if !c.unlimited && c.remain <= 0 {
+		if c.remain == 0 {
+			if c.an != nil {
+				c.an.limitStop = true
+			}
 			return nil, nil
 		}
 		batch, err := c.in.NextBatch()
@@ -1546,10 +1551,12 @@ func (c *limitCursor) NextBatch() ([]relation.Row, error) {
 			batch = batch[c.skip:]
 			c.skip = 0
 		}
-		if !c.unlimited && int64(len(batch)) > c.remain {
-			batch = batch[:c.remain]
+		if c.remain > 0 {
+			if int64(len(batch)) > c.remain {
+				batch = batch[:c.remain]
+			}
+			c.remain -= int64(len(batch))
 		}
-		c.remain -= int64(len(batch))
 		return batch, nil
 	}
 }

@@ -149,6 +149,39 @@
 // by … elided"); elided-order queries stream through Rows like
 // unordered ones.
 //
+// # LIMIT/OFFSET: the window contract and the row goal
+//
+// A statement STREAMS when nothing blocking stands between its scan and
+// its window: no aggregate, no DISTINCT, and an ORDER BY that is absent
+// or elided. For a streaming statement the window is a pipeline stage —
+// one limitCursor on top of the plan, built from one evaluation of the
+// LIMIT/OFFSET clause — under BOTH entry points: Stmt.Query (and so
+// QueryWindow and every shard leg) as well as the QueryRows iterator
+// stop pulling batches at the window's last row, so the scan and every
+// join below read a batch or two instead of the table, and the result
+// slice is sized to the window. A statement that does not stream needs
+// its whole input before its first output row; it executes exactly as
+// it would without the LIMIT and the same helper slices the finished
+// rows. So does the key-bounded probe-only plan, which has no pipeline
+// to stop. EXPLAIN ANALYZE's footer says "(stopped at limit)" when the
+// window, not the end of the input, ended the execution. Either way
+// `… LIMIT k OFFSET o` is rows [o : o+k] of the statement without a
+// window, ties included (window_test.go holds every entry point to it).
+//
+// A streaming statement that carries a LIMIT also gives the planner a
+// ROW GOAL: the pipeline will be closed after limit+offset rows, so
+// join algorithms are re-decided with each join's left input costed at
+// that many rows — which turns "hash all of Courses to emit ten rows"
+// into an index nested loop through its primary key. The goal is the
+// literal's value, and ONE EXECUTOR BATCH (256) for a '?': plans are
+// cached by statement text and bake in access paths, never data, so the
+// goal cannot depend on the value an execution binds. It may change a
+// hash join into an INLJ and nothing else — not the join order, the
+// driver's access path, a merge or band join, or order elision, all
+// decided before it — and both algorithms emit left-major order with
+// right matches in slot order, so the limited statement returns exactly
+// the prefix of the unlimited one.
+//
 // Explain returns the chosen plan as text without executing; the
 // FlexRecs engine surfaces it beneath each compiled statement, and the
 // HTTP layer exposes it at /api/explain/{strategy}. ForceScan returns a
@@ -173,9 +206,10 @@
 // and the root's time is the statement's execution time. An operator
 // the execution never opened — the build side of a join whose driver
 // was empty, a branch cut off by LIMIT — reads "(actual: never
-// executed)". A trailing footer sums the statement up:
+// executed)". A trailing footer sums the statement up, noting when a
+// LIMIT ended the pipeline before the input ran out:
 //
-//	analyzed: N rows out, total D
+//	analyzed: N rows out, total D [(stopped at limit)]
 //
 // Two annotations depart from the one-line-one-cursor rule. Index
 // nested loop and band joins probe their right side per driver batch
@@ -287,7 +321,9 @@
 //     statement's LIMIT/OFFSET per execution, letting the coordinator
 //     fetch limit+offset rows from EVERY shard (any shard might hold
 //     the whole window) and apply the global window after the merge,
-//     while streaming early-Close cancels the still-running shards.
+//     while streaming early-Close cancels the still-running shards. A
+//     leg whose statement streams stops its own pipeline at that row
+//     (the window contract above); it does not drain and trim.
 //
 // Aggregates distribute only when they combine: COUNT/SUM/MIN/MAX
 // partials merge by group key at the coordinator; AVG, HAVING and

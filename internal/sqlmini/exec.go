@@ -271,6 +271,22 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		e.an.plan = plan
 	}
 
+	probeOnly := len(plan.joins) == 0 && len(plan.where) == 0 &&
+		(plan.scan.access == accessPK || plan.scan.access == accessIndex)
+
+	// A streaming statement's window is a pipeline stage: the limitCursor
+	// ends the scan and every join below it at the window's last row.
+	// Blocking statements (and the key-bounded probe-only plan) apply it
+	// to the finished rows in finishSelect instead.
+	win := noWindow
+	streams := ps.streams() && !probeOnly
+	if streams {
+		var err error
+		if win, err = ps.window(params); err != nil {
+			return nil, err
+		}
+	}
+
 	// Streaming direct projection: a non-aggregate query whose output
 	// items are all plain bound columns and whose order needs no sort
 	// (none requested, or the pipeline emits it) never materializes the
@@ -278,9 +294,7 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 	// output arena and the pipeline runs transient, so join and
 	// permutation slabs recycle instead of accumulating. This is the
 	// workhorse path for SELECT col,... FROM t [WHERE ...] feeds.
-	if !ps.aggMode && !ps.sel.Distinct && (len(ps.order) == 0 || plan.orderElide) &&
-		!(len(plan.joins) == 0 && len(plan.where) == 0 &&
-			(plan.scan.access == accessPK || plan.scan.access == accessIndex)) {
+	if streams {
 		bound := substItems(ps.items, params)
 		direct := make([]int, len(bound))
 		allDirect := true
@@ -297,8 +311,9 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 			if err != nil {
 				return nil, err
 			}
+			cur = e.windowed(cur, win)
 			var arena rowArena
-			outRows := make([]relation.Row, 0, plan.estOut())
+			outRows := make([]relation.Row, 0, win.capHint(plan.estOut()))
 			for {
 				batch, err := cur.NextBatch()
 				if err != nil {
@@ -317,13 +332,12 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 				}
 			}
 			cur.Close()
-			return e.finishSelect(ps, params, outRows)
+			return ps.result(outRows), nil
 		}
 	}
 
 	var drained []relation.Row
-	if len(plan.joins) == 0 && len(plan.where) == 0 &&
-		(plan.scan.access == accessPK || plan.scan.access == accessIndex) {
+	if probeOnly {
 		// Probe-only plan: the result is key-bounded; materialize it
 		// directly and skip the cursor plumbing — this is the prepared
 		// point-lookup hot path.
@@ -354,7 +368,8 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		if drained, err = drainCursor(cur, plan.estOut()); err != nil {
+		cur = e.windowed(cur, win)
+		if drained, err = drainCursor(cur, win.capHint(plan.estOut())); err != nil {
 			return nil, err
 		}
 	}
@@ -513,12 +528,16 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		outRows = sorted
 	}
 
-	return e.finishSelect(ps, params, outRows)
+	if streams {
+		return ps.result(outRows), nil // windowed in the pipeline, nothing to de-duplicate
+	}
+	return finishSelect(ps, params, outRows)
 }
 
-// finishSelect applies the result-shaping trailer — DISTINCT, then
-// LIMIT/OFFSET — and packages the Result.
-func (e *Engine) finishSelect(ps *preparedSelect, params []relation.Value, outRows []relation.Row) (*Result, error) {
+// finishSelect applies the result-shaping trailer of a blocking
+// statement — DISTINCT, then LIMIT/OFFSET over the finished rows — and
+// packages the Result.
+func finishSelect(ps *preparedSelect, params []relation.Value, outRows []relation.Row) (*Result, error) {
 	if ps.sel.Distinct {
 		seen := map[string]bool{}
 		kept := outRows[:0:0]
@@ -531,32 +550,90 @@ func (e *Engine) finishSelect(ps *preparedSelect, params []relation.Value, outRo
 		}
 		outRows = kept
 	}
-
-	if ps.sel.Limit != nil || ps.sel.Offset != nil {
-		offset, err := evalIntClause(substExpr(ps.sel.Offset, params), 0)
-		if err != nil {
-			return nil, err
-		}
-		limit, err := evalIntClause(substExpr(ps.sel.Limit, params), int64(len(outRows)))
-		if err != nil {
-			return nil, err
-		}
-		if offset < 0 {
-			offset = 0
-		}
-		if offset > int64(len(outRows)) {
-			offset = int64(len(outRows))
-		}
-		end := offset + limit
-		if limit < 0 || end > int64(len(outRows)) {
-			end = int64(len(outRows))
-		}
-		outRows = outRows[offset:end]
+	win, err := ps.window(params)
+	if err != nil {
+		return nil, err
 	}
+	return ps.result(win.slice(outRows)), nil
+}
 
-	// Columns are copied so callers can keep or reshape the slice without
-	// reaching into the shared prepared statement.
-	return &Result{Columns: append([]string(nil), ps.outCols...), Rows: outRows}, nil
+// result packages output rows. Columns are copied so callers can keep
+// or reshape the slice without reaching into the shared prepared
+// statement.
+func (ps *preparedSelect) result(rows []relation.Row) *Result {
+	return &Result{Columns: append([]string(nil), ps.outCols...), Rows: rows}
+}
+
+// window is a statement's LIMIT/OFFSET with parameters bound — the one
+// evaluation every entry point shares. limit < 0 means no LIMIT; offset
+// is never negative.
+type window struct{ limit, offset int64 }
+
+var noWindow = window{limit: -1}
+
+// window evaluates the statement's LIMIT/OFFSET clause under params.
+func (ps *preparedSelect) window(params []relation.Value) (window, error) {
+	if ps.sel.Limit == nil && ps.sel.Offset == nil {
+		return noWindow, nil
+	}
+	offset, err := evalIntClause(substExpr(ps.sel.Offset, params), 0)
+	if err != nil {
+		return noWindow, err
+	}
+	limit, err := evalIntClause(substExpr(ps.sel.Limit, params), -1)
+	if err != nil {
+		return noWindow, err
+	}
+	if offset < 0 {
+		offset = 0
+	}
+	if limit < 0 {
+		limit = -1
+	}
+	return window{limit: limit, offset: offset}, nil
+}
+
+// slice applies the window to finished rows.
+func (w window) slice(rows []relation.Row) []relation.Row {
+	n := int64(len(rows))
+	start := min(w.offset, n)
+	end := n
+	if w.limit >= 0 && start+w.limit < n {
+		end = start + w.limit
+	}
+	return rows[start:end]
+}
+
+// capHint caps an output-cardinality estimate at the rows the window
+// can let through.
+func (w window) capHint(est int) int {
+	if w.limit >= 0 && w.limit < int64(est) {
+		return int(w.limit)
+	}
+	return est
+}
+
+// streams reports whether nothing blocking stands between the scan and
+// the window: no aggregate, no DISTINCT, and an ORDER BY either absent
+// or already emitted by the pipeline. Only then may a LIMIT end the
+// pipeline early — and only then does the planner give it a row goal
+// (applyRowGoal asks the same question) — otherwise every row is needed
+// before the first can be returned.
+func (ps *preparedSelect) streams() bool {
+	return streamsToWindow(ps.sel, ps.aggMode, ps.plan.orderElide)
+}
+
+func streamsToWindow(st *SelectStmt, aggregates, orderElide bool) bool {
+	return !aggregates && !st.Distinct && (len(st.OrderBy) == 0 || orderElide)
+}
+
+// windowed wraps a streaming pipeline in its window stage; a statement
+// without LIMIT/OFFSET keeps the bare pipeline.
+func (e *Engine) windowed(cur cursor, w window) cursor {
+	if w == noWindow {
+		return cur
+	}
+	return &limitCursor{in: cur, skip: w.offset, remain: w.limit, an: e.an}
 }
 
 // evalIntClause evaluates a LIMIT/OFFSET expression, which must reduce to

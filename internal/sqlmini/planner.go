@@ -478,6 +478,7 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 		p.where[i] = bindOrKeep(w, combined)
 	}
 	setOrderElision(p, st, tables, 0)
+	applyRowGoal(p, st, tables)
 	return p, nil
 }
 
@@ -654,6 +655,7 @@ func (e *Engine) planReordered(st *SelectStmt, tables []*planTable, deps []table
 		p.where[i] = bindOrKeep(w, combined)
 	}
 	setOrderElision(p, st, tables, order[0])
+	applyRowGoal(p, st, ordTables)
 	return p, true
 }
 
@@ -790,12 +792,7 @@ func decideJoins(p *selectPlan, ordTables []*planTable) {
 		right := ordTables[i+1]
 		jn.estLeft = estLeft
 		if len(jn.leftKeys) > 0 {
-			if right.scan.access == accessScan && right.scan.est >= inljMinRight &&
-				estLeft*inljProbeFactor <= right.scan.est {
-				if ki, col, pk, ok := inljProbe(right, jn.rightKeys); ok {
-					jn.inlj, jn.inljCol, jn.inljPK, jn.inljKeyIdx = true, col, pk, ki
-				}
-			}
+			tryINLJ(jn, right, estLeft)
 			if !jn.inlj && i == 0 && jn.jtype == "INNER" {
 				tryMergeJoin(jn, ordTables[0], right)
 			}
@@ -809,6 +806,67 @@ func decideJoins(p *selectPlan, ordTables []*planTable) {
 			tryBandProbe(jn, ordTables[:i+1], right)
 			estLeft = estLeft * maxf(jn.scan.est, 1)
 		}
+	}
+}
+
+// tryINLJ turns an equi join into an index nested loop when estLeft left
+// rows are few enough against the right scan to beat hashing it, and the
+// right side offers an index on a join key to probe.
+func tryINLJ(jn *joinNode, right *planTable, estLeft float64) {
+	if right.scan.access != accessScan || right.scan.est < inljMinRight ||
+		estLeft*inljProbeFactor > right.scan.est {
+		return
+	}
+	if ki, col, pk, ok := inljProbe(right, jn.rightKeys); ok {
+		jn.inlj, jn.inljCol, jn.inljPK, jn.inljKeyIdx = true, col, pk, ki
+		jn.buildLeft = false
+	}
+}
+
+// rowGoalParam is the row goal of a statement whose LIMIT or OFFSET is a
+// '?': one executor batch. Plans are cached by statement text and bake
+// in access paths, never data, so the goal cannot depend on the value
+// an execution will bind.
+const rowGoalParam = defaultBatch
+
+// applyRowGoal re-decides join algorithms for a statement that streams
+// into a LIMIT: the pipeline will be closed after limit+offset rows, so
+// each join's left input is costed at that many rows instead of its
+// full estimate, which turns "hash the whole right table to emit ten
+// rows" into an index nested loop. The goal changes a hash join into an
+// INLJ and nothing else — join order, the driver's access path, merge
+// and band joins and order elision were all decided without it, and
+// both algorithms emit left-major order with right matches in slot
+// order — so the limited statement returns exactly the prefix of the
+// unlimited one, ties included.
+func applyRowGoal(p *selectPlan, st *SelectStmt, ordTables []*planTable) {
+	if st.Limit == nil || !streamsToWindow(st, st.aggregates(), p.orderElide) {
+		return
+	}
+	goal := float64(rowGoalParam)
+	if lim, ok := st.Limit.(*Lit); ok {
+		if n, ok := lim.V.(int64); ok && n >= 0 {
+			switch off := st.Offset.(type) {
+			case nil:
+				goal = float64(n)
+			case *Lit:
+				if o, ok := off.V.(int64); ok && o >= 0 {
+					goal = float64(n + o)
+				}
+			}
+		}
+	}
+	estLeft := ordTables[0].scan.est
+	for i, jn := range p.joins {
+		estLeft = min(estLeft, goal)
+		if len(jn.leftKeys) == 0 {
+			estLeft *= maxf(jn.scan.est, 1)
+			continue
+		}
+		if !jn.inlj && !jn.merge {
+			tryINLJ(jn, ordTables[i+1], estLeft)
+		}
+		estLeft = maxf(estLeft, jn.scan.est)
 	}
 }
 
@@ -957,13 +1015,8 @@ func setOrderElision(p *selectPlan, st *SelectStmt, tables []*planTable, driverI
 		return
 	}
 	desc := st.OrderBy[0].Desc
-	if len(st.GroupBy) > 0 || hasAggregate(st.Having) {
+	if st.aggregates() {
 		return
-	}
-	for _, item := range st.List {
-		if hasAggregate(item.Expr) {
-			return
-		}
 	}
 	ref, ok := st.OrderBy[0].Expr.(*Ref)
 	if !ok {

@@ -434,19 +434,11 @@ func (s *Stmt) WindowValues(args ...any) (limit, offset int64, err error) {
 	if err != nil {
 		return -1, 0, err
 	}
-	sel := en.sel.sel
-	limit, err = evalIntClause(substExpr(sel.Limit, params), -1)
+	win, err := en.sel.window(params)
 	if err != nil {
 		return -1, 0, err
 	}
-	offset, err = evalIntClause(substExpr(sel.Offset, params), 0)
-	if err != nil {
-		return -1, 0, err
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	return limit, offset, nil
+	return win.limit, win.offset, nil
 }
 
 // InsertColumnValues evaluates the named column of every VALUES row of

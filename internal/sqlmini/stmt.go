@@ -62,12 +62,6 @@ func (e *Engine) prepareSelect(sel *SelectStmt) (*preparedSelect, error) {
 		bound[i] = item
 		bound[i].Expr = bindOrKeep(item.Expr, rs)
 	}
-	aggMode := len(sel.GroupBy) > 0 || hasAggregate(sel.Having)
-	for _, item := range items {
-		if hasAggregate(item.Expr) {
-			aggMode = true
-		}
-	}
 	outCols := make([]string, len(items))
 	for i, item := range items {
 		outCols[i] = outputName(item)
@@ -78,7 +72,7 @@ func (e *Engine) prepareSelect(sel *SelectStmt) (*preparedSelect, error) {
 	}
 	ps := &preparedSelect{
 		sel: sel, plan: p, items: bound,
-		outCols: outCols, outRS: outRS, aggMode: aggMode,
+		outCols: outCols, outRS: outRS, aggMode: sel.aggregates(),
 		having: bindOrKeep(sel.Having, rs),
 	}
 	if len(sel.GroupBy) > 0 {
@@ -275,7 +269,7 @@ func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
 		return nil, fmt.Errorf("sqlmini: Query requires a SELECT statement")
 	}
 	ps := en.sel
-	if ps.aggMode || ps.sel.Distinct || (len(ps.order) > 0 && !ps.plan.orderElide) {
+	if !ps.streams() {
 		res, err := e.queryEntry(en, args)
 		if err != nil {
 			return nil, err
@@ -286,6 +280,10 @@ func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
+	win, err := ps.window(params)
+	if err != nil {
+		return nil, err
+	}
 	plan := bindPlan(ps.plan, params)
 	// retain=false: Rows only ever reads the current batch, so transient
 	// cursors may recycle their arena slabs batch over batch.
@@ -293,22 +291,7 @@ func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ps.sel.Limit != nil || ps.sel.Offset != nil {
-		offset, err := evalIntClause(substExpr(ps.sel.Offset, params), 0)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		limit, err := evalIntClause(substExpr(ps.sel.Limit, params), -1)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		if offset < 0 {
-			offset = 0
-		}
-		cur = &limitCursor{in: cur, skip: offset, remain: limit, unlimited: limit < 0}
-	}
+	cur = e.windowed(cur, win)
 	return &Rows{
 		cols:  append([]string(nil), ps.outCols...),
 		cur:   cur,

@@ -270,6 +270,40 @@ func TestWorkflowExplainShowsRewrite(t *testing.T) {
 	if strings.Contains(report, "SQL>") {
 		t.Errorf("warm analyze report shows a statement:\n%s", report)
 	}
+
+	// A top over SQL is a LIMIT: the template draws top[10] over the
+	// ordered statement (the forced handle shows it so), the engine ships
+	// the statement with LIMIT ? and k as its last argument, and analyze
+	// walks that same tree — ten rows left the DBMS, not every comment
+	// rated 4 and up, because the window ended the pipeline.
+	top := func() *flexrecs.Step { return build("top-rated", map[string]any{"min": 4.0, "k": 10}) }
+	if drawn := flex.ForceScan().Explain(top()); !strings.HasPrefix(drawn, "top[10]\n") || strings.Contains(drawn, "LIMIT") {
+		t.Errorf("top-rated as drawn should truncate a whole statement:\n%s", drawn)
+	}
+	out = flex.Explain(top())
+	if !strings.HasPrefix(out, "SQL> SELECT ") || !strings.Contains(out, "ORDER BY Rating DESC LIMIT ?  -- args [4 10]\n") {
+		t.Errorf("top-rated explain does not show the limited statement:\n%s", out)
+	}
+	rel, report, err := flex.RunAnalyze(top())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := flex.SQL().Query(`SELECT COUNT(*) FROM Comments WHERE Rating >= 4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := all.Rows[0][0].(int64); len(rel.Rows) != 10 || n <= 10 {
+		t.Fatalf("top-rated returned %d of %d qualifying rows", len(rel.Rows), n)
+	}
+	for _, want := range []string{"LIMIT ?  -- args [4 10] (actual rows=10 ", "| analyzed: 10 rows out, total ", " (stopped at limit)\n",
+		"analyzed workflow: 10 rows out"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("top-rated analyze report missing %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, "top[") {
+		t.Errorf("top-rated analyze report still truncates above the statement:\n%s", report)
+	}
 }
 
 // TestWorkflowExplainShowsRangeAndINLJ pins the iterator-executor
