@@ -15,9 +15,11 @@
 package courserank
 
 import (
+	"math/rand"
 	"reflect"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -706,56 +708,141 @@ func BenchmarkWideJoinStreamFirst50(b *testing.B) {
 	}
 }
 
-// BenchmarkStaleAsyncServe measures the async stale-bounded read path:
-// every iteration lands a rating (staling the top-rated feed's view)
-// and then reads the feed, which must serve the previous snapshot
-// immediately — never block on the rebuild running behind it.
-func BenchmarkStaleAsyncServe(b *testing.B) {
-	r := runner(b)
-	v, ok := r.Site.Views.View(core.FeedViewName)
-	if !ok {
-		b.Fatal("feed view not registered")
+// BenchmarkFeedAfterWrite measures the maintained feed's read-after-
+// write path on the mono and the 2-shard site: every iteration lands a
+// rating (an O(1) primary-key update of one comment, so the table does
+// not grow) and then reads that course's department feed, which must be
+// served fresh — the one course re-aggregated, its department re-ranked
+// — without a single full build.
+func BenchmarkFeedAfterWrite(b *testing.B) {
+	for _, site := range []struct {
+		name string
+		run  func(testing.TB) *experiments.Runner
+	}{{"mono", runner}, {"2shard", shardedRunner}} {
+		b.Run(site.name, func(b *testing.B) {
+			r := site.run(b)
+			v, ok := r.Site.Views.View(core.FeedViewName)
+			if !ok {
+				b.Fatal("feed view not registered")
+			}
+			course := r.Man.Planted["intro-programming"]
+			c, ok := r.Site.Catalog.Course(course)
+			if !ok {
+				b.Fatal("no intro-programming course")
+			}
+			id, err := r.Site.Comments.Add(comments.Comment{
+				SuID: r.Man.SampleStudent, CourseID: course,
+				Year: 2008, Term: "Aut", Text: "bench", Rating: 3,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := r.Site.TopRatedFeed(c.DepID, 10); err != nil {
+				b.Fatal(err)
+			}
+			tbl := r.Site.DB.MustTable("Comments")
+			ri := tbl.Schema().MustIndex("Rating")
+			builds := v.Stats().Refreshes
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tbl.UpdateByKey([]relation.Value{id},
+					func(row relation.Row) relation.Row {
+						row[ri] = float64(1 + i%5)
+						return row
+					}); err != nil {
+					b.Fatal(err)
+				}
+				if _, serve, err := r.Site.TopRatedFeed(c.DepID, 10); err != nil {
+					b.Fatal(err)
+				} else if serve.Kind != matview.ServeFresh {
+					b.Fatalf("read after a rating was served %v, want fresh", serve.Kind)
+				}
+			}
+			b.StopTimer()
+			if st := v.Stats(); st.Refreshes != builds {
+				b.Fatalf("%d full builds during the run, want none: %+v", st.Refreshes-builds, st)
+			}
+		})
 	}
-	course := r.Man.Planted["intro-programming"]
-	c, ok := r.Site.Catalog.Course(course)
-	if !ok {
-		b.Fatal("no intro-programming course")
+}
+
+// TestFeedMaintenanceAllocBudget is the deterministic form of the feed
+// maintenance claim, at Small scale on the mono and the 2-shard site: a
+// rated comment for a random course followed by a read of that course's
+// department feed costs at most 64 KB and no full build (before the
+// feed was maintained every such pair paid for one: 8.8 MB mono, about
+// 12 MB through two shards), and what the 200 patches leave is exactly
+// what a build returns.
+func TestFeedMaintenanceAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two Small-scale sites")
 	}
-	if _, _, err := r.Site.TopRatedFeed(c.DepID, 10); err != nil {
-		b.Fatal(err)
-	}
-	// One comment added up front; the storm flips ITS rating in place (an
-	// O(1) primary-key update), so every iteration is DML on the view's
-	// Comments dependency without growing the table — rebuild cost stays
-	// flat across b.N escalations.
-	id, err := r.Site.Comments.Add(comments.Comment{
-		SuID: r.Man.SampleStudent, CourseID: course,
-		Year: 2008, Term: "Aut", Text: "bench", Rating: 3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tbl := r.Site.DB.MustTable("Comments")
-	ri := tbl.Schema().MustIndex("Rating")
-	stale0 := v.Stats().StaleHits
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tbl.UpdateByKey([]relation.Value{id},
-			func(row relation.Row) relation.Row {
-				row[ri] = float64(1 + i%5)
-				return row
+	for _, site := range []struct {
+		name string
+		r    *experiments.Runner
+	}{{"mono", runner(t)}, {"2shard", shardedRunner(t)}} {
+		s := site.r.Site
+		v, ok := s.Views.View(core.FeedViewName)
+		if !ok {
+			t.Fatal("feed view not registered")
+		}
+		var courses []catalog.Course
+		s.Catalog.EachCourse(func(c catalog.Course) bool {
+			courses = append(courses, c)
+			return true
+		})
+		sort.Slice(courses, func(a, b int) bool { return courses[a].ID < courses[b].ID })
+		rng := rand.New(rand.NewSource(24))
+		const marker = "feed maintenance budget"
+		pair := func() {
+			c := courses[rng.Intn(len(courses))]
+			if _, err := s.Comments.Add(comments.Comment{
+				SuID: site.r.Man.SampleStudent, CourseID: c.ID, Year: 2009, Term: "Spr",
+				Text: marker, Rating: float64(1 + rng.Intn(5)),
 			}); err != nil {
-			b.Fatal(err)
+				t.Fatal(err)
+			}
+			if _, serve, err := s.TopRatedFeed(c.DepID, 10); err != nil {
+				t.Fatal(err)
+			} else if serve.Kind != matview.ServeFresh {
+				t.Fatalf("%s: read after a comment was served %v, want fresh", site.name, serve.Kind)
+			}
 		}
-		if _, serve, err := r.Site.TopRatedFeed(c.DepID, 10); err != nil {
-			b.Fatal(err)
-		} else if serve.Kind == matview.ServeBuilt {
-			b.Fatal("stale read blocked on a rebuild inside the staleness bound")
+		if _, _, err := s.TopRatedFeed(courses[0].DepID, 10); err != nil {
+			t.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if stale := v.Stats().StaleHits; stale == stale0 {
-		b.Fatalf("scenario never served stale: staleHits stayed %d", stale0)
+		pair() // warm-up: plans the patch statement
+		builds := v.Stats().Refreshes
+		_, bytes := costOf(200, pair)
+		t.Logf("%s: %.1f KB per comment + feed read", site.name, bytes/1024)
+		if bytes > 64<<10 {
+			t.Errorf("%s: a comment and a feed read allocate %.0f KB, budget 64 KB", site.name, bytes/1024)
+		}
+		if st := v.Stats(); st.Refreshes != builds || st.Patches < 200 {
+			t.Errorf("%s: %d full builds and %d patches over 200 pairs, want 0 and 200: %+v", site.name, st.Refreshes-builds, st.Patches, st)
+		}
+
+		maintained, _, err := v.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Invalidate()
+		built, serve, err := v.Get()
+		if err != nil || serve.Kind != matview.ServeBuilt {
+			t.Fatalf("%s: read after Invalidate: %v %v", site.name, serve.Kind, err)
+		}
+		if !reflect.DeepEqual(maintained, built) {
+			t.Errorf("%s: the feed 200 patches left differs from a fresh build", site.name)
+		}
+
+		// The sites are shared with the other scenarios: take the comments
+		// back out.
+		tbl := s.DB.MustTable("Comments")
+		ti := tbl.Schema().MustIndex("Text")
+		if n, err := tbl.DeleteWhere(func(r relation.Row) bool { return r[ti] == marker }); err != nil || n != 201 {
+			t.Fatalf("%s: removed %d of the 201 budget comments: %v", site.name, n, err)
+		}
 	}
 }
 
@@ -830,9 +917,11 @@ func BenchmarkShardedScan(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedTopRatedFeed is the feed rebuild's scatter-gather
-// shape: per-shard COUNT/SUM partials over the partitioned Comments
-// side of the catalog join, merged by group key at the coordinator.
+// BenchmarkShardedTopRatedFeed is the combine-partials merge scenario:
+// per-shard COUNT/SUM partials over the partitioned Comments side of
+// the catalog join, merged by group key at the coordinator — the shape
+// the feed was built with on a sharded site before it was maintained
+// from the base tables. No production statement merges this way today.
 func BenchmarkShardedTopRatedFeed(b *testing.B) {
 	c4, _ := shardBench(b)
 	st, err := c4.Prepare(`SELECT c.DepID, c.CourseID, c.Title, COUNT(m.Rating), SUM(m.Rating)

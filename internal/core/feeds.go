@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
 	"courserank/internal/matview"
-	"courserank/internal/shard"
+	"courserank/internal/relation"
 )
 
 // matviewWorkers sizes the site's background refresher pool. Two
@@ -15,15 +17,17 @@ import (
 const matviewWorkers = 2
 
 // FeedViewName is the registry key of the site's top-rated-per-
-// department feed — the async, stale-bounded view every feed-style
-// request reads.
+// department feed — the maintained view every feed-style request reads.
 const FeedViewName = "core/top-rated-by-dept"
 
-// FeedMaxStale bounds how old a feed snapshot a read may be served:
-// inside the bound a request gets the previous ranking instantly while
-// a refresh runs behind it; past it the read blocks on the rebuild.
-// A couple of seconds is invisible for a ranking that moves one rating
-// at a time.
+// FeedMaxStale bounds how old a feed snapshot a read may be served. The
+// feed is maintained, so on an in-memory site a read sees every
+// committed comment; the bound is what a read rides when the view
+// cannot be brought current at once: on a durable site while a comment
+// is committed but not yet confirmed to the view's change log, and
+// after a Courses change while the rebuild it forces runs behind the
+// read. Past it the read blocks on the rebuild. A couple of seconds is
+// invisible for a ranking that moves one rating at a time.
 const FeedMaxStale = 2 * time.Second
 
 // FeedEntry is one course in a department's top-rated feed.
@@ -34,48 +38,81 @@ type FeedEntry struct {
 	Raters   int64   `json:"raters"`
 }
 
-// feedTopPerDept caps how many courses each department's feed keeps.
+// feedTopPerDept caps how many courses of a department a reader sees.
+// The view itself keeps every rated course, so a course leaving the top
+// is replaced by the next one without a rebuild.
 const feedTopPerDept = 20
+
+// The feed's one statement: average rating and rater count per course.
+// Build runs it over every comment; the patch runs it for one course,
+// through the Comments(CourseID) index. Either way a course's comments
+// reach AVG in slot order, so a patched average equals a built one bit
+// for bit.
+const (
+	feedSelect = `SELECT c.DepID, c.CourseID, c.Title, AVG(m.Rating), COUNT(m.Rating)
+		FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID`
+	feedGroup = ` GROUP BY c.DepID, c.CourseID, c.Title`
+
+	feedBuildSQL = feedSelect + feedGroup
+	feedPatchSQL = feedSelect + ` WHERE m.CourseID = ?` + feedGroup
+)
 
 // registerFeedViews installs the site's precomputed feed views — the
 // paper's "expensive aggregation served at interactive latency"
-// pattern. The top-rated feed aggregates every rating in one SQL pass
-// and is registered ASYNC: reads inside FeedMaxStale serve the previous
-// snapshot immediately while the refresher pool rebuilds behind them.
+// pattern. The top-rated feed is MAINTAINED: its view keys are course
+// ids, a committed Comments change names the course (or the two) it
+// touches, and the next read re-aggregates those courses and re-ranks
+// their departments instead of re-joining every comment. It reads the
+// base tables on mono and sharded sites alike — the base holds every
+// row and is what the view fingerprints. A Courses change can move a
+// title or a department under any entry, so it answers "cannot tell"
+// and the view rebuilds, served ASYNC inside FeedMaxStale meanwhile.
 func (s *Site) registerFeedViews() error {
+	course := s.DB.MustTable("Comments").Schema().MustIndex("CourseID")
 	_, err := s.Views.Register(matview.Options{
 		Name:     FeedViewName,
 		Deps:     []string{"Comments", "Courses"},
 		Mode:     matview.Async,
 		MaxStale: FeedMaxStale,
 		Build:    func() (any, error) { return s.buildTopRatedFeed() },
+		Keys: func(dep string, _ relation.MutKind, before, after relation.Row) ([]any, bool) {
+			if dep != "Comments" {
+				return nil, false
+			}
+			var keys []any
+			if before != nil {
+				keys = append(keys, before[course])
+			}
+			if after != nil && (before == nil || after[course] != before[course]) {
+				keys = append(keys, after[course])
+			}
+			return keys, true
+		},
+		Patch: func(prev any, keys []any) (any, error) {
+			return s.patchTopRatedFeed(prev.(map[string][]FeedEntry), keys)
+		},
 	})
 	return err
 }
 
-// buildTopRatedFeed computes the whole feed in one aggregation pass:
-// average rating and rater count per course, grouped into departments,
-// each department's list sorted best-first and truncated.
-func (s *Site) buildTopRatedFeed() (map[string][]FeedEntry, error) {
-	rows, err := s.SQL.QueryRows(`SELECT c.DepID, c.CourseID, c.Title, AVG(m.Rating), COUNT(m.Rating)
-		FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID
-		GROUP BY c.DepID, c.CourseID, c.Title`)
+// feedEntries runs one of the feed statements and hands each rated
+// course to add.
+func (s *Site) feedEntries(sql string, args []any, add func(dep string, e FeedEntry)) error {
+	rows, err := s.SQL.QueryRows(sql, args...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer rows.Close()
-	out := map[string][]FeedEntry{}
 	for rows.Next() {
-		var dep, title string
-		var cid, raters int64
+		var dep string
+		var e FeedEntry
 		var avg any
-		if err := rows.Scan(&dep, &cid, &title, &avg, &raters); err != nil {
-			return nil, err
+		if err := rows.Scan(&dep, &e.CourseID, &e.Title, &avg, &e.Raters); err != nil {
+			return err
 		}
-		if raters == 0 {
+		if e.Raters == 0 {
 			continue // a course whose comments carry no ratings
 		}
-		e := FeedEntry{CourseID: cid, Title: title, Raters: raters}
 		switch x := avg.(type) {
 		case float64:
 			e.Avg = x
@@ -84,70 +121,91 @@ func (s *Site) buildTopRatedFeed() (map[string][]FeedEntry, error) {
 		default:
 			continue
 		}
-		out[dep] = append(out[dep], e)
+		add(dep, e)
 	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	return rankFeed(out), nil
+	return rows.Err()
 }
 
-// buildTopRatedFeedSharded is the scatter-gather variant installed by
-// EnableSharding: every shard aggregates COUNT/SUM rating partials
-// over its own Comments partition in parallel (the Courses side of the
-// join is replicated, so the join never crosses shards), the cluster
-// merges the partials by group key, and the average — which does not
-// distribute — is finished here at the coordinator.
-func (s *Site) buildTopRatedFeedSharded(c *shard.Cluster) (map[string][]FeedEntry, error) {
-	res, err := c.Query(`SELECT c.DepID, c.CourseID, c.Title, COUNT(m.Rating), SUM(m.Rating)
-		FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID
-		GROUP BY c.DepID, c.CourseID, c.Title`)
+// feedBefore is the feed's order: average rating descending, course id
+// as the tiebreak.
+func feedBefore(a, b FeedEntry) bool {
+	if a.Avg != b.Avg {
+		return a.Avg > b.Avg
+	}
+	return a.CourseID < b.CourseID
+}
+
+// buildTopRatedFeed computes the whole feed in one aggregation pass:
+// every rated course, grouped into departments, each list best-first.
+func (s *Site) buildTopRatedFeed() (map[string][]FeedEntry, error) {
+	out := map[string][]FeedEntry{}
+	err := s.feedEntries(feedBuildSQL, nil, func(dep string, e FeedEntry) {
+		out[dep] = append(out[dep], e)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := map[string][]FeedEntry{}
-	for _, r := range res.Rows {
-		dep, _ := r[0].(string)
-		cid, _ := r[1].(int64)
-		title, _ := r[2].(string)
-		raters, _ := r[3].(int64)
-		if raters == 0 {
-			continue // a course whose comments carry no ratings
-		}
-		var sum float64
-		switch x := r[4].(type) {
-		case float64:
-			sum = x
-		case int64:
-			sum = float64(x)
-		default:
-			continue
-		}
-		out[dep] = append(out[dep], FeedEntry{
-			CourseID: cid, Title: title,
-			Avg: sum / float64(raters), Raters: raters,
-		})
+	for _, list := range out {
+		sort.Slice(list, func(a, b int) bool { return feedBefore(list[a], list[b]) })
 	}
-	return rankFeed(out), nil
+	return out, nil
 }
 
-// rankFeed sorts each department's list best-first (average rating
-// descending, course id as the tiebreak) and truncates to the per-
-// department cap — the shared tail of both feed builds.
-func rankFeed(out map[string][]FeedEntry) map[string][]FeedEntry {
-	for dep, list := range out {
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].Avg != list[b].Avg {
-				return list[a].Avg > list[b].Avg
-			}
-			return list[a].CourseID < list[b].CourseID
+// patchTopRatedFeed returns prev with the given courses recomputed: each
+// is re-aggregated from its comments and put back in place in a copy of
+// its department's list — or taken out of the feed when no rated
+// comment of it is left. Recomputing the group rather than adjusting
+// running sums makes the result exactly what Build would return.
+func (s *Site) patchTopRatedFeed(prev map[string][]FeedEntry, keys []any) (map[string][]FeedEntry, error) {
+	next := maps.Clone(prev)
+	for _, key := range keys {
+		course := key.(int64)
+		var dep string
+		var entry FeedEntry
+		rated := false
+		err := s.feedEntries(feedPatchSQL, []any{course}, func(d string, e FeedEntry) {
+			dep, entry, rated = d, e, true
 		})
-		if len(list) > feedTopPerDept {
-			list = list[:feedTopPerDept]
+		if err != nil {
+			return nil, err
 		}
-		out[dep] = list
+		if !rated {
+			// Out of the feed, so the statement no longer names its
+			// department; Courses cannot have changed under the snapshot.
+			if dep = feedDeptOf(next, course); dep == "" {
+				continue
+			}
+		}
+		old := next[dep]
+		list := make([]FeedEntry, 0, len(old)+1)
+		for _, e := range old {
+			if e.CourseID != course {
+				list = append(list, e)
+			}
+		}
+		if rated {
+			at := sort.Search(len(list), func(i int) bool { return feedBefore(entry, list[i]) })
+			list = slices.Insert(list, at, entry)
+		}
+		if len(list) == 0 {
+			delete(next, dep)
+		} else {
+			next[dep] = list
+		}
 	}
-	return out
+	return next, nil
+}
+
+// feedDeptOf finds the department whose list holds course.
+func feedDeptOf(feed map[string][]FeedEntry, course int64) string {
+	for dep, list := range feed {
+		for _, e := range list {
+			if e.CourseID == course {
+				return dep
+			}
+		}
+	}
+	return ""
 }
 
 // TopRatedFeed returns one department's top-rated courses (at most k)
@@ -164,7 +222,10 @@ func (s *Site) TopRatedFeed(dep string, k int) ([]FeedEntry, matview.Serve, erro
 		return nil, serve, err
 	}
 	list := val.(map[string][]FeedEntry)[dep]
-	if k > 0 && len(list) > k {
+	if k <= 0 || k > feedTopPerDept {
+		k = feedTopPerDept
+	}
+	if len(list) > k {
 		list = list[:k]
 	}
 	// The snapshot is shared and immutable; the truncation above only

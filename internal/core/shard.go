@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"courserank/internal/flexrecs"
-	"courserank/internal/matview"
 	"courserank/internal/shard"
 	"courserank/internal/sqlmini"
 )
@@ -42,9 +41,10 @@ func (b shardBackend) Explain(sql string, args ...any) (string, error) {
 //   - FlexRecs workflows recompile onto the cluster: each compiled
 //     subtree routes to a single shard when its predicates pin the
 //     shard key, and scatter-gathers otherwise.
-//   - The top-rated feed view swaps to a per-shard parallel build:
-//     each shard computes COUNT/SUM rating partials that the
-//     coordinator merges by group key before finishing the averages.
+//   - The top-rated feed view is untouched: it is built and maintained
+//     from the base tables, which hold every row and are what the view
+//     fingerprints — also on a durable site, where the base's version
+//     moves before the post-durability observers reach the shards.
 //
 // Call after bulk loading and RefreshDerived: base-side DDL after
 // enabling (for example re-running RefreshDerived, which drops and
@@ -64,23 +64,6 @@ func (s *Site) EnableSharding(n int) error {
 	}
 	c, err := shard.Split(s.DB, n)
 	if err != nil {
-		return err
-	}
-
-	// The feed rebuild becomes a scatter-gather aggregation; existing
-	// view handles keep serving the old (mono) build until re-fetched,
-	// which TopRatedFeed does on every call. The build closes over the
-	// cluster directly, and this Replace is the last fallible step:
-	// site state is only mutated once everything that can fail has
-	// succeeded, so a failed enable leaves the site mono and the call
-	// retryable.
-	if _, err := s.Views.Replace(matview.Options{
-		Name:     FeedViewName,
-		Deps:     []string{"Comments", "Courses"},
-		Mode:     matview.Async,
-		MaxStale: FeedMaxStale,
-		Build:    func() (any, error) { return s.buildTopRatedFeedSharded(c) },
-	}); err != nil {
 		return err
 	}
 

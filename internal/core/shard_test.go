@@ -4,7 +4,7 @@ package core_test
 // datagen, which imports core.
 
 import (
-	"math"
+	"slices"
 	"testing"
 
 	"courserank/internal/comments"
@@ -32,11 +32,6 @@ func shardedPair(t *testing.T) (mono, sharded *core.Site, man *datagen.Manifest)
 		t.Fatal(err)
 	}
 	return mono, sharded, man
-}
-
-// avgClose absorbs the float reassociation of distributed SUM partials.
-func avgClose(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
 // TestShardedSitePlacement: splitting partitions the student-keyed
@@ -124,43 +119,74 @@ func TestShardedStrategies(t *testing.T) {
 	}
 }
 
-// TestShardedFeedParity: the scatter-gather feed build (COUNT/SUM
-// partials merged by group key, averages finished at the coordinator)
-// must rank every department exactly like the monolithic AVG pass,
-// with float tolerance for the reassociated sums.
+// TestShardedFeedParity: the feed is built and maintained from the base
+// tables on a sharded site too, so it must rank every department
+// exactly like the monolithic twin — after the cold build and after a
+// write batch both sides patch in: comments through Comments.Add and
+// reviews through the EnrollCommentRate transaction, each written
+// through to the shards beside the view's own observer.
 func TestShardedFeedParity(t *testing.T) {
-	mono, s, _ := shardedPair(t)
+	mono, s, man := shardedPair(t)
 	deps, err := mono.SQL.Query(`SELECT DepID FROM Departments ORDER BY DepID`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
-	for _, r := range deps.Rows {
-		dep := r[0].(string)
-		want, _, err := mono.TopRatedFeed(dep, 0)
-		if err != nil {
-			t.Fatal(err)
+	compare := func(when string) {
+		t.Helper()
+		checked := 0
+		for _, r := range deps.Rows {
+			dep := r[0].(string)
+			want, _, err := mono.TopRatedFeed(dep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := s.TopRatedFeed(dep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, %s feed: sharded %+v, mono %+v", when, dep, got, want)
+			}
+			checked += len(want)
 		}
-		got, _, err := s.TopRatedFeed(dep, 0)
-		if err != nil {
-			t.Fatal(err)
+		if checked == 0 {
+			t.Fatal("no feed entries compared; generator produced no rated courses?")
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s feed: sharded %d entries, mono %d", dep, len(got), len(want))
-		}
-		for i := range want {
-			w, g := want[i], got[i]
-			if g.CourseID != w.CourseID || g.Raters != w.Raters || !avgClose(g.Avg, w.Avg) {
-				t.Fatalf("%s feed[%d]: sharded %+v, mono %+v", dep, i, g, w)
+	}
+	compare("cold")
+
+	courses, err := mono.SQL.Query(`SELECT CourseID FROM Courses ORDER BY CourseID LIMIT 12`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range courses.Rows {
+		course := r[0].(int64)
+		for _, site := range []*core.Site{mono, s} {
+			if i%3 == 2 {
+				_, err = site.EnrollCommentRate(core.Review{
+					SuID: man.SampleStudent, CourseID: course, Year: 2031, Term: "Autumn",
+					Text: "reviewed after sharding", Rating: float64(1 + i%5),
+				})
+			} else {
+				_, err = site.Comments.Add(comments.Comment{
+					SuID: man.SampleStudent + int64(i), CourseID: course, Year: 2031, Term: "Winter",
+					Text: "after sharding", Rating: 1.3 + float64(i%4),
+				})
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-		checked += len(want)
 	}
-	if checked == 0 {
-		t.Fatal("no feed entries compared; generator produced no rated courses?")
+	compare("after the write batch")
+	for _, site := range []*core.Site{mono, s} {
+		v, _ := site.Views.View(core.FeedViewName)
+		if st := v.Stats(); st.Refreshes != 1 || st.Patches == 0 {
+			t.Fatalf("feed view stats %+v, want the cold build and patches only", st)
+		}
 	}
-	if st := s.Sharded.Stats(); st.MergeCombine == 0 {
-		t.Fatalf("feed build did not use combine merge: %+v", st)
+	if st := s.Sharded.Stats(); st.ApplyErrors != 0 {
+		t.Fatalf("propagation errors: %+v", st)
 	}
 }
 

@@ -37,10 +37,12 @@ func (m Mode) String() string {
 type ServeKind int
 
 const (
-	// ServeFresh: the snapshot's fingerprint matched every dependency.
+	// ServeFresh: the snapshot's fingerprint matched every dependency —
+	// as built, or after this read caught it up from the change logs.
 	ServeFresh ServeKind = iota
 	// ServeStale: an async view served its previous snapshot inside the
-	// staleness bound while a refresh ran behind the read.
+	// staleness bound — while a refresh ran behind the read or, for a
+	// maintained view, while a change was still on its way to the log.
 	ServeStale
 	// ServeBuilt: the read blocked on a (single-flighted) rebuild.
 	ServeBuilt
@@ -75,6 +77,22 @@ type Options struct {
 	// immutable by everyone — builds return fresh values, never mutate
 	// a previous one.
 	Build func() (any, error)
+	// Keys and Patch, set together, make the view MAINTAINED: a read that
+	// finds the snapshot stale recomputes the keys the committed changes
+	// touched instead of running Build (see "Maintained views" in doc.go).
+	//
+	// Keys names the view keys (comparable values) that one committed row
+	// change on dependency dep may have moved, or reports ok == false
+	// when it cannot tell, which sends the view back to Build. It runs
+	// inside the table's observer delivery — under the table's write lock
+	// on an in-memory table — so it may look at the two rows and at
+	// nothing else.
+	Keys func(dep string, kind relation.MutKind, before, after relation.Row) (keys []any, ok bool)
+	// Patch returns a NEW value equal to prev with every listed key
+	// recomputed from the base tables as they are now; recomputing a key
+	// that did not change must be harmless. prev is shared with readers
+	// and must not be modified.
+	Patch func(prev any, keys []any) (any, error)
 }
 
 // tableFP pins one dependency at build time: the table pointer (identity
@@ -139,6 +157,20 @@ func (s *snapshot) fresh(db *relation.DB) bool {
 	return true
 }
 
+// past reports whether s is o carried further: the same tables at the
+// same schema epochs, no version behind o's and at least one ahead.
+func (s *snapshot) past(o *snapshot) bool {
+	ahead := false
+	for i, fp := range s.fps {
+		of := o.fps[i]
+		if fp.tbl != of.tbl || fp.epoch != of.epoch || fp.version < of.version {
+			return false
+		}
+		ahead = ahead || fp.version > of.version
+	}
+	return ahead
+}
+
 // sameShape reports whether every dependency is still the same table at
 // the same schema epoch — the precondition for serving the snapshot
 // STALE: row DML inside the staleness bound is tolerated, but a dropped,
@@ -180,16 +212,20 @@ type View struct {
 	mode     Mode
 	maxStale time.Duration
 	build    func() (any, error)
+	keys     func(dep string, kind relation.MutKind, before, after relation.Row) ([]any, bool)
+	patch    func(prev any, keys []any) (any, error) // nil = not maintained
 
 	snap   atomic.Pointer[snapshot]
-	mu     sync.Mutex // guards inflight
+	mu     sync.Mutex // guards flight and logs; held while a patch runs
 	flight *call
-	queued atomic.Bool // a background refresh is enqueued or running
+	logs   map[string]*changeLog // per dependency name; maintained views only
+	queued atomic.Bool           // a background refresh is enqueued or running
 
 	hits          atomic.Uint64
 	staleHits     atomic.Uint64
 	misses        atomic.Uint64
 	refreshes     atomic.Uint64
+	patches       atomic.Uint64
 	invalidations atomic.Uint64
 	errors        atomic.Uint64
 }
@@ -209,12 +245,16 @@ func (v *View) Deps() []string { return append([]string(nil), v.deps...) }
 // fingerprint captures every dependency's current (pointer, epoch,
 // version). It is taken BEFORE the build reads any table, so a mutation
 // racing the build makes the snapshot immediately stale — conservative,
-// never incorrect.
+// never incorrect. A maintained view attaches its change log to the
+// table first, so no version past the fingerprint can miss the log.
 func (v *View) fingerprint() []tableFP {
 	fps := make([]tableFP, len(v.deps))
 	for i, name := range v.deps {
 		fps[i] = tableFP{name: name}
 		if t, ok := v.reg.db.Table(name); ok {
+			if v.patch != nil {
+				v.attach(name, t)
+			}
 			fps[i].tbl = t
 			fps[i].epoch, fps[i].version = t.ViewFingerprint()
 		}
@@ -245,8 +285,11 @@ func (v *View) rebuild(strict bool) (*snapshot, error) {
 			if c.err != nil {
 				return nil, c.err
 			}
-			if !strict || joined || (c.snap != nil && c.snap.fresh(v.reg.db)) {
+			if !strict || joined {
 				return c.snap, nil
+			}
+			if s, ok := v.current(c.snap); ok {
+				return s, nil
 			}
 			joined = true
 			continue
@@ -254,30 +297,74 @@ func (v *View) rebuild(strict bool) (*snapshot, error) {
 		c := &call{done: make(chan struct{})}
 		v.flight = c
 		v.mu.Unlock()
-
-		fps := v.fingerprint()
-		t0 := time.Now()
-		val, err := v.build()
-		if err != nil {
-			v.errors.Add(1)
-			c.err = fmt.Errorf("matview: building %q: %w", v.name, err)
-		} else {
-			c.snap = &snapshot{value: val, fps: fps, builtAt: time.Now(), buildDur: time.Since(t0)}
-			v.snap.Store(c.snap)
-			v.refreshes.Add(1)
-		}
-
-		v.mu.Lock()
-		v.flight = nil
-		v.mu.Unlock()
-		close(c.done)
+		v.fly(c)
 		return c.snap, c.err
 	}
 }
 
-// Get serves the view: a fresh snapshot immediately (hit), a stale one
-// inside an async view's bound while a background refresh runs
-// (stale-hit), or the result of a blocking single-flighted rebuild
+// current reports whether s, the result of a flight a blocking read
+// joined, reflects everything committed before the read — as it stands
+// or, for a maintained view, once caught up from the change logs, which
+// is what a write racing the build costs instead of a second build.
+func (v *View) current(s *snapshot) (*snapshot, bool) {
+	if s.fresh(v.reg.db) {
+		return s, true
+	}
+	if v.patch != nil {
+		if ps, got := v.advance(); got == caughtUp {
+			return ps, true
+		}
+	}
+	return nil, false
+}
+
+// fly runs the build as flight c. The flight is released in a defer: a
+// build that panics on a request goroutine is recovered by net/http and
+// the process lives on, so a flight left in place would block every
+// later reader of the view on c.done for ever.
+func (v *View) fly(c *call) {
+	defer func() {
+		v.mu.Lock()
+		v.flight = nil
+		v.mu.Unlock()
+		close(c.done)
+	}()
+	fps := v.fingerprint()
+	t0 := time.Now()
+	val, err := guarded(v.build)
+	if err != nil {
+		v.errors.Add(1)
+		c.err = fmt.Errorf("matview: building %q: %w", v.name, err)
+		return
+	}
+	c.snap = &snapshot{value: val, fps: fps, builtAt: time.Now(), buildDur: time.Since(t0)}
+	// Maintenance does not wait for a build: if it has carried the
+	// published snapshot past this build's fingerprint meanwhile, that
+	// snapshot is the newer one and its logs are trimmed to it.
+	v.mu.Lock()
+	if cur := v.snap.Load(); cur == nil || !cur.past(c.snap) {
+		v.snap.Store(c.snap)
+		v.trimLogs(fps)
+	}
+	v.mu.Unlock()
+	v.refreshes.Add(1)
+}
+
+// guarded runs a view's Build or Patch, reporting a panic as the
+// callback's error.
+func guarded(fn func() (any, error)) (val any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return fn()
+}
+
+// Get serves the view: a fresh snapshot immediately (hit) — for a
+// maintained view also one this read caught up from the change logs —
+// a stale one inside an async view's bound while a background refresh
+// runs (stale-hit), or the result of a blocking single-flighted rebuild
 // (miss). The returned value is shared and immutable — callers must not
 // modify it.
 func (v *View) Get() (any, Serve, error) {
@@ -294,17 +381,37 @@ func (v *View) Get() (any, Serve, error) {
 			if v.snap.CompareAndSwap(s, nil) {
 				v.invalidations.Add(1)
 			}
-		} else if v.mode == Async && v.maxStale > 0 {
-			// The bound caps KNOWN staleness: the clock starts when a read
-			// first observes the snapshot stale (a write nobody reads after
-			// serves nobody stale data), so a long-fresh snapshot that just
-			// went stale serves instantly while the refresh it triggered
-			// runs — and keeps serving only while refreshes keep up.
-			now := time.Now()
-			if staleFor := s.staleFor(now); staleFor <= v.maxStale {
-				v.staleHits.Add(1)
-				v.enqueueRefresh()
-				return s.value, Serve{Kind: ServeStale, Age: now.Sub(s.builtAt), StaleFor: staleFor}, nil
+		} else {
+			// A maintained view catches the snapshot up from its change
+			// logs. One that merely trails a table — a change committed but
+			// not yet delivered — is served like any stale snapshot, except
+			// that no rebuild is asked for: the delivery will bring it
+			// current, and if none ever comes the bound below expires into
+			// the blocking rebuild.
+			refresh := true
+			if v.patch != nil {
+				switch ps, got := v.advance(); got {
+				case caughtUp:
+					v.hits.Add(1)
+					return ps.value, Serve{Kind: ServeFresh, Age: time.Since(ps.builtAt)}, nil
+				case trailing:
+					s, refresh = ps, false
+				}
+			}
+			if v.mode == Async && v.maxStale > 0 {
+				// The bound caps KNOWN staleness: the clock starts when a read
+				// first observes the snapshot stale (a write nobody reads after
+				// serves nobody stale data), so a long-fresh snapshot that just
+				// went stale serves instantly while the refresh it triggered
+				// runs — and keeps serving only while refreshes keep up.
+				now := time.Now()
+				if staleFor := s.staleFor(now); staleFor <= v.maxStale {
+					v.staleHits.Add(1)
+					if refresh {
+						v.enqueueRefresh()
+					}
+					return s.value, Serve{Kind: ServeStale, Age: now.Sub(s.builtAt), StaleFor: staleFor}, nil
+				}
 			}
 		}
 	}
@@ -378,7 +485,8 @@ type ViewStats struct {
 	Hits          uint64        `json:"hits"`
 	StaleHits     uint64        `json:"staleHits"`
 	Misses        uint64        `json:"misses"`
-	Refreshes     uint64        `json:"refreshes"`
+	Refreshes     uint64        `json:"refreshes"` // full builds only
+	Patches       uint64        `json:"patches"`   // snapshots brought current from the change logs
 	Invalidations uint64        `json:"invalidations"`
 	Errors        uint64        `json:"errors"`
 	HasSnapshot   bool          `json:"hasSnapshot"`
@@ -397,6 +505,7 @@ func (v *View) Stats() ViewStats {
 		StaleHits:     v.staleHits.Load(),
 		Misses:        v.misses.Load(),
 		Refreshes:     v.refreshes.Load(),
+		Patches:       v.patches.Load(),
 		Invalidations: v.invalidations.Load(),
 		Errors:        v.errors.Load(),
 	}
@@ -415,6 +524,7 @@ type Stats struct {
 	StaleHits     uint64 `json:"staleHits"`
 	Misses        uint64 `json:"misses"`
 	Refreshes     uint64 `json:"refreshes"`
+	Patches       uint64 `json:"patches"`
 	Invalidations uint64 `json:"invalidations"`
 	Errors        uint64 `json:"errors"`
 }
@@ -482,6 +592,9 @@ func (r *Registry) register(o Options, reuse bool) (*View, error) {
 	if len(o.Deps) == 0 {
 		return nil, fmt.Errorf("matview: view %q needs at least one dependency table", o.Name)
 	}
+	if (o.Keys == nil) != (o.Patch == nil) {
+		return nil, fmt.Errorf("matview: view %q needs Keys and Patch together", o.Name)
+	}
 	// Warm lookups take only the read lock: GetOrRegister sits on every
 	// serve of lazily-wired views, so it must not serialize readers on
 	// the registry's write lock once the view exists.
@@ -508,38 +621,10 @@ func (r *Registry) register(o Options, reuse bool) (*View, error) {
 		mode:     o.Mode,
 		maxStale: o.MaxStale,
 		build:    o.Build,
+		keys:     o.Keys,
+		patch:    o.Patch,
 	}
 	r.views[o.Name] = v
-	return v, nil
-}
-
-// Replace swaps the definition registered under o.Name — build, deps
-// and serving options — publishing a fresh view with no snapshot, so
-// the next read pays one build under the new definition. Callers still
-// holding the old *View keep serving the old definition; lookups after
-// Replace see the new one. The site uses this to swap a feed build for
-// its sharded per-shard-partials variant when sharding is enabled.
-func (r *Registry) Replace(o Options) (*View, error) {
-	if o.Name == "" {
-		return nil, fmt.Errorf("matview: view needs a name")
-	}
-	if o.Build == nil {
-		return nil, fmt.Errorf("matview: view %q needs a Build function", o.Name)
-	}
-	if len(o.Deps) == 0 {
-		return nil, fmt.Errorf("matview: view %q needs at least one dependency table", o.Name)
-	}
-	v := &View{
-		reg:      r,
-		name:     o.Name,
-		deps:     append([]string(nil), o.Deps...),
-		mode:     o.Mode,
-		maxStale: o.MaxStale,
-		build:    o.Build,
-	}
-	r.mu.Lock()
-	r.views[o.Name] = v
-	r.mu.Unlock()
 	return v, nil
 }
 
@@ -582,6 +667,7 @@ func (r *Registry) Stats() Stats {
 		s.StaleHits += vs.StaleHits
 		s.Misses += vs.Misses
 		s.Refreshes += vs.Refreshes
+		s.Patches += vs.Patches
 		s.Invalidations += vs.Invalidations
 		s.Errors += vs.Errors
 	}

@@ -3,6 +3,7 @@ package matview
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -432,6 +433,59 @@ func TestBuildErrorRetries(t *testing.T) {
 	}
 }
 
+// TestBuildPanicReleasesFlight: a Build that panics must not leave its
+// flight in place — net/http recovers a panicking handler, the process
+// lives on, and every later reader of the view would block for ever. The
+// panic is the build's error, counted, and the next read builds again. A
+// panicking Patch sends the view back to Build the same way.
+func TestBuildPanicReleasesFlight(t *testing.T) {
+	db, tbl := kvDB(t, 2)
+	reg := NewRegistry(db, 1)
+	var builds atomic.Int64
+	v, err := reg.Register(Options{
+		Name: "sum", Deps: []string{"KV"},
+		Build: func() (any, error) {
+			if builds.Add(1) == 1 {
+				panic("boom")
+			}
+			return sumKV(tbl, new(atomic.Int64))()
+		},
+		Keys:  func(string, relation.MutKind, relation.Row, relation.Row) ([]any, bool) { return []any{0}, true },
+		Patch: func(any, []any) (any, error) { panic("patch boom") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.Get(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking build returned %v, want the panic as its error", err)
+	}
+	second := make(chan error, 1)
+	go func() {
+		val, _, err := v.Get()
+		if err == nil && val.(int64) != 30 {
+			err = fmt.Errorf("second read = %v, want 30", val)
+		}
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the second read is still blocked on the panicked build's flight")
+	}
+
+	tbl.MustInsert(relation.Row{int64(3), int64(30)})
+	val, serve, err := v.Get()
+	if err != nil || serve.Kind != ServeBuilt || val.(int64) != 60 {
+		t.Fatalf("read after a panicking patch = %v (%v), %v; want a rebuild to 60", val, serve.Kind, err)
+	}
+	if st := v.Stats(); st.Errors != 2 || st.Patches != 0 || st.Refreshes != 2 {
+		t.Fatalf("stats = %+v, want both panics counted as errors", st)
+	}
+}
+
 func TestRegistryRegistration(t *testing.T) {
 	db, tbl := kvDB(t, 1)
 	reg := NewRegistry(db, 1)
@@ -451,6 +505,7 @@ func TestRegistryRegistration(t *testing.T) {
 		{Deps: []string{"KV"}, Build: opts.Build},
 		{Name: "x", Build: opts.Build},
 		{Name: "x", Deps: []string{"KV"}},
+		{Name: "x", Deps: []string{"KV"}, Build: opts.Build, Patch: func(prev any, _ []any) (any, error) { return prev, nil }},
 	} {
 		if _, err := reg.Register(bad); err == nil {
 			t.Fatalf("Register(%+v) should fail", bad)

@@ -46,55 +46,83 @@ func (t *Table) ShardKey() (string, bool) {
 	return t.schema.Column(t.shardCol).Name, true
 }
 
+// VersionSpan is the half-open range (After, Through] of one table's
+// mutation versions (Table.Version, the counter ViewFingerprint reports).
+type VersionSpan struct{ After, Through uint64 }
+
+// stepTo is the span of the one row mutation that produced version.
+func stepTo(version uint64) VersionSpan {
+	return VersionSpan{After: version - 1, Through: version}
+}
+
 // RowObserver sees every committed row mutation on a table:
 //
 //	MutInsert: before == nil, after is the stored row
 //	MutUpdate: before is the pre-image, after the post-image
 //	MutDelete: before is the pre-image, after == nil
 //
+// span says which of the table's mutation versions the delivery accounts
+// for: the row change IS the step from version span.After to
+// span.Through. Deliveries reach an observer in ascending span order, so
+// a consumer that has seen spans chaining without a gap from version a
+// to version b has seen every change between the table states a and b,
+// and may bring something derived from state a up to state b from the
+// deliveries alone. The chain has a gap wherever the version moved and
+// nothing was delivered: a row a transaction both inserted and deleted
+// (committed born dead), the apply-then-undo of a mutation the WAL
+// refused, recovery replay, a notification dropped after a WaitDurable
+// failure, and every mutation made while no observer was attached. A
+// consumer meeting a gap knows only that it no longer knows the table
+// state and must re-read it. A statement that changes n rows delivers n
+// spans, one per row, after its last row is applied.
+//
 // On an ephemeral table observers run synchronously under the table's
-// write lock, immediately after the mutation is applied. On a durable
-// table they run after WaitDurable confirms the mutation's WAL record —
-// never before, so a crash cannot leave an observer (e.g. a shard
-// write-through) holding rows the recovered base never committed.
-// Deferred delivery is serialized per table in WAL order (mutations are
-// never reordered or dropped relative to each other), outside the table
-// lock; a WAL append rejection rolls the rows back without notifying,
-// and a WaitDurable failure drops the queued notifications and counts
-// them in NotifyStats. Under an asynchronous commit policy WaitDurable
-// returns before the fsync lands; those deliveries are counted as
-// unconfirmed in NotifyStats rather than held back.
+// write lock, within the same lock hold that applied the mutation: a
+// reader that sees Version() == v finds every span up to v already
+// delivered. On a durable table they run after WaitDurable confirms the
+// mutation's WAL record — never before, so a crash cannot leave an
+// observer (e.g. a shard write-through) holding rows the recovered base
+// never committed — which means Version() runs ahead of the delivered
+// spans while a confirmation is in flight. Deferred delivery is
+// serialized per table in WAL order (mutations are never reordered or
+// dropped relative to each other), outside the table lock; a WAL append
+// rejection rolls the rows back without notifying, and a WaitDurable
+// failure drops the queued notifications and counts them in NotifyStats.
+// Under an asynchronous commit policy WaitDurable returns before the
+// fsync lands; those deliveries are counted as unconfirmed in
+// NotifyStats rather than held back.
 //
 // Observers must be fast, must not call back into the observed table,
 // and must copy any row they retain — the slices are the stored rows
 // themselves. Recovery replay and WAL-failure rollback bypass
 // observers: they reconstruct state, they do not originate mutations.
-type RowObserver func(kind MutKind, before, after Row)
+type RowObserver func(kind MutKind, before, after Row, span VersionSpan)
 
 // queuedNotify is one committed mutation on a durable table awaiting
 // durability confirmation before the observers may see it.
 type queuedNotify struct {
-	lsn    uint64
-	kind   MutKind
-	before Row
-	after  Row
+	lsn     uint64
+	kind    MutKind
+	before  Row
+	after   Row
+	version uint64 // the table version this mutation produced
 }
 
-// queueNotifyLocked records a committed mutation for observer delivery.
-// With lsn == 0 (ephemeral table) delivery is synchronous under the
-// table write lock, as before; otherwise the notification is parked
-// until flushNotifies confirms the record durable. Caller holds the
-// table write lock.
-func (t *Table) queueNotifyLocked(lsn uint64, kind MutKind, before, after Row) {
+// queueNotifyLocked records the committed mutation that moved the table
+// to version for observer delivery. With lsn == 0 (ephemeral table)
+// delivery is synchronous under the table write lock; otherwise the
+// notification is parked until flushNotifies confirms the record
+// durable. Caller holds the table write lock.
+func (t *Table) queueNotifyLocked(lsn uint64, kind MutKind, before, after Row, version uint64) {
 	if len(t.obs) == 0 {
 		return
 	}
 	if lsn == 0 {
-		t.notifyLocked(kind, before, after)
+		t.notifyLocked(kind, before, after, version)
 		return
 	}
 	t.nqMu.Lock()
-	t.nq = append(t.nq, queuedNotify{lsn: lsn, kind: kind, before: before, after: after})
+	t.nq = append(t.nq, queuedNotify{lsn: lsn, kind: kind, before: before, after: after, version: version})
 	t.nqMu.Unlock()
 }
 
@@ -142,7 +170,7 @@ func (t *Table) flushNotifies(lsn uint64, werr error, s Storage) {
 	t.mu.RUnlock()
 	for _, q := range batch {
 		for _, fn := range obs {
-			fn(q.kind, q.before, q.after)
+			fn(q.kind, q.before, q.after, stepTo(q.version))
 		}
 	}
 }
@@ -166,13 +194,19 @@ func (t *Table) Observe(fn RowObserver) {
 // holds at least the read lock.
 func (t *Table) observedLocked() bool { return len(t.obs) > 0 }
 
-// notifyLocked fans one committed mutation out to the observers;
-// caller holds the write lock.
-func (t *Table) notifyLocked(kind MutKind, before, after Row) {
+// notifyLocked fans out the committed mutation that moved the table to
+// version; caller holds the write lock.
+func (t *Table) notifyLocked(kind MutKind, before, after Row, version uint64) {
 	for _, fn := range t.obs {
-		fn(kind, before, after)
+		fn(kind, before, after, stepTo(version))
 	}
 }
+
+// firstVersionOf returns the version the first of a statement's n row
+// mutations produced, read after the last one: a multi-row statement
+// bumps the version once per row and notifies after its loop. Caller
+// holds the write lock.
+func (t *Table) firstVersionOf(n int) uint64 { return t.version - uint64(n) + 1 }
 
 // notifyUpdatesLocked replays collected update effects (post-images in
 // muts, pre-images in undo, index-aligned) to the observers.
@@ -180,8 +214,9 @@ func (t *Table) notifyUpdatesLocked(muts, undo []Mutation) {
 	if len(t.obs) == 0 {
 		return
 	}
+	first := t.firstVersionOf(len(muts))
 	for i := range muts {
-		t.notifyLocked(MutUpdate, undo[i].Row, muts[i].Row)
+		t.notifyLocked(MutUpdate, undo[i].Row, muts[i].Row, first+uint64(i))
 	}
 }
 
@@ -191,7 +226,8 @@ func (t *Table) notifyDeletesLocked(undo []Mutation) {
 	if len(t.obs) == 0 {
 		return
 	}
+	first := t.firstVersionOf(len(undo))
 	for i := range undo {
-		t.notifyLocked(MutDelete, undo[i].Row, nil)
+		t.notifyLocked(MutDelete, undo[i].Row, nil, first+uint64(i))
 	}
 }

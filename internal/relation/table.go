@@ -345,7 +345,7 @@ func (t *Table) Insert(row Row) (int, error) {
 	slot, r, err := t.insertLocked(row)
 	if err == nil {
 		t.meta[slot].begin = seq
-		t.notifyLocked(MutInsert, nil, r)
+		t.notifyLocked(MutInsert, nil, r, t.version)
 	}
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -371,7 +371,7 @@ func (t *Table) InsertGet(row Row) (Row, error) {
 		return nil, err
 	}
 	t.meta[slot].begin = seq
-	t.notifyLocked(MutInsert, nil, r)
+	t.notifyLocked(MutInsert, nil, r, t.version)
 	clone := r.Clone()
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -401,7 +401,7 @@ func (t *Table) insertDurable(s Storage, row Row) (int, Row, error) {
 		return 0, nil, err
 	}
 	t.meta[slot].begin = seq
-	t.queueNotifyLocked(lsn, MutInsert, nil, r)
+	t.queueNotifyLocked(lsn, MutInsert, nil, r, t.version)
 	clone := r.Clone()
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -858,7 +858,7 @@ func (t *Table) UpdateByKey(key []Value, set func(Row) Row) error {
 	slot, old, repl, node, err := t.updateByKeyLocked(key, set, keep)
 	if err == nil {
 		t.sealUpdateLocked(slot, node, seq)
-		t.notifyLocked(MutUpdate, old, repl)
+		t.notifyLocked(MutUpdate, old, repl, t.version)
 	}
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -889,7 +889,7 @@ func (t *Table) updateByKeyDurable(s Storage, key []Value, set func(Row) Row) er
 		return err
 	}
 	t.sealUpdateLocked(slot, node, seq)
-	t.queueNotifyLocked(lsn, MutUpdate, old, repl)
+	t.queueNotifyLocked(lsn, MutUpdate, old, repl, t.version)
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
@@ -1045,8 +1045,9 @@ func (t *Table) UpdateWhere(pred func(Row) bool, set func(Row) Row) (int, error)
 	for _, u := range ups {
 		t.sealUpdateLocked(u.slot, u.node, seq)
 	}
+	first := t.firstVersionOf(len(muts))
 	for i := range muts {
-		t.queueNotifyLocked(lsn, MutUpdate, undo[i].Row, muts[i].Row)
+		t.queueNotifyLocked(lsn, MutUpdate, undo[i].Row, muts[i].Row, first+uint64(i))
 	}
 	t.mu.Unlock()
 	t.clock.complete(seq)
@@ -1172,8 +1173,9 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 			return 0, err
 		}
 		t.sealDeletesLocked(slots, seq)
-		for _, r := range pre {
-			t.notifyLocked(MutDelete, r, nil)
+		first := t.firstVersionOf(len(pre))
+		for i, r := range pre {
+			t.notifyLocked(MutDelete, r, nil, first+uint64(i))
 		}
 		t.mu.Unlock()
 		t.clock.complete(seq)
@@ -1199,8 +1201,9 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 			s.EndMutate()
 			return 0, err
 		}
-		for _, u := range undo {
-			t.queueNotifyLocked(lsn, MutDelete, u.Row, nil)
+		first := t.firstVersionOf(len(undo))
+		for i, u := range undo {
+			t.queueNotifyLocked(lsn, MutDelete, u.Row, nil, first+uint64(i))
 		}
 		t.mu.Unlock()
 		t.clock.complete(seq)
@@ -1230,8 +1233,9 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 		return 0, err
 	}
 	t.sealDeletesLocked(slots, seq)
-	for _, r := range pre {
-		t.queueNotifyLocked(lsn, MutDelete, r, nil)
+	first := t.firstVersionOf(len(pre))
+	for i, r := range pre {
+		t.queueNotifyLocked(lsn, MutDelete, r, nil, first+uint64(i))
 	}
 	t.mu.Unlock()
 	t.clock.complete(seq)

@@ -678,14 +678,14 @@ func (tx *Tx) Commit() error {
 				}
 				t.live++
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutInsert, nil, t.rows[e.slot])
+				t.queueNotifyLocked(commitLSN, MutInsert, nil, t.rows[e.slot], t.version)
 			case MutUpdate:
 				m.begin, m.btx = seq, 0
 				if e.node != nil {
 					e.node.end = seq
 				}
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutUpdate, e.before, t.rows[e.slot])
+				t.queueNotifyLocked(commitLSN, MutUpdate, e.before, t.rows[e.slot], t.version)
 			case MutDelete:
 				if m.btx == tx.id { // delete of our own staged update
 					m.begin, m.btx = seq, 0
@@ -696,7 +696,7 @@ func (tx *Tx) Commit() error {
 				m.end, m.etx = seq, 0
 				t.live--
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutDelete, e.before, nil)
+				t.queueNotifyLocked(commitLSN, MutDelete, e.before, nil, t.version)
 			}
 			t.vslotAdd(e.slot)
 		}

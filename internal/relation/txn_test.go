@@ -652,7 +652,7 @@ func TestNotifyAfterDurable(t *testing.T) {
 	defer store.Close()
 	tbl := db.MustCreate(kvTable())
 	var got atomic.Int64
-	tbl.Observe(func(kind MutKind, before, after Row) { got.Add(1) })
+	tbl.Observe(func(MutKind, Row, Row, VersionSpan) { got.Add(1) })
 	tbl.MustInsert(Row{int64(1), "a", int64(1)})
 	if got.Load() != 1 {
 		t.Fatalf("observer fired %d times, want 1 (after WaitDurable)", got.Load())
@@ -667,9 +667,109 @@ func TestNotifyAfterDurable(t *testing.T) {
 	}
 	defer store2.Close()
 	tbl2 := db2.MustCreate(kvTable())
-	tbl2.Observe(func(MutKind, Row, Row) {})
+	tbl2.Observe(func(MutKind, Row, Row, VersionSpan) {})
 	tbl2.MustInsert(Row{int64(1), "a", int64(1)})
 	if unconfirmed, _ := db2.NotifyStats(); unconfirmed == 0 {
 		t.Fatal("async policy did not count the durability window")
 	}
+}
+
+// TestMaintainedSpanContract pins what a maintained view builds on:
+// every delivery carries the one version step it accounts for, in
+// ascending order; a statement over n rows delivers n chained spans; and
+// the chain breaks exactly where the version moved with nothing
+// delivered — a row committed born dead, and whatever happened before
+// the observer attached. Autocommit and transactional writes, with and
+// without an open snapshot beside them (the version-retaining paths), on
+// a memory and on a durable table.
+func TestMaintainedSpanContract(t *testing.T) {
+	script := func(t *testing.T, db *DB) {
+		tbl := db.MustCreate(kvTable())
+		tbl.MustInsert(Row{int64(1), "before the observer", int64(1)})
+		var spans []VersionSpan
+		tbl.Observe(func(_ MutKind, _, _ Row, span VersionSpan) { spans = append(spans, span) })
+		attached := tbl.Version()
+		gaps := 0 // versions the script moves without a delivery
+
+		all := func(Row) bool { return true }
+		bump := func(r Row) Row { r[2] = r[2].(int64) + 1; return r }
+		for round := 0; round < 2; round++ {
+			var reader *Tx
+			if round == 1 {
+				reader = db.Begin() // an open snapshot: writers retain versions
+			}
+			base := int64(10 * (round + 1))
+			for i := int64(0); i < 3; i++ {
+				tbl.MustInsert(Row{base + i, "row", i})
+			}
+			if _, err := tbl.InsertGet(Row{base + 3, "row", int64(3)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.UpdateByKey([]Value{base}, bump); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := tbl.UpdateWhere(all, bump); err != nil || n < 5 {
+				t.Fatalf("UpdateWhere: %d %v", n, err)
+			}
+			if n, err := tbl.DeleteWhere(func(r Row) bool { return r[0].(int64) >= base+2 }); err != nil || n != 2 {
+				t.Fatalf("DeleteWhere: %d %v", n, err)
+			}
+			tx := db.Begin()
+			if _, err := tx.Insert(tbl, Row{base + 5, "tx", int64(0)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Insert(tbl, Row{base + 6, "born dead", int64(0)}); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := tx.DeleteWhere(tbl, func(r Row) bool { return r[0] == base+6 }); err != nil || n != 1 {
+				t.Fatalf("tx delete of its own insert: %d %v", n, err)
+			}
+			if n, err := tx.UpdateWhere(tbl, func(r Row) bool { return r[0] == base+1 }, bump); err != nil || n != 1 {
+				t.Fatalf("tx update: %d %v", n, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			gaps++
+			if reader != nil {
+				if err := reader.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		if len(spans) == 0 || spans[0].After != attached {
+			t.Fatalf("first span %+v, want it to start at version %d, where the observer attached", spans, attached)
+		}
+		found := 0
+		for i, sp := range spans {
+			if sp.Through != sp.After+1 {
+				t.Fatalf("span %d = %+v, want one version step", i, sp)
+			}
+			if i == 0 {
+				continue
+			}
+			switch prev := spans[i-1]; {
+			case sp.After == prev.Through:
+			case sp.After == prev.Through+1:
+				found++ // one undelivered version in between
+			default:
+				t.Fatalf("span %d = %+v after %+v: out of order or a wide gap", i, sp, prev)
+			}
+		}
+		// The born-dead row of the last transaction may sit at the tail,
+		// past the last span, instead of between two.
+		if tail := tbl.Version() - spans[len(spans)-1].Through; found+int(tail) != gaps {
+			t.Fatalf("%d gaps between spans and %d versions past the last, want %d undelivered versions in all", found, tail, gaps)
+		}
+	}
+	t.Run("memory", func(t *testing.T) { script(t, NewDB()) })
+	t.Run("durable", func(t *testing.T) {
+		db, store, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		script(t, db)
+	})
 }

@@ -63,6 +63,7 @@ type matviewSection struct {
 	StaleHits     uint64 `json:"staleHits"`
 	Misses        uint64 `json:"misses"`
 	Refreshes     uint64 `json:"refreshes"`
+	Patches       uint64 `json:"patches"`
 	Invalidations uint64 `json:"invalidations"`
 	Errors        uint64 `json:"errors"`
 }
@@ -103,6 +104,7 @@ func matviewSectionOf(mv matview.Stats) matviewSection {
 		StaleHits:     mv.StaleHits,
 		Misses:        mv.Misses,
 		Refreshes:     mv.Refreshes,
+		Patches:       mv.Patches,
 		Invalidations: mv.Invalidations,
 		Errors:        mv.Errors,
 	}

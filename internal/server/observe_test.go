@@ -66,6 +66,10 @@ func TestStatsPayloadGoldenKeys(t *testing.T) {
 	if got := keysOf(out["planCache"].(map[string]any)); !reflect.DeepEqual(got, wantPC) {
 		t.Errorf("planCache keys = %v, want %v", got, wantPC)
 	}
+	wantMV := []string{"errors", "hits", "invalidations", "misses", "patches", "refreshes", "staleHits", "views"}
+	if got := keysOf(out["matviews"].(map[string]any)); !reflect.DeepEqual(got, wantMV) {
+		t.Errorf("matviews keys = %v, want %v", got, wantMV)
+	}
 
 	// A durable, observed site grows durability + walWait, and the
 	// transactions section grows the collector's observed outcomes.

@@ -394,6 +394,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, _ community
 			"staleHits":     st.StaleHits,
 			"misses":        st.Misses,
 			"refreshes":     st.Refreshes,
+			"patches":       st.Patches,
 			"invalidations": st.Invalidations,
 			"errors":        st.Errors,
 			"hasSnapshot":   st.HasSnapshot,
@@ -407,9 +408,11 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, _ community
 	writeJSON(w, http.StatusOK, map[string]any{"views": out})
 }
 
-// handleFeed serves one department's top-rated feed from the async
-// materialized view — the stale-bounded read path: inside the bound the
-// previous ranking returns instantly while a refresh runs behind it.
+// handleFeed serves one department's top-rated feed from the
+// maintained materialized view: "fresh" also when this read first had
+// to re-aggregate the courses commented on since the last one, "stale"
+// inside the bound while the view cannot be brought current at once,
+// "built" when the read paid for a whole build.
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request, _ community.User) {
 	dep := r.PathValue("dep")
 	k := 10

@@ -394,7 +394,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if _, ok := out["flexMaterialize"].(map[string]any); !ok {
 		t.Fatalf("no flexMaterialize in %v", out)
 	}
-	for _, key := range []string{"views", "hits", "staleHits", "misses", "refreshes", "invalidations", "errors"} {
+	for _, key := range []string{"views", "hits", "staleHits", "misses", "refreshes", "patches", "invalidations", "errors"} {
 		if _, ok := mv[key]; !ok {
 			t.Errorf("matviews missing %q: %v", key, mv)
 		}
@@ -437,9 +437,9 @@ func TestShardedStatsEndpoint(t *testing.T) {
 	t.Cleanup(ts.Close)
 	t.Cleanup(site.Close)
 
-	// Move the routing counters: a feed request rebuilds the view
-	// through the cluster's combine-merge fan-out.
-	if _, _, err := site.TopRatedFeed("CS", 5); err != nil {
+	// Move the routing counters: a grouped count over the partitioned
+	// Comments fans out and merges the shards' partials by group key.
+	if _, err := site.ShardedQuery(`SELECT CourseID, COUNT(*) FROM Comments GROUP BY CourseID`); err != nil {
 		t.Fatal(err)
 	}
 
@@ -460,7 +460,7 @@ func TestShardedStatsEndpoint(t *testing.T) {
 		t.Errorf("rows_per_shard = %v, want one total per shard", sh["rows_per_shard"])
 	}
 	if sh["fan_out"].(float64) == 0 || sh["merge_combine"].(float64) == 0 {
-		t.Errorf("feed rebuild moved no fan-out counters: %v", sh)
+		t.Errorf("the grouped count moved no fan-out counters: %v", sh)
 	}
 	parts, ok := sh["partitioned_tables"].([]any)
 	if !ok || len(parts) == 0 {

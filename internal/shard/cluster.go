@@ -178,7 +178,7 @@ func (c *Cluster) FollowBase(src *relation.DB) {
 				c.applyErrors.Add(1)
 			}
 		}
-		t.Observe(func(kind relation.MutKind, before, after relation.Row) {
+		t.Observe(func(kind relation.MutKind, before, after relation.Row, _ relation.VersionSpan) {
 			c.applyBase(name, kind, before, after)
 		})
 	}
