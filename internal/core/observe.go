@@ -14,8 +14,10 @@ const slowLogDepth = 32
 
 // EnableObservability installs a query-level collector on the site's
 // SQL engine (and on every shard engine, when sharded): per-statement
-// latency histograms, transaction outcome counters, and a slow-query
-// log whose entries get ANALYZE-annotated plans back-filled. Durable
+// latency histograms and a slow-query log whose entries get
+// ANALYZE-annotated plans back-filled. Transaction outcomes are not
+// here: relation.Tx counts them (DB.TxStats, /api/stats
+// "transactions"). Durable
 // sites also wire WAL durability-wait attribution, so slow-log entries
 // split their latency into own-fsync vs group-commit-ride time.
 // Idempotent; returns the collector.

@@ -1,14 +1,13 @@
 package datagen
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"courserank/internal/core"
 	"courserank/internal/relation"
-	"courserank/internal/sqlmini"
+	"courserank/internal/wal"
 )
 
 // populateTiny builds a Tiny site once per test needing it.
@@ -268,34 +267,54 @@ func TestExpertRouting(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTripOfDeployment populates a durable site,
+// checkpoints it and reopens the directory: the checkpoint file (the
+// one snapshot format) carries the whole generated deployment.
 func TestSnapshotRoundTripOfDeployment(t *testing.T) {
-	site, _ := populateTiny(t)
-	var buf bytes.Buffer
-	if err := site.DB.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := relation.Load(&buf)
+	dir := t.TempDir()
+	opts := relation.DurableOptions{Sync: wal.SyncNone}
+	site, err := core.NewDurableSite(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every table survives with identical cardinality.
+	if _, err := Populate(site, Tiny()); err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Durable.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int)
 	for _, name := range site.DB.Names() {
-		orig, _ := site.DB.Table(name)
-		got, ok := loaded.Table(name)
+		want[name] = site.DB.MustTable(name).Len()
+	}
+	courses := site.Scale().Courses
+	site.Close()
+
+	loaded, err := core.NewDurableSite(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if got := loaded.Durable.Stats().RecoveredRecords; got != 0 {
+		t.Errorf("reopen replayed %d WAL records, want everything from the checkpoint", got)
+	}
+	// Every table survives with identical cardinality.
+	for name, n := range want {
+		got, ok := loaded.DB.Table(name)
 		if !ok {
 			t.Fatalf("table %s lost", name)
 		}
-		if got.Len() != orig.Len() {
-			t.Errorf("table %s: %d rows, want %d", name, got.Len(), orig.Len())
+		if got.Len() != n {
+			t.Errorf("table %s: %d rows, want %d", name, got.Len(), n)
 		}
 	}
 	// And the SQL engine works against the restored database.
-	res, err := sqlmini.New(loaded).Query(`SELECT COUNT(*) FROM Courses`)
+	res, err := loaded.SQL.Query(`SELECT COUNT(*) FROM Courses`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0] != int64(site.Scale().Courses) {
-		t.Errorf("restored course count = %v", res.Rows[0][0])
+	if res.Rows[0][0] != int64(courses) {
+		t.Errorf("restored course count = %v, want %d", res.Rows[0][0], courses)
 	}
 }
 

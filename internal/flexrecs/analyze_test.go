@@ -30,12 +30,12 @@ func TestRunAnalyzeAnnotatesWorkflow(t *testing.T) {
 		t.Fatalf("RunAnalyze diverged from Run:\n got %v\nwant %v", got.Rows, want.Rows)
 	}
 	for _, wantFrag := range []string{
-		"▷[Jaccard[Title] as Score] (actual rows=4 time=",                  // operator line with actuals
+		"▷[Jaccard[Title] as Score] (actual rows=4 time=",                   // operator line with actuals
 		"SQL> SELECT * FROM Courses WHERE Year = 2008 (actual rows=4 time=", // compiled leaf
 		"-- args [Introduction to Programming]",                             // bound leaf args
-		"| scan Courses",                        // the SQL engine's annotated plan, piped
-		"| analyzed: ",                          // per-statement footer rode along
-		"analyzed workflow: 4 rows out, total ", // workflow footer
+		"| scan Courses",                                                    // the SQL engine's annotated plan, piped
+		"| analyzed: ",                                                      // per-statement footer rode along
+		"analyzed workflow: 4 rows out, total ",                             // workflow footer
 	} {
 		if !strings.Contains(report, wantFrag) {
 			t.Errorf("report missing %q:\n%s", wantFrag, report)

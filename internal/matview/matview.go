@@ -439,13 +439,6 @@ func (v *View) Peek() (value any, serve Serve, ok bool) {
 	return s.value, Serve{Kind: kind, Age: time.Since(s.builtAt)}, true
 }
 
-// Refresh forces a (single-flighted) rebuild regardless of freshness
-// and blocks until it completes.
-func (v *View) Refresh() error {
-	_, err := v.rebuild(false)
-	return err
-}
-
 // Invalidate drops the current snapshot, so the next read rebuilds.
 // Registered as a manual invalidation in the counters.
 func (v *View) Invalidate() {

@@ -547,7 +547,7 @@ func TestCloseDrains(t *testing.T) {
 	if _, serve, _ := v.Get(); serve.Kind != ServeStale {
 		t.Fatalf("expected a stale serve kicking a background refresh, got %v", serve.Kind)
 	}
-	<-building // the worker started the background refresh
+	<-building  // the worker started the background refresh
 	reg.Close() // must block until that build completes
 	val, _, err := v.Get()
 	if err != nil {

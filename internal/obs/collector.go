@@ -43,20 +43,10 @@ type QuerySummary struct {
 	MaxNs   int64  `json:"max_ns"`
 }
 
-// TxOutcome classifies how a transaction ended.
-type TxOutcome uint8
-
-const (
-	TxCommitted TxOutcome = iota
-	TxConflicted
-	TxRolledBack
-)
-
 // Collector aggregates per-statement latency histograms keyed by
-// statement fingerprint (the same text key the plan cache uses), an
-// optional slow-query log, and transaction-outcome counters. One
-// collector serves a whole site; all methods are safe for concurrent
-// use.
+// statement fingerprint (the same text key the plan cache uses) and
+// an optional slow-query log. One collector serves a whole site; all
+// methods are safe for concurrent use.
 //
 // WALWait, when non-nil, samples the storage layer's cumulative WAL
 // commit-wait counters (own-fsync ns, group-ride ns); the slow-query
@@ -66,10 +56,6 @@ type Collector struct {
 	stats  sync.Map // fingerprint → *QueryStat
 	nstats atomic.Int64
 	slow   *SlowLog
-
-	commits   atomic.Uint64
-	conflicts atomic.Uint64
-	rollbacks atomic.Uint64
 
 	WALWait func() (ownNs, rideNs int64)
 }
@@ -105,7 +91,7 @@ func (c *Collector) Stat(fingerprint string) *QueryStat {
 }
 
 // Record adds one execution: end-to-end latency, rows returned, the
-// route it took ("query", "exec", "tx", "fan-out", "http", ...), and
+// route it took ("query", "exec", "fan-out", "http", ...), and
 // whether it errored. Returns the accumulator so callers can reuse it.
 func (c *Collector) Record(fingerprint, route string, d time.Duration, rows int, errored bool) *QueryStat {
 	st := c.Stat(fingerprint)
@@ -120,23 +106,6 @@ func (c *Collector) Record(fingerprint, route string, d time.Duration, rows int,
 		}
 	}
 	return st
-}
-
-// RecordTx counts one transaction outcome.
-func (c *Collector) RecordTx(o TxOutcome) {
-	switch o {
-	case TxCommitted:
-		c.commits.Add(1)
-	case TxConflicted:
-		c.conflicts.Add(1)
-	default:
-		c.rollbacks.Add(1)
-	}
-}
-
-// TxCounts returns the transaction-outcome counters.
-func (c *Collector) TxCounts() (commits, conflicts, rollbacks uint64) {
-	return c.commits.Load(), c.conflicts.Load(), c.rollbacks.Load()
 }
 
 // summary extracts one stat's QuerySummary.

@@ -92,9 +92,6 @@ func TestSlowLogPlanCapture(t *testing.T) {
 	l := NewSlowLog(4)
 	l.Offer(SlowEntry{SQL: "SELECT x", LatencyNs: 1000, At: time.Unix(1, 0)})
 	l.Offer(SlowEntry{SQL: "SELECT x", LatencyNs: 2000, At: time.Unix(2, 0)})
-	if !l.NeedsPlan("SELECT x") {
-		t.Fatal("NeedsPlan should report plan-less entries")
-	}
 	if !l.AttachPlan("SELECT x", "the plan") {
 		t.Fatal("AttachPlan found no entry")
 	}
@@ -114,17 +111,5 @@ func TestSlowLogRedact(t *testing.T) {
 	l.Offer(SlowEntry{SQL: "q", Params: []string{"secret"}, LatencyNs: 10})
 	if es := l.Entries(); len(es) != 1 || es[0].Params != nil {
 		t.Fatalf("params not redacted: %+v", es)
-	}
-}
-
-func TestCollectorTxCounts(t *testing.T) {
-	c := NewCollector(0)
-	c.RecordTx(TxCommitted)
-	c.RecordTx(TxCommitted)
-	c.RecordTx(TxConflicted)
-	c.RecordTx(TxRolledBack)
-	commits, conflicts, rollbacks := c.TxCounts()
-	if commits != 2 || conflicts != 1 || rollbacks != 1 {
-		t.Fatalf("tx counts = %d/%d/%d", commits, conflicts, rollbacks)
 	}
 }

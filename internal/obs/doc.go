@@ -1,13 +1,12 @@
-// Package obs is the query-observability layer: latency histograms,
-// a slow-query log and transaction-outcome counters, shared by every
-// execution layer (sqlmini statements, shard scatter-gather, the HTTP
-// handlers).
+// Package obs is the query-observability layer: latency histograms
+// and a slow-query log, shared by every execution layer (sqlmini
+// statements, shard scatter-gather, the HTTP handlers).
 //
 // # Design
 //
 // The package holds only passive accumulators — nothing here knows
 // how to execute a query. The execution layers push into a Collector
-// at their natural completion points (Stmt.Query/Exec/QueryTx, the
+// at their natural completion points (Stmt.Query/Exec, the
 // HTTP middleware), keyed by statement fingerprint: the statement's
 // SQL text, the same key the plan cache uses, so /api/queries rows
 // line up one-to-one with plan-cache entries.

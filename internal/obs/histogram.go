@@ -52,9 +52,9 @@ func bucketLow(i int) int64 {
 	return int64(lo)
 }
 
-// Histogram is a lock-free log-bucketed latency histogram. Record and
-// Merge are safe for concurrent use from any number of goroutines;
-// Quantile reads the buckets without synchronization, so a quantile
+// Histogram is a lock-free log-bucketed latency histogram. Record is
+// safe for concurrent use from any number of goroutines; Quantile
+// reads the buckets without synchronization, so a quantile
 // taken during concurrent recording is a consistent-enough snapshot
 // (each bucket is atomically read) but not a point-in-time one.
 //
@@ -82,29 +82,6 @@ func (h *Histogram) RecordNs(ns int64) {
 	for {
 		m := h.max.Load()
 		if ns <= m || h.max.CompareAndSwap(m, ns) {
-			return
-		}
-	}
-}
-
-// Merge adds src's observations into h. Both histograms may be
-// recorded into concurrently; the merge itself is bucket-by-bucket
-// atomic, so counts are never lost (though a merge racing a Record
-// may or may not include that one observation).
-func (h *Histogram) Merge(src *Histogram) {
-	if src == nil {
-		return
-	}
-	for i := range src.buckets {
-		if n := src.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(src.count.Load())
-	h.sum.Add(src.sum.Load())
-	for {
-		m, sm := h.max.Load(), src.max.Load()
-		if sm <= m || h.max.CompareAndSwap(m, sm) {
 			return
 		}
 	}

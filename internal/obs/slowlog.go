@@ -8,8 +8,8 @@ import (
 
 // SlowEntry is one slow-query record: what ran, how long it took, and
 // why — the ANALYZE-annotated plan (captured on the statement's next
-// execution, see Offer), the transaction outcome if it ran in one,
-// and how much of the latency was WAL durability wait.
+// execution, see Offer) and how much of the latency was WAL
+// durability wait.
 type SlowEntry struct {
 	SQL       string    `json:"sql"`
 	Params    []string  `json:"params,omitempty"`
@@ -17,16 +17,10 @@ type SlowEntry struct {
 	Rows      int       `json:"rows"`
 	LatencyNs int64     `json:"latency_ns"`
 	Plan      string    `json:"plan,omitempty"`
-	TxOutcome string    `json:"tx_outcome,omitempty"`
 	WALOwnNs  int64     `json:"wal_own_fsync_ns,omitempty"`
 	WALRideNs int64     `json:"wal_ride_ns,omitempty"`
 	Err       string    `json:"error,omitempty"`
 	At        time.Time `json:"at"`
-
-	// TxTag links the entry to an open transaction so its outcome can
-	// be resolved at commit/rollback time (ResolveTx). Not serialized:
-	// the outcome lands in TxOutcome.
-	TxTag string `json:"-"`
 }
 
 // SlowLog keeps the N slowest statements seen so far, ordered
@@ -122,38 +116,6 @@ func (l *SlowLog) AttachPlan(sql, plan string) bool {
 	}
 	target.Plan = plan
 	return true
-}
-
-// ResolveTx stamps the outcome ("committed", "conflicted", "rolled
-// back") onto every entry recorded under the given transaction tag —
-// a statement's slow entry exists before its transaction's fate does.
-func (l *SlowLog) ResolveTx(tag, outcome string) {
-	if l == nil || tag == "" {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.entries {
-		if l.entries[i].TxTag == tag {
-			l.entries[i].TxOutcome = outcome
-		}
-	}
-}
-
-// NeedsPlan reports whether the log holds a plan-less entry for sql —
-// the recording layer uses it to decide whether to arm plan capture.
-func (l *SlowLog) NeedsPlan(sql string) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.entries {
-		if l.entries[i].SQL == sql && l.entries[i].Plan == "" {
-			return true
-		}
-	}
-	return false
 }
 
 // Entries returns a slowest-first copy of the log.

@@ -125,9 +125,9 @@ func (e *Engine) ratingsBySuID() map[int64]flexrecs.Vector {
 	if v == nil {
 		var err error
 		v, err = e.registry().GetOrRegister(matview.Options{
-			Name: RatingsViewName,
-			Deps: []string{"Comments"},
-			Mode: matview.Sync,
+			Name:  RatingsViewName,
+			Deps:  []string{"Comments"},
+			Mode:  matview.Sync,
 			Build: func() (any, error) { return e.buildRatings() },
 		})
 		if err != nil {

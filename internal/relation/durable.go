@@ -154,10 +154,10 @@ func checkpointHeader(lsn, payloadLen uint64) []byte {
 	return binary.LittleEndian.AppendUint64(h, payloadLen)
 }
 
-// durableHeader heads one table in the checkpoint snapshot. Unlike the
-// portable Save format it preserves slot layout: Slots is the length of
-// the row slice including tombstones, and each row line carries its
-// slot, so post-checkpoint WAL records keep addressing the right rows.
+// durableHeader heads one table in the checkpoint snapshot. The snapshot
+// preserves slot layout: Slots is the length of the row slice including
+// tombstones, and each row line carries its slot, so post-checkpoint WAL
+// records keep addressing the right rows.
 type durableHeader struct {
 	snapshotHeader
 	Slots    int   `json:"slots"`
@@ -286,20 +286,16 @@ func loadDurableSnapshot(db *DB, data []byte) error {
 			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 				return fmt.Errorf("relation: checkpoint table %s row %d: %w", head.Table, i, err)
 			}
-			if len(line) != len(cols)+1 {
-				return fmt.Errorf("relation: checkpoint table %s row %d: %d fields, want slot+%d cells", head.Table, i, len(line), len(cols))
+			if len(line) == 0 {
+				return fmt.Errorf("relation: checkpoint table %s row %d: no slot", head.Table, i)
 			}
 			var slot int
 			if err := json.Unmarshal(line[0], &slot); err != nil {
 				return fmt.Errorf("relation: checkpoint table %s row %d slot: %w", head.Table, i, err)
 			}
-			row := make(Row, len(cols))
-			for j, cell := range line[1:] {
-				v, err := decodeCell(cell, cols[j].Type)
-				if err != nil {
-					return fmt.Errorf("relation: checkpoint table %s row %d col %s: %w", head.Table, i, cols[j].Name, err)
-				}
-				row[j] = v
+			row, err := decodeRow(line[1:], cols)
+			if err != nil {
+				return fmt.Errorf("relation: checkpoint table %s row %d: %w", head.Table, i, err)
 			}
 			if err := t.applyInsertSlot(slot, row); err != nil {
 				return err
@@ -447,18 +443,7 @@ func decodeWALRow(raw json.RawMessage, cols []Column) (Row, error) {
 	if err := json.Unmarshal(raw, &cells); err != nil {
 		return nil, err
 	}
-	if len(cells) != len(cols) {
-		return nil, fmt.Errorf("row has %d cells, schema wants %d", len(cells), len(cols))
-	}
-	row := make(Row, len(cols))
-	for j, cell := range cells {
-		v, err := decodeCell(cell, cols[j].Type)
-		if err != nil {
-			return nil, err
-		}
-		row[j] = v
-	}
-	return row, nil
+	return decodeRow(cells, cols)
 }
 
 // --- Storage interface --------------------------------------------------
@@ -503,12 +488,12 @@ func encodeWalMuts(muts []Mutation) ([]walMut, error) {
 
 // --- TxStorage interface ------------------------------------------------
 
-// BeginTxGate enters the checkpoint gate for a transaction's lifetime,
+// EnterTxGate enters the checkpoint gate for a transaction's lifetime,
 // so a checkpoint never snapshots uncommitted transaction effects.
-func (s *DurableStore) BeginTxGate() { s.gate.RLock() }
+func (s *DurableStore) EnterTxGate() { s.gate.RLock() }
 
-// EndTxGate leaves the gate entered by BeginTxGate.
-func (s *DurableStore) EndTxGate() { s.gate.RUnlock() }
+// LeaveTxGate leaves the gate entered by EnterTxGate.
+func (s *DurableStore) LeaveTxGate() { s.gate.RUnlock() }
 
 // LogTxMutations appends one transaction statement's row effects;
 // replay ignores them unless tx's commit record follows.

@@ -277,13 +277,13 @@ func (t *Table) RangeCount(col string, lo, hi *RangeBound) (int, bool) {
 // cursor; no slot is ever emitted twice — a row already emitted and then
 // re-keyed ahead of the cursor is not seen again — and rows inserted
 // ahead of the cursor may be seen, the same read-committed-flavored
-// visibility the scan cursor has. Under a transaction snapshot the walk
-// emits exactly the versions the snapshot sees: superseded versions keep
-// their index entries while any snapshot can still read them.
+// visibility the scan cursor has. The walk emits the latest committed
+// versions: superseded versions keep their index entries while an open
+// transaction's snapshot can still read them, and staged heads are
+// skipped.
 type RangeCursor struct {
 	t      *Table
 	ix     *orderedIndex
-	sn     Snap
 	lo, hi *RangeBound
 	desc   bool
 
@@ -312,17 +312,11 @@ type RangeCursor struct {
 // NewRangeCursor opens a range iteration over the column's ordered
 // index, reporting false when the column has none.
 func (t *Table) NewRangeCursor(col string, lo, hi *RangeBound) (*RangeCursor, bool) {
-	return t.NewRangeCursorSnap(LatestSnap(), col, lo, hi)
-}
-
-// NewRangeCursorSnap is NewRangeCursor as of a snapshot: emitted rows
-// are the versions the snapshot sees, still in ascending key order.
-func (t *Table) NewRangeCursorSnap(sn Snap, col string, lo, hi *RangeBound) (*RangeCursor, bool) {
 	ix, ok := t.orderedIndexOf(col)
 	if !ok {
 		return nil, false
 	}
-	return &RangeCursor{t: t, ix: ix, sn: sn, lo: lo, hi: hi}, true
+	return &RangeCursor{t: t, ix: ix, lo: lo, hi: hi}, true
 }
 
 func (t *Table) orderedIndexOf(col string) (*orderedIndex, bool) {
@@ -408,7 +402,7 @@ func (c *RangeCursor) NextBatch(dst []Row) int {
 		c.seek()
 	}
 	n := 0
-	fast := c.sn.latest() && len(c.t.vslots) == 0
+	fast := len(c.t.vslots) == 0
 	col := c.ix.col
 	for n < len(dst) {
 		en, ok := c.step()
@@ -421,7 +415,7 @@ func (c *RangeCursor) NextBatch(dst []Row) int {
 		}
 		row := c.t.rows[en.slot]
 		if !fast {
-			row = c.t.visibleLocked(en.slot, c.sn)
+			row = c.t.visibleLocked(en.slot, LatestSnap())
 		}
 		if row == nil || row[col] == nil || !Equal(row[col], en.val) {
 			continue
@@ -476,16 +470,11 @@ type DescCursor struct{ RangeCursor }
 // NewDescCursor opens a descending range iteration over the column's
 // ordered index, reporting false when the column has none.
 func (t *Table) NewDescCursor(col string, lo, hi *RangeBound) (*DescCursor, bool) {
-	return t.NewDescCursorSnap(LatestSnap(), col, lo, hi)
-}
-
-// NewDescCursorSnap is NewDescCursor as of a snapshot.
-func (t *Table) NewDescCursorSnap(sn Snap, col string, lo, hi *RangeBound) (*DescCursor, bool) {
 	ix, ok := t.orderedIndexOf(col)
 	if !ok {
 		return nil, false
 	}
-	return &DescCursor{RangeCursor{t: t, ix: ix, sn: sn, lo: lo, hi: hi, desc: true}}, true
+	return &DescCursor{RangeCursor{t: t, ix: ix, lo: lo, hi: hi, desc: true}}, true
 }
 
 // ScanCursor iterates every live row in slot order, fetching references
@@ -494,18 +483,13 @@ func (t *Table) NewDescCursorSnap(sn Snap, col string, lo, hi *RangeBound) (*Des
 // during iteration are not revisited; rows appended ahead are seen.
 type ScanCursor struct {
 	t    *Table
-	sn   Snap
 	next int
 }
 
-// NewScanCursor opens a batched full-table iteration.
+// NewScanCursor opens a batched full-table iteration over the latest
+// committed rows.
 func (t *Table) NewScanCursor() *ScanCursor {
-	return &ScanCursor{t: t, sn: LatestSnap()}
-}
-
-// NewScanCursorSnap is NewScanCursor as of a snapshot.
-func (t *Table) NewScanCursorSnap(sn Snap) *ScanCursor {
-	return &ScanCursor{t: t, sn: sn}
+	return &ScanCursor{t: t}
 }
 
 // NextBatch fills dst with live row references in slot order, returning
@@ -514,13 +498,13 @@ func (c *ScanCursor) NextBatch(dst []Row) int {
 	c.t.mu.RLock()
 	defer c.t.mu.RUnlock()
 	n := 0
-	fast := c.sn.latest() && len(c.t.vslots) == 0
+	fast := len(c.t.vslots) == 0
 	for c.next < len(c.t.rows) && n < len(dst) {
 		slot := c.next
 		c.next++
 		row := c.t.rows[slot]
 		if !fast {
-			row = c.t.visibleLocked(slot, c.sn)
+			row = c.t.visibleLocked(slot, LatestSnap())
 		}
 		if row == nil {
 			continue

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -108,28 +107,6 @@ func TestSchemaEpoch(t *testing.T) {
 	// The freshly built index answers ranges over pre-existing rows.
 	if n, ok := tbl.RangeCount("ID", &RangeBound{Value: int64(5), Inclusive: true}, nil); !ok || n != 5 {
 		t.Fatalf("built-from-rows index RangeCount = %d,%v", n, ok)
-	}
-}
-
-func TestOrderedIndexSnapshotRoundTrip(t *testing.T) {
-	db := NewDB()
-	db.MustCreate(orderedTable(t))
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt := loaded.MustTable("m")
-	if !lt.HasOrderedIndex("Score") {
-		t.Fatal("ordered index lost across snapshot")
-	}
-	want := scores(db.MustTable("m").Range("Score", nil, nil))
-	got := scores(lt.Range("Score", nil, nil))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("range after load = %v, want %v", got, want)
 	}
 }
 

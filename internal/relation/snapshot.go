@@ -1,19 +1,17 @@
 package relation
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
-// Snapshot persistence: a database serializes to a stream of JSON lines
-// — one header object per table (schema, keys, indexes) followed by its
-// rows — and loads back into an equivalent database. CourseRank uses it
-// to checkpoint generated deployments and to ship fixtures.
+// The JSON table and row codec of the durable backend (durable.go): a
+// table header (schema, keys, indexes) heads each table in the
+// checkpoint file and is the payload of a WAL CREATE record, and rows
+// travel as JSON arrays of cells in both.
 
-// snapshotHeader describes one table in the stream.
+// snapshotHeader describes one table: its declared shape and, in a
+// checkpoint, how many row lines follow.
 type snapshotHeader struct {
 	Table   string       `json:"table"`
 	Columns []columnJSON `json:"columns"`
@@ -34,32 +32,9 @@ var typeByName = map[string]Type{
 	"INT": TypeInt, "FLOAT": TypeFloat, "TEXT": TypeString, "BOOL": TypeBool,
 }
 
-// Save writes the whole database to w as JSON lines, tables in sorted
-// name order, rows in slot order.
-func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, name := range db.Names() {
-		t, _ := db.Table(name)
-		head := headerFor(t)
-		if err := enc.Encode(head); err != nil {
-			return err
-		}
-		var encErr error
-		t.Scan(func(_ int, row Row) bool {
-			encErr = enc.Encode([]Value(row))
-			return encErr == nil
-		})
-		if encErr != nil {
-			return encErr
-		}
-	}
-	return bw.Flush()
-}
-
 // tableFromHeader materializes an empty table matching a stream
-// header's declared shape. Shared by snapshot Load and the durable
-// backend's recovery paths (checkpoint load, CREATE-record replay).
+// header's declared shape, for the durable backend's recovery paths
+// (checkpoint load, CREATE-record replay).
 func tableFromHeader(head snapshotHeader) (*Table, error) {
 	cols := make([]Column, len(head.Columns))
 	for i, c := range head.Columns {
@@ -89,8 +64,8 @@ func tableFromHeader(head snapshotHeader) (*Table, error) {
 	return t, nil
 }
 
-// headerFor builds the stream header describing t. Shared by Save and
-// the durable backend (checkpoint snapshots, CREATE records).
+// headerFor builds the header describing t, for checkpoint snapshots
+// and CREATE records.
 func headerFor(t *Table) snapshotHeader {
 	head := snapshotHeader{
 		Table:   t.Name(),
@@ -106,72 +81,21 @@ func headerFor(t *Table) snapshotHeader {
 	return head
 }
 
-// Load reads a Save stream into a fresh database. Decode failures are
-// reported with the offending table and the 1-based line number in the
-// stream, so a corrupt or truncated snapshot points at where it broke.
-func Load(r io.Reader) (*DB, error) {
-	db := NewDB()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	line := 0
-	next := func() ([]byte, bool, error) {
-		if !sc.Scan() {
-			return nil, false, sc.Err()
-		}
-		line++
-		return sc.Bytes(), true, nil
+// decodeRow decodes one row's JSON cells against the schema's column
+// types — the one row decoder behind checkpoint loading and WAL replay.
+func decodeRow(cells []json.RawMessage, cols []Column) (Row, error) {
+	if len(cells) != len(cols) {
+		return nil, fmt.Errorf("%w: row has %d cells, schema wants %d", ErrArity, len(cells), len(cols))
 	}
-	for {
-		buf, ok, err := next()
+	row := make(Row, len(cols))
+	for j, cell := range cells {
+		v, err := decodeCell(cell, cols[j].Type)
 		if err != nil {
-			return nil, fmt.Errorf("relation: snapshot line %d: %w", line+1, err)
+			return nil, fmt.Errorf("col %s: %w", cols[j].Name, err)
 		}
-		if !ok {
-			return db, nil
-		}
-		if len(bytes.TrimSpace(buf)) == 0 {
-			continue
-		}
-		var head snapshotHeader
-		if err := json.Unmarshal(buf, &head); err != nil {
-			return nil, fmt.Errorf("relation: snapshot line %d: bad table header: %w", line, err)
-		}
-		t, err := tableFromHeader(head)
-		if err != nil {
-			return nil, fmt.Errorf("relation: snapshot line %d: %w", line, err)
-		}
-		if err := db.Create(t); err != nil {
-			return nil, fmt.Errorf("relation: snapshot line %d: %w", line, err)
-		}
-		cols := t.Schema().Columns()
-		for i := 0; i < head.Rows; i++ {
-			buf, ok, err := next()
-			if err != nil {
-				return nil, fmt.Errorf("relation: snapshot line %d: table %s: %w", line+1, head.Table, err)
-			}
-			if !ok {
-				return nil, fmt.Errorf("relation: snapshot line %d: table %s: truncated stream: got %d of %d rows", line, head.Table, i, head.Rows)
-			}
-			var raw []json.RawMessage
-			if err := json.Unmarshal(buf, &raw); err != nil {
-				return nil, fmt.Errorf("relation: snapshot line %d: table %s row %d: %w", line, head.Table, i, err)
-			}
-			if len(raw) != len(cols) {
-				return nil, fmt.Errorf("%w: snapshot line %d: table %s row %d has %d cells", ErrArity, line, head.Table, i, len(raw))
-			}
-			row := make(Row, len(raw))
-			for j, cell := range raw {
-				v, err := decodeCell(cell, cols[j].Type)
-				if err != nil {
-					return nil, fmt.Errorf("relation: snapshot line %d: table %s row %d col %s: %w", line, head.Table, i, cols[j].Name, err)
-				}
-				row[j] = v
-			}
-			if _, err := t.Insert(row); err != nil {
-				return nil, fmt.Errorf("relation: snapshot line %d: table %s row %d: %w", line, head.Table, i, err)
-			}
-		}
+		row[j] = v
 	}
+	return row, nil
 }
 
 // decodeCell parses one JSON cell into the canonical value for the

@@ -101,37 +101,39 @@ func TestVersionBumps(t *testing.T) {
 
 func TestLookupMany(t *testing.T) {
 	tbl := statsTable(t)
-	rows := tbl.LookupMany("Dep", []Value{"cs", "me", nil, "nope"})
+	rows := tbl.LookupManyRef("Dep", []Value{"cs", "me", nil, "nope"})
 	if len(rows) != 4 {
-		t.Fatalf("LookupMany = %d rows, want 4 (3 cs + 1 me; NULL and absent match nothing)", len(rows))
+		t.Fatalf("LookupManyRef = %d rows, want 4 (3 cs + 1 me; NULL and absent match nothing)", len(rows))
 	}
 	// Slot order, deduplicated even when keys repeat.
-	rows = tbl.LookupMany("Dep", []Value{"ee", "ee"})
+	rows = tbl.LookupManyRef("Dep", []Value{"ee", "ee"})
 	if len(rows) != 2 || rows[0][0] != int64(3) || rows[1][0] != int64(5) {
-		t.Fatalf("LookupMany dedup/order broken: %v", rows)
+		t.Fatalf("LookupManyRef dedup/order broken: %v", rows)
 	}
 	// Unindexed column degrades to one scan with identical semantics.
-	rows = tbl.LookupMany("Age", []Value{int64(21), int64(24)})
+	rows = tbl.LookupManyRef("Age", []Value{int64(21), int64(24)})
 	if len(rows) != 2 {
-		t.Fatalf("unindexed LookupMany = %d rows, want 2", len(rows))
+		t.Fatalf("unindexed LookupManyRef = %d rows, want 2", len(rows))
 	}
-	if got := tbl.LookupMany("Dep", nil); got != nil {
+	if got := tbl.LookupManyRef("Dep", nil); got != nil {
 		t.Fatalf("empty key set should return nil, got %v", got)
+	}
+	if got := tbl.LookupManyRef("Dep", []Value{nil}); got != nil {
+		t.Fatalf("a NULL-only key set should return nil, got %v", got)
 	}
 }
 
 func TestGetMany(t *testing.T) {
 	tbl := statsTable(t)
-	rows := tbl.GetMany([]Value{int64(5)}, []Value{int64(99)}, []Value{int64(2)}, []Value{int64(5)})
+	rows := tbl.GetManyRef([]Value{int64(5)}, []Value{int64(99)}, []Value{int64(2)}, []Value{int64(5)})
 	if len(rows) != 2 {
-		t.Fatalf("GetMany = %d rows, want 2 (missing keys skipped, dups collapsed)", len(rows))
+		t.Fatalf("GetManyRef = %d rows, want 2 (missing keys skipped, dups collapsed)", len(rows))
 	}
 	if rows[0][0] != int64(2) || rows[1][0] != int64(5) {
-		t.Fatalf("GetMany should return slot order regardless of key order: %v", rows)
+		t.Fatalf("GetManyRef should return slot order regardless of key order: %v", rows)
 	}
-	// Returned rows are copies: mutating them must not corrupt storage.
-	rows[0][1] = "hacked"
-	if fresh, _ := tbl.Get(int64(2)); fresh[1] != "cs" {
-		t.Fatal("GetMany must return clones")
+	// Returned rows are the stored rows themselves, as GetRef's are.
+	if ref, _ := tbl.GetRef(int64(2)); &ref[0] != &rows[0][0] {
+		t.Fatal("GetManyRef must return references to the stored rows")
 	}
 }

@@ -53,16 +53,16 @@ type Storage interface {
 // unit, never a prefix of it.
 //
 // The gate discipline differs from autocommit: a transaction enters the
-// checkpoint gate once at Begin (BeginTxGate) and leaves at
-// Commit/Rollback (EndTxGate), so a checkpoint never captures a table
+// checkpoint gate once at Begin (EnterTxGate) and leaves at
+// Commit/Rollback (LeaveTxGate), so a checkpoint never captures a table
 // image with uncommitted transaction effects in it.
 type TxStorage interface {
 	Storage
-	// BeginTxGate enters the checkpoint gate (shared side) for the
+	// EnterTxGate enters the checkpoint gate (shared side) for the
 	// lifetime of one transaction.
-	BeginTxGate()
-	// EndTxGate leaves the gate entered by BeginTxGate.
-	EndTxGate()
+	EnterTxGate()
+	// LeaveTxGate leaves the gate entered by EnterTxGate.
+	LeaveTxGate()
 	// LogTxMutations appends one transaction redo record covering the
 	// staged row effects of a single statement against table. Called
 	// under the table's write lock. The effects are ignored at replay

@@ -109,25 +109,25 @@ func (ix *secondaryIndex) update(slot int, old, repl Row) {
 // optional primary-key and secondary hash indexes. Deleted rows leave
 // tombstones that scans skip; slots are reused by later inserts.
 type Table struct {
-	mu      sync.RWMutex
-	name    string
-	schema  *Schema
-	rows    []Row      // nil entries are tombstones; always the NEWEST version
-	meta    []slotMeta // parallel to rows: MVCC visibility stamps (see txn.go)
-	free    []int      // tombstone slots available for reuse
-	live    int
-	pk      []int
-	pkIndex map[string]int
-	indexes map[string]*secondaryIndex
-	ordered map[string]*orderedIndex
-	autoCol int
-	nextAut int64
+	mu       sync.RWMutex
+	name     string
+	schema   *Schema
+	rows     []Row      // nil entries are tombstones; always the NEWEST version
+	meta     []slotMeta // parallel to rows: MVCC visibility stamps (see txn.go)
+	free     []int      // tombstone slots available for reuse
+	live     int
+	pk       []int
+	pkIndex  map[string]int
+	indexes  map[string]*secondaryIndex
+	ordered  map[string]*orderedIndex
+	autoCol  int
+	nextAut  int64
 	shardCol int           // -1 = no declared shard key (see shard.go)
 	obs      []RowObserver // committed-mutation observers (see shard.go)
-	version uint64
-	epoch   uint64
-	store   atomic.Pointer[storageBox] // nil = ephemeral (memory-only) backend
-	clock   *txClock                   // owning DB's transaction clock; nil until registered
+	version  uint64
+	epoch    uint64
+	store    atomic.Pointer[storageBox] // nil = ephemeral (memory-only) backend
+	clock    *txClock                   // owning DB's transaction clock; nil until registered
 
 	// vslots marks slots carrying transactional residue — staged
 	// writes, retained version chains, or committed-dead heads awaiting
@@ -558,18 +558,6 @@ func (t *Table) Rows() []Row {
 	return out
 }
 
-// SelectWhere returns copies of the rows satisfying pred.
-func (t *Table) SelectWhere(pred func(Row) bool) []Row {
-	var out []Row
-	t.Scan(func(_ int, r Row) bool {
-		if pred(r) {
-			out = append(out, r.Clone())
-		}
-		return true
-	})
-	return out
-}
-
 // Lookup returns copies of the rows whose named column equals v, using a
 // secondary index when one exists, and a scan otherwise.
 func (t *Table) Lookup(col string, v Value) []Row {
@@ -616,30 +604,15 @@ func (t *Table) LookupSnap(sn Snap, col string, v Value) []Row {
 	return out
 }
 
-// LookupMany returns copies of the rows whose named column equals any
-// of the keys, in slot (scan) order with duplicates removed, acquiring
-// the read lock once for the whole batch. Upper layers use it to drive
-// multi-key index probes (IN lists, batched joins) without per-row
-// locking. NULL keys match nothing, mirroring SQL equality; with no
-// index on the column it degrades to a single scan.
-func (t *Table) LookupMany(col string, keys []Value) []Row {
-	refs := t.lookupManySnap(LatestSnap(), col, keys, true)
-	return refs
-}
-
-// GetMany returns copies of the rows matching the given primary keys —
-// a batch Get under one read lock. Rows come back in slot (scan) order
-// with duplicates removed, matching Lookup/LookupMany, so planned
-// multi-key probes order rows exactly as a scan would; absent keys are
-// skipped.
-func (t *Table) GetMany(keys ...[]Value) []Row {
-	return t.getManySnap(LatestSnap(), keys, true)
-}
-
-// getManySnap is the shared body of the batch pk probes. Mappings can
-// be stale while versions are retained, so non-plain hits re-validate
-// the resolved row's key.
-func (t *Table) getManySnap(sn Snap, keys [][]Value, clone bool) []Row {
+// GetManyRef returns references to the latest committed rows matching
+// the given primary keys — a batch GetRef under one read lock. Rows come
+// back in slot (scan) order with duplicates removed, matching
+// LookupManyRef, so planned multi-key probes order rows exactly as a
+// scan would; absent keys are skipped. Mappings can be stale while
+// versions are retained, so non-plain hits re-validate the resolved
+// row's key. Rows must not be mutated; see GetRef.
+func (t *Table) GetManyRef(keys ...[]Value) []Row {
+	sn := LatestSnap()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.pkIndex == nil {
@@ -647,7 +620,7 @@ func (t *Table) getManySnap(sn Snap, keys [][]Value, clone bool) []Row {
 	}
 	slots := make([]int, 0, len(keys))
 	var wantKeys map[string]bool
-	fast := sn.latest() && len(t.vslots) == 0
+	fast := len(t.vslots) == 0
 	if !fast {
 		wantKeys = make(map[string]bool, len(keys))
 	}
@@ -692,9 +665,6 @@ func (t *Table) getManySnap(sn Snap, keys [][]Value, clone bool) []Row {
 			}
 			delete(wantKeys, t.pkKey(r))
 		}
-		if clone {
-			r = r.Clone()
-		}
 		out = append(out, r)
 	}
 	// Keys the mapping could not resolve may still have a visible
@@ -704,9 +674,6 @@ func (t *Table) getManySnap(sn Snap, keys [][]Value, clone bool) []Row {
 	if !fast && len(wantKeys) > 0 && len(t.vslots) > 0 {
 		for want := range wantKeys {
 			if r, ok := t.pkFallbackLocked(sn, want); ok {
-				if clone {
-					r = r.Clone()
-				}
 				out = append(out, r)
 			}
 		}
@@ -721,11 +688,7 @@ func (t *Table) getManySnap(sn Snap, keys [][]Value, clone bool) []Row {
 // grow it. Query executors batch through this to skip one allocation
 // per probed row.
 func (t *Table) GetRef(key ...Value) (Row, bool) {
-	return t.GetRefSnap(LatestSnap(), key...)
-}
-
-// GetRefSnap is GetRef as of a snapshot.
-func (t *Table) GetRefSnap(sn Snap, key ...Value) (Row, bool) {
+	sn := LatestSnap()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	slot, ok := t.pkSlotLocked(key)
@@ -748,20 +711,17 @@ func (t *Table) GetRefSnap(sn Snap, key ...Value) (Row, bool) {
 	return t.pkFallbackLocked(sn, encodeKey(norm))
 }
 
-// LookupManyRefSnap is LookupMany as of a snapshot, returning
-// references to the stored rows instead of copies — same slot order,
-// same dedup, one lock acquisition. Rows must not be mutated or retained past the point
-// where a copy would have been taken; see GetRef for why references
-// stay consistent.
-func (t *Table) LookupManyRefSnap(sn Snap, col string, keys []Value) []Row {
-	return t.lookupManySnap(sn, col, keys, false)
-}
-
-// lookupManySnap is the shared body of the multi-key column probes.
-// Index hits resolve through the snapshot and, when the slot carries
-// residue, re-validate the probed value (retained entries
-// over-approximate the visible rows).
-func (t *Table) lookupManySnap(sn Snap, col string, keys []Value, clone bool) []Row {
+// LookupManyRef returns references to the latest committed rows whose
+// named column equals any of the keys, in slot (scan) order with
+// duplicates removed, acquiring the read lock once for the whole batch.
+// The executor drives multi-key index probes (IN lists, batched joins)
+// through it without per-row locking. NULL keys match nothing,
+// mirroring SQL equality; with no index on the column it degrades to a
+// single scan. Index hits on a slot that carries residue re-validate
+// the probed value (retained entries over-approximate the visible
+// rows). Rows must not be mutated; see GetRef.
+func (t *Table) LookupManyRef(col string, keys []Value) []Row {
+	sn := LatestSnap()
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if k == nil {
@@ -786,7 +746,7 @@ func (t *Table) lookupManySnap(sn Snap, col string, keys []Value, clone bool) []
 		sort.Ints(slots)
 		out := make([]Row, 0, len(slots))
 		prev := -1
-		fast := sn.latest() && len(t.vslots) == 0
+		fast := len(t.vslots) == 0
 		for _, s := range slots {
 			if s == prev {
 				continue // same row reached via equal-encoding keys
@@ -799,9 +759,6 @@ func (t *Table) lookupManySnap(sn Snap, col string, keys []Value, clone bool) []
 					continue
 				}
 			}
-			if clone {
-				r = r.Clone()
-			}
 			out = append(out, r)
 		}
 		return out
@@ -811,7 +768,7 @@ func (t *Table) lookupManySnap(sn Snap, col string, keys []Value, clone bool) []
 		return nil
 	}
 	var out []Row
-	fast := sn.latest() && len(t.vslots) == 0
+	fast := len(t.vslots) == 0
 	for slot, r := range t.rows {
 		if !fast {
 			r = t.visibleLocked(slot, sn)
@@ -820,20 +777,10 @@ func (t *Table) lookupManySnap(sn Snap, col string, keys []Value, clone bool) []
 			continue
 		}
 		if want[encodeKey([]Value{r[ci]})] {
-			if clone {
-				r = r.Clone()
-			}
 			out = append(out, r)
 		}
 	}
 	return out
-}
-
-// GetManyRefSnap is GetMany as of a snapshot, returning references to
-// the stored rows instead of copies — same slot order and dedup. Rows
-// must not be mutated; see GetRef.
-func (t *Table) GetManyRefSnap(sn Snap, keys ...[]Value) []Row {
-	return t.getManySnap(sn, keys, false)
 }
 
 // HasIndex reports whether a secondary index exists on the column.

@@ -183,16 +183,6 @@ func TestScanEarlyStopAndRows(t *testing.T) {
 	}
 }
 
-func TestSelectWhere(t *testing.T) {
-	tbl := studentsTable(t)
-	tbl.MustInsert(Row{nil, "Ann", "2008", 3.9})
-	tbl.MustInsert(Row{nil, "Bob", "2009", 3.1})
-	got := tbl.SelectWhere(func(r Row) bool { return r[3].(float64) > 3.5 })
-	if len(got) != 1 || got[0][1] != "Ann" {
-		t.Errorf("SelectWhere = %v", got)
-	}
-}
-
 func TestTableOptionErrors(t *testing.T) {
 	sch := NewSchema(Col("A", TypeInt), Col("B", TypeString))
 	if _, err := NewTable("t", sch, WithPrimaryKey("nope")); err == nil {

@@ -301,7 +301,7 @@ type txSlotKey struct {
 // txEffect is this transaction's net effect on one slot.
 type txEffect struct {
 	t      *Table
-	kind   MutKind     // MutInsert / MutUpdate / MutDelete
+	kind   MutKind // MutInsert / MutUpdate / MutDelete
 	slot   int
 	node   *rowVersion // update: the chain node holding the superseded version
 	before Row         // committed pre-image for observers (update/delete)
@@ -324,7 +324,7 @@ func (db *DB) Begin() *Tx {
 	s := db.store
 	db.mu.RUnlock()
 	if ts, ok := s.(TxStorage); ok {
-		ts.BeginTxGate()
+		ts.EnterTxGate()
 		tx.gate = ts
 	}
 	tx.id, tx.snap = db.clock.beginSnap()
@@ -791,7 +791,7 @@ func (tx *Tx) finish(seq uint64) {
 
 func (tx *Tx) releaseGate() {
 	if tx.gate != nil {
-		tx.gate.EndTxGate()
+		tx.gate.LeaveTxGate()
 		tx.gate = nil
 	}
 }

@@ -393,7 +393,7 @@ type failingStore struct {
 }
 
 func (f *failingStore) BeginMutate() {}
-func (f *failingStore) EndMutate()  {}
+func (f *failingStore) EndMutate()   {}
 func (f *failingStore) LogMutations(string, []Mutation) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -403,10 +403,10 @@ func (f *failingStore) LogMutations(string, []Mutation) (uint64, error) {
 	f.logs++
 	return uint64(f.logs), nil
 }
-func (f *failingStore) LogCreate(*Table) (uint64, error)      { return 0, nil }
-func (f *failingStore) LogDrop(string) (uint64, error)        { return 0, nil }
+func (f *failingStore) LogCreate(*Table) (uint64, error)        { return 0, nil }
+func (f *failingStore) LogDrop(string) (uint64, error)          { return 0, nil }
 func (f *failingStore) LogAlter(string, string) (uint64, error) { return 0, nil }
-func (f *failingStore) WaitDurable(uint64) error              { return nil }
+func (f *failingStore) WaitDurable(uint64) error                { return nil }
 
 // TestDeleteWherePoisonedLog is the satellite regression: a WAL append
 // failure during DeleteWhere must surface as a non-nil error (not a

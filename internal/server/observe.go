@@ -75,16 +75,6 @@ type txSection struct {
 	Conflicts         uint64 `json:"conflicts"`
 	NotifyUnconfirmed uint64 `json:"notifyUnconfirmed"`
 	NotifyDropped     uint64 `json:"notifyDropped"`
-
-	// Observed is the query-level collector's view — transactions that
-	// ran through observed statement handles — when observability is on.
-	Observed *txObservedSection `json:"observed,omitempty"`
-}
-
-type txObservedSection struct {
-	Commits   uint64 `json:"commits"`
-	Conflicts uint64 `json:"conflicts"`
-	Rollbacks uint64 `json:"rollbacks"`
 }
 
 // walWaitSection attributes commit durability waits: time spent
@@ -138,10 +128,6 @@ func (s *Server) statsSnapshot() statsPayload {
 			NotifyUnconfirmed: unconfirmed,
 			NotifyDropped:     dropped,
 		},
-	}
-	if c := s.site.Obs; c != nil {
-		commits, conflicts, rollbacks := c.TxCounts()
-		out.Transactions.Observed = &txObservedSection{Commits: commits, Conflicts: conflicts, Rollbacks: rollbacks}
 	}
 	if s.site.Durable != nil {
 		ds := s.site.Durable.Stats()
@@ -199,7 +185,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request, _ communi
 
 // handleSlowlog serves the slow-query log, slowest first: SQL, bound
 // params (unless redacted), the ANALYZE-annotated plan once the
-// statement ran again, transaction outcome, and WAL wait attribution.
+// statement ran again, and WAL wait attribution.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request, _ community.User) {
 	c := s.site.Obs
 	if c == nil {

@@ -71,8 +71,8 @@ func TestStatsPayloadGoldenKeys(t *testing.T) {
 		t.Errorf("matviews keys = %v, want %v", got, wantMV)
 	}
 
-	// A durable, observed site grows durability + walWait, and the
-	// transactions section grows the collector's observed outcomes.
+	// A durable, observed site grows durability + walWait; its
+	// transactions section keeps exactly the plain site's six keys.
 	site, err := core.NewDurableSite(t.TempDir(), relation.DurableOptions{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestStatsPayloadGoldenKeys(t *testing.T) {
 	if ww["syncs"].(float64) == 0 {
 		t.Errorf("SyncAlways site with populated data reports zero fsyncs: %v", ww)
 	}
-	if _, ok := dout["transactions"].(map[string]any)["observed"]; !ok {
-		t.Errorf("observed site's transactions section missing observed outcomes: %v", dout["transactions"])
+	if got := keysOf(dout["transactions"].(map[string]any)); !reflect.DeepEqual(got, wantTx) {
+		t.Errorf("durable observed site's transactions keys = %v, want %v", got, wantTx)
 	}
 }
 

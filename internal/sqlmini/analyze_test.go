@@ -192,11 +192,11 @@ func TestExplainAnalyzeRejectsNonSelect(t *testing.T) {
 // TestObserveRecordsStatements covers the statement-level recording
 // layer end to end: histograms keyed by statement text, slow-log
 // admission, deferred ANALYZE plan capture on the next execution, and
-// transaction outcome resolution.
+// the route a prepared non-SELECT records under.
 func TestObserveRecordsStatements(t *testing.T) {
 	e := plannerDB(t)
 	// Deeper than the test's total execution count, so the log never
-	// fills and admission never depends on relative latencies — the tx
+	// fills and admission never depends on relative latencies — the
 	// INSERT below must land regardless of how fast it ran.
 	c := obs.NewCollector(32)
 	e.Observe(c)
@@ -244,31 +244,38 @@ func TestObserveRecordsStatements(t *testing.T) {
 		t.Fatal("no slow-log entry got its ANALYZE plan back-filled")
 	}
 
-	// Transactions: exec through a tx, then commit — the outcome must
-	// land in the counters and resolve the entry's tx_outcome.
+	// A prepared non-SELECT records under route "exec", in the
+	// histograms and in its slow-log entry.
 	ins, err := e.Prepare(`INSERT INTO CourseYears (CourseID, Year) VALUES (?, ?)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := e.BeginTx()
-	if _, err := ins.ExecTx(tx, int64(50), int64(2011)); err != nil {
-		t.Fatal(err)
+	if n, err := ins.Exec(int64(50), int64(2011)); err != nil || n != 1 {
+		t.Fatalf("Exec = %d, %v", n, err)
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	commits, _, _ := c.TxCounts()
-	if commits != 1 {
-		t.Fatalf("commits = %d, want 1", commits)
-	}
-	var resolved bool
-	for _, en := range c.Slow().Entries() {
-		if en.Route == "tx" && en.TxOutcome == "committed" {
-			resolved = true
+	var execStat bool
+	for _, q := range c.Top(0, "total") {
+		if q.SQL == ins.Text() {
+			if q.Route != "exec" || q.Count != 1 || q.Rows != 1 {
+				t.Fatalf("INSERT recorded as %+v, want route exec, 1 execution, 1 row", q)
+			}
+			execStat = true
 		}
 	}
-	if !resolved {
-		t.Fatal("tx slow-log entry never resolved to committed")
+	if !execStat {
+		t.Fatal("collector did not record the prepared INSERT")
+	}
+	var execEntry bool
+	for _, en := range c.Slow().Entries() {
+		if en.SQL == ins.Text() {
+			if en.Route != "exec" || en.Plan != "" {
+				t.Fatalf("INSERT slow-log entry = %+v, want route exec and no plan", en)
+			}
+			execEntry = true
+		}
+	}
+	if !execEntry {
+		t.Fatal("prepared INSERT never reached the slow log")
 	}
 
 	// Uninstall: recording stops, statements still work.

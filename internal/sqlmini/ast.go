@@ -264,20 +264,3 @@ type CreateStmt struct {
 }
 
 func (*CreateStmt) stmt() {}
-
-// BeginStmt is a parsed BEGIN [TRANSACTION]. Transaction-control
-// statements carry no payload; a Session interprets them (stateless
-// Engine handles reject them with a pointer to Session / BeginTx).
-type BeginStmt struct{}
-
-func (*BeginStmt) stmt() {}
-
-// CommitStmt is a parsed COMMIT.
-type CommitStmt struct{}
-
-func (*CommitStmt) stmt() {}
-
-// RollbackStmt is a parsed ROLLBACK.
-type RollbackStmt struct{}
-
-func (*RollbackStmt) stmt() {}

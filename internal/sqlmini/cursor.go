@@ -392,12 +392,12 @@ func evalRangeBounds(s *scanNode, rs *rowset) (lo, hi *relation.RangeBound, empt
 	return lo, hi, false, nil
 }
 
-// probeRows materializes a pk-lookup or index-probe access as of sn:
-// the result is bounded by the probe keys, so nothing is gained by
-// streaming it. Fetched rows are references (the *RefSnap family) — the
+// probeRows materializes a pk-lookup or index-probe access: the result
+// is bounded by the probe keys, so nothing is gained by streaming it.
+// Fetched rows are references (GetRef, GetManyRef, LookupManyRef) — the
 // projection stages copy cells out before anything escapes the engine.
 // Pushed residual filters apply before returning.
-func probeRows(s *scanNode, t *relation.Table, rs *rowset, sn relation.Snap) ([]relation.Row, error) {
+func probeRows(s *scanNode, t *relation.Table, rs *rowset) ([]relation.Row, error) {
 	var rows []relation.Row
 	switch s.access {
 	case accessPK:
@@ -413,7 +413,7 @@ func probeRows(s *scanNode, t *relation.Table, rs *rowset, sn relation.Snap) ([]
 					keys = append(keys, []relation.Value{v})
 				}
 			}
-			rows = t.GetManyRefSnap(sn, keys...)
+			rows = t.GetManyRef(keys...)
 			break
 		}
 		keys := make([]relation.Value, len(s.probeKeys))
@@ -427,7 +427,7 @@ func probeRows(s *scanNode, t *relation.Table, rs *rowset, sn relation.Snap) ([]
 			}
 			keys[i] = v
 		}
-		if row, found := t.GetRefSnap(sn, keys...); found {
+		if row, found := t.GetRef(keys...); found {
 			rows = append(rows, row)
 		}
 	case accessIndex:
@@ -441,7 +441,7 @@ func probeRows(s *scanNode, t *relation.Table, rs *rowset, sn relation.Snap) ([]
 				keys = append(keys, v)
 			}
 		}
-		rows = t.LookupManyRefSnap(sn, s.probeCol, keys)
+		rows = t.LookupManyRef(s.probeCol, keys)
 	}
 	if len(s.filter) > 0 {
 		kept, err := filterRows(s.filter, rows, rows[:0], rs)
@@ -485,7 +485,7 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 	rs := &rowset{cols: s.cols}
 	switch s.access {
 	case accessPK, accessIndex:
-		rows, err := probeRows(s, t, rs, e.snap())
+		rows, err := probeRows(s, t, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -499,10 +499,10 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 			return &sliceCursor{}, nil
 		}
 		if s.rangeDesc {
-			if dc, ok := t.NewDescCursorSnap(e.snap(), s.rangeCol, lo, hi); ok {
+			if dc, ok := t.NewDescCursor(s.rangeCol, lo, hi); ok {
 				return &batchScanCursor{src: dc, rs: rs, filter: s.filter, batchN: e.batch()}, nil
 			}
-		} else if rc, ok := t.NewRangeCursorSnap(e.snap(), s.rangeCol, lo, hi); ok {
+		} else if rc, ok := t.NewRangeCursor(s.rangeCol, lo, hi); ok {
 			return &batchScanCursor{src: rc, rs: rs, filter: s.filter, batchN: e.batch()}, nil
 		}
 		// The ordered index vanished beneath a replaced table: degrade
@@ -516,7 +516,7 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 			return nil, err
 		}
 		check := &rangeCheck{col: ci, lo: lo, hi: hi}
-		cur := cursor(&batchScanCursor{src: t.NewScanCursorSnap(e.snap()), rs: rs, filter: s.filter, check: check, batchN: e.batch()})
+		cur := cursor(&batchScanCursor{src: t.NewScanCursor(), rs: rs, filter: s.filter, check: check, batchN: e.batch()})
 		if keyOrder {
 			rows, err := drainCursor(cur, int(s.est))
 			if err != nil {
@@ -527,7 +527,7 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 		}
 		return cur, nil
 	default:
-		return &batchScanCursor{src: t.NewScanCursorSnap(e.snap()), rs: rs, filter: s.filter, batchN: e.batch()}, nil
+		return &batchScanCursor{src: t.NewScanCursor(), rs: rs, filter: s.filter, batchN: e.batch()}, nil
 	}
 }
 
@@ -801,8 +801,7 @@ func (c *buildLeftJoinCursor) Close() {
 
 // inljCursor is the index nested-loop join: left rows arrive one input
 // batch per dispatch, their join keys drive one batched index probe
-// (LookupManyRefSnap, or GetManyRefSnap through a single-column primary
-// key),
+// (LookupManyRef, or GetManyRef through a single-column primary key),
 // and only the right rows that can possibly match are ever fetched.
 // Output is left-major with right matches in slot order — identical to
 // the hash join — and memory is bounded by one batch. The combined-row
@@ -893,9 +892,9 @@ func (c *inljCursor) fillBatch() error {
 			for i, v := range keys {
 				pkKeys[i] = []relation.Value{v}
 			}
-			fetched = t.GetManyRefSnap(c.e.snap(), pkKeys...)
+			fetched = t.GetManyRef(pkKeys...)
 		} else {
-			fetched = t.LookupManyRefSnap(c.e.snap(), c.jn.inljCol, keys)
+			fetched = t.LookupManyRef(c.jn.inljCol, keys)
 		}
 		if c.probeStat != nil {
 			c.probeStat.ns += int64(time.Since(t0))
@@ -1219,7 +1218,7 @@ func (c *bandJoinCursor) probeInner(l relation.Row) error {
 		c.t = t
 	}
 	if !c.fellBack {
-		rc, ok := c.t.NewRangeCursorSnap(c.e.snap(), c.jn.bandCol,
+		rc, ok := c.t.NewRangeCursor(c.jn.bandCol,
 			&relation.RangeBound{Value: lo, Inclusive: true},
 			&relation.RangeBound{Value: hi, Inclusive: true})
 		if ok {
@@ -1244,7 +1243,7 @@ func (c *bandJoinCursor) probeInner(l relation.Row) error {
 		}
 		// The ordered index vanished: materialize the right side once and
 		// select per left row from the sorted snapshot.
-		rows, err := drainCursor(&batchScanCursor{src: c.t.NewScanCursorSnap(c.e.snap()), rs: c.rightRS, filter: c.jn.scan.filter, batchN: c.e.batch()}, int(c.jn.scan.est))
+		rows, err := drainCursor(&batchScanCursor{src: c.t.NewScanCursor(), rs: c.rightRS, filter: c.jn.scan.filter, batchN: c.e.batch()}, int(c.jn.scan.est))
 		if err != nil {
 			return err
 		}

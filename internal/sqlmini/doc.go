@@ -260,48 +260,23 @@
 //
 // # Transactions and visibility
 //
-// The engine executes under snapshot isolation (internal/relation's
-// MVCC). Every statement binds a visibility snapshot when its cursors
-// open: autocommit statements read the latest committed state, while
-// statements inside a transaction read the database exactly as of
-// BEGIN plus the transaction's own staged writes. Two surfaces open
-// transactions:
+// Every statement reads the latest committed state of
+// internal/relation's MVCC store: each access path (pk and index
+// probes, range and desc cursors, full scans, the inner sides of
+// index-nested-loop and band joins) opens at relation.LatestSnap(),
+// and INSERT/UPDATE/DELETE are autocommit single-table writes.
+// Transactions are relation.Tx (DB.Begin), the one transaction API —
+// core.EnrollCommentRate is its client. A Tx stages row versions that
+// no statement of this engine sees until Commit publishes them
+// atomically; after Rollback they never existed. The engine needs no
+// transaction awareness for that: an in-flight row version is visible
+// only to the transaction that staged it, and the latest snapshot
+// belongs to none, so every path above skips it.
 //
-//   - Engine.BeginTx returns a Tx — a transaction-bound engine handle.
-//     Tx.Query/Exec/QueryRows, and prepared-statement execution via
-//     Stmt.QueryTx/ExecTx/QueryRowsTx, all run under the transaction's
-//     snapshot. The handle shares the parent engine's plan cache.
-//   - Session interprets BEGIN / COMMIT / ROLLBACK (and START
-//     TRANSACTION) statefully, routing the statements in between
-//     through the open transaction. Stateless Engine.Exec rejects
-//     transaction control outright — an engine is shared and has no
-//     "current transaction".
-//
-// Conflict semantics are first-committer-wins: a transactional write
-// to a row that another open transaction has staged, or that committed
-// after this transaction's snapshot, fails with relation.ErrTxConflict
-// and poisons the transaction (only ROLLBACK remains; COMMIT reports
-// the conflict and rolls back). Writers never wait for each other and
-// readers never block writers — a conflicted statement loses
-// immediately rather than queueing. DDL (CREATE TABLE) is rejected
-// inside transactions.
-//
-// The plan cache needs no transaction awareness: plans bake in access
-// paths, never data, and snapshots bind at cursor-open time — so a
-// plan cached by an autocommit statement is reused verbatim inside a
-// transaction and vice versa. Plan fingerprints (SchemaEpoch +
-// row-count drift) read the table's LATEST state even mid-transaction;
-// that is deliberate, since replanning on committed growth is valid
-// for any snapshot. Materialized views sit on the other side of the
-// fence: ViewFingerprint tracks the full mutation version, which moves
-// only at COMMIT — staged writes are invisible to matviews exactly as
-// they are to other readers, so a transaction that wants its own
-// writes reflected must query tables, not views.
-//
-// Streaming Rows opened inside a transaction must be drained or closed
-// before COMMIT/ROLLBACK: ending the transaction releases its
-// snapshot, after which version garbage collection may reclaim the row
-// versions the cursor was positioned over.
+// Plan fingerprints (SchemaEpoch + row-count drift) and view
+// fingerprints (the full mutation version) likewise read committed
+// state only, so a transaction's staged writes neither replan a
+// statement nor stale a materialized view before Commit.
 //
 // # Cross-shard order contracts
 //

@@ -20,11 +20,10 @@ type Engine struct {
 	db        *relation.DB
 	cache     *PlanCache
 	forceScan bool
-	batchSize int          // 0 means defaultBatch
-	tx        *relation.Tx // non-nil on a transaction-bound handle (see txn.go)
+	batchSize int // 0 means defaultBatch
 
 	// obsBox is the shared observability slot: derived handles
-	// (ForceScan/WithBatchSize/BeginTx) alias the same box, so
+	// (ForceScan/WithBatchSize) alias the same box, so
 	// installing a collector once observes every execution path. A nil
 	// load disables recording — the same atomic-pointer nil-check
 	// pattern relation.Storage uses for its pluggable backend.
@@ -80,15 +79,6 @@ func (e *Engine) batch() int {
 
 // DB exposes the underlying database.
 func (e *Engine) DB() *relation.DB { return e.db }
-
-// snap is the visibility snapshot this handle reads under: the bound
-// transaction's snapshot, or the latest-committed state.
-func (e *Engine) snap() relation.Snap {
-	if e.tx != nil {
-		return e.tx.Snapshot()
-	}
-	return relation.LatestSnap()
-}
 
 // Result is a materialized query result.
 type Result struct {
@@ -148,8 +138,6 @@ func (e *Engine) execEntry(en *cacheEntry, args []any) (int, error) {
 		return e.execDelete(s)
 	case *CreateStmt:
 		return 0, e.execCreate(s)
-	case *BeginStmt, *CommitStmt, *RollbackStmt:
-		return 0, fmt.Errorf("sqlmini: transaction control needs a stateful endpoint — use Session, or Engine.BeginTx")
 	}
 	return 0, fmt.Errorf("sqlmini: unsupported statement %T", en.ast)
 }
@@ -350,7 +338,7 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 			t0 = time.Now()
 		}
 		var err error
-		drained, err = probeRows(plan.scan, t, &rowset{cols: plan.scan.cols}, e.snap())
+		drained, err = probeRows(plan.scan, t, &rowset{cols: plan.scan.cols})
 		if err != nil {
 			return nil, err
 		}
@@ -690,13 +678,7 @@ func (e *Engine) execInsert(st *InsertStmt) (int, error) {
 				row[ci] = vals[i]
 			}
 		}
-		var err error
-		if e.tx != nil {
-			_, err = e.tx.Insert(t, row)
-		} else {
-			_, err = t.Insert(row)
-		}
-		if err != nil {
+		if _, err := t.Insert(row); err != nil {
 			return n, err
 		}
 		n++
@@ -757,13 +739,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (int, error) {
 		}
 		return row
 	}
-	var n int
-	var err error
-	if e.tx != nil {
-		n, err = e.tx.UpdateWhere(t, pred, set)
-	} else {
-		n, err = t.UpdateWhere(pred, set)
-	}
+	n, err := t.UpdateWhere(pred, set)
 	if err != nil {
 		return n, err
 	}
@@ -788,13 +764,7 @@ func (e *Engine) execDelete(st *DeleteStmt) (int, error) {
 		}
 		return relation.Truthy(v)
 	}
-	var n int
-	var err error
-	if e.tx != nil {
-		n, err = e.tx.DeleteWhere(t, pred)
-	} else {
-		n, err = t.DeleteWhere(pred)
-	}
+	n, err := t.DeleteWhere(pred)
 	if err != nil {
 		return n, err
 	}
@@ -802,9 +772,6 @@ func (e *Engine) execDelete(st *DeleteStmt) (int, error) {
 }
 
 func (e *Engine) execCreate(st *CreateStmt) error {
-	if e.tx != nil {
-		return fmt.Errorf("sqlmini: CREATE TABLE is not allowed inside a transaction")
-	}
 	opts := []relation.TableOption{}
 	if len(st.PK) > 0 {
 		opts = append(opts, relation.WithPrimaryKey(st.PK...))

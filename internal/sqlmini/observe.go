@@ -1,25 +1,23 @@
 package sqlmini
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"courserank/internal/obs"
-	"courserank/internal/relation"
 )
 
 // This file is the statement-level recording layer: when a collector
-// is installed (Engine.Observe), every Stmt.Query/Exec/QueryTx/ExecTx
-// records end-to-end latency, rows and route into per-fingerprint
-// histograms, offers slow executions to the slow-query log, and arms
-// EXPLAIN ANALYZE plan capture for admitted entries. When no
-// collector is installed the cost is one atomic load per execution.
+// is installed (Engine.Observe), every prepared Stmt.Query and
+// Stmt.Exec records end-to-end latency, rows and route ("query" or
+// "exec") into per-fingerprint histograms, offers slow executions to
+// the slow-query log, and arms EXPLAIN ANALYZE plan capture for
+// admitted entries. When no collector is installed the cost is one
+// atomic load per execution.
 
 // Observe installs collector c on this engine and every handle
-// derived from it — ForceScan, WithBatchSize and BeginTx handles
-// share the same slot — or removes it when c is nil. Safe to call at
+// derived from it — ForceScan and WithBatchSize handles share the
+// same slot — or removes it when c is nil. Safe to call at
 // runtime while queries are in flight.
 func (e *Engine) Observe(c *obs.Collector) {
 	if e.obsBox != nil {
@@ -36,15 +34,11 @@ func (e *Engine) Observer() *obs.Collector {
 	return e.obsBox.Load()
 }
 
-// txSeq numbers observed transactions so slow-log entries can be
-// resolved to their transaction's outcome at commit time.
-var txSeq atomic.Uint64
-
-// observedQuery runs a prepared SELECT under h with recording. When
+// observedQuery runs a prepared SELECT with recording. When
 // the slow log previously admitted this statement without a plan
 // (capture armed), THIS execution runs instrumented and back-fills
 // the entry — the deferred-capture design documented in obs.SlowLog.
-func (s *Stmt) observedQuery(c *obs.Collector, h *Engine, en *cacheEntry, route, txTag string, args []any) (*Result, error) {
+func (s *Stmt) observedQuery(c *obs.Collector, en *cacheEntry, args []any) (*Result, error) {
 	var own0, ride0 int64
 	if c.WALWait != nil {
 		own0, ride0 = c.WALWait()
@@ -54,40 +48,40 @@ func (s *Stmt) observedQuery(c *obs.Collector, h *Engine, en *cacheEntry, route,
 	var err error
 	start := time.Now()
 	if en.sel != nil && s.capture.CompareAndSwap(true, false) {
-		res, plan, err = h.analyzeEntry(en, args)
+		res, plan, err = s.e.analyzeEntry(en, args)
 	} else {
-		res, err = h.queryEntry(en, args)
+		res, err = s.e.queryEntry(en, args)
 	}
 	d := time.Since(start)
 	rows := 0
 	if res != nil {
 		rows = len(res.Rows)
 	}
-	c.Record(s.text, route, d, rows, err != nil)
+	c.Record(s.text, "query", d, rows, err != nil)
 	if plan != "" {
 		c.Slow().AttachPlan(s.text, plan)
 	}
-	s.maybeLogSlow(c, route, txTag, d, rows, args, err, own0, ride0)
+	s.maybeLogSlow(c, "query", d, rows, args, err, own0, ride0)
 	return res, err
 }
 
-// observedExec runs a prepared non-SELECT under h with recording.
-func (s *Stmt) observedExec(c *obs.Collector, h *Engine, en *cacheEntry, route, txTag string, args []any) (int, error) {
+// observedExec runs a prepared non-SELECT with recording.
+func (s *Stmt) observedExec(c *obs.Collector, en *cacheEntry, args []any) (int, error) {
 	var own0, ride0 int64
 	if c.WALWait != nil {
 		own0, ride0 = c.WALWait()
 	}
 	start := time.Now()
-	n, err := h.execEntry(en, args)
+	n, err := s.e.execEntry(en, args)
 	d := time.Since(start)
-	c.Record(s.text, route, d, n, err != nil)
-	s.maybeLogSlow(c, route, txTag, d, n, args, err, own0, ride0)
+	c.Record(s.text, "exec", d, n, err != nil)
+	s.maybeLogSlow(c, "exec", d, n, args, err, own0, ride0)
 	return n, err
 }
 
 // maybeLogSlow offers one execution to the slow-query log, arming
 // ANALYZE plan capture when a SELECT's entry is admitted plan-less.
-func (s *Stmt) maybeLogSlow(c *obs.Collector, route, txTag string, d time.Duration, rows int, args []any, err error, own0, ride0 int64) {
+func (s *Stmt) maybeLogSlow(c *obs.Collector, route string, d time.Duration, rows int, args []any, err error, own0, ride0 int64) {
 	slow := c.Slow()
 	if slow == nil || int64(d) <= slow.Floor() {
 		return
@@ -98,7 +92,6 @@ func (s *Stmt) maybeLogSlow(c *obs.Collector, route, txTag string, d time.Durati
 		Rows:      rows,
 		LatencyNs: int64(d),
 		At:        time.Now(),
-		TxTag:     txTag,
 	}
 	if len(args) > 0 && !slow.Redacting() {
 		e.Params = make([]string, len(args))
@@ -116,21 +109,4 @@ func (s *Stmt) maybeLogSlow(c *obs.Collector, route, txTag string, d time.Durati
 	if slow.Offer(e) && s.entry.Load().sel != nil {
 		s.capture.Store(true)
 	}
-}
-
-// recordOutcome counts a transaction's fate and resolves any slow-log
-// entries recorded under it.
-func (tx *Tx) recordOutcome(c *obs.Collector, err error, rolledBack bool) {
-	outcome := "committed"
-	o := obs.TxCommitted
-	switch {
-	case rolledBack:
-		outcome, o = "rolled back", obs.TxRolledBack
-	case errors.Is(err, relation.ErrTxConflict):
-		outcome, o = "conflicted", obs.TxConflicted
-	case err != nil:
-		outcome, o = "failed", obs.TxRolledBack
-	}
-	c.RecordTx(o)
-	c.Slow().ResolveTx(tx.tag, outcome)
 }

@@ -107,22 +107,6 @@ func (p *parser) parseStmt() (Statement, error) {
 		return p.parseDelete()
 	case "CREATE":
 		return p.parseCreate()
-	case "BEGIN":
-		p.next()
-		p.acceptKeyword("TRANSACTION")
-		return &BeginStmt{}, nil
-	case "START":
-		p.next()
-		if err := p.expectKeyword("TRANSACTION"); err != nil {
-			return nil, err
-		}
-		return &BeginStmt{}, nil
-	case "COMMIT":
-		p.next()
-		return &CommitStmt{}, nil
-	case "ROLLBACK":
-		p.next()
-		return &RollbackStmt{}, nil
 	}
 	return nil, p.errf("expected statement, got %q", p.peek().text)
 }

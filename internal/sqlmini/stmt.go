@@ -210,7 +210,7 @@ func (s *Stmt) Query(args ...any) (*Result, error) {
 		return nil, err
 	}
 	if c := s.e.Observer(); c != nil {
-		return s.observedQuery(c, s.e, en, "query", "", args)
+		return s.observedQuery(c, en, args)
 	}
 	return s.e.queryEntry(en, args)
 }
@@ -223,7 +223,7 @@ func (s *Stmt) Exec(args ...any) (int, error) {
 		return 0, err
 	}
 	if c := s.e.Observer(); c != nil {
-		return s.observedExec(c, s.e, en, "exec", "", args)
+		return s.observedExec(c, en, args)
 	}
 	return s.e.execEntry(en, args)
 }

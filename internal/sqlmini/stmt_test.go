@@ -456,3 +456,31 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("cache unbounded: %+v", cs)
 	}
 }
+
+func TestAssignValueDestinations(t *testing.T) {
+	var i int
+	var i64 int64
+	var b []byte
+	if err := assignValue(&i, relation.Value(int64(7))); err != nil || i != 7 {
+		t.Fatalf("*int: %v (i=%d)", err, i)
+	}
+	if err := assignValue(&b, relation.Value("blob")); err != nil || string(b) != "blob" {
+		t.Fatalf("*[]byte: %v (b=%q)", err, b)
+	}
+	// NULL and mismatch errors are uniform across destination types.
+	for _, dest := range []any{&i, &i64, &b, new(string), new(bool), new(float64)} {
+		err := assignValue(dest, nil)
+		if err == nil || !strings.Contains(err.Error(), "NULL into") {
+			t.Fatalf("NULL into %T: %v", dest, err)
+		}
+	}
+	for _, dest := range []any{&i, &i64, new(bool)} {
+		err := assignValue(dest, relation.Value("text"))
+		if err == nil || !strings.Contains(err.Error(), "cannot assign") {
+			t.Fatalf("mismatch into %T: %v", dest, err)
+		}
+	}
+	if err := assignValue(new(uint32), relation.Value(int64(1))); err == nil || !strings.Contains(err.Error(), "unsupported destination") {
+		t.Fatalf("unsupported dest: %v", err)
+	}
+}
