@@ -29,6 +29,7 @@ import (
 	"courserank/internal/core"
 	"courserank/internal/datagen"
 	"courserank/internal/matview"
+	"courserank/internal/relation"
 )
 
 func main() {
@@ -105,7 +106,12 @@ func main() {
 
 	// 4. The fallback: a renamed course could sit under any entry, so
 	// the view rebuilds — behind the reads, inside its staleness bound.
-	if _, err := site.SQL.Exec(`UPDATE Courses SET Title = ? WHERE CourseID = ?`, course.Title+" (renamed)", course.ID); err != nil {
+	courses := site.DB.MustTable("Courses")
+	title := courses.Schema().MustIndex("Title")
+	if err := courses.UpdateByKey([]relation.Value{course.ID}, func(r relation.Row) relation.Row {
+		r[title] = course.Title + " (renamed)"
+		return r
+	}); err != nil {
 		log.Fatal(err)
 	}
 	if _, serve, err = site.TopRatedFeed(dep, 3); err != nil {

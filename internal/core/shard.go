@@ -5,7 +5,6 @@ import (
 
 	"courserank/internal/flexrecs"
 	"courserank/internal/shard"
-	"courserank/internal/sqlmini"
 )
 
 // shardedTables are the site tables partitioned on the student axis
@@ -82,14 +81,4 @@ func (s *Site) EnableSharding(n int) error {
 		}
 	}
 	return nil
-}
-
-// ShardedQuery runs one statement through the cluster, for callers —
-// experiments, the HTTP layer — that want explicit scatter-gather
-// execution rather than the facade's subsystem methods.
-func (s *Site) ShardedQuery(text string, args ...any) (*sqlmini.Result, error) {
-	if s.Sharded == nil {
-		return nil, fmt.Errorf("core: sharding not enabled")
-	}
-	return s.Sharded.Query(text, args...)
 }

@@ -195,14 +195,14 @@ func TestShardedFeedParity(t *testing.T) {
 func TestShardedWriteThrough(t *testing.T) {
 	_, s, man := shardedPair(t)
 	count := func() int64 {
-		res, err := s.ShardedQuery(`SELECT COUNT(*) FROM Comments WHERE SuID = ?`, man.SampleStudent)
+		res, err := s.Sharded.Query(`SELECT COUNT(*) FROM Comments WHERE SuID = ?`, man.SampleStudent)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Rows[0][0].(int64)
 	}
 	n0 := count()
-	course, err := s.ShardedQuery(`SELECT CourseID FROM Courses ORDER BY CourseID LIMIT 1`)
+	course, err := s.Sharded.Query(`SELECT CourseID FROM Courses ORDER BY CourseID LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}

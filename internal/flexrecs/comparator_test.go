@@ -3,6 +3,8 @@ package flexrecs
 import (
 	"strings"
 	"testing"
+
+	"courserank/internal/relation"
 )
 
 // TestComparatorLabels pins the Explain annotations to the paper's
@@ -162,11 +164,8 @@ func TestBlendOperator(t *testing.T) {
 
 func TestExtendSkipsNullsAndBadTypes(t *testing.T) {
 	e := NewEngine(paperDB(t))
-	// Comment with NULL rating exists for SuID 448 in paperDB? Not in
-	// this fixture; add rows through the SQL engine.
-	if _, err := e.SQL().Exec(`INSERT INTO Comments VALUES (500, 1, 2008, 'Aut', 'x', NULL, 'd')`); err != nil {
-		t.Fatal(err)
-	}
+	// paperDB has no NULL-rated comment; add one.
+	addComments(e.SQL().DB(), relation.Row{500, 1, 2008, "Aut", "x", nil, "d"})
 	res, err := e.Run(Rel("Comments").Select("SuID = 500").Project("SuID", "CourseID", "Rating").
 		Extend("SuID", "CourseID", "Rating", "Ratings"))
 	if err != nil {

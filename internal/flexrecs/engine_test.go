@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"courserank/internal/relation"
-	"courserank/internal/sqlmini"
 )
 
 // paperDB recreates the schema and a small instance of the paper's §3.2
@@ -18,47 +17,70 @@ import (
 func paperDB(t *testing.T) *relation.DB {
 	t.Helper()
 	db := relation.NewDB()
-	sq := sqlmini.New(db)
-	ddl := []string{
-		`CREATE TABLE Courses (CourseID INT NOT NULL, DepID TEXT, Title TEXT, Description TEXT, Units INT, Year INT, PRIMARY KEY (CourseID))`,
-		`CREATE TABLE Students (SuID INT NOT NULL, Name TEXT, Class TEXT, GPA FLOAT, PRIMARY KEY (SuID))`,
-		`CREATE TABLE Comments (SuID INT, CourseID INT, Year INT, Term TEXT, Text TEXT, Rating FLOAT, Date TEXT)`,
+	courses := db.MustCreate(relation.MustTable("Courses", relation.NewSchema(
+		relation.NotNullCol("CourseID", relation.TypeInt),
+		relation.Col("DepID", relation.TypeString),
+		relation.Col("Title", relation.TypeString),
+		relation.Col("Description", relation.TypeString),
+		relation.Col("Units", relation.TypeInt),
+		relation.Col("Year", relation.TypeInt),
+	), relation.WithPrimaryKey("CourseID")))
+	students := db.MustCreate(relation.MustTable("Students", relation.NewSchema(
+		relation.NotNullCol("SuID", relation.TypeInt),
+		relation.Col("Name", relation.TypeString),
+		relation.Col("Class", relation.TypeString),
+		relation.Col("GPA", relation.TypeFloat),
+	), relation.WithPrimaryKey("SuID")))
+	db.MustCreate(relation.MustTable("Comments", relation.NewSchema(
+		relation.Col("SuID", relation.TypeInt),
+		relation.Col("CourseID", relation.TypeInt),
+		relation.Col("Year", relation.TypeInt),
+		relation.Col("Term", relation.TypeString),
+		relation.Col("Text", relation.TypeString),
+		relation.Col("Rating", relation.TypeFloat),
+		relation.Col("Date", relation.TypeString),
+	)))
+	for _, r := range []relation.Row{
+		{1, "CS", "Introduction to Programming", "java basics", 5, 2008},
+		{2, "CS", "Introduction to Programming Methodology", "more java", 5, 2008},
+		{3, "CS", "Advanced Programming", "c++ and beyond", 4, 2008},
+		{4, "HIST", "American History", "survey", 3, 2008},
+		{5, "CS", "Introduction to Programming", "old offering", 5, 2007},
+	} {
+		courses.MustInsert(r)
 	}
-	for _, s := range ddl {
-		if _, err := sq.Exec(s); err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range []relation.Row{
+		{444, "Sally", "2009", 3.8}, {445, "Twin", "2009", 3.7}, {446, "Anti", "2010", 3.1}, {447, "Stranger", "2010", 3.0},
+	} {
+		students.MustInsert(r)
 	}
-	dml := []string{
-		`INSERT INTO Courses VALUES
-			(1, 'CS', 'Introduction to Programming', 'java basics', 5, 2008),
-			(2, 'CS', 'Introduction to Programming Methodology', 'more java', 5, 2008),
-			(3, 'CS', 'Advanced Programming', 'c++ and beyond', 4, 2008),
-			(4, 'HIST', 'American History', 'survey', 3, 2008),
-			(5, 'CS', 'Introduction to Programming', 'old offering', 5, 2007)`,
-		`INSERT INTO Students VALUES (444, 'Sally', '2009', 3.8), (445, 'Twin', '2009', 3.7), (446, 'Anti', '2010', 3.1), (447, 'Stranger', '2010', 3.0)`,
-		// Student 444 rates courses 1:5, 2:4, 4:2.
-		// Student 445 rates nearly identically → most similar.
-		// Student 446 rates oppositely → dissimilar.
-		// Student 447 shares no courses → incomparable.
-		`INSERT INTO Comments VALUES
-			(444, 1, 2008, 'Aut', 'great', 5, 'd'),
-			(444, 2, 2008, 'Win', 'good', 4, 'd'),
-			(444, 4, 2008, 'Spr', 'meh', 2, 'd'),
-			(445, 1, 2008, 'Aut', 'great', 5, 'd'),
-			(445, 2, 2008, 'Win', 'good', 4, 'd'),
-			(445, 3, 2008, 'Spr', 'superb', 5, 'd'),
-			(446, 1, 2008, 'Aut', 'awful', 1, 'd'),
-			(446, 2, 2008, 'Win', 'bad', 1, 'd'),
-			(446, 3, 2008, 'Spr', 'nope', 2, 'd'),
-			(447, 3, 2008, 'Aut', 'fine', 4, 'd')`,
-	}
-	for _, s := range dml {
-		if _, err := sq.Exec(s); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Student 444 rates courses 1:5, 2:4, 4:2.
+	// Student 445 rates nearly identically → most similar.
+	// Student 446 rates oppositely → dissimilar.
+	// Student 447 shares no courses → incomparable.
+	addComments(db,
+		relation.Row{444, 1, 2008, "Aut", "great", 5, "d"},
+		relation.Row{444, 2, 2008, "Win", "good", 4, "d"},
+		relation.Row{444, 4, 2008, "Spr", "meh", 2, "d"},
+		relation.Row{445, 1, 2008, "Aut", "great", 5, "d"},
+		relation.Row{445, 2, 2008, "Win", "good", 4, "d"},
+		relation.Row{445, 3, 2008, "Spr", "superb", 5, "d"},
+		relation.Row{446, 1, 2008, "Aut", "awful", 1, "d"},
+		relation.Row{446, 2, 2008, "Win", "bad", 1, "d"},
+		relation.Row{446, 3, 2008, "Spr", "nope", 2, "d"},
+		relation.Row{447, 3, 2008, "Aut", "fine", 4, "d"},
+	)
 	return db
+}
+
+// addComments inserts (SuID, CourseID, Year, Term, Text, Rating, Date)
+// rows into paperDB's Comments — writes go through relation, since SQL
+// is read-only.
+func addComments(db *relation.DB, rows ...relation.Row) {
+	comments := db.MustTable("Comments")
+	for _, r := range rows {
+		comments.MustInsert(r)
+	}
 }
 
 // TestFigure5aRelatedCourses runs the exact workflow of Figure 5(a):

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"courserank/internal/matview"
+	"courserank/internal/relation"
 )
 
 // deptPopular is the department-popular shape: the reference side —
@@ -56,9 +57,7 @@ func TestMaterializeParityAndServing(t *testing.T) {
 	}
 
 	// DML invalidates: a new rating must appear in the next run.
-	if _, err := plain.SQL().Exec(`INSERT INTO Comments VALUES (447, 4, 2008, 'Aut', 'neat', 5, 'd')`); err != nil {
-		t.Fatal(err)
-	}
+	addComments(plain.SQL().DB(), relation.Row{447, 4, 2008, "Aut", "neat", 5, "d"})
 	res, err := mat.Run(deptPopular("HIST"))
 	if err != nil {
 		t.Fatal(err)

@@ -349,19 +349,19 @@ func TestRewriteParity(t *testing.T) {
 			}
 		}
 	}
-	if _, err := plain.SQL().Exec(`INSERT INTO Students VALUES (448, 'Silent', '2011', 3.0)`); err != nil {
-		t.Fatal(err)
-	}
+	db := plain.SQL().DB()
+	db.MustTable("Students").MustInsert(relation.Row{448, "Silent", "2011", 3.0})
 	check("seed")
-	for _, dml := range []string{
-		`INSERT INTO Comments VALUES (444, 3, 2008, 'Spr', 'first take', 1, 'd')`,
-		`INSERT INTO Comments VALUES (444, 3, 2008, 'Spr', 'second take', 5, 'd')`, // same student, same course
-		`INSERT INTO Comments VALUES (447, 1, 2008, 'Aut', 'late', 2, 'd'), (445, 4, 2008, 'Aut', 'unrated', NULL, 'd')`,
-		`DELETE FROM Comments WHERE SuID = 446 AND CourseID = 2`,
-	} {
-		if _, err := plain.SQL().Exec(dml); err != nil {
-			t.Fatal(err)
-		}
+	addComments(db,
+		relation.Row{444, 3, 2008, "Spr", "first take", 1, "d"},
+		relation.Row{444, 3, 2008, "Spr", "second take", 5, "d"}, // same student, same course
+		relation.Row{447, 1, 2008, "Aut", "late", 2, "d"},
+		relation.Row{445, 4, 2008, "Aut", "unrated", nil, "d"},
+	)
+	if _, err := db.MustTable("Comments").DeleteWhere(func(r relation.Row) bool {
+		return r[0] == int64(446) && r[1] == int64(2) // SuID 446, CourseID 2
+	}); err != nil {
+		t.Fatal(err)
 	}
 	check("after DML")
 }

@@ -91,8 +91,8 @@ func (c *Collector) Stat(fingerprint string) *QueryStat {
 }
 
 // Record adds one execution: end-to-end latency, rows returned, the
-// route it took ("query", "exec", "fan-out", "http", ...), and
-// whether it errored. Returns the accumulator so callers can reuse it.
+// route it took ("query", "fan-out", "http", ...), and whether it
+// errored. Returns the accumulator so callers can reuse it.
 func (c *Collector) Record(fingerprint, route string, d time.Duration, rows int, errored bool) *QueryStat {
 	st := c.Stat(fingerprint)
 	st.hist.Record(d)

@@ -6,8 +6,8 @@
 //
 // The package holds only passive accumulators — nothing here knows
 // how to execute a query. The execution layers push into a Collector
-// at their natural completion points (Stmt.Query/Exec, the
-// HTTP middleware), keyed by statement fingerprint: the statement's
+// at their natural completion points (Stmt.Query, the HTTP
+// middleware), keyed by statement fingerprint: the statement's
 // SQL text, the same key the plan cache uses, so /api/queries rows
 // line up one-to-one with plan-cache entries.
 //

@@ -2,11 +2,10 @@
 // that FlexRecs is contrasted against in §3.2: "the recommendation
 // algorithm is typically embedded in the system code ... it is hard to
 // modify the algorithm, or to experiment with different approaches."
-// These baselines (popularity, user-user CF, item-item CF,
-// content-based) produce the same mathematical results as the
-// corresponding FlexRecs workflows — the ablation benchmarks measure
-// what the declarative layer costs and the cross-check tests confirm
-// the rankings agree.
+// These baselines (popularity and user-user CF) produce the same
+// mathematical results as the corresponding FlexRecs workflows — the A1
+// ablation measures what the declarative layer costs and the
+// cross-check test confirms the rankings agree.
 package recommend
 
 import (
@@ -17,7 +16,6 @@ import (
 	"courserank/internal/matview"
 	"courserank/internal/relation"
 	"courserank/internal/sqlmini"
-	"courserank/internal/textindex"
 )
 
 // Scored pairs an item with a recommendation score.
@@ -48,13 +46,11 @@ func byScore(s []Scored) {
 // view every collaborative recommender reads.
 const RatingsViewName = "recommend/ratings-by-student"
 
-// Engine computes recommendations directly against the store. Point
-// lookups run as prepared statements — planned once, bound per call —
-// so they ride the planner's index access paths without per-request
-// parse/plan cost; the full-table rating aggregation is a matview
-// materialized view keyed on the Comments table's fingerprint, so
-// concurrent cold reads single-flight into one build and warm reads are
-// an atomic snapshot load.
+// Engine computes recommendations directly against the store. The
+// full-table rating aggregation is a matview materialized view keyed on
+// the Comments table's fingerprint, so concurrent cold reads
+// single-flight into one build and warm reads are an atomic snapshot
+// load.
 type Engine struct {
 	db  *relation.DB
 	sql *sqlmini.Engine
@@ -62,7 +58,6 @@ type Engine struct {
 	mu          sync.Mutex
 	views       *matview.Registry // lazily private unless UseViews supplied one
 	ratingsView *matview.View     // resolved once per registry
-	titleStmt   *sqlmini.Stmt     // pk lookup behind ContentSimilar
 }
 
 // New returns a baseline engine over the database with its own SQL
@@ -95,22 +90,6 @@ func (e *Engine) registry() *matview.Registry {
 		e.views = matview.NewRegistry(e.db, 1)
 	}
 	return e.views
-}
-
-// prepare lazily prepares one of the engine's statements. Preparation
-// is deferred to first use because the engine is constructed before the
-// schema is loaded; a failed prepare (table not created yet) is not
-// cached, so the next call retries. Caller holds e.mu.
-func (e *Engine) prepare(slot **sqlmini.Stmt, text string) (*sqlmini.Stmt, error) {
-	if *slot != nil {
-		return *slot, nil
-	}
-	st, err := e.sql.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	*slot = st
-	return st, nil
 }
 
 // ratingsBySuID returns every student's rating vector from the Comments
@@ -213,15 +192,9 @@ func (e *Engine) Popularity(minRaters, k int) []Scored {
 	return out
 }
 
-// SimilarStudents ranks other students by inverse Euclidean distance of
-// rating vectors to the target student — the hard-coded equivalent of
-// the lower recommend operator in Figure 5(b).
-func (e *Engine) SimilarStudents(suID int64, k int) []Scored {
-	return similarFrom(e.ratingsBySuID(), suID, k)
-}
-
-// similarFrom ranks students by similarity to suID over already-loaded
-// rating vectors, letting UserUserCF reuse one load for both phases.
+// similarFrom ranks other students by inverse Euclidean distance of
+// rating vectors to suID — the hard-coded equivalent of the lower
+// recommend operator in Figure 5(b).
 func similarFrom(vecs map[int64]flexrecs.Vector, suID int64, k int) []Scored {
 	target, ok := vecs[suID]
 	if !ok {
@@ -270,85 +243,6 @@ func (e *Engine) UserUserCF(suID int64, neighbors, k int, excludeRated bool) []S
 		}
 		out = append(out, Scored{ID: id, Score: n / den[id]})
 	}
-	byScore(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// ItemItemCF ranks courses by cosine similarity of their rater vectors
-// to a target course ("students who liked this also liked...").
-func (e *Engine) ItemItemCF(courseID int64, k int) []Scored {
-	// Invert to course → (student → rating).
-	byCourse := map[int64]flexrecs.Vector{}
-	for sid, vec := range e.ratingsBySuID() {
-		for cid, v := range vec {
-			id := cid.(int64)
-			cv, ok := byCourse[id]
-			if !ok {
-				cv = flexrecs.Vector{}
-				byCourse[id] = cv
-			}
-			cv[sid] = v
-		}
-	}
-	target, ok := byCourse[courseID]
-	if !ok {
-		return nil
-	}
-	var out []Scored
-	for id, v := range byCourse {
-		if id == courseID {
-			continue
-		}
-		out = append(out, Scored{ID: id, Score: flexrecs.Cosine(target, v)})
-	}
-	byScore(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// ContentSimilar ranks courses by title Jaccard similarity to a target
-// course — the hard-coded equivalent of Figure 5(a). The target row
-// resolves through a prepared statement (a primary-key point lookup on
-// Courses, planned once for every request) and its title tokenizes once
-// for the whole comparison pass.
-func (e *Engine) ContentSimilar(courseID int64, year int64, k int) []Scored {
-	t, ok := e.db.Table("Courses")
-	if !ok {
-		return nil
-	}
-	sch := t.Schema()
-	idIdx, titleIdx := sch.MustIndex("CourseID"), sch.MustIndex("Title")
-	yearIdx, hasYear := sch.Index("Year")
-	e.mu.Lock()
-	st, err := e.prepare(&e.titleStmt, `SELECT Title FROM Courses WHERE CourseID = ?`)
-	e.mu.Unlock()
-	if err != nil {
-		return nil
-	}
-	res, err := st.Query(courseID)
-	if err != nil || len(res.Rows) == 0 {
-		return nil
-	}
-	targetTitle, _ := res.Rows[0][0].(string)
-	target := flexrecs.Tokens(targetTitle)
-	var out []Scored
-	t.Scan(func(_ int, r relation.Row) bool {
-		if hasYear && year != 0 && r[yearIdx] != year {
-			return true
-		}
-		id := r[idIdx].(int64)
-		if id == courseID {
-			return true
-		}
-		score := flexrecs.JaccardAgainst(textindex.Tokenize(r[titleIdx].(string)), target)
-		out = append(out, Scored{ID: id, Score: score})
-		return true
-	})
 	byScore(out)
 	if k > 0 && len(out) > k {
 		out = out[:k]

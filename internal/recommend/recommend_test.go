@@ -5,7 +5,6 @@ import (
 
 	"courserank/internal/flexrecs"
 	"courserank/internal/relation"
-	"courserank/internal/sqlmini"
 )
 
 // paperDB mirrors the FlexRecs test fixture so the hard-coded engines
@@ -13,54 +12,46 @@ import (
 func paperDB(t *testing.T) *relation.DB {
 	t.Helper()
 	db := relation.NewDB()
-	sq := sqlmini.New(db)
-	stmts := []string{
-		`CREATE TABLE Courses (CourseID INT NOT NULL, DepID TEXT, Title TEXT, Units INT, Year INT, PRIMARY KEY (CourseID))`,
-		`CREATE TABLE Comments (SuID INT, CourseID INT, Year INT, Term TEXT, Text TEXT, Rating FLOAT, Date TEXT)`,
-		`INSERT INTO Courses VALUES
-			(1, 'CS', 'Introduction to Programming', 5, 2008),
-			(2, 'CS', 'Introduction to Programming Methodology', 5, 2008),
-			(3, 'CS', 'Advanced Programming', 4, 2008),
-			(4, 'HIST', 'American History', 3, 2008)`,
-		`INSERT INTO Comments VALUES
-			(444, 1, 2008, 'Aut', 'great', 5, 'd'),
-			(444, 2, 2008, 'Win', 'good', 4, 'd'),
-			(444, 4, 2008, 'Spr', 'meh', 2, 'd'),
-			(445, 1, 2008, 'Aut', 'great', 5, 'd'),
-			(445, 2, 2008, 'Win', 'good', 4, 'd'),
-			(445, 3, 2008, 'Spr', 'superb', 5, 'd'),
-			(446, 1, 2008, 'Aut', 'awful', 1, 'd'),
-			(446, 2, 2008, 'Win', 'bad', 1, 'd'),
-			(446, 3, 2008, 'Spr', 'nope', 2, 'd'),
-			(447, 3, 2008, 'Aut', 'fine', 4, 'd'),
-			(448, 9, 2008, 'Aut', NULL, NULL, 'd')`,
+	courses := db.MustCreate(relation.MustTable("Courses", relation.NewSchema(
+		relation.NotNullCol("CourseID", relation.TypeInt),
+		relation.Col("DepID", relation.TypeString),
+		relation.Col("Title", relation.TypeString),
+		relation.Col("Units", relation.TypeInt),
+		relation.Col("Year", relation.TypeInt),
+	), relation.WithPrimaryKey("CourseID")))
+	comments := db.MustCreate(relation.MustTable("Comments", relation.NewSchema(
+		relation.Col("SuID", relation.TypeInt),
+		relation.Col("CourseID", relation.TypeInt),
+		relation.Col("Year", relation.TypeInt),
+		relation.Col("Term", relation.TypeString),
+		relation.Col("Text", relation.TypeString),
+		relation.Col("Rating", relation.TypeFloat),
+		relation.Col("Date", relation.TypeString),
+	)))
+	for _, r := range []relation.Row{
+		{1, "CS", "Introduction to Programming", 5, 2008},
+		{2, "CS", "Introduction to Programming Methodology", 5, 2008},
+		{3, "CS", "Advanced Programming", 4, 2008},
+		{4, "HIST", "American History", 3, 2008},
+	} {
+		courses.MustInsert(r)
 	}
-	for _, s := range stmts {
-		if _, err := sq.Exec(s); err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range []relation.Row{
+		{444, 1, 2008, "Aut", "great", 5, "d"},
+		{444, 2, 2008, "Win", "good", 4, "d"},
+		{444, 4, 2008, "Spr", "meh", 2, "d"},
+		{445, 1, 2008, "Aut", "great", 5, "d"},
+		{445, 2, 2008, "Win", "good", 4, "d"},
+		{445, 3, 2008, "Spr", "superb", 5, "d"},
+		{446, 1, 2008, "Aut", "awful", 1, "d"},
+		{446, 2, 2008, "Win", "bad", 1, "d"},
+		{446, 3, 2008, "Spr", "nope", 2, "d"},
+		{447, 3, 2008, "Aut", "fine", 4, "d"},
+		{448, 9, 2008, "Aut", nil, nil, "d"},
+	} {
+		comments.MustInsert(r)
 	}
 	return db
-}
-
-func TestSimilarStudents(t *testing.T) {
-	e := New(paperDB(t))
-	sims := e.SimilarStudents(444, 0)
-	if len(sims) != 3 {
-		t.Fatalf("sims = %+v", sims)
-	}
-	if sims[0].ID != 445 || sims[0].Score != 1.0 {
-		t.Errorf("most similar = %+v", sims[0])
-	}
-	if sims[len(sims)-1].ID != 447 || sims[len(sims)-1].Score != 0 {
-		t.Errorf("least similar = %+v", sims[len(sims)-1])
-	}
-	if got := e.SimilarStudents(999, 0); got != nil {
-		t.Error("unknown student should return nil")
-	}
-	if got := e.SimilarStudents(444, 1); len(got) != 1 {
-		t.Error("limit")
-	}
 }
 
 // TestCrossCheckUserUserCFAgainstFlexRecs verifies the A1 ablation
@@ -139,45 +130,9 @@ func TestPopularity(t *testing.T) {
 	}
 }
 
-func TestItemItemCF(t *testing.T) {
-	e := New(paperDB(t))
-	sims := e.ItemItemCF(1, 0)
-	if len(sims) == 0 {
-		t.Fatal("no similar items")
-	}
-	// Course 2's rater vector is nearly parallel to course 1's
-	// (5,5,1)·(4,4,1): highly similar.
-	if sims[0].ID != 2 {
-		t.Errorf("most similar item = %+v", sims[0])
-	}
-	if got := e.ItemItemCF(12345, 0); got != nil {
-		t.Error("unknown course should return nil")
-	}
-}
-
-func TestContentSimilar(t *testing.T) {
-	e := New(paperDB(t))
-	sims := e.ContentSimilar(1, 2008, 0)
-	if len(sims) != 3 {
-		t.Fatalf("sims = %+v", sims)
-	}
-	if sims[0].ID != 2 {
-		t.Errorf("most title-similar = %+v", sims[0])
-	}
-	if sims[len(sims)-1].ID != 4 || sims[len(sims)-1].Score != 0 {
-		t.Errorf("least similar = %+v", sims[len(sims)-1])
-	}
-	if got := e.ContentSimilar(999, 2008, 0); got != nil {
-		t.Error("unknown target course")
-	}
-	if got := e.ContentSimilar(1, 2008, 2); len(got) != 2 {
-		t.Error("limit")
-	}
-}
-
 func TestEmptyDB(t *testing.T) {
 	e := New(relation.NewDB())
-	if e.Popularity(1, 0) != nil || e.SimilarStudents(1, 0) != nil || e.ItemItemCF(1, 0) != nil || e.ContentSimilar(1, 0, 0) != nil {
+	if e.Popularity(1, 0) != nil || e.UserUserCF(1, 2, 0, false) != nil {
 		t.Error("missing tables should yield nil results")
 	}
 }

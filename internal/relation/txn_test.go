@@ -219,6 +219,59 @@ func TestTxWriteWriteConflict(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolationAllowsWriteSkew pins the anomaly snapshot
+// isolation admits and SERIALIZABLE would not. Invariant: x + y >= 1
+// (say, "at least one of two TAs stays on call"). Two transactions each
+// read both rows from their snapshot, see x + y = 2, and each zero a
+// DIFFERENT row. Their write sets are disjoint, so first-committer-wins
+// finds no conflict and both commit, leaving x + y = 0. This is expected
+// under SI; an application that needs the invariant must make both
+// transactions write a common row.
+func TestSnapshotIsolationAllowsWriteSkew(t *testing.T) {
+	db := NewDB()
+	tbl := db.MustCreate(kvTable())
+	tbl.MustInsert(Row{int64(1), "x", int64(1)})
+	tbl.MustInsert(Row{int64(2), "y", int64(1)})
+	sum := func(read func(key int64) (Row, bool)) int64 {
+		t.Helper()
+		var s int64
+		for _, k := range []int64{1, 2} {
+			r, ok := read(k)
+			if !ok {
+				t.Fatalf("row %d missing", k)
+			}
+			s += r[2].(int64)
+		}
+		return s
+	}
+	zero := func(tx *Tx, key int64) {
+		t.Helper()
+		if sum(func(k int64) (Row, bool) { return tx.Get(tbl, k) }) < 2 {
+			t.Fatal("the invariant check must pass inside both snapshots")
+		}
+		if n, err := tx.UpdateWhere(tbl, func(r Row) bool { return r[0] == key },
+			func(r Row) Row { r[2] = int64(0); return r }); err != nil || n != 1 {
+			t.Fatalf("zero row %d: n=%d err=%v", key, n, err)
+		}
+	}
+
+	tx1, tx2 := db.Begin(), db.Begin()
+	zero(tx1, 1)
+	zero(tx2, 2)
+	if err := tx1.Commit(); err != nil {
+		t.Fatalf("tx1 commit: %v", err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatalf("tx2 commit: %v (disjoint write sets do not conflict under SI)", err)
+	}
+	if got := sum(func(k int64) (Row, bool) { return tbl.Get(k) }); got != 0 {
+		t.Fatalf("x + y = %d after both commits, want 0: the write skew SI allows", got)
+	}
+	if st := db.TxStats(); st.Conflicts != 0 || st.Committed != 2 {
+		t.Fatalf("TxStats = %+v, want 2 commits and no conflict", st)
+	}
+}
+
 func TestTxInsertAfterOwnDelete(t *testing.T) {
 	db := NewDB()
 	tbl := db.MustCreate(kvTable())

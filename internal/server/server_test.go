@@ -439,7 +439,7 @@ func TestShardedStatsEndpoint(t *testing.T) {
 
 	// Move the routing counters: a grouped count over the partitioned
 	// Comments fans out and merges the shards' partials by group key.
-	if _, err := site.ShardedQuery(`SELECT CourseID, COUNT(*) FROM Comments GROUP BY CourseID`); err != nil {
+	if _, err := site.Sharded.Query(`SELECT CourseID, COUNT(*) FROM Comments GROUP BY CourseID`); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"courserank/internal/relation"
 	"courserank/internal/sqlmini"
 )
 
@@ -20,9 +19,6 @@ import (
 // QueryAnalyze executes the SELECT with instrumentation and returns
 // the result plus the analyze report.
 func (s *Stmt) QueryAnalyze(args ...any) (*sqlmini.Result, string, error) {
-	if s.info.Kind != sqlmini.RouteSelect {
-		return nil, "", fmt.Errorf("shard: EXPLAIN ANALYZE requires a SELECT statement")
-	}
 	kind, owner := s.route(args)
 	switch kind {
 	case routeSingle:
@@ -57,13 +53,9 @@ func (s *Stmt) fanoutAnalyze(args []any) (*sqlmini.Result, string, error) {
 		return nil, "", s.fanoutErr
 	}
 	s.c.fanOut.Add(1)
-	limit, offset, err := s.per[0].WindowValues(args...)
+	limit, offset, perWindow, err := s.window(args)
 	if err != nil {
 		return nil, "", err
-	}
-	perWindow := int64(-1)
-	if limit >= 0 && !s.info.Agg {
-		perWindow = limit + offset
 	}
 	plans := make([]string, s.c.n)
 	times := make([]time.Duration, s.c.n)
@@ -77,24 +69,7 @@ func (s *Stmt) fanoutAnalyze(args []any) (*sqlmini.Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	var rows []relation.Row
-	switch {
-	case s.info.Agg:
-		s.c.mergeCombine.Add(1)
-		rows = combineRows(results, s.info.Combine)
-		sortRows(rows, s.info.MergeKeys)
-	case s.info.Distinct:
-		s.c.mergeConcat.Add(1)
-		rows = dedupeRows(results)
-		sortRows(rows, s.info.MergeKeys)
-	case s.info.HasOrder:
-		s.c.mergeOrdered.Add(1)
-		rows = mergeByOrder(results, s.info.MergeKeys)
-	default:
-		s.c.mergeConcat.Add(1)
-		rows = concatRows(results)
-	}
-	out := applyWindow(rows, limit, offset)
+	out := applyWindow(s.merge(results), limit, offset)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Route: fan-out over %d shards, merge=%s\n", s.c.n, s.mergeName())

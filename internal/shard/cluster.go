@@ -37,8 +37,6 @@ type Cluster struct {
 	mergeOrdered atomic.Uint64
 	mergeConcat  atomic.Uint64
 	mergeCombine atomic.Uint64
-	dmlRouted    atomic.Uint64
-	dmlBroadcast atomic.Uint64
 	applyErrors  atomic.Uint64
 }
 
@@ -350,22 +348,6 @@ func integralInt64(x float64) bool {
 	return x == math.Trunc(x) && x >= math.MinInt64 && x < math.MaxInt64
 }
 
-// Drop removes a table from every shard, reporting whether any shard
-// had it.
-func (c *Cluster) Drop(name string) bool {
-	c.stmts.Range(func(k, v any) bool {
-		c.stmts.Delete(k)
-		return true
-	})
-	any := false
-	for _, db := range c.dbs {
-		if db.Drop(name) {
-			any = true
-		}
-	}
-	return any
-}
-
 // Query routes and executes a SELECT, materialized.
 func (c *Cluster) Query(text string, args ...any) (*sqlmini.Result, error) {
 	st, err := c.Prepare(text)
@@ -373,24 +355,6 @@ func (c *Cluster) Query(text string, args ...any) (*sqlmini.Result, error) {
 		return nil, err
 	}
 	return st.Query(args...)
-}
-
-// QueryRows routes a SELECT and streams the result.
-func (c *Cluster) QueryRows(text string, args ...any) (*Rows, error) {
-	st, err := c.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	return st.QueryRows(args...)
-}
-
-// Exec routes and executes a non-SELECT statement.
-func (c *Cluster) Exec(text string, args ...any) (int, error) {
-	st, err := c.Prepare(text)
-	if err != nil {
-		return 0, err
-	}
-	return st.Exec(args...)
 }
 
 // Explain describes how the statement routes, then the underlying

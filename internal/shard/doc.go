@@ -1,7 +1,8 @@
 // Package shard is the scatter-gather layer above the planner: it runs
-// one sqlmini engine per shard and routes prepared statements across
-// them, so fan-out queries scale with cores while shard-key point
-// lookups stay one-engine cheap.
+// one sqlmini engine per shard and routes prepared SELECTs across them,
+// so fan-out queries scale with cores while shard-key point lookups
+// stay one-engine cheap. It has one write path, FollowBase, and one
+// gather path, the materialized merge below.
 //
 // # Placement
 //
@@ -28,7 +29,7 @@
 //     It runs on one shard, rotated round-robin for balance.
 //   - Fan-out: otherwise, the prepared statement runs on every shard
 //     on parallel goroutines (a per-query pool bounded by GOMAXPROCS)
-//     and the per-shard results are gathered.
+//     and the per-shard results are merged once all legs return.
 //
 // A fan-out is refused at execution (never silently wrong) when:
 //
@@ -57,38 +58,31 @@
 //     ORDER BY elided into an index walk) the shard's executor ends its
 //     pipeline there and reads a batch or two of its partition, so the
 //     coordinator merges shards × (l+o) rows, not the table.
-//   - streaming concat: unordered fan-outs interleave per-shard rows
-//     in arrival order. A LIMIT short-circuit cancels still-running
-//     shard cursors as soon as the window is filled, as does closing
-//     the Rows early.
+//   - concat: unordered fan-outs append the per-shard results in
+//     shard order; DISTINCT de-duplicates across them. Each leg is
+//     windowed to l+o rows like an ordered one.
 //   - partial-aggregate combine: GROUP BY fan-outs run per shard and
 //     the coordinator merges groups by key, summing COUNT/SUM
 //     partials and folding MIN/MAX. Every group key must appear in the
 //     projection — the coordinator merges BY those output values, so a
 //     dropped key is refused rather than folding distinct groups.
 //
-// Streamed fan-outs (QueryRows) apply backpressure: once a per-shard
-// backlog passes a high-water mark, that shard's worker blocks until
-// the consumer drains it, so even a slow consumer bounds gather memory
-// at roughly shards × high-water rows instead of materializing whole
-// shard results. Abandoning a stream requires Close, which wakes and
-// cancels blocked workers.
+// # Writes follow the base
 //
-// # DML
-//
-// INSERTs into partitioned tables route by the inserted key value
-// (multi-row inserts must target one shard); unpinned UPDATE/DELETE
-// broadcast — each shard mutates its local rows and the counts sum.
-// Updating a shard key via SQL is refused (the row would have to
-// migrate); CREATE broadcasts and new tables are replicated. A
-// cluster can also follow a live base database (FollowBase): row
-// observers propagate every committed base mutation into the shards,
-// which is how core.Site keeps serving all non-SQL subsystems from
-// the base store while SQL reads scatter. Split and FollowBase require
-// a quiescent base (no writes until FollowBase returns); writes that
-// slip into the window between the copy and the observers attaching
-// are detected by table-version comparison and counted in
-// Stats.ApplyErrors.
+// SQL is read-only (see package sqlmini), so the cluster takes no
+// writes of its own. Every write goes to a base database through
+// relation.Table or relation.Tx, and the cluster follows it
+// (FollowBase): row observers propagate each committed base mutation
+// into the shards — an insert to its owner (every shard for a
+// replicated table), an update as a delete from the old owner plus an
+// insert at the new one, so a shard-key change migrates the row. This
+// is how core.Site serves every non-SQL subsystem from the base store
+// while SQL reads scatter. Split and FollowBase require a quiescent
+// base (no writes until FollowBase returns); writes that slip into the
+// window between the copy and the observers attaching are detected by
+// table-version comparison and counted in Stats.ApplyErrors, as are
+// propagations a shard rejects. Tables created on the base after
+// FollowBase are not followed; reshard after DDL.
 //
 // On a durable base the observers run after the WAL confirms a write,
 // while the base table's version moves when the write is applied. A
@@ -106,6 +100,7 @@
 // workload hammers whichever shards own the loud students (the Digg
 // friend-feed skew), and per-shard row-count stats (Stats.RowsPerShard)
 // make that visible rather than fixing it. Replicated tables multiply
-// write amplification by the shard count, so broadcasts are kept off
-// the fast path. NULL shard keys all land on shard 0 by construction.
+// write amplification by the shard count: FollowBase applies each of
+// their writes once per shard. NULL shard keys all land on shard 0 by
+// construction.
 package shard

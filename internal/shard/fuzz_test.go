@@ -34,24 +34,23 @@ import (
 func shardFuzzBase(t testing.TB) (*relation.DB, *sqlmini.Engine) {
 	t.Helper()
 	db := relation.NewDB()
-	e := sqlmini.New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Items (ID INT NOT NULL, K INT NOT NULL, V INT, Cat TEXT NOT NULL,
-		PRIMARY KEY (ID), INDEX (Cat), ORDERED INDEX (K))`)
-	mustExec(`CREATE TABLE Bands (ID INT NOT NULL, AK INT NOT NULL, Lo INT NOT NULL, Hi INT NOT NULL,
-		PRIMARY KEY (ID), INDEX (AK))`)
-	mustExec(`CREATE TABLE Peers (ID INT NOT NULL, K INT NOT NULL, W FLOAT,
-		PRIMARY KEY (ID), ORDERED INDEX (K))`)
-	for _, tbl := range []string{"Items", "Peers"} {
-		if err := db.MustTable(tbl).SetShardKey("K"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	items := db.MustCreate(relation.MustTable("Items", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("K", relation.TypeInt),
+		relation.Col("V", relation.TypeInt),
+		relation.NotNullCol("Cat", relation.TypeString),
+	), relation.WithPrimaryKey("ID"), relation.WithIndex("Cat"), relation.WithOrderedIndex("K"), relation.WithShardKey("K")))
+	bands := db.MustCreate(relation.MustTable("Bands", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("AK", relation.TypeInt),
+		relation.NotNullCol("Lo", relation.TypeInt),
+		relation.NotNullCol("Hi", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithIndex("AK")))
+	peers := db.MustCreate(relation.MustTable("Peers", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("K", relation.TypeInt),
+		relation.Col("W", relation.TypeFloat),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("K"), relation.WithShardKey("K")))
 	r := rand.New(rand.NewSource(7))
 	cats := []string{"ca", "cb", "cc"}
 	for i := 0; i < 90; i++ {
@@ -59,20 +58,20 @@ func shardFuzzBase(t testing.TB) (*relation.DB, *sqlmini.Engine) {
 		if r.Intn(4) != 0 {
 			v = int64(r.Intn(40))
 		}
-		mustExec(`INSERT INTO Items VALUES (?, ?, ?, ?)`, int64(i), int64(r.Intn(25)), v, cats[r.Intn(3)])
+		items.MustInsert(relation.Row{i, r.Intn(25), v, cats[r.Intn(3)]})
 	}
 	for i := 0; i < 150; i++ {
 		lo := r.Intn(22)
-		mustExec(`INSERT INTO Bands VALUES (?, ?, ?, ?)`, int64(i), int64(r.Intn(95)), int64(lo), int64(lo+r.Intn(6)))
+		bands.MustInsert(relation.Row{i, r.Intn(95), lo, lo + r.Intn(6)})
 	}
 	for i := 0; i < 70; i++ {
 		var w any
 		if r.Intn(5) != 0 {
 			w = float64(r.Intn(50)) / 10
 		}
-		mustExec(`INSERT INTO Peers VALUES (?, ?, ?)`, int64(i), int64(r.Intn(25)), w)
+		peers.MustInsert(relation.Row{i, r.Intn(25), w})
 	}
-	return db, e
+	return db, sqlmini.New(db)
 }
 
 type shardFuzzQB struct {
@@ -336,26 +335,6 @@ func checkShardFuzzCase(t testing.TB, c *Cluster, e *sqlmini.Engine, sql string,
 		t.Fatalf("%q %v: sharded and mono multisets diverge\nsharded: %v\nmono:    %v", sql, args, got.Rows, want.Rows)
 	}
 
-	// Streaming path parity.
-	rows, err := c.QueryRows(sql, args...)
-	if err != nil {
-		t.Fatalf("cluster stream %q: %v", sql, err)
-	}
-	var streamed []relation.Row
-	for rows.Next() {
-		streamed = append(streamed, rows.Row().Clone())
-	}
-	rows.Close()
-	if err := rows.Err(); err != nil {
-		t.Fatalf("cluster stream %q: %v", sql, err)
-	}
-	if exact {
-		if !rowsClose(streamed, want.Rows) {
-			t.Fatalf("%q %v: streamed rows diverge\nsharded: %v\nmono:    %v", sql, args, streamed, want.Rows)
-		}
-	} else if !reflect.DeepEqual(asMultiset(streamed), asMultiset(want.Rows)) {
-		t.Fatalf("%q %v: streamed multisets diverge", sql, args)
-	}
 }
 
 // TestShardFuzzParity is the deterministic corpus: 420 generated
@@ -369,6 +348,7 @@ func TestShardFuzzParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.FollowBase(db)
+	items := db.MustTable("Items")
 	r := rand.New(rand.NewSource(42))
 
 	churnID := int64(1000)
@@ -376,17 +356,15 @@ func TestShardFuzzParity(t *testing.T) {
 		sql, args, exact, refuse := genShardFuzzQuery(r, i)
 		checkShardFuzzCase(t, c, e, sql, args, exact, refuse)
 		if i%37 == 36 {
-			if _, err := e.Exec(`INSERT INTO Items VALUES (?, ?, ?, ?)`, churnID, int64(r.Intn(25)), int64(r.Intn(40)), "cb"); err != nil {
-				t.Fatal(err)
-			}
+			items.MustInsert(relation.Row{churnID, r.Intn(25), r.Intn(40), "cb"})
 			if churnID%3 == 0 {
-				if _, err := e.Exec(`DELETE FROM Items WHERE ID = ?`, churnID-2); err != nil {
+				if err := deleteWhere(items, "ID", eq(churnID-2)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if churnID%2 == 0 {
 				// Shard-key migration: the row must move owners in the shards.
-				if _, err := e.Exec(`UPDATE Items SET K = ? WHERE ID = ?`, int64(r.Intn(25)), churnID); err != nil {
+				if err := updateWhere(items, "ID", eq(churnID), "K", int64(r.Intn(25))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -417,16 +395,14 @@ func TestShardFuzzParity(t *testing.T) {
 // algorithm, yet the coordinator must merge the same prefix. Shapes with
 // tied sort keys compare against the cluster itself (its tie order is
 // its own: shard index, then slot); shapes that pin a total order must
-// also agree with the mono engine and through the streaming gather.
+// also agree with the mono engine.
 // Aggregate, DISTINCT and un-elided-sort statements are in the list
 // because no early stop may apply to them.
 func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
 	db, e := shardFuzzBase(t)
+	items := db.MustTable("Items")
 	for i := 0; i < 700; i++ { // enough rows per shard to cross executor batches
-		if _, err := e.Exec(`INSERT INTO Items VALUES (?, ?, ?, ?)`,
-			int64(2000+i), int64((i*7)%25), int64(i%40), []string{"ca", "cb", "cc"}[i%3]); err != nil {
-			t.Fatal(err)
-		}
+		items.MustInsert(relation.Row{2000 + i, (i * 7) % 25, i % 40, []string{"ca", "cb", "cc"}[i%3]})
 	}
 	c, err := Split(db, 3)
 	if err != nil {
@@ -459,9 +435,9 @@ func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("%q returns nothing", sh.sql)
 		}
-		var mono *sqlmini.Result
 		if sh.total {
-			if mono, err = e.Query(sh.sql, sh.args...); err != nil {
+			mono, err := e.Query(sh.sql, sh.args...)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !rowsClose(all.Rows, mono.Rows) {
@@ -486,24 +462,6 @@ func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
 						t.Fatalf("%q (%s): %d rows, not rows [%d:%d] of the cluster's unwindowed %d\n got %v\nwant %v",
 							literal, entry, len(got.Rows), o, o+k, n, got.Rows, want)
 					}
-				}
-				if !sh.total {
-					continue // the streaming gather breaks ties by arrival
-				}
-				rows, err := c.QueryRows(literal, sh.args...)
-				if err != nil {
-					t.Fatalf("%q stream: %v", literal, err)
-				}
-				var streamed []relation.Row
-				for rows.Next() {
-					streamed = append(streamed, rows.Row().Clone())
-				}
-				rows.Close()
-				if err := rows.Err(); err != nil {
-					t.Fatalf("%q stream: %v", literal, err)
-				}
-				if !rowsClose(streamed, want) {
-					t.Fatalf("%q: streamed %d rows, want %d", literal, len(streamed), len(want))
 				}
 			}
 		}

@@ -11,20 +11,6 @@ import (
 	"courserank/internal/sqlmini"
 )
 
-// gatherBatch is how many rows a shard worker accumulates before
-// publishing to the coordinator — one lock acquisition per batch.
-const gatherBatch = 64
-
-// gatherHighWater is the per-shard backlog (pushed, not yet consumed)
-// above which a worker blocks until the consumer drains, bounding a
-// streamed fan-out's memory at roughly shards × (highWater + batch)
-// rows however slow the consumer is. A var so tests can shrink it.
-var gatherHighWater = 1024
-
-// gatherCompact is the consumed-prefix length past which a buffer is
-// compacted in place, so a long stream releases rows as it goes.
-const gatherCompact = 1024
-
 // fanoutQuery executes the statement on every shard in parallel and
 // gathers the materialized result.
 func (s *Stmt) fanoutQuery(args []any) (*sqlmini.Result, error) {
@@ -32,15 +18,9 @@ func (s *Stmt) fanoutQuery(args []any) (*sqlmini.Result, error) {
 		return nil, s.fanoutErr
 	}
 	s.c.fanOut.Add(1)
-	limit, offset, err := s.per[0].WindowValues(args...)
+	limit, offset, perWindow, err := s.window(args)
 	if err != nil {
 		return nil, err
-	}
-	// Non-aggregate shards each produce limit+offset rows — enough for
-	// any global window. Aggregates need every group's full partials.
-	perWindow := int64(-1)
-	if limit >= 0 && !s.info.Agg {
-		perWindow = limit + offset
 	}
 	results, err := s.parQuery(func(i int) (*sqlmini.Result, error) {
 		return s.per[i].QueryWindow(perWindow, 0, args...)
@@ -48,6 +28,25 @@ func (s *Stmt) fanoutQuery(args []any) (*sqlmini.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &sqlmini.Result{Columns: results[0].Columns, Rows: applyWindow(s.merge(results), limit, offset)}, nil
+}
+
+// window evaluates the statement's global LIMIT/OFFSET under args and
+// the window each shard leg runs with: non-aggregate legs each produce
+// limit+offset rows — enough for any global window — while aggregates
+// need every group's full partials (perWindow -1).
+func (s *Stmt) window(args []any) (limit, offset, perWindow int64, err error) {
+	limit, offset, err = s.per[0].WindowValues(args...)
+	perWindow = -1
+	if limit >= 0 && !s.info.Agg {
+		perWindow = limit + offset
+	}
+	return limit, offset, perWindow, err
+}
+
+// merge gathers the per-shard results by the statement's merge
+// strategy, counting which one ran.
+func (s *Stmt) merge(results []*sqlmini.Result) []relation.Row {
 	var rows []relation.Row
 	switch {
 	case s.info.Agg:
@@ -65,41 +64,7 @@ func (s *Stmt) fanoutQuery(args []any) (*sqlmini.Result, error) {
 		s.c.mergeConcat.Add(1)
 		rows = concatRows(results)
 	}
-	return &sqlmini.Result{Columns: results[0].Columns, Rows: applyWindow(rows, limit, offset)}, nil
-}
-
-// fanoutRows executes the statement on every shard and streams the
-// gathered rows: a k-way merge for ordered plans, arrival-order concat
-// otherwise. Aggregates and DISTINCT need the whole result to combine
-// or dedupe, so they materialize.
-func (s *Stmt) fanoutRows(args []any) (*Rows, error) {
-	if s.fanoutErr != nil {
-		return nil, s.fanoutErr
-	}
-	if s.info.Agg || s.info.Distinct {
-		res, err := s.fanoutQuery(args)
-		if err != nil {
-			return nil, err
-		}
-		return &Rows{cols: res.Columns, out: res.Rows, materialized: true}, nil
-	}
-	s.c.fanOut.Add(1)
-	limit, offset, err := s.per[0].WindowValues(args...)
-	if err != nil {
-		return nil, err
-	}
-	perWindow := int64(-1)
-	if limit >= 0 {
-		perWindow = limit + offset
-	}
-	ordered := s.info.HasOrder
-	if ordered {
-		s.c.mergeOrdered.Add(1)
-	} else {
-		s.c.mergeConcat.Add(1)
-	}
-	g := s.startGather(args, perWindow, ordered, s.info.MergeKeys)
-	return &Rows{cols: s.per[0].Columns(), g: g, skip: offset, remain: limit}, nil
+	return rows
 }
 
 // parQuery runs one task per shard on a pool of min(shards, workers)
@@ -326,319 +291,4 @@ func appendValueKey(b []byte, v relation.Value) []byte {
 		return append(b, 'b', 0, 0)
 	}
 	return append(b, '?', 0)
-}
-
-// --- streaming gather ---------------------------------------------------
-
-// gather coordinates shard workers feeding one consumer. Workers
-// append rows to per-shard buffers; the consumer pops in arrival order
-// (concat) or k-way merge order, compacting consumed prefixes away.
-// Once every shard has been claimed by a worker, a worker whose
-// backlog exceeds gatherHighWater blocks until the consumer drains it,
-// so a slow consumer bounds memory instead of buffering whole shard
-// results. (Before all shards are claimed, pushes never block: a
-// blocked worker holds a pool slot, and waiting on a consumer that is
-// itself waiting for an unstarted shard's first row would deadlock an
-// ordered merge.) Cancelling — an early Close, a filled LIMIT — stops
-// workers at their next batch boundary and wakes any blocked on the
-// high-water mark, closing the per-shard cursors so no goroutine or
-// pipeline leaks.
-type gather struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	claims  atomic.Int64 // shards handed to workers; >= len(bufs) gates backpressure
-	bufs    [][]relation.Row
-	pos     []int
-	done    []bool
-	active  int
-	err     error
-	cancel  bool
-	ordered bool
-	keys    []sqlmini.MergeKey
-	next    int // concat fairness rotor
-}
-
-// startGather opens the per-shard cursors on a bounded pool and
-// returns the coordinator state.
-func (s *Stmt) startGather(args []any, perWindow int64, ordered bool, keys []sqlmini.MergeKey) *gather {
-	n := s.c.n
-	g := &gather{
-		bufs:    make([][]relation.Row, n),
-		pos:     make([]int, n),
-		done:    make([]bool, n),
-		active:  n,
-		ordered: ordered,
-		keys:    keys,
-	}
-	g.cond = sync.NewCond(&g.mu)
-	for w := 0; w < min(s.c.workers, n); w++ {
-		go func() {
-			for {
-				i := int(g.claims.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				s.gatherShard(g, i, args, perWindow)
-			}
-		}()
-	}
-	return g
-}
-
-// gatherShard streams one shard's cursor into its buffer.
-func (s *Stmt) gatherShard(g *gather, i int, args []any, perWindow int64) {
-	defer g.markDone(i)
-	if g.cancelled() {
-		return
-	}
-	rows, err := s.per[i].QueryRowsWindow(perWindow, 0, args...)
-	if err != nil {
-		g.fail(err)
-		return
-	}
-	defer rows.Close()
-	ncols := len(rows.Columns())
-	ptrs := make([]any, ncols)
-	batch := make([]relation.Row, 0, gatherBatch)
-	for rows.Next() {
-		vals := make(relation.Row, ncols)
-		for j := range vals {
-			ptrs[j] = &vals[j]
-		}
-		if err := rows.Scan(ptrs...); err != nil {
-			g.fail(err)
-			return
-		}
-		batch = append(batch, vals)
-		if len(batch) == gatherBatch {
-			if !g.push(i, batch) {
-				return // cancelled
-			}
-			batch = batch[:0]
-		}
-	}
-	if err := rows.Err(); err != nil {
-		g.fail(err)
-		return
-	}
-	g.push(i, batch)
-}
-
-// push publishes rows to shard i's buffer, reporting false when the
-// gather has been cancelled. Once every shard is claimed it applies
-// backpressure: a backlog past the high-water mark waits for the
-// consumer (each claimed, unfinished shard has its own goroutine then,
-// so the consumer always has a producer to drain and progress holds).
-func (g *gather) push(i int, rows []relation.Row) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for !g.cancel && len(g.bufs[i])-g.pos[i] > gatherHighWater && int(g.claims.Load()) >= len(g.bufs) {
-		g.cond.Wait()
-	}
-	if g.cancel {
-		return false
-	}
-	if len(rows) > 0 {
-		g.bufs[i] = append(g.bufs[i], rows...)
-		g.cond.Broadcast()
-	}
-	return true
-}
-
-func (g *gather) markDone(i int) {
-	g.mu.Lock()
-	g.done[i] = true
-	g.active--
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-func (g *gather) fail(err error) {
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.cancel = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-func (g *gather) cancelled() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cancel
-}
-
-func (g *gather) cancelAll() {
-	g.mu.Lock()
-	g.cancel = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// popLocked takes shard i's head row, waking a worker blocked on the
-// high-water mark the moment the backlog drains back to it, and
-// compacting the consumed prefix so a long stream holds at most the
-// backlog, not every row ever gathered. Caller holds mu.
-func (g *gather) popLocked(i int) relation.Row {
-	r := g.bufs[i][g.pos[i]]
-	g.pos[i]++
-	if len(g.bufs[i])-g.pos[i] == gatherHighWater {
-		g.cond.Broadcast()
-	}
-	if g.pos[i] >= gatherCompact && g.pos[i]*2 >= len(g.bufs[i]) {
-		rem := copy(g.bufs[i], g.bufs[i][g.pos[i]:])
-		clear(g.bufs[i][rem:])
-		g.bufs[i] = g.bufs[i][:rem]
-		g.pos[i] = 0
-	}
-	return r
-}
-
-// nextRow blocks for the next gathered row; (nil, nil) means
-// exhausted. Concat mode pops from any non-empty buffer, rotating for
-// fairness; merge mode waits until every unfinished shard has a head,
-// then pops the least.
-func (g *gather) nextRow() (relation.Row, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for {
-		if g.err != nil {
-			return nil, g.err
-		}
-		if g.ordered {
-			ready, best := true, -1
-			for i := range g.bufs {
-				if g.pos[i] < len(g.bufs[i]) {
-					if best < 0 || lessRows(g.bufs[i][g.pos[i]], g.bufs[best][g.pos[best]], g.keys) {
-						best = i
-					}
-				} else if !g.done[i] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				if best < 0 {
-					return nil, nil
-				}
-				return g.popLocked(best), nil
-			}
-		} else {
-			n := len(g.bufs)
-			for k := 0; k < n; k++ {
-				i := (g.next + k) % n
-				if g.pos[i] < len(g.bufs[i]) {
-					g.next = (i + 1) % n
-					return g.popLocked(i), nil
-				}
-			}
-			if g.active == 0 {
-				return nil, nil
-			}
-		}
-		g.cond.Wait()
-	}
-}
-
-// Rows is the cluster's streaming result cursor. Unlike sqlmini.Rows
-// it exposes the raw row (Row) rather than typed Scan destinations.
-// A Rows is not safe for concurrent use; Close it when abandoning it
-// early so shard cursors stop — on a fan-out, workers past the
-// high-water mark stay blocked until the stream is drained or Closed.
-type Rows struct {
-	cols         []string
-	inner        *sqlmini.Rows  // single-shard passthrough
-	ptrs         []any          // scan buffer for passthrough mode
-	out          []relation.Row // materialized fan-out (agg/distinct)
-	oi           int
-	materialized bool
-	g            *gather // streaming fan-out
-	skip         int64   // global OFFSET still to drop
-	remain       int64   // global LIMIT still to emit; -1 unlimited
-	row          relation.Row
-	err          error
-}
-
-// Columns returns the result column names.
-func (r *Rows) Columns() []string { return r.cols }
-
-// Err returns the first error the gather or any shard cursor hit.
-func (r *Rows) Err() error { return r.err }
-
-// Row returns the current row; valid after a true Next, until the
-// next call. The caller must not mutate it.
-func (r *Rows) Row() relation.Row { return r.row }
-
-// Next advances the cursor. Filling the global LIMIT cancels
-// still-running shard cursors.
-func (r *Rows) Next() bool {
-	if r.err != nil {
-		return false
-	}
-	switch {
-	case r.inner != nil:
-		if !r.inner.Next() {
-			r.err = r.inner.Err()
-			return false
-		}
-		vals := make(relation.Row, len(r.cols))
-		if r.ptrs == nil {
-			r.ptrs = make([]any, len(r.cols))
-		}
-		for j := range vals {
-			r.ptrs[j] = &vals[j]
-		}
-		if err := r.inner.Scan(r.ptrs...); err != nil {
-			r.err = err
-			return false
-		}
-		r.row = vals
-		return true
-	case r.g != nil:
-		for {
-			if r.remain == 0 {
-				r.g.cancelAll()
-				return false
-			}
-			row, err := r.g.nextRow()
-			if err != nil {
-				r.err = err
-				r.g.cancelAll()
-				return false
-			}
-			if row == nil {
-				return false
-			}
-			if r.skip > 0 {
-				r.skip--
-				continue
-			}
-			if r.remain > 0 {
-				r.remain--
-			}
-			r.row = row
-			return true
-		}
-	default:
-		if r.oi >= len(r.out) {
-			return false
-		}
-		r.row = r.out[r.oi]
-		r.oi++
-		return true
-	}
-}
-
-// Close stops the underlying shard cursors; idempotent.
-func (r *Rows) Close() {
-	if r.inner != nil {
-		r.inner.Close()
-		r.inner = nil
-	}
-	if r.g != nil {
-		r.g.cancelAll()
-		r.g = nil
-	}
-	r.out, r.row = nil, nil
 }

@@ -1,136 +1,97 @@
 package shard
 
 import (
-	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"courserank/internal/relation"
 )
 
-// TestConcurrentScatterGatherChurn drives concurrent fan-out readers —
-// materialized, streamed to completion, and streamed-then-abandoned —
-// against per-shard DML and DDL churn, under -race in CI. Early Close
-// must cancel still-running shard cursors, and when everything quiets
-// down no gather goroutine may remain: the goroutine count has to
+// TestConcurrentScatterGatherChurn drives concurrent Query readers —
+// ordered, concatenated, joined and combined fan-outs plus the pinned
+// fast path — against writes to the base tables that reach the shards
+// through FollowBase, under -race in CI. When the writers stop, the
+// cluster must answer exactly like the base with no propagation error,
+// and no fan-out goroutine may remain: the goroutine count has to
 // settle back to its baseline.
 func TestConcurrentScatterGatherChurn(t *testing.T) {
-	c, _ := testCluster(t, 4)
+	db, e := testBase(t)
+	c, err := Split(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FollowBase(db)
+	ratings := db.MustTable("Ratings")
 	baseline := runtime.NumGoroutine()
 
 	var wg sync.WaitGroup
 	var rid atomic.Int64
 	rid.Store(10_000)
-	fail := func(format string, args ...any) {
-		t.Helper()
-		t.Errorf(format, args...)
-	}
 
-	// Fan-out readers: every merge strategy, plus the fast path.
+	// Readers: every merge strategy, plus the fast path.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
+				var err error
 				switch i % 4 {
-				case 0: // materialized ordered fan-out
-					if _, err := c.Query(`SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 20`); err != nil {
-						fail("ordered fan-out: %v", err)
-						return
-					}
-				case 1: // streamed concat, consumed fully
-					rows, err := c.QueryRows(`SELECT RID, SuID FROM Ratings`)
-					if err != nil {
-						fail("concat fan-out: %v", err)
-						return
-					}
-					for rows.Next() {
-					}
-					rows.Close()
-					if err := rows.Err(); err != nil {
-						fail("concat stream: %v", err)
-						return
-					}
-				case 2: // streamed, abandoned after a prefix: cancellation path
-					rows, err := c.QueryRows(`SELECT RID, SuID, CID, Score FROM Ratings ORDER BY RID`)
-					if err != nil {
-						fail("abandoned fan-out: %v", err)
-						return
-					}
-					for j := 0; j < 2+g && rows.Next(); j++ {
-					}
-					rows.Close()
-					if err := rows.Err(); err != nil {
-						fail("abandoned stream: %v", err)
-						return
-					}
+				case 0: // ordered fan-out, windowed per leg
+					_, err = c.Query(`SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 20`)
+				case 1: // concat fan-out
+					_, err = c.Query(`SELECT RID, SuID FROM Ratings`)
+				case 2: // co-located join fan-out
+					_, err = c.Query(`SELECT r.RID, p.PID FROM Ratings r JOIN Points p ON r.SuID = p.SuID`)
 				default: // pinned fast path and combine
-					if _, err := c.Query(`SELECT COUNT(*), SUM(Score) FROM Ratings WHERE SuID = ?`, int64(i%20)); err != nil {
-						fail("fast path: %v", err)
-						return
-					}
-					if _, err := c.Query(`SELECT CID, COUNT(*) FROM Ratings GROUP BY CID ORDER BY CID`); err != nil {
-						fail("combine fan-out: %v", err)
-						return
+					if _, err = c.Query(`SELECT COUNT(*), SUM(Score) FROM Ratings WHERE SuID = ?`, int64(i%20)); err == nil {
+						_, err = c.Query(`SELECT CID, COUNT(*) FROM Ratings GROUP BY CID ORDER BY CID`)
 					}
 				}
+				if err != nil {
+					t.Errorf("reader, shape %d: %v", i%4, err)
+					return
+				}
 			}
-		}(g)
+		}()
 	}
 
-	// DML churn: routed inserts, pinned updates, broadcast deletes.
+	// Writers: base inserts, updates, deletes and shard-key migrations,
+	// which the FollowBase observers mirror into the owning shards.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				id := rid.Add(1)
-				if _, err := c.Exec(`INSERT INTO Ratings VALUES (?, ?, ?, ?)`, id, id%20, id%8, int64(1+i%5)); err != nil {
-					fail("churn insert: %v", err)
+				if _, err := ratings.Insert(relation.Row{id, id % 20, id % 8, 1 + i%5}); err != nil {
+					t.Errorf("churn insert: %v", err)
 					return
 				}
-				if i%3 == 0 {
-					if _, err := c.Exec(`UPDATE Ratings SET Score = ? WHERE SuID = ?`, int64(1+i%5), id%20); err != nil {
-						fail("churn update: %v", err)
-						return
-					}
+				var err error
+				switch {
+				case i%3 == 0:
+					err = updateWhere(ratings, "SuID", eq(id%20), "Score", int64(1+i%5))
+				case i%7 == 0:
+					err = deleteWhere(ratings, "RID", eq(id))
+				case i%11 == 0:
+					err = updateWhere(ratings, "RID", eq(id-1), "SuID", (id+7)%20)
 				}
-				if i%7 == 0 {
-					if _, err := c.Exec(`DELETE FROM Ratings WHERE RID = ?`, id); err != nil {
-						fail("churn delete: %v", err)
-						return
-					}
+				if err != nil {
+					t.Errorf("churn write: %v", err)
+					return
 				}
 			}
-		}(g)
+		}()
 	}
-
-	// DDL churn: create, write, drop scratch tables while reads run.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			name := fmt.Sprintf("Scratch%d", i)
-			if _, err := c.Exec(`CREATE TABLE ` + name + ` (N INT NOT NULL)`); err != nil {
-				fail("ddl create: %v", err)
-				return
-			}
-			if _, err := c.Exec(`INSERT INTO `+name+` VALUES (?)`, int64(i)); err != nil {
-				fail("ddl insert: %v", err)
-				return
-			}
-			if !c.Drop(name) {
-				fail("ddl drop lost %s", name)
-				return
-			}
-		}
-	}()
 
 	wg.Wait()
 
-	// Gather workers run to completion after cancellation; give them a
-	// bounded window to drain, then require the baseline back.
+	// Fan-out workers finish with their query; give them a bounded
+	// window to exit, then require the baseline back.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
@@ -145,7 +106,23 @@ func TestConcurrentScatterGatherChurn(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	if st := c.Stats(); st.FanOut == 0 || st.DMLRouted == 0 || st.DMLBroadcast == 0 {
-		t.Fatalf("churn did not cover routing paths: %+v", st)
+	for _, q := range []string{
+		`SELECT RID, SuID, CID, Score FROM Ratings ORDER BY RID`,
+		`SELECT CID, COUNT(*), SUM(Score) FROM Ratings GROUP BY CID ORDER BY CID`,
+	} {
+		got, err := c.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%q: shards diverged from the base after churn\ncluster: %v\nbase:    %v", q, got.Rows, want.Rows)
+		}
+	}
+	if st := c.Stats(); st.FanOut == 0 || st.FastPath == 0 || st.ApplyErrors != 0 {
+		t.Fatalf("churn did not cover routing paths, or propagation failed: %+v", st)
 	}
 }

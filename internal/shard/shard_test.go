@@ -6,11 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"courserank/internal/relation"
 	"courserank/internal/sqlmini"
@@ -18,42 +16,68 @@ import (
 
 // testBase builds a small CourseRank-shaped base: a replicated catalog
 // table (Students) and two fact tables partitioned and co-located on
-// SuID (Ratings, Points), populated deterministically.
+// SuID (Ratings, Points), populated deterministically through relation
+// (SQL is read-only).
 func testBase(t testing.TB) (*relation.DB, *sqlmini.Engine) {
 	t.Helper()
 	db := relation.NewDB()
-	e := sqlmini.New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-	}
-	mustExec(`CREATE TABLE Students (SuID INT NOT NULL, Name TEXT NOT NULL, PRIMARY KEY (SuID))`)
-	mustExec(`CREATE TABLE Ratings (RID INT NOT NULL, SuID INT NOT NULL, CID INT NOT NULL, Score INT,
-		PRIMARY KEY (RID), INDEX (SuID))`)
-	mustExec(`CREATE TABLE Points (PID INT NOT NULL, SuID INT NOT NULL, Pts INT NOT NULL,
-		PRIMARY KEY (PID), INDEX (SuID))`)
-	for _, tbl := range []string{"Ratings", "Points"} {
-		if err := db.MustTable(tbl).SetShardKey("SuID"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	students := db.MustCreate(relation.MustTable("Students", relation.NewSchema(
+		relation.NotNullCol("SuID", relation.TypeInt),
+		relation.NotNullCol("Name", relation.TypeString),
+	), relation.WithPrimaryKey("SuID")))
+	ratings := db.MustCreate(relation.MustTable("Ratings", relation.NewSchema(
+		relation.NotNullCol("RID", relation.TypeInt),
+		relation.NotNullCol("SuID", relation.TypeInt),
+		relation.NotNullCol("CID", relation.TypeInt),
+		relation.Col("Score", relation.TypeInt),
+	), relation.WithPrimaryKey("RID"), relation.WithIndex("SuID"), relation.WithShardKey("SuID")))
+	points := db.MustCreate(relation.MustTable("Points", relation.NewSchema(
+		relation.NotNullCol("PID", relation.TypeInt),
+		relation.NotNullCol("SuID", relation.TypeInt),
+		relation.NotNullCol("Pts", relation.TypeInt),
+	), relation.WithPrimaryKey("PID"), relation.WithIndex("SuID"), relation.WithShardKey("SuID")))
 	r := rand.New(rand.NewSource(11))
 	for su := 0; su < 20; su++ {
-		mustExec(`INSERT INTO Students VALUES (?, ?)`, int64(su), fmt.Sprintf("s%02d", su))
+		students.MustInsert(relation.Row{su, fmt.Sprintf("s%02d", su)})
 	}
 	for i := 0; i < 120; i++ {
 		var score any
 		if r.Intn(5) != 0 {
 			score = int64(1 + r.Intn(5))
 		}
-		mustExec(`INSERT INTO Ratings VALUES (?, ?, ?, ?)`, int64(i), int64(r.Intn(20)), int64(r.Intn(8)), score)
+		ratings.MustInsert(relation.Row{i, r.Intn(20), r.Intn(8), score})
 	}
 	for i := 0; i < 40; i++ {
-		mustExec(`INSERT INTO Points VALUES (?, ?, ?)`, int64(i), int64(r.Intn(20)), int64(r.Intn(100)))
+		points.MustInsert(relation.Row{i, r.Intn(20), r.Intn(100)})
 	}
-	return db, e
+	return db, sqlmini.New(db)
+}
+
+// where is a row predicate on one column of tbl; deleteWhere and
+// updateWhere write through it, standing in for SQL DML.
+func where(tbl *relation.Table, col string, keep func(relation.Value) bool) func(relation.Row) bool {
+	i := tbl.Schema().MustIndex(col)
+	return func(r relation.Row) bool { return keep(r[i]) }
+}
+
+func eq(v any) func(relation.Value) bool {
+	nv, _ := relation.Normalize(v)
+	return func(x relation.Value) bool { return relation.Equal(x, nv) }
+}
+
+func deleteWhere(tbl *relation.Table, col string, keep func(relation.Value) bool) error {
+	_, err := tbl.DeleteWhere(where(tbl, col, keep))
+	return err
+}
+
+// updateWhere sets column set to v in every row where col matches.
+func updateWhere(tbl *relation.Table, col string, keep func(relation.Value) bool, set string, v any) error {
+	si := tbl.Schema().MustIndex(set)
+	_, err := tbl.UpdateWhere(where(tbl, col, keep), func(r relation.Row) relation.Row {
+		r[si] = v
+		return r
+	})
+	return err
 }
 
 func testCluster(t testing.TB, n int) (*Cluster, *sqlmini.Engine) {
@@ -76,8 +100,7 @@ func asMultiset(rows []relation.Row) []string {
 }
 
 // checkAgainstMono runs one SELECT on both cluster and mono engine and
-// compares, exactly when exact, else as multisets. Streaming parity
-// rides along.
+// compares, exactly when exact, else as multisets.
 func checkAgainstMono(t *testing.T, c *Cluster, e *sqlmini.Engine, exact bool, sql string, args ...any) {
 	t.Helper()
 	got, err := c.Query(sql, args...)
@@ -97,25 +120,6 @@ func checkAgainstMono(t *testing.T, c *Cluster, e *sqlmini.Engine, exact bool, s
 		}
 	} else if !reflect.DeepEqual(asMultiset(got.Rows), asMultiset(want.Rows)) {
 		t.Fatalf("%q: row multisets diverge\ncluster: %v\nmono:    %v", sql, got.Rows, want.Rows)
-	}
-	rows, err := c.QueryRows(sql, args...)
-	if err != nil {
-		t.Fatalf("cluster stream %q: %v", sql, err)
-	}
-	var streamed []relation.Row
-	for rows.Next() {
-		streamed = append(streamed, rows.Row().Clone())
-	}
-	rows.Close()
-	if err := rows.Err(); err != nil {
-		t.Fatalf("cluster stream %q: %v", sql, err)
-	}
-	if exact {
-		if len(streamed)+len(want.Rows) > 0 && !reflect.DeepEqual(streamed, want.Rows) {
-			t.Fatalf("%q: streamed rows diverge\ncluster: %v\nmono:    %v", sql, streamed, want.Rows)
-		}
-	} else if !reflect.DeepEqual(asMultiset(streamed), asMultiset(want.Rows)) {
-		t.Fatalf("%q: streamed multisets diverge\ncluster: %v\nmono:    %v", sql, streamed, want.Rows)
 	}
 }
 
@@ -166,15 +170,14 @@ func TestSingleShardRouting(t *testing.T) {
 	if st.FanOut != 0 {
 		t.Fatalf("pinned queries fanned out: %+v", st)
 	}
-	// 22 statements × (Query + QueryRows).
-	if st.FastPath != 44 {
-		t.Fatalf("fast path count = %d, want 44", st.FastPath)
+	if st.FastPath != 22 {
+		t.Fatalf("fast path count = %d, want 22", st.FastPath)
 	}
 	// Replicated-only statements round-robin across shards.
 	for i := 0; i < 8; i++ {
 		checkAgainstMono(t, c, e, true, `SELECT Name FROM Students WHERE SuID = ? ORDER BY Name`, int64(i))
 	}
-	if st := c.Stats(); st.Replicated != 16 || st.FanOut != 0 {
+	if st := c.Stats(); st.Replicated != 8 || st.FanOut != 0 {
 		t.Fatalf("replicated routing: %+v", st)
 	}
 	out, err := c.Explain(`SELECT RID FROM Ratings WHERE SuID = ?`, int64(5))
@@ -188,7 +191,7 @@ func TestSingleShardRouting(t *testing.T) {
 
 func TestFanoutMerges(t *testing.T) {
 	c, e := testCluster(t, 4)
-	// Unordered scatter: streaming concat.
+	// Unordered scatter: concat.
 	checkAgainstMono(t, c, e, false, `SELECT RID, SuID FROM Ratings WHERE Score >= ?`, int64(3))
 	// Ordered scatter: per-shard sorted streams k-way merged, the
 	// global window applied after (ORDER BY ends in the PK, so the
@@ -245,12 +248,53 @@ func TestFanoutRefusals(t *testing.T) {
 	checkAgainstMono(t, c, e, true, `SELECT COUNT(*) FROM Ratings WHERE SuID = ? GROUP BY SuID`, int64(4))
 }
 
-func TestShardedDML(t *testing.T) {
-	c, _ := testCluster(t, 4)
-	// Routed INSERT: the row lands on its owner shard only.
-	if n, err := c.Exec(`INSERT INTO Ratings VALUES (?, ?, ?, ?)`, int64(500), int64(7), int64(3), int64(5)); err != nil || n != 1 {
-		t.Fatalf("insert: n=%d err=%v", n, err)
+// TestReadOnlyRefusesWrites: the cluster runs SELECTs only — writes go
+// to the base database and reach the shards through FollowBase — so
+// preparing, querying or explaining a data-changing or DDL statement
+// returns sqlmini's read-only error and touches no shard.
+func TestReadOnlyRefusesWrites(t *testing.T) {
+	c, _ := testCluster(t, 3)
+	for _, q := range []string{
+		`INSERT INTO Ratings VALUES (500, 7, 3, 5)`,
+		`UPDATE Ratings SET Score = 1 WHERE SuID = 7`,
+		`DELETE FROM Ratings WHERE Score = 1`,
+		`CREATE TABLE Tags (Tag TEXT NOT NULL)`,
+	} {
+		kw := strings.Fields(q)[0]
+		want := "sqlmini: " + kw + " is not supported: sqlmini is read-only, write through relation.Table or relation.Tx"
+		_, errPrepare := c.Prepare(q)
+		_, errQuery := c.Query(q)
+		_, errExplain := c.Explain(q)
+		for name, err := range map[string]error{"Prepare": errPrepare, "Query": errQuery, "Explain": errExplain} {
+			if err == nil || err.Error() != want {
+				t.Errorf("Cluster.%s(%s) = %v, want %q", name, kw, err, want)
+			}
+		}
 	}
+	res, err := c.Query(`SELECT COUNT(*) FROM Ratings`)
+	if err != nil || res.Rows[0][0] != int64(120) {
+		t.Fatalf("Ratings after refused writes: %v %v, want 120 rows", res, err)
+	}
+	for i := 0; i < c.Shards(); i++ {
+		if _, ok := c.DB(i).Table("Tags"); ok {
+			t.Fatalf("refused CREATE TABLE reached shard %d", i)
+		}
+	}
+}
+
+// TestShardedDML: the cluster's writes are the base's. A row inserted
+// into a partitioned base table lands on its owner shard only, a
+// replicated-table insert reaches every shard, and a pinned update and
+// a predicate delete read back through the cluster like on the base.
+func TestShardedDML(t *testing.T) {
+	db, _ := testBase(t)
+	c, err := Split(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FollowBase(db)
+	ratings := db.MustTable("Ratings")
+	ratings.MustInsert(relation.Row{500, 7, 3, 5})
 	owner := c.ownerOf(int64(7))
 	for i := 0; i < c.Shards(); i++ {
 		res, err := c.Engine(i).Query(`SELECT RID FROM Ratings WHERE RID = 500`)
@@ -261,51 +305,24 @@ func TestShardedDML(t *testing.T) {
 			t.Fatalf("shard %d has row: %v, owner %d", i, res.Rows, owner)
 		}
 	}
-	// Pinned UPDATE/DELETE route to the owner; unpinned broadcast.
-	if n, err := c.Exec(`UPDATE Ratings SET Score = 1 WHERE SuID = ?`, int64(7)); err != nil || n == 0 {
-		t.Fatalf("pinned update: n=%d err=%v", n, err)
+	if err := updateWhere(ratings, "SuID", eq(7), "Score", int64(1)); err != nil {
+		t.Fatal(err)
 	}
-	before := c.Stats()
-	if n, err := c.Exec(`DELETE FROM Ratings WHERE Score = 1`); err != nil || n == 0 {
-		t.Fatalf("broadcast delete: n=%d err=%v", n, err)
+	if err := deleteWhere(ratings, "Score", eq(1)); err != nil {
+		t.Fatal(err)
 	}
-	after := c.Stats()
-	if after.DMLBroadcast != before.DMLBroadcast+1 {
-		t.Fatalf("broadcast not tallied: %+v vs %+v", before, after)
-	}
-	res, err := c.Query(`SELECT COUNT(*) FROM Ratings WHERE Score = 1`)
+	res, err := c.Query(`SELECT COUNT(*) FROM Ratings WHERE SuID = 7 OR Score = 1`)
 	if err != nil || res.Rows[0][0] != int64(0) {
-		t.Fatalf("rows survive broadcast delete: %v %v", res, err)
+		t.Fatalf("rows survive the base delete: %v %v", res, err)
 	}
-
-	// Refusals.
-	if _, err := c.Exec(`UPDATE Ratings SET SuID = 3 WHERE RID = 1`); err == nil || !strings.Contains(err.Error(), "shard key") {
-		t.Fatalf("shard-key update: %v", err)
-	}
-	if _, err := c.Exec(`INSERT INTO Ratings (RID, CID, Score) VALUES (9000, 1, 1)`); err == nil || !strings.Contains(err.Error(), "shard key") {
-		t.Fatalf("keyless insert: %v", err)
-	}
-
-	// Replicated DML and DDL broadcast to every shard.
-	if _, err := c.Exec(`INSERT INTO Students VALUES (?, ?)`, int64(20), "s20"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec(`CREATE TABLE Tags (Tag TEXT NOT NULL)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec(`INSERT INTO Tags VALUES ('x')`); err != nil {
-		t.Fatal(err)
-	}
+	db.MustTable("Students").MustInsert(relation.Row{20, "s20"})
 	for i := 0; i < c.Shards(); i++ {
 		if n := c.DB(i).MustTable("Students").Len(); n != 21 {
 			t.Fatalf("shard %d Students = %d, want 21", i, n)
 		}
-		if n := c.DB(i).MustTable("Tags").Len(); n != 1 {
-			t.Fatalf("shard %d Tags = %d, want 1", i, n)
-		}
 	}
-	if !c.Drop("Tags") {
-		t.Fatal("drop reported no table")
+	if st := c.Stats(); st.ApplyErrors != 0 {
+		t.Fatalf("propagation errors: %+v", st)
 	}
 }
 
@@ -316,19 +333,20 @@ func TestFollowBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.FollowBase(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatalf("%s: %v", sql, err)
+	ratings, points := db.MustTable("Ratings"), db.MustTable("Points")
+	ratings.MustInsert(relation.Row{800, 12, 2, 4})
+	for _, err := range []error{
+		updateWhere(ratings, "CID", eq(3), "Score", int64(5)),
+		// Key migration: the base update moves rows between shard owners.
+		updateWhere(ratings, "SuID", eq(2), "SuID", int64(19)),
+		deleteWhere(ratings, "Score", func(v relation.Value) bool { return v == nil }),
+		deleteWhere(points, "Pts", func(v relation.Value) bool { return v.(int64) < 10 }),
+	} {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	mustExec(`INSERT INTO Ratings VALUES (?, ?, ?, ?)`, int64(800), int64(12), int64(2), int64(4))
-	mustExec(`UPDATE Ratings SET Score = 5 WHERE CID = 3`)
-	// Key migration: the base update moves rows between shard owners.
-	mustExec(`UPDATE Ratings SET SuID = 19 WHERE SuID = 2`)
-	mustExec(`DELETE FROM Ratings WHERE Score IS NULL`)
-	mustExec(`INSERT INTO Students VALUES (?, ?)`, int64(21), "s21")
-	mustExec(`DELETE FROM Points WHERE Pts < 10`)
+	db.MustTable("Students").MustInsert(relation.Row{21, "s21"})
 
 	for _, q := range []string{
 		`SELECT RID, SuID, CID, Score FROM Ratings ORDER BY RID`,
@@ -367,14 +385,12 @@ func TestFollowBase(t *testing.T) {
 // quiescence contract — the shards silently miss the row — and must
 // surface as divergence in ApplyErrors rather than pass unnoticed.
 func TestFollowBaseDetectsSplitWindowWrites(t *testing.T) {
-	db, e := testBase(t)
+	db, _ := testBase(t)
 	c, err := Split(db, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Exec(`INSERT INTO Ratings VALUES (?, ?, ?, ?)`, int64(900), int64(3), int64(1), int64(2)); err != nil {
-		t.Fatal(err)
-	}
+	db.MustTable("Ratings").MustInsert(relation.Row{900, 3, 1, 2})
 	c.FollowBase(db)
 	if st := c.Stats(); st.ApplyErrors == 0 {
 		t.Fatalf("split-window write went undetected: %+v", st)
@@ -403,100 +419,6 @@ func TestIntegralFloatKeyNormalization(t *testing.T) {
 		if o := c.ownerOf(huge); o < 0 || o >= c.Shards() {
 			t.Fatalf("%g owner %d out of range", huge, o)
 		}
-	}
-}
-
-// TestStreamingGatherBackpressure shrinks the high-water mark so shard
-// workers actually block on the consumer, with fewer pool slots than
-// shards so the all-claimed gate is what keeps the ordered merge
-// deadlock-free, and checks full parity plus clean cancellation.
-func TestStreamingGatherBackpressure(t *testing.T) {
-	oldHW := gatherHighWater
-	gatherHighWater = 8
-	defer func() { gatherHighWater = oldHW }()
-
-	db := relation.NewDB()
-	e := sqlmini.New(db)
-	if _, err := e.Exec(`CREATE TABLE Big (ID INT NOT NULL, K INT NOT NULL, PRIMARY KEY (ID))`); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.MustTable("Big").SetShardKey("K"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2400; i++ {
-		if _, err := e.Exec(`INSERT INTO Big VALUES (?, ?)`, int64(i), int64(i%13)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, err := Split(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.workers = 2
-	baseline := runtime.NumGoroutine()
-
-	// Concat and ordered merges, drained one row at a time well past
-	// the high-water mark, still deliver every row.
-	checkAgainstMono(t, c, e, false, `SELECT ID, K FROM Big`)
-	checkAgainstMono(t, c, e, true, `SELECT ID, K FROM Big ORDER BY ID`)
-
-	// Abandoning a stream while workers sit blocked on full buffers
-	// must wake and cancel them — no goroutine may linger.
-	rows, err := c.QueryRows(`SELECT ID, K FROM Big`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3 && rows.Next(); i++ {
-	}
-	rows.Close()
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("gather goroutines leaked: baseline %d, now %d\n%s",
-				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestStreamingLimitShortCircuit(t *testing.T) {
-	c, _ := testCluster(t, 4)
-	st, err := c.Prepare(`SELECT RID, Score FROM Ratings ORDER BY RID LIMIT 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := st.QueryRows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int64
-	for rows.Next() {
-		got = append(got, rows.Row()[0].(int64))
-	}
-	rows.Close()
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int64{0, 1, 2, 3, 4}) {
-		t.Fatalf("limited merge: %v", got)
-	}
-	// Early close mid-stream must not error or wedge later queries.
-	rows, err = c.QueryRows(`SELECT RID FROM Ratings`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3 && rows.Next(); i++ {
-	}
-	rows.Close()
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Query(`SELECT COUNT(*) FROM Ratings`); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -15,10 +15,6 @@ type Stats struct {
 	MergeConcat  uint64 `json:"merge_concat"`
 	MergeCombine uint64 `json:"merge_combine"`
 
-	// DML routing.
-	DMLRouted    uint64 `json:"dml_routed"`    // pinned to one owner shard
-	DMLBroadcast uint64 `json:"dml_broadcast"` // applied on every shard
-
 	// Base-follow propagation failures (shards diverged from base).
 	ApplyErrors uint64 `json:"apply_errors"`
 
@@ -44,8 +40,6 @@ func (c *Cluster) Stats() Stats {
 		MergeOrdered: c.mergeOrdered.Load(),
 		MergeConcat:  c.mergeConcat.Load(),
 		MergeCombine: c.mergeCombine.Load(),
-		DMLRouted:    c.dmlRouted.Load(),
-		DMLBroadcast: c.dmlBroadcast.Load(),
 		ApplyErrors:  c.applyErrors.Load(),
 		RowsPerShard: make([]int, c.n),
 	}

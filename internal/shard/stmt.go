@@ -24,7 +24,7 @@ type partUse struct {
 	pin     pinSrc
 }
 
-// Stmt is a prepared statement across the cluster: one per-shard
+// Stmt is a prepared SELECT across the cluster: one per-shard
 // prepared statement plus the routing decision state. Statements are
 // safe for concurrent use and cached per text on the cluster.
 type Stmt struct {
@@ -56,9 +56,7 @@ func (c *Cluster) Prepare(text string) (*Stmt, error) {
 		return nil, err
 	}
 	s := &Stmt{c: c, text: text, per: per, info: info}
-	if info.Kind == sqlmini.RouteSelect {
-		s.analyze()
-	}
+	s.analyze()
 	c.stmts.Store(text, s)
 	return s, nil
 }
@@ -66,7 +64,7 @@ func (c *Cluster) Prepare(text string) (*Stmt, error) {
 // Text returns the statement's SQL text.
 func (s *Stmt) Text() string { return s.text }
 
-// Columns returns the output column names of a prepared SELECT.
+// Columns returns the statement's output column names.
 func (s *Stmt) Columns() []string { return s.per[0].Columns() }
 
 // analyze closes the statement's equality conjuncts into equivalence
@@ -217,9 +215,6 @@ func (s *Stmt) route(args []any) (routeKind, int) {
 // result. Single-shard routes delegate untouched to the owning
 // engine; fan-outs gather per gather.go.
 func (s *Stmt) Query(args ...any) (*sqlmini.Result, error) {
-	if s.info.Kind != sqlmini.RouteSelect {
-		return nil, fmt.Errorf("shard: Query requires a SELECT statement")
-	}
 	kind, owner := s.route(args)
 	switch kind {
 	case routeSingle:
@@ -233,27 +228,6 @@ func (s *Stmt) Query(args ...any) (*sqlmini.Result, error) {
 	}
 }
 
-// QueryRows routes a SELECT and streams the result.
-func (s *Stmt) QueryRows(args ...any) (*Rows, error) {
-	if s.info.Kind != sqlmini.RouteSelect {
-		return nil, fmt.Errorf("shard: Query requires a SELECT statement")
-	}
-	kind, owner := s.route(args)
-	switch kind {
-	case routeSingle:
-		s.c.fastPath.Add(1)
-	case routeReplicated:
-		s.c.replicated.Add(1)
-	default:
-		return s.fanoutRows(args)
-	}
-	inner, err := s.per[owner].QueryRows(args...)
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{cols: s.per[owner].Columns(), inner: inner}, nil
-}
-
 // Explain describes the statement's routing, then shard 0's physical
 // plan.
 func (s *Stmt) Explain() (string, error) { return s.explain(nil, false) }
@@ -263,35 +237,30 @@ func (s *Stmt) ExplainArgs(args ...any) (string, error) { return s.explain(args,
 
 func (s *Stmt) explain(args []any, concrete bool) (string, error) {
 	var b strings.Builder
-	switch s.info.Kind {
-	case sqlmini.RouteSelect:
-		if concrete {
-			kind, owner := s.route(args)
-			switch kind {
-			case routeSingle:
-				fmt.Fprintf(&b, "Route: single shard %d/%d (shard key pinned)\n", owner, s.c.n)
-			case routeReplicated:
-				fmt.Fprintf(&b, "Route: any single shard (replicated tables only)\n")
-			default:
-				fmt.Fprintf(&b, "Route: fan-out over %d shards, merge=%s\n", s.c.n, s.mergeName())
-			}
-		} else if len(s.parts) == 0 {
+	if concrete {
+		kind, owner := s.route(args)
+		switch kind {
+		case routeSingle:
+			fmt.Fprintf(&b, "Route: single shard %d/%d (shard key pinned)\n", owner, s.c.n)
+		case routeReplicated:
 			fmt.Fprintf(&b, "Route: any single shard (replicated tables only)\n")
-		} else {
-			fmt.Fprintf(&b, "Route: single shard when pinned, else fan-out over %d shards, merge=%s\n", s.c.n, s.mergeName())
+		default:
+			fmt.Fprintf(&b, "Route: fan-out over %d shards, merge=%s\n", s.c.n, s.mergeName())
 		}
-		if s.fanoutErr != nil {
-			fmt.Fprintf(&b, "Fan-out: unsupported (%v)\n", s.fanoutErr)
-		}
-		plan, err := s.per[0].Explain()
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(plan)
-		return b.String(), nil
-	default:
-		return fmt.Sprintf("Route: DML on %s\n", s.info.Table), nil
+	} else if len(s.parts) == 0 {
+		fmt.Fprintf(&b, "Route: any single shard (replicated tables only)\n")
+	} else {
+		fmt.Fprintf(&b, "Route: single shard when pinned, else fan-out over %d shards, merge=%s\n", s.c.n, s.mergeName())
 	}
+	if s.fanoutErr != nil {
+		fmt.Fprintf(&b, "Fan-out: unsupported (%v)\n", s.fanoutErr)
+	}
+	plan, err := s.per[0].Explain()
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(plan)
+	return b.String(), nil
 }
 
 func (s *Stmt) mergeName() string {
@@ -304,107 +273,3 @@ func (s *Stmt) mergeName() string {
 		return "concat"
 	}
 }
-
-// Exec routes and executes a non-SELECT statement.
-func (s *Stmt) Exec(args ...any) (int, error) {
-	switch s.info.Kind {
-	case sqlmini.RouteInsert:
-		return s.execInsert(args)
-	case sqlmini.RouteUpdate, sqlmini.RouteDelete:
-		return s.execUpdateDelete(args)
-	case sqlmini.RouteCreate:
-		s.dmlBroadcastCount()
-		return s.broadcast(args)
-	default:
-		return 0, fmt.Errorf("shard: Exec requires a non-SELECT statement")
-	}
-}
-
-func (s *Stmt) execInsert(args []any) (int, error) {
-	key, partitioned := s.c.shardKeyOf(s.info.Table)
-	if !partitioned {
-		s.dmlBroadcastCount()
-		return s.broadcast(args)
-	}
-	vals, found, err := s.per[0].InsertColumnValues(key, args...)
-	if err != nil {
-		return 0, err
-	}
-	if !found {
-		return 0, fmt.Errorf("shard: INSERT into partitioned table %s must set its shard key %s", s.info.Table, key)
-	}
-	owner := s.c.ownerOf(vals[0])
-	for _, v := range vals[1:] {
-		if s.c.ownerOf(v) != owner {
-			return 0, fmt.Errorf("shard: multi-row INSERT into %s spans shards; split it per shard key", s.info.Table)
-		}
-	}
-	s.c.dmlRouted.Add(1)
-	return s.per[owner].Exec(args...)
-}
-
-func (s *Stmt) execUpdateDelete(args []any) (int, error) {
-	key, partitioned := s.c.shardKeyOf(s.info.Table)
-	if !partitioned {
-		s.dmlBroadcastCount()
-		return s.broadcast(args)
-	}
-	if s.info.Kind == sqlmini.RouteUpdate {
-		for _, col := range s.info.SetCols {
-			if strings.EqualFold(col, key) {
-				return 0, fmt.Errorf("shard: UPDATE %s cannot assign shard key %s (the row would have to migrate)", s.info.Table, key)
-			}
-		}
-	}
-	// A WHERE pin on the shard key routes to the owner; otherwise each
-	// shard mutates its local rows and the counts sum.
-	for _, eq := range s.info.Eq {
-		if !strings.EqualFold(eq.Col.Col, key) {
-			continue
-		}
-		v := eq.Value
-		if eq.Param >= 0 {
-			if eq.Param >= len(args) {
-				break
-			}
-			nv, err := relation.Normalize(args[eq.Param])
-			if err != nil {
-				break
-			}
-			v = nv
-		}
-		s.c.dmlRouted.Add(1)
-		return s.per[s.c.ownerOf(v)].Exec(args...)
-	}
-	s.dmlBroadcastCount()
-	total := 0
-	var firstErr error
-	for i := range s.per {
-		n, err := s.per[i].Exec(args...)
-		total += n
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return total, firstErr
-}
-
-// broadcast executes the statement on every shard — replicated-table
-// DML and DDL. Every shard runs even after an error (the copies must
-// not diverge); the count comes from shard 0, where all copies agree.
-func (s *Stmt) broadcast(args []any) (int, error) {
-	n := 0
-	var firstErr error
-	for i := range s.per {
-		ni, err := s.per[i].Exec(args...)
-		if i == 0 {
-			n = ni
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return n, firstErr
-}
-
-func (s *Stmt) dmlBroadcastCount() { s.c.dmlBroadcast.Add(1) }

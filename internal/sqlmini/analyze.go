@@ -113,9 +113,6 @@ func (c *instrCursor) Close() { c.in.Close() }
 // analyzeEntry executes a prepared SELECT on an instrumented shadow
 // handle, returning the materialized result and the annotated plan.
 func (e *Engine) analyzeEntry(en *cacheEntry, args []any) (*Result, string, error) {
-	if en.sel == nil {
-		return nil, "", fmt.Errorf("sqlmini: EXPLAIN ANALYZE requires a SELECT statement")
-	}
 	h := *e
 	an := &analyzeState{}
 	h.an = an

@@ -192,12 +192,11 @@ func TestExplainAnalyzeRejectsNonSelect(t *testing.T) {
 // TestObserveRecordsStatements covers the statement-level recording
 // layer end to end: histograms keyed by statement text, slow-log
 // admission, deferred ANALYZE plan capture on the next execution, and
-// the route a prepared non-SELECT records under.
+// uninstalling.
 func TestObserveRecordsStatements(t *testing.T) {
 	e := plannerDB(t)
 	// Deeper than the test's total execution count, so the log never
-	// fills and admission never depends on relative latencies — the
-	// INSERT below must land regardless of how fast it ran.
+	// fills and admission never depends on relative latencies.
 	c := obs.NewCollector(32)
 	e.Observe(c)
 	defer e.Observe(nil)
@@ -242,40 +241,6 @@ func TestObserveRecordsStatements(t *testing.T) {
 	}
 	if !withPlan {
 		t.Fatal("no slow-log entry got its ANALYZE plan back-filled")
-	}
-
-	// A prepared non-SELECT records under route "exec", in the
-	// histograms and in its slow-log entry.
-	ins, err := e.Prepare(`INSERT INTO CourseYears (CourseID, Year) VALUES (?, ?)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ins.Exec(int64(50), int64(2011)); err != nil || n != 1 {
-		t.Fatalf("Exec = %d, %v", n, err)
-	}
-	var execStat bool
-	for _, q := range c.Top(0, "total") {
-		if q.SQL == ins.Text() {
-			if q.Route != "exec" || q.Count != 1 || q.Rows != 1 {
-				t.Fatalf("INSERT recorded as %+v, want route exec, 1 execution, 1 row", q)
-			}
-			execStat = true
-		}
-	}
-	if !execStat {
-		t.Fatal("collector did not record the prepared INSERT")
-	}
-	var execEntry bool
-	for _, en := range c.Slow().Entries() {
-		if en.SQL == ins.Text() {
-			if en.Route != "exec" || en.Plan != "" {
-				t.Fatalf("INSERT slow-log entry = %+v, want route exec and no plan", en)
-			}
-			execEntry = true
-		}
-	}
-	if !execEntry {
-		t.Fatal("prepared INSERT never reached the slow log")
 	}
 
 	// Uninstall: recording stops, statements still work.

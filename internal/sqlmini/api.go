@@ -1,10 +1,6 @@
 package sqlmini
 
-import (
-	"fmt"
-
-	"courserank/internal/relation"
-)
+import "courserank/internal/relation"
 
 // ParseExpr parses a standalone SQL expression (as used in WHERE
 // clauses). Placeholders bind to args. It is exported for layers — like
@@ -73,13 +69,9 @@ func JoinKey(vals []relation.Value) string { return joinKey(vals) }
 // with pushed-down predicates and row estimates, join algorithms with
 // build sides, and residual filters.
 func (e *Engine) Explain(sql string, args ...any) (string, error) {
-	st, err := Parse(sql, args...)
+	sel, err := Parse(sql, args...)
 	if err != nil {
 		return "", err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return "", fmt.Errorf("sqlmini: Explain requires a SELECT statement")
 	}
 	p, err := e.plan(sel)
 	if err != nil {

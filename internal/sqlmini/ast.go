@@ -22,8 +22,8 @@ func (l *Lit) String() string {
 // Param is a late-bound placeholder ('?'): it survives parsing and
 // planning unresolved, so one parse/plan serves every execution, and
 // takes a concrete value only when a statement binds arguments at
-// Query/Exec time. Idx is the zero-based position among the
-// statement's placeholders.
+// Query time. Idx is the zero-based position among the statement's
+// placeholders.
 type Param struct{ Idx int }
 
 func (p *Param) String() string { return "?" }
@@ -188,9 +188,6 @@ type OrderItem struct {
 	Desc bool
 }
 
-// Statement is any parsed statement.
-type Statement interface{ stmt() }
-
 // SelectStmt is a parsed SELECT.
 type SelectStmt struct {
 	Distinct bool
@@ -205,8 +202,6 @@ type SelectStmt struct {
 	Offset   Expr // nil when absent
 }
 
-func (*SelectStmt) stmt() {}
-
 // aggregates reports whether the statement groups or aggregates — its
 // output rows are then computed from the whole input, not row by row.
 func (s *SelectStmt) aggregates() bool {
@@ -220,47 +215,3 @@ func (s *SelectStmt) aggregates() bool {
 	}
 	return false
 }
-
-// InsertStmt is a parsed INSERT.
-type InsertStmt struct {
-	Table string
-	Cols  []string // empty means schema order
-	Rows  [][]Expr
-}
-
-func (*InsertStmt) stmt() {}
-
-// UpdateStmt is a parsed UPDATE.
-type UpdateStmt struct {
-	Table string
-	Sets  []SetClause
-	Where Expr
-}
-
-// SetClause is one "col = expr" assignment.
-type SetClause struct {
-	Col  string
-	Expr Expr
-}
-
-func (*UpdateStmt) stmt() {}
-
-// DeleteStmt is a parsed DELETE.
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-func (*DeleteStmt) stmt() {}
-
-// CreateStmt is a parsed CREATE TABLE.
-type CreateStmt struct {
-	Table   string
-	Cols    []relation.Column
-	PK      []string
-	AutoInc string
-	Indexes []string
-	Ordered []string // ORDERED INDEX (col): ordered secondary indexes
-}
-
-func (*CreateStmt) stmt() {}

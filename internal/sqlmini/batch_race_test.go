@@ -19,21 +19,20 @@ import (
 func TestBatchedCursorsUnderDML(t *testing.T) {
 	db := relation.NewDB()
 	e := New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Readings (ID INT NOT NULL, Sensor INT NOT NULL, Val INT NOT NULL,
-		PRIMARY KEY (ID), ORDERED INDEX (Val), INDEX (Sensor))`)
-	mustExec(`CREATE TABLE Sensors (Sensor INT NOT NULL, Zone TEXT NOT NULL,
-		PRIMARY KEY (Sensor), ORDERED INDEX (Sensor))`)
+	readings := db.MustCreate(relation.MustTable("Readings", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("Sensor", relation.TypeInt),
+		relation.NotNullCol("Val", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("Val"), relation.WithIndex("Sensor")))
+	sensors := db.MustCreate(relation.MustTable("Sensors", relation.NewSchema(
+		relation.NotNullCol("Sensor", relation.TypeInt),
+		relation.NotNullCol("Zone", relation.TypeString),
+	), relation.WithPrimaryKey("Sensor"), relation.WithOrderedIndex("Sensor")))
 	for s := 0; s < 12; s++ {
-		mustExec(`INSERT INTO Sensors VALUES (?, ?)`, int64(s), []string{"north", "south"}[s%2])
+		sensors.MustInsert(relation.Row{s, []string{"north", "south"}[s%2]})
 	}
 	for i := 0; i < 400; i++ {
-		mustExec(`INSERT INTO Readings VALUES (?, ?, ?)`, int64(i), int64(i%12), int64(i%90))
+		readings.MustInsert(relation.Row{i, i % 12, i % 90})
 	}
 
 	sized := []*Engine{e.WithBatchSize(1), e.WithBatchSize(7), e.WithBatchSize(256)}
@@ -145,18 +144,18 @@ func TestBatchedCursorsUnderDML(t *testing.T) {
 			defer wg.Done()
 			id := int64(1000 + w*10000)
 			for i := 0; i < iters*3; i++ {
-				if _, err := e.Exec(`INSERT INTO Readings VALUES (?, ?, ?)`, id, int64(i%12), int64(i%90)); err != nil {
+				if _, err := readings.Insert(relation.Row{id, i % 12, i % 90}); err != nil {
 					fail <- "insert: " + err.Error()
 					return
 				}
 				if i%3 == 0 {
-					if _, err := e.Exec(`DELETE FROM Readings WHERE ID = ?`, id-2); err != nil {
+					if err := deleteByKey(readings, id-2); err != nil {
 						fail <- "delete: " + err.Error()
 						return
 					}
 				}
 				if i%5 == 0 {
-					if _, err := e.Exec(`UPDATE Readings SET Val = ? WHERE ID = ?`, int64((i*7)%90), id); err != nil {
+					if err := updateByKey(readings, id, func(r relation.Row) { r[2] = int64((i * 7) % 90) }); err != nil {
 						fail <- "update: " + err.Error()
 						return
 					}

@@ -149,40 +149,12 @@ func substItems(items []SelectItem, params []relation.Value) []SelectItem {
 	return out
 }
 
-// substStatement substitutes params throughout a parsed statement,
+// substSelect substitutes params across every clause of a SELECT,
 // sharing the original when it declares no placeholders.
-func substStatement(st Statement, params []relation.Value) Statement {
-	if len(params) == 0 {
-		return st
-	}
-	switch s := st.(type) {
-	case *SelectStmt:
-		return substSelect(s, params)
-	case *InsertStmt:
-		ns := *s
-		ns.Rows = make([][]Expr, len(s.Rows))
-		for i, row := range s.Rows {
-			ns.Rows[i], _ = substList(row, params)
-		}
-		return &ns
-	case *UpdateStmt:
-		ns := *s
-		ns.Sets = make([]SetClause, len(s.Sets))
-		for i, set := range s.Sets {
-			ns.Sets[i] = SetClause{Col: set.Col, Expr: substExpr(set.Expr, params)}
-		}
-		ns.Where = substExpr(s.Where, params)
-		return &ns
-	case *DeleteStmt:
-		ns := *s
-		ns.Where = substExpr(s.Where, params)
-		return &ns
-	}
-	return st // CREATE TABLE carries no expressions
-}
-
-// substSelect substitutes params across every clause of a SELECT.
 func substSelect(s *SelectStmt, params []relation.Value) *SelectStmt {
+	if len(params) == 0 {
+		return s
+	}
 	ns := *s
 	ns.List = substItems(s.List, params)
 	if len(s.Joins) > 0 {

@@ -30,23 +30,20 @@ func statsDrifted(planned, cur int) bool {
 	return cur > 2*planned+16 || 2*cur+16 < planned
 }
 
-// cacheEntry is one prepared statement: the parsed AST with placeholders
-// late-bound, plus — for SELECTs — the physical plan and its schema
+// cacheEntry is one prepared SELECT: the parsed statement with
+// placeholders late-bound, its physical plan and its schema
 // fingerprint. Entries are immutable once built; executions bind
 // parameters into copy-on-write shadows (bind.go) and never write back.
 type cacheEntry struct {
 	text    string
-	ast     Statement
 	nParams int
-	sel     *preparedSelect // non-nil iff the statement is a SELECT
+	sel     *preparedSelect
 	deps    []tableDep
 }
 
 // valid reports whether every table the entry's plan depends on is
 // still the same table, at the same schema epoch, with statistics that
-// have not drifted past the replan threshold. Non-SELECT entries carry
-// no deps and stay valid forever: they resolve tables and columns at
-// execution.
+// have not drifted past the replan threshold.
 func (en *cacheEntry) valid(db *relation.DB) bool {
 	for _, d := range en.deps {
 		t, ok := db.Table(d.name)

@@ -84,7 +84,7 @@ func TestCaseString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := st.(*SelectStmt).List[0].Expr.String()
+	s := st.List[0].Expr.String()
 	if s != "CASE A WHEN 1 THEN 'x' ELSE 'y' END" {
 		t.Errorf("String = %q", s)
 	}
@@ -96,11 +96,11 @@ func TestWhereAgreesWithDirectEvalProperty(t *testing.T) {
 	f := func(vals []int16) bool {
 		db := relation.NewDB()
 		eng := New(db)
-		if _, err := eng.Exec(`CREATE TABLE T (ID INT NOT NULL AUTOINCREMENT, V INT, PRIMARY KEY (ID))`); err != nil {
-			return false
-		}
+		tbl := db.MustCreate(relation.MustTable("T", relation.NewSchema(
+			relation.NotNullCol("ID", relation.TypeInt), relation.Col("V", relation.TypeInt),
+		), relation.WithPrimaryKey("ID"), relation.WithAutoIncrement("ID")))
 		for _, v := range vals {
-			if _, err := eng.Exec(`INSERT INTO T (V) VALUES (?)`, int64(v)); err != nil {
+			if _, err := tbl.Insert(relation.Row{nil, int64(v)}); err != nil {
 				return false
 			}
 		}
@@ -144,11 +144,11 @@ func TestGroupByPartitionProperty(t *testing.T) {
 	f := func(vals []uint8) bool {
 		db := relation.NewDB()
 		eng := New(db)
-		if _, err := eng.Exec(`CREATE TABLE T (K INT, V INT)`); err != nil {
-			return false
-		}
+		tbl := db.MustCreate(relation.MustTable("T", relation.NewSchema(
+			relation.Col("K", relation.TypeInt), relation.Col("V", relation.TypeInt),
+		)))
 		for i, v := range vals {
-			if _, err := eng.Exec(`INSERT INTO T VALUES (?, ?)`, int64(v%5), int64(i)); err != nil {
+			if _, err := tbl.Insert(relation.Row{int64(v % 5), int64(i)}); err != nil {
 				return false
 			}
 		}
@@ -173,11 +173,9 @@ func TestOrderBySortedProperty(t *testing.T) {
 	f := func(vals []int16) bool {
 		db := relation.NewDB()
 		eng := New(db)
-		if _, err := eng.Exec(`CREATE TABLE T (V INT)`); err != nil {
-			return false
-		}
+		tbl := db.MustCreate(relation.MustTable("T", relation.NewSchema(relation.Col("V", relation.TypeInt))))
 		for _, v := range vals {
-			if _, err := eng.Exec(`INSERT INTO T VALUES (?)`, int64(v)); err != nil {
+			if _, err := tbl.Insert(relation.Row{int64(v)}); err != nil {
 				return false
 			}
 		}

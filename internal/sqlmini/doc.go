@@ -1,9 +1,12 @@
-// Package sqlmini is a small SQL engine over the relation store. It
-// supports the subset of SQL that CourseRank's FlexRecs compiler emits:
-// SELECT with joins, WHERE, GROUP BY/HAVING, ORDER BY, LIMIT/OFFSET,
-// DISTINCT, scalar and aggregate functions, plus INSERT, UPDATE, DELETE
-// and CREATE TABLE for loading. It plays the role of the "conventional
-// DBMS" in the paper's FlexRecs architecture (§3.2).
+// Package sqlmini is a small, read-only SQL engine over the relation
+// store. It runs the subset of SQL that CourseRank's FlexRecs compiler
+// emits: SELECT with joins, WHERE, GROUP BY/HAVING, ORDER BY,
+// LIMIT/OFFSET, DISTINCT, scalar and aggregate functions. It plays the
+// role of the "conventional DBMS" in the paper's FlexRecs architecture
+// (§3.2). It never writes: tables are created and changed through
+// relation.DB, relation.Table and relation.Tx, which is how every write
+// a request makes already travels, and INSERT, UPDATE, DELETE and
+// CREATE are refused by name at parse time.
 //
 // # Lifecycle: prepare → plan cache → bind → execute
 //
@@ -25,17 +28,14 @@
 // or primary-key lookup is chosen while the key's value is still
 // unknown (Stmt.Explain renders such keys as '?'). Execution then only
 // binds — arguments substitute into copy-on-write shadows of the shared
-// plan (bind.go) — and runs (exec.go). The legacy one-shot
-// Query/Exec(sql, args...) remain as thin wrappers over the same path.
+// plan (bind.go) — and runs (exec.go). The one-shot Query(sql, args...)
+// is a thin wrapper over the same path.
 //
-// Durability is transparent to this whole lifecycle: when the relation
-// store was opened durable (relation.OpenDurable), every INSERT,
-// UPDATE, DELETE and CREATE TABLE this engine executes routes through
-// the relation.Table/relation.DB mutation paths, which journal the
-// applied row effects through the write-ahead log before the statement
-// returns (see the package relation docs). Plans, the plan cache and
-// SELECT execution are unaffected — reads never touch the log, and no
-// statement changes shape between a memory-backed and a durable store.
+// Durability is invisible to this whole lifecycle: on a durable store
+// (relation.OpenDurable) relation journals each write through the
+// write-ahead log, and this engine only ever reads what was applied.
+// Reads never touch the log, and no statement changes shape between a
+// memory-backed and a durable store.
 //
 // Every prepared statement lands in the engine's PlanCache, keyed on
 // the statement text and fingerprinted by the identity, SCHEMA EPOCH
@@ -64,7 +64,7 @@
 //     indexed equalities compete, table statistics (relation.TableStats)
 //     pick the most selective
 //   - range scan: <, <=, >, >= or BETWEEN over a column with an ordered
-//     index (relation.WithOrderedIndex / ORDERED INDEX in CREATE TABLE)
+//     index (relation.WithOrderedIndex)
 //     → an index walk between the bounds, yielding rows in key order;
 //     literal bounds are costed by counting index entries, late-bound
 //     params by a fixed fraction. The walk runs in either direction:
@@ -254,7 +254,7 @@
 //     staleness bound), while version moves merely stale the data,
 //     which async views may keep serving inside their bound.
 //
-// The split keeps the hot path honest: one UPDATE leaves every cached
+// The split keeps the hot path honest: one row update leaves every cached
 // plan untouched but marks the rating views stale; one AddOrderedIndex
 // replans affected statements AND hard-invalidates dependent views.
 //
@@ -263,8 +263,7 @@
 // Every statement reads the latest committed state of
 // internal/relation's MVCC store: each access path (pk and index
 // probes, range and desc cursors, full scans, the inner sides of
-// index-nested-loop and band joins) opens at relation.LatestSnap(),
-// and INSERT/UPDATE/DELETE are autocommit single-table writes.
+// index-nested-loop and band joins) opens at relation.LatestSnap().
 // Transactions are relation.Tx (DB.Begin), the one transaction API —
 // core.EnrollCommentRate is its client. A Tx stages row versions that
 // no statement of this engine sees until Commit publishes them
@@ -295,9 +294,8 @@
 //   - LIMIT/OFFSET ARE WINDOW PUSHDOWNS: Stmt.QueryWindow overrides a
 //     statement's LIMIT/OFFSET per execution, letting the coordinator
 //     fetch limit+offset rows from EVERY shard (any shard might hold
-//     the whole window) and apply the global window after the merge,
-//     while streaming early-Close cancels the still-running shards. A
-//     leg whose statement streams stops its own pipeline at that row
+//     the whole window) and apply the global window after the merge.
+//     A leg whose statement streams stops its own pipeline at that row
 //     (the window contract above); it does not drain and trim.
 //
 // Aggregates distribute only when they combine: COUNT/SUM/MIN/MAX

@@ -130,21 +130,32 @@ func TestAggregateErrors(t *testing.T) {
 	}
 }
 
+// TestDeleteAllAndUpdateAll: whole-table writes through relation are
+// what the next SELECT sees, on the cached plan as on a fresh one.
 func TestDeleteAllAndUpdateAll(t *testing.T) {
 	e := testDB(t)
-	n, err := e.Exec(`UPDATE Comments SET Year = 2009`)
+	comments := e.DB().MustTable("Comments")
+	year := comments.Schema().MustIndex("Year")
+	const q = `SELECT COUNT(*) FROM Comments WHERE Year = 2009`
+	if got := mustQuery(t, e, q).Rows[0][0]; got != int64(0) {
+		t.Fatalf("before update: %v rows in 2009", got)
+	}
+	n, err := comments.UpdateWhere(func(relation.Row) bool { return true }, func(r relation.Row) relation.Row {
+		r[year] = int64(2009)
+		return r
+	})
 	if err != nil || n != 6 {
 		t.Fatalf("update all = %d, %v", n, err)
 	}
-	n, err = e.Exec(`DELETE FROM Comments`)
+	if got := mustQuery(t, e, q).Rows[0][0]; got != int64(6) {
+		t.Errorf("after update: %v rows in 2009, want 6", got)
+	}
+	n, err = comments.DeleteWhere(func(relation.Row) bool { return true })
 	if err != nil || n != 6 {
 		t.Fatalf("delete all = %d, %v", n, err)
 	}
-	if _, err := e.Exec(`DELETE FROM NoSuch`); err == nil {
-		t.Error("delete from missing table should fail")
-	}
-	if _, err := e.Exec(`UPDATE NoSuch SET X = 1`); err == nil {
-		t.Error("update of missing table should fail")
+	if got := mustQuery(t, e, `SELECT COUNT(*) FROM Comments`).Rows[0][0]; got != int64(0) {
+		t.Errorf("after delete: %v rows, want 0", got)
 	}
 }
 
@@ -193,9 +204,8 @@ func TestStatementStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := st.(*SelectStmt)
 	var parts []string
-	for _, item := range sel.List {
+	for _, item := range st.List {
 		parts = append(parts, item.Expr.String())
 	}
 	joined := strings.Join(parts, " | ")
@@ -204,7 +214,7 @@ func TestStatementStrings(t *testing.T) {
 			t.Errorf("missing %q in %q", want, joined)
 		}
 	}
-	if sel.Where.String() == "" {
+	if st.Where.String() == "" {
 		t.Error("where string")
 	}
 }

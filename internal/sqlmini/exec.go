@@ -12,10 +12,11 @@ import (
 	"courserank/internal/relation"
 )
 
-// Engine executes SQL statements against a relation.DB. Every SELECT
-// passes through the cost-aware planner in planner.go before execution,
-// and every statement — one-shot or prepared — shares the engine's plan
-// cache. Engine handles are immutable and safe for concurrent use.
+// Engine executes SELECT statements against a relation.DB. Every
+// statement passes through the cost-aware planner in planner.go before
+// execution, and every statement — one-shot or prepared — shares the
+// engine's plan cache. Engine handles are immutable and safe for
+// concurrent use.
 type Engine struct {
 	db        *relation.DB
 	cache     *PlanCache
@@ -98,48 +99,13 @@ func (e *Engine) Query(sql string, args ...any) (*Result, error) {
 	return e.queryEntry(en, args)
 }
 
-// Exec executes a non-SELECT statement through the statement cache,
-// returning the number of rows affected (or 0 for CREATE TABLE).
-func (e *Engine) Exec(sql string, args ...any) (int, error) {
-	en, err := e.entryFor(sql)
-	if err != nil {
-		return 0, err
-	}
-	return e.execEntry(en, args)
-}
-
 // queryEntry binds args and runs a cached SELECT.
 func (e *Engine) queryEntry(en *cacheEntry, args []any) (*Result, error) {
-	if en.sel == nil {
-		return nil, fmt.Errorf("sqlmini: Query requires a SELECT statement")
-	}
 	params, err := bindArgs(en.nParams, args)
 	if err != nil {
 		return nil, err
 	}
 	return e.execSelect(en.sel, params)
-}
-
-// execEntry binds args and runs a cached non-SELECT statement.
-func (e *Engine) execEntry(en *cacheEntry, args []any) (int, error) {
-	if en.sel != nil {
-		return 0, fmt.Errorf("sqlmini: use Query for SELECT")
-	}
-	params, err := bindArgs(en.nParams, args)
-	if err != nil {
-		return 0, err
-	}
-	switch s := substStatement(en.ast, params).(type) {
-	case *InsertStmt:
-		return e.execInsert(s)
-	case *UpdateStmt:
-		return e.execUpdate(s)
-	case *DeleteStmt:
-		return e.execDelete(s)
-	case *CreateStmt:
-		return 0, e.execCreate(s)
-	}
-	return 0, fmt.Errorf("sqlmini: unsupported statement %T", en.ast)
 }
 
 // splitConjuncts flattens a tree of ANDs into its conjuncts.
@@ -639,155 +605,4 @@ func evalIntClause(e Expr, def int64) (int64, error) {
 		return 0, fmt.Errorf("sqlmini: LIMIT/OFFSET must be an integer, got %v", v)
 	}
 	return n, nil
-}
-
-func (e *Engine) execInsert(st *InsertStmt) (int, error) {
-	t, ok := e.db.Table(st.Table)
-	if !ok {
-		return 0, fmt.Errorf("sqlmini: unknown table %q", st.Table)
-	}
-	sch := t.Schema()
-	colIdx := make([]int, 0, len(st.Cols))
-	for _, c := range st.Cols {
-		i, ok := sch.Index(c)
-		if !ok {
-			return 0, fmt.Errorf("sqlmini: table %s has no column %q", st.Table, c)
-		}
-		colIdx = append(colIdx, i)
-	}
-	n := 0
-	empty := &rowset{}
-	for _, exprs := range st.Rows {
-		vals := make([]relation.Value, len(exprs))
-		for i, ex := range exprs {
-			v, err := evalScalar(ex, nil, empty)
-			if err != nil {
-				return n, err
-			}
-			vals[i] = v
-		}
-		var row relation.Row
-		if len(st.Cols) == 0 {
-			row = vals
-		} else {
-			if len(vals) != len(colIdx) {
-				return n, fmt.Errorf("sqlmini: INSERT has %d values for %d columns", len(vals), len(colIdx))
-			}
-			row = make(relation.Row, sch.Len())
-			for i, ci := range colIdx {
-				row[ci] = vals[i]
-			}
-		}
-		if _, err := t.Insert(row); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// tableRowset builds the resolver environment for UPDATE/DELETE
-// predicates: the table's own columns under its own name.
-func tableRowset(t *relation.Table) *rowset {
-	sch := t.Schema()
-	rs := &rowset{cols: make([]colRef, sch.Len())}
-	for i := 0; i < sch.Len(); i++ {
-		rs.cols[i] = colRef{qual: t.Name(), name: sch.Column(i).Name}
-	}
-	return rs
-}
-
-func (e *Engine) execUpdate(st *UpdateStmt) (int, error) {
-	t, ok := e.db.Table(st.Table)
-	if !ok {
-		return 0, fmt.Errorf("sqlmini: unknown table %q", st.Table)
-	}
-	rs := tableRowset(t)
-	sch := t.Schema()
-	type setOp struct {
-		idx  int
-		expr Expr
-	}
-	sets := make([]setOp, 0, len(st.Sets))
-	for _, s := range st.Sets {
-		i, ok := sch.Index(s.Col)
-		if !ok {
-			return 0, fmt.Errorf("sqlmini: table %s has no column %q", st.Table, s.Col)
-		}
-		sets = append(sets, setOp{idx: i, expr: s.Expr})
-	}
-	var evalErr error
-	pred := func(row relation.Row) bool {
-		if st.Where == nil {
-			return true
-		}
-		v, err := evalScalar(st.Where, row, rs)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return relation.Truthy(v)
-	}
-	set := func(row relation.Row) relation.Row {
-		for _, s := range sets {
-			v, err := evalScalar(s.expr, row, rs)
-			if err != nil {
-				evalErr = err
-				return row
-			}
-			row[s.idx] = v
-		}
-		return row
-	}
-	n, err := t.UpdateWhere(pred, set)
-	if err != nil {
-		return n, err
-	}
-	return n, evalErr
-}
-
-func (e *Engine) execDelete(st *DeleteStmt) (int, error) {
-	t, ok := e.db.Table(st.Table)
-	if !ok {
-		return 0, fmt.Errorf("sqlmini: unknown table %q", st.Table)
-	}
-	rs := tableRowset(t)
-	var evalErr error
-	pred := func(row relation.Row) bool {
-		if st.Where == nil {
-			return true
-		}
-		v, err := evalScalar(st.Where, row, rs)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return relation.Truthy(v)
-	}
-	n, err := t.DeleteWhere(pred)
-	if err != nil {
-		return n, err
-	}
-	return n, evalErr
-}
-
-func (e *Engine) execCreate(st *CreateStmt) error {
-	opts := []relation.TableOption{}
-	if len(st.PK) > 0 {
-		opts = append(opts, relation.WithPrimaryKey(st.PK...))
-	}
-	if st.AutoInc != "" {
-		opts = append(opts, relation.WithAutoIncrement(st.AutoInc))
-	}
-	for _, ix := range st.Indexes {
-		opts = append(opts, relation.WithIndex(ix))
-	}
-	for _, ix := range st.Ordered {
-		opts = append(opts, relation.WithOrderedIndex(ix))
-	}
-	t, err := relation.NewTable(st.Table, relation.NewSchema(st.Cols...), opts...)
-	if err != nil {
-		return err
-	}
-	return e.db.Create(t)
 }

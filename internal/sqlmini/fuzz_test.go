@@ -37,19 +37,23 @@ import (
 // (index nested-loop probes), and Bands.Lo/Hi feed band-join bounds.
 func fuzzSchema(t testing.TB) *Engine {
 	db := relation.NewDB()
-	e := New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Items (ID INT NOT NULL, K INT NOT NULL, V INT, Cat TEXT NOT NULL,
-		PRIMARY KEY (ID), INDEX (Cat), ORDERED INDEX (K))`)
-	mustExec(`CREATE TABLE Bands (ID INT NOT NULL, AK INT NOT NULL, Lo INT NOT NULL, Hi INT NOT NULL,
-		PRIMARY KEY (ID), INDEX (AK))`)
-	mustExec(`CREATE TABLE Peers (ID INT NOT NULL, K INT NOT NULL, W FLOAT,
-		PRIMARY KEY (ID), ORDERED INDEX (K))`)
+	items := db.MustCreate(relation.MustTable("Items", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("K", relation.TypeInt),
+		relation.Col("V", relation.TypeInt),
+		relation.NotNullCol("Cat", relation.TypeString),
+	), relation.WithPrimaryKey("ID"), relation.WithIndex("Cat"), relation.WithOrderedIndex("K")))
+	bands := db.MustCreate(relation.MustTable("Bands", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("AK", relation.TypeInt),
+		relation.NotNullCol("Lo", relation.TypeInt),
+		relation.NotNullCol("Hi", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithIndex("AK")))
+	peers := db.MustCreate(relation.MustTable("Peers", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("K", relation.TypeInt),
+		relation.Col("W", relation.TypeFloat),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("K")))
 
 	// Deterministic data with duplicate keys (merge groups, sort ties),
 	// NULLs (V, W) and overlapping bands.
@@ -60,19 +64,20 @@ func fuzzSchema(t testing.TB) *Engine {
 		if r.Intn(4) != 0 {
 			v = int64(r.Intn(40))
 		}
-		mustExec(`INSERT INTO Items VALUES (?, ?, ?, ?)`, int64(i), int64(r.Intn(25)), v, cats[r.Intn(3)])
+		items.MustInsert(relation.Row{i, r.Intn(25), v, cats[r.Intn(3)]})
 	}
 	for i := 0; i < 150; i++ {
 		lo := r.Intn(22)
-		mustExec(`INSERT INTO Bands VALUES (?, ?, ?, ?)`, int64(i), int64(r.Intn(95)), int64(lo), int64(lo+r.Intn(6)))
+		bands.MustInsert(relation.Row{i, r.Intn(95), lo, lo + r.Intn(6)})
 	}
 	for i := 0; i < 70; i++ {
 		var w any
 		if r.Intn(5) != 0 {
 			w = float64(r.Intn(50)) / 10
 		}
-		mustExec(`INSERT INTO Peers VALUES (?, ?, ?)`, int64(i), int64(r.Intn(25)), w)
+		peers.MustInsert(relation.Row{i, r.Intn(25), w})
 	}
+	e := New(db)
 	return e
 }
 
@@ -421,11 +426,10 @@ func TestQueryFuzzParity(t *testing.T) {
 		if i%37 == 36 {
 			// Churn: insert and delete so statistics drift and cached plans
 			// revalidate mid-corpus.
-			if _, err := e.Exec(`INSERT INTO Items VALUES (?, ?, ?, ?)`, churnID, int64(r.Intn(25)), int64(r.Intn(40)), "cb"); err != nil {
-				t.Fatal(err)
-			}
+			items := e.DB().MustTable("Items")
+			items.MustInsert(relation.Row{churnID, r.Intn(25), r.Intn(40), "cb"})
 			if churnID%3 == 0 {
-				if _, err := e.Exec(`DELETE FROM Items WHERE ID = ?`, churnID-2); err != nil {
+				if err := deleteByKey(items, churnID-2); err != nil {
 					t.Fatal(err)
 				}
 			}

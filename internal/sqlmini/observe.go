@@ -8,12 +8,11 @@ import (
 )
 
 // This file is the statement-level recording layer: when a collector
-// is installed (Engine.Observe), every prepared Stmt.Query and
-// Stmt.Exec records end-to-end latency, rows and route ("query" or
-// "exec") into per-fingerprint histograms, offers slow executions to
-// the slow-query log, and arms EXPLAIN ANALYZE plan capture for
-// admitted entries. When no collector is installed the cost is one
-// atomic load per execution.
+// is installed (Engine.Observe), every prepared Stmt.Query records
+// end-to-end latency and rows under route "query" into per-fingerprint
+// histograms, offers slow executions to the slow-query log, and arms
+// EXPLAIN ANALYZE plan capture for admitted entries. When no collector
+// is installed the cost is one atomic load per execution.
 
 // Observe installs collector c on this engine and every handle
 // derived from it — ForceScan and WithBatchSize handles share the
@@ -47,7 +46,7 @@ func (s *Stmt) observedQuery(c *obs.Collector, en *cacheEntry, args []any) (*Res
 	var plan string
 	var err error
 	start := time.Now()
-	if en.sel != nil && s.capture.CompareAndSwap(true, false) {
+	if s.capture.CompareAndSwap(true, false) {
 		res, plan, err = s.e.analyzeEntry(en, args)
 	} else {
 		res, err = s.e.queryEntry(en, args)
@@ -61,34 +60,20 @@ func (s *Stmt) observedQuery(c *obs.Collector, en *cacheEntry, args []any) (*Res
 	if plan != "" {
 		c.Slow().AttachPlan(s.text, plan)
 	}
-	s.maybeLogSlow(c, "query", d, rows, args, err, own0, ride0)
+	s.maybeLogSlow(c, d, rows, args, err, own0, ride0)
 	return res, err
 }
 
-// observedExec runs a prepared non-SELECT with recording.
-func (s *Stmt) observedExec(c *obs.Collector, en *cacheEntry, args []any) (int, error) {
-	var own0, ride0 int64
-	if c.WALWait != nil {
-		own0, ride0 = c.WALWait()
-	}
-	start := time.Now()
-	n, err := s.e.execEntry(en, args)
-	d := time.Since(start)
-	c.Record(s.text, "exec", d, n, err != nil)
-	s.maybeLogSlow(c, "exec", d, n, args, err, own0, ride0)
-	return n, err
-}
-
 // maybeLogSlow offers one execution to the slow-query log, arming
-// ANALYZE plan capture when a SELECT's entry is admitted plan-less.
-func (s *Stmt) maybeLogSlow(c *obs.Collector, route string, d time.Duration, rows int, args []any, err error, own0, ride0 int64) {
+// ANALYZE plan capture when the entry is admitted plan-less.
+func (s *Stmt) maybeLogSlow(c *obs.Collector, d time.Duration, rows int, args []any, err error, own0, ride0 int64) {
 	slow := c.Slow()
 	if slow == nil || int64(d) <= slow.Floor() {
 		return
 	}
 	e := obs.SlowEntry{
 		SQL:       s.text,
-		Route:     route,
+		Route:     "query",
 		Rows:      rows,
 		LatencyNs: int64(d),
 		At:        time.Now(),
@@ -106,7 +91,7 @@ func (s *Stmt) maybeLogSlow(c *obs.Collector, route string, d time.Duration, row
 		own1, ride1 := c.WALWait()
 		e.WALOwnNs, e.WALRideNs = own1-own0, ride1-ride0
 	}
-	if slow.Offer(e) && s.entry.Load().sel != nil {
+	if slow.Offer(e) {
 		s.capture.Store(true)
 	}
 }

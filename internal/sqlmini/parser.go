@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"courserank/internal/relation"
 )
 
 // parser is a recursive-descent parser over the token stream. Placeholder
@@ -16,11 +14,10 @@ type parser struct {
 	nParams int
 }
 
-// Parse parses a single SQL statement with its argument values
-// substituted for the placeholders — the eagerly-bound form the one-shot
-// helpers and Explain use. Prepared statements instead keep placeholders
-// late-bound via parseStatement.
-func Parse(src string, args ...any) (Statement, error) {
+// Parse parses a single SELECT with its argument values substituted for
+// the placeholders — the eagerly-bound form Explain uses. Prepared
+// statements instead keep placeholders late-bound via parseStatement.
+func Parse(src string, args ...any) (*SelectStmt, error) {
 	stmt, n, err := parseStatement(src)
 	if err != nil {
 		return nil, err
@@ -29,12 +26,12 @@ func Parse(src string, args ...any) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return substStatement(stmt, params), nil
+	return substSelect(stmt, params), nil
 }
 
 // parseStatement parses src leaving placeholders as Param expressions,
 // reporting how many the statement declares.
-func parseStatement(src string) (Statement, int, error) {
+func parseStatement(src string) (*SelectStmt, int, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, 0, err
@@ -95,18 +92,15 @@ func (p *parser) expectIdent() (string, error) {
 	return "", p.errf("expected identifier, got %q", p.peek().text)
 }
 
-func (p *parser) parseStmt() (Statement, error) {
-	switch p.peek().upper() {
+// parseStmt parses the one statement sqlmini runs, a SELECT. The engine
+// is read-only: every write goes through relation.Table or relation.Tx,
+// so data-changing and DDL keywords are refused by name.
+func (p *parser) parseStmt() (*SelectStmt, error) {
+	switch kw := p.peek().upper(); kw {
 	case "SELECT":
 		return p.parseSelect()
-	case "INSERT":
-		return p.parseInsert()
-	case "UPDATE":
-		return p.parseUpdate()
-	case "DELETE":
-		return p.parseDelete()
-	case "CREATE":
-		return p.parseCreate()
+	case "INSERT", "UPDATE", "DELETE", "CREATE":
+		return nil, fmt.Errorf("sqlmini: %s is not supported: sqlmini is read-only, write through relation.Table or relation.Tx", kw)
 	}
 	return nil, p.errf("expected statement, got %q", p.peek().text)
 }
@@ -280,230 +274,6 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		ref.Alias = p.next().text
 	}
 	return ref, nil
-}
-
-func (p *parser) parseInsert() (*InsertStmt, error) {
-	if err := p.expectKeyword("INSERT"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := &InsertStmt{Table: table}
-	if p.acceptSymbol("(") {
-		for {
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, c)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	for {
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		st.Rows = append(st.Rows, row)
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	return st, nil
-}
-
-func (p *parser) parseUpdate() (*UpdateStmt, error) {
-	if err := p.expectKeyword("UPDATE"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	st := &UpdateStmt{Table: table}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Sets = append(st.Sets, SetClause{Col: col, Expr: e})
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	if p.acceptKeyword("WHERE") {
-		if st.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-func (p *parser) parseDelete() (*DeleteStmt, error) {
-	if err := p.expectKeyword("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := &DeleteStmt{Table: table}
-	if p.acceptKeyword("WHERE") {
-		if st.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-var typeNames = map[string]relation.Type{
-	"INT": relation.TypeInt, "INTEGER": relation.TypeInt, "BIGINT": relation.TypeInt,
-	"FLOAT": relation.TypeFloat, "REAL": relation.TypeFloat, "DOUBLE": relation.TypeFloat,
-	"TEXT": relation.TypeString, "VARCHAR": relation.TypeString, "STRING": relation.TypeString,
-	"BOOL": relation.TypeBool, "BOOLEAN": relation.TypeBool,
-}
-
-func (p *parser) parseCreate() (*CreateStmt, error) {
-	if err := p.expectKeyword("CREATE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	st := &CreateStmt{Table: table}
-	for {
-		switch {
-		case p.acceptKeyword("PRIMARY"):
-			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			for {
-				c, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				st.PK = append(st.PK, c)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-		case p.acceptKeyword("INDEX"):
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			st.Indexes = append(st.Indexes, c)
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-		case p.acceptKeyword("ORDERED"):
-			if err := p.expectKeyword("INDEX"); err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol("("); err != nil {
-				return nil, err
-			}
-			c, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			st.Ordered = append(st.Ordered, c)
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-		default:
-			name, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			tname, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			typ, ok := typeNames[strings.ToUpper(tname)]
-			if !ok {
-				return nil, p.errf("unknown type %q", tname)
-			}
-			col := relation.Column{Name: name, Type: typ}
-			for {
-				if p.acceptKeyword("NOT") {
-					if err := p.expectKeyword("NULL"); err != nil {
-						return nil, err
-					}
-					col.NotNull = true
-					continue
-				}
-				if p.acceptKeyword("AUTOINCREMENT") {
-					st.AutoInc = name
-					continue
-				}
-				break
-			}
-			st.Cols = append(st.Cols, col)
-		}
-		if !p.acceptSymbol(",") {
-			break
-		}
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // --- expressions ---

@@ -313,9 +313,9 @@ func TestExplainGoldenRangeINLJReorder(t *testing.T) {
 // NULL keys, so the walk would drop rows the sort must keep).
 func TestNoElisionWhenOrderDiffers(t *testing.T) {
 	e := plannerDB(t)
-	if _, err := e.Exec(`CREATE TABLE NullScores (ID INT NOT NULL, V INT, PRIMARY KEY (ID), ORDERED INDEX (V))`); err != nil {
-		t.Fatal(err)
-	}
+	e.DB().MustCreate(relation.MustTable("NullScores", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt), relation.Col("V", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("V")))
 	for _, sql := range []string{
 		`SELECT CourseID, Year FROM CourseYears WHERE Year >= 2009 ORDER BY CourseID`,
 		`SELECT Year, COUNT(*) AS n FROM CourseYears WHERE Year >= 2008 GROUP BY Year ORDER BY Year`,
@@ -478,13 +478,11 @@ func TestSortAwareParity(t *testing.T) {
 	// NULL semantics around the nullable ordered column: the bounded
 	// descending walk excludes NULL keys exactly like the filter does,
 	// and the refused unbounded elision keeps NULL rows in the sort.
-	if _, err := e.Exec(`CREATE TABLE NullRatings (ID INT NOT NULL, R FLOAT, PRIMARY KEY (ID), ORDERED INDEX (R))`); err != nil {
-		t.Fatal(err)
-	}
+	nullRatings := e.DB().MustCreate(relation.MustTable("NullRatings", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt), relation.Col("R", relation.TypeFloat),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("R")))
 	for i, r := range []any{3.5, nil, 1.0, nil, 4.5, 2.0} {
-		if _, err := e.Exec(`INSERT INTO NullRatings VALUES (?, ?)`, int64(i), r); err != nil {
-			t.Fatal(err)
-		}
+		nullRatings.MustInsert(relation.Row{i, r})
 	}
 	for _, sql := range []string{
 		`SELECT ID, R FROM NullRatings WHERE R >= 1.5 ORDER BY R DESC`,
@@ -582,18 +580,17 @@ func TestRangeINLJReorderParity(t *testing.T) {
 	}
 }
 
-// TestCreateOrderedIndexSQL covers the DDL surface: ORDERED INDEX in
-// CREATE TABLE wires a range access path end to end.
+// TestCreateOrderedIndexSQL: an ordered index declared on the table
+// (relation.WithOrderedIndex) wires a SQL range access path end to end.
 func TestCreateOrderedIndexSQL(t *testing.T) {
-	e := New(relation.NewDB())
-	if _, err := e.Exec(`CREATE TABLE Readings (ID INT NOT NULL, Temp FLOAT NOT NULL, PRIMARY KEY (ID), ORDERED INDEX (Temp))`); err != nil {
-		t.Fatal(err)
-	}
+	db := relation.NewDB()
+	readings := db.MustCreate(relation.MustTable("Readings", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt), relation.NotNullCol("Temp", relation.TypeFloat),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("Temp")))
 	for i := 0; i < 20; i++ {
-		if _, err := e.Exec(`INSERT INTO Readings VALUES (?, ?)`, int64(i), float64(i)/2); err != nil {
-			t.Fatal(err)
-		}
+		readings.MustInsert(relation.Row{i, float64(i) / 2})
 	}
+	e := New(db)
 	out, err := e.Explain(`SELECT ID FROM Readings WHERE Temp >= 5.0`)
 	if err != nil {
 		t.Fatal(err)
@@ -630,14 +627,13 @@ func TestPlannerErrorParity(t *testing.T) {
 // and results stay correct as data changes.
 func TestPlannerSeesMutations(t *testing.T) {
 	e := plannerDB(t)
-	if _, err := e.Exec(`INSERT INTO Courses (CourseID, Title, DepID) VALUES (99, 'Late addition', 'cs')`); err != nil {
-		t.Fatal(err)
-	}
+	courses := e.DB().MustTable("Courses")
+	courses.MustInsert(relation.Row{99, "Late addition", "cs"})
 	res, err := e.Query(`SELECT Title FROM Courses WHERE CourseID = 99`)
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "Late addition" {
 		t.Fatalf("pk lookup after insert: %v %v", res, err)
 	}
-	if _, err := e.Exec(`DELETE FROM Courses WHERE CourseID = 99`); err != nil {
+	if err := deleteByKey(courses, 99); err != nil {
 		t.Fatal(err)
 	}
 	res, err = e.Query(`SELECT Title FROM Courses WHERE CourseID = 99`)

@@ -26,18 +26,6 @@ import (
 // RouteInfo reports them as unmergeable and the router refuses the
 // fan-out rather than returning misordered rows.
 
-// RouteKind discriminates the statement shapes the router handles.
-type RouteKind int
-
-// Statement kinds, as the shard router sees them.
-const (
-	RouteSelect RouteKind = iota
-	RouteInsert
-	RouteUpdate
-	RouteDelete
-	RouteCreate
-)
-
 // TableUse is one base table referenced by a SELECT, identified by its
 // binding (alias, or table name when unaliased) — self-joins reference
 // one table under two bindings, and routing reasons about bindings.
@@ -91,9 +79,6 @@ const (
 // the statement text alone — never from data — so it is computed once
 // at prepare and shared across executions.
 type RouteInfo struct {
-	Kind RouteKind
-
-	// SELECT shape.
 	Tables   []TableUse
 	Eq       []EqCond
 	Agg      bool
@@ -115,11 +100,6 @@ type RouteInfo struct {
 	Combine    []CombineOp
 	CombineOK  bool
 	CombineErr string
-
-	// DML shape.
-	Table      string   // INSERT/UPDATE/DELETE/CREATE target
-	SetCols    []string // UPDATE: assigned columns
-	InsertRows int      // INSERT: number of VALUES rows
 }
 
 // RouteInfo computes the statement's routing metadata. The result is
@@ -130,37 +110,13 @@ func (s *Stmt) RouteInfo() (*RouteInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return routeInfoOf(en)
+	return routeInfoOf(en.sel), nil
 }
 
-func routeInfoOf(en *cacheEntry) (*RouteInfo, error) {
-	switch st := en.ast.(type) {
-	case *SelectStmt:
-		return selectRouteInfo(en.sel)
-	case *InsertStmt:
-		return &RouteInfo{Kind: RouteInsert, Table: st.Table, InsertRows: len(st.Rows)}, nil
-	case *UpdateStmt:
-		ri := &RouteInfo{Kind: RouteUpdate, Table: st.Table}
-		for _, set := range st.Sets {
-			ri.SetCols = append(ri.SetCols, set.Col)
-		}
-		ri.Eq = dmlEqConds(st.Table, st.Where)
-		return ri, nil
-	case *DeleteStmt:
-		ri := &RouteInfo{Kind: RouteDelete, Table: st.Table}
-		ri.Eq = dmlEqConds(st.Table, st.Where)
-		return ri, nil
-	case *CreateStmt:
-		return &RouteInfo{Kind: RouteCreate, Table: st.Table}, nil
-	}
-	return nil, fmt.Errorf("sqlmini: unroutable statement %T", en.ast)
-}
-
-// selectRouteInfo extracts the SELECT shape from a prepared select.
-func selectRouteInfo(ps *preparedSelect) (*RouteInfo, error) {
+// routeInfoOf extracts the routing shape from a prepared select.
+func routeInfoOf(ps *preparedSelect) *RouteInfo {
 	sel := ps.sel
 	ri := &RouteInfo{
-		Kind:     RouteSelect,
 		Agg:      ps.aggMode,
 		Distinct: sel.Distinct,
 		HasOrder: len(ps.order) > 0,
@@ -196,7 +152,7 @@ func selectRouteInfo(ps *preparedSelect) (*RouteInfo, error) {
 	if ps.aggMode {
 		ri.Combine, ri.CombineOK, ri.CombineErr = combineOpsOf(ps)
 	}
-	return ri, nil
+	return ri
 }
 
 // resolveBinding maps a column reference to (binding, column).
@@ -263,23 +219,6 @@ func valuePin(ref *Ref, v Expr, res func(*Ref) (BoundCol, bool), edgesOnly bool)
 		return EqCond{Col: bc, Param: -1, Value: nv}, true
 	}
 	return EqCond{}, false
-}
-
-// dmlEqConds extracts value pins from a single-table DML WHERE clause.
-func dmlEqConds(table string, where Expr) []EqCond {
-	var out []EqCond
-	res := func(ref *Ref) (BoundCol, bool) {
-		if ref.Qual != "" && !strings.EqualFold(ref.Qual, table) {
-			return BoundCol{}, false
-		}
-		return BoundCol{Binding: table, Col: ref.Name}, true
-	}
-	for _, c := range splitConjuncts(where) {
-		if eq, ok := eqCondOf(c, res, false); ok && eq.Other == nil {
-			out = append(out, eq)
-		}
-	}
-	return out
 }
 
 // mergeKeysOf maps the prepared ORDER BY onto output columns, per the
@@ -387,22 +326,10 @@ func (s *Stmt) QueryWindow(limit, offset int64, args ...any) (*Result, error) {
 	return s.e.queryEntry(windowEntry(en, limit, offset), args)
 }
 
-// QueryRowsWindow is QueryWindow returning a streaming Rows iterator.
-func (s *Stmt) QueryRowsWindow(limit, offset int64, args ...any) (*Rows, error) {
-	en, err := s.current()
-	if err != nil {
-		return nil, err
-	}
-	return s.e.rowsEntry(windowEntry(en, limit, offset), args)
-}
-
 // windowEntry shadows a prepared entry with the window replaced by
 // literals. Entries are immutable, so the shadow copies the two
 // structs on the path to the Limit/Offset fields and shares the rest.
 func windowEntry(en *cacheEntry, limit, offset int64) *cacheEntry {
-	if en.sel == nil {
-		return en
-	}
 	sel := *en.sel.sel
 	if limit < 0 {
 		sel.Limit = nil
@@ -427,9 +354,6 @@ func windowEntry(en *cacheEntry, limit, offset int64) *cacheEntry {
 // limit+offset rows for the coordinator's global window to be exact).
 func (s *Stmt) WindowValues(args ...any) (limit, offset int64, err error) {
 	en := s.entry.Load()
-	if en.sel == nil {
-		return -1, 0, fmt.Errorf("sqlmini: WindowValues requires a SELECT statement")
-	}
 	params, err := bindArgs(en.nParams, args)
 	if err != nil {
 		return -1, 0, err
@@ -439,60 +363,4 @@ func (s *Stmt) WindowValues(args ...any) (limit, offset int64, err error) {
 		return -1, 0, err
 	}
 	return win.limit, win.offset, nil
-}
-
-// InsertColumnValues evaluates the named column of every VALUES row of
-// a prepared INSERT with args bound — how the router learns each
-// row's shard key. Values come back normalized. The boolean reports
-// whether the statement sets the column at all.
-func (s *Stmt) InsertColumnValues(col string, args ...any) ([]relation.Value, bool, error) {
-	en, err := s.current()
-	if err != nil {
-		return nil, false, err
-	}
-	ins, ok := en.ast.(*InsertStmt)
-	if !ok {
-		return nil, false, fmt.Errorf("sqlmini: InsertColumnValues requires an INSERT statement")
-	}
-	pos := -1
-	if len(ins.Cols) > 0 {
-		for i, c := range ins.Cols {
-			if strings.EqualFold(c, col) {
-				pos = i
-				break
-			}
-		}
-	} else {
-		t, ok := s.e.db.Table(ins.Table)
-		if !ok {
-			return nil, false, fmt.Errorf("sqlmini: no table %q", ins.Table)
-		}
-		if i, ok := t.Schema().Index(col); ok {
-			pos = i
-		}
-	}
-	if pos < 0 {
-		return nil, false, nil
-	}
-	params, err := bindArgs(en.nParams, args)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]relation.Value, len(ins.Rows))
-	empty := &rowset{}
-	for i, row := range ins.Rows {
-		if pos >= len(row) {
-			return nil, false, fmt.Errorf("sqlmini: INSERT row %d has no value for %s", i+1, col)
-		}
-		v, err := evalScalar(substExpr(row[pos], params), nil, empty)
-		if err != nil {
-			return nil, false, err
-		}
-		nv, err := relation.Normalize(v)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = nv
-	}
-	return out, true, nil
 }

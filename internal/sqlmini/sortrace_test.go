@@ -8,6 +8,14 @@ import (
 	"courserank/internal/relation"
 )
 
+// scoredTable is an empty (ID, Score) table with Score ordered-indexed.
+func scoredTable(name string) *relation.Table {
+	return relation.MustTable(name, relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("Score", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("Score"))
+}
+
 // TestSortAwareCursorsUnderDML is the -race mirror of stream_test.go
 // for the sort-aware executor paths: open descending-range, merge-join
 // and band-join cursors pull rows while writers churn the same tables.
@@ -17,23 +25,21 @@ import (
 func TestSortAwareCursorsUnderDML(t *testing.T) {
 	db := relation.NewDB()
 	e := New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Events (ID INT NOT NULL, Score INT NOT NULL, PRIMARY KEY (ID), ORDERED INDEX (Score))`)
-	mustExec(`CREATE TABLE Peers (ID INT NOT NULL, Score INT NOT NULL, PRIMARY KEY (ID), ORDERED INDEX (Score))`)
-	mustExec(`CREATE TABLE Bands (ID INT NOT NULL, Lo INT NOT NULL, Hi INT NOT NULL, PRIMARY KEY (ID))`)
+	events := db.MustCreate(scoredTable("Events"))
+	peers := db.MustCreate(scoredTable("Peers"))
+	bands := db.MustCreate(relation.MustTable("Bands", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("Lo", relation.TypeInt),
+		relation.NotNullCol("Hi", relation.TypeInt),
+	), relation.WithPrimaryKey("ID")))
 	for i := 0; i < 300; i++ {
-		mustExec(`INSERT INTO Events VALUES (?, ?)`, int64(i), int64(i%100))
+		events.MustInsert(relation.Row{i, i % 100})
 	}
 	for i := 0; i < 80; i++ {
-		mustExec(`INSERT INTO Peers VALUES (?, ?)`, int64(i), int64(i%100))
+		peers.MustInsert(relation.Row{i, i % 100})
 	}
 	for i := 0; i < 40; i++ {
-		mustExec(`INSERT INTO Bands VALUES (?, ?, ?)`, int64(i), int64(i*2), int64(i*2+10))
+		bands.MustInsert(relation.Row{i, i * 2, i*2 + 10})
 	}
 
 	// Pin that the readers below actually exercise the new operators.
@@ -175,15 +181,15 @@ func TestSortAwareCursorsUnderDML(t *testing.T) {
 			base := int64(1000 + 200*g)
 			for i := 0; i < iters; i++ {
 				id := base + int64(i%60)
-				if _, err := e.Exec(`INSERT INTO Events VALUES (?, ?)`, id, int64(i%100)); err != nil {
+				if _, err := events.Insert(relation.Row{id, i % 100}); err != nil {
 					fail <- "insert: " + err.Error()
 					return
 				}
-				if _, err := e.Exec(`UPDATE Events SET Score = Score + 3 WHERE ID = ?`, id); err != nil {
+				if err := updateByKey(events, id, func(r relation.Row) { r[1] = r[1].(int64) + 3 }); err != nil {
 					fail <- "update: " + err.Error()
 					return
 				}
-				if _, err := e.Exec(`DELETE FROM Events WHERE ID = ?`, id); err != nil {
+				if err := deleteByKey(events, id); err != nil {
 					fail <- "delete: " + err.Error()
 					return
 				}
@@ -209,15 +215,9 @@ func TestSortAwareCursorsUnderDML(t *testing.T) {
 func TestDegradedSortPathsUnderDDLRace(t *testing.T) {
 	db := relation.NewDB()
 	e := New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Peers (ID INT NOT NULL, Score INT NOT NULL, PRIMARY KEY (ID), ORDERED INDEX (Score))`)
+	peers := db.MustCreate(scoredTable("Peers"))
 	for i := 0; i < 50; i++ {
-		mustExec(`INSERT INTO Peers VALUES (?, ?)`, int64(i), int64(i%20))
+		peers.MustInsert(relation.Row{i, i % 20})
 	}
 	vanishSchema := relation.NewSchema(
 		relation.NotNullCol("ID", relation.TypeInt),

@@ -9,43 +9,56 @@ import (
 )
 
 // testDB builds a small Courses/Students/Comments database mirroring the
-// paper's schema (§3.2).
+// paper's schema (§3.2). The engine is read-only, so the fixture writes
+// through relation like the product does.
 func testDB(t *testing.T) *Engine {
 	t.Helper()
 	db := relation.NewDB()
-	e := New(db)
-	stmts := []string{
-		`CREATE TABLE Courses (CourseID INT NOT NULL AUTOINCREMENT, DepID TEXT, Title TEXT, Units INT, Year INT, PRIMARY KEY (CourseID), INDEX (DepID))`,
-		`CREATE TABLE Students (SuID INT NOT NULL, Name TEXT, Class TEXT, GPA FLOAT, PRIMARY KEY (SuID))`,
-		`CREATE TABLE Comments (SuID INT, CourseID INT, Year INT, Rating INT, Text TEXT)`,
+	courses := db.MustCreate(relation.MustTable("Courses", relation.NewSchema(
+		relation.NotNullCol("CourseID", relation.TypeInt),
+		relation.Col("DepID", relation.TypeString),
+		relation.Col("Title", relation.TypeString),
+		relation.Col("Units", relation.TypeInt),
+		relation.Col("Year", relation.TypeInt),
+	), relation.WithPrimaryKey("CourseID"), relation.WithAutoIncrement("CourseID"), relation.WithIndex("DepID")))
+	students := db.MustCreate(relation.MustTable("Students", relation.NewSchema(
+		relation.NotNullCol("SuID", relation.TypeInt),
+		relation.Col("Name", relation.TypeString),
+		relation.Col("Class", relation.TypeString),
+		relation.Col("GPA", relation.TypeFloat),
+	), relation.WithPrimaryKey("SuID")))
+	comments := db.MustCreate(relation.MustTable("Comments", relation.NewSchema(
+		relation.Col("SuID", relation.TypeInt),
+		relation.Col("CourseID", relation.TypeInt),
+		relation.Col("Year", relation.TypeInt),
+		relation.Col("Rating", relation.TypeInt),
+		relation.Col("Text", relation.TypeString),
+	)))
+	for _, r := range []relation.Row{
+		{1, "CS", "Introduction to Programming", 5, 2008},
+		{2, "CS", "Advanced Programming", 4, 2008},
+		{3, "CS", "Operating Systems", 4, 2007},
+		{4, "HIST", "American History", 3, 2008},
+		{5, "CLASSICS", "Greek Science", 3, 2008},
+	} {
+		courses.MustInsert(r)
 	}
-	for _, s := range stmts {
-		if _, err := e.Exec(s); err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
+	for _, r := range []relation.Row{
+		{444, "Sally", "2009", 3.8}, {445, "Bob", "2009", 3.2}, {446, "Eve", "2010", 3.5},
+	} {
+		students.MustInsert(r)
 	}
-	inserts := []string{
-		`INSERT INTO Courses (CourseID, DepID, Title, Units, Year) VALUES
-			(1, 'CS', 'Introduction to Programming', 5, 2008),
-			(2, 'CS', 'Advanced Programming', 4, 2008),
-			(3, 'CS', 'Operating Systems', 4, 2007),
-			(4, 'HIST', 'American History', 3, 2008),
-			(5, 'CLASSICS', 'Greek Science', 3, 2008)`,
-		`INSERT INTO Students VALUES (444, 'Sally', '2009', 3.8), (445, 'Bob', '2009', 3.2), (446, 'Eve', '2010', 3.5)`,
-		`INSERT INTO Comments VALUES
-			(444, 1, 2008, 5, 'great intro'),
-			(444, 4, 2008, 4, 'fun course'),
-			(445, 1, 2008, 4, 'liked it'),
-			(445, 2, 2008, 3, 'hard'),
-			(446, 1, 2007, 5, 'best class'),
-			(446, 5, 2008, NULL, 'no rating yet')`,
+	for _, r := range []relation.Row{
+		{444, 1, 2008, 5, "great intro"},
+		{444, 4, 2008, 4, "fun course"},
+		{445, 1, 2008, 4, "liked it"},
+		{445, 2, 2008, 3, "hard"},
+		{446, 1, 2007, 5, "best class"},
+		{446, 5, 2008, nil, "no rating yet"},
+	} {
+		comments.MustInsert(r)
 	}
-	for _, s := range inserts {
-		if _, err := e.Exec(s); err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-	}
-	return e
+	return New(db)
 }
 
 func mustQuery(t *testing.T, e *Engine, sql string, args ...any) *Result {
@@ -55,6 +68,28 @@ func mustQuery(t *testing.T, e *Engine, sql string, args ...any) *Result {
 		t.Fatalf("Query(%s): %v", sql, err)
 	}
 	return res
+}
+
+// deleteByKey and updateByKey are the relation-side twins of
+// `DELETE … WHERE pk = ?` and `UPDATE … WHERE pk = ?` that the churn
+// tests write with: they match on tbl's first primary-key column.
+func deleteByKey(tbl *relation.Table, key relation.Value) error {
+	_, err := tbl.DeleteWhere(keyPred(tbl, key))
+	return err
+}
+
+func updateByKey(tbl *relation.Table, key relation.Value, set func(relation.Row)) error {
+	_, err := tbl.UpdateWhere(keyPred(tbl, key), func(r relation.Row) relation.Row {
+		set(r)
+		return r
+	})
+	return err
+}
+
+func keyPred(tbl *relation.Table, key relation.Value) func(relation.Row) bool {
+	pk := tbl.Schema().MustIndex(tbl.PrimaryKey()[0])
+	key, _ = relation.Normalize(key)
+	return func(r relation.Row) bool { return relation.Equal(r[pk], key) }
 }
 
 func TestSelectAll(t *testing.T) {
@@ -299,9 +334,17 @@ func TestPlaceholders(t *testing.T) {
 	}
 }
 
+// TestUpdateAndDelete: predicate writes through relation — an update
+// that reads the old value and a delete on a NULL test — are what the
+// next SELECT sees.
 func TestUpdateAndDelete(t *testing.T) {
 	e := testDB(t)
-	n, err := e.Exec(`UPDATE Students SET GPA = GPA + 0.1 WHERE Class = '2009'`)
+	students := e.DB().MustTable("Students")
+	class, gpa := students.Schema().MustIndex("Class"), students.Schema().MustIndex("GPA")
+	n, err := students.UpdateWhere(func(r relation.Row) bool { return r[class] == "2009" }, func(r relation.Row) relation.Row {
+		r[gpa] = r[gpa].(float64) + 0.1
+		return r
+	})
 	if err != nil || n != 2 {
 		t.Fatalf("update n=%d err=%v", n, err)
 	}
@@ -309,7 +352,9 @@ func TestUpdateAndDelete(t *testing.T) {
 	if g := res.Rows[0][0].(float64); g < 3.89 || g > 3.91 {
 		t.Errorf("GPA = %v", g)
 	}
-	n, err = e.Exec(`DELETE FROM Comments WHERE Rating IS NULL`)
+	comments := e.DB().MustTable("Comments")
+	rating := comments.Schema().MustIndex("Rating")
+	n, err = comments.DeleteWhere(func(r relation.Row) bool { return r[rating] == nil })
 	if err != nil || n != 1 {
 		t.Fatalf("delete n=%d err=%v", n, err)
 	}
@@ -318,12 +363,11 @@ func TestUpdateAndDelete(t *testing.T) {
 	}
 }
 
+// TestInsertPartialColumns: a row inserted through relation with its
+// auto-increment key left NULL gets the next id, which SQL reads back.
 func TestInsertPartialColumns(t *testing.T) {
 	e := testDB(t)
-	// CourseID auto-increments when omitted (NULL default for missing cols).
-	if _, err := e.Exec(`INSERT INTO Courses (DepID, Title) VALUES ('MATH', 'Calculus')`); err != nil {
-		t.Fatal(err)
-	}
+	e.DB().MustTable("Courses").MustInsert(relation.Row{nil, "MATH", "Calculus", nil, nil})
 	res := mustQuery(t, e, `SELECT CourseID FROM Courses WHERE Title = 'Calculus'`)
 	if res.Rows[0][0] != int64(6) {
 		t.Errorf("auto id = %v", res.Rows[0][0])
@@ -368,20 +412,36 @@ func TestErrorCases(t *testing.T) {
 			t.Errorf("expected error for %q", q)
 		}
 	}
-	if _, err := e.Exec(`INSERT INTO NoSuch VALUES (1)`); err == nil {
-		t.Error("insert into missing table should fail")
+}
+
+// TestReadOnlyRefusesWrites: the engine runs SELECTs only. Every
+// entry point refuses a data-changing or DDL statement by name, before
+// it touches a table.
+func TestReadOnlyRefusesWrites(t *testing.T) {
+	e := testDB(t)
+	for _, q := range []string{
+		`INSERT INTO Students VALUES (1, 'x', 'y', 1.0)`,
+		`UPDATE Students SET GPA = 4.0 WHERE SuID = 444`,
+		`DELETE FROM Comments`,
+		`CREATE TABLE Extra (ID INT)`,
+	} {
+		kw := strings.Fields(q)[0]
+		want := "sqlmini: " + kw + " is not supported: sqlmini is read-only, write through relation.Table or relation.Tx"
+		_, errPrepare := e.Prepare(q)
+		_, errQuery := e.Query(q)
+		_, errExplain := e.Explain(q)
+		_, errAnalyze := e.ExplainAnalyze(q)
+		for name, err := range map[string]error{"Prepare": errPrepare, "Query": errQuery, "Explain": errExplain, "ExplainAnalyze": errAnalyze} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s(%s) = %v, want %q", name, kw, err, want)
+			}
+		}
 	}
-	if _, err := e.Exec(`UPDATE Students SET Nope = 1`); err == nil {
-		t.Error("update of missing column should fail")
+	if n := mustQuery(t, e, `SELECT COUNT(*) FROM Comments`).Rows[0][0]; n != int64(6) {
+		t.Errorf("Comments has %v rows after refused writes, want 6", n)
 	}
-	if _, err := e.Exec(`SELECT * FROM Courses`); err == nil {
-		t.Error("Exec of SELECT should fail")
-	}
-	if _, err := e.Query(`INSERT INTO Students VALUES (1, 'x', 'y', 1.0)`); err == nil {
-		t.Error("Query of INSERT should fail")
-	}
-	if _, err := e.Exec(`CREATE TABLE Students (SuID INT)`); err == nil {
-		t.Error("duplicate CREATE should fail")
+	if _, ok := e.DB().Table("Extra"); ok {
+		t.Error("refused CREATE TABLE created a table")
 	}
 }
 
@@ -446,11 +506,10 @@ func TestExprStringRoundTrip(t *testing.T) {
 		`SELECT COUNT(DISTINCT A), MAX(B) FROM c WHERE X IS NOT NULL`,
 	}
 	for _, q := range exprs {
-		st, err := Parse(q)
+		sel, err := Parse(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		sel := st.(*SelectStmt)
 		s1 := sel.Where.String()
 		if s1 == "" && sel.Where != nil {
 			t.Errorf("empty String for %q", q)

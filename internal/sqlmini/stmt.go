@@ -10,10 +10,10 @@ import (
 // This file is the prepared-statement layer of the engine: the
 // database/sql-style lifecycle
 //
-//	Prepare(sql) → *Stmt → Query/Exec/QueryRows(args...)
+//	Prepare(sql) → *Stmt → Query/QueryRows(args...)
 //
-// Prepare lexes, parses and (for SELECTs) plans once; executions bind
-// arguments into the late-bound Param slots and run the cached plan.
+// Prepare lexes, parses and plans once; executions bind arguments into
+// the late-bound Param slots and run the cached plan.
 // Statements revalidate their schema fingerprint before every
 // execution, replanning through the shared cache when a dependent
 // table has mutated or been replaced.
@@ -118,26 +118,21 @@ func (e *Engine) entryFor(sql string) (*cacheEntry, error) {
 	return en, nil
 }
 
-// buildEntry parses sql with late-bound placeholders and, for SELECTs,
-// plans it and records the schema fingerprint.
+// buildEntry parses sql with late-bound placeholders, plans it and
+// records the schema fingerprint.
 func (e *Engine) buildEntry(sql string) (*cacheEntry, error) {
-	st, n, err := parseStatement(sql)
+	sel, n, err := parseStatement(sql)
 	if err != nil {
 		return nil, err
 	}
-	en := &cacheEntry{text: sql, ast: st, nParams: n}
-	if sel, ok := st.(*SelectStmt); ok {
-		ps, err := e.prepareSelect(sel)
-		if err != nil {
-			return nil, err
-		}
-		en.sel = ps
-		en.deps = ps.plan.deps
+	ps, err := e.prepareSelect(sel)
+	if err != nil {
+		return nil, err
 	}
-	return en, nil
+	return &cacheEntry{text: sql, nParams: n, sel: ps, deps: ps.plan.deps}, nil
 }
 
-// Stmt is a prepared statement: parsed once, planned once, executable
+// Stmt is a prepared SELECT: parsed once, planned once, executable
 // many times with different arguments. Statements are safe for
 // concurrent use; each execution revalidates the plan's schema
 // fingerprint and transparently replans after the underlying tables
@@ -154,10 +149,11 @@ type Stmt struct {
 	capture atomic.Bool
 }
 
-// Prepare parses and plans sql, leaving placeholders ('?') unbound
+// Prepare parses and plans a SELECT, leaving placeholders ('?') unbound
 // until execution. The plan lands in the engine's shared cache, so
 // preparing the same text twice — or mixing Prepare with one-shot
-// Query/Exec of the same text — shares one plan.
+// Query of the same text — shares one plan. Any other statement is
+// refused: the engine is read-only.
 func (e *Engine) Prepare(sql string) (*Stmt, error) {
 	en, err := e.entryFor(sql)
 	if err != nil {
@@ -173,7 +169,7 @@ func (e *Engine) Prepare(sql string) (*Stmt, error) {
 func (s *Stmt) current() (*cacheEntry, error) {
 	en := s.entry.Load()
 	if en.valid(s.e.db) {
-		if s.e.cache != nil && en.sel != nil {
+		if s.e.cache != nil {
 			s.e.cache.hits.Add(1)
 		}
 		return en, nil
@@ -192,17 +188,12 @@ func (s *Stmt) Text() string { return s.text }
 // NumParams reports how many placeholders the statement declares.
 func (s *Stmt) NumParams() int { return s.entry.Load().nParams }
 
-// Columns returns the output column names of a prepared SELECT, or nil
-// for other statements.
+// Columns returns the statement's output column names.
 func (s *Stmt) Columns() []string {
-	en := s.entry.Load()
-	if en.sel == nil {
-		return nil
-	}
-	return append([]string(nil), en.sel.outCols...)
+	return append([]string(nil), s.entry.Load().sel.outCols...)
 }
 
-// Query executes a prepared SELECT with args bound to its placeholders,
+// Query executes the prepared SELECT with args bound to its placeholders,
 // returning the materialized result.
 func (s *Stmt) Query(args ...any) (*Result, error) {
 	en, err := s.current()
@@ -215,20 +206,7 @@ func (s *Stmt) Query(args ...any) (*Result, error) {
 	return s.e.queryEntry(en, args)
 }
 
-// Exec executes a prepared non-SELECT statement with args bound,
-// returning the number of rows affected.
-func (s *Stmt) Exec(args ...any) (int, error) {
-	en, err := s.current()
-	if err != nil {
-		return 0, err
-	}
-	if c := s.e.Observer(); c != nil {
-		return s.observedExec(c, en, args)
-	}
-	return s.e.execEntry(en, args)
-}
-
-// QueryRows executes a prepared SELECT and returns a Rows iterator.
+// QueryRows executes the prepared SELECT and returns a Rows iterator.
 func (s *Stmt) QueryRows(args ...any) (*Rows, error) {
 	en, err := s.current()
 	if err != nil {
@@ -237,14 +215,10 @@ func (s *Stmt) QueryRows(args ...any) (*Rows, error) {
 	return s.e.rowsEntry(en, args)
 }
 
-// Explain renders the physical plan of a prepared SELECT; placeholders
-// show as '?' since their values bind only at execution.
+// Explain renders the statement's physical plan; placeholders show as
+// '?' since their values bind only at execution.
 func (s *Stmt) Explain() (string, error) {
-	en := s.entry.Load()
-	if en.sel == nil {
-		return "", fmt.Errorf("sqlmini: Explain requires a SELECT statement")
-	}
-	return en.sel.plan.String(), nil
+	return s.entry.Load().sel.plan.String(), nil
 }
 
 // QueryRows executes a SELECT and returns a Rows iterator — the
@@ -265,9 +239,6 @@ func (e *Engine) QueryRows(sql string, args ...any) (*Rows, error) {
 // projects lazily at Scan. Aggregation, DISTINCT and un-elided ORDER BY
 // need the full result anyway and fall back to materialized rows.
 func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
-	if en.sel == nil {
-		return nil, fmt.Errorf("sqlmini: Query requires a SELECT statement")
-	}
 	ps := en.sel
 	if !ps.streams() {
 		res, err := e.queryEntry(en, args)

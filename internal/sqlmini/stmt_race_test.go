@@ -18,15 +18,13 @@ import (
 func TestConcurrentPrepareQueryMutate(t *testing.T) {
 	db := relation.NewDB()
 	e := New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Courses (CourseID INT NOT NULL, Title TEXT NOT NULL, DepID TEXT NOT NULL, PRIMARY KEY (CourseID), INDEX (DepID))`)
+	courses := db.MustCreate(relation.MustTable("Courses", relation.NewSchema(
+		relation.NotNullCol("CourseID", relation.TypeInt),
+		relation.NotNullCol("Title", relation.TypeString),
+		relation.NotNullCol("DepID", relation.TypeString),
+	), relation.WithPrimaryKey("CourseID"), relation.WithIndex("DepID")))
 	for i := 1; i <= 40; i++ {
-		mustExec(`INSERT INTO Courses VALUES (?, ?, ?)`, int64(i), "seed", []string{"cs", "ee", "me"}[i%3])
+		courses.MustInsert(relation.Row{i, "seed", []string{"cs", "ee", "me"}[i%3]})
 	}
 
 	const (
@@ -92,11 +90,11 @@ func TestConcurrentPrepareQueryMutate(t *testing.T) {
 			defer wg.Done()
 			id := int64(1000 + g)
 			for i := 0; i < iters; i++ {
-				if _, err := e.Exec(`INSERT INTO Courses VALUES (?, 'churn', 'cs')`, id); err != nil {
+				if _, err := courses.Insert(relation.Row{id, "churn", "cs"}); err != nil {
 					fail <- "insert: " + err.Error()
 					return
 				}
-				if _, err := e.Exec(`DELETE FROM Courses WHERE CourseID = ?`, id); err != nil {
+				if err := deleteByKey(courses, id); err != nil {
 					fail <- "delete: " + err.Error()
 					return
 				}
@@ -121,10 +119,9 @@ func TestConcurrentPrepareQueryMutate(t *testing.T) {
 	// DDL churner: drop and recreate a scratch table (same schema, new
 	// identity) while a reader holds a statement against it. The reader
 	// tolerates unknown-table windows; wrong results are failures.
-	mustExec(`CREATE TABLE Scratch (K INT NOT NULL, V TEXT NOT NULL, PRIMARY KEY (K))`)
-	if _, err := db.MustTable("Scratch").Insert(relation.Row{int64(1), "v"}); err != nil {
-		t.Fatal(err)
-	}
+	db.MustCreate(relation.MustTable("Scratch", relation.NewSchema(
+		relation.NotNullCol("K", relation.TypeInt), relation.NotNullCol("V", relation.TypeString),
+	), relation.WithPrimaryKey("K"))).MustInsert(relation.Row{1, "v"})
 	scratchStmt, err := e.Prepare(`SELECT V FROM Scratch WHERE K = ?`)
 	if err != nil {
 		t.Fatal(err)

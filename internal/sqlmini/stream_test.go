@@ -96,20 +96,20 @@ func TestRowsEarlyCloseStopsPipeline(t *testing.T) {
 func TestStreamingUnderDML(t *testing.T) {
 	db := relation.NewDB()
 	e := New(db)
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Events (ID INT NOT NULL, Kind TEXT NOT NULL, Score INT NOT NULL,
-		PRIMARY KEY (ID), INDEX (Kind), ORDERED INDEX (Score))`)
-	mustExec(`CREATE TABLE Kinds (Kind TEXT NOT NULL, Label TEXT NOT NULL, INDEX (Kind))`)
+	events := db.MustCreate(relation.MustTable("Events", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("Kind", relation.TypeString),
+		relation.NotNullCol("Score", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithIndex("Kind"), relation.WithOrderedIndex("Score")))
+	kinds := db.MustCreate(relation.MustTable("Kinds", relation.NewSchema(
+		relation.NotNullCol("Kind", relation.TypeString),
+		relation.NotNullCol("Label", relation.TypeString),
+	), relation.WithIndex("Kind")))
 	for _, k := range []string{"a", "b", "c"} {
-		mustExec(`INSERT INTO Kinds VALUES (?, ?)`, k, "label-"+k)
+		kinds.MustInsert(relation.Row{k, "label-" + k})
 	}
 	for i := 0; i < 300; i++ {
-		mustExec(`INSERT INTO Events VALUES (?, ?, ?)`, int64(i), []string{"a", "b", "c"}[i%3], int64(i%100))
+		events.MustInsert(relation.Row{i, []string{"a", "b", "c"}[i%3], i % 100})
 	}
 
 	const (
@@ -205,15 +205,15 @@ func TestStreamingUnderDML(t *testing.T) {
 			base := int64(1000 + 100*g)
 			for i := 0; i < iters; i++ {
 				id := base + int64(i%50)
-				if _, err := e.Exec(`INSERT INTO Events VALUES (?, 'b', ?)`, id, int64(45+i%20)); err != nil {
+				if _, err := events.Insert(relation.Row{id, "b", 45 + i%20}); err != nil {
 					fail <- "insert: " + err.Error()
 					return
 				}
-				if _, err := e.Exec(`UPDATE Events SET Score = Score + 1 WHERE ID = ?`, id); err != nil {
+				if err := updateByKey(events, id, func(r relation.Row) { r[2] = r[2].(int64) + 1 }); err != nil {
 					fail <- "update: " + err.Error()
 					return
 				}
-				if _, err := e.Exec(`DELETE FROM Events WHERE ID = ?`, id); err != nil {
+				if err := deleteByKey(events, id); err != nil {
 					fail <- "delete: " + err.Error()
 					return
 				}
@@ -236,14 +236,11 @@ func TestStreamingUnderDML(t *testing.T) {
 func TestDegradedRangeFallbackKeepsElidedOrder(t *testing.T) {
 	db := relation.NewDB()
 	e := New(db)
-	if _, err := e.Exec(`CREATE TABLE T (ID INT NOT NULL, V INT NOT NULL, PRIMARY KEY (ID), ORDERED INDEX (V))`); err != nil {
-		t.Fatal(err)
-	}
-	vals := []int64{7, 2, 9, 4, 6, 3, 8}
-	for i, v := range vals {
-		if _, err := e.Exec(`INSERT INTO T VALUES (?, ?)`, int64(i), v); err != nil {
-			t.Fatal(err)
-		}
+	tbl := db.MustCreate(relation.MustTable("T", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt), relation.NotNullCol("V", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("V")))
+	for i, v := range []int64{7, 2, 9, 4, 6, 3, 8} {
+		tbl.MustInsert(relation.Row{i, v})
 	}
 	en, err := e.buildEntry(`SELECT ID, V FROM T WHERE V >= 3 ORDER BY V`)
 	if err != nil {

@@ -35,24 +35,33 @@ type windowShape struct {
 // it instead of hashing it.
 func windowCorpus(t testing.TB, e *Engine) []windowShape {
 	t.Helper()
-	mustExec := func(sql string, args ...any) {
-		t.Helper()
-		if _, err := e.Exec(sql, args...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(`CREATE TABLE Subjects (CourseID INT NOT NULL, Dep TEXT NOT NULL, Title TEXT NOT NULL,
-		PRIMARY KEY (CourseID), INDEX (Title))`)
-	mustExec(`CREATE TABLE Years (CourseID INT NOT NULL, Year INT NOT NULL, ORDERED INDEX (Year), INDEX (CourseID))`)
-	mustExec(`CREATE TABLE Teachers (TeacherID INT NOT NULL, Name TEXT, PRIMARY KEY (TeacherID))`)
-	mustExec(`CREATE TABLE Notes (ID INT NOT NULL, Owner INT NOT NULL, Course INT NOT NULL, Rating FLOAT NOT NULL, Teacher INT,
-		PRIMARY KEY (ID), INDEX (Owner), ORDERED INDEX (Rating))`)
+	db := e.DB()
+	subjects := db.MustCreate(relation.MustTable("Subjects", relation.NewSchema(
+		relation.NotNullCol("CourseID", relation.TypeInt),
+		relation.NotNullCol("Dep", relation.TypeString),
+		relation.NotNullCol("Title", relation.TypeString),
+	), relation.WithPrimaryKey("CourseID"), relation.WithIndex("Title")))
+	years := db.MustCreate(relation.MustTable("Years", relation.NewSchema(
+		relation.NotNullCol("CourseID", relation.TypeInt),
+		relation.NotNullCol("Year", relation.TypeInt),
+	), relation.WithOrderedIndex("Year"), relation.WithIndex("CourseID")))
+	teachers := db.MustCreate(relation.MustTable("Teachers", relation.NewSchema(
+		relation.NotNullCol("TeacherID", relation.TypeInt),
+		relation.Col("Name", relation.TypeString),
+	), relation.WithPrimaryKey("TeacherID")))
+	notes := db.MustCreate(relation.MustTable("Notes", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("Owner", relation.TypeInt),
+		relation.NotNullCol("Course", relation.TypeInt),
+		relation.NotNullCol("Rating", relation.TypeFloat),
+		relation.Col("Teacher", relation.TypeInt),
+	), relation.WithPrimaryKey("ID"), relation.WithIndex("Owner"), relation.WithOrderedIndex("Rating")))
 	for i := 0; i < 1100; i++ {
-		mustExec(`INSERT INTO Subjects VALUES (?, ?, ?)`, int64(i), fmt.Sprintf("D%02d", i%12), fmt.Sprintf("Title %d", i%400))
-		mustExec(`INSERT INTO Years VALUES (?, ?)`, int64(i), int64(2000+(i*7)%11))
+		subjects.MustInsert(relation.Row{i, fmt.Sprintf("D%02d", i%12), fmt.Sprintf("Title %d", i%400)})
+		years.MustInsert(relation.Row{i, 2000 + (i*7)%11})
 	}
 	for i := 0; i < 40; i++ {
-		mustExec(`INSERT INTO Teachers VALUES (?, ?)`, int64(i), fmt.Sprintf("T%d", i))
+		teachers.MustInsert(relation.Row{i, fmt.Sprintf("T%d", i)})
 	}
 	for i := 0; i < 1000; i++ {
 		var teacher any
@@ -61,8 +70,7 @@ func windowCorpus(t testing.TB, e *Engine) []windowShape {
 		}
 		// Ratings 1…5 in halves: nine tie groups of a hundred-odd rows,
 		// interleaved across slots; courses repeat, so the join fans in.
-		mustExec(`INSERT INTO Notes VALUES (?, ?, ?, ?, ?)`,
-			int64(i), int64((i*13)%60), int64((i*31)%1100), 1+float64((i*7)%9)/2, teacher)
+		notes.MustInsert(relation.Row{i, (i * 13) % 60, (i * 31) % 1100, 1 + float64((i*7)%9)/2, teacher})
 	}
 	return []windowShape{
 		{Name: "index probe", SQL: `SELECT * FROM Subjects WHERE Title = ?`, Args: []any{"Title 7"}},
