@@ -29,14 +29,21 @@
 // /api/analyze/{strategy}. With -pprof ADDR a second listener serves
 // net/http/pprof (e.g. -pprof localhost:6060, then
 // /debug/pprof/profile) off the main request path.
+//
+// SIGTERM or SIGINT stops the server gracefully: in-flight requests
+// finish, a durable site checkpoints, and the store is closed.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"courserank/internal/core"
@@ -45,6 +52,16 @@ import (
 	"courserank/internal/render"
 	"courserank/internal/server"
 	"courserank/internal/wal"
+)
+
+// Server timeouts: a client has readHeaderTimeout to send its request
+// headers, an idle keep-alive connection closes after idleTimeout, and a
+// graceful shutdown waits at most shutdownTimeout for in-flight
+// requests. Request bodies are capped by the API itself.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 10 * time.Second
 )
 
 func main() {
@@ -147,7 +164,43 @@ func main() {
 		}()
 	}
 	log.Printf("serving on %s (try /api/health, /api/queries, /api/analyze/{strategy})", *addr)
-	log.Fatal(http.ListenAndServe(*addr, server.New(site)))
+	err = serve(site, *addr)
+	site.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// serve answers the API on addr until SIGTERM or SIGINT, then shuts the
+// listener down gracefully and, on a durable site, checkpoints, so the
+// next start recovers from the checkpoint file instead of replaying the
+// log.
+func serve(site *core.Site, addr string) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           server.New(site),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, os.Interrupt)
+	failed := make(chan error, 1)
+	go func() { failed <- srv.ListenAndServe() }()
+	select {
+	case err := <-failed:
+		return err
+	case sig := <-stop:
+		log.Printf("%v: shutting down", sig)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		return err
+	}
+	if site.Durable != nil {
+		return site.Durable.Checkpoint()
+	}
+	return nil
 }
 
 // runDemo walks the paper's interactions on stdout.

@@ -5,30 +5,14 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"time"
 
 	"courserank/internal/matview"
 	"courserank/internal/relation"
 )
 
-// matviewWorkers sizes the site's background refresher pool. Two
-// workers keep independent async views from queueing behind one slow
-// build without spawning a goroutine per view.
-const matviewWorkers = 2
-
 // FeedViewName is the registry key of the site's top-rated-per-
 // department feed — the maintained view every feed-style request reads.
 const FeedViewName = "core/top-rated-by-dept"
-
-// FeedMaxStale bounds how old a feed snapshot a read may be served. The
-// feed is maintained, so on an in-memory site a read sees every
-// committed comment; the bound is what a read rides when the view
-// cannot be brought current at once: on a durable site while a comment
-// is committed but not yet confirmed to the view's change log, and
-// after a Courses change while the rebuild it forces runs behind the
-// read. Past it the read blocks on the rebuild. A couple of seconds is
-// invisible for a ranking that moves one rating at a time.
-const FeedMaxStale = 2 * time.Second
 
 // FeedEntry is one course in a department's top-rated feed.
 type FeedEntry struct {
@@ -66,15 +50,13 @@ const (
 // base tables on mono and sharded sites alike — the base holds every
 // row and is what the view fingerprints. A Courses change can move a
 // title or a department under any entry, so it answers "cannot tell"
-// and the view rebuilds, served ASYNC inside FeedMaxStale meanwhile.
+// and the next read rebuilds.
 func (s *Site) registerFeedViews() error {
 	course := s.DB.MustTable("Comments").Schema().MustIndex("CourseID")
 	_, err := s.Views.Register(matview.Options{
-		Name:     FeedViewName,
-		Deps:     []string{"Comments", "Courses"},
-		Mode:     matview.Async,
-		MaxStale: FeedMaxStale,
-		Build:    func() (any, error) { return s.buildTopRatedFeed() },
+		Name:  FeedViewName,
+		Deps:  []string{"Comments", "Courses"},
+		Build: func() (any, error) { return s.buildTopRatedFeed() },
 		Keys: func(dep string, _ relation.MutKind, before, after relation.Row) ([]any, bool) {
 			if dep != "Comments" {
 				return nil, false
@@ -209,9 +191,10 @@ func feedDeptOf(feed map[string][]FeedEntry, course int64) string {
 }
 
 // TopRatedFeed returns one department's top-rated courses (at most k)
-// from the materialized feed view. The serve report says whether the
-// request hit a fresh snapshot, rode a bounded-stale one, or paid for
-// the rebuild.
+// from the materialized feed view, reflecting every comment committed
+// before the call. The serve report says whether the request hit the
+// snapshot (brought current from the change log if need be) or paid for
+// a rebuild.
 func (s *Site) TopRatedFeed(dep string, k int) ([]FeedEntry, matview.Serve, error) {
 	v, ok := s.Views.View(FeedViewName)
 	if !ok {

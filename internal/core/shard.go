@@ -33,17 +33,17 @@ func (b shardBackend) Explain(sql string, args ...any) (string, error) {
 //     SuID; every other table replicates, so per-student working sets
 //     — the dominant axis of the paper's workload — live on one shard
 //     while catalog joins never cross shards.
-//   - The shards trail the base database through row observers, so
-//     the existing write paths (comment posts, planner moves, bulk
-//     load) keep working untouched and reads through the cluster see
-//     every committed base write.
+//   - The shards follow the base database through row observers, which
+//     run in the lock hold that applies each base write (durable sites
+//     included), so the existing write paths (comment posts, planner
+//     moves, bulk load) keep working untouched and a read through the
+//     cluster sees every write a base reader does.
 //   - FlexRecs workflows recompile onto the cluster: each compiled
 //     subtree routes to a single shard when its predicates pin the
 //     shard key, and scatter-gathers otherwise.
 //   - The top-rated feed view is untouched: it is built and maintained
 //     from the base tables, which hold every row and are what the view
-//     fingerprints — also on a durable site, where the base's version
-//     moves before the post-durability observers reach the shards.
+//     fingerprints.
 //
 // Call after bulk loading and RefreshDerived: base-side DDL after
 // enabling (for example re-running RefreshDerived, which drops and

@@ -107,7 +107,7 @@ func NewDurableSite(dir string, opts relation.DurableOptions) (*Site, error) {
 func newSite(db *relation.DB) (*Site, error) {
 	dir := community.NewDirectory()
 	sql := sqlmini.New(db)
-	views := matview.NewRegistry(db, matviewWorkers)
+	views := matview.NewRegistry(db)
 	s := &Site{
 		DB:           db,
 		SQL:          sql,
@@ -118,11 +118,9 @@ func newSite(db *relation.DB) (*Site, error) {
 		Baseline:     recommend.NewOver(db, sql),
 		Views:        views,
 	}
-	// One materialization layer across the stack: FlexRecs Materialize
-	// steps, the baseline recommenders' ratings view and the site's feed
-	// views all register here and share the background refresher pool
-	// (started below, after every fallible setup step, so failed
-	// constructions leak no goroutines).
+	// One materialization layer across the stack: FlexRecs' materialized
+	// prefixes, the baseline recommenders' ratings view and the site's
+	// feed views all register here.
 	s.Flex.UseMatviews(views)
 	s.Baseline.UseViews(views)
 	var err error
@@ -158,17 +156,13 @@ func newSite(db *relation.DB) (*Site, error) {
 	if err := s.registerFeedViews(); err != nil {
 		return nil, err
 	}
-	views.Start()
 	return s, nil
 }
 
-// Close releases the site's background resources: the materialized-view
-// refresher pool stops and in-flight builds drain, then the durable
-// store (if any) is drained — outstanding WAL records synced, dirty
-// pages flushed — so a reopened site recovers everything acknowledged.
-// Tests defer it.
+// Close drains the durable store, if any — outstanding WAL records
+// synced, dirty pages flushed — so a reopened site recovers everything
+// acknowledged. Tests defer it.
 func (s *Site) Close() {
-	s.Views.Close()
 	if s.Durable != nil {
 		s.Durable.Close()
 	}

@@ -15,10 +15,10 @@ import (
 // path when it has one — single-node statements and cluster statements
 // both do — so their lines carry the fully annotated physical plan
 // (per-operator rows/batches/time, shard fan-out, short-circuit).
-// Materialize steps report how THIS request was served: a matview hit
-// with the snapshot's age and freshness, a stale serve, or the build a
-// cold view paid. Step times are inclusive of the step's operands,
-// matching the SQL layer's convention.
+// Materialized prefixes report how THIS request was served: a matview
+// hit with the snapshot's age, or the build the view paid. Step times
+// are inclusive of the step's operands, matching the SQL layer's
+// convention.
 
 // queryAnalyzer is the optional analyze surface of a PreparedQuery.
 // *sqlmini.Stmt and *shard.Stmt both satisfy it; a backend whose
@@ -136,10 +136,10 @@ func (e *Engine) analyzeSQL(s *Step) (*Relation, *analyzeNode, error) {
 	return rel, node, nil
 }
 
-// analyzeMat runs one Materialize step, annotating how it was served.
-// A hit or stale serve never ran the child, so the line is the whole
-// story; a build ran the child uninstrumented inside the registry's
-// single-flight, and the line says what that cost.
+// analyzeMat runs one materialize step, annotating how it was served.
+// A hit never ran the child, so the line is the whole story; a build
+// ran the child uninstrumented inside the registry's single-flight, and
+// the line says what that cost.
 func (e *Engine) analyzeMat(s *Step, private bool) (*Relation, *analyzeNode, error) {
 	t0 := time.Now()
 	rel, serve, hadRegistry, err := e.runMatServe(s, private)
@@ -153,9 +153,6 @@ func (e *Engine) analyzeMat(s *Step, private bool) (*Relation, *analyzeNode, err
 		how = "no registry (transparent, ran child)"
 	case serve.Kind == matview.ServeFresh:
 		how = fmt.Sprintf("matview hit (age=%v, fresh)", serve.Age.Round(time.Millisecond))
-	case serve.Kind == matview.ServeStale:
-		how = fmt.Sprintf("matview hit (age=%v, stale for %v)",
-			serve.Age.Round(time.Millisecond), serve.StaleFor.Round(time.Millisecond))
 	default:
 		how = "matview miss (built by this request)"
 	}

@@ -43,13 +43,13 @@ func TestRunAnalyzeAnnotatesWorkflow(t *testing.T) {
 	}
 }
 
-// TestRunAnalyzeMatviewAnnotations: Materialize lines say how the
+// TestRunAnalyzeMatviewAnnotations: materialize lines say how the
 // request was served — built when cold, hit with age and freshness
 // when warm.
 func TestRunAnalyzeMatviewAnnotations(t *testing.T) {
 	db := paperDB(t)
 	e := NewEngine(db)
-	e.UseMatviews(matview.NewRegistry(db, 1))
+	e.UseMatviews(matview.NewRegistry(db))
 
 	_, cold, err := e.RunAnalyze(deptPopular("CS"))
 	if err != nil {
@@ -73,6 +73,6 @@ func TestRunAnalyzeMatviewAnnotations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rep, "no registry (transparent, ran child)") {
-		t.Fatalf("transparent Materialize not annotated:\n%s", rep)
+		t.Fatalf("transparent materialize not annotated:\n%s", rep)
 	}
 }

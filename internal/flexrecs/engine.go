@@ -34,10 +34,9 @@ type Engine struct {
 	compileHits   atomic.Uint64
 	compileMisses atomic.Uint64
 
-	// views backs Materialize steps (materialize.go); nil = transparent.
+	// views backs materialize steps (materialize.go); nil = transparent.
 	views     *matview.Registry
 	matHits   atomic.Uint64
-	matStale  atomic.Uint64
 	matMisses atomic.Uint64
 }
 
@@ -380,7 +379,7 @@ func (e *Engine) runSQL(s *Step) (*Relation, error) {
 }
 
 // runStep executes a subtree. private asks for a relation the caller may
-// edit in place (sort, truncate); without it a Materialize step hands
+// edit in place (sort, truncate); without it a materialize step hands
 // over the view's shared snapshot itself, which must only be read. Every
 // other step returns a fresh relation either way.
 func (e *Engine) runStep(s *Step, private bool) (*Relation, error) {
@@ -394,7 +393,7 @@ func (e *Engine) runStep(s *Step, private bool) (*Relation, error) {
 	return e.applyStep(s, e.runStep)
 }
 
-// applyStep executes one non-sqlable operator other than Materialize,
+// applyStep executes one non-sqlable operator other than materialize,
 // obtaining operand relations through run — e.runStep normally, the
 // instrumented recursion under RunAnalyze. Operators that only read
 // their operands (all but the in-place top and order) take them shared.

@@ -10,42 +10,39 @@ import (
 	"courserank/internal/matview"
 )
 
-// This file wires Materialize steps — the rewriter's and the few a
-// template places by hand — to the matview registry. A matStep caches
-// its child subtree's result as a materialized view: the first request
-// registers the view (build = run the child), later requests serve the
-// snapshot — single-flighted when cold, stale-bounded when async.
-// Without UseMatviews the step is transparent and simply runs its child.
+// This file wires the rewriter's materialize steps to the matview
+// registry. A matStep caches its child subtree's result as a
+// materialized view: the first request registers the view (build = run
+// the child), later requests serve the snapshot — single-flighted when
+// cold, brought up to date when a dependency changed. Without
+// UseMatviews the step is transparent and simply runs its child.
 
-// UseMatviews attaches a materialized-view registry: Materialize steps
-// in workflows executed after this call cache through it, and the
-// rewriter (rewrite.go), which needs somewhere to put its views, starts
-// rewriting. Call it at wiring time, before the engine serves requests —
-// the field is not synchronized against concurrent Run calls. The Site
-// facade shares one registry (and its refresher pool) across FlexRecs
-// and the baseline recommenders.
+// UseMatviews attaches a materialized-view registry: the rewriter
+// (rewrite.go), which needs somewhere to put its views, starts
+// rewriting, and the views it places cache through the registry. Call it
+// at wiring time, before the engine serves requests — the field is not
+// synchronized against concurrent Run calls. The Site facade shares one
+// registry across FlexRecs and the baseline recommenders.
 func (e *Engine) UseMatviews(reg *matview.Registry) { e.views = reg }
 
 // Matviews returns the attached registry, nil when none.
 func (e *Engine) Matviews() *matview.Registry { return e.views }
 
-// MatStats reports how Materialize steps were served: a hit returned a
-// fresh snapshot, a stale hit served inside an async bound while a
-// refresh ran behind it, and a miss blocked on a (single-flighted)
-// build. Engines without a registry report zeros.
-func (e *Engine) MatStats() (hits, stale, misses uint64) {
-	return e.matHits.Load(), e.matStale.Load(), e.matMisses.Load()
+// MatStats reports how materialize steps were served: a hit returned
+// the snapshot, and a miss blocked on a (single-flighted) build.
+// Engines without a registry report zeros.
+func (e *Engine) MatStats() (hits, misses uint64) {
+	return e.matHits.Load(), e.matMisses.Load()
 }
 
 // matKey derives the registry key for a matStep: the declared name, a
-// short fingerprint of the child subtree's SHAPE and the serving
-// options (so a reused name over a different tree — e.g. a band width
-// baked into an ON clause — or under different async/staleness options
-// cannot serve the wrong view), and the subtree's parameter values (so
-// one Materialize in a personalized template yields one view per
-// binding). Argument values render with their dynamic type, keeping
-// int64(1) and "1" — or differently grouped args that stringify alike —
-// on separate views. Unlike shapeKey/gatherShapeArgs — which only see
+// short fingerprint of the child subtree's SHAPE (so a reused name over
+// a different tree — e.g. a band width baked into an ON clause — cannot
+// serve the wrong view), and the subtree's parameter values (so a view
+// over a subtree that binds parameters is one view per binding).
+// Argument values render with their dynamic type, keeping int64(1) and
+// "1" — or differently grouped args that stringify alike — on separate
+// views. Unlike shapeKey/gatherShapeArgs — which only see
 // sqlable kinds — the walk here spans EVERY operator: materialized
 // prefixes routinely hold extend and recommend steps.
 func matKey(s *Step) string {
@@ -65,10 +62,9 @@ func matKey(s *Step) string {
 		walk(s.other)
 	}
 	walk(s.child)
-	fmt.Fprintf(&shape, "opts|%v|%v", s.mat.Async, s.mat.MaxStale)
 	h := fnv.New32a()
 	h.Write([]byte(shape.String()))
-	key := fmt.Sprintf("flex/%s@%08x", s.mat.Name, h.Sum32())
+	key := fmt.Sprintf("flex/%s@%08x", s.view, h.Sum32())
 	if len(args) > 0 {
 		var b strings.Builder
 		for _, a := range args {
@@ -111,21 +107,15 @@ func baseTables(s *Step) []string {
 func (e *Engine) viewFor(s *Step) (*matview.View, error) {
 	deps := baseTables(s.child)
 	if len(deps) == 0 {
-		return nil, fmt.Errorf("flexrecs: Materialize %q wraps a subtree with no base tables", s.mat.Name)
-	}
-	mode := matview.Sync
-	if s.mat.Async {
-		mode = matview.Async
+		return nil, fmt.Errorf("flexrecs: materialize %q wraps a subtree with no base tables", s.view)
 	}
 	// The build captures the child tree by reference; template builds
 	// construct a fresh immutable tree per request, so the captured one
 	// stays valid for the view's lifetime.
 	child := s.child
 	return e.views.GetOrRegister(matview.Options{
-		Name:     matKey(s),
-		Deps:     deps,
-		Mode:     mode,
-		MaxStale: s.mat.MaxStale,
+		Name: matKey(s),
+		Deps: deps,
 		Build: func() (any, error) {
 			return e.runStep(child, true)
 		},
@@ -153,12 +143,9 @@ func (e *Engine) runMatServe(s *Step, private bool) (*Relation, matview.Serve, b
 	if err != nil {
 		return nil, matview.Serve{}, false, err
 	}
-	switch serve.Kind {
-	case matview.ServeFresh:
+	if serve.Kind == matview.ServeFresh {
 		e.matHits.Add(1)
-	case matview.ServeStale:
-		e.matStale.Add(1)
-	default:
+	} else {
 		e.matMisses.Add(1)
 	}
 	rel := val.(*Relation)

@@ -10,23 +10,23 @@ import (
 )
 
 // deptPopular is the department-popular shape: the reference side —
-// every student's rating vector — wrapped in Materialize so all
+// every student's rating vector — wrapped in a materialize step so all
 // departments share one build.
 func deptPopular(dep string) *Step {
 	return Recommend(
 		Rel("Courses").Select("DepID = ?", dep),
 		Rel("Comments").Project("SuID", "CourseID", "Rating").
 			Extend("SuID", "CourseID", "Rating", "Ratings").
-			Materialize(MatOptions{Name: "ratings-extend"}),
+			materialize("ratings-extend"),
 		AvgOf("CourseID", "Ratings"),
 	).Top(10)
 }
 
 func TestMaterializeParityAndServing(t *testing.T) {
 	db := paperDB(t)
-	plain := NewEngine(db) // no registry: Materialize is transparent
+	plain := NewEngine(db) // no registry: materialize is transparent
 	mat := NewEngineOver(plain.SQL())
-	reg := matview.NewRegistry(db, 1)
+	reg := matview.NewRegistry(db)
 	mat.UseMatviews(reg)
 
 	want, err := plain.Run(deptPopular("CS"))
@@ -40,8 +40,8 @@ func TestMaterializeParityAndServing(t *testing.T) {
 	if !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Fatalf("materialized run diverged:\n got %v\nwant %v", got.Rows, want.Rows)
 	}
-	if h, s, m := mat.MatStats(); h != 0 || s != 0 || m != 1 {
-		t.Fatalf("cold MatStats = %d/%d/%d, want 0 hits, 0 stale, 1 miss", h, s, m)
+	if h, m := mat.MatStats(); h != 0 || m != 1 {
+		t.Fatalf("cold MatStats = %d/%d, want 0 hits, 1 miss", h, m)
 	}
 
 	// A different department reuses the SAME view: the reference prefix
@@ -49,7 +49,7 @@ func TestMaterializeParityAndServing(t *testing.T) {
 	if _, err := mat.Run(deptPopular("HIST")); err != nil {
 		t.Fatal(err)
 	}
-	if h, _, m := mat.MatStats(); h != 1 || m != 1 {
+	if h, m := mat.MatStats(); h != 1 || m != 1 {
 		t.Fatalf("warm MatStats hits=%d misses=%d, want the second department to hit", h, m)
 	}
 	if len(reg.Views()) != 1 {
@@ -69,7 +69,7 @@ func TestMaterializeParityAndServing(t *testing.T) {
 	if !reflect.DeepEqual(res.Rows, fresh.Rows) {
 		t.Fatalf("post-DML materialized run diverged:\n got %v\nwant %v", res.Rows, fresh.Rows)
 	}
-	if _, _, m := mat.MatStats(); m != 2 {
+	if _, m := mat.MatStats(); m != 2 {
 		t.Fatalf("misses = %d, want the DML to force a rebuild", m)
 	}
 }
@@ -81,13 +81,13 @@ func TestMaterializeParityAndServing(t *testing.T) {
 func TestMaterializeSnapshotNotMutated(t *testing.T) {
 	db := paperDB(t)
 	e := NewEngine(db)
-	e.UseMatviews(matview.NewRegistry(db, 1))
+	e.UseMatviews(matview.NewRegistry(db))
 
 	// Materialize a plain projection, then ORDER it two different ways:
 	// both runs serve the same snapshot and sort their own copy.
 	base := func() *Step {
 		return Rel("Comments").Project("SuID", "CourseID", "Rating").
-			Materialize(MatOptions{Name: "comments-proj"})
+			materialize("comments-proj")
 	}
 	asc, err := e.Run(base().OrderBy("Rating", false))
 	if err != nil {
@@ -112,13 +112,13 @@ func TestMaterializeSnapshotNotMutated(t *testing.T) {
 func TestMaterializeKeysOnArgsAndShape(t *testing.T) {
 	db := paperDB(t)
 	e := NewEngine(db)
-	reg := matview.NewRegistry(db, 1)
+	reg := matview.NewRegistry(db)
 	e.UseMatviews(reg)
 
 	one := func(student int64) *Step {
 		return Rel("Comments").Select("SuID = ?", student).
 			Extend("SuID", "CourseID", "Rating", "Ratings").
-			Materialize(MatOptions{Name: "per-student"})
+			materialize("per-student")
 	}
 	r444, err := e.Run(one(444))
 	if err != nil {
@@ -136,7 +136,7 @@ func TestMaterializeKeysOnArgsAndShape(t *testing.T) {
 	}
 	// Same name over a structurally different subtree must not collide.
 	other := Rel("Students").Project("SuID", "GPA").
-		Materialize(MatOptions{Name: "per-student"})
+		materialize("per-student")
 	if _, err := e.Run(other); err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestMaterializeKeysOnArgsAndShape(t *testing.T) {
 func TestMaterializeExplainAnnotates(t *testing.T) {
 	db := paperDB(t)
 	e := NewEngine(db)
-	e.UseMatviews(matview.NewRegistry(db, 1))
+	e.UseMatviews(matview.NewRegistry(db))
 	wf := deptPopular("CS")
 
 	cold := e.Explain(wf)
-	if !strings.Contains(cold, "matview[ratings-extend: sync]") || !strings.Contains(cold, "cold") {
+	if !strings.Contains(cold, "matview[ratings-extend]") || !strings.Contains(cold, "cold") {
 		t.Fatalf("cold explain missing matview annotation:\n%s", cold)
 	}
 	if _, err := e.Run(wf); err != nil {
@@ -170,8 +170,8 @@ func TestMaterializeExplainAnnotates(t *testing.T) {
 }
 
 func TestMaterializeValidate(t *testing.T) {
-	bad := Rel("Comments").Materialize(MatOptions{})
+	bad := Rel("Comments").materialize("")
 	if err := bad.Validate(); err == nil {
-		t.Fatal("Materialize without a name should fail validation")
+		t.Fatal("materialize without a name should fail validation")
 	}
 }

@@ -19,8 +19,8 @@ import (
 //	    The move is made only when it leaves X₀ free of '?' arguments —
 //	    the point is to expose a prefix every request shares.
 //	(b) Automatic materialization. Every maximal parameter-free subtree
-//	    that is an ε, or a whole operand of ▷/blend, is wrapped in a sync
-//	    Materialize step named as a pure function of the subtree, so all
+//	    that is an ε, or a whole operand of ▷/blend, is wrapped in a
+//	    materialize step named as a pure function of the subtree, so all
 //	    templates (and all students) that nest the same ratings read ONE
 //	    view, invalidated by its base tables' (SchemaEpoch, Version).
 //	(d) τ pushdown. top[k](X) over a subtree X that compiles to one SQL
@@ -59,8 +59,8 @@ func (e *Engine) rewrite(w *Step) *Step {
 // pushTopK applies rule (d) everywhere below s.
 func pushTopK(s *Step) *Step {
 	if s == nil || s.kind == matStep || sqlable(s) {
-		// A Materialize, the author's or rule (b)'s, caches its subtree as
-		// written; a sqlable subtree holds no top.
+		// A view caches its subtree as written; a sqlable subtree holds
+		// no top.
 		return s
 	}
 	if s.kind == topStep && sqlable(s.child) {
@@ -78,8 +78,8 @@ func pushTopK(s *Step) *Step {
 // hoistGroupSelects applies rule (a) everywhere below s.
 func hoistGroupSelects(s *Step) *Step {
 	if s == nil || s.kind == matStep || sqlable(s) {
-		// An explicit Materialize is the author's decision and stays as
-		// written; a sqlable subtree holds no ε.
+		// A view caches its subtree as written; a sqlable subtree holds
+		// no ε.
 		return s
 	}
 	child, other := hoistGroupSelects(s.child), hoistGroupSelects(s.other)
@@ -193,10 +193,9 @@ func refsOnly(cond string, args []any, g string) bool {
 }
 
 // paramFree reports whether a subtree's result is the same for every
-// request: no selection binds a '?' argument. An explicit Materialize
-// counts as parameterized — it may serve a bounded-stale snapshot, and a
-// sync view built over that would look fresh while holding old rows —
-// so the rewriter never wraps one.
+// request: no selection binds a '?' argument. A view already in the
+// tree counts as parameterized, so the rewriter never nests one view in
+// another.
 func paramFree(s *Step) bool {
 	if s == nil {
 		return true
@@ -214,7 +213,7 @@ func materializeFree(s *Step, operand bool) *Step {
 		return s
 	}
 	if (operand || s.kind == extendStep) && paramFree(s) {
-		return s.Materialize(MatOptions{Name: autoViewName(s)})
+		return s.materialize(autoViewName(s))
 	}
 	if sqlable(s) {
 		return s

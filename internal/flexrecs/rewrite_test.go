@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"courserank/internal/matview"
 	"courserank/internal/relation"
@@ -34,7 +33,7 @@ func rewritingEngine(t *testing.T) (rw, plain *Engine) {
 	db := paperDB(t)
 	plain = NewEngine(db)
 	rw = NewEngineOver(plain.SQL())
-	rw.UseMatviews(matview.NewRegistry(db, 1))
+	rw.UseMatviews(matview.NewRegistry(db))
 	return rw, plain
 }
 
@@ -54,13 +53,13 @@ func figure5b(student int64, year any) *Step {
 	return Recommend(courses, similar, WeightedAvg("CourseID", "Ratings", "Score")).Top(3)
 }
 
-const nestedRatings = "matview[ratings-extend: sync](ε[SuID: CourseID→Rating as Ratings](π{SuID,CourseID,Rating}(Comments)))"
+const nestedRatings = "matview[ratings-extend](ε[SuID: CourseID→Rating as Ratings](π{SuID,CourseID,Rating}(Comments)))"
 
 func TestRewriteHoistsGroupSelectsAndMaterializes(t *testing.T) {
 	rw, _ := rewritingEngine(t)
 	got := tree(rw.rewrite(figure5b(444, nil)))
 	want := "top[3](▷[Identify[CourseID,Ratings], W_Avg[Score] as Score](" +
-		"matview[courses-operand: sync](Courses), " +
+		"matview[courses-operand](Courses), " +
 		"top[2](▷[inv_Euclidean[Ratings] as Score](" +
 		"σ[SuID <> ?](" + nestedRatings + "), " +
 		"σ[SuID = ?](" + nestedRatings + ")))))"
@@ -163,14 +162,14 @@ func TestRewritePushesTopIntoSQL(t *testing.T) {
 	}
 
 	// Refused: the fused top(▷), a top over a non-SQL child, and anything
-	// in or under a Materialize — the author's or rule (b)'s.
+	// in or under a view — one already in the tree or rule (b)'s.
 	nest := Rel("Comments").Project("SuID", "CourseID", "Rating").Extend("SuID", "CourseID", "Rating", "Ratings")
-	explicit := unordered.Top(2).Materialize(MatOptions{Name: "mine"})
+	explicit := unordered.Top(2).materialize("mine")
 	for name, wf := range map[string]*Step{
 		"top(▷)":                figure5b(444, 2008),
 		"top over extend":       nest.Select("SuID <> ?", int64(444)).Top(2),
-		"in a Materialize":      explicit,
-		"over a Materialize":    explicit.Top(1),
+		"in a view":             explicit,
+		"over a view":           explicit.Top(1),
 		"in rule (b)'s operand": Recommend(Rel("Courses").Select("Year = ?", int64(2008)), Rel("Comments").Top(2), JaccardOn("Text")),
 	} {
 		var walk func(*Step) bool
@@ -255,17 +254,16 @@ func TestRewriteTopParityAndOneShape(t *testing.T) {
 func TestRewriteLeavesExplicitMaterializeAlone(t *testing.T) {
 	rw, _ := rewritingEngine(t)
 	if wf := deptPopular("CS"); rw.rewrite(wf) != wf {
-		t.Errorf("explicit Materialize was rewritten: %s", tree(rw.rewrite(wf)))
+		t.Errorf("explicit view was rewritten: %s", tree(rw.rewrite(wf)))
 	}
-	// Nothing moves inside an explicit view, nothing wraps it — a sync
-	// view over a bounded-stale one would pass old rows off as fresh —
-	// and no ancestor of it is materialized either.
-	stale := Rel("Comments").Project("SuID", "CourseID", "Rating").Select("SuID <> 444").
+	// Nothing moves inside a view already in the tree, nothing wraps it,
+	// and no ancestor of it is materialized either: views never nest.
+	mine := Rel("Comments").Project("SuID", "CourseID", "Rating").Select("SuID <> 444").
 		Extend("SuID", "CourseID", "Rating", "Ratings").
-		Materialize(MatOptions{Name: "mine", Async: true, MaxStale: time.Minute})
-	wf := Recommend(Rel("Courses").Select("DepID = ?", "CS"), stale.Top(2), AvgOf("CourseID", "Ratings"))
+		materialize("mine")
+	wf := Recommend(Rel("Courses").Select("DepID = ?", "CS"), mine.Top(2), AvgOf("CourseID", "Ratings"))
 	if got := rw.rewrite(wf); got != wf {
-		t.Errorf("tree around an explicit Materialize was rewritten: %s", tree(got))
+		t.Errorf("tree around an explicit view was rewritten: %s", tree(got))
 	}
 }
 
@@ -277,7 +275,7 @@ func TestRewriteMaterializesMaximalSubtrees(t *testing.T) {
 	// A parameter-free operand holding an extend is ONE view, placed at
 	// the operand; a parameter-free extend under a non-operand is its own.
 	got := tree(rw.rewrite(Recommend(Rel("Courses").Select("DepID = ?", "CS"), nest().Top(2), AvgOf("CourseID", "Ratings"))))
-	if !strings.Contains(got, "matview[comments-operand: sync](top[2](ε[") || strings.Count(got, "matview[") != 1 {
+	if !strings.Contains(got, "matview[comments-operand](top[2](ε[") || strings.Count(got, "matview[") != 1 {
 		t.Errorf("operand over an extend: %s", got)
 	}
 	if got := tree(rw.rewrite(nest().Top(2))); got != "top[2]("+nestedRatings+")" {
@@ -289,8 +287,8 @@ func TestRewriteMaterializesMaximalSubtrees(t *testing.T) {
 		Recommend(Rel("Courses"), nest(), AvgOf("CourseID", "Ratings")),
 		"CourseID", "Score", 1, 1)
 	if got := tree(rw.rewrite(blend)); !strings.HasPrefix(got, "blend[") ||
-		!strings.Contains(got, "L + 1·R on CourseID](matview[courses-operand: sync](▷[") ||
-		!strings.Contains(got, ", matview[comments+courses-operand: sync](▷[") || strings.Count(got, "matview[") != 2 {
+		!strings.Contains(got, "L + 1·R on CourseID](matview[courses-operand](▷[") ||
+		!strings.Contains(got, ", matview[comments+courses-operand](▷[") || strings.Count(got, "matview[") != 2 {
 		t.Errorf("blend operands: %s", got)
 	}
 }
@@ -378,14 +376,14 @@ func TestRewriteSharesOneViewAndRunsNoSQL(t *testing.T) {
 	if views != 2 { // the ratings nesting and the whole-catalog operand
 		t.Fatalf("cold run registered %d views, want 2", views)
 	}
-	h0, _, m0 := rw.MatStats()
+	h0, m0 := rw.MatStats()
 	ch0, cm0 := rw.CompileStats()
 	for _, st := range []int64{444, 445, 446, 447, 999} {
 		if _, err := rw.Run(figure5b(st, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h1, _, m1 := rw.MatStats()
+	h1, m1 := rw.MatStats()
 	ch1, cm1 := rw.CompileStats()
 	if m1 != m0 || h1 != h0+5*3 {
 		t.Errorf("warm runs: matview hits %d→%d misses %d→%d, want +15 hits and no miss", h0, h1, m0, m1)

@@ -3,7 +3,6 @@ package flexrecs
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // stepKind discriminates workflow operators.
@@ -57,7 +56,7 @@ type Step struct {
 	orderCol string // orderStep
 	desc     bool
 
-	mat MatOptions // matStep
+	view string // matStep: the view's name
 
 	child, other *Step // other = join right side / recommend reference
 }
@@ -128,32 +127,15 @@ func (s *Step) OrderBy(col string, desc bool) *Step {
 	return &Step{kind: orderStep, orderCol: col, desc: desc, child: s}
 }
 
-// MatOptions configures a Materialize step.
-type MatOptions struct {
-	// Name keys the view in the matview registry. The engine appends a
-	// fingerprint of the subtree's parameter values, so one named
-	// Materialize in a personalized template yields one view per
-	// distinct parameter binding. Required.
-	Name string
-	// Async serves a bounded-stale snapshot while a background refresh
-	// runs; sync (the default) refreshes on read.
-	Async bool
-	// MaxStale bounds an async view's serving staleness.
-	MaxStale time.Duration
-}
-
-// Materialize caches this subtree's result in the engine's materialized
-// -view registry: the first request builds it, later requests serve the
-// snapshot until a dependency table mutates (sync) or the staleness
-// bound expires (async). The engine places sync views by itself over
-// every parameter-free extend and ▷/blend operand (rewrite.go), so a
-// template rarely needs this; call it for what the engine will not
-// choose — a bounded-stale (Async) view, or a cached subtree that still
-// binds parameters (one view per binding). The rewriter leaves an
-// explicit Materialize, and everything around and under it, exactly as
-// written. On an engine without a registry the step is transparent.
-func (s *Step) Materialize(o MatOptions) *Step {
-	return &Step{kind: matStep, mat: o, child: s}
+// materialize caches this subtree's result in the engine's
+// materialized-view registry under name (matKey adds the subtree's
+// shape and parameter values): the first request builds it, later
+// requests serve the snapshot, brought up to date when a dependency
+// table has changed. The rewriter places one over every parameter-free
+// extend and ▷/blend operand (rewrite.go). On an engine without a
+// registry the step is transparent.
+func (s *Step) materialize(name string) *Step {
+	return &Step{kind: matStep, view: name, child: s}
 }
 
 // describe renders this single operator for Explain.
@@ -184,11 +166,7 @@ func (s *Step) describe() string {
 		}
 		return fmt.Sprintf("order[%s %s]", s.orderCol, dir)
 	case matStep:
-		mode := "sync"
-		if s.mat.Async {
-			mode = fmt.Sprintf("async, maxStale=%v", s.mat.MaxStale)
-		}
-		return fmt.Sprintf("matview[%s: %s]", s.mat.Name, mode)
+		return "matview[" + s.view + "]"
 	}
 	return "?"
 }
@@ -258,8 +236,8 @@ func (s *Step) Validate() error {
 			return fmt.Errorf("flexrecs: OrderBy requires a column")
 		}
 	case matStep:
-		if s.mat.Name == "" {
-			return fmt.Errorf("flexrecs: Materialize requires a view name")
+		if s.view == "" {
+			return fmt.Errorf("flexrecs: materialize requires a view name")
 		}
 	default:
 		return fmt.Errorf("flexrecs: unknown step kind %d", s.kind)

@@ -14,24 +14,19 @@ import (
 )
 
 // TestChurnStaleBoundAndNoTornSnapshots is the refresh-lifecycle race
-// test: concurrent readers against a DML storm, asserting two
-// invariants on every single read —
-//
-//  1. snapshots are never torn: the writer holds the table's write lock
-//     for a whole round (every row set to the same value) and the build
-//     reads under one read lock, so every legal snapshot is UNIFORM; a
-//     reader observing a mixed snapshot caught a torn publish;
-//  2. the staleness bound is honored: a read served stale reports a
-//     known-staleness inside the view's bound (fresh and built serves
-//     are exact).
+// test: concurrent readers against a DML storm, asserting on every
+// single read that the snapshot is never torn — the writer holds the
+// table's write lock for a whole round (every row set to the same value)
+// and the build reads under one read lock, so every legal snapshot is
+// UNIFORM; a reader observing a mixed snapshot caught a torn publish —
+// and that no read is served stale.
 //
 // Run under -race it also shakes out unsynchronized access between
-// readers, the background workers and the single-flight path.
+// readers and the single-flight path.
 func TestChurnStaleBoundAndNoTornSnapshots(t *testing.T) {
 	const (
 		rows     = 64
 		readers  = 4
-		bound    = 25 * time.Millisecond
 		duration = 400 * time.Millisecond
 	)
 	db := relation.NewDB()
@@ -45,13 +40,11 @@ func TestChurnStaleBoundAndNoTornSnapshots(t *testing.T) {
 		tbl.MustInsert(relation.Row{int64(i), int64(0)})
 	}
 
-	reg := NewRegistry(db, 2)
-	reg.Start()
-	defer reg.Close()
+	reg := NewRegistry(db)
 	// The build copies every Val under one Scan (a single read lock), so
 	// a snapshot taken between writer rounds is all-equal.
 	v, err := reg.Register(Options{
-		Name: "vals", Deps: []string{"KV"}, Mode: Async, MaxStale: bound,
+		Name: "vals", Deps: []string{"KV"},
 		Build: func() (any, error) {
 			var vals []int64
 			tbl.Scan(func(_ int, r relation.Row) bool {
@@ -66,7 +59,7 @@ func TestChurnStaleBoundAndNoTornSnapshots(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
-	var staleServes, freshServes, builtServes atomic.Int64
+	var freshServes, builtServes atomic.Int64
 
 	// Writer: rounds of UpdateWhere setting EVERY row to the round
 	// number — one write-lock pass per round.
@@ -120,16 +113,13 @@ func TestChurnStaleBoundAndNoTornSnapshots(t *testing.T) {
 					}
 				}
 				switch serve.Kind {
-				case ServeStale:
-					staleServes.Add(1)
-					if serve.StaleFor > bound {
-						t.Errorf("stale serve staleness %v exceeds bound %v", serve.StaleFor, bound)
-						return
-					}
 				case ServeFresh:
 					freshServes.Add(1)
-				default:
+				case ServeBuilt:
 					builtServes.Add(1)
+				default:
+					t.Errorf("a read was served %v", serve.Kind)
+					return
 				}
 			}
 		}()
@@ -138,10 +128,9 @@ func TestChurnStaleBoundAndNoTornSnapshots(t *testing.T) {
 	time.Sleep(duration)
 	close(stop)
 	wg.Wait()
-	t.Logf("serves: %d fresh, %d stale, %d built; view stats %+v",
-		freshServes.Load(), staleServes.Load(), builtServes.Load(), v.Stats())
-	if staleServes.Load() == 0 {
-		t.Error("churn never exercised the stale-bounded path")
+	t.Logf("serves: %d fresh, %d built; view stats %+v", freshServes.Load(), builtServes.Load(), v.Stats())
+	if builtServes.Load() < 2 {
+		t.Error("churn never made a read rebuild behind the writer")
 	}
 }
 
@@ -162,11 +151,9 @@ func TestChurnTableReplacement(t *testing.T) {
 	}
 	db.MustCreate(mk(0))
 
-	reg := NewRegistry(db, 1)
-	reg.Start()
-	defer reg.Close()
+	reg := NewRegistry(db)
 	v, err := reg.Register(Options{
-		Name: "tag", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Hour,
+		Name: "tag", Deps: []string{"KV"},
 		Build: func() (any, error) {
 			cur, ok := db.Table("KV")
 			if !ok {
@@ -262,7 +249,7 @@ func groupDB(t testing.TB, db *relation.DB) (items, labels *relation.Table) {
 // Grp values, a row change touches the group it leaves and the one it
 // enters, the patch recomputes those groups through the Grp index, and a
 // Labels change is one it cannot tell the reach of.
-func groupView(items *relation.Table, mode Mode, maxStale time.Duration) Options {
+func groupView(items *relation.Table) Options {
 	sumOf := func(rows []relation.Row) groupSum {
 		var g groupSum
 		for _, r := range rows {
@@ -272,7 +259,7 @@ func groupView(items *relation.Table, mode Mode, maxStale time.Duration) Options
 		return g
 	}
 	return Options{
-		Name: "by-group", Deps: []string{"Items", "Labels"}, Mode: mode, MaxStale: maxStale,
+		Name: "by-group", Deps: []string{"Items", "Labels"},
 		Build: func() (any, error) {
 			groups := map[int64][]relation.Row{}
 			items.Scan(func(_ int, r relation.Row) bool {
@@ -350,8 +337,8 @@ func TestMaintainedEqualsFreshBuild(t *testing.T) {
 			items.MustInsert(relation.Row{i, i % 3, float64(i) + 0.1})
 		}
 		labels.MustInsert(relation.Row{int64(0), "zero"})
-		reg := NewRegistry(db, 1)
-		opts := groupView(items, Sync, 0)
+		reg := NewRegistry(db)
+		opts := groupView(items)
 		v, err := reg.Register(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -407,27 +394,30 @@ func TestMaintainedEqualsFreshBuild(t *testing.T) {
 		o.check("transaction rolled back", ServeFresh)
 
 		// Inserted and deleted by one transaction: the version moves with
-		// nothing delivered. A sync view cannot wait for a delivery that may
-		// never come, so it rebuilds at once.
+		// nothing delivered, and no row a reader sees changed. The view is
+		// current as it stands; the next delivery shows the gap.
 		tx = db.Begin()
 		_, err = tx.Insert(items, relation.Row{int64(22), int64(5), 1.0})
 		must(err)
 		_, err = tx.DeleteWhere(items, byID(22))
 		must(err)
 		must(tx.Commit())
-		o.check("born-dead insert", ServeBuilt)
+		o.check("born-dead insert", ServeFresh)
 		items.MustInsert(relation.Row{int64(23), int64(5), 1.25})
+		o.check("first delivery after the gap", ServeBuilt)
+		items.MustInsert(relation.Row{int64(24), int64(5), 1.5})
 		o.check("maintained again after the gap", ServeFresh)
 
 		labels.MustInsert(relation.Row{int64(1), "one"})
 		o.check("a change it cannot tell the reach of", ServeBuilt)
-		items.MustInsert(relation.Row{int64(24), int64(5), 1.75})
+		items.MustInsert(relation.Row{int64(25), int64(5), 1.75})
 		o.check("maintained again after the opaque change", ServeFresh)
 
-		// Nine reads patched; those, the warm read and the one after the
-		// rollback (which moved no version) are the hits.
-		if st := v.Stats(); st.Patches != 9 || st.Hits != 11 || st.Misses != 3 {
-			t.Fatalf("stats %+v, want 9 patches inside 11 hits beside 3 misses", st)
+		// Nine reads patched; those, the warm read, the one after the
+		// rollback (which moved no version) and the one after the born-dead
+		// insert (which moved one nobody can see) are the hits.
+		if st := v.Stats(); st.Patches != 9 || st.Hits != 12 || st.Misses != 3 {
+			t.Fatalf("stats %+v, want 9 patches inside 12 hits beside 3 misses", st)
 		}
 	}
 	t.Run("memory", func(t *testing.T) { script(t, relation.NewDB()) })
@@ -441,26 +431,23 @@ func TestMaintainedEqualsFreshBuild(t *testing.T) {
 	})
 }
 
-// TestMaintainedTrailingServesStaleWithoutRebuild: a table whose version
-// is past its log's head — here a born-dead insert, the same thing a
-// durable delivery in flight looks like — leaves an async view serving
-// its (patched) snapshot stale with no rebuild enqueued; the bound
-// expiring is what heals a version that never gets a delivery.
-func TestMaintainedTrailingServesStaleWithoutRebuild(t *testing.T) {
+// TestMaintainedGapRebuildsOnce: a born-dead transaction insert moves
+// the version with nothing delivered. The read after it is a hit on the
+// patched snapshot — no row a reader sees changed — the first delivery
+// after the gap makes the next read rebuild exactly once, and the read
+// after that is a patched hit again.
+func TestMaintainedGapRebuildsOnce(t *testing.T) {
 	db := relation.NewDB()
 	items, _ := groupDB(t, db)
 	items.MustInsert(relation.Row{int64(1), int64(1), 1.0})
-	reg := NewRegistry(db, 1)
-	reg.Start()
-	defer reg.Close()
-	opts := groupView(items, Async, 30*time.Millisecond)
+	reg := NewRegistry(db)
+	opts := groupView(items)
 	v, err := reg.Register(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v.Get(); err != nil {
-		t.Fatal(err)
-	}
+	o := &maintainedOracle{t: t, v: v, build: opts.Build}
+	o.check("cold", ServeBuilt)
 
 	items.MustInsert(relation.Row{int64(2), int64(1), 2.0}) // delivered
 	tx := db.Begin()
@@ -473,43 +460,27 @@ func TestMaintainedTrailingServesStaleWithoutRebuild(t *testing.T) {
 	if err := tx.Commit(); err != nil { // version moves, nothing delivered
 		t.Fatal(err)
 	}
-
-	want := map[int64]groupSum{1: {Sum: 3, N: 2}}
-	for i := 0; i < 3; i++ {
-		val, serve, err := v.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serve.Kind != ServeStale || !reflect.DeepEqual(val, want) {
-			t.Fatalf("read %d: %v %v, want the patched snapshot served stale", i, serve.Kind, val)
-		}
-	}
-	time.Sleep(5 * time.Millisecond) // room for a refresh, had one been enqueued
-	if st := v.Stats(); st.Refreshes != 1 || st.Patches != 1 || st.StaleHits != 3 || v.queued.Load() {
-		t.Fatalf("stats %+v queued=%v, want one patch, three stale serves and no rebuild asked for", st, v.queued.Load())
-	}
-	time.Sleep(40 * time.Millisecond)
-	val, serve, err := v.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serve.Kind != ServeBuilt || !reflect.DeepEqual(val, want) {
-		t.Fatalf("read past the bound: %v %v, want a blocking rebuild", serve.Kind, val)
+	o.check("patched past the delivered insert, up to the gap", ServeFresh)
+	o.check("again, with nothing new", ServeFresh)
+	items.MustInsert(relation.Row{int64(4), int64(2), 4.0})
+	o.check("first delivery after the gap", ServeBuilt)
+	o.check("warm after the rebuild", ServeFresh)
+	items.MustInsert(relation.Row{int64(5), int64(2), 5.0})
+	o.check("maintained again", ServeFresh)
+	if st := v.Stats(); st.Refreshes != 2 || st.Patches != 2 {
+		t.Fatalf("stats %+v, want the cold build, one rebuild at the gap and two patches", st)
 	}
 }
 
 // TestChurnMaintainedView races four readers against writers on the
-// maintained aggregate with the refresher pool running: no read may see
-// an empty group, the memory table delivers under its write lock so no
-// read may pay for more than the cold build, and the quiesced value
-// equals a fresh Build.
+// maintained aggregate: no read may see an empty group, every delivery
+// lands under the table's write lock so no read may pay for more than
+// the cold build, and the quiesced value equals a fresh Build.
 func TestChurnMaintainedView(t *testing.T) {
 	db := relation.NewDB()
 	items, _ := groupDB(t, db)
-	reg := NewRegistry(db, 2)
-	reg.Start()
-	defer reg.Close()
-	opts := groupView(items, Async, time.Second)
+	reg := NewRegistry(db)
+	opts := groupView(items)
 	v, err := reg.Register(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package matview is the asynchronous materialization layer: a registry
-// of materialized views over the relation store, each a precomputed
+// Package matview is the materialization layer: a registry of
+// materialized views over the relation store, each a precomputed
 // value (a rating map, a feed relation, an extend-step result) that
 // interactive requests read instead of recomputing — the precomputation
 // pattern social-systems infrastructure leans on to keep recommendation
@@ -15,11 +15,14 @@
 // early, never wrong. A read is a hit when every dependency still
 // matches exactly. The fingerprint split matters:
 //
-//   - version moved (row DML): the view's DATA is stale. Async views
-//     may still serve it inside their staleness bound.
+//   - version moved (row DML): the view's DATA is stale. A maintained
+//     view catches it up from its change logs (below); any other view
+//     rebuilds.
 //   - epoch moved or the table was replaced (DDL): the view may hold
-//     stale-SCHEMA rows. These are never served — the snapshot is
-//     dropped and the read rebuilds.
+//     stale-SCHEMA rows. The snapshot is dropped and the read rebuilds.
+//
+// Either way a read returns a value that reflects every change committed
+// before it: a read after a write sees the write.
 //
 // This is the same (SchemaEpoch, Version) machinery sqlmini's plan
 // cache fingerprints with, keyed one level stricter: plans bake in
@@ -27,32 +30,16 @@
 //
 // # Single-flight refresh
 //
-// All rebuilds of one view are single-flighted: the first reader (or
-// background worker) to find the view stale runs the build; every
-// concurrent reader joins that in-flight build and shares its result.
-// A cold view hit by N simultaneous requests builds once, not N times
-// — the stampede the hand-rolled caches this package replaced would
-// serialize into N sequential rebuilds.
-//
-// # Serving modes
-//
-// Sync views refresh on read: a stale read blocks on the (shared)
-// rebuild and always returns data reflecting every mutation committed
-// before the build started.
-//
-// Async views bound staleness instead of eliminating it: once a read
-// observes the snapshot stale the staleness clock starts, and reads
-// inside the view's MaxStale bound serve the previous snapshot
-// immediately while enqueueing a background refresh behind them
-// (deduplicated — one queued refresh per view). A read past the bound —
-// meaning refreshes have failed to land for MaxStale despite demand —
-// blocks like Sync. The clock starts at first OBSERVATION rather than
-// at the write because a write nobody reads after serves nobody stale
-// data, and it makes a long-fresh snapshot that just went stale serve
-// instantly instead of spuriously blocking on its calendar age.
-// Snapshots are immutable and published through an atomic pointer, so
-// a reader never observes a torn view: it gets the whole previous
-// snapshot or the whole next one.
+// All rebuilds of one view are single-flighted: the first reader to
+// find the view stale runs the build; every concurrent reader joins
+// that in-flight build and shares its result — and a joiner whose own
+// write the flight may predate checks the result and, if it is behind,
+// builds once more. A cold view hit by N simultaneous requests builds
+// once, not N times — the stampede the hand-rolled caches this package
+// replaced would serialize into N sequential rebuilds. Snapshots are
+// immutable and published through an atomic pointer, so a reader never
+// observes a torn view: it gets the whole previous snapshot or the whole
+// next one.
 //
 // # Maintained views
 //
@@ -67,10 +54,12 @@
 // it accounts for; the observer asks Keys which view keys the change
 // touches — or hears "cannot tell" — and appends (span, keys) to that
 // dependency's log. It does nothing else, and the reason is where it
-// runs: on an in-memory table, under the table's write lock. So it never
-// reads a table, and the only lock it takes is the log's own, which a
-// reader holds just long enough to copy keys out — never while it
-// probes a table.
+// runs: under the table's write lock, in the lock hold that applied the
+// change, durable tables included. So it never reads a table, and the
+// only lock it takes is the log's own, which a reader holds just long
+// enough to copy keys out — never while it probes a table. And because
+// the log grows in the same lock hold as the table's version, a reader
+// that sees a version finds its change already logged.
 //
 // The no-hole rule. A read that finds the snapshot stale takes the
 // single-flight lock and walks each moved dependency's log from the
@@ -88,29 +77,13 @@
 // log. A build that finishes after maintenance has carried the snapshot
 // past its fingerprint is not published over it.
 //
-// The three fallbacks, each exactly an unmaintained view's behaviour:
+// The two fallbacks, each exactly an unmaintained view's behaviour:
 //
-//   - a hole: the version moved and nothing was delivered (a row a
-//     transaction inserted and deleted, a rolled-back WAL rejection, a
-//     dropped notification, a log that overflowed unread). The log
-//     cannot say what changed: rebuild — behind the read for an async
-//     view inside its bound, blocking otherwise.
-//   - "cannot tell": Keys refused a change. Same.
-//   - the table is ahead of the log's head with no hole: on a durable
-//     table a delivery waits for its WAL record, so this is a commit in
-//     flight. An async view serves the snapshot, patched as far as the
-//     log reaches, as ServeStale inside MaxStale WITHOUT enqueueing a
-//     rebuild — the delivery will bring it current. A sync view, and an
-//     async one past the bound, block on a rebuild; the bound expiring
-//     is also how a version that never gets a delivery heals when no
-//     later change exposes the hole.
-//
-// # Lifecycle
-//
-// A Registry owns the background refresher pool: Start launches the
-// workers, Close stops them and drains in-flight builds. An unstarted
-// (or closed) registry still serves every view correctly — async views
-// simply degrade to blocking refreshes once past their bound. The core
-// Site starts its registry at construction and exposes Close; tests
-// defer it so goroutines drain.
+//   - a gap: the spans do not chain, because a version moved with nothing
+//     delivered (a row a transaction inserted and deleted, a rolled-back
+//     WAL rejection) or a log overflowed unread. The log cannot say what
+//     changed: rebuild. Such a version changed no row a reader can see,
+//     so a table merely ahead of its log's head is served as it stands;
+//     the gap surfaces, and rebuilds, at the next delivery.
+//   - "cannot tell": Keys refused a change. Rebuild.
 package matview

@@ -109,38 +109,31 @@ func (v *View) trimLogs(fps []tableFP) {
 	}
 }
 
-// advanced says where advance left a maintained view's snapshot.
-type advanced int
-
-const (
-	// unmaintainable: a log has a gap or an opaque change, or the patch
-	// failed — only a rebuild helps.
-	unmaintainable advanced = iota
-	// caughtUp: the snapshot reflects every version the tables had when
-	// the read arrived.
-	caughtUp
-	// trailing: the snapshot is at the heads of its logs, but a table's
-	// version is past its log's head: a durable delivery is in flight, or
-	// the version moved without one and none will come.
-	trailing
-)
-
 // advance brings the snapshot up to the heads of the change logs under
 // the single-flight lock: concurrent stale readers take turns, and all
-// but the first find the work done. The new snapshot is stamped with the
-// heads, not with the tables' versions, so a change that lands while the
-// patch runs is recomputed again by the read after it — harmless.
-func (v *View) advance() (*snapshot, advanced) {
+// but the first find the work done. ok is false when a log has a gap or
+// an opaque change, or the patch failed — only a rebuild helps then.
+//
+// Every delivery lands in the change log within the lock hold that moved
+// its table's version, so a log's head is never behind a change the
+// reader could see. A table whose version is past its log's head moved
+// with nothing delivered, which changed no row (see relation.RowObserver):
+// the snapshot is caught up all the same. It stays stamped with the
+// heads, not with the tables' versions, so the next delivery, which
+// chains from the table's version, shows the gap and rebuilds; and a
+// change that lands while the patch runs is recomputed again by the read
+// after it — harmless.
+func (v *View) advance() (*snapshot, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	s := v.snap.Load()
 	if s == nil {
-		return nil, unmaintainable
+		return nil, false
 	}
 	fps := s.fps // cloned at the first dependency that moves
 	var keys []any
 	var seen map[any]struct{}
-	state, moved := caughtUp, false
+	moved := false
 	for i, fp := range s.fps {
 		if fp.tbl == nil {
 			continue // absent at build time; the caller checked it still is
@@ -151,7 +144,7 @@ func (v *View) advance() (*snapshot, advanced) {
 		}
 		lg := v.logs[fp.name]
 		if lg == nil || lg.tbl != fp.tbl {
-			return s, unmaintainable
+			return s, false
 		}
 		head, ok := lg.collect(fp.version, func(k any) {
 			if _, dup := seen[k]; dup {
@@ -164,10 +157,7 @@ func (v *View) advance() (*snapshot, advanced) {
 			keys = append(keys, k)
 		})
 		if !ok {
-			return s, unmaintainable
-		}
-		if head < cur {
-			state = trailing
+			return s, false
 		}
 		if head != fp.version {
 			if !moved {
@@ -177,19 +167,19 @@ func (v *View) advance() (*snapshot, advanced) {
 		}
 	}
 	if !moved {
-		return s, state
+		return s, true
 	}
 	val := s.value
 	if len(keys) > 0 {
 		var err error
 		if val, err = guarded(func() (any, error) { return v.patch(s.value, keys) }); err != nil {
 			v.errors.Add(1)
-			return s, unmaintainable
+			return s, false
 		}
 	}
 	ns := &snapshot{value: val, fps: fps, builtAt: time.Now(), buildDur: s.buildDur}
 	v.snap.Store(ns)
 	v.trimLogs(fps)
 	v.patches.Add(1)
-	return ns, state
+	return ns, true
 }

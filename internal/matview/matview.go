@@ -11,51 +11,26 @@ import (
 	"courserank/internal/relation"
 )
 
-// Mode selects how a view meets a read that finds its snapshot stale.
-type Mode int
-
-const (
-	// Sync views refresh on read: a stale read blocks while the view
-	// rebuilds (single-flighted, so concurrent cold reads build once).
-	Sync Mode = iota
-	// Async views serve the previous snapshot immediately while a
-	// background worker refreshes behind the read, as long as the
-	// snapshot's age is inside the view's staleness bound; beyond the
-	// bound — or after a schema change — they block like Sync.
-	Async
-)
-
-// String names the mode for listings and JSON.
-func (m Mode) String() string {
-	if m == Async {
-		return "async"
-	}
-	return "sync"
-}
-
 // ServeKind says how one read was satisfied.
 type ServeKind int
 
 const (
-	// ServeFresh: the snapshot's fingerprint matched every dependency —
-	// as built, or after this read caught it up from the change logs.
+	// ServeFresh: the snapshot reflects every committed change — as
+	// built, or after this read caught it up from the change logs.
 	ServeFresh ServeKind = iota
-	// ServeStale: an async view served its previous snapshot inside the
-	// staleness bound — while a refresh ran behind the read or, for a
-	// maintained view, while a change was still on its way to the log.
+	// ServeStale: Peek found a snapshot some dependency has moved past.
+	// Get never serves one.
 	ServeStale
 	// ServeBuilt: the read blocked on a (single-flighted) rebuild.
 	ServeBuilt
 )
 
-// Serve describes how a Get was answered: the path taken, the age of
+// Serve describes how a Get was answered: the path taken and the age of
 // the snapshot it returned (time since its build; zero for a snapshot
-// built by this read) and — for stale serves — how long the snapshot
-// has been KNOWN stale, the quantity the staleness bound caps.
+// built by this read).
 type Serve struct {
-	Kind     ServeKind
-	Age      time.Duration
-	StaleFor time.Duration
+	Kind ServeKind
+	Age  time.Duration
 }
 
 // Options declares one materialized view.
@@ -64,14 +39,6 @@ type Options struct {
 	Name string
 	// Deps are the base-table names whose mutations stale the view.
 	Deps []string
-	// Mode is Sync (refresh-on-read) or Async (stale-bounded serving).
-	Mode Mode
-	// MaxStale bounds an Async view's serving staleness: once a read
-	// observes the snapshot stale, later reads keep serving it for at
-	// most this long while refreshes run behind them — beyond it (the
-	// refresher is lagging or dead) reads block like Sync. Zero makes
-	// Async behave like Sync. Ignored for Sync views.
-	MaxStale time.Duration
 	// Build computes one snapshot value. The returned value is shared
 	// between all readers of the snapshot and MUST be treated as
 	// immutable by everyone — builds return fresh values, never mutate
@@ -84,9 +51,8 @@ type Options struct {
 	// Keys names the view keys (comparable values) that one committed row
 	// change on dependency dep may have moved, or reports ok == false
 	// when it cannot tell, which sends the view back to Build. It runs
-	// inside the table's observer delivery — under the table's write lock
-	// on an in-memory table — so it may look at the two rows and at
-	// nothing else.
+	// inside the table's observer delivery, under the table's write lock,
+	// so it may look at the two rows and at nothing else.
 	Keys func(dep string, kind relation.MutKind, before, after relation.Row) (keys []any, ok bool)
 	// Patch returns a NEW value equal to prev with every listed key
 	// recomputed from the base tables as they are now; recomputing a key
@@ -111,50 +77,39 @@ type tableFP struct {
 // snapshot is one immutable build result. Readers obtain the whole
 // snapshot through an atomic pointer, so a reader never observes a
 // half-replaced view — refreshes publish a new snapshot or none.
-// staleAt is the one mutable cell: a CAS-once observation marker
-// recording when a read first found the snapshot stale, the clock the
-// staleness bound runs against. (A version mismatch never un-stales —
-// versions are monotonic — so the marker is set at most once.)
 type snapshot struct {
 	value    any
 	fps      []tableFP
 	builtAt  time.Time
 	buildDur time.Duration
-	staleAt  atomic.Int64 // unix nanos of the first stale observation; 0 = none
 }
 
-// staleFor returns how long the snapshot has been known stale as of
-// now, marking the first observation.
-func (s *snapshot) staleFor(now time.Time) time.Duration {
-	sa := s.staleAt.Load()
-	if sa == 0 {
-		s.staleAt.CompareAndSwap(0, now.UnixNano())
-		sa = s.staleAt.Load()
-	}
-	return now.Sub(time.Unix(0, sa))
-}
-
-// fresh reports whether every dependency still matches its build-time
-// fingerprint exactly. A dependency absent at build time matches while
-// it stays absent — the snapshot legitimately reflects "no table".
-func (s *snapshot) fresh(db *relation.DB) bool {
+// compare checks every dependency against its build-time fingerprint.
+// sameShape reports the same table at the same schema epoch everywhere
+// — a dropped, replaced or re-shaped table may have left stale-SCHEMA
+// rows in the snapshot — and fresh that the versions match as well. A
+// dependency absent at build time matches while it stays absent: the
+// snapshot legitimately reflects "no table".
+func (s *snapshot) compare(db *relation.DB) (sameShape, fresh bool) {
+	fresh = true
 	for _, fp := range s.fps {
 		t, ok := db.Table(fp.name)
 		if !ok {
 			if fp.tbl == nil {
 				continue // absent at build, still absent
 			}
-			return false
+			return false, false
 		}
 		if t != fp.tbl {
-			return false
+			return false, false
 		}
 		epoch, version := t.ViewFingerprint()
-		if epoch != fp.epoch || version != fp.version {
-			return false
+		if epoch != fp.epoch {
+			return false, false
 		}
+		fresh = fresh && version == fp.version
 	}
-	return true
+	return true, fresh
 }
 
 // past reports whether s is o carried further: the same tables at the
@@ -171,30 +126,6 @@ func (s *snapshot) past(o *snapshot) bool {
 	return ahead
 }
 
-// sameShape reports whether every dependency is still the same table at
-// the same schema epoch — the precondition for serving the snapshot
-// STALE: row DML inside the staleness bound is tolerated, but a dropped,
-// replaced or re-shaped table must never serve stale-schema rows.
-func (s *snapshot) sameShape(db *relation.DB) bool {
-	for _, fp := range s.fps {
-		t, ok := db.Table(fp.name)
-		if !ok {
-			if fp.tbl == nil {
-				continue
-			}
-			return false
-		}
-		if t != fp.tbl {
-			return false
-		}
-		epoch, _ := t.ViewFingerprint()
-		if epoch != fp.epoch {
-			return false
-		}
-	}
-	return true
-}
-
 // call is one in-flight build that late readers join instead of
 // building again — the single-flight mechanism.
 type call struct {
@@ -206,23 +137,19 @@ type call struct {
 // View is one registered materialized view. All methods are safe for
 // concurrent use.
 type View struct {
-	reg      *Registry
-	name     string
-	deps     []string
-	mode     Mode
-	maxStale time.Duration
-	build    func() (any, error)
-	keys     func(dep string, kind relation.MutKind, before, after relation.Row) ([]any, bool)
-	patch    func(prev any, keys []any) (any, error) // nil = not maintained
+	reg   *Registry
+	name  string
+	deps  []string
+	build func() (any, error)
+	keys  func(dep string, kind relation.MutKind, before, after relation.Row) ([]any, bool)
+	patch func(prev any, keys []any) (any, error) // nil = not maintained
 
 	snap   atomic.Pointer[snapshot]
 	mu     sync.Mutex // guards flight and logs; held while a patch runs
 	flight *call
 	logs   map[string]*changeLog // per dependency name; maintained views only
-	queued atomic.Bool           // a background refresh is enqueued or running
 
 	hits          atomic.Uint64
-	staleHits     atomic.Uint64
 	misses        atomic.Uint64
 	refreshes     atomic.Uint64
 	patches       atomic.Uint64
@@ -232,12 +159,6 @@ type View struct {
 
 // Name returns the view's registry key.
 func (v *View) Name() string { return v.name }
-
-// Mode returns the view's serving mode.
-func (v *View) Mode() Mode { return v.mode }
-
-// MaxStale returns the async staleness bound (zero for sync views).
-func (v *View) MaxStale() time.Duration { return v.maxStale }
 
 // Deps returns the dependency table names.
 func (v *View) Deps() []string { return append([]string(nil), v.deps...) }
@@ -266,16 +187,14 @@ func (v *View) fingerprint() []tableFP {
 // snapshot. Readers arriving while a build is in flight wait for that
 // build instead of starting their own.
 //
-// When strict is set (blocking reads), a JOINED build's result is
-// revalidated: the flight may have started before the write or DDL
-// that sent this reader here, so a result that is already stale — or
-// worse, pre-DDL — triggers one more round instead of being returned
-// as ServeBuilt. The second round is always acceptable: any flight
-// encountered then was created after the first one cleared, i.e. after
-// this read began, so its fingerprint covers everything the reader has
-// seen. Background refreshes pass strict=false — joining whatever
-// refresh is running is exactly the deduplication they want.
-func (v *View) rebuild(strict bool) (*snapshot, error) {
+// A JOINED build's result is revalidated: the flight may have started
+// before the write or DDL that sent this reader here, so a result that
+// is already stale — or worse, pre-DDL — triggers one more round
+// instead of being returned as ServeBuilt. The second round is always
+// acceptable: any flight encountered then was created after the first
+// one cleared, i.e. after this read began, so its fingerprint covers
+// everything the reader has seen.
+func (v *View) rebuild() (*snapshot, error) {
 	joined := false
 	for {
 		v.mu.Lock()
@@ -285,7 +204,7 @@ func (v *View) rebuild(strict bool) (*snapshot, error) {
 			if c.err != nil {
 				return nil, c.err
 			}
-			if !strict || joined {
+			if joined {
 				return c.snap, nil
 			}
 			if s, ok := v.current(c.snap); ok {
@@ -307,13 +226,11 @@ func (v *View) rebuild(strict bool) (*snapshot, error) {
 // or, for a maintained view, once caught up from the change logs, which
 // is what a write racing the build costs instead of a second build.
 func (v *View) current(s *snapshot) (*snapshot, bool) {
-	if s.fresh(v.reg.db) {
+	if _, fresh := s.compare(v.reg.db); fresh {
 		return s, true
 	}
 	if v.patch != nil {
-		if ps, got := v.advance(); got == caughtUp {
-			return ps, true
-		}
+		return v.advance()
 	}
 	return nil, false
 }
@@ -361,19 +278,20 @@ func guarded(fn func() (any, error)) (val any, err error) {
 	return fn()
 }
 
-// Get serves the view: a fresh snapshot immediately (hit) — for a
-// maintained view also one this read caught up from the change logs —
-// a stale one inside an async view's bound while a background refresh
-// runs (stale-hit), or the result of a blocking single-flighted rebuild
-// (miss). The returned value is shared and immutable — callers must not
-// modify it.
+// Get serves the view: the snapshot immediately when it is fresh (hit)
+// — for a maintained view also when this read caught it up from the
+// change logs — and otherwise the result of a blocking single-flighted
+// rebuild (miss). Either way the value reflects every change committed
+// before the read. It is shared and immutable — callers must not modify
+// it.
 func (v *View) Get() (any, Serve, error) {
 	if s := v.snap.Load(); s != nil {
-		if s.fresh(v.reg.db) {
+		sameShape, fresh := s.compare(v.reg.db)
+		switch {
+		case fresh:
 			v.hits.Add(1)
 			return s.value, Serve{Kind: ServeFresh, Age: time.Since(s.builtAt)}, nil
-		}
-		if !s.sameShape(v.reg.db) {
+		case !sameShape:
 			// Schema epoch moved or the table was replaced: the snapshot
 			// may hold stale-SCHEMA rows, which must never be served.
 			// Drop it so even a racing reader cannot pick it up; the CAS
@@ -381,42 +299,15 @@ func (v *View) Get() (any, Serve, error) {
 			if v.snap.CompareAndSwap(s, nil) {
 				v.invalidations.Add(1)
 			}
-		} else {
-			// A maintained view catches the snapshot up from its change
-			// logs. One that merely trails a table — a change committed but
-			// not yet delivered — is served like any stale snapshot, except
-			// that no rebuild is asked for: the delivery will bring it
-			// current, and if none ever comes the bound below expires into
-			// the blocking rebuild.
-			refresh := true
-			if v.patch != nil {
-				switch ps, got := v.advance(); got {
-				case caughtUp:
-					v.hits.Add(1)
-					return ps.value, Serve{Kind: ServeFresh, Age: time.Since(ps.builtAt)}, nil
-				case trailing:
-					s, refresh = ps, false
-				}
-			}
-			if v.mode == Async && v.maxStale > 0 {
-				// The bound caps KNOWN staleness: the clock starts when a read
-				// first observes the snapshot stale (a write nobody reads after
-				// serves nobody stale data), so a long-fresh snapshot that just
-				// went stale serves instantly while the refresh it triggered
-				// runs — and keeps serving only while refreshes keep up.
-				now := time.Now()
-				if staleFor := s.staleFor(now); staleFor <= v.maxStale {
-					v.staleHits.Add(1)
-					if refresh {
-						v.enqueueRefresh()
-					}
-					return s.value, Serve{Kind: ServeStale, Age: now.Sub(s.builtAt), StaleFor: staleFor}, nil
-				}
+		case v.patch != nil:
+			if ps, ok := v.advance(); ok {
+				v.hits.Add(1)
+				return ps.value, Serve{Kind: ServeFresh, Age: time.Since(ps.builtAt)}, nil
 			}
 		}
 	}
 	v.misses.Add(1)
-	s, err := v.rebuild(true)
+	s, err := v.rebuild()
 	if err != nil {
 		return nil, Serve{}, err
 	}
@@ -433,7 +324,7 @@ func (v *View) Peek() (value any, serve Serve, ok bool) {
 		return nil, Serve{}, false
 	}
 	kind := ServeStale
-	if s.fresh(v.reg.db) {
+	if _, fresh := s.compare(v.reg.db); fresh {
 		kind = ServeFresh
 	}
 	return s.value, Serve{Kind: kind, Age: time.Since(s.builtAt)}, true
@@ -447,36 +338,12 @@ func (v *View) Invalidate() {
 	}
 }
 
-// enqueueRefresh schedules one background rebuild, deduplicating: while
-// a refresh is queued or running, further stale reads do not enqueue
-// again. With no started worker pool (or a closed registry) this is a
-// no-op — correctness is unaffected because reads beyond the staleness
-// bound block and rebuild synchronously.
-func (v *View) enqueueRefresh() {
-	r := v.reg
-	if !r.started.Load() || r.closed.Load() {
-		return
-	}
-	if !v.queued.CompareAndSwap(false, true) {
-		return
-	}
-	select {
-	case r.queue <- v:
-	default:
-		// Queue full: drop the request; a later read re-triggers.
-		v.queued.Store(false)
-	}
-}
-
 // ViewStats is a point-in-time snapshot of one view's counters and
 // snapshot state.
 type ViewStats struct {
 	Name          string        `json:"name"`
-	Mode          string        `json:"mode"`
-	MaxStale      time.Duration `json:"maxStale"`
 	Deps          []string      `json:"deps"`
 	Hits          uint64        `json:"hits"`
-	StaleHits     uint64        `json:"staleHits"`
 	Misses        uint64        `json:"misses"`
 	Refreshes     uint64        `json:"refreshes"` // full builds only
 	Patches       uint64        `json:"patches"`   // snapshots brought current from the change logs
@@ -491,11 +358,8 @@ type ViewStats struct {
 func (v *View) Stats() ViewStats {
 	st := ViewStats{
 		Name:          v.name,
-		Mode:          v.mode.String(),
-		MaxStale:      v.maxStale,
 		Deps:          v.Deps(),
 		Hits:          v.hits.Load(),
-		StaleHits:     v.staleHits.Load(),
 		Misses:        v.misses.Load(),
 		Refreshes:     v.refreshes.Load(),
 		Patches:       v.patches.Load(),
@@ -514,7 +378,6 @@ func (v *View) Stats() ViewStats {
 type Stats struct {
 	Views         int    `json:"views"`
 	Hits          uint64 `json:"hits"`
-	StaleHits     uint64 `json:"staleHits"`
 	Misses        uint64 `json:"misses"`
 	Refreshes     uint64 `json:"refreshes"`
 	Patches       uint64 `json:"patches"`
@@ -522,37 +385,17 @@ type Stats struct {
 	Errors        uint64 `json:"errors"`
 }
 
-// Registry is the catalog of materialized views over one database plus
-// the background refresher pool serving its async views. The zero
-// lifecycle is Start → serve → Close; an unstarted registry still
-// serves every view correctly (async views simply degrade to blocking
-// refreshes once past their staleness bound).
+// Registry is the catalog of materialized views over one database.
 type Registry struct {
-	db      *relation.DB
-	workers int
-	queue   chan *View
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	started atomic.Bool
-	closed  atomic.Bool
+	db *relation.DB
 
 	mu    sync.RWMutex
 	views map[string]*View
 }
 
-// NewRegistry builds a registry over db with the given background
-// refresher pool size (minimum 1, applied at Start).
-func NewRegistry(db *relation.DB, workers int) *Registry {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Registry{
-		db:      db,
-		workers: workers,
-		queue:   make(chan *View, 16*workers),
-		stop:    make(chan struct{}),
-		views:   make(map[string]*View),
-	}
+// NewRegistry builds an empty registry over db.
+func NewRegistry(db *relation.DB) *Registry {
+	return &Registry{db: db, views: make(map[string]*View)}
 }
 
 // DB returns the database the registry's views are defined over.
@@ -565,12 +408,11 @@ func (r *Registry) Register(o Options) (*View, error) {
 }
 
 // GetOrRegister returns the existing view under o.Name, or registers o.
-// Lazy wiring (FlexRecs Materialize steps) uses it so the first request
+// Lazy wiring (FlexRecs materialize steps) uses it so the first request
 // to a workflow shape installs the view and later requests share it.
-// Reuse requires the serving options to agree: a name registered sync
-// cannot be silently re-fetched as async (or with different deps or
-// bound) — that would hand one of the two callers the wrong staleness
-// contract, so the mismatch is an error instead.
+// Reuse requires the dependencies to agree: a view fingerprinted on
+// other tables would go stale on the wrong writes, so the mismatch is an
+// error instead.
 func (r *Registry) GetOrRegister(o Options) (*View, error) {
 	return r.register(o, true)
 }
@@ -608,24 +450,22 @@ func (r *Registry) register(o Options, reuse bool) (*View, error) {
 		return reusable(v, o)
 	}
 	v := &View{
-		reg:      r,
-		name:     o.Name,
-		deps:     append([]string(nil), o.Deps...),
-		mode:     o.Mode,
-		maxStale: o.MaxStale,
-		build:    o.Build,
-		keys:     o.Keys,
-		patch:    o.Patch,
+		reg:   r,
+		name:  o.Name,
+		deps:  append([]string(nil), o.Deps...),
+		build: o.Build,
+		keys:  o.Keys,
+		patch: o.Patch,
 	}
 	r.views[o.Name] = v
 	return v, nil
 }
 
-// reusable enforces the reuse contract: the existing view's serving
-// options must agree with the requested ones.
+// reusable enforces the reuse contract: the existing view's
+// dependencies must agree with the requested ones.
 func reusable(v *View, o Options) (*View, error) {
-	if v.mode != o.Mode || v.maxStale != o.MaxStale || !slices.Equal(v.deps, o.Deps) {
-		return nil, fmt.Errorf("matview: view %q already registered with different serving options", o.Name)
+	if !slices.Equal(v.deps, o.Deps) {
+		return nil, fmt.Errorf("matview: view %q already registered with different dependencies", o.Name)
 	}
 	return v, nil
 }
@@ -657,7 +497,6 @@ func (r *Registry) Stats() Stats {
 		vs := v.Stats()
 		s.Views++
 		s.Hits += vs.Hits
-		s.StaleHits += vs.StaleHits
 		s.Misses += vs.Misses
 		s.Refreshes += vs.Refreshes
 		s.Patches += vs.Patches
@@ -665,48 +504,4 @@ func (r *Registry) Stats() Stats {
 		s.Errors += vs.Errors
 	}
 	return s
-}
-
-// Start launches the background refresher pool. Idempotent.
-func (r *Registry) Start() {
-	if r.closed.Load() || !r.started.CompareAndSwap(false, true) {
-		return
-	}
-	for i := 0; i < r.workers; i++ {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			for {
-				select {
-				case <-r.stop:
-					return
-				case v := <-r.queue:
-					// Clear the dedup flag BEFORE building so DML landing
-					// during the build can re-enqueue a follow-up refresh.
-					v.queued.Store(false)
-					_, _ = v.rebuild(false)
-				}
-			}
-		}()
-	}
-}
-
-// Close stops the refresher pool and waits for in-flight builds to
-// drain. Views keep serving afterwards (async ones degrade to blocking
-// refreshes). Idempotent.
-func (r *Registry) Close() {
-	if !r.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(r.stop)
-	r.wg.Wait()
-	// Drop queued-but-unprocessed requests so their dedup flags reset.
-	for {
-		select {
-		case v := <-r.queue:
-			v.queued.Store(false)
-		default:
-			return
-		}
-	}
 }

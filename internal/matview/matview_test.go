@@ -45,7 +45,7 @@ func sumKV(tbl *relation.Table, builds *atomic.Int64) func() (any, error) {
 
 func TestSyncServing(t *testing.T) {
 	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	var builds atomic.Int64
 	v, err := reg.Register(Options{Name: "sum", Deps: []string{"KV"}, Build: sumKV(tbl, &builds)})
 	if err != nil {
@@ -82,7 +82,7 @@ func TestSyncServing(t *testing.T) {
 // cold readers must share ONE build, not run N.
 func TestSyncSingleFlight(t *testing.T) {
 	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	var builds atomic.Int64
 	slowBuild := func() (any, error) {
 		builds.Add(1)
@@ -122,107 +122,13 @@ func TestSyncSingleFlight(t *testing.T) {
 	}
 }
 
-func TestAsyncStaleBoundedServing(t *testing.T) {
-	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 1)
-	reg.Start()
-	defer reg.Close()
-	var builds atomic.Int64
-	v, err := reg.Register(Options{
-		Name: "sum", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Minute,
-		Build: sumKV(tbl, &builds),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, serve, err := v.Get(); err != nil || serve.Kind != ServeBuilt {
-		t.Fatalf("cold read: %v %v", serve.Kind, err)
-	}
-
-	// DML stales the view; the next read is inside the bound, so it
-	// serves the OLD snapshot immediately and refreshes behind.
-	tbl.MustInsert(relation.Row{int64(5), int64(50)})
-	val, serve, err := v.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serve.Kind != ServeStale || val.(int64) != 100 {
-		t.Fatalf("bounded read = %v (%v), want the previous 100 served stale", val, serve.Kind)
-	}
-	if serve.StaleFor > time.Minute {
-		t.Fatalf("stale serve staleness %v exceeds the bound", serve.StaleFor)
-	}
-
-	// The background refresh lands; soon a read is a fresh hit on the
-	// new value.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		val, serve, err = v.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serve.Kind == ServeFresh && val.(int64) == 150 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background refresh never landed: %v (%v)", val, serve.Kind)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := v.Stats(); st.StaleHits == 0 {
-		t.Fatalf("stats = %+v, want a stale hit recorded", st)
-	}
-}
-
-// TestAsyncBeyondBoundBlocks: the staleness clock starts when a read
-// first OBSERVES the snapshot stale; once known-stale for longer than
-// the bound (here: no worker pool ever refreshes), reads must block and
-// rebuild rather than keep serving.
-func TestAsyncBeyondBoundBlocks(t *testing.T) {
-	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 1) // never started: past the bound MUST still be correct
-	var builds atomic.Int64
-	v, err := reg.Register(Options{
-		Name: "sum", Deps: []string{"KV"}, Mode: Async, MaxStale: 5 * time.Millisecond,
-		Build: sumKV(tbl, &builds),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := v.Get(); err != nil {
-		t.Fatal(err)
-	}
-	tbl.MustInsert(relation.Row{int64(5), int64(50)})
-	// First read after the write: observes the staleness, starts the
-	// clock, serves the old snapshot instantly.
-	val, serve, err := v.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serve.Kind != ServeStale || val.(int64) != 100 {
-		t.Fatalf("first stale observation = %v (%v), want the old 100 served", val, serve.Kind)
-	}
-	time.Sleep(10 * time.Millisecond) // known-stale past the bound, no refresher running
-	val, serve, err = v.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serve.Kind != ServeBuilt || val.(int64) != 150 {
-		t.Fatalf("read past the bound = %v (%v), want a blocking rebuild to 150", val, serve.Kind)
-	}
-}
-
 // TestSchemaEpochInvalidates is the DDL test: an epoch bump must drop
-// the snapshot and rebuild — an async view must NOT serve stale-schema
-// rows even inside its staleness bound.
+// the snapshot and rebuild — stale-schema rows are never served.
 func TestSchemaEpochInvalidates(t *testing.T) {
 	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	var builds atomic.Int64
-	v, err := reg.Register(Options{
-		Name: "sum", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Hour,
-		Build: sumKV(tbl, &builds),
-	})
+	v, err := reg.Register(Options{Name: "sum", Deps: []string{"KV"}, Build: sumKV(tbl, &builds)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +146,8 @@ func TestSchemaEpochInvalidates(t *testing.T) {
 	if serve.Kind != ServeBuilt {
 		t.Fatalf("post-DDL read served %v, want a rebuild (stale-schema rows must never serve)", serve.Kind)
 	}
-	if st := v.Stats(); st.Invalidations != 1 || st.StaleHits != 0 {
-		t.Fatalf("stats = %+v, want 1 invalidation and no stale hit", st)
+	if st := v.Stats(); st.Invalidations != 1 {
+		t.Fatalf("stats = %+v, want 1 invalidation", st)
 	}
 }
 
@@ -250,7 +156,7 @@ func TestSchemaEpochInvalidates(t *testing.T) {
 // snapshot.
 func TestTableReplacedInvalidates(t *testing.T) {
 	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	var builds atomic.Int64
 	build := func() (any, error) {
 		builds.Add(1)
@@ -262,7 +168,7 @@ func TestTableReplacedInvalidates(t *testing.T) {
 		cur.Scan(func(_ int, r relation.Row) bool { sum += r[1].(int64); return true })
 		return sum, nil
 	}
-	v, err := reg.Register(Options{Name: "sum", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Hour, Build: build})
+	v, err := reg.Register(Options{Name: "sum", Deps: []string{"KV"}, Build: build})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +194,7 @@ func TestTableReplacedInvalidates(t *testing.T) {
 // and run one more build, so sync reads keep read-your-writes.
 func TestJoinedBuildRevalidates(t *testing.T) {
 	db, tbl := kvDB(t, 2) // sum = 30
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	gate := make(chan struct{})
 	var firstBuild atomic.Bool
 	firstBuild.Store(true)
@@ -352,7 +258,7 @@ func TestJoinedBuildRevalidates(t *testing.T) {
 // must invalidate the moment the table is created.
 func TestAbsentDependencyCaches(t *testing.T) {
 	db := relation.NewDB()
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	var builds atomic.Int64
 	v, err := reg.Register(Options{
 		Name: "sum", Deps: []string{"KV"},
@@ -390,22 +296,22 @@ func TestAbsentDependencyCaches(t *testing.T) {
 }
 
 // TestGetOrRegisterOptionMismatch: reuse under one name requires the
-// serving contract to agree.
+// dependencies to agree.
 func TestGetOrRegisterOptionMismatch(t *testing.T) {
 	db, tbl := kvDB(t, 1)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	build := sumKV(tbl, new(atomic.Int64))
 	if _, err := reg.GetOrRegister(Options{Name: "v", Deps: []string{"KV"}, Build: build}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.GetOrRegister(Options{Name: "v", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Second, Build: build}); err == nil {
-		t.Fatal("conflicting serving options should not silently reuse the view")
+	if _, err := reg.GetOrRegister(Options{Name: "v", Deps: []string{"KV", "Other"}, Build: build}); err == nil {
+		t.Fatal("conflicting dependencies should not silently reuse the view")
 	}
 }
 
 func TestBuildErrorRetries(t *testing.T) {
 	db, tbl := kvDB(t, 2)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	fail := atomic.Bool{}
 	fail.Store(true)
 	var builds atomic.Int64
@@ -440,7 +346,7 @@ func TestBuildErrorRetries(t *testing.T) {
 // panicking Patch sends the view back to Build the same way.
 func TestBuildPanicReleasesFlight(t *testing.T) {
 	db, tbl := kvDB(t, 2)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	var builds atomic.Int64
 	v, err := reg.Register(Options{
 		Name: "sum", Deps: []string{"KV"},
@@ -488,7 +394,7 @@ func TestBuildPanicReleasesFlight(t *testing.T) {
 
 func TestRegistryRegistration(t *testing.T) {
 	db, tbl := kvDB(t, 1)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	opts := Options{Name: "v", Deps: []string{"KV"}, Build: sumKV(tbl, new(atomic.Int64))}
 	v1, err := reg.Register(opts)
 	if err != nil {
@@ -519,93 +425,9 @@ func TestRegistryRegistration(t *testing.T) {
 	}
 }
 
-// TestCloseDrains: Close must wait for an in-flight background refresh
-// and leave the registry serving (degraded to blocking refreshes).
-func TestCloseDrains(t *testing.T) {
-	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 2)
-	reg.Start()
-	building := make(chan struct{}, 8)
-	v, err := reg.Register(Options{
-		Name: "sum", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Minute,
-		Build: func() (any, error) {
-			building <- struct{}{}
-			time.Sleep(20 * time.Millisecond)
-			var sum int64
-			tbl.Scan(func(_ int, r relation.Row) bool { sum += r[1].(int64); return true })
-			return sum, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := v.Get(); err != nil {
-		t.Fatal(err)
-	}
-	<-building // the cold build's signal
-	tbl.MustInsert(relation.Row{int64(5), int64(50)})
-	if _, serve, _ := v.Get(); serve.Kind != ServeStale {
-		t.Fatalf("expected a stale serve kicking a background refresh, got %v", serve.Kind)
-	}
-	<-building  // the worker started the background refresh
-	reg.Close() // must block until that build completes
-	val, _, err := v.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if val.(int64) != 150 {
-		t.Fatalf("post-Close read = %v, want 150 (refresh completed before Close returned)", val)
-	}
-	reg.Close() // idempotent
-}
-
-// TestAsyncDedup: a storm of stale reads enqueues at most one refresh
-// at a time.
-func TestAsyncDedup(t *testing.T) {
-	db, tbl := kvDB(t, 4)
-	reg := NewRegistry(db, 1)
-	reg.Start()
-	defer reg.Close()
-	var builds atomic.Int64
-	v, err := reg.Register(Options{
-		Name: "sum", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Minute,
-		Build: func() (any, error) {
-			builds.Add(1)
-			time.Sleep(10 * time.Millisecond)
-			return int64(0), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := v.Get(); err != nil {
-		t.Fatal(err)
-	}
-	tbl.MustInsert(relation.Row{int64(5), int64(50)})
-	for i := 0; i < 50; i++ {
-		// Every read inside the bound serves immediately — fresh once the
-		// refresh lands, stale before — and NEVER blocks on a build.
-		if _, serve, _ := v.Get(); serve.Kind == ServeBuilt {
-			t.Fatalf("read %d blocked on a build inside the staleness bound", i)
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
-	// 1 cold build + a handful of deduplicated background refreshes —
-	// far fewer than the 50 stale reads.
-	if b := builds.Load(); b > 5 {
-		t.Fatalf("50 stale reads caused %d builds, want deduplicated refreshes", b)
-	}
-}
-
-func TestModeAndServeStrings(t *testing.T) {
-	if Sync.String() != "sync" || Async.String() != "async" {
-		t.Fatal("mode strings")
-	}
-}
-
 func TestPeekDoesNotBuild(t *testing.T) {
 	db, tbl := kvDB(t, 2)
-	reg := NewRegistry(db, 1)
+	reg := NewRegistry(db)
 	var builds atomic.Int64
 	v, err := reg.Register(Options{Name: "sum", Deps: []string{"KV"}, Build: sumKV(tbl, &builds)})
 	if err != nil {
@@ -631,16 +453,13 @@ func TestPeekDoesNotBuild(t *testing.T) {
 
 func TestStatsFields(t *testing.T) {
 	db, tbl := kvDB(t, 2)
-	reg := NewRegistry(db, 1)
-	v, err := reg.Register(Options{
-		Name: "sum", Deps: []string{"KV"}, Mode: Async, MaxStale: time.Second,
-		Build: sumKV(tbl, new(atomic.Int64)),
-	})
+	reg := NewRegistry(db)
+	v, err := reg.Register(Options{Name: "sum", Deps: []string{"KV"}, Build: sumKV(tbl, new(atomic.Int64))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := v.Stats()
-	if st.Name != "sum" || st.Mode != "async" || st.MaxStale != time.Second {
+	if st.Name != "sum" {
 		t.Fatalf("stats identity = %+v", st)
 	}
 	if fmt.Sprint(st.Deps) != "[KV]" {

@@ -74,7 +74,7 @@ func NewOver(db *relation.DB, sql *sqlmini.Engine) *Engine {
 
 // UseViews routes the engine's materialized views through reg — the
 // Site facade wiring, so the ratings view shows up beside the feed
-// views in /api/views and shares the background refresher pool.
+// views in /api/views.
 func (e *Engine) UseViews(reg *matview.Registry) {
 	e.mu.Lock()
 	e.views = reg
@@ -82,12 +82,11 @@ func (e *Engine) UseViews(reg *matview.Registry) {
 	e.mu.Unlock()
 }
 
-// registry returns the wired registry, creating a private sync-only one
-// on first use for engines running outside the Site facade. Caller
-// holds e.mu.
+// registry returns the wired registry, creating a private one on first
+// use for engines running outside the Site facade. Caller holds e.mu.
 func (e *Engine) registry() *matview.Registry {
 	if e.views == nil {
-		e.views = matview.NewRegistry(e.db, 1)
+		e.views = matview.NewRegistry(e.db)
 	}
 	return e.views
 }
@@ -106,7 +105,6 @@ func (e *Engine) ratingsBySuID() map[int64]flexrecs.Vector {
 		v, err = e.registry().GetOrRegister(matview.Options{
 			Name:  RatingsViewName,
 			Deps:  []string{"Comments"},
-			Mode:  matview.Sync,
 			Build: func() (any, error) { return e.buildRatings() },
 		})
 		if err != nil {

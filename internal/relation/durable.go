@@ -516,10 +516,6 @@ func (s *DurableStore) LogTxAbort(tx uint64) (uint64, error) {
 	return s.append(recTxAbort, walTx{Tx: tx})
 }
 
-// SyncConfirms reports whether WaitDurable confirms the fsync: true
-// under SyncAlways, false when a background flusher catches up later.
-func (s *DurableStore) SyncConfirms() bool { return s.log.Policy() == wal.SyncAlways }
-
 // LogCreate appends a redo record carrying the table definition.
 func (s *DurableStore) LogCreate(t *Table) (uint64, error) {
 	return s.append(recCreate, headerFor(t))

@@ -134,13 +134,6 @@ type Table struct {
 	// GC. Empty vslots is the fast path: every slot is plain and reads
 	// skip version resolution.
 	vslots map[int]struct{}
-
-	// Deferred observer delivery for durable tables (see shard.go):
-	// mutations queue under nqMu (taken inside mu) and deliver under
-	// notifyMu once their WAL record is confirmed.
-	nqMu     sync.Mutex
-	nq       []queuedNotify
-	notifyMu sync.Mutex
 }
 
 // Version returns a counter that increases on every mutation (insert,
@@ -380,7 +373,6 @@ func (t *Table) InsertGet(row Row) (Row, error) {
 
 // insertDurable applies an insert and journals it following the
 // Storage protocol (see storage.go). The returned row is a copy.
-// Observer delivery waits for the WAL confirmation (see shard.go).
 func (t *Table) insertDurable(s Storage, row Row) (int, Row, error) {
 	s.BeginMutate()
 	seq, _ := t.clock.alloc()
@@ -401,14 +393,12 @@ func (t *Table) insertDurable(s Storage, row Row) (int, Row, error) {
 		return 0, nil, err
 	}
 	t.meta[slot].begin = seq
-	t.queueNotifyLocked(lsn, MutInsert, nil, r, t.version)
+	t.notifyLocked(MutInsert, nil, r, t.version)
 	clone := r.Clone()
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
-	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
-	return slot, clone, werr
+	return slot, clone, s.WaitDurable(lsn)
 }
 
 // MustInsert inserts and panics on error; for generator/loader code paths
@@ -836,13 +826,11 @@ func (t *Table) updateByKeyDurable(s Storage, key []Value, set func(Row) Row) er
 		return err
 	}
 	t.sealUpdateLocked(slot, node, seq)
-	t.queueNotifyLocked(lsn, MutUpdate, old, repl, t.version)
+	t.notifyLocked(MutUpdate, old, repl, t.version)
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
-	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
-	return werr
+	return s.WaitDurable(lsn)
 }
 
 // sealUpdateLocked stamps an applied autocommit update with its commit
@@ -992,16 +980,11 @@ func (t *Table) UpdateWhere(pred func(Row) bool, set func(Row) Row) (int, error)
 	for _, u := range ups {
 		t.sealUpdateLocked(u.slot, u.node, seq)
 	}
-	first := t.firstVersionOf(len(muts))
-	for i := range muts {
-		t.queueNotifyLocked(lsn, MutUpdate, undo[i].Row, muts[i].Row, first+uint64(i))
-	}
+	t.notifyUpdatesLocked(muts, undo)
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
-	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
-	if uerr == nil {
+	if werr := s.WaitDurable(lsn); uerr == nil {
 		uerr = werr
 	}
 	return n, uerr
@@ -1120,10 +1103,7 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 			return 0, err
 		}
 		t.sealDeletesLocked(slots, seq)
-		first := t.firstVersionOf(len(pre))
-		for i, r := range pre {
-			t.notifyLocked(MutDelete, r, nil, first+uint64(i))
-		}
+		t.notifyDeletedRowsLocked(pre)
 		t.mu.Unlock()
 		t.clock.complete(seq)
 		return len(slots), nil
@@ -1148,16 +1128,11 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 			s.EndMutate()
 			return 0, err
 		}
-		first := t.firstVersionOf(len(undo))
-		for i, u := range undo {
-			t.queueNotifyLocked(lsn, MutDelete, u.Row, nil, first+uint64(i))
-		}
+		t.notifyDeletesLocked(undo)
 		t.mu.Unlock()
 		t.clock.complete(seq)
 		s.EndMutate()
-		werr := s.WaitDurable(lsn)
-		t.flushNotifies(lsn, werr, s)
-		return n, werr
+		return n, s.WaitDurable(lsn)
 	}
 	// Version-retaining path: nothing is applied until the WAL accepts
 	// the record, so a rejection needs no undo.
@@ -1180,16 +1155,11 @@ func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
 		return 0, err
 	}
 	t.sealDeletesLocked(slots, seq)
-	first := t.firstVersionOf(len(pre))
-	for i, r := range pre {
-		t.queueNotifyLocked(lsn, MutDelete, r, nil, first+uint64(i))
-	}
+	t.notifyDeletedRowsLocked(pre)
 	t.mu.Unlock()
 	t.clock.complete(seq)
 	s.EndMutate()
-	werr := s.WaitDurable(lsn)
-	t.flushNotifies(lsn, werr, s)
-	return len(slots), werr
+	return len(slots), s.WaitDurable(lsn)
 }
 
 // sweptPlainLocked sweeps residue and reports whether every slot came

@@ -129,13 +129,6 @@ type txClock struct {
 	committed atomic.Uint64
 	aborted   atomic.Uint64
 	conflicts atomic.Uint64
-
-	// Observer-delivery accounting for the durable notify reorder (see
-	// table.go flushNotifies): deliveries made before the fsync was
-	// confirmed (async commit policy), and deliveries dropped because
-	// the WAL rejected the commit.
-	notifyUnconfirmed atomic.Uint64
-	notifyDropped     atomic.Uint64
 }
 
 func newTxClock() *txClock {
@@ -261,14 +254,6 @@ func (db *DB) TxStats() TxStats {
 		Conflicts: c.conflicts.Load(),
 		Watermark: c.watermark.Load(),
 	}
-}
-
-// NotifyStats reports the durable observer-delivery accounting: how
-// many notifications were delivered before their fsync was confirmed
-// (async commit policy — the write-through window), and how many were
-// dropped because the WAL rejected their records.
-func (db *DB) NotifyStats() (unconfirmed, dropped uint64) {
-	return db.clock.notifyUnconfirmed.Load(), db.clock.notifyDropped.Load()
 }
 
 // Tx is a snapshot-isolation transaction over one DB. Reads see the
@@ -678,14 +663,14 @@ func (tx *Tx) Commit() error {
 				}
 				t.live++
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutInsert, nil, t.rows[e.slot], t.version)
+				t.notifyLocked(MutInsert, nil, t.rows[e.slot], t.version)
 			case MutUpdate:
 				m.begin, m.btx = seq, 0
 				if e.node != nil {
 					e.node.end = seq
 				}
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutUpdate, e.before, t.rows[e.slot], t.version)
+				t.notifyLocked(MutUpdate, e.before, t.rows[e.slot], t.version)
 			case MutDelete:
 				if m.btx == tx.id { // delete of our own staged update
 					m.begin, m.btx = seq, 0
@@ -696,7 +681,7 @@ func (tx *Tx) Commit() error {
 				m.end, m.etx = seq, 0
 				t.live--
 				t.version++
-				t.queueNotifyLocked(commitLSN, MutDelete, e.before, nil, t.version)
+				t.notifyLocked(MutDelete, e.before, nil, t.version)
 			}
 			t.vslotAdd(e.slot)
 		}
@@ -711,14 +696,10 @@ func (tx *Tx) Commit() error {
 	// and Checkpoint takes the gate exclusively.
 	store := tx.gate
 	tx.releaseGate()
-	var err error
 	if store != nil && commitLSN != 0 {
-		err = store.WaitDurable(commitLSN)
+		return store.WaitDurable(commitLSN)
 	}
-	for t := range tx.tables {
-		t.flushNotifies(commitLSN, err, store)
-	}
-	return err
+	return nil
 }
 
 // minActiveExcept is minActive ignoring one transaction — the horizon a

@@ -692,41 +692,6 @@ func TestTxCommitCrossingAutoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestNotifyAfterDurable pins the observer-ordering contract: on a
-// durable table with a synchronous commit policy, observers fire only
-// after the WAL record is confirmed on disk, and the unconfirmed
-// counter stays zero; under an asynchronous policy the delivery is
-// counted as inside the durability window.
-func TestNotifyAfterDurable(t *testing.T) {
-	db, store, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	tbl := db.MustCreate(kvTable())
-	var got atomic.Int64
-	tbl.Observe(func(MutKind, Row, Row, VersionSpan) { got.Add(1) })
-	tbl.MustInsert(Row{int64(1), "a", int64(1)})
-	if got.Load() != 1 {
-		t.Fatalf("observer fired %d times, want 1 (after WaitDurable)", got.Load())
-	}
-	if unconfirmed, dropped := db.NotifyStats(); unconfirmed != 0 || dropped != 0 {
-		t.Fatalf("sync policy counters = %d unconfirmed, %d dropped", unconfirmed, dropped)
-	}
-
-	db2, store2, err := OpenDurable(t.TempDir(), DurableOptions{Sync: wal.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	tbl2 := db2.MustCreate(kvTable())
-	tbl2.Observe(func(MutKind, Row, Row, VersionSpan) {})
-	tbl2.MustInsert(Row{int64(1), "a", int64(1)})
-	if unconfirmed, _ := db2.NotifyStats(); unconfirmed == 0 {
-		t.Fatal("async policy did not count the durability window")
-	}
-}
-
 // TestMaintainedSpanContract pins what a maintained view builds on:
 // every delivery carries the one version step it accounts for, in
 // ascending order; a statement over n rows delivers n chained spans; and

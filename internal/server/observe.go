@@ -52,11 +52,13 @@ type flexCompileSection struct {
 }
 
 type flexMaterializeSection struct {
-	Hits      uint64 `json:"hits"`
-	StaleHits uint64 `json:"staleHits"`
-	Misses    uint64 `json:"misses"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 }
 
+// matviewSection is the registry's counters. StaleHits is always 0 —
+// a view never serves a stale snapshot — and stays in the payload for
+// clients that decode it.
 type matviewSection struct {
 	Views         int    `json:"views"`
 	Hits          uint64 `json:"hits"`
@@ -69,12 +71,10 @@ type matviewSection struct {
 }
 
 type txSection struct {
-	Active            int64  `json:"active"`
-	Committed         uint64 `json:"committed"`
-	Aborted           uint64 `json:"aborted"`
-	Conflicts         uint64 `json:"conflicts"`
-	NotifyUnconfirmed uint64 `json:"notifyUnconfirmed"`
-	NotifyDropped     uint64 `json:"notifyDropped"`
+	Active    int64  `json:"active"`
+	Committed uint64 `json:"committed"`
+	Aborted   uint64 `json:"aborted"`
+	Conflicts uint64 `json:"conflicts"`
 }
 
 // walWaitSection attributes commit durability waits: time spent
@@ -91,7 +91,6 @@ func matviewSectionOf(mv matview.Stats) matviewSection {
 	return matviewSection{
 		Views:         mv.Views,
 		Hits:          mv.Hits,
-		StaleHits:     mv.StaleHits,
 		Misses:        mv.Misses,
 		Refreshes:     mv.Refreshes,
 		Patches:       mv.Patches,
@@ -105,9 +104,8 @@ func matviewSectionOf(mv matview.Stats) matviewSection {
 func (s *Server) statsSnapshot() statsPayload {
 	cs := s.site.SQL.CacheStats()
 	fh, fm := s.site.Flex.CompileStats()
-	mh, mst, mm := s.site.Flex.MatStats()
+	mh, mm := s.site.Flex.MatStats()
 	tst := s.site.DB.TxStats()
-	unconfirmed, dropped := s.site.DB.NotifyStats()
 	out := statsPayload{
 		PlanCache: planCacheSection{
 			Hits:          cs.Hits,
@@ -117,16 +115,14 @@ func (s *Server) statsSnapshot() statsPayload {
 			HitRate:       cs.HitRate(),
 		},
 		FlexCompile:     flexCompileSection{Hits: fh, Misses: fm},
-		FlexMaterialize: flexMaterializeSection{Hits: mh, StaleHits: mst, Misses: mm},
+		FlexMaterialize: flexMaterializeSection{Hits: mh, Misses: mm},
 		Matviews:        matviewSectionOf(s.site.Views.Stats()),
 		Scale:           s.site.Scale(),
 		Transactions: txSection{
-			Active:            tst.Active,
-			Committed:         tst.Committed,
-			Aborted:           tst.Aborted,
-			Conflicts:         tst.Conflicts,
-			NotifyUnconfirmed: unconfirmed,
-			NotifyDropped:     dropped,
+			Active:    tst.Active,
+			Committed: tst.Committed,
+			Aborted:   tst.Aborted,
+			Conflicts: tst.Conflicts,
 		},
 	}
 	if s.site.Durable != nil {

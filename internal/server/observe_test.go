@@ -58,7 +58,7 @@ func TestStatsPayloadGoldenKeys(t *testing.T) {
 	if got := keysOf(out); !reflect.DeepEqual(got, want) {
 		t.Errorf("plain site stats keys = %v, want %v", got, want)
 	}
-	wantTx := []string{"aborted", "active", "committed", "conflicts", "notifyDropped", "notifyUnconfirmed"}
+	wantTx := []string{"aborted", "active", "committed", "conflicts"}
 	if got := keysOf(out["transactions"].(map[string]any)); !reflect.DeepEqual(got, wantTx) {
 		t.Errorf("transactions keys = %v, want %v", got, wantTx)
 	}
@@ -72,7 +72,7 @@ func TestStatsPayloadGoldenKeys(t *testing.T) {
 	}
 
 	// A durable, observed site grows durability + walWait; its
-	// transactions section keeps exactly the plain site's six keys.
+	// transactions section keeps exactly the plain site's four keys.
 	site, err := core.NewDurableSite(t.TempDir(), relation.DurableOptions{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan = decode[map[string]any](t, resp)["plan"].(string)
-	for _, want := range []string{"σ[SuID <> ?]  -- args [", "matview[ratings-extend: sync] — matview "} {
+	for _, want := range []string{"σ[SuID <> ?]  -- args [", "matview[ratings-extend] — matview "} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("cf-courses analyze report missing %q:\n%s", want, plan)
 		}

@@ -80,6 +80,28 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body. Every body the API accepts is a
+// small JSON object, so a larger one is refused before it is read into
+// memory.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON decodes the request body into v. On failure it writes the
+// error response itself — 413 for a body over maxBodyBytes, 400 for
+// anything else — and reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
+	return false
+}
+
 // auth wraps a handler with session-token validation — the closed
 // community gate.
 func (s *Server) auth(next func(http.ResponseWriter, *http.Request, community.User)) http.HandlerFunc {
@@ -105,8 +127,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Username string `json:"username"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	u, err := s.site.Community.Register(req.Username)
@@ -121,8 +142,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Username string `json:"username"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	token, err := s.site.Community.Login(req.Username, s.day)
@@ -218,8 +238,7 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, u communi
 		Text     string  `json:"text"`
 		Rating   float64 `json:"rating"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	id, err := s.site.Comments.Add(comments.Comment{
@@ -251,8 +270,7 @@ func (s *Server) handleReview(w http.ResponseWriter, r *http.Request, u communit
 		Text     string  `json:"text"`
 		Rating   float64 `json:"rating"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	id, err := s.site.EnrollCommentRate(core.Review{
@@ -285,8 +303,7 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request, u community.
 		CourseID int64   `json:"courseId"`
 		Rating   float64 `json:"rating"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := s.site.Comments.Rate(u.ID, req.CourseID, req.Rating); err != nil {
@@ -366,9 +383,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, u communi
 // it, so the hit rate is the fraction of requests that skipped
 // parse/plan entirely), the FlexRecs compile cache (a hit means a
 // workflow request skipped SQL re-rendering too), the materialized-view
-// registry (hits serve a precomputed snapshot, stale hits serve inside
-// an async bound while a refresh runs behind the read, misses pay for a
-// build), transaction health, plus the deployment scale. Durable sites
+// registry (hits serve a precomputed snapshot, patched from the change
+// log if need be; misses pay for a build), transaction health, plus the
+// deployment scale. Durable sites
 // additionally expose "durability" (WAL and checkpoint counters) and
 // "walWait" (own-fsync vs group-commit-ride wait attribution); sharded
 // sites expose "sharding" (routing health). The payload is the typed
@@ -377,9 +394,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ community
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }
 
-// handleViews lists every registered materialized view with its serving
-// mode, staleness bound, dependencies, snapshot age and counters — the
-// operational window into the materialization layer.
+// handleViews lists every registered materialized view with its
+// dependencies, snapshot age and counters — the operational window into
+// the materialization layer.
 func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, _ community.User) {
 	views := s.site.Views.Views()
 	out := make([]map[string]any, 0, len(views))
@@ -387,11 +404,8 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, _ community
 		st := v.Stats()
 		entry := map[string]any{
 			"name":          st.Name,
-			"mode":          st.Mode,
-			"maxStaleMs":    st.MaxStale.Milliseconds(),
 			"deps":          st.Deps,
 			"hits":          st.Hits,
-			"staleHits":     st.StaleHits,
 			"misses":        st.Misses,
 			"refreshes":     st.Refreshes,
 			"patches":       st.Patches,
@@ -409,10 +423,10 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request, _ community
 }
 
 // handleFeed serves one department's top-rated feed from the
-// maintained materialized view: "fresh" also when this read first had
-// to re-aggregate the courses commented on since the last one, "stale"
-// inside the bound while the view cannot be brought current at once,
-// "built" when the read paid for a whole build.
+// maintained materialized view, reflecting every comment committed
+// before the request: "fresh" also when this read first had to
+// re-aggregate the courses commented on since the last one, "built" when
+// the read paid for a whole build.
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request, _ community.User) {
 	dep := r.PathValue("dep")
 	k := 10
@@ -425,10 +439,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request, _ community.
 		return
 	}
 	served := "fresh"
-	switch serve.Kind {
-	case matview.ServeStale:
-		served = "stale"
-	case matview.ServeBuilt:
+	if serve.Kind == matview.ServeBuilt {
 		served = "built"
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -202,6 +202,33 @@ func TestReviewEndpoint(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRefused: a body past the 1 MiB cap is refused with
+// 413 before it is read in, writes nothing, and the server goes on
+// answering.
+func TestOversizedBodyRefused(t *testing.T) {
+	ts, site, man := testServer(t)
+	token := login(t, ts, "stu00006")
+	before := site.Comments.Count()
+	comment := map[string]any{
+		"courseId": man.Planted["intro-programming"], "year": 2008, "term": "Autumn",
+		"text": strings.Repeat("x", 2<<20), "rating": 4,
+	}
+	resp := postJSON(t, ts.URL+"/api/comment?token="+token, comment)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB comment status = %d, want 413", resp.StatusCode)
+	}
+	if got := site.Comments.Count(); got != before {
+		t.Fatalf("the refused comment was stored: %d comments, want %d", got, before)
+	}
+	comment["text"] = "a reasonable length"
+	resp = postJSON(t, ts.URL+"/api/comment?token="+token, comment)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the request after the refused one: status %d", resp.StatusCode)
+	}
+}
+
 func TestCommentRateAndPoints(t *testing.T) {
 	ts, site, man := testServer(t)
 	token := login(t, ts, "stu00005")
@@ -325,7 +352,7 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan = decode[map[string]string](t, resp)["plan"]
-	sel, view := strings.Index(plan, "σ[SuID <> ?]"), strings.Index(plan, "matview[ratings-extend: sync]")
+	sel, view := strings.Index(plan, "σ[SuID <> ?]"), strings.Index(plan, "matview[ratings-extend]")
 	if sel < 0 || view < sel {
 		t.Errorf("cf-courses plan does not show the selection above the shared view:\n%s", plan)
 	}
@@ -399,6 +426,9 @@ func TestStatsEndpoint(t *testing.T) {
 			t.Errorf("matviews missing %q: %v", key, mv)
 		}
 	}
+	if mv["staleHits"] != 0.0 {
+		t.Errorf("matviews.staleHits = %v; no view serves a stale snapshot", mv["staleHits"])
+	}
 	if _, ok := out["durability"]; ok {
 		t.Errorf("memory-backed site should not report durability: %v", out["durability"])
 	}
@@ -409,7 +439,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatalf("no transactions in %v", out)
 	}
-	for _, key := range []string{"active", "committed", "aborted", "conflicts", "notifyUnconfirmed", "notifyDropped"} {
+	for _, key := range []string{"active", "committed", "aborted", "conflicts"} {
 		if _, ok := tx[key]; !ok {
 			t.Errorf("transactions missing %q: %v", key, tx)
 		}
@@ -509,7 +539,8 @@ func TestDurableStatsEndpoint(t *testing.T) {
 
 // TestViewsAndFeedEndpoints: /api/views lists the registered
 // materialized views with their counters, and /api/feed serves a
-// department feed off the async view, moving the view's hit counters.
+// department feed off the maintained view — built cold, fresh warm —
+// moving the view's hit counters.
 func TestViewsAndFeedEndpoints(t *testing.T) {
 	ts, site, _ := testServer(t)
 
@@ -538,8 +569,8 @@ func TestViewsAndFeedEndpoints(t *testing.T) {
 		if !ok || len(entries) == 0 {
 			t.Fatalf("feed = %v, want entries", feed)
 		}
-		if feed["served"] != "built" && feed["served"] != "fresh" && feed["served"] != "stale" {
-			t.Fatalf("feed served = %v", feed["served"])
+		if want := []string{"built", "fresh"}[i]; feed["served"] != want {
+			t.Fatalf("feed read %d served %v, want %s", i, feed["served"], want)
 		}
 	}
 
@@ -561,7 +592,7 @@ func TestViewsAndFeedEndpoints(t *testing.T) {
 	if !ok {
 		t.Fatalf("feed view missing from %v", byName)
 	}
-	if feed["mode"] != "async" || feed["hasSnapshot"] != true {
+	if _, ok := feed["mode"]; ok || feed["hasSnapshot"] != true {
 		t.Errorf("feed view entry = %v", feed)
 	}
 	// One build plus one warm hit from the two feed requests.

@@ -29,7 +29,6 @@ type Cluster struct {
 	// window between the copy and the observers attaching.
 	splitSrc  *relation.DB
 	splitVers map[string]uint64
-	base      *relation.DB // followed base database, for its notify counters
 
 	fastPath     atomic.Uint64
 	replicated   atomic.Uint64
@@ -165,7 +164,6 @@ func cloneEmpty(t *relation.Table) (*relation.Table, error) {
 // saw — and counted in Stats.ApplyErrors, since the shards have
 // diverged from the base exactly as if a propagation had failed.
 func (c *Cluster) FollowBase(src *relation.DB) {
-	c.base = src
 	for _, name := range src.Names() {
 		t := src.MustTable(name)
 		name := name

@@ -84,16 +84,6 @@
 // propagations a shard rejects. Tables created on the base after
 // FollowBase are not followed; reshard after DDL.
 //
-// On a durable base the observers run after the WAL confirms a write,
-// while the base table's version moves when the write is applied. A
-// materialized view that is BUILT through the cluster but fingerprinted
-// on the base can therefore read the shards one write behind the
-// version it stamps, and keep that ranking until the next write. The
-// core site's FlexRecs views built through its shard backend (the
-// flex/*-extend and flex/*-operand views) still have this window. Its
-// top-rated feed does not: it is built and maintained from the base
-// tables themselves.
-//
 // # Skew caveats
 //
 // Hash placement balances students, not load: a department-popular

@@ -18,13 +18,6 @@ type Stats struct {
 	// Base-follow propagation failures (shards diverged from base).
 	ApplyErrors uint64 `json:"apply_errors"`
 
-	// Observer-delivery durability window on the followed base: commits
-	// whose observers fired before the commit policy confirmed the
-	// fsync (async WAL policies), and notifications dropped because the
-	// WAL append itself failed.
-	NotifyUnconfirmed uint64 `json:"notify_unconfirmed"`
-	NotifyDropped     uint64 `json:"notify_dropped"`
-
 	// Placement snapshot.
 	RowsPerShard      []int    `json:"rows_per_shard"`
 	PartitionedTables []string `json:"partitioned_tables"`
@@ -42,9 +35,6 @@ func (c *Cluster) Stats() Stats {
 		MergeCombine: c.mergeCombine.Load(),
 		ApplyErrors:  c.applyErrors.Load(),
 		RowsPerShard: make([]int, c.n),
-	}
-	if c.base != nil {
-		st.NotifyUnconfirmed, st.NotifyDropped = c.base.NotifyStats()
 	}
 	for _, name := range c.dbs[0].Names() {
 		if _, ok := c.shardKeyOf(name); ok {

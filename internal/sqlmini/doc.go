@@ -250,9 +250,9 @@
 //     SchemaEpoch, Version) — the FULL mutation counter
 //     (Table.ViewFingerprint). Materialized views bake in DATA, so any
 //     row DML stales them; epoch moves invalidate outright (a view
-//     must never serve stale-SCHEMA rows, even inside an async view's
-//     staleness bound), while version moves merely stale the data,
-//     which async views may keep serving inside their bound.
+//     must never serve stale-SCHEMA rows), while version moves merely
+//     stale the data, which a maintained view catches up from its
+//     change log instead of rebuilding.
 //
 // The split keeps the hot path honest: one row update leaves every cached
 // plan untouched but marks the rating views stale; one AddOrderedIndex

@@ -243,18 +243,18 @@ func TestWorkflowExplainShowsRewrite(t *testing.T) {
 
 	out := flex.Explain(cf())
 	above := strings.Index(out, "σ[SuID <> ?]")
-	below := strings.Index(out, "matview[ratings-extend: sync] — matview hit (age=")
+	below := strings.Index(out, "matview[ratings-extend] — matview hit (age=")
 	if above < 0 || below < above || !strings.Contains(out, "σ[SuID = ?]") || strings.Contains(out, "WHERE SuID") {
 		t.Errorf("explain does not show the selection above the shared view:\n%s", out)
 	}
 
-	h0, _, m0 := flex.MatStats()
+	h0, m0 := flex.MatStats()
 	ch0, cm0 := flex.CompileStats()
 	_, report, err := flex.RunAnalyze(cf())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, _, m1 := flex.MatStats()
+	h1, m1 := flex.MatStats()
 	ch1, cm1 := flex.CompileStats()
 	if m1 != m0 || h1 < h0+2 {
 		t.Errorf("warm cf-courses: matview hits %d→%d misses %d→%d, want both sides of the neighbour ▷ to hit the one view", h0, h1, m0, m1)
@@ -262,7 +262,7 @@ func TestWorkflowExplainShowsRewrite(t *testing.T) {
 	if ch1 != ch0 || cm1 != cm0 {
 		t.Errorf("warm cf-courses executed SQL: compile hits %d→%d misses %d→%d", ch0, ch1, cm0, cm1)
 	}
-	for _, want := range []string{"σ[SuID <> ?]  -- args [", "matview[ratings-extend: sync] — matview hit (age=", ", fresh) (actual rows="} {
+	for _, want := range []string{"σ[SuID <> ?]  -- args [", "matview[ratings-extend] — matview hit (age=", ", fresh) (actual rows="} {
 		if !strings.Contains(report, want) {
 			t.Errorf("analyze report missing %q:\n%s", want, report)
 		}
