@@ -4,7 +4,7 @@
 // concurrency shape each, guarded by the plan it must ride). This file
 // is the only home of micro-benchmarks; run and profile one with
 //
-//	go test -run '^$' -bench MergeJoinOrdered -benchmem -cpuprofile cpu.pprof .
+//	go test -run '^$' -bench YearBandJoin -benchmem -cpuprofile cpu.pprof .
 //
 // The end-to-end and per-layer benchmark is bench/ (BENCHMARK.json).
 // One Small-scale deployment (a tenth of
@@ -630,34 +630,6 @@ func BenchmarkRangeYearElidedSort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Query(int64(2008)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMergeJoinOrdered streams the first 200 rows of a join whose
-// both sides walk ordered Year indexes: no hash build, no
-// materialization — the merge cursor pulls both index walks in lockstep
-// and an early Close stops them.
-func BenchmarkMergeJoinOrdered(b *testing.B) {
-	r := runner(b)
-	st, err := r.Site.SQL.Prepare(`SELECT y.CourseID, o.OfferingID FROM CourseYears y JOIN Offerings o ON y.Year = o.Year`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	explainExpect(b, st.Explain, "merge join")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := st.QueryRows()
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for rows.Next() && n < 200 {
-			n++
-		}
-		rows.Close()
-		if err := rows.Err(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@
 // functions of the root bench_test.go, run and profiled with stock
 // go test:
 //
-//	go test -run '^$' -bench MergeJoinOrdered -benchmem -cpuprofile cpu.pprof .
+//	go test -run '^$' -bench YearBandJoin -benchmem -cpuprofile cpu.pprof .
 //	go tool pprof -top cpu.pprof
 //
 // Paper-scale generation builds the full 18,605-course / 134,000-comment

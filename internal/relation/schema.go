@@ -34,7 +34,7 @@ func NewSchema(cols ...Column) *Schema {
 	return s
 }
 
-// Col is shorthand for constructing a nullable column.
+// Col is shorthand for constructing a column that admits NULL.
 func Col(name string, t Type) Column { return Column{Name: name, Type: t} }
 
 // NotNullCol is shorthand for constructing a NOT NULL column.

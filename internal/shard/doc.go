@@ -19,8 +19,10 @@
 // # Routing rules
 //
 // At prepare time the router extracts equality conjuncts from WHERE
-// and JOIN ON clauses and closes them into equivalence classes. At
-// execution it decides, per statement:
+// and JOIN ON clauses and closes them into equivalence classes. Every
+// sqlmini join is INNER (outer and cross joins fail to parse), so an ON
+// conjunct filters exactly like a WHERE one and its value pins route.
+// At execution it decides, per statement:
 //
 //   - Single-shard fast path: every partitioned table's shard key is
 //     pinned — directly or through an equality class — to a value that
@@ -36,9 +38,6 @@
 //   - two partitioned tables join without their shard keys in one
 //     equivalence class (a cross-shard join — rows that must meet
 //     live on different shards);
-//   - a LEFT JOIN's right side is partitioned while no partitioned
-//     table precedes it (every shard would NULL-extend its own copy
-//     of the replicated left rows, duplicating them in the union);
 //   - an ORDER BY key is not an output column (the cross-shard order
 //     contract — see the sqlmini package docs);
 //   - an aggregate cannot be combined from per-shard partials: AVG

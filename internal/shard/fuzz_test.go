@@ -25,10 +25,10 @@ import (
 // Order discipline: the sharded merge breaks ties by shard arrival,
 // not base slot order, so unlike the mono harness every ORDER BY here
 // ends in the driving primary key — a total order both sides must
-// realize identically. LEFT JOINs with a partitioned right side are
-// generated on purpose and must be REFUSED (never silently wrong);
-// the harness asserts the refusal and that the mono engine still
-// answers.
+// realize identically. Two kinds of shape are generated on purpose to
+// be REFUSED: fan-out-illegal aggregates, which the cluster refuses
+// while the mono engine answers, and LEFT JOINs, which neither parses
+// (sqlmini joins are INNER). The harness asserts each refusal.
 
 // shardFuzzBase builds the mono playground with shard keys declared.
 func shardFuzzBase(t testing.TB) (*relation.DB, *sqlmini.Engine) {
@@ -100,10 +100,18 @@ func (q *shardFuzzQB) limitSuffix() string {
 	return ""
 }
 
+// The refusals a generated shape may expect, as the cluster's error
+// text: a fan-out refusal leaves the mono engine answering, a parse
+// refusal comes from sqlmini and refuses both.
+const (
+	refuseFanout = "fan-out unsupported"
+	refuseParse  = "sqlmini: LEFT JOIN is not supported: sqlmini joins are INNER"
+)
+
 // genShardFuzzQuery produces one SELECT of the given shape. exact
-// reports a total-order ORDER BY; refuse marks a deliberately
-// fan-out-illegal shape the cluster must reject.
-func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact, refuse bool) {
+// reports a total-order ORDER BY; refuse, when not empty, is the
+// refusal the cluster must return instead of an answer.
+func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool, refuse string) {
 	q := &shardFuzzQB{r: r}
 	defer func() { args = q.args }()
 
@@ -163,9 +171,9 @@ func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact, 
 			sql += " ORDER BY K DESC, ID"
 		}
 		sql += q.limitSuffix()
-		return sql, q.args, true, false
+		return sql, q.args, true, ""
 
-	case 2: // co-located merge join on the shared shard key
+	case 2: // co-located equi join on the shared shard key
 		sql = `SELECT i.ID, i.K, p.ID, p.W FROM Items i JOIN Peers p ON i.K = p.K`
 		switch r.Intn(4) {
 		case 0:
@@ -181,10 +189,10 @@ func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact, 
 		}
 		return
 
-	case 3: // band join against the replicated side; LEFT must refuse
+	case 3: // band join against the replicated side; LEFT must not parse
 		join := "JOIN"
 		if r.Intn(3) == 0 {
-			join, refuse = "LEFT JOIN", true
+			join, refuse = "LEFT JOIN", refuseParse
 		}
 		on := "a.K BETWEEN b.Lo AND b.Hi"
 		if r.Intn(3) == 0 {
@@ -249,10 +257,10 @@ func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact, 
 			if r.Intn(2) == 0 {
 				sql = `SELECT COUNT(*) FROM Peers GROUP BY K`
 			}
-			return sql, q.args, false, true
+			return sql, q.args, false, refuseFanout
 		case 3:
 			sql = `SELECT ID, Lo, Hi FROM Bands WHERE Lo >= ` + q.lit(int64(r.Intn(22))) + ` ORDER BY ID`
-			return sql, q.args, true, false
+			return sql, q.args, true, ""
 		case 0:
 			sql = `SELECT Cat, COUNT(*), SUM(V), MIN(V), MAX(V) FROM Items`
 			if r.Intn(2) == 0 {
@@ -267,7 +275,7 @@ func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact, 
 				sql += " WHERE K < " + q.lit(int64(r.Intn(25)))
 			}
 		}
-		return sql, q.args, true, false
+		return sql, q.args, true, ""
 	}
 }
 
@@ -302,22 +310,25 @@ func rowsClose(a, b []relation.Row) bool {
 
 // checkShardFuzzCase runs one generated query on the cluster and the
 // mono engine and compares under the declared order discipline.
-func checkShardFuzzCase(t testing.TB, c *Cluster, e *sqlmini.Engine, sql string, args []any, exact, refuse bool) {
+func checkShardFuzzCase(t testing.TB, c *Cluster, e *sqlmini.Engine, sql string, args []any, exact bool, refuse string) {
 	t.Helper()
 	want, err := e.Query(sql, args...)
-	if err != nil {
+	if refuse == refuseParse {
+		if err == nil || err.Error() != refuseParse {
+			t.Fatalf("mono %q: error %v, want %q", sql, err, refuseParse)
+		}
+	} else if err != nil {
 		t.Fatalf("mono %q %v: %v", sql, args, err)
 	}
 	got, gerr := c.Query(sql, args...)
-	if refuse {
-		// The route may still pin single-shard (b.ID = const does not pin,
-		// but nothing stops a future generator change) — what is forbidden
-		// is a silently-wrong fan-out.
+	if refuse != "" {
+		// What is forbidden is a silently-wrong answer: the cluster must
+		// return exactly the refusal the shape was generated for.
 		if gerr == nil {
-			t.Fatalf("%q: cluster answered a fan-out-illegal shape", sql)
+			t.Fatalf("%q: cluster answered a shape it must refuse", sql)
 		}
-		if !strings.Contains(gerr.Error(), "fan-out unsupported") {
-			t.Fatalf("%q: wrong refusal: %v", sql, gerr)
+		if !strings.Contains(gerr.Error(), refuse) {
+			t.Fatalf("%q: wrong refusal: %v, want %q", sql, gerr, refuse)
 		}
 		return
 	}

@@ -234,7 +234,6 @@ func TestFanoutRefusals(t *testing.T) {
 	refused(`SELECT CID, COUNT(*) FROM Ratings GROUP BY CID HAVING COUNT(*) > 3`, "HAVING")
 	refused(`SELECT RID FROM Ratings ORDER BY Score`, "not an output column")
 	refused(`SELECT r.RID, p.PID FROM Ratings r JOIN Points p ON r.CID = p.Pts`, "not co-located")
-	refused(`SELECT s.SuID, r.RID FROM Students s LEFT JOIN Ratings r ON s.SuID = r.SuID`, "LEFT JOIN")
 	// A group key the projection drops cannot key the coordinator's
 	// partial merge — without the refusal, every shard's groups would
 	// silently fold into one row.
@@ -244,7 +243,7 @@ func TestFanoutRefusals(t *testing.T) {
 	// Every refused shape still answers when pinned to one shard.
 	checkAgainstMono(t, c, e, true, `SELECT AVG(Score) FROM Ratings WHERE SuID = ?`, int64(4))
 	checkAgainstMono(t, c, e, true,
-		`SELECT s.SuID, r.RID FROM Students s LEFT JOIN Ratings r ON s.SuID = r.SuID WHERE s.SuID = ? ORDER BY s.SuID, r.RID`, int64(9))
+		`SELECT s.SuID, r.RID FROM Students s JOIN Ratings r ON s.SuID = r.SuID WHERE s.SuID = ? ORDER BY s.SuID, r.RID`, int64(9))
 	checkAgainstMono(t, c, e, true, `SELECT COUNT(*) FROM Ratings WHERE SuID = ? GROUP BY SuID`, int64(4))
 }
 
@@ -279,6 +278,64 @@ func TestReadOnlyRefusesWrites(t *testing.T) {
 		if _, ok := c.DB(i).Table("Tags"); ok {
 			t.Fatalf("refused CREATE TABLE reached shard %d", i)
 		}
+	}
+}
+
+// TestOnlyInnerJoins is sqlmini's join refusal across the cluster: an
+// outer, cross or natural join fails to prepare with sqlmini's error,
+// naming its keyword, from every cluster entry point and on every
+// shard's engine — whether it would have pinned one shard or fanned
+// out — and neither the base nor any shard changes.
+func TestOnlyInnerJoins(t *testing.T) {
+	db, _ := testBase(t)
+	c, err := Split(db, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs := []*relation.DB{db}
+	for i := 0; i < c.Shards(); i++ {
+		dbs = append(dbs, c.DB(i))
+	}
+	versions := func() []map[string]uint64 {
+		var out []map[string]uint64
+		for _, d := range dbs {
+			m := map[string]uint64{}
+			for _, name := range d.Names() {
+				m[name] = d.MustTable(name).Version()
+			}
+			out = append(out, m)
+		}
+		return out
+	}
+	before := versions()
+	for _, q := range []struct{ kw, sql string }{
+		{"LEFT", `SELECT s.SuID, r.RID FROM Students s LEFT JOIN Ratings r ON s.SuID = r.SuID`},
+		{"LEFT", `SELECT s.SuID, r.RID FROM Students s LEFT OUTER JOIN Ratings r ON s.SuID = r.SuID WHERE s.SuID = 9`},
+		{"RIGHT", `SELECT * FROM Students RIGHT JOIN Ratings ON RIGHT.SuID = Ratings.SuID`},
+		{"FULL", `SELECT * FROM Ratings r FULL JOIN Points p ON r.SuID = p.SuID`},
+		{"CROSS", `SELECT * FROM Ratings CROSS JOIN Students`},
+		{"OUTER", `SELECT * FROM Ratings r OUTER JOIN Points p ON r.SuID = p.SuID`},
+		{"NATURAL", `SELECT * FROM Ratings NATURAL JOIN Points`},
+	} {
+		want := "sqlmini: " + q.kw + " JOIN is not supported: sqlmini joins are INNER"
+		st, errPrepare := c.Prepare(q.sql)
+		if st != nil {
+			t.Errorf("Cluster.Prepare(%s) returned a statement", q.sql)
+		}
+		_, errQuery := c.Query(q.sql)
+		_, errExplain := c.Explain(q.sql)
+		errs := map[string]error{"Cluster.Prepare": errPrepare, "Cluster.Query": errQuery, "Cluster.Explain": errExplain}
+		for i := 0; i < c.Shards(); i++ {
+			_, errs[fmt.Sprintf("shard %d ExplainAnalyze", i)] = c.Engine(i).ExplainAnalyze(q.sql)
+		}
+		for name, err := range errs {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s(%s) = %v, want %q", name, q.sql, err, want)
+			}
+		}
+	}
+	if after := versions(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused joins changed the base or a shard: %v, want %v", after, before)
 	}
 }
 

@@ -20,7 +20,6 @@ type pinSrc struct {
 type partUse struct {
 	binding string
 	table   string
-	joinPos int
 	pin     pinSrc
 }
 
@@ -110,20 +109,13 @@ func (s *Stmt) analyze() {
 		pins[root] = pinSrc{ok: true, param: eq.Param, value: eq.Value}
 	}
 
-	partPos := map[string]int{} // binding (lower) → JoinPos, partitioned only
 	for _, t := range info.Tables {
 		key, partitioned := s.c.shardKeyOf(t.Name)
 		if !partitioned {
 			continue
 		}
-		partPos[strings.ToLower(t.Binding)] = t.JoinPos
 		root := find(node(sqlmini.BoundCol{Binding: t.Binding, Col: key}))
-		s.parts = append(s.parts, partUse{
-			binding: t.Binding,
-			table:   t.Name,
-			joinPos: t.JoinPos,
-			pin:     pins[root],
-		})
+		s.parts = append(s.parts, partUse{binding: t.Binding, table: t.Name, pin: pins[root]})
 	}
 
 	// Fan-out legality, cheapest refusal first.
@@ -143,25 +135,6 @@ func (s *Stmt) analyze() {
 		rb := find(node(sqlmini.BoundCol{Binding: b.binding, Col: kb}))
 		if ra != rb {
 			s.fanoutErr = fmt.Errorf("shard: %s: fan-out unsupported: join of %s and %s is not co-located on their shard keys", s.text, a.binding, b.binding)
-			return
-		}
-	}
-	for _, t := range info.Tables {
-		if !t.LeftOuter {
-			continue
-		}
-		if _, partitioned := partPos[strings.ToLower(t.Binding)]; !partitioned {
-			continue
-		}
-		prefixPartitioned := false
-		for _, pos := range partPos {
-			if pos < t.JoinPos {
-				prefixPartitioned = true
-				break
-			}
-		}
-		if !prefixPartitioned {
-			s.fanoutErr = fmt.Errorf("shard: %s: fan-out unsupported: LEFT JOIN %s has a partitioned right side with no partitioned table before it", s.text, t.Binding)
 			return
 		}
 	}

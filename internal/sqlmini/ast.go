@@ -175,11 +175,10 @@ func (t TableRef) Binding() string {
 	return t.Name
 }
 
-// Join is one JOIN clause. Type is "INNER" or "LEFT".
+// Join is one [INNER] JOIN … ON clause; sqlmini runs no other kind.
 type Join struct {
-	Type string
-	Ref  TableRef
-	On   Expr
+	Ref TableRef
+	On  Expr
 }
 
 // OrderItem is one ORDER BY key.

@@ -9,7 +9,7 @@ import (
 
 // TestBatchedCursorsUnderDML is the -race stress test for the
 // vectorized executor's slab machinery: engine handles at batch sizes
-// 1, 7 and 256 stream range scans, merge joins and hash joins off the
+// 1, 7 and 256 stream range scans, hash joins and index probes off the
 // same tables while writers churn rows, so transient arena recycling,
 // the emit ramp and the storage cursors' per-batch lock acquisitions
 // all run concurrently with DML at every slab geometry. Readers check
@@ -78,8 +78,8 @@ func TestBatchedCursorsUnderDML(t *testing.T) {
 			}
 		}(be, bi)
 
-		// Merge-join readers: both inputs walk ordered indexes; the
-		// join buffers right-side key groups across batch boundaries.
+		// Join readers: a hash join streams its probe side through
+		// buckets built once, emitting across batch boundaries.
 		wg.Add(1)
 		go func(be *Engine) {
 			defer wg.Done()

@@ -24,11 +24,11 @@ import (
 // (next) with direct, non-interface calls, so dynamic dispatch is paid
 // once per batch rather than once per row.
 //
-// Allocation discipline: combined (join) and permuted rows carve out of
-// a rowArena — one slab allocation per arenaSlabRows rows instead of
-// one per row. Pipelines feeding drainCursor (the materialized path)
-// run their arenas in carve-only retained mode, so drained rows stay
-// valid forever; the streaming Rows path marks the pipeline transient
+// Allocation discipline: combined (join) rows carve out of a rowArena —
+// one slab allocation per arenaSlabRows rows instead of one per row.
+// Pipelines feeding drainCursor (the materialized path) run their
+// arenas in carve-only retained mode, so drained rows stay valid
+// forever; the streaming Rows path marks the pipeline transient
 // (markTransient), letting each cursor reset its arena at its safe
 // reuse point and serve steady-state with zero per-row allocations.
 // Storage scans hand out references to stored rows (the relation layer
@@ -119,18 +119,11 @@ func (a *rowArena) alloc(n int) relation.Row {
 // it, at points where no previously carved row can still be live.
 func (a *rowArena) reset() { a.off = 0 }
 
-// combine carves and fills a joined row: left cells, then right cells —
-// or the LEFT-join null extension when r is nil.
-func (a *rowArena) combine(l, r relation.Row, rightWidth int) relation.Row {
-	row := a.alloc(len(l) + rightWidth)
+// combine carves and fills a joined row: left cells, then right cells.
+func (a *rowArena) combine(l, r relation.Row) relation.Row {
+	row := a.alloc(len(l) + len(r))
 	copy(row, l)
-	if r == nil {
-		for i := len(l); i < len(row); i++ {
-			row[i] = nil
-		}
-	} else {
-		copy(row[len(l):], r)
-	}
+	copy(row[len(l):], r)
 	return row
 }
 
@@ -508,9 +501,9 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 		// The ordered index vanished beneath a replaced table: degrade
 		// to a checked full scan so results stay correct. The plan is
 		// about to be invalidated, but THIS execution must still honor
-		// an elided ORDER BY or feed a merge join in key order, so
-		// keyOrder sorts the fallback — in the walk's direction, with
-		// the stable sort reproducing its slot-ascending tie order.
+		// an elided ORDER BY, so keyOrder sorts the fallback — in the
+		// walk's direction, with the stable sort reproducing its
+		// slot-ascending tie order.
 		ci, err := rs.resolve("", s.rangeCol)
 		if err != nil {
 			return nil, err
@@ -546,11 +539,10 @@ func passResidual(jn *joinNode, row relation.Row, combined *rowset) (bool, error
 // rows are storage references; only the combined output rows carve from
 // the cursor's arena, reset per output batch when transient.
 type hashJoinCursor struct {
-	e          *Engine
-	left       cursor
-	jn         *joinNode
-	combined   *rowset
-	rightWidth int
+	e        *Engine
+	left     cursor
+	jn       *joinNode
+	combined *rowset
 
 	started   bool
 	closed    bool
@@ -564,7 +556,6 @@ type hashJoinCursor struct {
 	cur       relation.Row
 	bucket    []relation.Row
 	bi        int
-	matched   bool
 }
 
 func (c *hashJoinCursor) markTransient() {
@@ -613,20 +604,14 @@ func (c *hashJoinCursor) next() (relation.Row, error) {
 		for c.bi < len(c.bucket) {
 			r := c.bucket[c.bi]
 			c.bi++
-			row := c.arena.combine(c.cur, r, c.rightWidth)
+			row := c.arena.combine(c.cur, r)
 			ok, err := passResidual(c.jn, row, c.combined)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				c.matched = true
 				return row, nil
 			}
-		}
-		if c.cur != nil && !c.matched && c.jn.jtype == "LEFT" {
-			row := c.arena.combine(c.cur, nil, c.rightWidth)
-			c.cur = nil
-			return row, nil
 		}
 		l, err := c.ldrain.next()
 		if err != nil {
@@ -635,7 +620,7 @@ func (c *hashJoinCursor) next() (relation.Row, error) {
 		if l == nil {
 			return nil, nil
 		}
-		c.cur, c.matched, c.bi, c.bucket = l, false, 0, nil
+		c.cur, c.bi, c.bucket = l, 0, nil
 		k, ok := rowKey(l, c.jn.leftKeys, c.keyBuf)
 		c.keyBuf = k
 		if ok {
@@ -673,14 +658,12 @@ func (c *hashJoinCursor) Close() {
 
 // buildLeftJoinCursor hashes the (smaller) left side instead, streaming
 // the right side through it once and buffering matches per left row to
-// keep left-major output order. Chosen by the planner for INNER joins
-// only, where buffering preserves order without LEFT's bookkeeping.
+// keep left-major output order.
 type buildLeftJoinCursor struct {
-	e          *Engine
-	left       cursor
-	jn         *joinNode
-	combined   *rowset
-	rightWidth int
+	e        *Engine
+	left     cursor
+	jn       *joinNode
+	combined *rowset
 
 	started bool
 	closed  bool
@@ -740,7 +723,7 @@ func (c *buildLeftJoinCursor) start() error {
 				continue
 			}
 			for _, li := range buckets[string(k)] {
-				row := c.arena.combine(leftRows[li], r, c.rightWidth)
+				row := c.arena.combine(leftRows[li], r)
 				ok, err := passResidual(c.jn, row, c.combined)
 				if err != nil {
 					return err
@@ -808,12 +791,11 @@ func (c *buildLeftJoinCursor) Close() {
 // queue carves from the arena; fillBatch is the transient reset point,
 // reached only when the queue has fully drained.
 type inljCursor struct {
-	e          *Engine
-	left       cursor
-	jn         *joinNode
-	combined   *rowset
-	rightRS    *rowset
-	rightWidth int
+	e        *Engine
+	left     cursor
+	jn       *joinNode
+	combined *rowset
+	rightRS  *rowset
 
 	transient bool
 	arena     rowArena
@@ -922,23 +904,20 @@ func (c *inljCursor) fillBatch() error {
 	}
 	var lbuf []byte
 	for _, l := range batch {
-		matched := false
-		if k, okk := rowKey(l, c.jn.leftKeys, lbuf); okk {
-			lbuf = k
-			for _, r := range buckets[string(k)] {
-				row := c.arena.combine(l, r, c.rightWidth)
-				ok, err := passResidual(c.jn, row, c.combined)
-				if err != nil {
-					return err
-				}
-				if ok {
-					c.queue = append(c.queue, row)
-					matched = true
-				}
-			}
+		k, okk := rowKey(l, c.jn.leftKeys, lbuf)
+		if !okk {
+			continue
 		}
-		if !matched && c.jn.jtype == "LEFT" {
-			c.queue = append(c.queue, c.arena.combine(l, nil, c.rightWidth))
+		lbuf = k
+		for _, r := range buckets[string(k)] {
+			row := c.arena.combine(l, r)
+			ok, err := passResidual(c.jn, row, c.combined)
+			if err != nil {
+				return err
+			}
+			if ok {
+				c.queue = append(c.queue, row)
+			}
 		}
 	}
 	return nil
@@ -967,172 +946,6 @@ func (c *inljCursor) Close() {
 	c.queue = nil
 }
 
-// mergeJoinCursor joins two inputs that both stream in ascending
-// join-key order: the left pipeline, whose driver walks an ordered
-// index on the key, and the right scan, opened with keyOrder so even
-// the degraded index-vanished path comes back sorted. Both sides
-// stream exactly once; the only buffering is the current right-side
-// key group, replayed for consecutive equal left keys. Output is
-// left-major with right matches in slot order within a key — identical
-// to the hash join — so the driver's key order survives to the output
-// (the basis of ORDER BY elision through the join).
-type mergeJoinCursor struct {
-	e          *Engine
-	left       cursor
-	jn         *joinNode
-	combined   *rowset
-	rightWidth int
-
-	started, closed bool
-	transient       bool
-	ldrain          leftDrain
-	arena           rowArena
-	nb              []relation.Row
-	ramp            emitRamp
-	right           cursor
-	rdrain          leftDrain
-	rightRow        relation.Row // lookahead past the current group
-	rightDone       bool
-	cur             relation.Row   // current left row
-	group           []relation.Row // right rows matching groupKey
-	gi              int
-	groupKey        relation.Value
-	haveGroup       bool
-}
-
-func (c *mergeJoinCursor) markTransient() {
-	c.transient = true
-	markTransientCursor(c.left)
-}
-
-// matches enforces the equi pairs the merge walk itself does not cover,
-// then the residual conjuncts.
-func (c *mergeJoinCursor) matches(row relation.Row) (bool, error) {
-	for ki := range c.jn.leftKeys {
-		if ki == c.jn.mergeKeyIdx {
-			continue
-		}
-		lv := row[c.jn.leftKeys[ki]]
-		rv := row[len(row)-c.rightWidth+c.jn.rightKeys[ki]]
-		if lv == nil || rv == nil || relation.Compare(lv, rv) != 0 {
-			return false, nil
-		}
-	}
-	return passResidual(c.jn, row, c.combined)
-}
-
-// advanceTo positions the right-group buffer at key k: right rows below
-// k are skipped for good (left keys only ascend), rows equal to k
-// buffer, and the first row above k stays as lookahead. Group rows are
-// storage references, so they stay valid across batches.
-func (c *mergeJoinCursor) advanceTo(k relation.Value) error {
-	rpos := c.jn.rightKeys[c.jn.mergeKeyIdx]
-	c.group, c.gi, c.groupKey, c.haveGroup = c.group[:0], 0, k, true
-	for !c.rightDone {
-		if c.rightRow == nil {
-			r, err := c.rdrain.next()
-			if err != nil {
-				return err
-			}
-			if r == nil {
-				c.rightDone = true
-				return nil
-			}
-			c.rightRow = r
-		}
-		rk := c.rightRow[rpos]
-		if rk == nil { // the degraded fallback filters these; be safe
-			c.rightRow = nil
-			continue
-		}
-		cmp := relation.Compare(rk, k)
-		if cmp > 0 {
-			return nil
-		}
-		if cmp == 0 {
-			c.group = append(c.group, c.rightRow)
-		}
-		c.rightRow = nil
-	}
-	return nil
-}
-
-func (c *mergeJoinCursor) next() (relation.Row, error) {
-	if c.closed {
-		return nil, nil
-	}
-	if !c.started {
-		rc, err := c.e.openScan(c.jn.scan, true)
-		if err != nil {
-			return nil, err
-		}
-		c.right, c.started = rc, true
-		c.rdrain = leftDrain{c: rc}
-	}
-	lpos := c.jn.leftKeys[c.jn.mergeKeyIdx]
-	for {
-		for c.cur != nil && c.gi < len(c.group) {
-			r := c.group[c.gi]
-			c.gi++
-			row := c.arena.combine(c.cur, r, c.rightWidth)
-			ok, err := c.matches(row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return row, nil
-			}
-		}
-		l, err := c.ldrain.next()
-		if err != nil {
-			return nil, err
-		}
-		if l == nil {
-			return nil, nil
-		}
-		k := l[lpos]
-		if k == nil {
-			continue // NULL keys never join (merge is INNER-only)
-		}
-		if !c.haveGroup || relation.Compare(k, c.groupKey) != 0 {
-			if err := c.advanceTo(k); err != nil {
-				return nil, err
-			}
-		}
-		c.cur, c.gi = l, 0
-	}
-}
-
-func (c *mergeJoinCursor) NextBatch() ([]relation.Row, error) {
-	if c.transient {
-		c.arena.reset()
-	}
-	n := c.ramp.next(c.e.batch())
-	out := c.nb[:0]
-	for len(out) < n {
-		row, err := c.next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		out = append(out, row)
-	}
-	c.ramp.observe(len(out), c.e.batch())
-	c.nb = out
-	return out, nil
-}
-
-func (c *mergeJoinCursor) Close() {
-	c.closed = true
-	c.left.Close()
-	if c.right != nil {
-		c.right.Close()
-	}
-	c.group, c.cur, c.rightRow = nil, nil, nil
-}
-
 // bandJoinCursor is the range-probe nested loop behind band joins: for
 // every left row the band predicate's bounds evaluate against that row
 // alone and probe the right table's ordered index, fetching only the
@@ -1142,13 +955,12 @@ func (c *mergeJoinCursor) Close() {
 // a replaced table, the cursor degrades once to a materialized right
 // side checked per left row, sorted to keep the probe path's key order.
 type bandJoinCursor struct {
-	e          *Engine
-	left       cursor
-	jn         *joinNode
-	combined   *rowset
-	leftRS     *rowset // layout of the left input rows
-	rightRS    *rowset
-	rightWidth int
+	e        *Engine
+	left     cursor
+	jn       *joinNode
+	combined *rowset
+	leftRS   *rowset // layout of the left input rows
+	rightRS  *rowset
 
 	closed    bool
 	transient bool
@@ -1161,10 +973,9 @@ type bandJoinCursor struct {
 	fallback  []relation.Row // right side, materialized once, key-sorted
 	buf       []relation.Row // probe scratch, reused across left rows
 
-	cur     relation.Row
-	queue   []relation.Row // right matches for cur, reused across probes
-	qi      int
-	matched bool
+	cur   relation.Row
+	queue []relation.Row // right matches for cur, reused across probes
+	qi    int
 
 	// EXPLAIN ANALYZE hooks (nil when not analyzing): the band join
 	// probes storage directly per left row, so the right-side line's
@@ -1278,20 +1089,14 @@ func (c *bandJoinCursor) next() (relation.Row, error) {
 			for c.qi < len(c.queue) {
 				r := c.queue[c.qi]
 				c.qi++
-				row := c.arena.combine(c.cur, r, c.rightWidth)
+				row := c.arena.combine(c.cur, r)
 				ok, err := passResidual(c.jn, row, c.combined)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					c.matched = true
 					return row, nil
 				}
-			}
-			if !c.matched && c.jn.jtype == "LEFT" {
-				row := c.arena.combine(c.cur, nil, c.rightWidth)
-				c.cur = nil
-				return row, nil
 			}
 			c.cur = nil
 		}
@@ -1305,7 +1110,7 @@ func (c *bandJoinCursor) next() (relation.Row, error) {
 		if err := c.probe(l); err != nil {
 			return nil, err
 		}
-		c.cur, c.qi, c.matched = l, 0, false
+		c.cur, c.qi = l, 0
 	}
 }
 
@@ -1339,11 +1144,10 @@ func (c *bandJoinCursor) Close() {
 // nestedLoopCursor handles joins without equi keys: the right side
 // materializes once, the left streams through it.
 type nestedLoopCursor struct {
-	e          *Engine
-	left       cursor
-	jn         *joinNode
-	combined   *rowset
-	rightWidth int
+	e        *Engine
+	left     cursor
+	jn       *joinNode
+	combined *rowset
 
 	started   bool
 	closed    bool
@@ -1355,7 +1159,6 @@ type nestedLoopCursor struct {
 	rightRows []relation.Row
 	cur       relation.Row
 	ri        int
-	matched   bool
 }
 
 func (c *nestedLoopCursor) markTransient() {
@@ -1391,20 +1194,14 @@ func (c *nestedLoopCursor) next() (relation.Row, error) {
 			for c.ri < len(c.rightRows) {
 				r := c.rightRows[c.ri]
 				c.ri++
-				row := c.arena.combine(c.cur, r, c.rightWidth)
+				row := c.arena.combine(c.cur, r)
 				ok, err := passResidual(c.jn, row, c.combined)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					c.matched = true
 					return row, nil
 				}
-			}
-			if !c.matched && c.jn.jtype == "LEFT" {
-				row := c.arena.combine(c.cur, nil, c.rightWidth)
-				c.cur = nil
-				return row, nil
 			}
 			c.cur = nil
 		}
@@ -1415,7 +1212,7 @@ func (c *nestedLoopCursor) next() (relation.Row, error) {
 		if l == nil {
 			return nil, nil
 		}
-		c.cur, c.ri, c.matched = l, 0, false
+		c.cur, c.ri = l, 0
 	}
 }
 
@@ -1445,44 +1242,6 @@ func (c *nestedLoopCursor) Close() {
 	c.left.Close()
 	c.rightRows, c.cur = nil, nil
 }
-
-// permCursor permutes each row from executed column order back to
-// written order after a cost-based join reorder, one input batch per
-// dispatch, carving the permuted rows from its arena.
-type permCursor struct {
-	in        cursor
-	perm      []int
-	transient bool
-	arena     rowArena
-	out       []relation.Row
-}
-
-func (c *permCursor) markTransient() {
-	c.transient = true
-	markTransientCursor(c.in)
-}
-
-func (c *permCursor) NextBatch() ([]relation.Row, error) {
-	if c.transient {
-		c.arena.reset()
-	}
-	batch, err := c.in.NextBatch()
-	if err != nil || len(batch) == 0 {
-		return nil, err
-	}
-	out := c.out[:0]
-	for _, row := range batch {
-		o := c.arena.alloc(len(c.perm))
-		for w, e := range c.perm {
-			o[w] = row[e]
-		}
-		out = append(out, o)
-	}
-	c.out = out
-	return out, nil
-}
-
-func (c *permCursor) Close() { c.in.Close() }
 
 // filterCursor applies the post-join WHERE conjuncts one input batch at
 // a time, emitting the survivors of each batch (row pointers into the
@@ -1563,15 +1322,13 @@ func (c *limitCursor) NextBatch() ([]relation.Row, error) {
 func (c *limitCursor) Close() { c.in.Close() }
 
 // openPlan opens the full planned pipeline: driver access, joins in
-// executed order, the written-order permutation when reordered, then
-// residual WHERE conjuncts. The driver keeps key order when the plan
-// elided its ORDER BY on it — or when a merge join consumes it. retain
+// written order, then residual WHERE conjuncts. The driver keeps key
+// order when the plan elided its ORDER BY on it. retain
 // declares the consumer's retention: true when rows outlive their batch
 // (drainCursor into aggregation/sort), false for the streaming Rows
 // path, which lets transient cursors recycle their arena slabs.
 func (e *Engine) openPlan(p *selectPlan, retain bool) (cursor, error) {
-	keyOrder := p.orderElide || (len(p.joins) > 0 && p.joins[0].merge)
-	cur, err := e.openScan(p.scan, keyOrder)
+	cur, err := e.openScan(p.scan, p.orderElide)
 	if err != nil {
 		return nil, err
 	}
@@ -1580,31 +1337,27 @@ func (e *Engine) openPlan(p *selectPlan, retain bool) (cursor, error) {
 		acc = append(acc, p.scan.cols...)
 	}
 	for _, jn := range p.joins {
-		rightWidth := len(jn.scan.cols)
 		leftWidth := len(acc)
 		acc = append(acc, jn.scan.cols...)
 		combined := &rowset{cols: append([]colRef(nil), acc...)}
 		switch {
 		case jn.inlj:
 			cur = &inljCursor{e: e, left: cur, jn: jn, combined: combined,
-				rightRS: &rowset{cols: jn.scan.cols}, rightWidth: rightWidth}
-		case jn.merge:
-			cur = &mergeJoinCursor{e: e, left: cur, jn: jn, combined: combined,
-				ldrain: leftDrain{c: cur}, rightWidth: rightWidth}
+				rightRS: &rowset{cols: jn.scan.cols}}
 		case jn.band:
 			// Only band joins evaluate bounds against the left row alone,
 			// so only they pay for the left-layout rowset.
 			cur = &bandJoinCursor{e: e, left: cur, jn: jn, combined: combined,
 				ldrain: leftDrain{c: cur},
-				leftRS: &rowset{cols: combined.cols[:leftWidth]}, rightRS: &rowset{cols: jn.scan.cols}, rightWidth: rightWidth}
+				leftRS: &rowset{cols: combined.cols[:leftWidth]}, rightRS: &rowset{cols: jn.scan.cols}}
 		case len(jn.leftKeys) > 0 && jn.buildLeft:
-			cur = &buildLeftJoinCursor{e: e, left: cur, jn: jn, combined: combined, rightWidth: rightWidth}
+			cur = &buildLeftJoinCursor{e: e, left: cur, jn: jn, combined: combined}
 		case len(jn.leftKeys) > 0:
 			cur = &hashJoinCursor{e: e, left: cur, jn: jn, combined: combined,
-				ldrain: leftDrain{c: cur}, rightWidth: rightWidth}
+				ldrain: leftDrain{c: cur}}
 		default:
 			cur = &nestedLoopCursor{e: e, left: cur, jn: jn, combined: combined,
-				ldrain: leftDrain{c: cur}, rightWidth: rightWidth}
+				ldrain: leftDrain{c: cur}}
 		}
 		if e.an != nil {
 			// The join's own line measures inclusively (its time covers
@@ -1620,9 +1373,6 @@ func (e *Engine) openPlan(p *selectPlan, retain bool) (cursor, error) {
 			}
 			cur = &instrCursor{in: cur, st: jst}
 		}
-	}
-	if p.perm != nil {
-		cur = &permCursor{in: cur, perm: p.perm}
 	}
 	if len(p.where) > 0 {
 		cur = &filterCursor{in: cur, rs: &rowset{cols: p.cols}, conds: p.where}

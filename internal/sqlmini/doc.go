@@ -1,12 +1,21 @@
 // Package sqlmini is a small, read-only SQL engine over the relation
-// store. It runs the subset of SQL that CourseRank's FlexRecs compiler
-// emits: SELECT with joins, WHERE, GROUP BY/HAVING, ORDER BY,
-// LIMIT/OFFSET, DISTINCT, scalar and aggregate functions. It plays the
-// role of the "conventional DBMS" in the paper's FlexRecs architecture
-// (§3.2). It never writes: tables are created and changed through
-// relation.DB, relation.Table and relation.Tx, which is how every write
-// a request makes already travels, and INSERT, UPDATE, DELETE and
-// CREATE are refused by name at parse time.
+// store. It plays the role of the "conventional DBMS" in the paper's
+// FlexRecs architecture (§3.2), and its dialect is the subset of SQL
+// CourseRank's FlexRecs compiler and feeds emit:
+//
+//	SELECT [DISTINCT] items FROM t [alias]
+//	  { [INNER] JOIN t [alias] ON cond }
+//	  [WHERE cond] [GROUP BY exprs [HAVING cond]]
+//	  [ORDER BY exprs [ASC|DESC]] [LIMIT n [OFFSET m]]
+//
+// with scalar and aggregate functions, CASE, IN, BETWEEN, LIKE and IS
+// [NOT] NULL, and '?' placeholders. Every join is INNER: LEFT, RIGHT,
+// FULL, CROSS, OUTER and NATURAL joins are refused by name at parse
+// time, because no statement the product sends uses one. It never
+// writes: tables are created and changed through relation.DB,
+// relation.Table and relation.Tx, which is how every write a request
+// makes already travels, and INSERT, UPDATE, DELETE and CREATE are
+// refused by name at parse time too.
 //
 // # Lifecycle: prepare → plan cache → bind → execute
 //
@@ -71,26 +80,20 @@
 //     descending (keys desc, slots asc within a key — the stable sort's
 //     tie order) when ORDER BY key DESC can be elided, and unbounded
 //     ("ordered scan" in Explain) when a full scan is traded purely for
-//     its key order (merge joins, sort elision over a NOT NULL column)
+//     its key order (sort elision over a NOT NULL column)
 //   - scan: everything else, with the table's pushed-down predicates
 //     evaluated inline during the scan
 //
-// Single-table predicates push below joins wherever SQL semantics allow
-// (never past the null-producing side of a LEFT join). Joins pick their
-// algorithm from the estimates and the available orderings:
+// Every single-table predicate, from WHERE or any ON clause, pushes into
+// its table's scan. Joins run in the order the statement writes them,
+// the FROM table driving, and each picks its algorithm from the
+// estimates:
 //
 //   - index nested loop: the probe input is far smaller than an indexed
 //     right scan → left rows arrive in batches whose keys drive
 //     LookupMany (or GetMany through a single-column primary key), so
 //     only right rows that can match are ever fetched
-//   - merge join: the chain's first INNER equi join when BOTH sides can
-//     stream in join-key order for free (each side either already
-//     range-scans the key's ordered index or trades its full scan for
-//     an ordered walk) → no hash build, no materialization, and the
-//     driver's key order survives the join, so ORDER BY elision on the
-//     merge key still applies downstream
 //   - hash join: remaining equi joins, with the smaller side as build
-//     (INNER only)
 //   - band join: a join without equi keys whose ON clause holds
 //     "right.col BETWEEN lo AND hi" with the column ordered-indexed and
 //     both bounds computable from the left row → per-left-row range
@@ -98,12 +101,8 @@
 //     of a full nested-loop pass
 //   - nested loop: everything else
 //
-// Chains of two or more INNER joins additionally reorder by estimated
-// cost (greedy smallest-first over the connected tables), with output
-// columns permuted back to written order so projection and callers are
-// oblivious. Column references are resolved to positions once at
-// prepare time (boundRef), so per-row evaluation skips name resolution
-// entirely.
+// Column references are resolved to positions once at prepare time
+// (boundRef), so per-row evaluation skips name resolution entirely.
 //
 // # Execution: the vectorized batch pipeline
 //
@@ -176,11 +175,10 @@
 // literal's value, and ONE EXECUTOR BATCH (256) for a '?': plans are
 // cached by statement text and bake in access paths, never data, so the
 // goal cannot depend on the value an execution binds. It may change a
-// hash join into an INLJ and nothing else — not the join order, the
-// driver's access path, a merge or band join, or order elision, all
-// decided before it — and both algorithms emit left-major order with
-// right matches in slot order, so the limited statement returns exactly
-// the prefix of the unlimited one.
+// hash join into an INLJ and nothing else — not the driver's access
+// path, a band join, or order elision, all decided before it — and both
+// algorithms emit left-major order with right matches in slot order, so
+// the limited statement returns exactly the prefix of the unlimited one.
 //
 // Explain returns the chosen plan as text without executing; the
 // FlexRecs engine surfaces it beneath each compiled statement, and the

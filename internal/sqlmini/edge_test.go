@@ -180,7 +180,7 @@ func TestJoinVariantsParse(t *testing.T) {
 	e := testDB(t)
 	for _, q := range []string{
 		`SELECT s.Name FROM Comments m INNER JOIN Students s ON m.SuID = s.SuID LIMIT 1`,
-		`SELECT s.Name FROM Comments m LEFT OUTER JOIN Students s ON m.SuID = s.SuID LIMIT 1`,
+		`SELECT s.Name FROM Comments m JOIN Students s ON m.SuID = s.SuID LIMIT 1`,
 	} {
 		if _, err := e.Query(q); err != nil {
 			t.Errorf("%s: %v", q, err)

@@ -17,24 +17,25 @@ import (
 // asserts that whatever plan the cost-based planner picks returns
 // exactly what forced full-scan/nested-loop execution returns. As the
 // planner's strategy space grows multiplicatively (range scans ×
-// descending walks × merge/band/INLJ/hash joins × reordering ×
-// elision), hand-written goldens cover the shapes we thought of; the
-// fuzzer covers their products.
+// descending walks × band/INLJ/hash joins × join chains × elision),
+// hand-written goldens cover the shapes we thought of; the fuzzer
+// covers their products.
 //
 // Order discipline: a query's rows compare position-for-position when
 // its ORDER BY pins a deterministic order on BOTH paths — a total
 // order (the key list ends in a primary key), a single key over one
-// table, or a single driver key over a merge/hash/INLJ join, all of
-// which break ties in slot order exactly like the stable sort does.
+// table, or a single driver key over a hash/INLJ join, all of which
+// break ties in slot order exactly like the stable sort does.
 // Band joins emit right matches in probe-key order rather than slot
 // order, so band shapes always pin a total order (or go orderless);
 // orderless queries compare as multisets and never carry LIMIT/OFFSET.
 
 // fuzzSchema builds the three-table playground the generator draws
 // from. The index layout is chosen so every sort-aware path is
-// reachable: Items.K and Peers.K carry ordered indexes (merge joins on
-// K, range scans, asc/desc elision), Bands.AK carries a hash index
-// (index nested-loop probes), and Bands.Lo/Hi feed band-join bounds.
+// reachable: Items.K and Peers.K carry ordered indexes (range scans,
+// asc/desc elision, elision through a join on K), Bands.AK carries a
+// hash index (index nested-loop probes), and Bands.Lo/Hi feed band-join
+// bounds.
 func fuzzSchema(t testing.TB) *Engine {
 	db := relation.NewDB()
 	items := db.MustCreate(relation.MustTable("Items", relation.NewSchema(
@@ -55,7 +56,7 @@ func fuzzSchema(t testing.TB) *Engine {
 		relation.Col("W", relation.TypeFloat),
 	), relation.WithPrimaryKey("ID"), relation.WithOrderedIndex("K")))
 
-	// Deterministic data with duplicate keys (merge groups, sort ties),
+	// Deterministic data with duplicate keys (join fan-in, sort ties),
 	// NULLs (V, W) and overlapping bands.
 	r := rand.New(rand.NewSource(7))
 	cats := []string{"ca", "cb", "cc"}
@@ -182,7 +183,7 @@ func genFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool) 
 		sql += q.limitSuffix()
 		return sql, nil, true
 
-	case 2: // merge join over the two ordered K indexes
+	case 2: // equi join on the two ordered K indexes, driver order elided
 		sql = `SELECT i.ID, i.K, p.ID, p.W FROM Items i JOIN Peers p ON i.K = p.K`
 		switch r.Intn(4) {
 		case 0:
@@ -205,16 +206,12 @@ func genFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool) 
 		}
 		return
 
-	case 3: // band join: per-left-row range probes, INNER and LEFT
-		join := "JOIN"
-		if r.Intn(3) == 0 {
-			join = "LEFT JOIN"
-		}
+	case 3: // band join: per-left-row range probes
 		on := "a.K BETWEEN b.Lo AND b.Hi"
 		if r.Intn(3) == 0 {
 			on = "a.K BETWEEN b.Lo - 1 AND b.Hi + 1"
 		}
-		sql = fmt.Sprintf(`SELECT b.ID, b.Lo, b.Hi, a.ID, a.K FROM Bands b %s Items a ON %s`, join, on)
+		sql = `SELECT b.ID, b.Lo, b.Hi, a.ID, a.K FROM Bands b JOIN Items a ON ` + on
 		switch r.Intn(3) {
 		case 0:
 			sql += " WHERE b.ID = " + q.lit(int64(r.Intn(160)))
@@ -245,7 +242,7 @@ func genFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool) 
 		}
 		return
 
-	default: // three-table INNER chain: cost-based reordering
+	default: // three-table INNER chain, joined in written order
 		sql = `SELECT i.ID, b.ID, p.ID FROM Items i JOIN Bands b ON i.ID = b.AK JOIN Peers p ON i.K = p.K`
 		conds := []string{}
 		if r.Intn(2) == 0 {
@@ -398,8 +395,8 @@ func checkBatchParity(t testing.TB, sized []*Engine, ref *Result, sql string, ar
 // queries (well past the 500-per-invocation floor), every one asserted
 // planner ≡ ForceScan, with light DML churn so plans replan against
 // drifting statistics mid-corpus. It also asserts the corpus actually
-// reached the sort-aware operators — a fuzzer that never picks a merge
-// join proves nothing about merge joins.
+// reached the sort-aware operators — a fuzzer that never picks a band
+// join proves nothing about band joins.
 func TestQueryFuzzParity(t *testing.T) {
 	e := fuzzSchema(t)
 	forced := e.ForceScan()
@@ -412,7 +409,7 @@ func TestQueryFuzzParity(t *testing.T) {
 		sql, args, exact := genFuzzQuery(r, i)
 		out, ref := checkFuzzCase(t, e, forced, sql, args, exact)
 		checkBatchParity(t, sized, ref, sql, args, exact)
-		for _, op := range []string{"merge join", "probe=range(", "scan desc", "elided", "index nested loop", "hash join", "join order:", "range scan", "vectorized batch="} {
+		for _, op := range []string{"probe=range(", "scan desc", "elided", "index nested loop", "hash join", "range scan", "vectorized batch="} {
 			if strings.Contains(out, op) {
 				coverage[op]++
 			}
@@ -436,7 +433,7 @@ func TestQueryFuzzParity(t *testing.T) {
 			churnID++
 		}
 	}
-	for _, op := range []string{"merge join", "probe=range(", "scan desc", "elided", "index nested loop", "hash join", "join order:", "vectorized batch="} {
+	for _, op := range []string{"probe=range(", "scan desc", "elided", "index nested loop", "hash join", "vectorized batch="} {
 		if coverage[op] == 0 {
 			t.Errorf("fuzz corpus never produced a plan with %q — generator coverage regressed", op)
 		}

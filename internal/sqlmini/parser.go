@@ -130,23 +130,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	}
 	s.From = ref
 	for {
-		jt := ""
-		switch {
-		case p.acceptKeyword("JOIN"):
-			jt = "INNER"
-		case p.acceptKeyword("INNER"):
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			jt = "INNER"
-		case p.acceptKeyword("LEFT"):
-			p.acceptKeyword("OUTER")
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			jt = "LEFT"
+		if t := p.peek(); t.kind == tokIdent && outerJoinWords[t.upper()] {
+			return nil, fmt.Errorf("sqlmini: %s JOIN is not supported: sqlmini joins are INNER", t.upper())
 		}
-		if jt == "" {
+		if p.acceptKeyword("INNER") {
+			if err := p.expectKeyword("JOIN"); err != nil {
+				return nil, err
+			}
+		} else if !p.acceptKeyword("JOIN") {
 			break
 		}
 		jref, err := p.parseTableRef()
@@ -160,7 +151,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Joins = append(s.Joins, Join{Type: jt, Ref: jref, On: on})
+		s.Joins = append(s.Joins, Join{Ref: jref, On: on})
 	}
 	if p.acceptKeyword("WHERE") {
 		if s.Where, err = p.parseExpr(); err != nil {
@@ -250,14 +241,23 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	return item, nil
 }
 
-// reserved lists keywords that terminate an implicit column alias.
+// reserved lists keywords that terminate an implicit column or table
+// alias.
 var reserved = map[string]bool{
 	"FROM": true, "WHERE": true, "GROUP": true, "HAVING": true, "ORDER": true,
 	"LIMIT": true, "OFFSET": true, "JOIN": true, "INNER": true, "LEFT": true,
+	"RIGHT": true, "FULL": true, "CROSS": true, "OUTER": true, "NATURAL": true,
 	"ON": true, "AND": true, "OR": true, "NOT": true, "AS": true, "ASC": true,
 	"DESC": true, "SELECT": true, "DISTINCT": true, "BY": true, "IN": true,
 	"BETWEEN": true, "IS": true, "NULL": true, "LIKE": true, "VALUES": true,
 	"SET": true, "INTO": true, "UNION": true,
+}
+
+// outerJoinWords are the join keywords sqlmini refuses by name: every
+// join it runs is INNER, so an outer, cross or natural join must fail
+// at parse time rather than run as something it is not.
+var outerJoinWords = map[string]bool{
+	"LEFT": true, "RIGHT": true, "FULL": true, "CROSS": true, "OUTER": true, "NATURAL": true,
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {

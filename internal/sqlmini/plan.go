@@ -39,7 +39,7 @@ type scanNode struct {
 
 	// accessRange: rangeCol names the ordered-indexed column; a nil
 	// bound expression leaves that end open (both nil means an unbounded
-	// ordered walk, adopted for merge joins and ORDER BY elision). Bound
+	// ordered walk, adopted for ORDER BY elision). Bound
 	// values evaluate when the cursor opens (they may be late-bound
 	// params). rangeDesc walks the index backwards — keys descending,
 	// slots ascending within a key — eliding ORDER BY rangeCol DESC.
@@ -56,10 +56,9 @@ type scanNode struct {
 	tableRows int     // table size when planned
 }
 
-// joinNode combines the accumulated left pipeline with one scan.
+// joinNode INNER-joins the accumulated left pipeline with one scan.
 type joinNode struct {
-	jtype string // "INNER" or "LEFT"
-	scan  *scanNode
+	scan *scanNode
 
 	// Hash-join equi keys, resolved to column positions in the combined
 	// left rowset and the right scan's rowset. Empty means nested loop.
@@ -70,8 +69,7 @@ type joinNode struct {
 	residual []Expr
 
 	// buildLeft hashes the left (smaller) side instead of the right;
-	// only chosen for INNER joins, where output order can be preserved
-	// by buffering matches per left row.
+	// output order is preserved by buffering matches per left row.
 	buildLeft bool
 
 	// inlj replaces building a hash over the whole right side with
@@ -83,15 +81,6 @@ type joinNode struct {
 	inljCol    string // right column probed through its index
 	inljPK     bool   // probe the single-column primary key via GetMany
 	inljKeyIdx int    // which leftKeys/rightKeys pair feeds the probe
-
-	// merge streams both inputs in join-key order — the left pipeline's
-	// driver and the right scan each walk an ordered index on the key —
-	// buffering only the current right-side key group. Chosen for the
-	// chain's first INNER join when both orderings come for free; the
-	// output keeps the driver's ascending key order, so ORDER BY elision
-	// on the merge key survives the join.
-	merge       bool
-	mergeKeyIdx int // which leftKeys/rightKeys pair the merge walks
 
 	// band replaces a key-less nested loop with per-left-row range
 	// probes: the ON clause holds "right.col BETWEEN lo AND hi" where
@@ -107,24 +96,19 @@ type joinNode struct {
 }
 
 // selectPlan is the physical plan for one SELECT: access paths, join
-// order, and residual predicates, feeding the cursor pipeline in
-// cursor.go and the projection/aggregation stages in exec.go.
+// algorithms in written order, and residual predicates, feeding the
+// cursor pipeline in cursor.go and the projection/aggregation stages in
+// exec.go.
 type selectPlan struct {
 	scan  *scanNode
 	joins []*joinNode
 	where []Expr     // post-join conjuncts that could not be pushed
-	cols  []colRef   // column layout in WRITTEN order (projection binds here)
+	cols  []colRef   // column layout (projection binds here)
 	deps  []tableDep // tables and epochs the plan was built against
 
-	// perm maps written column positions to executed positions when the
-	// join chain was reordered; nil means the orders coincide. The
-	// executor permutes each joined row back to written order before the
-	// WHERE filter and projection run.
-	perm       []int
-	joinOrder  []string // binding names in executed order, set when reordered
-	orderElide bool     // pipeline already emits ORDER BY's order; skip the sort
-	orderText  string   // the elided ORDER BY key, for Explain
-	batch      int      // executor slab size (rows per NextBatch), for Explain
+	orderElide bool   // pipeline already emits ORDER BY's order; skip the sort
+	orderText  string // the elided ORDER BY key, for Explain
+	batch      int    // executor slab size (rows per NextBatch), for Explain
 }
 
 // estOut is the planner's guess at the pipeline's output cardinality,
@@ -158,7 +142,7 @@ func (s *scanNode) describe() string {
 		detail := s.rangeText()
 		if s.rangeLo == nil && s.rangeHi == nil {
 			// An unbounded walk of the ordered index, adopted for its key
-			// order (merge joins, ORDER BY elision) rather than its bounds.
+			// order (ORDER BY elision) rather than its bounds.
 			verb = "ordered scan"
 			detail = s.rangeCol
 		}
@@ -229,9 +213,6 @@ func (p *selectPlan) render(annot func(key any) string) string {
 		return annot(key)
 	}
 	var b strings.Builder
-	if len(p.joinOrder) > 0 {
-		fmt.Fprintf(&b, "join order: %s (reordered by estimated cost)\n", strings.Join(p.joinOrder, " ⋈ "))
-	}
 	depth := 0
 	for i := len(p.joins) - 1; i >= 0; i-- {
 		j := p.joins[i]
@@ -243,8 +224,6 @@ func (p *selectPlan) render(annot func(key any) string) string {
 				kind = "pk"
 			}
 			algo = fmt.Sprintf("index nested loop on %s, probe=%s(%s)", strings.Join(j.keyText, " AND "), kind, j.inljCol)
-		} else if j.merge {
-			algo = fmt.Sprintf("merge join on %s", strings.Join(j.keyText, " AND "))
 		} else if j.band {
 			algo = fmt.Sprintf("index nested loop on %s, probe=range(%s)", j.bandText, j.bandCol)
 		} else if len(j.leftKeys) > 0 {
@@ -254,7 +233,7 @@ func (p *selectPlan) render(annot func(key any) string) string {
 			}
 			algo = fmt.Sprintf("hash join on %s, build=%s", strings.Join(j.keyText, " AND "), side)
 		}
-		fmt.Fprintf(&b, "%s%s (%s)", indent, algo, j.jtype)
+		fmt.Fprintf(&b, "%s%s (INNER)", indent, algo)
 		if len(j.residual) > 0 {
 			fmt.Fprintf(&b, " residual %s", exprList(j.residual))
 		}

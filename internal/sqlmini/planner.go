@@ -2,7 +2,6 @@ package sqlmini
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 
 	"courserank/internal/relation"
@@ -10,17 +9,20 @@ import (
 
 // This file is the cost-aware planning stage between parsing and
 // execution. plan analyzes a SELECT's WHERE/JOIN tree, splits the
-// conjuncts, pushes single-table predicates below the joins that allow
-// it, picks an access path per table from the table statistics
-// (primary-key lookup, secondary-index probe, or full scan), and decides
+// conjuncts, pushes single-table predicates into their table's scan,
+// picks an access path per table from the table statistics (primary-key
+// lookup, secondary-index probe, range scan or full scan), and decides
 // each join's algorithm and hash build side. The executor in exec.go
 // runs the resulting selectPlan.
 //
 // Semantics notes:
-//   - Predicates only push below a LEFT join on its preserved (left)
-//     side; conjuncts touching a null-producing binding stay after the
-//     join, and ON conjuncts mentioning only the preserved side stay in
-//     the join residual, exactly as SQL requires.
+//   - Every join is INNER (the parser refuses outer and cross joins), so
+//     any single-table conjunct, from WHERE or from any ON clause, may
+//     filter its table's scan, and a multi-table conjunct may run at the
+//     first join that sees all its tables.
+//   - Joins run in the order the statement writes them, the FROM table
+//     driving: the product's statements join at most once, so there is
+//     no order to choose.
 //   - Binding (resolving column names to positions) happens once at
 //     plan time. Names that fail to resolve fall back to per-row
 //     resolution so that error timing matches the unplanned executor.
@@ -244,10 +246,7 @@ type planTable struct {
 	tbl   *relation.Table
 	rs    *rowset // this table's columns only
 	stats relation.TableStats
-	// nullable marks the right side of a LEFT join: predicates on it
-	// cannot move below the join.
-	nullable bool
-	scan     *scanNode
+	scan  *scanNode
 }
 
 // bindingsOf reports which tables e references as a bitmask, and whether
@@ -317,9 +316,6 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 		if err := add(j.Ref); err != nil {
 			return nil, err
 		}
-		if j.Type == "LEFT" {
-			tables[len(tables)-1].nullable = true
-		}
 	}
 	for _, t := range tables {
 		t.scan = &scanNode{ref: t.ref, cols: t.rs.cols, tableRows: t.stats.Rows}
@@ -338,7 +334,7 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 			t.scan.est = float64(t.stats.Rows)
 		}
 		for i, j := range st.Joins {
-			jn := &joinNode{jtype: j.Type, scan: tables[i+1].scan}
+			jn := &joinNode{scan: tables[i+1].scan}
 			if j.On != nil {
 				jn.residual = splitConjuncts(j.On)
 			}
@@ -350,16 +346,9 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 		return p, nil
 	}
 
-	// Chains of two or more INNER joins are fair game for cost-based
-	// reordering; the dedicated builder also handles conjunct pooling.
-	if rp, ok := e.planReordered(st, tables, deps, combined); ok {
-		return rp, nil
-	}
-
-	// Classify WHERE conjuncts: single-table predicates on non-nullable
-	// bindings push into that table's scan; multi-table conjuncts fold
-	// into the latest INNER join that sees all their tables; the rest
-	// stay post-join.
+	// Classify WHERE conjuncts: single-table predicates push into that
+	// table's scan; multi-table conjuncts fold into the first join that
+	// sees all their tables; the rest stay post-join.
 	type foldedConjunct struct {
 		expr Expr
 		join int // index into st.Joins
@@ -378,34 +367,19 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 			}
 			if mask&(mask-1) == 0 { // single table
 				ti := bitIndex(mask)
-				if tables[ti].nullable {
-					p.where = append(p.where, c)
-					continue
-				}
 				tables[ti].scan.filter = append(tables[ti].scan.filter, c)
 				continue
 			}
-			last := highestBit(mask)
-			nullableTouched := false
-			for i := 0; i < len(tables); i++ {
-				if mask&(1<<uint(i)) != 0 && tables[i].nullable {
-					nullableTouched = true
-				}
-			}
-			if last >= 1 && st.Joins[last-1].Type == "INNER" && !nullableTouched {
-				folded = append(folded, foldedConjunct{expr: c, join: last - 1})
-			} else {
-				p.where = append(p.where, c)
-			}
+			folded = append(folded, foldedConjunct{expr: c, join: bitIndex(mask) - 1})
 		}
 	}
 
 	// Build each join: split the ON tree, extract equi keys, push
-	// single-table ON conjuncts where the join type permits.
+	// single-table ON conjuncts into their table's scan.
 	leftCols := &rowset{cols: append([]colRef(nil), tables[0].rs.cols...)}
 	for ji, j := range st.Joins {
 		right := tables[ji+1]
-		jn := &joinNode{jtype: j.Type, scan: right.scan}
+		jn := &joinNode{scan: right.scan}
 		conjs := []Expr(nil)
 		if j.On != nil {
 			conjs = splitConjuncts(j.On)
@@ -425,16 +399,8 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 			mask, ok := bindingsOf(c, tables[:ji+2])
 			if ok && mask != 0 && mask&(mask-1) == 0 {
 				ti := bitIndex(mask)
-				switch {
-				case ti == ji+1:
-					// Right-side predicate: filters the right input in
-					// both INNER and LEFT joins (ON-clause semantics).
-					right.scan.filter = append(right.scan.filter, c)
-					continue
-				case j.Type == "INNER" && !tables[ti].nullable:
-					tables[ti].scan.filter = append(tables[ti].scan.filter, c)
-					continue
-				}
+				tables[ti].scan.filter = append(tables[ti].scan.filter, c)
+				continue
 			}
 			jn.residual = append(jn.residual, c)
 		}
@@ -477,296 +443,9 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 	for i, w := range p.where {
 		p.where[i] = bindOrKeep(w, combined)
 	}
-	setOrderElision(p, st, tables, 0)
+	setOrderElision(p, st, tables[0])
 	applyRowGoal(p, st, tables)
 	return p, nil
-}
-
-// planReordered builds the plan for a chain of two or more INNER joins,
-// where join order is a pure cost decision: conjuncts from every ON
-// clause and the WHERE pool together, single-table predicates push into
-// their scans unconditionally, and the chain executes in the cheapest
-// greedy order. Output columns stay in written order — the executor
-// permutes each joined row back through plan.perm — so projection,
-// ORDER BY and star expansion are oblivious to the reorder. It reports
-// false (and leaves the tables untouched) when the query shape
-// disqualifies it, falling back to the written-order planner.
-func (e *Engine) planReordered(st *SelectStmt, tables []*planTable, deps []tableDep, combined *rowset) (*selectPlan, bool) {
-	if len(st.Joins) < 2 {
-		return nil, false
-	}
-	for _, j := range st.Joins {
-		if j.Type != "INNER" {
-			return nil, false
-		}
-	}
-
-	// Classify every conjunct into per-table filters or the join pool
-	// WITHOUT touching shared planner state, so a bail-out leaves the
-	// written-order path a clean slate.
-	scanFilters := make([][]Expr, len(tables))
-	var onPool, wherePool []poolConj
-	var where []Expr
-	classify := func(c Expr, fromOn bool) bool {
-		if hasAggregate(c) {
-			if fromOn {
-				return false
-			}
-			where = append(where, c)
-			return true
-		}
-		mask, ok := bindingsOf(c, tables)
-		if !ok || mask == 0 {
-			if fromOn {
-				return false // keep ON-residual timing: use the written-order path
-			}
-			where = append(where, c)
-			return true
-		}
-		if mask&(mask-1) == 0 {
-			ti := bitIndex(mask)
-			scanFilters[ti] = append(scanFilters[ti], c)
-			return true
-		}
-		pc := poolConj{expr: c, mask: mask}
-		if b, isBin := c.(*Binary); isBin && b.Op == "=" {
-			_, lok := b.L.(*Ref)
-			_, rok := b.R.(*Ref)
-			pc.equi = lok && rok && bits.OnesCount64(mask) == 2
-		}
-		if fromOn {
-			onPool = append(onPool, pc)
-		} else {
-			wherePool = append(wherePool, pc)
-		}
-		return true
-	}
-	if st.Where != nil {
-		for _, c := range splitConjuncts(st.Where) {
-			if !classify(c, false) {
-				return nil, false
-			}
-		}
-	}
-	for _, j := range st.Joins {
-		if j.On == nil {
-			continue
-		}
-		for _, c := range splitConjuncts(j.On) {
-			if !classify(c, true) {
-				return nil, false
-			}
-		}
-	}
-
-	// Commit the pushdowns and cost the access paths.
-	for i, t := range tables {
-		t.scan.filter = scanFilters[i]
-	}
-	for _, t := range tables {
-		chooseAccess(t)
-	}
-
-	pool := append(append([]poolConj(nil), onPool...), wherePool...)
-	written := make([]int, len(tables))
-	for i := range written {
-		written[i] = i
-	}
-	order := greedyOrder(tables, pool)
-	reordered := false
-	for i := range order {
-		if order[i] != written[i] {
-			reordered = true
-			break
-		}
-	}
-	// Only adopt a different order when the model says it clearly wins;
-	// estimates are crude and churn has a cost of its own.
-	if reordered && chainCost(tables, pool, order) >= 0.9*chainCost(tables, pool, written) {
-		order, reordered = written, false
-	}
-
-	p := &selectPlan{scan: tables[order[0]].scan, deps: deps, cols: combined.cols}
-	ordTables := []*planTable{tables[order[0]]}
-	left := &rowset{cols: append([]colRef(nil), tables[order[0]].rs.cols...)}
-	placed := uint64(1) << uint(order[0])
-	usedOn := make([]bool, len(onPool))
-	usedWhere := make([]bool, len(wherePool))
-	for _, ti := range order[1:] {
-		right := tables[ti]
-		jn := &joinNode{jtype: "INNER", scan: right.scan}
-		newMask := placed | 1<<uint(ti)
-		assign := func(pool []poolConj, used []bool) {
-			for pi, pc := range pool {
-				if used[pi] || pc.mask&^newMask != 0 {
-					continue
-				}
-				used[pi] = true
-				if li, ri, ok := equiKey(pc.expr, left, right.rs); ok {
-					jn.leftKeys = append(jn.leftKeys, li)
-					jn.rightKeys = append(jn.rightKeys, ri)
-					jn.keyText = append(jn.keyText, pc.expr.String())
-					continue
-				}
-				jn.residual = append(jn.residual, pc.expr)
-			}
-		}
-		assign(onPool, usedOn)
-		assign(wherePool, usedWhere)
-		p.joins = append(p.joins, jn)
-		left.cols = append(left.cols, right.rs.cols...)
-		placed = newMask
-		ordTables = append(ordTables, right)
-	}
-	p.where = where
-	decideJoins(p, ordTables)
-
-	if reordered {
-		p.joinOrder = make([]string, len(ordTables))
-		for i, t := range ordTables {
-			p.joinOrder[i] = t.ref.Binding()
-		}
-		p.perm = columnPerm(tables, order)
-	}
-
-	// Bind: scan filters against their own table, residuals against the
-	// columns joined so far IN EXECUTED ORDER, WHERE against the written
-	// layout (the executor permutes rows back before the WHERE filter).
-	for _, t := range tables {
-		for i, f := range t.scan.filter {
-			t.scan.filter[i] = bindOrKeep(f, t.rs)
-		}
-	}
-	execCols := append([]colRef(nil), ordTables[0].rs.cols...)
-	for ji, jn := range p.joins {
-		leftWidth := len(execCols)
-		execCols = append(execCols, ordTables[ji+1].rs.cols...)
-		sub := &rowset{cols: execCols}
-		if jn.band {
-			leftSub := &rowset{cols: execCols[:leftWidth]}
-			jn.bandLo = bindOrKeep(jn.bandLo, leftSub)
-			jn.bandHi = bindOrKeep(jn.bandHi, leftSub)
-		}
-		for i, r := range jn.residual {
-			jn.residual[i] = bindOrKeep(r, sub)
-		}
-	}
-	for i, w := range p.where {
-		p.where[i] = bindOrKeep(w, combined)
-	}
-	setOrderElision(p, st, tables, order[0])
-	applyRowGoal(p, st, ordTables)
-	return p, true
-}
-
-// poolConj is one multi-table conjunct awaiting assignment to the
-// earliest join that sees all its tables.
-type poolConj struct {
-	expr Expr
-	mask uint64
-	equi bool // structurally "ref = ref" across exactly two tables
-}
-
-// greedyOrder picks a join order: start at the table with the smallest
-// estimated output, then repeatedly take the cheapest table connected
-// to the placed set by an equi conjunct (falling back to the cheapest
-// unconnected table, which costs a cross product).
-func greedyOrder(tables []*planTable, pool []poolConj) []int {
-	n := len(tables)
-	start := 0
-	for i := 1; i < n; i++ {
-		if tables[i].scan.est < tables[start].scan.est {
-			start = i
-		}
-	}
-	order := []int{start}
-	placed := uint64(1) << uint(start)
-	connected := func(ti int) bool {
-		for _, pc := range pool {
-			if pc.equi && pc.mask&(1<<uint(ti)) != 0 && pc.mask&^(placed|1<<uint(ti)) == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for len(order) < n {
-		best := -1
-		for ti := 0; ti < n; ti++ {
-			if placed&(1<<uint(ti)) != 0 || !connected(ti) {
-				continue
-			}
-			if best < 0 || tables[ti].scan.est < tables[best].scan.est {
-				best = ti
-			}
-		}
-		if best < 0 {
-			for ti := 0; ti < n; ti++ {
-				if placed&(1<<uint(ti)) != 0 {
-					continue
-				}
-				if best < 0 || tables[ti].scan.est < tables[best].scan.est {
-					best = ti
-				}
-			}
-		}
-		order = append(order, best)
-		placed |= 1 << uint(best)
-	}
-	return order
-}
-
-// chainCost estimates executing the chain in the given order: each
-// equi-connected step pays a hash build over the right side plus a
-// probe pass over the intermediate; an unconnected step pays the cross
-// product. The same crude model prices both candidate orders, so only
-// the comparison matters.
-func chainCost(tables []*planTable, pool []poolConj, order []int) float64 {
-	placed := uint64(1) << uint(order[0])
-	interm := tables[order[0]].scan.est
-	cost := interm
-	for _, ti := range order[1:] {
-		est := tables[ti].scan.est
-		connected := false
-		for _, pc := range pool {
-			if pc.equi && pc.mask&(1<<uint(ti)) != 0 && pc.mask&^(placed|1<<uint(ti)) == 0 {
-				connected = true
-				break
-			}
-		}
-		if connected {
-			cost += est + interm
-			interm = maxf(interm, est)
-		} else {
-			interm = interm * maxf(est, 1)
-			cost += interm
-		}
-		placed |= 1 << uint(ti)
-	}
-	return cost
-}
-
-// columnPerm maps written column positions to executed positions for a
-// reordered chain: out[writtenIdx] = executedIdx.
-func columnPerm(tables []*planTable, order []int) []int {
-	writtenOff := make([]int, len(tables))
-	off := 0
-	for i, t := range tables {
-		writtenOff[i] = off
-		off += len(t.rs.cols)
-	}
-	execOff := make([]int, len(tables))
-	off = 0
-	for _, ti := range order {
-		execOff[ti] = off
-		off += len(tables[ti].rs.cols)
-	}
-	perm := make([]int, off)
-	for i, t := range tables {
-		for j := range t.rs.cols {
-			perm[writtenOff[i]+j] = execOff[i] + j
-		}
-	}
-	return perm
 }
 
 // Index nested-loop thresholds: the probe side must be at least this
@@ -779,31 +458,25 @@ const (
 
 // decideJoins picks each join's physical algorithm from the estimates,
 // left-deep outward: index nested-loop when the left input is far
-// smaller than an indexed right scan, a merge join when both sides of
-// the chain's first INNER join can stream in join-key order for free,
-// otherwise a hash join with the smaller side as build (INNER only).
-// Joins without equi keys probe the right ordered index per left row
-// when the ON clause holds a band predicate, and nested-loop otherwise.
-// ordTables lists the tables in executed order, aligned with p.scan and
-// p.joins.
-func decideJoins(p *selectPlan, ordTables []*planTable) {
-	estLeft := ordTables[0].scan.est
+// smaller than an indexed right scan, otherwise a hash join with the
+// smaller side as build. Joins without equi keys probe the right
+// ordered index per left row when the ON clause holds a band predicate,
+// and nested-loop otherwise. tables is aligned with p.scan and p.joins.
+func decideJoins(p *selectPlan, tables []*planTable) {
+	estLeft := tables[0].scan.est
 	for i, jn := range p.joins {
-		right := ordTables[i+1]
+		right := tables[i+1]
 		jn.estLeft = estLeft
 		if len(jn.leftKeys) > 0 {
 			tryINLJ(jn, right, estLeft)
-			if !jn.inlj && i == 0 && jn.jtype == "INNER" {
-				tryMergeJoin(jn, ordTables[0], right)
-			}
-			if !jn.inlj && !jn.merge && jn.jtype == "INNER" && estLeft < jn.scan.est {
+			if !jn.inlj && estLeft < jn.scan.est {
 				jn.buildLeft = true
 			}
 			// Crude output estimate: an equi join keeps about the larger
 			// side; a nested loop multiplies.
 			estLeft = maxf(estLeft, jn.scan.est)
 		} else {
-			tryBandProbe(jn, ordTables[:i+1], right)
+			tryBandProbe(jn, tables[:i+1], right)
 			estLeft = estLeft * maxf(jn.scan.est, 1)
 		}
 	}
@@ -834,12 +507,12 @@ const rowGoalParam = defaultBatch
 // each join's left input is costed at that many rows instead of its
 // full estimate, which turns "hash the whole right table to emit ten
 // rows" into an index nested loop. The goal changes a hash join into an
-// INLJ and nothing else — join order, the driver's access path, merge
-// and band joins and order elision were all decided without it, and
-// both algorithms emit left-major order with right matches in slot
-// order — so the limited statement returns exactly the prefix of the
-// unlimited one, ties included.
-func applyRowGoal(p *selectPlan, st *SelectStmt, ordTables []*planTable) {
+// INLJ and nothing else — the driver's access path, band joins and
+// order elision were all decided without it, and both algorithms emit
+// left-major order with right matches in slot order — so the limited
+// statement returns exactly the prefix of the unlimited one, ties
+// included.
+func applyRowGoal(p *selectPlan, st *SelectStmt, tables []*planTable) {
 	if st.Limit == nil || !streamsToWindow(st, st.aggregates(), p.orderElide) {
 		return
 	}
@@ -856,63 +529,17 @@ func applyRowGoal(p *selectPlan, st *SelectStmt, ordTables []*planTable) {
 			}
 		}
 	}
-	estLeft := ordTables[0].scan.est
+	estLeft := tables[0].scan.est
 	for i, jn := range p.joins {
 		estLeft = min(estLeft, goal)
 		if len(jn.leftKeys) == 0 {
 			estLeft *= maxf(jn.scan.est, 1)
 			continue
 		}
-		if !jn.inlj && !jn.merge {
-			tryINLJ(jn, ordTables[i+1], estLeft)
+		if !jn.inlj {
+			tryINLJ(jn, tables[i+1], estLeft)
 		}
 		estLeft = maxf(estLeft, jn.scan.est)
-	}
-}
-
-// tryMergeJoin upgrades the chain's first INNER equi join to a merge
-// join when both inputs can stream in join-key order without extra
-// work: the driver either already range-scans the key's ordered index
-// or can trade its full scan for an ordered walk, and likewise the
-// right side. Neither side hashes or materializes — both stream once,
-// buffering only the current key group — and the output keeps the
-// driver's ascending key order, so ORDER BY elision on the merge key
-// survives the join.
-func tryMergeJoin(jn *joinNode, driver, right *planTable) {
-	for ki := range jn.leftKeys {
-		lcol := driver.rs.cols[jn.leftKeys[ki]].name
-		rcol := right.rs.cols[jn.rightKeys[ki]].name
-		if !orderedStreamable(driver, lcol) || !orderedStreamable(right, rcol) {
-			continue
-		}
-		adoptOrderedWalk(driver, lcol)
-		adoptOrderedWalk(right, rcol)
-		jn.merge, jn.mergeKeyIdx = true, ki
-		return
-	}
-}
-
-// orderedStreamable reports whether the table's chosen access can emit
-// rows ordered by col for free: it already range-scans col's ordered
-// index ascending, or it is a full scan over a table with an ordered
-// index on col to walk instead. The walk drops NULL keys (they are not
-// indexed), which is sound here: an INNER equi join never matches them.
-func orderedStreamable(t *planTable, col string) bool {
-	switch t.scan.access {
-	case accessRange:
-		return strings.EqualFold(t.scan.rangeCol, col) && !t.scan.rangeDesc
-	case accessScan:
-		return t.tbl.HasOrderedIndex(col)
-	}
-	return false
-}
-
-// adoptOrderedWalk switches a full scan to an unbounded ordered walk of
-// col's index; an access already range-scanning col keeps its bounds.
-func adoptOrderedWalk(t *planTable, col string) {
-	if t.scan.access == accessScan {
-		t.scan.access = accessRange
-		t.scan.rangeCol = col
 	}
 }
 
@@ -994,13 +621,13 @@ func inljProbe(right *planTable, rightKeys []int) (int, string, bool, bool) {
 }
 
 // setOrderElision marks the plan when the pipeline can emit the query's
-// ORDER BY order directly: the single sort key resolves to a driver
-// column whose ordered index the driver already walks (a range scan) or
-// could walk (a full scan traded for an unbounded ordered walk), and no
-// aggregation reshapes rows. Descending keys elide too — the driver
-// walks the index backwards (keys desc, slots asc within a key,
-// matching the stable sort's tie order) — except above a merge join,
-// which needs its driver ascending. Every join algorithm preserves
+// ORDER BY order directly: the single sort key resolves to a column of
+// the driver (the FROM table) whose ordered index the driver already
+// walks (a range scan) or could walk (a full scan traded for an
+// unbounded ordered walk), and no aggregation reshapes rows. Descending
+// keys elide too — the driver walks the index backwards (keys desc,
+// slots asc within a key, matching the stable sort's tie order). Every
+// join algorithm preserves
 // left-major row order, so the driver's key order survives to the
 // output, the elided result still satisfies its ORDER BY, and the sort
 // can be skipped. Tie order matches the sorted path's exactly (slot
@@ -1009,8 +636,7 @@ func inljProbe(right *planTable, rightKeys []int) (int, string, bool, bool) {
 // band join emits them in probe-key order instead, so differential
 // tests over band shapes pin a total order or compare multisets (see
 // fuzz_test.go's order discipline).
-func setOrderElision(p *selectPlan, st *SelectStmt, tables []*planTable, driverIdx int) {
-	driver := tables[driverIdx]
+func setOrderElision(p *selectPlan, st *SelectStmt, driver *planTable) {
 	if len(st.OrderBy) != 1 {
 		return
 	}
@@ -1027,17 +653,10 @@ func setOrderElision(p *selectPlan, st *SelectStmt, tables []*planTable, driverI
 	if err != nil {
 		return
 	}
-	off := 0
-	for _, t := range tables {
-		if t == driver {
-			break
-		}
-		off += len(t.rs.cols)
-	}
-	if gi < off || gi >= off+len(driver.rs.cols) {
+	if gi >= len(driver.rs.cols) {
 		return // the sort key is not a driver column
 	}
-	col := driver.rs.cols[gi-off].name
+	col := driver.rs.cols[gi].name
 	switch driver.scan.access {
 	case accessRange:
 		if !strings.EqualFold(driver.scan.rangeCol, col) {
@@ -1057,14 +676,6 @@ func setOrderElision(p *selectPlan, st *SelectStmt, tables []*planTable, driverI
 		}
 	default:
 		return
-	}
-	if desc {
-		// A descending driver would feed a merge join backwards.
-		for _, jn := range p.joins {
-			if jn.merge {
-				return
-			}
-		}
 	}
 	// ORDER BY resolves output aliases before source columns: an
 	// explicit item whose name shadows the sort key must itself be that
@@ -1454,6 +1065,7 @@ func removeAt(list []Expr, drop []int) []Expr {
 	return out
 }
 
+// bitIndex returns the position of mask's highest set bit.
 func bitIndex(mask uint64) int {
 	i := 0
 	for mask > 1 {
@@ -1462,8 +1074,6 @@ func bitIndex(mask uint64) int {
 	}
 	return i
 }
-
-func highestBit(mask uint64) int { return bitIndex(mask) }
 
 func maxf(a, b float64) float64 {
 	if a > b {

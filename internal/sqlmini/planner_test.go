@@ -119,20 +119,19 @@ func TestExplainGolden(t *testing.T) {
 				"  index probe Comments AS m (SuID = 1, 2) ~8 of 30 rows\n",
 		},
 		{
-			name: "LEFT join: right ON conjunct pushes, build stays right",
-			sql:  `SELECT * FROM Courses c LEFT JOIN Comments m ON c.CourseID = m.CourseID AND m.Rating > 3`,
-			want: "hash join on (c.CourseID = m.CourseID), build=right (LEFT)\n" +
+			name: "an ON conjunct on one table pushes into its scan",
+			sql:  `SELECT * FROM Courses c JOIN Comments m ON c.CourseID = m.CourseID AND m.Rating > 3`,
+			want: "hash join on (c.CourseID = m.CourseID), build=left (INNER)\n" +
 				"  scan Comments AS m filter (m.Rating > 3) ~30 of 30 rows\n" +
 				"  scan Courses AS c ~12 of 12 rows\n",
 		},
 		{
-			name: "LEFT join: WHERE on nullable side must not push down",
-			sql: `SELECT * FROM Courses c LEFT JOIN Comments m ON c.CourseID = m.CourseID ` +
+			name: "a WHERE conjunct on the right table pushes into its scan too",
+			sql: `SELECT * FROM Courses c JOIN Comments m ON c.CourseID = m.CourseID ` +
 				`WHERE m.Rating > 3`,
-			want: "hash join on (c.CourseID = m.CourseID), build=right (LEFT)\n" +
-				"  scan Comments AS m ~30 of 30 rows\n" +
-				"  scan Courses AS c ~12 of 12 rows\n" +
-				"where (m.Rating > 3)\n",
+			want: "hash join on (c.CourseID = m.CourseID), build=left (INNER)\n" +
+				"  scan Comments AS m filter (m.Rating > 3) ~30 of 30 rows\n" +
+				"  scan Courses AS c ~12 of 12 rows\n",
 		},
 	}
 	for _, tc := range cases {
@@ -174,8 +173,8 @@ func TestPlannerParity(t *testing.T) {
 		{`SELECT * FROM Comments WHERE SuID = ? AND Rating IS NOT NULL`, []any{3}},
 		{`SELECT Title FROM Courses JOIN CourseYears ON Courses.CourseID = CourseYears.CourseID WHERE CourseYears.Year = ?`, []any{2008}},
 		{`SELECT c.Title, m.Rating FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID WHERE m.SuID IN (1, 2)`, nil},
-		{`SELECT * FROM Courses c LEFT JOIN Comments m ON c.CourseID = m.CourseID AND m.Rating > 3`, nil},
-		{`SELECT * FROM Courses c LEFT JOIN Comments m ON c.CourseID = m.CourseID WHERE m.Rating > 3`, nil},
+		{`SELECT * FROM Courses c JOIN Comments m ON c.CourseID = m.CourseID AND m.Rating > 3`, nil},
+		{`SELECT * FROM Courses c JOIN Comments m ON c.CourseID = m.CourseID WHERE m.Rating > 3`, nil},
 		{`SELECT c.DepID, COUNT(*), AVG(m.Rating) FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID GROUP BY c.DepID ORDER BY c.DepID`, nil},
 		{`SELECT DISTINCT DepID FROM Courses WHERE CourseID <> 1 ORDER BY DepID DESC`, nil},
 		{`SELECT m.CourseID, c.Title FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID AND c.DepID = 'cs' WHERE m.Rating >= 2 ORDER BY m.CourseID LIMIT 5`, nil},
@@ -228,9 +227,9 @@ func TestForceScanPlansNaively(t *testing.T) {
 // TestExplainGoldenRangeINLJReorder pins the access paths and join
 // algorithms introduced by the iterator executor: ordered-index range
 // scans for inequality/BETWEEN predicates, index nested-loop joins when
-// the probe side is far smaller than an indexed build side, cost-based
-// reordering of INNER chains, and ORDER BY elision when the driving
-// range scan already emits the sort key's order.
+// the probe side is far smaller than an indexed build side, INNER
+// chains planned in the order they are written, and ORDER BY elision
+// when the driving range scan already emits the sort key's order.
 func TestExplainGoldenRangeINLJReorder(t *testing.T) {
 	e := plannerDB(t)
 	cases := []struct {
@@ -262,15 +261,14 @@ func TestExplainGoldenRangeINLJReorder(t *testing.T) {
 				"  pk lookup Comments AS m (CommentID = 1) ~1 of 30 rows\n",
 		},
 		{
-			name: "INNER chain reorders to start from the most selective probe",
+			name: "INNER chain runs in written order, each probe pushed into its scan",
 			sql: `SELECT c.Title FROM Courses c JOIN Comments m ON c.CourseID = m.CourseID ` +
 				`JOIN CourseYears y ON c.CourseID = y.CourseID WHERE m.SuID = 1 AND y.Year = 2009`,
-			want: "join order: m ⋈ c ⋈ y (reordered by estimated cost)\n" +
-				"hash join on (c.CourseID = y.CourseID), build=right (INNER)\n" +
+			want: "hash join on (c.CourseID = y.CourseID), build=right (INNER)\n" +
 				"  index probe CourseYears AS y (Year = 2009) ~6 of 12 rows\n" +
-				"  hash join on (c.CourseID = m.CourseID), build=left (INNER)\n" +
-				"    scan Courses AS c ~12 of 12 rows\n" +
-				"    index probe Comments AS m (SuID = 1) ~4 of 30 rows\n",
+				"  hash join on (c.CourseID = m.CourseID), build=right (INNER)\n" +
+				"    index probe Comments AS m (SuID = 1) ~4 of 30 rows\n" +
+				"    scan Courses AS c ~12 of 12 rows\n",
 		},
 		{
 			name: "ORDER BY on the range column elides the sort",
@@ -308,9 +306,9 @@ func TestExplainGoldenRangeINLJReorder(t *testing.T) {
 // TestNoElisionWhenOrderDiffers pins the cases that must keep sorting:
 // a different column than the driver's range key, aggregation, an
 // output alias shadowing the range column with a different source, a
-// descending key above a merge join (whose driver must stay ascending),
-// and an unbounded walk over a NULLABLE ordered column (the index skips
-// NULL keys, so the walk would drop rows the sort must keep).
+// key on the join's right side rather than its driver, and an unbounded
+// walk over an ordered column that admits NULL (the index skips NULL
+// keys, so the walk would drop rows the sort must keep).
 func TestNoElisionWhenOrderDiffers(t *testing.T) {
 	e := plannerDB(t)
 	e.DB().MustCreate(relation.MustTable("NullScores", relation.NewSchema(
@@ -320,7 +318,7 @@ func TestNoElisionWhenOrderDiffers(t *testing.T) {
 		`SELECT CourseID, Year FROM CourseYears WHERE Year >= 2009 ORDER BY CourseID`,
 		`SELECT Year, COUNT(*) AS n FROM CourseYears WHERE Year >= 2008 GROUP BY Year ORDER BY Year`,
 		`SELECT CourseID AS Year FROM CourseYears WHERE Year >= 2009 ORDER BY Year`,
-		`SELECT y.CourseID, en.SuID FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID ORDER BY y.CourseID DESC`,
+		`SELECT y.CourseID, en.CourseID FROM CourseYears y JOIN Enrollments en ON y.Year = en.Units ORDER BY en.CourseID`,
 		`SELECT ID, V FROM NullScores ORDER BY V`,
 		`SELECT ID, V FROM NullScores ORDER BY V DESC`,
 	} {
@@ -335,11 +333,11 @@ func TestNoElisionWhenOrderDiffers(t *testing.T) {
 }
 
 // TestExplainGoldenSortAware pins the sort-aware access paths and join
-// algorithms: merge joins over two ordered indexes on the join key
-// (with ORDER BY elision surviving the join), descending range walks
-// eliding ORDER BY key DESC, unbounded ordered walks adopted purely for
-// their key order, and band joins probing an ordered index with
-// per-left-row bounds.
+// algorithms: a hash join keeping its driver's ordered walk (ORDER BY
+// elision surviving the join, ascending or descending), descending
+// range walks eliding ORDER BY key DESC, unbounded ordered walks
+// adopted purely for their key order, and band joins probing an
+// ordered index with per-left-row bounds.
 func TestExplainGoldenSortAware(t *testing.T) {
 	e := plannerDB(t)
 	cases := []struct {
@@ -349,19 +347,27 @@ func TestExplainGoldenSortAware(t *testing.T) {
 		want string
 	}{
 		{
-			name: "two ordered indexes on the join key: merge join, no hash build",
+			name: "two ordered indexes on the join key: still a hash join, the small driver builds",
 			sql:  `SELECT y.CourseID, en.SuID FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID`,
-			want: "merge join on (y.CourseID = en.CourseID) (INNER)\n" +
-				"  ordered scan Enrollments AS en (CourseID) ~200 of 200 rows\n" +
-				"  ordered scan CourseYears AS y (CourseID) ~12 of 12 rows\n",
+			want: "hash join on (y.CourseID = en.CourseID), build=left (INNER)\n" +
+				"  scan Enrollments AS en ~200 of 200 rows\n" +
+				"  scan CourseYears AS y ~12 of 12 rows\n",
 		},
 		{
-			name: "merge join preserves the driver's key order: ORDER BY elides through the join",
+			name: "a hash join preserves the driver's key order: ORDER BY elides through the join",
 			sql:  `SELECT y.CourseID, en.SuID FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID ORDER BY y.CourseID`,
-			want: "merge join on (y.CourseID = en.CourseID) (INNER)\n" +
-				"  ordered scan Enrollments AS en (CourseID) ~200 of 200 rows\n" +
+			want: "hash join on (y.CourseID = en.CourseID), build=left (INNER)\n" +
+				"  scan Enrollments AS en ~200 of 200 rows\n" +
 				"  ordered scan CourseYears AS y (CourseID) ~12 of 12 rows\n" +
 				"order by y.CourseID elided (range scan emits sort order)\n",
+		},
+		{
+			name: "and descending: the driver walks its index backwards under the join",
+			sql:  `SELECT y.CourseID, en.SuID FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID ORDER BY y.CourseID DESC`,
+			want: "hash join on (y.CourseID = en.CourseID), build=left (INNER)\n" +
+				"  scan Enrollments AS en ~200 of 200 rows\n" +
+				"  ordered scan desc CourseYears AS y (CourseID) ~12 of 12 rows\n" +
+				"order by y.CourseID DESC elided (range scan emits sort order)\n",
 		},
 		{
 			name: "ORDER BY key DESC rides a descending range walk",
@@ -412,8 +418,8 @@ func TestExplainGoldenSortAware(t *testing.T) {
 	}
 }
 
-// TestSortAwareParity runs the merge-join, descending-elision and
-// band-join plan shapes against forced full-scan execution. Queries
+// TestSortAwareParity runs the elision-through-a-join, descending-elision
+// and band-join plan shapes against forced full-scan execution. Queries
 // whose ORDER BY pins a deterministic order (elided or not — both
 // paths break ties in slot order) compare exactly; the rest compare as
 // multisets.
@@ -432,7 +438,7 @@ func TestSortAwareParity(t *testing.T) {
 		{`SELECT y.CourseID, y.Year, en.SuID, en.Units FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID ORDER BY y.CourseID, y.Year, en.SuID, en.Units`, nil},
 		{`SELECT y.CourseID, en.SuID FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID ORDER BY y.CourseID DESC`, nil},
 		{`SELECT a.CourseID, a.Year, b.CourseID, b.Year FROM CourseYears a JOIN CourseYears b ON b.Year BETWEEN a.Year - 1 AND a.Year + 1 WHERE a.CourseID = 3 ORDER BY b.CourseID, b.Year`, nil},
-		{`SELECT m.CommentID, y.CourseID, y.Year FROM Comments m LEFT JOIN CourseYears y ON y.Year BETWEEN m.SuID + 2004 AND m.SuID + 2005 ORDER BY m.CommentID, y.CourseID, y.Year`, nil},
+		{`SELECT m.CommentID, y.CourseID, y.Year FROM Comments m JOIN CourseYears y ON y.Year BETWEEN m.SuID + 2004 AND m.SuID + 2005 ORDER BY m.CommentID, y.CourseID, y.Year`, nil},
 		{`SELECT m.CommentID, y.CourseID FROM Comments m JOIN CourseYears y ON y.Year BETWEEN m.SuID + ? AND m.SuID + ? ORDER BY m.CommentID, y.CourseID, y.Year`, []any{2004, 2006}},
 	}
 	for _, q := range exact {
@@ -475,7 +481,7 @@ func TestSortAwareParity(t *testing.T) {
 		}
 	}
 
-	// NULL semantics around the nullable ordered column: the bounded
+	// NULL semantics around an ordered column that admits NULL: the bounded
 	// descending walk excludes NULL keys exactly like the filter does,
 	// and the refused unbounded elision keeps NULL rows in the sort.
 	nullRatings := e.DB().MustCreate(relation.MustTable("NullRatings", relation.NewSchema(
@@ -504,8 +510,8 @@ func TestSortAwareParity(t *testing.T) {
 }
 
 // sortedRows renders and sorts a result's rows for order-insensitive
-// comparison — range scans emit key order, reordered joins another
-// table's major order, so only the multiset is pinned for those.
+// comparison — range scans emit key order and band joins probe-key
+// order, so only the multiset is pinned for those.
 func sortedRows(res *Result) []string {
 	out := make([]string, len(res.Rows))
 	for i, r := range res.Rows {

@@ -32,13 +32,6 @@ import (
 type TableUse struct {
 	Binding string
 	Name    string
-	// JoinPos is the table's position in the join chain: 0 for the FROM
-	// table, i+1 for the i-th JOIN. The LEFT-join safety rule needs to
-	// know what precedes an outer join's right side.
-	JoinPos int
-	// LeftOuter marks the right side of a LEFT JOIN: its unmatched
-	// left-side rows NULL-extend, which constrains fan-out legality.
-	LeftOuter bool
 }
 
 // BoundCol names a column of a specific binding.
@@ -122,30 +115,20 @@ func routeInfoOf(ps *preparedSelect) *RouteInfo {
 		HasOrder: len(ps.order) > 0,
 		HasLimit: sel.Limit != nil || sel.Offset != nil,
 	}
-	ri.Tables = append(ri.Tables, TableUse{Binding: sel.From.Binding(), Name: sel.From.Name, JoinPos: 0})
-	for i, j := range sel.Joins {
-		ri.Tables = append(ri.Tables, TableUse{
-			Binding:   j.Ref.Binding(),
-			Name:      j.Ref.Name,
-			JoinPos:   i + 1,
-			LeftOuter: j.Type == "LEFT",
-		})
-	}
-	res := func(ref *Ref) (BoundCol, bool) { return resolveBinding(ref, ri.Tables, ps.plan.cols) }
-	for _, c := range splitConjuncts(sel.Where) {
-		if eq, ok := eqCondOf(c, res, false); ok {
-			ri.Eq = append(ri.Eq, eq)
-		}
-	}
+	ri.Tables = append(ri.Tables, TableUse{Binding: sel.From.Binding(), Name: sel.From.Name})
 	for _, j := range sel.Joins {
-		// LEFT ON conjuncts do not filter — a value pin there must not
-		// route the query — but column edges still co-locate the outer
-		// side's matching rows, so they stay useful for placement.
-		edgesOnly := j.Type == "LEFT"
-		for _, c := range splitConjuncts(j.On) {
-			if eq, ok := eqCondOf(c, res, edgesOnly); ok {
-				ri.Eq = append(ri.Eq, eq)
-			}
+		ri.Tables = append(ri.Tables, TableUse{Binding: j.Ref.Binding(), Name: j.Ref.Name})
+	}
+	// Every join is INNER, so ON and WHERE conjuncts filter alike: a
+	// value pin in either may route the statement.
+	res := func(ref *Ref) (BoundCol, bool) { return resolveBinding(ref, ri.Tables, ps.plan.cols) }
+	conjs := splitConjuncts(sel.Where)
+	for _, j := range sel.Joins {
+		conjs = append(conjs, splitConjuncts(j.On)...)
+	}
+	for _, c := range conjs {
+		if eq, ok := eqCondOf(c, res); ok {
+			ri.Eq = append(ri.Eq, eq)
 		}
 	}
 	ri.MergeKeys, ri.MergeOK, ri.MergeErr = mergeKeysOf(ps)
@@ -175,9 +158,8 @@ func resolveBinding(ref *Ref, tables []TableUse, cols []colRef) (BoundCol, bool)
 	return BoundCol{Binding: cols[idx].qual, Col: cols[idx].name}, true
 }
 
-// eqCondOf recognizes one routing-relevant equality conjunct. With
-// edgesOnly set, value pins are discarded (LEFT JOIN ON clauses).
-func eqCondOf(c Expr, res func(*Ref) (BoundCol, bool), edgesOnly bool) (EqCond, bool) {
+// eqCondOf recognizes one routing-relevant equality conjunct.
+func eqCondOf(c Expr, res func(*Ref) (BoundCol, bool)) (EqCond, bool) {
 	b, ok := c.(*Binary)
 	if !ok || b.Op != "=" {
 		return EqCond{}, false
@@ -193,17 +175,14 @@ func eqCondOf(c Expr, res func(*Ref) (BoundCol, bool), edgesOnly bool) (EqCond, 
 		}
 		return EqCond{Col: lc, Other: &rc, Param: -1}, true
 	case lref:
-		return valuePin(l, b.R, res, edgesOnly)
+		return valuePin(l, b.R, res)
 	case rref:
-		return valuePin(r, b.L, res, edgesOnly)
+		return valuePin(r, b.L, res)
 	}
 	return EqCond{}, false
 }
 
-func valuePin(ref *Ref, v Expr, res func(*Ref) (BoundCol, bool), edgesOnly bool) (EqCond, bool) {
-	if edgesOnly {
-		return EqCond{}, false
-	}
+func valuePin(ref *Ref, v Expr, res func(*Ref) (BoundCol, bool)) (EqCond, bool) {
 	bc, ok := res(ref)
 	if !ok {
 		return EqCond{}, false

@@ -17,8 +17,9 @@ func scoredTable(name string) *relation.Table {
 }
 
 // TestSortAwareCursorsUnderDML is the -race mirror of stream_test.go
-// for the sort-aware executor paths: open descending-range, merge-join
-// and band-join cursors pull rows while writers churn the same tables.
+// for the sort-aware executor paths: open descending-range, elided-order
+// hash-join and band-join cursors pull rows while writers churn the
+// same tables.
 // Readers check internal consistency — emitted order honors the elided
 // ORDER BY, every row satisfies its band, rows are well-formed — not
 // fixed counts, since cursors legitimately observe a moving table.
@@ -45,7 +46,7 @@ func TestSortAwareCursorsUnderDML(t *testing.T) {
 	// Pin that the readers below actually exercise the new operators.
 	for query, op := range map[string]string{
 		`SELECT ID, Score FROM Events WHERE Score <= 80 ORDER BY Score DESC`:                                    "range scan desc",
-		`SELECT e.ID, p.ID FROM Events e JOIN Peers p ON e.Score = p.Score`:                                     "merge join",
+		`SELECT e.ID, e.Score, p.ID FROM Events e JOIN Peers p ON e.Score = p.Score ORDER BY e.Score`:           "order by e.Score elided",
 		`SELECT b.Lo, b.Hi, e.Score FROM Bands b JOIN Events e ON e.Score BETWEEN b.Lo AND b.Hi WHERE b.ID = 3`: "probe=range(Score)",
 	} {
 		out, err := e.Explain(query)
@@ -103,7 +104,8 @@ func TestSortAwareCursorsUnderDML(t *testing.T) {
 		}()
 	}
 
-	// Merge readers: stream the merge join, closing early half the time.
+	// Join readers: stream a hash join over the driver's ordered walk,
+	// closing early half the time.
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func() {
@@ -111,19 +113,19 @@ func TestSortAwareCursorsUnderDML(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				rows, err := e.QueryRows(`SELECT e.ID, e.Score, p.ID FROM Events e JOIN Peers p ON e.Score = p.Score ORDER BY e.Score`)
 				if err != nil {
-					fail <- "merge open: " + err.Error()
+					fail <- "join open: " + err.Error()
 					return
 				}
 				prev, n := int64(-1), 0
 				for rows.Next() {
 					var eid, score, pid int64
 					if err := rows.Scan(&eid, &score, &pid); err != nil {
-						fail <- "merge scan: " + err.Error()
+						fail <- "join scan: " + err.Error()
 						rows.Close()
 						return
 					}
 					if score < prev {
-						fail <- "merge join broke the elided key order"
+						fail <- "hash join broke the elided key order"
 						rows.Close()
 						return
 					}
@@ -134,7 +136,7 @@ func TestSortAwareCursorsUnderDML(t *testing.T) {
 					}
 				}
 				if err := rows.Err(); err != nil {
-					fail <- "merge err: " + err.Error()
+					fail <- "join err: " + err.Error()
 					return
 				}
 			}
@@ -207,8 +209,8 @@ func TestSortAwareCursorsUnderDML(t *testing.T) {
 // TestDegradedSortPathsUnderDDLRace drives the index-vanishes-mid-race
 // degraded paths: a DDL goroutine repeatedly replaces the Vanish table
 // with a same-name clone that alternates between carrying and lacking
-// its ordered index, while readers run descending-elided and merge-join
-// plans against it. A reader racing the swap may execute a stale plan
+// its ordered index, while readers run descending-elided and
+// elided-order join plans against it. A reader racing the swap may execute a stale plan
 // against the index-less replacement — the degraded checked-scan
 // fallback — and must STILL emit correct order; in the drop/create
 // window itself "unknown table" is the one acceptable error.
@@ -283,7 +285,7 @@ func TestDegradedSortPathsUnderDDLRace(t *testing.T) {
 		}
 	}()
 
-	// Merge reader joining the churned table to a stable ordered one.
+	// Join reader: the churned table drives, its elided order must hold.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -293,14 +295,14 @@ func TestDegradedSortPathsUnderDDLRace(t *testing.T) {
 				if tolerable(err) {
 					continue
 				}
-				fail <- "vanish merge: " + err.Error()
+				fail <- "vanish join: " + err.Error()
 				return
 			}
 			prev := int64(-1)
 			for _, row := range res.Rows {
 				v := row[1].(int64)
 				if v < prev {
-					fail <- "vanish merge broke key order (degraded right side unsorted?)"
+					fail <- "vanish join broke key order (degraded driver unsorted?)"
 					return
 				}
 				prev = v

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,25 +168,49 @@ func TestInnerJoinHash(t *testing.T) {
 	}
 }
 
-func TestLeftJoinPadsNulls(t *testing.T) {
+// outerJoins holds one statement per join keyword sqlmini refuses, with
+// the keyword its error must name — including the keyword straight
+// after an unaliased FROM table, where it once parsed as an alias and
+// the join silently ran as INNER.
+var outerJoins = []struct{ kw, sql string }{
+	{"LEFT", `SELECT c.Title, m.Rating FROM Courses c LEFT JOIN Comments m ON c.CourseID = m.CourseID`},
+	{"LEFT", `SELECT c.Title FROM Courses c LEFT OUTER JOIN Comments m ON c.CourseID = m.CourseID`},
+	{"RIGHT", `SELECT * FROM Courses RIGHT JOIN Comments ON RIGHT.CourseID = Comments.CourseID`},
+	{"RIGHT", `SELECT * FROM Courses c RIGHT JOIN Comments m ON c.CourseID = m.CourseID`},
+	{"FULL", `SELECT * FROM Courses c FULL OUTER JOIN Comments m ON c.CourseID = m.CourseID`},
+	{"CROSS", `SELECT * FROM Courses CROSS JOIN Students`},
+	{"OUTER", `SELECT * FROM Courses c OUTER JOIN Comments m ON c.CourseID = m.CourseID`},
+	{"NATURAL", `SELECT * FROM Courses NATURAL JOIN Comments`},
+	{"LEFT", `SELECT * FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID LEFT JOIN Students s ON m.SuID = s.SuID`},
+}
+
+// TestOnlyInnerJoins: every join sqlmini runs is INNER, so each outer,
+// cross or natural join is refused by name from every entry point —
+// never run as an INNER join — and the refusal changes nothing.
+func TestOnlyInnerJoins(t *testing.T) {
 	e := testDB(t)
-	// Operating Systems (2007) has one comment; Greek Science has one; the
-	// left join keeps courses with zero comments.
-	res := mustQuery(t, e, `
-		SELECT c.Title, m.Rating
-		FROM Courses c
-		LEFT JOIN Comments m ON c.CourseID = m.CourseID
-		WHERE c.DepID = 'CS'
-		ORDER BY c.Title, m.Rating`)
-	found := map[string]int{}
-	for _, r := range res.Rows {
-		found[r[0].(string)]++
+	versions := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, name := range e.DB().Names() {
+			out[name] = e.DB().MustTable(name).Version()
+		}
+		return out
 	}
-	if found["Introduction to Programming"] != 3 {
-		t.Errorf("intro rows = %d, want 3", found["Introduction to Programming"])
+	before := versions()
+	for _, q := range outerJoins {
+		want := "sqlmini: " + q.kw + " JOIN is not supported: sqlmini joins are INNER"
+		_, errPrepare := e.Prepare(q.sql)
+		_, errQuery := e.Query(q.sql)
+		_, errExplain := e.Explain(q.sql)
+		_, errAnalyze := e.ExplainAnalyze(q.sql)
+		for name, err := range map[string]error{"Prepare": errPrepare, "Query": errQuery, "Explain": errExplain, "ExplainAnalyze": errAnalyze} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s(%s) = %v, want %q", name, q.sql, err, want)
+			}
+		}
 	}
-	if found["Operating Systems"] != 1 {
-		t.Errorf("OS rows = %d", found["Operating Systems"])
+	if after := versions(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused joins changed the database: tables/versions %v, want %v", after, before)
 	}
 }
 

@@ -431,7 +431,7 @@ func assignValue(dest any, v relation.Value) error {
 		return fmt.Errorf("unsupported destination type %T", dest)
 	}
 	if v == nil {
-		return fmt.Errorf("NULL into %T (use *any for nullable columns)", dest)
+		return fmt.Errorf("NULL into %T (use *any for columns that may be NULL)", dest)
 	}
 	return fmt.Errorf("cannot assign %T into %T", v, dest)
 }

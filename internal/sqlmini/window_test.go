@@ -79,7 +79,7 @@ func windowCorpus(t testing.TB, e *Engine) []windowShape {
 		{Name: "fact scan", SQL: `SELECT Owner, Course, Rating FROM Notes WHERE Owner <> ?`, Args: []any{int64(3)}},
 		{Name: "computed projection", SQL: `SELECT ID, Rating * 2 AS Twice FROM Notes WHERE Rating >= ?`, Args: []any{2.0}},
 		{Name: "reference join", SQL: `SELECT s.CourseID, Title FROM Subjects s JOIN Years y ON s.CourseID = y.CourseID WHERE y.Year = 2008`},
-		{Name: "left join, total order", SQL: `SELECT m.ID, m.Course, t.Name FROM Notes m LEFT JOIN Teachers t ON m.Teacher = t.TeacherID
+		{Name: "join, total order", SQL: `SELECT m.ID, m.Course, t.Name FROM Notes m JOIN Teachers t ON m.Teacher = t.TeacherID
 			WHERE m.Rating >= 2 ORDER BY m.ID`, Blocking: true},
 		{Name: "three tables", SQL: `SELECT m.ID, s.Title, y.Year FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
 			JOIN Years y ON y.CourseID = s.CourseID WHERE m.Owner = ?`, Args: []any{int64(5)}},
