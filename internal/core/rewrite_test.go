@@ -68,7 +68,7 @@ func rewriteStudents(t *testing.T, s *core.Site, man *datagen.Manifest) []int64 
 	t.Helper()
 	users := ints(t, s, `SELECT UserID FROM Users ORDER BY UserID`)
 	commented := map[int64]bool{}
-	for _, id := range ints(t, s, `SELECT DISTINCT SuID FROM Comments`) {
+	for _, id := range ints(t, s, `SELECT SuID FROM Comments GROUP BY SuID`) {
 		commented[id] = true
 	}
 	out := []int64{man.SampleStudent, man.TwinStudent, 9_999_999}

@@ -858,9 +858,10 @@ func recommend(target, ref *Relation, cmp Comparator, scoreAs string) (*Relation
 // that replaces an O(n log n) interface-typed sort with O(n log k)
 // float compares and shrinks the output slab from n rows to k.
 func recommendTop(target, ref *Relation, cmp Comparator, scoreAs string, k int) (*Relation, error) {
-	if k <= 0 || k*4 >= len(target.Rows) {
+	if k <= 0 || k >= (len(target.Rows)+3)/4 {
 		// Nothing (or too little) to discard: the fused path saves only
 		// when most candidates drop, so keep the plain sort's behavior.
+		// (k*4 would overflow for a huge k.)
 		out, err := recommend(target, ref, cmp, scoreAs)
 		if err != nil {
 			return nil, err

@@ -162,28 +162,10 @@ func refsOnly(cond string, args []any, g string) bool {
 		case *sqlmini.Binary:
 			walk(x.L)
 			walk(x.R)
-		case *sqlmini.Call:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *sqlmini.In:
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
 		case *sqlmini.Between:
 			walk(x.X)
 			walk(x.Lo)
 			walk(x.Hi)
-		case *sqlmini.IsNull:
-			walk(x.X)
-		case *sqlmini.Case:
-			walk(x.Operand)
-			walk(x.Else)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
 		default:
 			ok = false // an expression form this pass does not know
 		}

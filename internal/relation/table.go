@@ -704,7 +704,7 @@ func (t *Table) GetRef(key ...Value) (Row, bool) {
 // LookupManyRef returns references to the latest committed rows whose
 // named column equals any of the keys, in slot (scan) order with
 // duplicates removed, acquiring the read lock once for the whole batch.
-// The executor drives multi-key index probes (IN lists, batched joins)
+// The executor drives index probes and batched index nested-loop joins
 // through it without per-row locking. NULL keys match nothing,
 // mirroring SQL equality; with no index on the column it degrades to a
 // single scan. Index hits on a slot that carries residue re-validate

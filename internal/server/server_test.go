@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -292,6 +293,30 @@ func TestRecommendEndpoint(t *testing.T) {
 	}
 }
 
+// TestRecommendHugeK: a k near the top of the int range is just "every
+// row" — it answers 200 with exactly what k=1000 returns, and never
+// reaches the top-k buffer's allocation with an overflowed size.
+func TestRecommendHugeK(t *testing.T) {
+	ts, _, _ := testServer(t)
+	token := login(t, ts, "stu00001")
+	get := func(k string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/recommend/related-courses?title=Introduction+to+Programming&k=" + k + "&token=" + token)
+		if err != nil {
+			t.Fatalf("k=%s: %v", k, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("k=%s: status %d", k, resp.StatusCode)
+		}
+		return fmt.Sprint(decode[map[string]any](t, resp)["rows"])
+	}
+	want := get("1000")
+	if got := get("4611686018427387904"); got != want {
+		t.Errorf("k=2^62 rows differ from k=1000:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestStudentComesFromTheSession: a ?student= naming somebody else is
 // ignored by every strategy route — the caller reads their own rows.
 func TestStudentComesFromTheSession(t *testing.T) {
@@ -467,9 +492,9 @@ func TestShardedStatsEndpoint(t *testing.T) {
 	t.Cleanup(ts.Close)
 	t.Cleanup(site.Close)
 
-	// Move the routing counters: a grouped count over the partitioned
-	// Comments fans out and merges the shards' partials by group key.
-	if _, err := site.Sharded.Query(`SELECT CourseID, COUNT(*) FROM Comments GROUP BY CourseID`); err != nil {
+	// Move the routing counters: an ordered read of the partitioned
+	// Comments fans out and merges the shards' sorted streams.
+	if _, err := site.Sharded.Query(`SELECT SuID, CourseID, Rating FROM Comments WHERE Rating >= ? ORDER BY Rating DESC LIMIT 5`, 4.0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -489,8 +514,14 @@ func TestShardedStatsEndpoint(t *testing.T) {
 	if rows, ok := sh["rows_per_shard"].([]any); !ok || len(rows) != 2 {
 		t.Errorf("rows_per_shard = %v, want one total per shard", sh["rows_per_shard"])
 	}
-	if sh["fan_out"].(float64) == 0 || sh["merge_combine"].(float64) == 0 {
-		t.Errorf("the grouped count moved no fan-out counters: %v", sh)
+	// The sharding section's key set: two merge kinds, by-order and concat.
+	want := []string{"apply_errors", "fan_out", "fast_path", "merge_concat", "merge_ordered",
+		"partitioned_tables", "replicated", "rows_per_shard", "shards"}
+	if got := keysOf(sh); !reflect.DeepEqual(got, want) {
+		t.Errorf("sharding keys = %v, want %v", got, want)
+	}
+	if sh["fan_out"].(float64) == 0 || sh["merge_ordered"].(float64) == 0 {
+		t.Errorf("the ordered read moved no fan-out counters: %v", sh)
 	}
 	parts, ok := sh["partitioned_tables"].([]any)
 	if !ok || len(parts) == 0 {

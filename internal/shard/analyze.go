@@ -11,7 +11,7 @@ import (
 // EXPLAIN ANALYZE across the cluster: the statement really executes —
 // routed exactly like Query — and the report shows the route taken,
 // per-shard rows and wall time, the merge strategy, the short-circuit
-// point (the per-shard window each leg was clamped to), and shard 0's
+// point (the LIMIT each leg stops at), and shard 0's
 // fully annotated physical plan. Shard plans are identical by
 // construction (same DDL everywhere), so one annotated tree suffices;
 // the per-shard lines carry the skew.
@@ -46,14 +46,14 @@ func (s *Stmt) singleAnalyze(owner int, header string, args []any) (*sqlmini.Res
 	return res, header + plan, nil
 }
 
-// fanoutAnalyze mirrors fanoutQuery — same window math, same parallel
+// fanoutAnalyze mirrors fanoutQuery — same legs, same parallel
 // scatter, same merge — with each shard leg running instrumented.
 func (s *Stmt) fanoutAnalyze(args []any) (*sqlmini.Result, string, error) {
 	if s.fanoutErr != nil {
 		return nil, "", s.fanoutErr
 	}
 	s.c.fanOut.Add(1)
-	limit, offset, perWindow, err := s.window(args)
+	limit, err := s.per[0].Limit(args...)
 	if err != nil {
 		return nil, "", err
 	}
@@ -61,7 +61,7 @@ func (s *Stmt) fanoutAnalyze(args []any) (*sqlmini.Result, string, error) {
 	times := make([]time.Duration, s.c.n)
 	results, err := s.parQuery(func(i int) (*sqlmini.Result, error) {
 		t0 := time.Now()
-		res, plan, err := s.per[i].QueryAnalyzeWindow(perWindow, 0, args...)
+		res, plan, err := s.per[i].QueryAnalyze(args...)
 		times[i] = time.Since(t0)
 		plans[i] = plan
 		return res, err
@@ -69,7 +69,7 @@ func (s *Stmt) fanoutAnalyze(args []any) (*sqlmini.Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	out := applyWindow(s.merge(results), limit, offset)
+	out := applyLimit(s.merge(results), limit)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Route: fan-out over %d shards, merge=%s\n", s.c.n, s.mergeName())
@@ -78,8 +78,8 @@ func (s *Stmt) fanoutAnalyze(args []any) (*sqlmini.Result, string, error) {
 		fmt.Fprintf(&b, "  shard %d: %d rows in %s\n", i, len(r.Rows), times[i].Round(time.Microsecond))
 		in += len(r.Rows)
 	}
-	if perWindow >= 0 {
-		fmt.Fprintf(&b, "short-circuit: each shard windowed to %d rows (LIMIT %d + OFFSET %d)\n", perWindow, limit, offset)
+	if limit >= 0 {
+		fmt.Fprintf(&b, "short-circuit: each shard stops at LIMIT %d\n", limit)
 	}
 	fmt.Fprintf(&b, "merged: %d rows in, %d rows out\n", in, len(out))
 	b.WriteString("shard 0 plan:\n")

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -40,11 +41,11 @@ func TestExplainAnalyzeSingleShard(t *testing.T) {
 }
 
 // TestExplainAnalyzeFanout pins the scatter-gather report: per-shard
-// rows/time lines, the merge kind, the short-circuit window, and the
+// rows/time lines, the merge kind, the short-circuit LIMIT, and the
 // merged row accounting.
 func TestExplainAnalyzeFanout(t *testing.T) {
 	c, e := testCluster(t, 4)
-	st, err := c.Prepare(`SELECT RID, Score FROM Ratings ORDER BY RID LIMIT 10 OFFSET 5`)
+	st, err := c.Prepare(`SELECT RID, Score FROM Ratings ORDER BY RID LIMIT 15`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +53,17 @@ func TestExplainAnalyzeFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Query(`SELECT RID, Score FROM Ratings ORDER BY RID LIMIT 10 OFFSET 5`)
+	want, err := e.Query(`SELECT RID, Score FROM Ratings ORDER BY RID LIMIT 15`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(want.Rows) {
-		t.Fatalf("analyzed fan-out returned %d rows, mono %d", len(res.Rows), len(want.Rows))
+	if !reflect.DeepEqual(res.Rows, want.Rows) {
+		t.Fatalf("analyzed fan-out returned %v, mono %v", res.Rows, want.Rows)
 	}
 	norm := shardTimeRe.ReplaceAllString(report, "in T")
 	for _, wantLine := range []string{
 		"Route: fan-out over 4 shards, merge=by-order\n",
-		"short-circuit: each shard windowed to 15 rows (LIMIT 10 + OFFSET 5)\n",
+		"short-circuit: each shard stops at LIMIT 15\n",
 		" rows out\n",
 		"shard 0 plan:\n",
 		"scan Ratings ~28 of 28 rows",
@@ -79,28 +80,44 @@ func TestExplainAnalyzeFanout(t *testing.T) {
 			t.Errorf("report missing per-shard line %q:\n%s", pre, report)
 		}
 	}
-	if !regexp.MustCompile(`merged: \d+ rows in, 10 rows out`).MatchString(norm) {
+	if !regexp.MustCompile(`merged: \d+ rows in, 15 rows out`).MatchString(norm) {
 		t.Errorf("merged accounting line wrong:\n%s", report)
 	}
 }
 
-// TestExplainAnalyzeAggregateFanout: aggregates disable the
-// short-circuit (each shard must send full partials).
+// TestExplainAnalyzeAggregateFanout: an aggregate never fans out — the
+// analyzed run refuses it like Query does and runs no shard — while
+// the same aggregate pinned to one shard analyzes there, with no merge.
 func TestExplainAnalyzeAggregateFanout(t *testing.T) {
-	c, _ := testCluster(t, 4)
-	st, err := c.Prepare(`SELECT SuID, COUNT(*) FROM Ratings GROUP BY SuID`)
+	c, e := testCluster(t, 4)
+	st, err := c.Prepare(`SELECT SuID, COUNT(*), AVG(Score) FROM Ratings GROUP BY SuID`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, report, err := st.QueryAnalyze()
+	if _, _, err := st.QueryAnalyze(); err == nil || !strings.Contains(err.Error(), "an aggregate runs only when pinned to one shard") {
+		t.Fatalf("aggregate fan-out analyzed: %v", err)
+	}
+	if fan := c.Stats().FanOut; fan != 0 {
+		t.Fatalf("the refused aggregate counted %d fan-outs", fan)
+	}
+	const pinned = `SELECT SuID, COUNT(*), AVG(Score) FROM Ratings WHERE SuID = ? GROUP BY SuID`
+	pst, err := c.Prepare(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(report, "merge=combine-partials") {
-		t.Fatalf("aggregate merge kind missing:\n%s", report)
+	got, report, err := pst.QueryAnalyze(int64(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Contains(report, "short-circuit") {
-		t.Fatalf("aggregate fan-out must not short-circuit:\n%s", report)
+	want, err := e.Query(pinned, int64(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("pinned aggregate: %v, mono %v", got.Rows, want.Rows)
+	}
+	if !strings.HasPrefix(report, "Route: single shard ") || strings.Contains(report, "merge") || strings.Contains(report, "short-circuit") {
+		t.Fatalf("pinned aggregate report:\n%s", report)
 	}
 }
 

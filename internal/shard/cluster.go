@@ -35,7 +35,6 @@ type Cluster struct {
 	fanOut       atomic.Uint64
 	mergeOrdered atomic.Uint64
 	mergeConcat  atomic.Uint64
-	mergeCombine atomic.Uint64
 	applyErrors  atomic.Uint64
 }
 

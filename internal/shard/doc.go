@@ -40,31 +40,26 @@
 //     live on different shards);
 //   - an ORDER BY key is not an output column (the cross-shard order
 //     contract — see the sqlmini package docs);
-//   - an aggregate cannot be combined from per-shard partials: AVG
-//     (rewrite as SUM and COUNT), HAVING, DISTINCT aggregates, or
-//     expressions over aggregates.
+//   - the statement aggregates (COUNT, AVG or GROUP BY): no merge
+//     combines per-shard groups, so an aggregate runs only when pinned.
 //
 // Such statements still execute fine when pinned to a single shard.
 //
 // # Merge strategies
 //
-//   - merge-by-order: ORDER BY fan-outs reuse the engine's sort
-//     contract — each shard's result arrives sorted, so the gather is
-//     a k-way merge on output columns. With LIMIT l OFFSET o each
-//     shard is asked for l+o rows (Stmt.QueryWindow) and the global
-//     window applies once after the merge. A leg stops at its l+o-th
-//     row: where the statement streams (no aggregate, no DISTINCT, the
-//     ORDER BY elided into an index walk) the shard's executor ends its
-//     pipeline there and reads a batch or two of its partition, so the
-//     coordinator merges shards × (l+o) rows, not the table.
+// There are two:
+//
+//   - by-order: ORDER BY fan-outs reuse the engine's sort contract —
+//     each shard's result arrives sorted, so the gather is a k-way
+//     merge on output columns. With LIMIT k every shard runs the
+//     statement as written and stops at its k-th row, and the first k
+//     rows of the merge are the answer. Where the statement streams
+//     (the ORDER BY elided into an index walk) the shard's executor
+//     ends its pipeline there and reads a batch or two of its
+//     partition, so the coordinator merges shards × k rows, not the
+//     table.
 //   - concat: unordered fan-outs append the per-shard results in
-//     shard order; DISTINCT de-duplicates across them. Each leg is
-//     windowed to l+o rows like an ordered one.
-//   - partial-aggregate combine: GROUP BY fan-outs run per shard and
-//     the coordinator merges groups by key, summing COUNT/SUM
-//     partials and folding MIN/MAX. Every group key must appear in the
-//     projection — the coordinator merges BY those output values, so a
-//     dropped key is refused rather than folding distinct groups.
+//     shard order, each leg cut to the LIMIT like an ordered one.
 //
 // # Writes follow the base
 //

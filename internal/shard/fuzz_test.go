@@ -26,7 +26,7 @@ import (
 // not base slot order, so unlike the mono harness every ORDER BY here
 // ends in the driving primary key — a total order both sides must
 // realize identically. Two kinds of shape are generated on purpose to
-// be REFUSED: fan-out-illegal aggregates, which the cluster refuses
+// be REFUSED: unpinned aggregates, which the cluster refuses to fan out
 // while the mono engine answers, and LEFT JOINs, which neither parses
 // (sqlmini joins are INNER). The harness asserts each refusal.
 
@@ -90,14 +90,12 @@ func (q *shardFuzzQB) lit(v any) string {
 	return fmt.Sprint(v)
 }
 
+// limitSuffix appends a LIMIT, literal or bound, two times in three.
 func (q *shardFuzzQB) limitSuffix() string {
-	switch q.r.Intn(3) {
-	case 0:
-		return fmt.Sprintf(" LIMIT %d", 1+q.r.Intn(30))
-	case 1:
-		return fmt.Sprintf(" LIMIT %d OFFSET %d", 1+q.r.Intn(30), q.r.Intn(6))
+	if q.r.Intn(3) == 0 {
+		return ""
 	}
-	return ""
+	return " LIMIT " + q.lit(int64(q.r.Intn(31)))
 }
 
 // The refusals a generated shape may expect, as the cluster's error
@@ -126,8 +124,9 @@ func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact b
 				return fmt.Sprintf("K BETWEEN %s AND %s", q.lit(int64(lo)), q.lit(int64(lo+r.Intn(8))))
 			},
 			func() string { return "Cat = " + q.lit([]string{"ca", "cb", "cc"}[r.Intn(3)]) },
-			func() string { return "V IS NOT NULL" },
+			func() string { return "V >= 0" }, // drops the NULLs
 			func() string { return "K < " + q.lit(int64(r.Intn(25))) },
+			func() string { return "V - K > " + q.lit(int64(r.Intn(30)-10)) },
 		} {
 			if r.Intn(3) == 0 {
 				conds = append(conds, c())
@@ -179,7 +178,7 @@ func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact b
 		case 0:
 			sql += " WHERE i.K = " + q.lit(int64(r.Intn(25))) // pins both sides via the class
 		case 1:
-			sql += " WHERE p.W IS NOT NULL"
+			sql += " WHERE p.W >= 0"
 		case 2:
 			sql += " WHERE i.Cat = " + q.lit([]string{"ca", "cb", "cc"}[r.Intn(3)])
 		}
@@ -247,40 +246,43 @@ func genShardFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact b
 		}
 		return
 
-	default: // partial-aggregate combine, plus the replicated-only route
-		switch r.Intn(5) {
-		case 4:
-			// Group key dropped from the projection: the coordinator has
-			// nothing to merge partials by, so the fan-out must be
-			// REFUSED — never fold every shard's groups into one row.
-			sql = `SELECT COUNT(*), SUM(V) FROM Items GROUP BY Cat`
-			if r.Intn(2) == 0 {
-				sql = `SELECT COUNT(*) FROM Peers GROUP BY K`
-			}
-			return sql, q.args, false, refuseFanout
-		case 3:
+	default: // aggregates — answered pinned, refused unpinned — plus the replicated-only route
+		if r.Intn(4) == 0 {
 			sql = `SELECT ID, Lo, Hi FROM Bands WHERE Lo >= ` + q.lit(int64(r.Intn(22))) + ` ORDER BY ID`
 			return sql, q.args, true, ""
+		}
+		pin := r.Intn(2) == 0
+		switch r.Intn(3) {
 		case 0:
-			sql = `SELECT Cat, COUNT(*), SUM(V), MIN(V), MAX(V) FROM Items`
-			if r.Intn(2) == 0 {
+			sql = `SELECT Cat, COUNT(*), AVG(V), COUNT(V) FROM Items`
+			if pin {
+				sql += " WHERE K = " + q.lit(int64(r.Intn(25)))
+			} else if r.Intn(2) == 0 {
 				sql += " WHERE K >= " + q.lit(int64(r.Intn(25)))
 			}
 			sql += " GROUP BY Cat ORDER BY Cat"
 		case 1:
-			sql = `SELECT K, COUNT(*) FROM Peers GROUP BY K ORDER BY K`
+			sql = `SELECT K, COUNT(*) AS N FROM Peers`
+			if pin {
+				sql += " WHERE K = " + q.lit(int64(r.Intn(25)))
+			}
+			sql += " GROUP BY K ORDER BY N DESC, K" + q.limitSuffix()
 		default:
-			sql = `SELECT COUNT(*), SUM(W), MIN(W), MAX(W) FROM Peers`
-			if r.Intn(2) == 0 {
-				sql += " WHERE K < " + q.lit(int64(r.Intn(25)))
+			sql = `SELECT COUNT(*), AVG(W), COUNT(W) FROM Peers`
+			if pin {
+				sql += " WHERE K = " + q.lit(int64(r.Intn(25)))
 			}
 		}
-		return sql, q.args, true, ""
+		if !pin {
+			refuse = refuseFanout
+		}
+		return sql, q.args, true, refuse
 	}
 }
 
-// valClose compares one output value, tolerating the float ulps a
-// per-shard SUM legitimately reassociates; everything else is exact.
+// valClose compares one output value, tolerating the float ulps an AVG
+// over a shard's rows in that shard's slot order may differ by from the
+// base's; everything else is exact.
 func valClose(a, b relation.Value) bool {
 	if af, ok := a.(float64); ok {
 		if bf, ok := b.(float64); ok {
@@ -391,24 +393,24 @@ func TestShardFuzzParity(t *testing.T) {
 	if st.FastPath == 0 || st.Replicated == 0 || st.FanOut == 0 {
 		t.Fatalf("routing coverage regressed: %+v", st)
 	}
-	if st.MergeOrdered == 0 || st.MergeConcat == 0 || st.MergeCombine == 0 {
+	if st.MergeOrdered == 0 || st.MergeConcat == 0 {
 		t.Fatalf("merge coverage regressed: %+v", st)
 	}
-	t.Logf("shard fuzz routing over 420 queries: fast=%d repl=%d fanout=%d (ordered=%d concat=%d combine=%d)",
-		st.FastPath, st.Replicated, st.FanOut, st.MergeOrdered, st.MergeConcat, st.MergeCombine)
+	t.Logf("shard fuzz routing over 420 queries: fast=%d repl=%d fanout=%d (ordered=%d concat=%d)",
+		st.FastPath, st.Replicated, st.FanOut, st.MergeOrdered, st.MergeConcat)
 }
 
 // TestShardWindowIsSliceOfUnwindowed is sqlmini's window property across
-// the shard boundary: on a 3-shard cluster, `… LIMIT k OFFSET o` is rows
-// [o : o+k] of what the SAME cluster returns for the statement without a
-// window — every leg now stops at its k+o-th row instead of handing over
+// the shard boundary: on a 3-shard cluster, `… LIMIT k` is the first k
+// rows of what the SAME cluster returns for the statement without a
+// LIMIT — every leg now stops at its k-th row instead of handing over
 // its whole partition, and a row goal may have changed a leg's join
 // algorithm, yet the coordinator must merge the same prefix. Shapes with
 // tied sort keys compare against the cluster itself (its tie order is
 // its own: shard index, then slot); shapes that pin a total order must
-// also agree with the mono engine.
-// Aggregate, DISTINCT and un-elided-sort statements are in the list
-// because no early stop may apply to them.
+// also agree with the mono engine. Pinned aggregate, GROUP BY and
+// un-elided-sort statements are in the list because no early stop may
+// apply to them.
 func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
 	db, e := shardFuzzBase(t)
 	items := db.MustTable("Items")
@@ -426,16 +428,16 @@ func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
 	}{
 		{`SELECT ID, K FROM Items WHERE K >= ? ORDER BY K DESC`, []any{int64(3)}, false},
 		{`SELECT ID, K FROM Items WHERE K <= ? ORDER BY K`, []any{int64(20)}, false},
-		{`SELECT ID, K, Cat FROM Items WHERE V IS NOT NULL`, nil, false},
+		{`SELECT ID, K, Cat FROM Items WHERE V >= 0`, nil, false},
 		{`SELECT i.ID, i.K, b.ID FROM Items i JOIN Bands b ON i.ID = b.AK WHERE i.K >= ? ORDER BY i.K DESC`, []any{int64(2)}, false},
 		{`SELECT i.ID, i.K, p.ID FROM Items i JOIN Peers p ON i.K = p.K ORDER BY i.K`, nil, false},
 		{`SELECT b.ID, a.ID, a.K FROM Bands b JOIN Items a ON a.K BETWEEN b.Lo AND b.Hi WHERE b.ID = ?`, []any{int64(12)}, false},
 		{`SELECT ID, K FROM Items WHERE K = 7 ORDER BY ID`, nil, true},
 		{`SELECT ID, K FROM Items ORDER BY K DESC, ID`, nil, true},
-		{`SELECT ID, V FROM Items WHERE V IS NOT NULL ORDER BY V DESC, ID`, nil, true},
-		{`SELECT Cat, COUNT(*), SUM(V) FROM Items GROUP BY Cat ORDER BY Cat`, nil, true},
-		{`SELECT K, COUNT(*) FROM Items GROUP BY K ORDER BY K`, nil, true},
-		{`SELECT DISTINCT Cat FROM Items ORDER BY Cat`, nil, true},
+		{`SELECT ID, V FROM Items WHERE V >= 0 ORDER BY V DESC, ID`, nil, true},
+		{`SELECT Cat, COUNT(*), AVG(V) FROM Items WHERE K = ? GROUP BY Cat ORDER BY Cat`, []any{int64(7)}, true},
+		{`SELECT V, COUNT(*) AS N FROM Items WHERE K = 3 GROUP BY V ORDER BY N DESC, V`, nil, true},
+		{`SELECT Cat FROM Items WHERE K = 11 GROUP BY Cat ORDER BY Cat`, nil, true},
 	}
 	for _, sh := range shapes {
 		all, err := c.Query(sh.sql, sh.args...)
@@ -452,32 +454,29 @@ func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !rowsClose(all.Rows, mono.Rows) {
-				t.Fatalf("%q: sharded and mono rows diverge before any window", sh.sql)
+				t.Fatalf("%q: sharded and mono rows diverge before any LIMIT", sh.sql)
 			}
 		}
-		for _, k := range []int{0, 1, 255, 256, 257, n, n + 1} {
-			for _, o := range []int{0, 3} {
-				start := min(o, n)
-				want := all.Rows[start:min(start+k, n)]
-				literal := fmt.Sprintf("%s LIMIT %d OFFSET %d", sh.sql, k, o)
-				bound := append(append([]any{}, sh.args...), int64(k), int64(o))
-				for entry, run := range map[string]func() (*sqlmini.Result, error){
-					"literal": func() (*sqlmini.Result, error) { return c.Query(literal, sh.args...) },
-					"bound":   func() (*sqlmini.Result, error) { return c.Query(sh.sql+" LIMIT ? OFFSET ?", bound...) },
-				} {
-					got, err := run()
-					if err != nil {
-						t.Fatalf("%q %s: %v", literal, entry, err)
-					}
-					if !rowsClose(got.Rows, want) {
-						t.Fatalf("%q (%s): %d rows, not rows [%d:%d] of the cluster's unwindowed %d\n got %v\nwant %v",
-							literal, entry, len(got.Rows), o, o+k, n, got.Rows, want)
-					}
+		for _, k := range []int{0, 1, 3, 255, 256, 257, n, n + 1} {
+			want := all.Rows[:min(k, n)]
+			literal := fmt.Sprintf("%s LIMIT %d", sh.sql, k)
+			bound := append(append([]any{}, sh.args...), int64(k))
+			for entry, run := range map[string]func() (*sqlmini.Result, error){
+				"literal": func() (*sqlmini.Result, error) { return c.Query(literal, sh.args...) },
+				"bound":   func() (*sqlmini.Result, error) { return c.Query(sh.sql+" LIMIT ?", bound...) },
+			} {
+				got, err := run()
+				if err != nil {
+					t.Fatalf("%q %s: %v", literal, entry, err)
+				}
+				if !rowsClose(got.Rows, want) {
+					t.Fatalf("%q (%s): %d rows, not the first %d of the cluster's unlimited %d\n got %v\nwant %v",
+						literal, entry, len(got.Rows), k, n, got.Rows, want)
 				}
 			}
 		}
 	}
-	if st := c.Stats(); st.FastPath == 0 || st.MergeOrdered == 0 || st.MergeConcat == 0 || st.MergeCombine == 0 {
+	if st := c.Stats(); st.FastPath == 0 || st.MergeOrdered == 0 || st.MergeConcat == 0 {
 		t.Fatalf("window corpus missed a route or a merge: %+v", st)
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestConcurrentScatterGatherChurn drives concurrent Query readers —
-// ordered, concatenated, joined and combined fan-outs plus the pinned
-// fast path — against writes to the base tables that reach the shards
+// ordered, concatenated and joined fan-outs plus the pinned fast path
+// and a pinned aggregate — against writes to the base tables that reach the shards
 // through FollowBase, under -race in CI. When the writers stop, the
 // cluster must answer exactly like the base with no propagation error,
 // and no fan-out goroutine may remain: the goroutine count has to
@@ -40,15 +40,15 @@ func TestConcurrentScatterGatherChurn(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				var err error
 				switch i % 4 {
-				case 0: // ordered fan-out, windowed per leg
+				case 0: // ordered fan-out, each leg stopping at the LIMIT
 					_, err = c.Query(`SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 20`)
 				case 1: // concat fan-out
 					_, err = c.Query(`SELECT RID, SuID FROM Ratings`)
 				case 2: // co-located join fan-out
 					_, err = c.Query(`SELECT r.RID, p.PID FROM Ratings r JOIN Points p ON r.SuID = p.SuID`)
-				default: // pinned fast path and combine
-					if _, err = c.Query(`SELECT COUNT(*), SUM(Score) FROM Ratings WHERE SuID = ?`, int64(i%20)); err == nil {
-						_, err = c.Query(`SELECT CID, COUNT(*) FROM Ratings GROUP BY CID ORDER BY CID`)
+				default: // pinned fast path: a row read and an aggregate
+					if _, err = c.Query(`SELECT RID, Score FROM Ratings WHERE SuID = ?`, int64(i%20)); err == nil {
+						_, err = c.Query(`SELECT CID, COUNT(*), AVG(Score) FROM Ratings WHERE SuID = ? GROUP BY CID ORDER BY CID`, int64(i%20))
 					}
 				}
 				if err != nil {
@@ -108,7 +108,7 @@ func TestConcurrentScatterGatherChurn(t *testing.T) {
 
 	for _, q := range []string{
 		`SELECT RID, SuID, CID, Score FROM Ratings ORDER BY RID`,
-		`SELECT CID, COUNT(*), SUM(Score) FROM Ratings GROUP BY CID ORDER BY CID`,
+		`SELECT r.RID, p.PID, r.Score FROM Ratings r JOIN Points p ON r.SuID = p.SuID ORDER BY r.RID, p.PID`,
 	} {
 		got, err := c.Query(q)
 		if err != nil {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -194,14 +193,12 @@ func TestFanoutMerges(t *testing.T) {
 	// Unordered scatter: concat.
 	checkAgainstMono(t, c, e, false, `SELECT RID, SuID FROM Ratings WHERE Score >= ?`, int64(3))
 	// Ordered scatter: per-shard sorted streams k-way merged, the
-	// global window applied after (ORDER BY ends in the PK, so the
-	// order is total and the comparison exact).
-	checkAgainstMono(t, c, e, true, `SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 10 OFFSET 3`)
+	// global LIMIT applied after (ORDER BY ends in the PK, so the order
+	// is total and the comparison exact).
+	checkAgainstMono(t, c, e, true, `SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 13`)
 	checkAgainstMono(t, c, e, true, `SELECT RID, CID FROM Ratings WHERE CID < 6 ORDER BY CID, RID`)
-	// Partial-aggregate combine: COUNT/SUM sum, MIN/MAX fold.
-	checkAgainstMono(t, c, e, true,
-		`SELECT CID, COUNT(*), SUM(Score), MIN(Score), MAX(Score) FROM Ratings GROUP BY CID ORDER BY CID`)
-	checkAgainstMono(t, c, e, true, `SELECT COUNT(*), SUM(Pts) FROM Points`)
+	// An ORDER BY key named by its output alias merges too.
+	checkAgainstMono(t, c, e, true, `SELECT RID AS R, Score - 1 AS S FROM Ratings WHERE Score >= 2 ORDER BY S, R LIMIT 9`)
 	// Co-located join fans out shard-locally.
 	checkAgainstMono(t, c, e, false,
 		`SELECT r.RID, p.PID FROM Ratings r JOIN Points p ON r.SuID = p.SuID`)
@@ -209,10 +206,10 @@ func TestFanoutMerges(t *testing.T) {
 	checkAgainstMono(t, c, e, true,
 		`SELECT s.Name, r.RID FROM Ratings r JOIN Students s ON r.SuID = s.SuID ORDER BY r.RID`)
 	st := c.Stats()
-	if st.MergeConcat == 0 || st.MergeOrdered == 0 || st.MergeCombine == 0 {
+	if st.MergeConcat == 0 || st.MergeOrdered == 0 {
 		t.Fatalf("merge tallies incomplete: %+v", st)
 	}
-	out, err := c.Explain(`SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 10 OFFSET 3`)
+	out, err := c.Explain(`SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 13`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,21 +227,25 @@ func TestFanoutRefusals(t *testing.T) {
 			t.Fatalf("%q: error %v, want %q", sql, err, why)
 		}
 	}
-	refused(`SELECT CID, AVG(Score) FROM Ratings GROUP BY CID`, "AVG cannot combine")
-	refused(`SELECT CID, COUNT(*) FROM Ratings GROUP BY CID HAVING COUNT(*) > 3`, "HAVING")
+	// No aggregate fans out: the coordinator has no merge for partials.
+	const pinOnly = "fan-out unsupported: an aggregate runs only when pinned to one shard"
+	refused(`SELECT CID, AVG(Score) FROM Ratings GROUP BY CID`, pinOnly)
+	refused(`SELECT CID, COUNT(*) FROM Ratings GROUP BY CID ORDER BY CID`, pinOnly)
+	refused(`SELECT COUNT(*) FROM Ratings`, pinOnly)
+	refused(`SELECT SuID FROM Ratings GROUP BY SuID`, pinOnly)
 	refused(`SELECT RID FROM Ratings ORDER BY Score`, "not an output column")
+	refused(`SELECT RID, Score + 1 AS S FROM Ratings ORDER BY Score + 1`, "an expression the projection does not output")
 	refused(`SELECT r.RID, p.PID FROM Ratings r JOIN Points p ON r.CID = p.Pts`, "not co-located")
-	// A group key the projection drops cannot key the coordinator's
-	// partial merge — without the refusal, every shard's groups would
-	// silently fold into one row.
-	refused(`SELECT COUNT(*) FROM Ratings GROUP BY SuID`, "not projected")
-	refused(`SELECT CID, COUNT(*) FROM Ratings GROUP BY CID, SuID`, "not projected")
 
 	// Every refused shape still answers when pinned to one shard.
 	checkAgainstMono(t, c, e, true, `SELECT AVG(Score) FROM Ratings WHERE SuID = ?`, int64(4))
 	checkAgainstMono(t, c, e, true,
 		`SELECT s.SuID, r.RID FROM Students s JOIN Ratings r ON s.SuID = r.SuID WHERE s.SuID = ? ORDER BY s.SuID, r.RID`, int64(9))
 	checkAgainstMono(t, c, e, true, `SELECT COUNT(*) FROM Ratings WHERE SuID = ? GROUP BY SuID`, int64(4))
+	checkAgainstMono(t, c, e, true, `SELECT CID, COUNT(*), AVG(Score) FROM Ratings WHERE SuID = 7 GROUP BY CID ORDER BY CID`)
+	if st := c.Stats(); st.FanOut != 0 {
+		t.Fatalf("refused statements counted as fan-outs: %+v", st)
+	}
 }
 
 // TestReadOnlyRefusesWrites: the cluster runs SELECTs only — writes go
@@ -270,8 +271,8 @@ func TestReadOnlyRefusesWrites(t *testing.T) {
 			}
 		}
 	}
-	res, err := c.Query(`SELECT COUNT(*) FROM Ratings`)
-	if err != nil || res.Rows[0][0] != int64(120) {
+	res, err := c.Query(`SELECT RID FROM Ratings`)
+	if err != nil || len(res.Rows) != 120 {
 		t.Fatalf("Ratings after refused writes: %v %v, want 120 rows", res, err)
 	}
 	for i := 0; i < c.Shards(); i++ {
@@ -281,12 +282,13 @@ func TestReadOnlyRefusesWrites(t *testing.T) {
 	}
 }
 
-// TestOnlyInnerJoins is sqlmini's join refusal across the cluster: an
-// outer, cross or natural join fails to prepare with sqlmini's error,
-// naming its keyword, from every cluster entry point and on every
-// shard's engine — whether it would have pinned one shard or fanned
-// out — and neither the base nor any shard changes.
-func TestOnlyInnerJoins(t *testing.T) {
+// TestRefusesOutsideDialect is sqlmini's dialect refusal across the
+// cluster: an outer, cross or natural join, or an operator, keyword or
+// function outside the dialect, fails to prepare with sqlmini's error,
+// naming it, from every cluster entry point and on every shard's engine
+// — whether it would have pinned one shard or fanned out — and neither
+// the base nor any shard changes.
+func TestRefusesOutsideDialect(t *testing.T) {
 	db, _ := testBase(t)
 	c, err := Split(db, 3)
 	if err != nil {
@@ -307,17 +309,44 @@ func TestOnlyInnerJoins(t *testing.T) {
 		}
 		return out
 	}
+	const joins = " JOIN is not supported: sqlmini joins are INNER"
+	const dialect = " is not supported: it is outside sqlmini's dialect"
 	before := versions()
-	for _, q := range []struct{ kw, sql string }{
-		{"LEFT", `SELECT s.SuID, r.RID FROM Students s LEFT JOIN Ratings r ON s.SuID = r.SuID`},
-		{"LEFT", `SELECT s.SuID, r.RID FROM Students s LEFT OUTER JOIN Ratings r ON s.SuID = r.SuID WHERE s.SuID = 9`},
-		{"RIGHT", `SELECT * FROM Students RIGHT JOIN Ratings ON RIGHT.SuID = Ratings.SuID`},
-		{"FULL", `SELECT * FROM Ratings r FULL JOIN Points p ON r.SuID = p.SuID`},
-		{"CROSS", `SELECT * FROM Ratings CROSS JOIN Students`},
-		{"OUTER", `SELECT * FROM Ratings r OUTER JOIN Points p ON r.SuID = p.SuID`},
-		{"NATURAL", `SELECT * FROM Ratings NATURAL JOIN Points`},
+	for _, q := range []struct{ word, why, sql string }{
+		{"LEFT", joins, `SELECT s.SuID, r.RID FROM Students s LEFT JOIN Ratings r ON s.SuID = r.SuID`},
+		{"LEFT", joins, `SELECT s.SuID, r.RID FROM Students s LEFT OUTER JOIN Ratings r ON s.SuID = r.SuID WHERE s.SuID = 9`},
+		{"RIGHT", joins, `SELECT * FROM Students RIGHT JOIN Ratings ON RIGHT.SuID = Ratings.SuID`},
+		{"FULL", joins, `SELECT * FROM Ratings r FULL JOIN Points p ON r.SuID = p.SuID`},
+		{"CROSS", joins, `SELECT * FROM Ratings CROSS JOIN Students`},
+		{"OUTER", joins, `SELECT * FROM Ratings r OUTER JOIN Points p ON r.SuID = p.SuID`},
+		{"NATURAL", joins, `SELECT * FROM Ratings NATURAL JOIN Points`},
+		{"OR", dialect, `SELECT RID FROM Ratings WHERE SuID = 7 OR SuID = 8`},
+		{"NOT", dialect, `SELECT RID FROM Ratings WHERE NOT Score = 1`},
+		{"NOT", dialect, `SELECT RID FROM Ratings WHERE SuID = 7 AND Score NOT BETWEEN 1 AND 2`},
+		{"IN", dialect, `SELECT RID FROM Ratings WHERE SuID IN (7, 8)`},
+		{"IS", dialect, `SELECT RID FROM Ratings WHERE SuID = 7 AND Score IS NULL`},
+		{"LIKE", dialect, `SELECT SuID FROM Students WHERE Name LIKE 's0%'`},
+		{"CASE", dialect, `SELECT CASE WHEN Score > 3 THEN 1 ELSE 0 END FROM Ratings WHERE SuID = 7`},
+		{"DISTINCT", dialect, `SELECT DISTINCT CID FROM Ratings`},
+		{"DISTINCT", dialect, `SELECT COUNT(DISTINCT CID) FROM Ratings WHERE SuID = 7`},
+		{"HAVING", dialect, `SELECT CID, COUNT(*) FROM Ratings WHERE SuID = 7 GROUP BY CID HAVING COUNT(*) > 1`},
+		{"OFFSET", dialect, `SELECT RID FROM Ratings ORDER BY RID LIMIT 5 OFFSET 3`},
+		{"SUM", dialect, `SELECT SUM(Score) FROM Ratings WHERE SuID = 7`},
+		{"MIN", dialect, `SELECT CID, MIN(Score) FROM Ratings GROUP BY CID`},
+		{"MAX", dialect, `SELECT MAX(Pts) FROM Points`},
+		{"LOWER", dialect, `SELECT LOWER(Name) FROM Students`},
+		{"UPPER", dialect, `SELECT UPPER(Name) FROM Students`},
+		{"LENGTH", dialect, `SELECT LENGTH(Name) FROM Students`},
+		{"ABS", dialect, `SELECT ABS(Score) FROM Ratings`},
+		{"ROUND", dialect, `SELECT ROUND(Score) FROM Ratings`},
+		{"COALESCE", dialect, `SELECT COALESCE(Score, 0) FROM Ratings WHERE SuID = 7`},
+		{"SUBSTR", dialect, `SELECT SUBSTR(Name, 1, 2) FROM Students`},
+		{"||", dialect, `SELECT Name || '!' FROM Students`},
+		{"*", dialect, `SELECT Score * 2 FROM Ratings`},
+		{"/", dialect, `SELECT RID FROM Ratings WHERE Score / 2 = 1`},
+		{"%", dialect, `SELECT RID FROM Ratings WHERE RID % 2 = 0`},
 	} {
-		want := "sqlmini: " + q.kw + " JOIN is not supported: sqlmini joins are INNER"
+		want := "sqlmini: " + q.word + q.why
 		st, errPrepare := c.Prepare(q.sql)
 		if st != nil {
 			t.Errorf("Cluster.Prepare(%s) returned a statement", q.sql)
@@ -335,7 +364,10 @@ func TestOnlyInnerJoins(t *testing.T) {
 		}
 	}
 	if after := versions(); !reflect.DeepEqual(after, before) {
-		t.Errorf("refused joins changed the base or a shard: %v, want %v", after, before)
+		t.Errorf("refused statements changed the base or a shard: %v, want %v", after, before)
+	}
+	if st := c.Stats(); st.FastPath+st.Replicated+st.FanOut != 0 {
+		t.Errorf("refused statements were routed: %+v", st)
 	}
 }
 
@@ -368,9 +400,11 @@ func TestShardedDML(t *testing.T) {
 	if err := deleteWhere(ratings, "Score", eq(1)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(`SELECT COUNT(*) FROM Ratings WHERE SuID = 7 OR Score = 1`)
-	if err != nil || res.Rows[0][0] != int64(0) {
-		t.Fatalf("rows survive the base delete: %v %v", res, err)
+	for _, q := range []string{`SELECT RID FROM Ratings WHERE SuID = 7`, `SELECT RID FROM Ratings WHERE Score = 1`} {
+		res, err := c.Query(q)
+		if err != nil || len(res.Rows) != 0 {
+			t.Fatalf("%s: rows survive the base delete: %v %v", q, res, err)
+		}
 	}
 	db.MustTable("Students").MustInsert(relation.Row{20, "s20"})
 	for i := 0; i < c.Shards(); i++ {
@@ -455,23 +489,22 @@ func TestFollowBaseDetectsSplitWindowWrites(t *testing.T) {
 }
 
 // TestIntegralFloatKeyNormalization: integral floats inside int64
-// range place and group like the equal integer; outside that range the
-// float-to-int conversion would be implementation-defined, so the
-// float encoding is kept and placement stays platform-independent.
+// range place like the equal integer; outside that range the
+// float-to-int conversion would be implementation-defined, so the float
+// is hashed as a float and placement stays platform-independent.
 func TestIntegralFloatKeyNormalization(t *testing.T) {
 	c, _ := testCluster(t, 4)
-	if c.ownerOf(float64(7)) != c.ownerOf(int64(7)) {
-		t.Fatal("7.0 and 7 place on different shards")
+	for _, n := range []int64{7, -7, math.MinInt64} { // MinInt64 is representable
+		if c.ownerOf(float64(n)) != c.ownerOf(n) {
+			t.Fatalf("%d.0 and %d place on different shards", n, n)
+		}
 	}
-	if !bytes.Equal(appendValueKey(nil, float64(7)), appendValueKey(nil, int64(7))) {
-		t.Fatal("7.0 and 7 group apart")
-	}
-	if k := appendValueKey(nil, math.Ldexp(-1, 63)); k[0] != 'i' { // MinInt64 is representable
-		t.Fatalf("-2^63 key encoding %q, want integer", k)
+	if !integralInt64(math.Ldexp(-1, 63)) || integralInt64(2.5) {
+		t.Fatal("integral-float test misclassifies -2^63 or 2.5")
 	}
 	for _, huge := range []float64{math.Ldexp(1, 63), -math.Ldexp(1, 64), 1e300} {
-		if k := appendValueKey(nil, huge); k[0] != 'f' {
-			t.Fatalf("%g key encoding %q, want float", huge, k)
+		if integralInt64(huge) {
+			t.Fatalf("%g treated as an int64", huge)
 		}
 		if o := c.ownerOf(huge); o < 0 || o >= c.Shards() {
 			t.Fatalf("%g owner %d out of range", huge, o)
@@ -484,6 +517,6 @@ func TestSingleShardClusterMatchesMono(t *testing.T) {
 	// every answer must equal the mono engine's bit for bit.
 	c, e := testCluster(t, 1)
 	checkAgainstMono(t, c, e, true, `SELECT RID, SuID, Score FROM Ratings ORDER BY Score DESC, RID LIMIT 7`)
-	checkAgainstMono(t, c, e, true, `SELECT CID, COUNT(*), SUM(Score) FROM Ratings GROUP BY CID ORDER BY CID`)
+	checkAgainstMono(t, c, e, true, `SELECT CID, COUNT(*), AVG(Score) FROM Ratings WHERE SuID = 3 GROUP BY CID ORDER BY CID`)
 	checkAgainstMono(t, c, e, false, `SELECT r.RID, p.PID FROM Ratings r JOIN Points p ON r.SuID = p.SuID`)
 }

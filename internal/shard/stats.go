@@ -13,7 +13,6 @@ type Stats struct {
 	// Merge strategy tallies for fan-outs.
 	MergeOrdered uint64 `json:"merge_ordered"`
 	MergeConcat  uint64 `json:"merge_concat"`
-	MergeCombine uint64 `json:"merge_combine"`
 
 	// Base-follow propagation failures (shards diverged from base).
 	ApplyErrors uint64 `json:"apply_errors"`
@@ -32,7 +31,6 @@ func (c *Cluster) Stats() Stats {
 		FanOut:       c.fanOut.Load(),
 		MergeOrdered: c.mergeOrdered.Load(),
 		MergeConcat:  c.mergeConcat.Load(),
-		MergeCombine: c.mergeCombine.Load(),
 		ApplyErrors:  c.applyErrors.Load(),
 		RowsPerShard: make([]int, c.n),
 	}

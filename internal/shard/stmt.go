@@ -119,8 +119,8 @@ func (s *Stmt) analyze() {
 	}
 
 	// Fan-out legality, cheapest refusal first.
-	if info.Agg && !info.CombineOK {
-		s.fanoutErr = fmt.Errorf("shard: %s: fan-out unsupported: %s", s.text, info.CombineErr)
+	if info.Agg {
+		s.fanoutErr = fmt.Errorf("shard: %s: fan-out unsupported: an aggregate runs only when pinned to one shard", s.text)
 		return
 	}
 	if info.HasOrder && !info.MergeOK {
@@ -237,12 +237,8 @@ func (s *Stmt) explain(args []any, concrete bool) (string, error) {
 }
 
 func (s *Stmt) mergeName() string {
-	switch {
-	case s.info.Agg:
-		return "combine-partials"
-	case s.info.HasOrder:
+	if s.info.HasOrder {
 		return "by-order"
-	default:
-		return "concat"
 	}
+	return "concat"
 }

@@ -48,7 +48,7 @@ type analyzeState struct {
 	stats      map[any]*opStat
 	elapsed    time.Duration
 	resultRows int
-	limitStop  bool // the window stage ended the pipeline (limitCursor)
+	limitStop  bool // the LIMIT stage ended the pipeline (limitCursor)
 }
 
 func (a *analyzeState) nodeStat(key any) *opStat {
@@ -139,17 +139,6 @@ func (s *Stmt) QueryAnalyze(args ...any) (*Result, string, error) {
 		return nil, "", err
 	}
 	return s.e.analyzeEntry(en, args)
-}
-
-// QueryAnalyzeWindow is QueryAnalyze with the statement's LIMIT/OFFSET
-// overridden the way QueryWindow does it — how a shard fan-out
-// analyzes its per-shard legs without the global window.
-func (s *Stmt) QueryAnalyzeWindow(limit, offset int64, args ...any) (*Result, string, error) {
-	en, err := s.current()
-	if err != nil {
-		return nil, "", err
-	}
-	return s.e.analyzeEntry(windowEntry(en, limit, offset), args)
 }
 
 // ExplainAnalyze executes the prepared SELECT and renders its plan

@@ -38,7 +38,7 @@ func (r *Ref) String() string {
 	return r.Name
 }
 
-// Unary is a prefix operation: "-" or "NOT".
+// Unary is a prefix minus: "-x".
 type Unary struct {
 	Op string
 	X  Expr
@@ -46,8 +46,8 @@ type Unary struct {
 
 func (u *Unary) String() string { return u.Op + " " + u.X.String() }
 
-// Binary is an infix operation. Op is one of the arithmetic, comparison,
-// logical or pattern operators ("+", "=", "AND", "LIKE", "NOT LIKE", "||").
+// Binary is an infix operation: "AND", a comparison ("=", "<>", "<",
+// "<=", ">", ">="), or "+" / "-".
 type Binary struct {
 	Op   string
 	L, R Expr
@@ -55,104 +55,26 @@ type Binary struct {
 
 func (b *Binary) String() string { return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")" }
 
-// Call is a function invocation, scalar or aggregate. Star marks COUNT(*).
+// Call is an aggregate select item: COUNT(*), COUNT(x) or AVG(x). Star
+// marks COUNT(*).
 type Call struct {
-	Name     string
-	Args     []Expr
-	Distinct bool
-	Star     bool
+	Name string
+	Arg  Expr // nil when Star
+	Star bool
 }
 
 func (c *Call) String() string {
 	if c.Star {
 		return c.Name + "(*)"
 	}
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
-	}
-	d := ""
-	if c.Distinct {
-		d = "DISTINCT "
-	}
-	return c.Name + "(" + d + strings.Join(parts, ", ") + ")"
+	return c.Name + "(" + c.Arg.String() + ")"
 }
 
-// In is "x [NOT] IN (e1, e2, ...)".
-type In struct {
-	X    Expr
-	List []Expr
-	Not  bool
-}
-
-func (in *In) String() string {
-	parts := make([]string, len(in.List))
-	for i, a := range in.List {
-		parts[i] = a.String()
-	}
-	op := " IN "
-	if in.Not {
-		op = " NOT IN "
-	}
-	return in.X.String() + op + "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Between is "x [NOT] BETWEEN lo AND hi".
-type Between struct {
-	X, Lo, Hi Expr
-	Not       bool
-}
+// Between is "x BETWEEN lo AND hi".
+type Between struct{ X, Lo, Hi Expr }
 
 func (b *Between) String() string {
-	op := " BETWEEN "
-	if b.Not {
-		op = " NOT BETWEEN "
-	}
-	return b.X.String() + op + b.Lo.String() + " AND " + b.Hi.String()
-}
-
-// Case is "CASE [operand] WHEN … THEN … [ELSE …] END". With an operand
-// the WHEN values compare for equality; without one each WHEN is a
-// boolean condition.
-type Case struct {
-	Operand Expr // nil for the searched form
-	Whens   []When
-	Else    Expr // nil means NULL
-}
-
-// When is one WHEN/THEN arm.
-type When struct {
-	Cond Expr
-	Then Expr
-}
-
-func (c *Case) String() string {
-	var b strings.Builder
-	b.WriteString("CASE")
-	if c.Operand != nil {
-		b.WriteString(" " + c.Operand.String())
-	}
-	for _, w := range c.Whens {
-		b.WriteString(" WHEN " + w.Cond.String() + " THEN " + w.Then.String())
-	}
-	if c.Else != nil {
-		b.WriteString(" ELSE " + c.Else.String())
-	}
-	b.WriteString(" END")
-	return b.String()
-}
-
-// IsNull is "x IS [NOT] NULL".
-type IsNull struct {
-	X   Expr
-	Not bool
-}
-
-func (n *IsNull) String() string {
-	if n.Not {
-		return n.X.String() + " IS NOT NULL"
-	}
-	return n.X.String() + " IS NULL"
+	return b.X.String() + " BETWEEN " + b.Lo.String() + " AND " + b.Hi.String()
 }
 
 // SelectItem is one output of a SELECT list. Star selects all columns,
@@ -189,26 +111,24 @@ type OrderItem struct {
 
 // SelectStmt is a parsed SELECT.
 type SelectStmt struct {
-	Distinct bool
-	List     []SelectItem
-	From     TableRef
-	Joins    []Join
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    Expr // nil when absent
-	Offset   Expr // nil when absent
+	List    []SelectItem
+	From    TableRef
+	Joins   []Join
+	Where   Expr
+	GroupBy []Expr // column references only
+	OrderBy []OrderItem
+	Limit   Expr // nil when absent
 }
 
 // aggregates reports whether the statement groups or aggregates — its
 // output rows are then computed from the whole input, not row by row.
+// An aggregate is always a whole select item, never nested.
 func (s *SelectStmt) aggregates() bool {
-	if len(s.GroupBy) > 0 || hasAggregate(s.Having) {
+	if len(s.GroupBy) > 0 {
 		return true
 	}
 	for _, item := range s.List {
-		if hasAggregate(item.Expr) {
+		if _, ok := item.Expr.(*Call); ok {
 			return true
 		}
 	}

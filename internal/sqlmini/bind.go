@@ -32,81 +32,79 @@ func bindArgs(n int, args []any) ([]relation.Value, error) {
 	return params, nil
 }
 
+// mapExpr rebuilds e bottom-up with every leaf (literal, param, column
+// reference) replaced by leaf's result. A node whose children all come
+// back unchanged is returned as-is, so untouched subtrees stay shared
+// and an identity leaf function allocates nothing. It is the one
+// place that knows each node's children: binding, parameter
+// substitution and the planner's leaf queries are all built on it.
+func mapExpr(e Expr, leaf func(Expr) (Expr, error)) (Expr, error) {
+	switch x := e.(type) {
+	case nil:
+		return nil, nil
+	case *Unary:
+		in, err := mapExpr(x.X, leaf)
+		if err != nil || in == x.X {
+			return x, err
+		}
+		return &Unary{Op: x.Op, X: in}, nil
+	case *Binary:
+		l, err := mapExpr(x.L, leaf)
+		if err != nil {
+			return nil, err
+		}
+		r, err := mapExpr(x.R, leaf)
+		if err != nil || (l == x.L && r == x.R) {
+			return x, err
+		}
+		return &Binary{Op: x.Op, L: l, R: r}, nil
+	case *Between:
+		v, err := mapExpr(x.X, leaf)
+		if err != nil {
+			return nil, err
+		}
+		lo, err := mapExpr(x.Lo, leaf)
+		if err != nil {
+			return nil, err
+		}
+		hi, err := mapExpr(x.Hi, leaf)
+		if err != nil || (v == x.X && lo == x.Lo && hi == x.Hi) {
+			return x, err
+		}
+		return &Between{X: v, Lo: lo, Hi: hi}, nil
+	case *Call:
+		arg, err := mapExpr(x.Arg, leaf)
+		if err != nil || arg == x.Arg {
+			return x, err
+		}
+		return &Call{Name: x.Name, Arg: arg, Star: x.Star}, nil
+	}
+	return leaf(e)
+}
+
+// anyLeaf reports whether pred holds for some leaf of e.
+func anyLeaf(e Expr, pred func(Expr) bool) bool {
+	found := false
+	mapExpr(e, func(l Expr) (Expr, error) {
+		found = found || pred(l)
+		return l, nil
+	})
+	return found
+}
+
 // substExpr replaces every Param in e with its bound value, sharing
 // subtrees that contain none.
 func substExpr(e Expr, params []relation.Value) Expr {
 	if len(params) == 0 {
 		return e
 	}
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Param:
-		return &Lit{V: params[x.Idx]}
-	case *Lit, *Ref, *boundRef:
-		return e
-	case *Unary:
-		if in := substExpr(x.X, params); in != x.X {
-			return &Unary{Op: x.Op, X: in}
+	out, _ := mapExpr(e, func(l Expr) (Expr, error) {
+		if p, ok := l.(*Param); ok {
+			return &Lit{V: params[p.Idx]}, nil
 		}
-		return x
-	case *Binary:
-		l, r := substExpr(x.L, params), substExpr(x.R, params)
-		if l != x.L || r != x.R {
-			return &Binary{Op: x.Op, L: l, R: r}
-		}
-		return x
-	case *Call:
-		if args, changed := substList(x.Args, params); changed {
-			return &Call{Name: x.Name, Args: args, Distinct: x.Distinct, Star: x.Star}
-		}
-		return x
-	case *In:
-		v := substExpr(x.X, params)
-		list, changed := substList(x.List, params)
-		if v != x.X || changed {
-			return &In{X: v, List: list, Not: x.Not}
-		}
-		return x
-	case *Between:
-		v, lo, hi := substExpr(x.X, params), substExpr(x.Lo, params), substExpr(x.Hi, params)
-		if v != x.X || lo != x.Lo || hi != x.Hi {
-			return &Between{X: v, Lo: lo, Hi: hi, Not: x.Not}
-		}
-		return x
-	case *IsNull:
-		if v := substExpr(x.X, params); v != x.X {
-			return &IsNull{X: v, Not: x.Not}
-		}
-		return x
-	case *Case:
-		op, els := substExpr(x.Operand, params), substExpr(x.Else, params)
-		whens, wc := substWhens(x.Whens, params)
-		if op != x.Operand || els != x.Else || wc {
-			return &Case{Operand: op, Whens: whens, Else: els}
-		}
-		return x
-	}
-	return e
-}
-
-// substWhens substitutes params across CASE arms, sharing the original
-// slice when nothing changed.
-func substWhens(whens []When, params []relation.Value) ([]When, bool) {
-	var out []When
-	for i, w := range whens {
-		c, t := substExpr(w.Cond, params), substExpr(w.Then, params)
-		if (c != w.Cond || t != w.Then) && out == nil {
-			out = append([]When(nil), whens...)
-		}
-		if out != nil {
-			out[i] = When{Cond: c, Then: t}
-		}
-	}
-	if out == nil {
-		return whens, false
-	}
-	return out, true
+		return l, nil
+	})
+	return out
 }
 
 // substList substitutes params across a slice of expressions, reporting
@@ -164,8 +162,6 @@ func substSelect(s *SelectStmt, params []relation.Value) *SelectStmt {
 		}
 	}
 	ns.Where = substExpr(s.Where, params)
-	ns.GroupBy, _ = substList(s.GroupBy, params)
-	ns.Having = substExpr(s.Having, params)
 	if len(s.OrderBy) > 0 {
 		ns.OrderBy = append([]OrderItem(nil), s.OrderBy...)
 		for i := range ns.OrderBy {
@@ -173,7 +169,6 @@ func substSelect(s *SelectStmt, params []relation.Value) *SelectStmt {
 		}
 	}
 	ns.Limit = substExpr(s.Limit, params)
-	ns.Offset = substExpr(s.Offset, params)
 	return &ns
 }
 

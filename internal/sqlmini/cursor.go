@@ -387,54 +387,26 @@ func evalRangeBounds(s *scanNode, rs *rowset) (lo, hi *relation.RangeBound, empt
 
 // probeRows materializes a pk-lookup or index-probe access: the result
 // is bounded by the probe keys, so nothing is gained by streaming it.
-// Fetched rows are references (GetRef, GetManyRef, LookupManyRef) — the
-// projection stages copy cells out before anything escapes the engine.
-// Pushed residual filters apply before returning.
+// Fetched rows are references (GetRef, LookupManyRef) — the projection
+// stages copy cells out before anything escapes the engine. Pushed
+// residual filters apply before returning.
 func probeRows(s *scanNode, t *relation.Table, rs *rowset) ([]relation.Row, error) {
+	keys := make([]relation.Value, len(s.probeKeys))
+	for i, ke := range s.probeKeys {
+		v, err := evalScalar(ke, nil, rs)
+		if err != nil {
+			return nil, err
+		}
+		if v == nil {
+			return nil, nil // "= NULL" matches no row
+		}
+		keys[i] = v
+	}
 	var rows []relation.Row
-	switch s.access {
-	case accessPK:
-		if s.pkMulti {
-			// IN over a single-column primary key: one batched probe.
-			keys := make([][]relation.Value, 0, len(s.probeKeys))
-			for _, ke := range s.probeKeys {
-				v, err := evalScalar(ke, nil, rs)
-				if err != nil {
-					return nil, err
-				}
-				if v != nil { // NULL keys never match
-					keys = append(keys, []relation.Value{v})
-				}
-			}
-			rows = t.GetManyRef(keys...)
-			break
-		}
-		keys := make([]relation.Value, len(s.probeKeys))
-		for i, ke := range s.probeKeys {
-			v, err := evalScalar(ke, nil, rs)
-			if err != nil {
-				return nil, err
-			}
-			if v == nil {
-				return nil, nil // "= NULL" matches no row
-			}
-			keys[i] = v
-		}
-		if row, found := t.GetRef(keys...); found {
-			rows = append(rows, row)
-		}
-	case accessIndex:
-		keys := make([]relation.Value, 0, len(s.probeKeys))
-		for _, ke := range s.probeKeys {
-			v, err := evalScalar(ke, nil, rs)
-			if err != nil {
-				return nil, err
-			}
-			if v != nil { // NULL keys never match
-				keys = append(keys, v)
-			}
-		}
+	if s.access == accessIndex {
 		rows = t.LookupManyRef(s.probeCol, keys)
+	} else if row, found := t.GetRef(keys...); found {
+		rows = append(rows, row)
 	}
 	if len(s.filter) > 0 {
 		kept, err := filterRows(s.filter, rows, rows[:0], rs)
@@ -1274,49 +1246,36 @@ func (c *filterCursor) NextBatch() ([]relation.Row, error) {
 
 func (c *filterCursor) Close() { c.in.Close() }
 
-// limitCursor is the window stage of a streaming pipeline — one whose
-// output order is already final (no sort pending): skip offset rows,
-// then stop the whole pipeline — and all the work below it — once the
-// limit is reached, slicing whole batches on the way through. remain < 0
-// means no LIMIT. Both the materialized (Query) and the iterator
-// (QueryRows) entry points put this cursor on top of the plan.
+// limitCursor is the LIMIT stage of a streaming pipeline — one whose
+// output order is already final (no sort pending): it stops the whole
+// pipeline — and all the work below it — once the limit is reached,
+// slicing the last batch on the way through. Both the materialized
+// (Query) and the iterator (QueryRows) entry points put this cursor on
+// top of the plan.
 type limitCursor struct {
 	in     cursor
-	skip   int64
 	remain int64
-	an     *analyzeState // EXPLAIN ANALYZE: told when the window ends the pipeline
+	an     *analyzeState // EXPLAIN ANALYZE: told when the limit ends the pipeline
 }
 
 func (c *limitCursor) markTransient() { markTransientCursor(c.in) }
 
 func (c *limitCursor) NextBatch() ([]relation.Row, error) {
-	for {
-		if c.remain == 0 {
-			if c.an != nil {
-				c.an.limitStop = true
-			}
-			return nil, nil
+	if c.remain == 0 {
+		if c.an != nil {
+			c.an.limitStop = true
 		}
-		batch, err := c.in.NextBatch()
-		if err != nil || len(batch) == 0 {
-			return nil, err
-		}
-		if c.skip > 0 {
-			if int64(len(batch)) <= c.skip {
-				c.skip -= int64(len(batch))
-				continue
-			}
-			batch = batch[c.skip:]
-			c.skip = 0
-		}
-		if c.remain > 0 {
-			if int64(len(batch)) > c.remain {
-				batch = batch[:c.remain]
-			}
-			c.remain -= int64(len(batch))
-		}
-		return batch, nil
+		return nil, nil
 	}
+	batch, err := c.in.NextBatch()
+	if err != nil || len(batch) == 0 {
+		return nil, err
+	}
+	if int64(len(batch)) > c.remain {
+		batch = batch[:c.remain]
+	}
+	c.remain -= int64(len(batch))
+	return batch, nil
 }
 
 func (c *limitCursor) Close() { c.in.Close() }
@@ -1387,7 +1346,7 @@ func (e *Engine) openPlan(p *selectPlan, retain bool) (cursor, error) {
 }
 
 // drainCursor pulls a pipeline dry into a materialized row list — the
-// bridge to the aggregation/sort/DISTINCT stages, which need the full
+// bridge to the aggregation and sort stages, which need the full
 // result anyway. The pipeline must have been opened with retain=true:
 // drained rows are kept past every batch boundary. hint presizes the
 // list (a planner cardinality estimate); zero means grow by appending.

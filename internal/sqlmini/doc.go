@@ -1,21 +1,29 @@
 // Package sqlmini is a small, read-only SQL engine over the relation
 // store. It plays the role of the "conventional DBMS" in the paper's
-// FlexRecs architecture (§3.2), and its dialect is the subset of SQL
-// CourseRank's FlexRecs compiler and feeds emit:
+// FlexRecs architecture (§3.2), and its dialect is exactly the SQL
+// CourseRank sends — the FlexRecs compiler's statements, the feed's
+// build and patch, the baseline recommender's ratings read and the
+// benchmark probes:
 //
-//	SELECT [DISTINCT] items FROM t [alias]
-//	  { [INNER] JOIN t [alias] ON cond }
-//	  [WHERE cond] [GROUP BY exprs [HAVING cond]]
-//	  [ORDER BY exprs [ASC|DESC]] [LIMIT n [OFFSET m]]
+//	SELECT item {, item} FROM t [a] {[INNER] JOIN t [a] ON cond} [WHERE cond]
+//	  [GROUP BY col {, col}] [ORDER BY expr [ASC|DESC] {, …}] [LIMIT expr]
+//	item := * | a.* | expr [[AS] name] | COUNT(*) | COUNT(expr) | AVG(expr)
+//	cond := pred {AND pred}
+//	pred := add (= | <> | != | < | <= | > | >=) add | add BETWEEN add AND add
+//	add  := ["-"] prim {(+ | -) ["-"] prim}
+//	prim := number | 'string' | ? | NULL | TRUE | FALSE | [a.]col | (cond)
 //
-// with scalar and aggregate functions, CASE, IN, BETWEEN, LIKE and IS
-// [NOT] NULL, and '?' placeholders. Every join is INNER: LEFT, RIGHT,
-// FULL, CROSS, OUTER and NATURAL joins are refused by name at parse
-// time, because no statement the product sends uses one. It never
-// writes: tables are created and changed through relation.DB,
-// relation.Table and relation.Tx, which is how every write a request
-// makes already travels, and INSERT, UPDATE, DELETE and CREATE are
-// refused by name at parse time too.
+// An aggregate is always a whole select item, never an operand. Every
+// join is INNER: LEFT, RIGHT, FULL, CROSS, OUTER and NATURAL joins are
+// refused by name at parse time, and so is the rest of SQL no product
+// statement uses — OR, NOT, IN, IS [NOT] NULL, LIKE, CASE, DISTINCT,
+// HAVING, OFFSET, SUM, MIN, MAX, the scalar functions and the ||, *, /
+// and % operators — each with the one error "sqlmini: X is not
+// supported: it is outside sqlmini's dialect". It never writes: tables
+// are created and changed through relation.DB, relation.Table and
+// relation.Tx, which is how every write a request makes already
+// travels, and INSERT, UPDATE, DELETE and CREATE are refused by name at
+// parse time too.
 //
 // # Lifecycle: prepare → plan cache → bind → execute
 //
@@ -68,10 +76,10 @@
 //
 //   - pk lookup: equality constants (literals or params) cover the
 //     primary key → O(1) Get
-//   - index probe: equality or IN over an indexed column →
-//     Lookup/LookupMany against the secondary hash index; when several
-//     indexed equalities compete, table statistics (relation.TableStats)
-//     pick the most selective
+//   - index probe: equality over an indexed column → one key against
+//     the secondary hash index; when several indexed equalities
+//     compete, table statistics (relation.TableStats) pick the most
+//     selective
 //   - range scan: <, <=, >, >= or BETWEEN over a column with an ordered
 //     index (relation.WithOrderedIndex)
 //     → an index walk between the bounds, yielding rows in key order;
@@ -129,9 +137,9 @@
 //
 // Nothing below a hash-join build side materializes, so a wide join
 // consumed through Rows — or cut short by a streaming LIMIT or an
-// early Close — never pays for rows nobody reads. Aggregation,
-// DISTINCT and un-elided ORDER BY drain the pipeline first, since they
-// need the full result anyway. WithBatchSize returns a handle whose
+// early Close — never pays for rows nobody reads. Aggregation and
+// un-elided ORDER BY drain the pipeline first, since they need the full
+// result anyway. WithBatchSize returns a handle whose
 // pipelines use a different slab size — primarily a testing knob: the
 // differential fuzz harness replays its corpus at batch sizes 1, 7 and
 // 256 to prove slab boundaries never change results.
@@ -148,27 +156,27 @@
 // by … elided"); elided-order queries stream through Rows like
 // unordered ones.
 //
-// # LIMIT/OFFSET: the window contract and the row goal
+// # LIMIT: the window contract and the row goal
 //
 // A statement STREAMS when nothing blocking stands between its scan and
-// its window: no aggregate, no DISTINCT, and an ORDER BY that is absent
-// or elided. For a streaming statement the window is a pipeline stage —
-// one limitCursor on top of the plan, built from one evaluation of the
-// LIMIT/OFFSET clause — under BOTH entry points: Stmt.Query (and so
-// QueryWindow and every shard leg) as well as the QueryRows iterator
-// stop pulling batches at the window's last row, so the scan and every
-// join below read a batch or two instead of the table, and the result
-// slice is sized to the window. A statement that does not stream needs
-// its whole input before its first output row; it executes exactly as
-// it would without the LIMIT and the same helper slices the finished
-// rows. So does the key-bounded probe-only plan, which has no pipeline
-// to stop. EXPLAIN ANALYZE's footer says "(stopped at limit)" when the
-// window, not the end of the input, ended the execution. Either way
-// `… LIMIT k OFFSET o` is rows [o : o+k] of the statement without a
-// window, ties included (window_test.go holds every entry point to it).
+// its LIMIT: no aggregate, and an ORDER BY that is absent or elided.
+// For a streaming statement the LIMIT is a pipeline stage — one
+// limitCursor on top of the plan, built from one evaluation of the
+// LIMIT clause — under BOTH entry points: Stmt.Query (and so every
+// shard leg) as well as the QueryRows iterator stop pulling batches at
+// the last row wanted, so the scan and every join below read a batch or
+// two instead of the table, and the result slice is sized to the limit.
+// A statement that does not stream needs its whole input before its
+// first output row; it executes exactly as it would without the LIMIT
+// and keeps the first rows of the finished result. So does the
+// key-bounded probe-only plan, which has no pipeline to stop. EXPLAIN
+// ANALYZE's footer says "(stopped at limit)" when the LIMIT, not the
+// end of the input, ended the execution. Either way `… LIMIT k` is the
+// first k rows of the statement without one, ties included
+// (window_test.go holds every entry point to it).
 //
 // A streaming statement that carries a LIMIT also gives the planner a
-// ROW GOAL: the pipeline will be closed after limit+offset rows, so
+// ROW GOAL: the pipeline will be closed after limit rows, so
 // join algorithms are re-decided with each join's left input costed at
 // that many rows — which turns "hash all of Courses to emit ten rows"
 // into an index nested loop through its primary key. The goal is the
@@ -221,8 +229,8 @@
 // Layers above decorate the same trees rather than reinvent them: the
 // shard coordinator's ExplainAnalyze prefixes a route report (single
 // shard vs fan-out, per-shard rows and time, merge kind, and the
-// short-circuit line showing the LIMIT+OFFSET window each shard was
-// cut to) above a representative shard's annotated plan, and the
+// short-circuit line showing the LIMIT each shard stops at) above a
+// representative shard's annotated plan, and the
 // FlexRecs engine's RunAnalyze nests each compiled statement's
 // annotated tree under its workflow step, tagging materialize steps
 // with hit/stale/miss and the served view's age. Caveat: times are
@@ -289,18 +297,15 @@
 //     tie order is shard arrival, not this engine's stable slot order;
 //     queries needing bitwise-reproducible cross-shard order must pin
 //     a total order (end the ORDER BY in a key unique per row).
-//   - LIMIT/OFFSET ARE WINDOW PUSHDOWNS: Stmt.QueryWindow overrides a
-//     statement's LIMIT/OFFSET per execution, letting the coordinator
-//     fetch limit+offset rows from EVERY shard (any shard might hold
-//     the whole window) and apply the global window after the merge.
-//     A leg whose statement streams stops its own pipeline at that row
-//     (the window contract above); it does not drain and trim.
+//   - LIMIT IS A PUSHDOWN: every shard runs the statement as written,
+//     so each returns at most its first k rows (any shard might hold
+//     all of the global first k), and the coordinator keeps the first
+//     k after the merge (Stmt.Limit reads k under the arguments). A leg
+//     whose statement streams stops its own pipeline at that row (the
+//     window contract above); it does not drain and trim.
 //
-// Aggregates distribute only when they combine: COUNT/SUM/MIN/MAX
-// partials merge by group key at the coordinator; AVG, HAVING and
-// expression-valued ORDER BY keys do not decompose and are refused at
-// fan-out (they still execute when a shard-key predicate pins the
-// statement to one shard). Distributed float SUMs reassociate
-// addition, so cross-shard float aggregates are equal only to
-// tolerance, not bitwise.
+// Aggregates never fan out, and neither do expression-valued ORDER BY
+// keys: the coordinator has no merge for them, so they are refused at
+// fan-out and execute only when a shard-key predicate pins the
+// statement to one shard.
 package sqlmini

@@ -2,9 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"unicode/utf8"
 
 	"courserank/internal/relation"
 )
@@ -130,61 +128,9 @@ func filterRows(filters []Expr, in []relation.Row, out []relation.Row, rs *rowse
 	return out, nil
 }
 
-// aggregates is the set of aggregate function names.
-var aggregates = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
-
-// hasAggregate reports whether the expression contains an aggregate call.
-func hasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *Lit, *Ref, *boundRef, *Param:
-		return false
-	case *Unary:
-		return hasAggregate(x.X)
-	case *Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *Call:
-		if aggregates[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-		return false
-	case *In:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-		return false
-	case *Between:
-		return hasAggregate(x.X) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
-	case *IsNull:
-		return hasAggregate(x.X)
-	case *Case:
-		if hasAggregate(x.Operand) || hasAggregate(x.Else) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if hasAggregate(w.Cond) || hasAggregate(w.Then) {
-				return true
-			}
-		}
-		return false
-	}
-	return false
-}
-
 // evalScalar evaluates an expression against a single row. Comparisons or
-// arithmetic involving NULL yield NULL (which is falsy in filters); logical
-// NOT/AND/OR use two-valued logic over Truthy.
+// arithmetic involving NULL yield NULL (which is falsy in filters); AND
+// is two-valued over Truthy and short-circuits.
 func evalScalar(e Expr, row relation.Row, rs *rowset) (relation.Value, error) {
 	switch x := e.(type) {
 	case *Lit:
@@ -204,42 +150,28 @@ func evalScalar(e Expr, row relation.Row, rs *rowset) (relation.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return evalUnary(x.Op, v)
+		switch n := v.(type) {
+		case nil:
+			return nil, nil
+		case int64:
+			return -n, nil
+		case float64:
+			return -n, nil
+		}
+		return nil, fmt.Errorf("sqlmini: cannot negate %T", v)
 	case *Binary:
-		return evalBinaryLazy(x, row, rs)
-	case *Call:
-		if aggregates[x.Name] {
-			return nil, fmt.Errorf("sqlmini: aggregate %s in scalar context", x.Name)
-		}
-		args := make([]relation.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalScalar(a, row, rs)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return callScalar(x.Name, args)
-	case *In:
-		v, err := evalScalar(x.X, row, rs)
+		l, err := evalScalar(x.L, row, rs)
 		if err != nil {
 			return nil, err
 		}
-		if v == nil {
-			return nil, nil
+		if x.Op == "AND" && !relation.Truthy(l) {
+			return false, nil
 		}
-		hit := false
-		for _, item := range x.List {
-			iv, err := evalScalar(item, row, rs)
-			if err != nil {
-				return nil, err
-			}
-			if iv != nil && relation.Equal(v, iv) {
-				hit = true
-				break
-			}
+		r, err := evalScalar(x.R, row, rs)
+		if err != nil {
+			return nil, err
 		}
-		return hit != x.Not, nil
+		return evalBinary(x.Op, l, r)
 	case *Between:
 		v, err := evalScalar(x.X, row, rs)
 		if err != nil {
@@ -256,185 +188,50 @@ func evalScalar(e Expr, row relation.Row, rs *rowset) (relation.Value, error) {
 		if v == nil || lo == nil || hi == nil {
 			return nil, nil
 		}
-		in := relation.Compare(v, lo) >= 0 && relation.Compare(v, hi) <= 0
-		return in != x.Not, nil
-	case *IsNull:
-		v, err := evalScalar(x.X, row, rs)
-		if err != nil {
-			return nil, err
-		}
-		return (v == nil) != x.Not, nil
-	case *Case:
-		return evalCase(x, func(e Expr) (relation.Value, error) { return evalScalar(e, row, rs) })
+		return relation.Compare(v, lo) >= 0 && relation.Compare(v, hi) <= 0, nil
 	}
 	return nil, fmt.Errorf("sqlmini: cannot evaluate %T", e)
 }
 
-// evalCase evaluates CASE with a pluggable sub-expression evaluator so
-// both scalar and aggregate contexts share it.
-func evalCase(c *Case, eval func(Expr) (relation.Value, error)) (relation.Value, error) {
-	var operand relation.Value
-	if c.Operand != nil {
-		v, err := eval(c.Operand)
-		if err != nil {
-			return nil, err
-		}
-		operand = v
-	}
-	for _, w := range c.Whens {
-		cv, err := eval(w.Cond)
-		if err != nil {
-			return nil, err
-		}
-		matched := false
-		if c.Operand != nil {
-			matched = operand != nil && cv != nil && relation.Equal(operand, cv)
-		} else {
-			matched = relation.Truthy(cv)
-		}
-		if matched {
-			return eval(w.Then)
-		}
-	}
-	if c.Else != nil {
-		return eval(c.Else)
-	}
-	return nil, nil
-}
-
-func evalUnary(op string, v relation.Value) (relation.Value, error) {
-	switch op {
-	case "NOT":
-		return !relation.Truthy(v), nil
-	case "-":
-		switch n := v.(type) {
-		case nil:
-			return nil, nil
-		case int64:
-			return -n, nil
-		case float64:
-			return -n, nil
-		}
-		return nil, fmt.Errorf("sqlmini: cannot negate %T", v)
-	}
-	return nil, fmt.Errorf("sqlmini: unknown unary op %q", op)
-}
-
-// evalBinaryLazy handles AND/OR short-circuiting before delegating.
-func evalBinaryLazy(b *Binary, row relation.Row, rs *rowset) (relation.Value, error) {
-	switch b.Op {
-	case "AND":
-		l, err := evalScalar(b.L, row, rs)
-		if err != nil {
-			return nil, err
-		}
-		if !relation.Truthy(l) {
-			return false, nil
-		}
-		r, err := evalScalar(b.R, row, rs)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Truthy(r), nil
-	case "OR":
-		l, err := evalScalar(b.L, row, rs)
-		if err != nil {
-			return nil, err
-		}
-		if relation.Truthy(l) {
-			return true, nil
-		}
-		r, err := evalScalar(b.R, row, rs)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Truthy(r), nil
-	}
-	l, err := evalScalar(b.L, row, rs)
-	if err != nil {
-		return nil, err
-	}
-	r, err := evalScalar(b.R, row, rs)
-	if err != nil {
-		return nil, err
-	}
-	return evalBinary(b.Op, l, r)
-}
-
 func evalBinary(op string, l, r relation.Value) (relation.Value, error) {
+	if op == "AND" {
+		return relation.Truthy(r), nil // l was truthy: evalScalar short-circuits
+	}
+	if l == nil || r == nil {
+		return nil, nil
+	}
 	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l == nil || r == nil {
-			return nil, nil
-		}
-		c := relation.Compare(l, r)
-		switch op {
-		case "=":
-			return c == 0, nil
-		case "<>":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
-		default:
-			return c >= 0, nil
-		}
-	case "LIKE", "NOT LIKE":
-		if l == nil || r == nil {
-			return nil, nil
-		}
-		ls, ok1 := l.(string)
-		rs, ok2 := r.(string)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("sqlmini: LIKE requires strings, got %T and %T", l, r)
-		}
-		m := likeMatch(ls, rs)
-		if op == "NOT LIKE" {
-			m = !m
-		}
-		return m, nil
-	case "||":
-		if l == nil || r == nil {
-			return nil, nil
-		}
-		return relation.Format(l) + relation.Format(r), nil
-	case "+", "-", "*", "/", "%":
-		if l == nil || r == nil {
-			return nil, nil
-		}
+	case "+", "-":
 		return arith(op, l, r)
+	}
+	c := relation.Compare(l, r)
+	switch op {
+	case "=":
+		return c == 0, nil
+	case "<>":
+		return c != 0, nil
+	case "<":
+		return c < 0, nil
+	case "<=":
+		return c <= 0, nil
+	case ">":
+		return c > 0, nil
+	case ">=":
+		return c >= 0, nil
 	}
 	return nil, fmt.Errorf("sqlmini: unknown operator %q", op)
 }
 
+// arith adds or subtracts: integer arithmetic when both sides are
+// integers, float otherwise.
 func arith(op string, l, r relation.Value) (relation.Value, error) {
 	li, lInt := l.(int64)
 	ri, rInt := r.(int64)
 	if lInt && rInt {
-		switch op {
-		case "+":
+		if op == "+" {
 			return li + ri, nil
-		case "-":
-			return li - ri, nil
-		case "*":
-			return li * ri, nil
-		case "/":
-			if ri == 0 {
-				return nil, fmt.Errorf("sqlmini: division by zero")
-			}
-			if li%ri == 0 {
-				return li / ri, nil
-			}
-			return float64(li) / float64(ri), nil
-		case "%":
-			if ri == 0 {
-				return nil, fmt.Errorf("sqlmini: modulo by zero")
-			}
-			return li % ri, nil
 		}
+		return li - ri, nil
 	}
 	lf, err := toFloat(l)
 	if err != nil {
@@ -444,25 +241,10 @@ func arith(op string, l, r relation.Value) (relation.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch op {
-	case "+":
+	if op == "+" {
 		return lf + rf, nil
-	case "-":
-		return lf - rf, nil
-	case "*":
-		return lf * rf, nil
-	case "/":
-		if rf == 0 {
-			return nil, fmt.Errorf("sqlmini: division by zero")
-		}
-		return lf / rf, nil
-	case "%":
-		if rf == 0 {
-			return nil, fmt.Errorf("sqlmini: modulo by zero")
-		}
-		return math.Mod(lf, rf), nil
 	}
-	return nil, fmt.Errorf("sqlmini: unknown arithmetic op %q", op)
+	return lf - rf, nil
 }
 
 func toFloat(v relation.Value) (float64, error) {
@@ -475,316 +257,36 @@ func toFloat(v relation.Value) (float64, error) {
 	return 0, fmt.Errorf("sqlmini: %T is not numeric", v)
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (one rune),
-// case-insensitively (MySQL-style, matching the paper's deployment).
-func likeMatch(s, pattern string) bool {
-	return likeRec([]rune(strings.ToLower(s)), []rune(strings.ToLower(pattern)))
-}
-
-func likeRec(s, p []rune) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
-	}
-	return len(s) == 0
-}
-
-// callScalar dispatches the scalar function library.
-func callScalar(name string, args []relation.Value) (relation.Value, error) {
-	argc := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("sqlmini: %s expects %d args, got %d", name, n, len(args))
-		}
-		return nil
-	}
-	switch name {
-	case "LOWER":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		if args[0] == nil {
-			return nil, nil
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("sqlmini: LOWER wants a string")
-		}
-		return strings.ToLower(s), nil
-	case "UPPER":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		if args[0] == nil {
-			return nil, nil
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("sqlmini: UPPER wants a string")
-		}
-		return strings.ToUpper(s), nil
-	case "LENGTH":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		if args[0] == nil {
-			return nil, nil
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("sqlmini: LENGTH wants a string")
-		}
-		return int64(utf8.RuneCountInString(s)), nil
-	case "ABS":
-		if err := argc(1); err != nil {
-			return nil, err
-		}
-		switch x := args[0].(type) {
-		case nil:
-			return nil, nil
-		case int64:
-			if x < 0 {
-				return -x, nil
-			}
-			return x, nil
-		case float64:
-			return math.Abs(x), nil
-		}
-		return nil, fmt.Errorf("sqlmini: ABS wants a number")
-	case "ROUND":
-		if len(args) < 1 || len(args) > 2 {
-			return nil, fmt.Errorf("sqlmini: ROUND expects 1 or 2 args")
-		}
-		if args[0] == nil {
-			return nil, nil
-		}
-		f, err := toFloat(args[0])
-		if err != nil {
-			return nil, err
-		}
-		digits := int64(0)
-		if len(args) == 2 {
-			d, ok := args[1].(int64)
-			if !ok {
-				return nil, fmt.Errorf("sqlmini: ROUND digits must be INT")
-			}
-			digits = d
-		}
-		pow := math.Pow(10, float64(digits))
-		return math.Round(f*pow) / pow, nil
-	case "COALESCE":
-		for _, a := range args {
-			if a != nil {
-				return a, nil
-			}
-		}
-		return nil, nil
-	case "SUBSTR":
-		if len(args) < 2 || len(args) > 3 {
-			return nil, fmt.Errorf("sqlmini: SUBSTR expects 2 or 3 args")
-		}
-		if args[0] == nil {
-			return nil, nil
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, fmt.Errorf("sqlmini: SUBSTR wants a string")
-		}
-		start, ok := args[1].(int64)
-		if !ok {
-			return nil, fmt.Errorf("sqlmini: SUBSTR start must be INT")
-		}
-		runes := []rune(s)
-		// SQL SUBSTR is 1-based.
-		i := int(start) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i > len(runes) {
-			i = len(runes)
-		}
-		j := len(runes)
-		if len(args) == 3 {
-			n, ok := args[2].(int64)
-			if !ok {
-				return nil, fmt.Errorf("sqlmini: SUBSTR length must be INT")
-			}
-			if j > i+int(n) {
-				j = i + int(n)
-			}
-			if j < i {
-				j = i
-			}
-		}
-		return string(runes[i:j]), nil
-	}
-	return nil, fmt.Errorf("sqlmini: unknown function %s", name)
-}
-
-// evalAggregate evaluates an expression over a group of rows: aggregate
-// calls reduce the group, and bare columns take their value from the first
-// row (MySQL-style leniency for columns functionally determined by the
-// group key).
-func evalAggregate(e Expr, group []relation.Row, rs *rowset) (relation.Value, error) {
-	switch x := e.(type) {
-	case *Lit:
-		return x.V, nil
-	case *Ref, *boundRef:
-		if len(group) == 0 {
-			return nil, nil
-		}
-		return evalScalar(x, group[0], rs)
-	case *Unary:
-		v, err := evalAggregate(x.X, group, rs)
-		if err != nil {
-			return nil, err
-		}
-		return evalUnary(x.Op, v)
-	case *Binary:
-		l, err := evalAggregate(x.L, group, rs)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "AND":
-			if !relation.Truthy(l) {
-				return false, nil
-			}
-			r, err := evalAggregate(x.R, group, rs)
-			if err != nil {
-				return nil, err
-			}
-			return relation.Truthy(r), nil
-		case "OR":
-			if relation.Truthy(l) {
-				return true, nil
-			}
-			r, err := evalAggregate(x.R, group, rs)
-			if err != nil {
-				return nil, err
-			}
-			return relation.Truthy(r), nil
-		}
-		r, err := evalAggregate(x.R, group, rs)
-		if err != nil {
-			return nil, err
-		}
-		return evalBinary(x.Op, l, r)
-	case *Call:
-		if aggregates[x.Name] {
-			return computeAggregate(x, group, rs)
-		}
-		args := make([]relation.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalAggregate(a, group, rs)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return callScalar(x.Name, args)
-	case *In, *Between, *IsNull:
-		if len(group) == 0 {
-			return nil, nil
-		}
-		return evalScalar(e, group[0], rs)
-	case *Case:
-		return evalCase(x, func(e Expr) (relation.Value, error) { return evalAggregate(e, group, rs) })
-	}
-	return nil, fmt.Errorf("sqlmini: cannot aggregate %T", e)
-}
-
-// computeAggregate reduces one aggregate call over a group.
+// computeAggregate reduces one aggregate item over a group: COUNT(*)
+// counts rows; COUNT(x) and AVG(x) skip NULLs, and AVG over no value is
+// NULL.
 func computeAggregate(c *Call, group []relation.Row, rs *rowset) (relation.Value, error) {
 	if c.Star {
-		if c.Name != "COUNT" {
-			return nil, fmt.Errorf("sqlmini: %s(*) is not valid", c.Name)
-		}
 		return int64(len(group)), nil
 	}
-	if len(c.Args) != 1 {
-		return nil, fmt.Errorf("sqlmini: %s expects exactly one argument", c.Name)
-	}
-	var vals []relation.Value
-	seen := map[string]bool{}
+	n, sum := 0, 0.0
 	for _, row := range group {
-		v, err := evalScalar(c.Args[0], row, rs)
+		v, err := evalScalar(c.Arg, row, rs)
 		if err != nil {
 			return nil, err
 		}
 		if v == nil {
-			continue // SQL aggregates skip NULLs
+			continue
 		}
-		if c.Distinct {
-			k := relation.Format(v) + "\x00" + fmt.Sprintf("%T", v)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		vals = append(vals, v)
-	}
-	switch c.Name {
-	case "COUNT":
-		return int64(len(vals)), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
+		if c.Name == "AVG" {
 			f, err := toFloat(v)
 			if err != nil {
 				return nil, err
 			}
-			if _, ok := v.(int64); !ok {
-				allInt = false
-			}
 			sum += f
 		}
-		if c.Name == "AVG" {
-			return sum / float64(len(vals)), nil
-		}
-		if allInt {
-			return int64(sum), nil
-		}
-		return sum, nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c2 := relation.Compare(v, best)
-			if (c.Name == "MIN" && c2 < 0) || (c.Name == "MAX" && c2 > 0) {
-				best = v
-			}
-		}
-		return best, nil
+		n++
 	}
-	return nil, fmt.Errorf("sqlmini: unknown aggregate %s", c.Name)
+	if c.Name == "COUNT" {
+		return int64(n), nil
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return sum / float64(n), nil
 }

@@ -144,7 +144,7 @@ func appendJoinKeyVal(b []byte, v relation.Value) []byte {
 }
 
 // joinKey encodes join-key values for hash probing — the string form,
-// for owners that retain the key (GROUP BY buckets, DISTINCT sets).
+// for owners that retain the key (GROUP BY buckets).
 func joinKey(vals []relation.Value) string {
 	var b []byte
 	for i, v := range vals {
@@ -228,15 +228,15 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 	probeOnly := len(plan.joins) == 0 && len(plan.where) == 0 &&
 		(plan.scan.access == accessPK || plan.scan.access == accessIndex)
 
-	// A streaming statement's window is a pipeline stage: the limitCursor
-	// ends the scan and every join below it at the window's last row.
+	// A streaming statement's LIMIT is a pipeline stage: the limitCursor
+	// ends the scan and every join below it at the last row wanted.
 	// Blocking statements (and the key-bounded probe-only plan) apply it
-	// to the finished rows in finishSelect instead.
-	win := noWindow
+	// to the finished rows instead.
+	limit := int64(noLimit)
 	streams := ps.streams() && !probeOnly
 	if streams {
 		var err error
-		if win, err = ps.window(params); err != nil {
+		if limit, err = ps.limit(params); err != nil {
 			return nil, err
 		}
 	}
@@ -265,9 +265,9 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 			if err != nil {
 				return nil, err
 			}
-			cur = e.windowed(cur, win)
+			cur = e.limited(cur, limit)
 			var arena rowArena
-			outRows := make([]relation.Row, 0, win.capHint(plan.estOut()))
+			outRows := make([]relation.Row, 0, capHint(limit, plan.estOut()))
 			for {
 				batch, err := cur.NextBatch()
 				if err != nil {
@@ -322,8 +322,8 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		cur = e.windowed(cur, win)
-		if drained, err = drainCursor(cur, win.capHint(plan.estOut())); err != nil {
+		cur = e.limited(cur, limit)
+		if drained, err = drainCursor(cur, capHint(limit, plan.estOut())); err != nil {
 			return nil, err
 		}
 	}
@@ -346,10 +346,9 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 			keys = append(keys, "")
 			groupMap[""] = rs.rows
 		} else {
-			groupBy, _ := substList(ps.groupBy, params)
-			vals := make([]relation.Value, len(groupBy))
+			vals := make([]relation.Value, len(ps.groupBy))
 			for _, row := range rs.rows {
-				for i, g := range groupBy {
+				for i, g := range ps.groupBy {
 					v, err := evalScalar(g, row, rs)
 					if err != nil {
 						return nil, err
@@ -363,21 +362,11 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 				groupMap[k] = append(groupMap[k], row)
 			}
 		}
-		having := substExpr(ps.having, params)
 		for _, k := range keys {
 			group := groupMap[k]
-			if having != nil {
-				v, err := evalAggregate(having, group, rs)
-				if err != nil {
-					return nil, err
-				}
-				if !relation.Truthy(v) {
-					continue
-				}
-			}
 			out := arena.alloc(len(bound))
 			for i, item := range bound {
-				v, err := evalAggregate(item.Expr, group, rs)
+				v, err := evalGroupItem(item.Expr, group, rs)
 				if err != nil {
 					return nil, err
 				}
@@ -446,7 +435,7 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 				var v relation.Value
 				var err error
 				if ps.aggMode {
-					v, err = evalAggregate(orderExprs[j], groups[i], rs)
+					v, err = evalGroupItem(orderExprs[j], groups[i], rs)
 				} else {
 					v, err = evalScalar(orderExprs[j], sourceRows[i], rs)
 				}
@@ -482,33 +471,31 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		outRows = sorted
 	}
 
-	if streams {
-		return ps.result(outRows), nil // windowed in the pipeline, nothing to de-duplicate
+	if !streams {
+		// A blocking statement's LIMIT applies to the finished rows.
+		limit, err := ps.limit(params)
+		if err != nil {
+			return nil, err
+		}
+		if limit >= 0 && limit < int64(len(outRows)) {
+			outRows = outRows[:limit]
+		}
 	}
-	return finishSelect(ps, params, outRows)
+	return ps.result(outRows), nil
 }
 
-// finishSelect applies the result-shaping trailer of a blocking
-// statement — DISTINCT, then LIMIT/OFFSET over the finished rows — and
-// packages the Result.
-func finishSelect(ps *preparedSelect, params []relation.Value, outRows []relation.Row) (*Result, error) {
-	if ps.sel.Distinct {
-		seen := map[string]bool{}
-		kept := outRows[:0:0]
-		for _, row := range outRows {
-			k := joinKey(row)
-			if !seen[k] {
-				seen[k] = true
-				kept = append(kept, row)
-			}
-		}
-		outRows = kept
+// evalGroupItem evaluates a select item or ORDER BY key over one group:
+// an aggregate reduces the group, anything else reads the group's first
+// row (MySQL-style leniency for columns functionally determined by the
+// group key) — a row of NULLs when the group is empty.
+func evalGroupItem(e Expr, group []relation.Row, rs *rowset) (relation.Value, error) {
+	if c, ok := e.(*Call); ok {
+		return computeAggregate(c, group, rs)
 	}
-	win, err := ps.window(params)
-	if err != nil {
-		return nil, err
+	if len(group) == 0 {
+		return evalScalar(e, make(relation.Row, len(rs.cols)), rs)
 	}
-	return ps.result(win.slice(outRows)), nil
+	return evalScalar(e, group[0], rs)
 }
 
 // result packages output rows. Columns are copied so callers can keep
@@ -518,80 +505,50 @@ func (ps *preparedSelect) result(rows []relation.Row) *Result {
 	return &Result{Columns: append([]string(nil), ps.outCols...), Rows: rows}
 }
 
-// window is a statement's LIMIT/OFFSET with parameters bound — the one
-// evaluation every entry point shares. limit < 0 means no LIMIT; offset
-// is never negative.
-type window struct{ limit, offset int64 }
+// noLimit is limit's value for a statement without a LIMIT.
+const noLimit = -1
 
-var noWindow = window{limit: -1}
-
-// window evaluates the statement's LIMIT/OFFSET clause under params.
-func (ps *preparedSelect) window(params []relation.Value) (window, error) {
-	if ps.sel.Limit == nil && ps.sel.Offset == nil {
-		return noWindow, nil
-	}
-	offset, err := evalIntClause(substExpr(ps.sel.Offset, params), 0)
-	if err != nil {
-		return noWindow, err
-	}
-	limit, err := evalIntClause(substExpr(ps.sel.Limit, params), -1)
-	if err != nil {
-		return noWindow, err
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	if limit < 0 {
-		limit = -1
-	}
-	return window{limit: limit, offset: offset}, nil
+// limit evaluates the statement's LIMIT clause under params — the one
+// evaluation every entry point shares. A negative LIMIT means none.
+func (ps *preparedSelect) limit(params []relation.Value) (int64, error) {
+	n, err := evalIntClause(substExpr(ps.sel.Limit, params), noLimit)
+	return max(n, noLimit), err
 }
 
-// slice applies the window to finished rows.
-func (w window) slice(rows []relation.Row) []relation.Row {
-	n := int64(len(rows))
-	start := min(w.offset, n)
-	end := n
-	if w.limit >= 0 && start+w.limit < n {
-		end = start + w.limit
-	}
-	return rows[start:end]
-}
-
-// capHint caps an output-cardinality estimate at the rows the window
-// can let through.
-func (w window) capHint(est int) int {
-	if w.limit >= 0 && w.limit < int64(est) {
-		return int(w.limit)
+// capHint caps an output-cardinality estimate at the rows a limit lets
+// through.
+func capHint(limit int64, est int) int {
+	if limit >= 0 && limit < int64(est) {
+		return int(limit)
 	}
 	return est
 }
 
 // streams reports whether nothing blocking stands between the scan and
-// the window: no aggregate, no DISTINCT, and an ORDER BY either absent
-// or already emitted by the pipeline. Only then may a LIMIT end the
-// pipeline early — and only then does the planner give it a row goal
-// (applyRowGoal asks the same question) — otherwise every row is needed
-// before the first can be returned.
+// the LIMIT: no aggregate, and an ORDER BY either absent or already
+// emitted by the pipeline. Only then may a LIMIT end the pipeline early
+// — and only then does the planner give it a row goal (applyRowGoal
+// asks the same question) — otherwise every row is needed before the
+// first can be returned.
 func (ps *preparedSelect) streams() bool {
-	return streamsToWindow(ps.sel, ps.aggMode, ps.plan.orderElide)
+	return streamsToLimit(ps.sel, ps.aggMode, ps.plan.orderElide)
 }
 
-func streamsToWindow(st *SelectStmt, aggregates, orderElide bool) bool {
-	return !aggregates && !st.Distinct && (len(st.OrderBy) == 0 || orderElide)
+func streamsToLimit(st *SelectStmt, aggregates, orderElide bool) bool {
+	return !aggregates && (len(st.OrderBy) == 0 || orderElide)
 }
 
-// windowed wraps a streaming pipeline in its window stage; a statement
-// without LIMIT/OFFSET keeps the bare pipeline.
-func (e *Engine) windowed(cur cursor, w window) cursor {
-	if w == noWindow {
+// limited wraps a streaming pipeline in its LIMIT stage; a statement
+// without a LIMIT keeps the bare pipeline.
+func (e *Engine) limited(cur cursor, limit int64) cursor {
+	if limit < 0 {
 		return cur
 	}
-	return &limitCursor{in: cur, skip: w.offset, remain: w.limit, an: e.an}
+	return &limitCursor{in: cur, remain: limit, an: e.an}
 }
 
-// evalIntClause evaluates a LIMIT/OFFSET expression, which must reduce to
-// an integer without any column references.
+// evalIntClause evaluates a LIMIT expression, which must reduce to an
+// integer without any column references.
 func evalIntClause(e Expr, def int64) (int64, error) {
 	if e == nil {
 		return def, nil
@@ -602,7 +559,7 @@ func evalIntClause(e Expr, def int64) (int64, error) {
 	}
 	n, ok := v.(int64)
 	if !ok {
-		return 0, fmt.Errorf("sqlmini: LIMIT/OFFSET must be an integer, got %v", v)
+		return 0, fmt.Errorf("sqlmini: LIMIT must be an integer, got %v", v)
 	}
 	return n, nil
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the differential query-fuzz harness: it generates random
-// SELECTs — joins, ranges, ascending and descending ORDER BY,
-// LIMIT/OFFSET, late-bound params — over small seeded tables and
+// SELECTs — joins, ranges, ascending and descending ORDER BY, LIMIT,
+// GROUP BY with COUNT/AVG, late-bound params — over small seeded tables and
 // asserts that whatever plan the cost-based planner picks returns
 // exactly what forced full-scan/nested-loop execution returns. As the
 // planner's strategy space grows multiplicatively (range scans ×
@@ -28,7 +28,7 @@ import (
 // break ties in slot order exactly like the stable sort does.
 // Band joins emit right matches in probe-key order rather than slot
 // order, so band shapes always pin a total order (or go orderless);
-// orderless queries compare as multisets and never carry LIMIT/OFFSET.
+// orderless queries compare as multisets and never carry a LIMIT.
 
 // fuzzSchema builds the three-table playground the generator draws
 // from. The index layout is chosen so every sort-aware path is
@@ -101,16 +101,13 @@ func (q *fuzzQB) lit(v any) string {
 	return fmt.Sprint(v)
 }
 
-// limitSuffix appends LIMIT/OFFSET (only callers with a pinned order
-// use it).
+// limitSuffix appends a LIMIT, literal or bound (only callers with a
+// pinned order use it).
 func (q *fuzzQB) limitSuffix() string {
-	switch q.r.Intn(3) {
-	case 0:
-		return fmt.Sprintf(" LIMIT %d", 1+q.r.Intn(30))
-	case 1:
-		return fmt.Sprintf(" LIMIT %d OFFSET %d", 1+q.r.Intn(30), q.r.Intn(6))
+	if q.r.Intn(3) == 0 {
+		return ""
 	}
-	return ""
+	return " LIMIT " + q.lit(int64(q.r.Intn(31)))
 }
 
 // genFuzzQuery produces one SELECT of the given shape. exact reports
@@ -120,7 +117,7 @@ func genFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool) 
 	q := &fuzzQB{r: r}
 	defer func() { args = q.args }()
 
-	switch shape % 6 {
+	switch shape % 7 {
 	case 0: // single table, mixed predicates
 		var conds []string
 		for _, c := range []func() string{
@@ -130,11 +127,10 @@ func genFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool) 
 				return fmt.Sprintf("K BETWEEN %s AND %s", q.lit(int64(lo)), q.lit(int64(lo+r.Intn(8))))
 			},
 			func() string { return "Cat = " + q.lit([]string{"ca", "cb", "cc"}[r.Intn(3)]) },
-			func() string { return "V IS NOT NULL" },
-			func() string {
-				return fmt.Sprintf("ID IN (%s, %s, %s)", q.lit(int64(r.Intn(95))), q.lit(int64(r.Intn(95))), q.lit(int64(r.Intn(95))))
-			},
+			func() string { return "V >= 0" }, // drops the NULLs
+			func() string { return "ID = " + q.lit(int64(r.Intn(95))) },
 			func() string { return "K < " + q.lit(int64(r.Intn(25))) },
+			func() string { return "V - K > " + q.lit(int64(r.Intn(30)-10)) },
 		} {
 			if r.Intn(3) == 0 {
 				conds = append(conds, c())
@@ -189,7 +185,7 @@ func genFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool) 
 		case 0:
 			sql += " WHERE i.K >= " + q.lit(int64(r.Intn(25)))
 		case 1:
-			sql += " WHERE p.W IS NOT NULL"
+			sql += " WHERE p.W >= 0"
 		case 2:
 			sql += " WHERE i.Cat = " + q.lit([]string{"ca", "cb", "cc"}[r.Intn(3)])
 		}
@@ -238,6 +234,30 @@ func genFuzzQuery(r *rand.Rand, shape int) (sql string, args []any, exact bool) 
 		}
 		if r.Intn(3) != 0 {
 			sql += " ORDER BY i.ID, b.ID" + q.limitSuffix()
+			exact = true
+		}
+		return
+
+	case 5: // GROUP BY with COUNT and AVG, over one table or a join
+		// AVG sums small integers, exact in any order, so the planner's
+		// input order cannot move a bit of it.
+		sql = `SELECT Cat, COUNT(*) AS N, AVG(V) AS A, COUNT(V) FROM Items`
+		if r.Intn(2) == 0 {
+			sql = `SELECT i.Cat, COUNT(*) AS N, AVG(p.K) AS A, COUNT(p.W) FROM Items i JOIN Peers p ON i.K = p.K`
+		}
+		if r.Intn(2) == 0 {
+			sql += " WHERE K >= " + q.lit(int64(r.Intn(25)))
+			if strings.Contains(sql, " JOIN ") {
+				sql = strings.Replace(sql, "WHERE K", "WHERE i.K", 1)
+			}
+		}
+		sql += " GROUP BY Cat"
+		switch r.Intn(3) {
+		case 0:
+			sql += " ORDER BY Cat" + q.limitSuffix()
+			exact = true
+		case 1:
+			sql += " ORDER BY N DESC, Cat" + q.limitSuffix()
 			exact = true
 		}
 		return
@@ -456,7 +476,7 @@ func FuzzPlannerParity(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
-		for shape := 0; shape < 6; shape++ {
+		for shape := 0; shape < 7; shape++ {
 			sql, args, exact := genFuzzQuery(r, shape)
 			_, ref := checkFuzzCase(t, e, forced, sql, args, exact)
 			checkBatchParity(t, sized, ref, sql, args, exact)

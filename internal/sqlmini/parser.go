@@ -49,7 +49,13 @@ func parseStatement(src string) (*SelectStmt, int, error) {
 
 func (p *parser) peek() token { return p.toks[p.i] }
 func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+
+// errf reports a parse error at the next token — unless that token is
+// a construct outside the dialect, which is refused by name instead.
 func (p *parser) errf(format string, a ...any) error {
+	if t := p.peek(); (t.kind == tokIdent || t.kind == tokSymbol) && notInDialect[t.upper()] {
+		return refuse(t.upper())
+	}
 	return fmt.Errorf("sqlmini: parse error near offset %d: %s", p.peek().pos, fmt.Sprintf(format, a...))
 }
 
@@ -110,7 +116,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		return nil, err
 	}
 	s := &SelectStmt{}
-	s.Distinct = p.acceptKeyword("DISTINCT")
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -163,19 +168,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			col, err := p.parseColumn()
 			if err != nil {
 				return nil, err
 			}
-			s.GroupBy = append(s.GroupBy, e)
+			s.GroupBy = append(s.GroupBy, col)
 			if !p.acceptSymbol(",") {
 				break
 			}
-		}
-	}
-	if p.acceptKeyword("HAVING") {
-		if s.Having, err = p.parseExpr(); err != nil {
-			return nil, err
 		}
 	}
 	if p.acceptKeyword("ORDER") {
@@ -203,11 +203,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if s.Limit, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		if p.acceptKeyword("OFFSET") {
-			if s.Offset, err = p.parseExpr(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return s, nil
 }
@@ -226,7 +221,13 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		p.next()
 		return SelectItem{Star: true, StarQual: qual}, nil
 	}
-	e, err := p.parseExpr()
+	var e Expr
+	var err error
+	if name := p.peek().upper(); aggregates[name] && p.peekCall() {
+		e, err = p.parseAggregate(name)
+	} else {
+		e, err = p.parseExpr()
+	}
 	if err != nil {
 		return SelectItem{}, err
 	}
@@ -241,8 +242,38 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	return item, nil
 }
 
+// aggregates are the aggregate functions sqlmini computes. Each is a
+// whole select item: COUNT(*), COUNT(x) or AVG(x).
+var aggregates = map[string]bool{"COUNT": true, "AVG": true}
+
+// peekCall reports whether the next token is an identifier followed by
+// "(" — a function call.
+func (p *parser) peekCall() bool {
+	return p.peek().kind == tokIdent && p.i+1 < len(p.toks) &&
+		p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "("
+}
+
+// parseAggregate parses COUNT(*), COUNT(x) or AVG(x).
+func (p *parser) parseAggregate(name string) (Expr, error) {
+	p.i += 2 // name and "("
+	call := &Call{Name: name}
+	if name == "COUNT" && p.acceptSymbol("*") {
+		call.Star = true
+	} else {
+		arg, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		call.Arg = arg
+	}
+	if err := p.expectSymbol(")"); err != nil {
+		return nil, err
+	}
+	return call, nil
+}
+
 // reserved lists keywords that terminate an implicit column or table
-// alias.
+// alias and never name a column.
 var reserved = map[string]bool{
 	"FROM": true, "WHERE": true, "GROUP": true, "HAVING": true, "ORDER": true,
 	"LIMIT": true, "OFFSET": true, "JOIN": true, "INNER": true, "LEFT": true,
@@ -250,7 +281,7 @@ var reserved = map[string]bool{
 	"ON": true, "AND": true, "OR": true, "NOT": true, "AS": true, "ASC": true,
 	"DESC": true, "SELECT": true, "DISTINCT": true, "BY": true, "IN": true,
 	"BETWEEN": true, "IS": true, "NULL": true, "LIKE": true, "VALUES": true,
-	"SET": true, "INTO": true, "UNION": true,
+	"SET": true, "INTO": true, "UNION": true, "CASE": true,
 }
 
 // outerJoinWords are the join keywords sqlmini refuses by name: every
@@ -258,6 +289,21 @@ var reserved = map[string]bool{
 // at parse time rather than run as something it is not.
 var outerJoinWords = map[string]bool{
 	"LEFT": true, "RIGHT": true, "FULL": true, "CROSS": true, "OUTER": true, "NATURAL": true,
+}
+
+// notInDialect lists the keywords, functions and operators of SQL that
+// sqlmini's dialect leaves out because no statement the product sends
+// uses them. The parser refuses each by name wherever it stops on one.
+var notInDialect = map[string]bool{
+	"OR": true, "NOT": true, "IN": true, "IS": true, "LIKE": true, "CASE": true,
+	"DISTINCT": true, "HAVING": true, "OFFSET": true,
+	"SUM": true, "MIN": true, "MAX": true,
+	"LOWER": true, "UPPER": true, "LENGTH": true, "ABS": true, "ROUND": true, "COALESCE": true, "SUBSTR": true,
+	"||": true, "*": true, "/": true, "%": true,
+}
+
+func refuse(word string) error {
+	return fmt.Errorf("sqlmini: %s is not supported: it is outside sqlmini's dialect", word)
 }
 
 func (p *parser) parseTableRef() (TableRef, error) {
@@ -277,71 +323,19 @@ func (p *parser) parseTableRef() (TableRef, error) {
 }
 
 // --- expressions ---
+//
+//	cond := pred {AND pred}
+//	pred := add [(= | <> | != | < | <= | > | >=) add | BETWEEN add AND add]
+//	add  := ["-"] prim {(+ | -) ["-"] prim}
+//	prim := number | 'string' | ? | NULL | TRUE | FALSE | [a.]col | (cond)
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-// parseCase parses the body after the consumed CASE keyword.
-func (p *parser) parseCase() (Expr, error) {
-	c := &Case{}
-	if t := p.peek(); !(t.kind == tokIdent && t.upper() == "WHEN") {
-		operand, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Operand = operand
-	}
-	for p.acceptKeyword("WHEN") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("THEN"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Whens = append(c.Whens, When{Cond: cond, Then: then})
-	}
-	if len(c.Whens) == 0 {
-		return nil, p.errf("CASE requires at least one WHEN")
-	}
-	if p.acceptKeyword("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Else = e
-	}
-	if err := p.expectKeyword("END"); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+func (p *parser) parseExpr() (Expr, error) {
+	l, err := p.parsePred()
 	if err != nil {
 		return nil, err
 	}
 	for p.acceptKeyword("AND") {
-		r, err := p.parseNot()
+		r, err := p.parsePred()
 		if err != nil {
 			return nil, err
 		}
@@ -350,62 +344,12 @@ func (p *parser) parseAnd() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "NOT", X: x}, nil
-	}
-	return p.parseComparison()
-}
-
-func (p *parser) parseComparison() (Expr, error) {
+func (p *parser) parsePred() (Expr, error) {
 	l, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
 	}
-	// IS [NOT] NULL
-	if p.acceptKeyword("IS") {
-		not := p.acceptKeyword("NOT")
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNull{X: l, Not: not}, nil
-	}
-	not := false
-	if t := p.peek(); t.kind == tokIdent && t.upper() == "NOT" {
-		// Lookahead for NOT IN / NOT BETWEEN / NOT LIKE.
-		if p.i+1 < len(p.toks) {
-			nx := p.toks[p.i+1].upper()
-			if nx == "IN" || nx == "BETWEEN" || nx == "LIKE" {
-				p.i++
-				not = true
-			}
-		}
-	}
-	switch {
-	case p.acceptKeyword("IN"):
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		in := &In{X: l, Not: not}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			in.List = append(in.List, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return in, nil
-	case p.acceptKeyword("BETWEEN"):
+	if p.acceptKeyword("BETWEEN") {
 		lo, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
@@ -417,19 +361,7 @@ func (p *parser) parseComparison() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Between{X: l, Lo: lo, Hi: hi, Not: not}, nil
-	case p.acceptKeyword("LIKE"):
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		op := "LIKE"
-		if not {
-			op = "NOT LIKE"
-		}
-		return &Binary{Op: op, L: l, R: r}, nil
-	case not:
-		return nil, p.errf("dangling NOT")
+		return &Between{X: l, Lo: lo, Hi: hi}, nil
 	}
 	for _, op := range []string{"<=", ">=", "<>", "!=", "=", "<", ">"} {
 		if p.acceptSymbol(op) {
@@ -447,46 +379,17 @@ func (p *parser) parseComparison() (Expr, error) {
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptSymbol("+"):
-			op = "+"
-		case p.acceptSymbol("-"):
-			op = "-"
-		case p.acceptSymbol("||"):
-			op = "||"
-		default:
-			return l, nil
-		}
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
 	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		var op string
-		switch {
-		case p.acceptSymbol("*"):
-			op = "*"
-		case p.acceptSymbol("/"):
-			op = "/"
-		case p.acceptSymbol("%"):
-			op = "%"
-		default:
-			return l, nil
+		op := "+"
+		if !p.acceptSymbol("+") {
+			if !p.acceptSymbol("-") {
+				return l, nil
+			}
+			op = "-"
 		}
 		r, err := p.parseUnary()
 		if err != nil {
@@ -498,7 +401,7 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.acceptSymbol("-") {
-		x, err := p.parseUnary()
+		x, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
@@ -532,8 +435,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.nParams++
 		return &Param{Idx: p.nParams - 1}, nil
 	case tokSymbol:
-		if t.text == "(" {
-			p.i++
+		if p.acceptSymbol("(") {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -544,60 +446,43 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return e, nil
 		}
 	case tokIdent:
-		switch t.upper() {
-		case "NULL":
+		switch u := t.upper(); {
+		case u == "NULL":
 			p.i++
 			return &Lit{V: nil}, nil
-		case "TRUE":
+		case u == "TRUE":
 			p.i++
 			return &Lit{V: true}, nil
-		case "FALSE":
+		case u == "FALSE":
 			p.i++
 			return &Lit{V: false}, nil
-		case "CASE":
-			p.i++
-			return p.parseCase()
+		case p.peekCall():
+			switch {
+			case notInDialect[u]:
+				return nil, refuse(u)
+			case aggregates[u]:
+				return nil, p.errf("aggregate %s is allowed only as a whole select item", u)
+			}
+			return nil, p.errf("unknown function %s", t.text)
+		case !reserved[u]:
+			return p.parseColumn()
 		}
-		p.i++
-		name := t.text
-		// Function call?
-		if p.acceptSymbol("(") {
-			call := &Call{Name: strings.ToUpper(name)}
-			if p.acceptSymbol("*") {
-				call.Star = true
-				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
-				}
-				return call, nil
-			}
-			if p.acceptSymbol(")") {
-				return call, nil
-			}
-			call.Distinct = p.acceptKeyword("DISTINCT")
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				call.Args = append(call.Args, e)
-				if !p.acceptSymbol(",") {
-					break
-				}
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return call, nil
-		}
-		// Qualified reference?
-		if p.acceptSymbol(".") {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			return &Ref{Qual: name, Name: col}, nil
-		}
-		return &Ref{Name: name}, nil
 	}
 	return nil, p.errf("unexpected token %q", t.text)
+}
+
+// parseColumn parses a column reference, [alias.]col.
+func (p *parser) parseColumn() (Expr, error) {
+	name, err := p.expectIdent()
+	if err != nil {
+		return nil, err
+	}
+	if p.acceptSymbol(".") {
+		col, err := p.expectIdent()
+		if err != nil {
+			return nil, err
+		}
+		return &Ref{Qual: name, Name: col}, nil
+	}
+	return &Ref{Name: name}, nil
 }

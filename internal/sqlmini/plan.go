@@ -14,7 +14,7 @@ const (
 	accessScan accessKind = iota
 	// accessPK resolves the row by primary-key point lookup.
 	accessPK
-	// accessIndex probes a secondary hash index with one or more keys.
+	// accessIndex probes a secondary hash index with one key.
 	accessIndex
 	// accessRange walks an ordered secondary index between two bounds,
 	// yielding rows in key order.
@@ -28,14 +28,11 @@ type scanNode struct {
 	cols   []colRef // output columns, qualified by the binding name
 	access accessKind
 
-	// accessPK: probeKeys align with the table's primary-key columns,
-	// or — with pkMulti set — are alternative keys for a single-column
-	// primary key (an IN list), answered batched via GetMany.
-	// accessIndex: probeCol names the indexed column; probeKeys are the
-	// equality keys (several for IN lists).
+	// accessPK: probeKeys align with the table's primary-key columns.
+	// accessIndex: probeCol names the indexed column; probeKeys holds
+	// its one equality key.
 	probeCol  string
 	probeKeys []Expr
-	pkMulti   bool
 
 	// accessRange: rangeCol names the ordered-indexed column; a nil
 	// bound expression leaves that end open (both nil means an unbounded

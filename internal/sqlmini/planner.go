@@ -27,8 +27,8 @@ import (
 //     plan time. Names that fail to resolve fall back to per-row
 //     resolution so that error timing matches the unplanned executor.
 //   - Pushing a filter below a join can surface an evaluation error
-//     (LIKE on a non-string, division by zero) on a row the join would
-//     have discarded — the same class of error, observed earlier.
+//     (arithmetic on a string) on a row the join would have discarded
+//     — the same class of error, observed earlier.
 
 // boundRef is a column reference resolved to a fixed position at plan
 // time; evaluating it indexes the row directly instead of matching
@@ -40,108 +40,22 @@ type boundRef struct {
 
 func (b *boundRef) String() string { return b.orig.String() }
 
-// bindExpr returns a copy of e with every column reference resolved
-// against rs. It fails when any name is unknown or ambiguous; callers
-// fall back to the unbound expression so errors surface at evaluation
-// time, as they did before planning existed.
+// bindExpr returns e with every column reference resolved against rs.
+// It fails when any name is unknown or ambiguous; callers fall back to
+// the unbound expression so errors surface at evaluation time, as they
+// did before planning existed.
 func bindExpr(e Expr, rs *rowset) (Expr, error) {
-	switch x := e.(type) {
-	case nil:
-		return nil, nil
-	case *Lit, *Param:
-		return x, nil
-	case *Ref:
-		i, err := rs.resolve(x.Qual, x.Name)
+	return mapExpr(e, func(l Expr) (Expr, error) {
+		r, ok := l.(*Ref)
+		if !ok {
+			return l, nil
+		}
+		i, err := rs.resolve(r.Qual, r.Name)
 		if err != nil {
 			return nil, err
 		}
-		return &boundRef{idx: i, orig: x}, nil
-	case *boundRef:
-		return x, nil
-	case *Unary:
-		in, err := bindExpr(x.X, rs)
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: x.Op, X: in}, nil
-	case *Binary:
-		l, err := bindExpr(x.L, rs)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindExpr(x.R, rs)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: x.Op, L: l, R: r}, nil
-	case *Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			b, err := bindExpr(a, rs)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = b
-		}
-		return &Call{Name: x.Name, Args: args, Distinct: x.Distinct, Star: x.Star}, nil
-	case *In:
-		v, err := bindExpr(x.X, rs)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]Expr, len(x.List))
-		for i, a := range x.List {
-			b, err := bindExpr(a, rs)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = b
-		}
-		return &In{X: v, List: list, Not: x.Not}, nil
-	case *Between:
-		v, err := bindExpr(x.X, rs)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := bindExpr(x.Lo, rs)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := bindExpr(x.Hi, rs)
-		if err != nil {
-			return nil, err
-		}
-		return &Between{X: v, Lo: lo, Hi: hi, Not: x.Not}, nil
-	case *IsNull:
-		v, err := bindExpr(x.X, rs)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{X: v, Not: x.Not}, nil
-	case *Case:
-		op, err := bindExpr(x.Operand, rs)
-		if err != nil {
-			return nil, err
-		}
-		els, err := bindExpr(x.Else, rs)
-		if err != nil {
-			return nil, err
-		}
-		whens := make([]When, len(x.Whens))
-		for i, w := range x.Whens {
-			c, err := bindExpr(w.Cond, rs)
-			if err != nil {
-				return nil, err
-			}
-			t, err := bindExpr(w.Then, rs)
-			if err != nil {
-				return nil, err
-			}
-			whens[i] = When{Cond: c, Then: t}
-		}
-		return &Case{Operand: op, Whens: whens, Else: els}, nil
-	}
-	return nil, fmt.Errorf("sqlmini: cannot bind %T", e)
+		return &boundRef{idx: i, orig: r}, nil
+	})
 }
 
 // bindOrKeep binds e against rs, keeping the original on failure.
@@ -157,86 +71,31 @@ func bindOrKeep(e Expr, rs *rowset) Expr {
 // so the planner may cost it as an (unknown) constant and build index
 // probes whose keys resolve at bind time.
 func isConst(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *Lit, *Param:
-		return true
-	case *Ref, *boundRef:
+	return !anyLeaf(e, func(l Expr) bool {
+		switch l.(type) {
+		case *Ref, *boundRef:
+			return true
+		}
 		return false
-	case *Unary:
-		return isConst(x.X)
-	case *Binary:
-		return isConst(x.L) && isConst(x.R)
-	case *Call:
-		if aggregates[x.Name] {
-			return false
-		}
-		for _, a := range x.Args {
-			if !isConst(a) {
-				return false
-			}
-		}
-		return true
-	case *In:
-		if !isConst(x.X) {
-			return false
-		}
-		for _, a := range x.List {
-			if !isConst(a) {
-				return false
-			}
-		}
-		return true
-	case *Between:
-		return isConst(x.X) && isConst(x.Lo) && isConst(x.Hi)
-	case *IsNull:
-		return isConst(x.X)
-	case *Case:
-		if !isConst(x.Operand) || !isConst(x.Else) {
-			return false
-		}
-		for _, w := range x.Whens {
-			if !isConst(w.Cond) || !isConst(w.Then) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	})
+}
+
+// containsParam reports whether e has any late-bound placeholder.
+func containsParam(e Expr) bool {
+	return anyLeaf(e, func(l Expr) bool { _, ok := l.(*Param); return ok })
 }
 
 // refsOf appends every column reference in e to out.
 func refsOf(e Expr, out []*Ref) []*Ref {
-	switch x := e.(type) {
-	case nil, *Lit, *Param:
-	case *Ref:
-		out = append(out, x)
-	case *boundRef:
-		out = append(out, x.orig)
-	case *Unary:
-		out = refsOf(x.X, out)
-	case *Binary:
-		out = refsOf(x.L, refsOf(x.R, out))
-	case *Call:
-		for _, a := range x.Args {
-			out = refsOf(a, out)
+	anyLeaf(e, func(l Expr) bool {
+		switch x := l.(type) {
+		case *Ref:
+			out = append(out, x)
+		case *boundRef:
+			out = append(out, x.orig)
 		}
-	case *In:
-		out = refsOf(x.X, out)
-		for _, a := range x.List {
-			out = refsOf(a, out)
-		}
-	case *Between:
-		out = refsOf(x.X, refsOf(x.Lo, refsOf(x.Hi, out)))
-	case *IsNull:
-		out = refsOf(x.X, out)
-	case *Case:
-		out = refsOf(x.Operand, refsOf(x.Else, out))
-		for _, w := range x.Whens {
-			out = refsOf(w.Cond, refsOf(w.Then, out))
-		}
-	}
+		return false
+	})
 	return out
 }
 
@@ -356,10 +215,6 @@ func (e *Engine) planSelect(st *SelectStmt) (*selectPlan, error) {
 	var folded []foldedConjunct
 	if st.Where != nil {
 		for _, c := range splitConjuncts(st.Where) {
-			if hasAggregate(c) {
-				p.where = append(p.where, c)
-				continue
-			}
 			mask, ok := bindingsOf(c, tables)
 			if !ok || mask == 0 {
 				p.where = append(p.where, c)
@@ -496,14 +351,14 @@ func tryINLJ(jn *joinNode, right *planTable, estLeft float64) {
 	}
 }
 
-// rowGoalParam is the row goal of a statement whose LIMIT or OFFSET is a
-// '?': one executor batch. Plans are cached by statement text and bake
+// rowGoalParam is the row goal of a statement whose LIMIT is a '?': one
+// executor batch. Plans are cached by statement text and bake
 // in access paths, never data, so the goal cannot depend on the value
 // an execution will bind.
 const rowGoalParam = defaultBatch
 
 // applyRowGoal re-decides join algorithms for a statement that streams
-// into a LIMIT: the pipeline will be closed after limit+offset rows, so
+// into a LIMIT: the pipeline will be closed after limit rows, so
 // each join's left input is costed at that many rows instead of its
 // full estimate, which turns "hash the whole right table to emit ten
 // rows" into an index nested loop. The goal changes a hash join into an
@@ -513,20 +368,13 @@ const rowGoalParam = defaultBatch
 // statement returns exactly the prefix of the unlimited one, ties
 // included.
 func applyRowGoal(p *selectPlan, st *SelectStmt, tables []*planTable) {
-	if st.Limit == nil || !streamsToWindow(st, st.aggregates(), p.orderElide) {
+	if st.Limit == nil || !streamsToLimit(st, st.aggregates(), p.orderElide) {
 		return
 	}
 	goal := float64(rowGoalParam)
 	if lim, ok := st.Limit.(*Lit); ok {
 		if n, ok := lim.V.(int64); ok && n >= 0 {
-			switch off := st.Offset.(type) {
-			case nil:
-				goal = float64(n)
-			case *Lit:
-				if o, ok := off.V.(int64); ok && o >= 0 {
-					goal = float64(n + o)
-				}
-			}
+			goal = float64(n)
 		}
 	}
 	estLeft := tables[0].scan.est
@@ -560,7 +408,7 @@ func tryBandProbe(jn *joinNode, leftTables []*planTable, right *planTable) {
 	combined := &rowset{cols: append(append([]colRef(nil), leftCols...), right.rs.cols...)}
 	for ri, c := range jn.residual {
 		x, ok := c.(*Between)
-		if !ok || x.Not {
+		if !ok {
 			continue
 		}
 		ref, isRef := x.X.(*Ref)
@@ -592,9 +440,6 @@ func tryBandProbe(jn *joinNode, leftTables []*planTable, right *planTable) {
 // unambiguously in the combined join layout AND lands on the left side,
 // so the bound can evaluate against each left row before the probe.
 func leftComputable(e Expr, combined *rowset, leftWidth int) bool {
-	if hasAggregate(e) {
-		return false
-	}
 	for _, r := range refsOf(e, nil) {
 		gi, err := combined.resolve(r.Qual, r.Name)
 		if err != nil || gi >= leftWidth {
@@ -739,41 +584,20 @@ func chooseAccess(t *planTable) {
 	s.est = float64(t.stats.Rows)
 
 	type eq struct {
-		col  string
-		key  Expr
-		pos  int // position in s.filter
-		keys []Expr
+		col string
+		key Expr
+		pos int // position in s.filter
 	}
 	var eqs []eq
 	for i, f := range s.filter {
-		switch x := f.(type) {
-		case *Binary:
-			if x.Op != "=" {
-				continue
-			}
-			if r, ok := x.L.(*Ref); ok && isConst(x.R) {
-				eqs = append(eqs, eq{col: r.Name, key: x.R, pos: i})
-			} else if r, ok := x.R.(*Ref); ok && isConst(x.L) {
-				eqs = append(eqs, eq{col: r.Name, key: x.L, pos: i})
-			}
-		case *In:
-			if x.Not {
-				continue
-			}
-			r, ok := x.X.(*Ref)
-			if !ok {
-				continue
-			}
-			constList := true
-			for _, item := range x.List {
-				if !isConst(item) {
-					constList = false
-					break
-				}
-			}
-			if constList {
-				eqs = append(eqs, eq{col: r.Name, keys: x.List, pos: i})
-			}
+		x, ok := f.(*Binary)
+		if !ok || x.Op != "=" {
+			continue
+		}
+		if r, ok := x.L.(*Ref); ok && isConst(x.R) {
+			eqs = append(eqs, eq{col: r.Name, key: x.R, pos: i})
+		} else if r, ok := x.R.(*Ref); ok && isConst(x.L) {
+			eqs = append(eqs, eq{col: r.Name, key: x.L, pos: i})
 		}
 	}
 	if len(eqs) == 0 {
@@ -781,8 +605,8 @@ func chooseAccess(t *planTable) {
 		return
 	}
 
-	// Primary key first: all key columns covered by single-key
-	// equalities makes the scan a point lookup.
+	// Primary key first: all key columns covered by equalities makes the
+	// scan a point lookup.
 	pk := t.tbl.PrimaryKey()
 	if len(pk) > 0 {
 		keys := make([]Expr, len(pk))
@@ -790,7 +614,7 @@ func chooseAccess(t *planTable) {
 		covered := 0
 		for i, col := range pk {
 			for _, c := range eqs {
-				if c.keys == nil && strings.EqualFold(c.col, col) {
+				if strings.EqualFold(c.col, col) {
 					keys[i] = c.key
 					used = append(used, c.pos)
 					covered++
@@ -805,25 +629,6 @@ func chooseAccess(t *planTable) {
 			s.filter = removeAt(s.filter, used)
 			s.est = 1
 			return
-		}
-	}
-
-	// An IN list over a single-column primary key becomes a batched
-	// GetMany probe.
-	if len(pk) == 1 {
-		for _, c := range eqs {
-			if c.keys != nil && strings.EqualFold(c.col, pk[0]) {
-				s.access = accessPK
-				s.pkMulti = true
-				s.probeCol = pk[0]
-				s.probeKeys = c.keys
-				s.filter = removeAt(s.filter, []int{c.pos})
-				s.est = float64(len(c.keys))
-				if s.est > float64(t.stats.Rows) {
-					s.est = float64(t.stats.Rows)
-				}
-				return
-			}
 		}
 	}
 
@@ -847,17 +652,9 @@ func chooseAccess(t *planTable) {
 	c := eqs[best]
 	s.access = accessIndex
 	s.probeCol = c.col
-	if c.keys != nil {
-		s.probeKeys = c.keys
-	} else {
-		s.probeKeys = []Expr{c.key}
-	}
+	s.probeKeys = []Expr{c.key}
 	s.filter = removeAt(s.filter, []int{c.pos})
-	per := t.stats.Selectivity(c.col)
-	s.est = per * float64(len(s.probeKeys))
-	if s.est > float64(t.stats.Rows) {
-		s.est = float64(t.stats.Rows)
-	}
+	s.est = min(t.stats.Selectivity(c.col), float64(t.stats.Rows))
 }
 
 // chooseRange upgrades a scan to an ordered-index range access when its
@@ -919,9 +716,6 @@ func chooseRange(t *planTable) {
 				}
 			}
 		case *Between:
-			if x.Not {
-				continue
-			}
 			r, ok := x.X.(*Ref)
 			if !ok || !isConst(x.Lo) || !isConst(x.Hi) {
 				continue
@@ -1001,50 +795,6 @@ func flipCompare(op string) string {
 		return "<="
 	}
 	return op
-}
-
-// containsParam reports whether e has any late-bound placeholder.
-func containsParam(e Expr) bool {
-	found := false
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if found {
-			return
-		}
-		switch x := e.(type) {
-		case *Param:
-			found = true
-		case *Unary:
-			walk(x.X)
-		case *Binary:
-			walk(x.L)
-			walk(x.R)
-		case *Call:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *In:
-			walk(x.X)
-			for _, a := range x.List {
-				walk(a)
-			}
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *IsNull:
-			walk(x.X)
-		case *Case:
-			walk(x.Operand)
-			walk(x.Else)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-		}
-	}
-	walk(e)
-	return found
 }
 
 // removeAt returns list without the elements at the given positions.

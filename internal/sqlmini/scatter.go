@@ -12,10 +12,8 @@ import (
 // one statement per shard and needs two things from each prepared
 // statement — routing metadata (which tables the statement touches,
 // which equality predicates could pin a shard key, how cross-shard
-// results may be merged or combined) and windowed execution (run the
-// same plan with the LIMIT/OFFSET clause overridden, so a fan-out can
-// fetch limit+offset rows per shard and apply the global window once
-// at the coordinator).
+// results may be merged) and the statement's LIMIT under given
+// arguments, which the coordinator applies once more after the merge.
 //
 // Cross-shard order contract: a fan-out of an ORDER BY query is merged
 // by comparing OUTPUT columns across the per-shard result streams, so
@@ -54,18 +52,6 @@ type MergeKey struct {
 	Desc bool
 }
 
-// CombineOp says how one output column of a partial-aggregate fan-out
-// combines across shards.
-type CombineOp int
-
-// Combine operations for partial aggregation.
-const (
-	CombineKey CombineOp = iota // group key: equal values merge rows
-	CombineSum                  // COUNT/SUM partials add
-	CombineMin                  // MIN partials take the minimum
-	CombineMax                  // MAX partials take the maximum
-)
-
 // RouteInfo is the routing metadata of a prepared statement: everything
 // the shard layer needs to decide single-shard fast path vs fan-out,
 // and how to merge a fan-out's per-shard results. It is derived from
@@ -75,9 +61,7 @@ type RouteInfo struct {
 	Tables   []TableUse
 	Eq       []EqCond
 	Agg      bool
-	Distinct bool
 	HasOrder bool
-	HasLimit bool
 
 	// MergeKeys maps each ORDER BY key to an output column; valid when
 	// MergeOK. MergeErr explains an unmergeable order (the cross-shard
@@ -85,14 +69,6 @@ type RouteInfo struct {
 	MergeKeys []MergeKey
 	MergeOK   bool
 	MergeErr  string
-
-	// Combine maps each output column of an aggregate query to its
-	// partial-combine operation; valid when CombineOK. CombineErr
-	// explains an uncombinable aggregate (AVG, HAVING, DISTINCT,
-	// expressions over aggregates, group keys the projection drops).
-	Combine    []CombineOp
-	CombineOK  bool
-	CombineErr string
 }
 
 // RouteInfo computes the statement's routing metadata. The result is
@@ -111,9 +87,7 @@ func routeInfoOf(ps *preparedSelect) *RouteInfo {
 	sel := ps.sel
 	ri := &RouteInfo{
 		Agg:      ps.aggMode,
-		Distinct: sel.Distinct,
 		HasOrder: len(ps.order) > 0,
-		HasLimit: sel.Limit != nil || sel.Offset != nil,
 	}
 	ri.Tables = append(ri.Tables, TableUse{Binding: sel.From.Binding(), Name: sel.From.Name})
 	for _, j := range sel.Joins {
@@ -132,9 +106,6 @@ func routeInfoOf(ps *preparedSelect) *RouteInfo {
 		}
 	}
 	ri.MergeKeys, ri.MergeOK, ri.MergeErr = mergeKeysOf(ps)
-	if ps.aggMode {
-		ri.Combine, ri.CombineOK, ri.CombineErr = combineOpsOf(ps)
-	}
 	return ri
 }
 
@@ -231,115 +202,14 @@ func mergeKeysOf(ps *preparedSelect) ([]MergeKey, bool, string) {
 	return keys, true, ""
 }
 
-// combineOpsOf decides how each output column of an aggregate query
-// combines across per-shard partials, or why it cannot.
-func combineOpsOf(ps *preparedSelect) ([]CombineOp, bool, string) {
-	if ps.having != nil {
-		return nil, false, "HAVING cannot filter per-shard partials"
-	}
-	if ps.sel.Distinct {
-		return nil, false, "DISTINCT over aggregates cannot combine partials"
-	}
-	groupRefs := make([]*boundRef, len(ps.groupBy))
-	groupIdx := make(map[int]bool, len(ps.groupBy))
-	for i, g := range ps.groupBy {
-		br, ok := g.(*boundRef)
-		if !ok {
-			return nil, false, "GROUP BY expression is not a plain column"
-		}
-		groupRefs[i] = br
-		groupIdx[br.idx] = true
-	}
-	projected := make(map[int]bool, len(ps.groupBy))
-	ops := make([]CombineOp, len(ps.items))
-	for i, item := range ps.items {
-		switch x := item.Expr.(type) {
-		case *boundRef:
-			if !groupIdx[x.idx] {
-				return nil, false, fmt.Sprintf("output column %d is neither a group key nor an aggregate", i+1)
-			}
-			ops[i] = CombineKey
-			projected[x.idx] = true
-		case *Call:
-			if !aggregates[x.Name] {
-				return nil, false, fmt.Sprintf("output column %d is not a combinable aggregate", i+1)
-			}
-			if x.Distinct {
-				return nil, false, fmt.Sprintf("%s(DISTINCT) cannot combine partials", x.Name)
-			}
-			switch x.Name {
-			case "COUNT", "SUM":
-				ops[i] = CombineSum
-			case "MIN":
-				ops[i] = CombineMin
-			case "MAX":
-				ops[i] = CombineMax
-			default: // AVG
-				return nil, false, "AVG cannot combine partials (rewrite as SUM and COUNT)"
-			}
-		default:
-			return nil, false, fmt.Sprintf("output column %d is not a combinable aggregate", i+1)
-		}
-	}
-	// Every group key must be an output column: the coordinator merges
-	// partials BY those values, so a dropped key would fold distinct
-	// groups into one row.
-	for _, br := range groupRefs {
-		if !projected[br.idx] {
-			return nil, false, fmt.Sprintf("GROUP BY key %s is not projected, so per-shard partials cannot be merged by group", br.orig)
-		}
-	}
-	return ops, true, ""
-}
-
-// QueryWindow executes a prepared SELECT with its LIMIT/OFFSET clause
-// overridden: limit < 0 means unlimited, offset <= 0 means none. The
-// plan, projection and ORDER BY are untouched — only the window
-// changes — so a shard fan-out can fetch limit+offset rows from each
-// shard and apply the statement's own window once after the merge.
-func (s *Stmt) QueryWindow(limit, offset int64, args ...any) (*Result, error) {
-	en, err := s.current()
-	if err != nil {
-		return nil, err
-	}
-	return s.e.queryEntry(windowEntry(en, limit, offset), args)
-}
-
-// windowEntry shadows a prepared entry with the window replaced by
-// literals. Entries are immutable, so the shadow copies the two
-// structs on the path to the Limit/Offset fields and shares the rest.
-func windowEntry(en *cacheEntry, limit, offset int64) *cacheEntry {
-	sel := *en.sel.sel
-	if limit < 0 {
-		sel.Limit = nil
-	} else {
-		sel.Limit = &Lit{V: limit}
-	}
-	if offset <= 0 {
-		sel.Offset = nil
-	} else {
-		sel.Offset = &Lit{V: offset}
-	}
-	ps := *en.sel
-	ps.sel = &sel
-	sh := *en
-	sh.sel = &ps
-	return &sh
-}
-
-// WindowValues evaluates the statement's own LIMIT/OFFSET clause with
-// args bound: limit is -1 when absent, offset 0. The router uses the
-// values to size per-shard windows (each shard must produce
-// limit+offset rows for the coordinator's global window to be exact).
-func (s *Stmt) WindowValues(args ...any) (limit, offset int64, err error) {
+// Limit evaluates the statement's LIMIT with args bound: -1 when the
+// statement has none. A fan-out's legs each stop at that many rows, and
+// the coordinator applies it once more after the merge.
+func (s *Stmt) Limit(args ...any) (int64, error) {
 	en := s.entry.Load()
 	params, err := bindArgs(en.nParams, args)
 	if err != nil {
-		return -1, 0, err
+		return noLimit, err
 	}
-	win, err := en.sel.window(params)
-	if err != nil {
-		return -1, 0, err
-	}
-	return win.limit, win.offset, nil
+	return en.sel.limit(params)
 }

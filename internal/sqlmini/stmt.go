@@ -31,7 +31,6 @@ type preparedSelect struct {
 	outRS   *rowset // output-column resolver (ORDER BY aliases)
 	aggMode bool
 	groupBy []Expr // bound GROUP BY keys
-	having  Expr   // bound HAVING tree
 	order   []orderKey
 }
 
@@ -73,7 +72,6 @@ func (e *Engine) prepareSelect(sel *SelectStmt) (*preparedSelect, error) {
 	ps := &preparedSelect{
 		sel: sel, plan: p, items: bound,
 		outCols: outCols, outRS: outRS, aggMode: sel.aggregates(),
-		having: bindOrKeep(sel.Having, rs),
 	}
 	if len(sel.GroupBy) > 0 {
 		ps.groupBy = make([]Expr, len(sel.GroupBy))
@@ -234,10 +232,10 @@ func (e *Engine) QueryRows(sql string, args ...any) (*Rows, error) {
 // rowsEntry binds args and opens a Rows cursor. Plain projections —
 // and, since the iterator executor, queries whose ORDER BY the planner
 // elided — stream end to end: Rows.Next pulls one row at a time through
-// the cursor pipeline down to the storage layer, LIMIT/OFFSET apply as
-// a streaming stage (stopping the pipeline early), and each output row
-// projects lazily at Scan. Aggregation, DISTINCT and un-elided ORDER BY
-// need the full result anyway and fall back to materialized rows.
+// the cursor pipeline down to the storage layer, LIMIT applies as a
+// streaming stage (stopping the pipeline early), and each output row
+// projects lazily at Scan. Aggregation and un-elided ORDER BY need the
+// full result anyway and fall back to materialized rows.
 func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
 	ps := en.sel
 	if !ps.streams() {
@@ -251,7 +249,7 @@ func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	win, err := ps.window(params)
+	limit, err := ps.limit(params)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +260,7 @@ func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur = e.windowed(cur, win)
+	cur = e.limited(cur, limit)
 	return &Rows{
 		cols:  append([]string(nil), ps.outCols...),
 		cur:   cur,
@@ -283,7 +281,7 @@ type Rows struct {
 	batch []relation.Row // current batch from the pipeline
 	bi    int            // position within batch
 	row   relation.Row   // current source row (streaming mode)
-	out   []relation.Row // pre-materialized rows (agg/order/distinct)
+	out   []relation.Row // pre-materialized rows (agg/order)
 	idx   int
 	err   error
 }

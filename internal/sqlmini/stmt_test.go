@@ -20,15 +20,15 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	}{
 		{`SELECT * FROM Courses WHERE Title = ?`, [][]any{{"Course 3 intro"}, {"Course 7 intro"}, {"no such"}}},
 		{`SELECT Title FROM Courses WHERE CourseID = ?`, [][]any{{int64(7)}, {int64(1)}, {int64(99)}}},
-		{`SELECT * FROM Comments WHERE SuID IN (?, ?)`, [][]any{{int64(1), int64(2)}, {int64(3), int64(4)}}},
+		{`SELECT * FROM Comments WHERE SuID = ? AND Rating >= ?`, [][]any{{int64(1), int64(2)}, {int64(3), int64(4)}}},
 		{`SELECT c.Title, m.Rating FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID WHERE m.SuID = ?`,
 			[][]any{{int64(1)}, {int64(5)}}},
 		{`SELECT DepID, COUNT(*) AS n FROM Courses WHERE CourseID <> ? GROUP BY DepID ORDER BY n DESC, DepID`,
 			[][]any{{int64(1)}, {int64(2)}}},
-		{`SELECT Title FROM Courses ORDER BY CourseID LIMIT ? OFFSET ?`,
-			[][]any{{int64(3), int64(0)}, {int64(2), int64(5)}}},
-		{`SELECT CASE WHEN Rating > ? THEN 'hi' ELSE 'lo' END AS band, CommentID FROM Comments WHERE Rating IS NOT NULL ORDER BY CommentID LIMIT 5`,
-			[][]any{{float64(3)}, {float64(1)}}},
+		{`SELECT Title FROM Courses ORDER BY CourseID LIMIT ?`,
+			[][]any{{int64(3)}, {int64(0)}, {int64(20)}}},
+		{`SELECT Rating > ? AS band, Rating - ? AS delta, CommentID FROM Comments WHERE Rating >= 0 ORDER BY CommentID LIMIT 5`,
+			[][]any{{float64(3), int64(1)}, {float64(1), 2.5}}},
 	}
 	for _, q := range queries {
 		st, err := e.Prepare(q.sql)
@@ -89,7 +89,7 @@ func TestPreparedExplainShowsParams(t *testing.T) {
 	cases := []struct{ sql, want string }{
 		{`SELECT * FROM Courses WHERE Title = ?`, "index probe Courses (Title = ?)"},
 		{`SELECT Title FROM Courses WHERE CourseID = ?`, "pk lookup Courses (CourseID = ?)"},
-		{`SELECT * FROM Comments WHERE SuID IN (?, ?)`, "index probe Comments (SuID = ?, ?)"},
+		{`SELECT * FROM Comments WHERE SuID = ? AND Rating >= ?`, "index probe Comments (SuID = ?) filter (Rating >= ?)"},
 	}
 	for _, tc := range cases {
 		st, err := e.Prepare(tc.sql)

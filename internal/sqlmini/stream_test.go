@@ -10,7 +10,7 @@ import (
 
 // TestRowsStreamParity: the streaming cursor must produce exactly the
 // rows the materialized path does, for plain projections, range-driven
-// plans, joins, and elided-ORDER BY with LIMIT/OFFSET — all of which
+// plans, joins, and elided-ORDER BY with LIMIT — all of which
 // now stream end to end.
 func TestRowsStreamParity(t *testing.T) {
 	e := plannerDB(t)
@@ -21,7 +21,7 @@ func TestRowsStreamParity(t *testing.T) {
 		{`SELECT CourseID, Title FROM Courses WHERE DepID = ?`, []any{"cs"}},
 		{`SELECT CourseID, Year FROM CourseYears WHERE Year >= 2009`, nil},
 		{`SELECT CourseID, Year FROM CourseYears WHERE Year >= ? ORDER BY Year`, []any{2008}},
-		{`SELECT CourseID, Year FROM CourseYears WHERE Year >= 2008 ORDER BY Year LIMIT 5 OFFSET 2`, nil},
+		{`SELECT CourseID, Year FROM CourseYears WHERE Year >= 2008 ORDER BY Year LIMIT 5`, nil},
 		{`SELECT c.Title, m.Rating FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID WHERE m.SuID = 2`, nil},
 		{`SELECT m.CommentID, en.CourseID FROM Comments m JOIN Enrollments en ON m.SuID = en.SuID WHERE m.CommentID = 1`, nil},
 	}

@@ -17,8 +17,8 @@ var visibilityQueries = []struct {
 }{
 	{"pk lookup", `SELECT CourseID, Title, DepID FROM Courses WHERE CourseID = 7`,
 		"pk lookup Courses (CourseID = 7)"},
-	{"IN-list pk", `SELECT CourseID, Title FROM Courses WHERE CourseID IN (4, 7, 13)`,
-		"pk lookup Courses (CourseID = 4, 7, 13)"},
+	{"hash join", `SELECT c.CourseID, c.Title, y.Year FROM Courses c JOIN CourseYears y ON c.CourseID = y.CourseID`,
+		"hash join on (c.CourseID = y.CourseID)"},
 	{"secondary-index probe", `SELECT CourseID, Title FROM Courses WHERE DepID = 'cs'`,
 		"index probe Courses (DepID = 'cs')"},
 	{"range scan", `SELECT CourseID, Year FROM CourseYears WHERE Year >= 2009`,

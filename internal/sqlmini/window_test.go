@@ -11,12 +11,12 @@ import (
 	"courserank/internal/relation"
 )
 
-// The window property: for every SELECT shape, `… LIMIT k OFFSET o` is
-// rows [o : o+k] of the same statement without a window — whichever
-// entry point runs it, whether the window ends the pipeline early
-// (streaming statements) or slices a finished result (aggregate,
-// DISTINCT, real sort), and whether or not the LIMIT gave the planner a
-// row goal that changed a join algorithm. The shapes mirror the corpus
+// The window property: for every SELECT shape, `… LIMIT k` is the first
+// k rows of the same statement without a LIMIT — whichever entry point
+// runs it, whether the LIMIT ends the pipeline early (streaming
+// statements) or cuts a finished result (aggregate, GROUP BY, real
+// sort), and whether or not it gave the planner a row goal that changed
+// a join algorithm. The shapes mirror the corpus
 // of the root package's planparity_test.go plus joins under tied sort
 // keys, where "the same prefix" has to include the tie order.
 
@@ -77,7 +77,7 @@ func windowCorpus(t testing.TB, e *Engine) []windowShape {
 		{Name: "pk probe", SQL: `SELECT Title, Dep FROM Subjects WHERE CourseID = ?`, Args: []any{int64(7)}},
 		{Name: "fact probe", SQL: `SELECT Owner, Course, Rating FROM Notes WHERE Owner = ?`, Args: []any{int64(3)}},
 		{Name: "fact scan", SQL: `SELECT Owner, Course, Rating FROM Notes WHERE Owner <> ?`, Args: []any{int64(3)}},
-		{Name: "computed projection", SQL: `SELECT ID, Rating * 2 AS Twice FROM Notes WHERE Rating >= ?`, Args: []any{2.0}},
+		{Name: "computed projection", SQL: `SELECT ID, Rating + 2 AS Plus FROM Notes WHERE Rating >= ?`, Args: []any{2.0}},
 		{Name: "reference join", SQL: `SELECT s.CourseID, Title FROM Subjects s JOIN Years y ON s.CourseID = y.CourseID WHERE y.Year = 2008`},
 		{Name: "join, total order", SQL: `SELECT m.ID, m.Course, t.Name FROM Notes m JOIN Teachers t ON m.Teacher = t.TeacherID
 			WHERE m.Rating >= 2 ORDER BY m.ID`, Blocking: true},
@@ -92,29 +92,21 @@ func windowCorpus(t testing.TB, e *Engine) []windowShape {
 		{Name: "tied desc, one table", SQL: `SELECT ID, Rating FROM Notes ORDER BY Rating DESC`},
 		{Name: "real sort", SQL: `SELECT s.CourseID, Title, Rating FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
 			WHERE m.Owner = ? ORDER BY Rating DESC`, Args: []any{int64(3)}, Blocking: true},
-		{Name: "aggregate", SQL: `SELECT s.Dep, COUNT(*) AS N, SUM(m.Rating) AS Total FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
+		{Name: "aggregate", SQL: `SELECT s.Dep, COUNT(*) AS N, AVG(m.Rating) AS Mean FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
 			GROUP BY s.Dep ORDER BY s.Dep`, Blocking: true},
-		{Name: "distinct", SQL: `SELECT DISTINCT Dep FROM Subjects ORDER BY Dep`, Blocking: true},
+		{Name: "group by", SQL: `SELECT Dep FROM Subjects GROUP BY Dep ORDER BY Dep`, Blocking: true},
 	}
 }
 
-// windowsFor lists the (k, o) pairs for a statement with n rows: batch
-// boundaries, both ends of the result, and a small offset.
-func windowsFor(n int) [][2]int64 {
-	var out [][2]int64
-	for _, k := range []int{0, 1, 255, 256, 257, n, n + 1} {
-		for _, o := range []int{0, 3} {
-			out = append(out, [2]int64{int64(k), int64(o)})
-		}
-	}
-	return out
+// limitsFor lists the LIMITs to check for a statement with n rows:
+// batch boundaries and both ends of the result.
+func limitsFor(n int) []int64 {
+	return []int64{0, 1, 3, 255, 256, 257, int64(n), int64(n) + 1}
 }
 
-// rowsWindow is rows [o : o+k] of rows, clipped.
-func rowsWindow(rows []relation.Row, k, o int64) []relation.Row {
-	n := int64(len(rows))
-	start := min(o, n)
-	return rows[start:min(start+k, n)]
+// firstRows is the first k rows of rows, clipped.
+func firstRows(rows []relation.Row, k int64) []relation.Row {
+	return rows[:min(k, int64(len(rows)))]
 }
 
 func sameRows(a, b []relation.Row) bool {
@@ -167,21 +159,23 @@ func TestWindowIsSliceOfUnwindowed(t *testing.T) {
 				t.Fatalf("%s: forced: %v", sh.Name, err)
 			}
 		}
-		for wi, w := range windowsFor(len(all.Rows)) {
-			k, o := w[0], w[1]
-			want := rowsWindow(all.Rows, k, o)
+		if n, err := base.Limit(sh.Args...); err != nil || n != -1 {
+			t.Fatalf("%s: Limit() = %d, %v; want -1 for a statement without one", sh.Name, n, err)
+		}
+		for ki, k := range limitsFor(len(all.Rows)) {
+			want := firstRows(all.Rows, k)
 			check := func(entry string, got []relation.Row) {
 				t.Helper()
 				if !sameRows(got, want) {
-					t.Fatalf("%s: %s LIMIT %d OFFSET %d returned %d rows, not rows [%d:%d] of the unwindowed %d\n got %v\nwant %v",
-						sh.Name, entry, k, o, len(got), o, o+k, len(all.Rows), clip(got), clip(want))
+					t.Fatalf("%s: %s LIMIT %d returned %d rows, not the first %d of the unlimited %d\n got %v\nwant %v",
+						sh.Name, entry, k, len(got), k, len(all.Rows), clip(got), clip(want))
 				}
 			}
-			// The window as literals (the planner sees the numbers) and as
-			// parameters (it plans for one batch).
-			literal := fmt.Sprintf("%s LIMIT %d OFFSET %d", sh.SQL, k, o)
-			bound := sh.SQL + " LIMIT ? OFFSET ?"
-			boundArgs := append(append([]any{}, sh.Args...), k, o)
+			// The LIMIT as a literal (the planner sees the number) and as a
+			// parameter (it plans for one batch).
+			literal := fmt.Sprintf("%s LIMIT %d", sh.SQL, k)
+			bound := sh.SQL + " LIMIT ?"
+			boundArgs := append(append([]any{}, sh.Args...), k)
 			for _, v := range []struct {
 				entry, sql string
 				args       []any
@@ -200,24 +194,22 @@ func TestWindowIsSliceOfUnwindowed(t *testing.T) {
 					t.Fatalf("%s: %s: %v", sh.Name, v.entry, err)
 				}
 				check(v.entry+" QueryRows", drainRows(t, rows))
+				if n, err := st.Limit(v.args...); err != nil || n != k {
+					t.Fatalf("%s: %s Limit() = %d, %v; want %d", sh.Name, v.entry, n, err, k)
+				}
 			}
-			res, err := base.QueryWindow(k, o, sh.Args...)
-			if err != nil {
-				t.Fatalf("%s: QueryWindow: %v", sh.Name, err)
-			}
-			check("QueryWindow", res.Rows)
 
 			// The forced handle against its own unwindowed result (without
 			// a pinned order the two engines may differ in row order). Its
 			// joins are nested loops over every pair of rows, so a join
-			// shape checks one window, (256, 3), not fourteen.
-			if forcedAll != nil && (!strings.Contains(sh.SQL, " JOIN ") || wi == 7) {
+			// shape checks one LIMIT, 256, not eight.
+			if forcedAll != nil && (!strings.Contains(sh.SQL, " JOIN ") || ki == 4) {
 				got, err := forced.Query(literal, sh.Args...)
 				if err != nil {
 					t.Fatalf("%s: forced: %v", sh.Name, err)
 				}
-				if fw := rowsWindow(forcedAll.Rows, k, o); !sameRows(got.Rows, fw) {
-					t.Fatalf("%s: forced LIMIT %d OFFSET %d returned %d rows, want %d", sh.Name, k, o, len(got.Rows), len(fw))
+				if fw := firstRows(forcedAll.Rows, k); !sameRows(got.Rows, fw) {
+					t.Fatalf("%s: forced LIMIT %d returned %d rows, want %d", sh.Name, k, len(got.Rows), len(fw))
 				}
 			}
 		}
@@ -291,7 +283,7 @@ func TestRowGoalPlans(t *testing.T) {
 			"  scan Subjects AS s ~1100 of 1100 rows\n" + tail},
 		{topRated + " LIMIT ?", "index nested loop on (m.Course = s.CourseID), probe=pk(CourseID) (INNER)\n" +
 			"  scan Subjects AS s ~1100 of 1100 rows\n" + tail},
-		{topRated + " LIMIT 10 OFFSET 20", "index nested loop on (m.Course = s.CourseID), probe=pk(CourseID) (INNER)\n" +
+		{topRated + " LIMIT 30", "index nested loop on (m.Course = s.CourseID), probe=pk(CourseID) (INNER)\n" +
 			"  scan Subjects AS s ~1100 of 1100 rows\n" + tail},
 		// 300 rows wanted: 4 × 300 probes are no cheaper than one hash build.
 		{topRated + " LIMIT 300", "hash join on (m.Course = s.CourseID), build=left (INNER)\n" +

@@ -64,7 +64,7 @@ func TestSQLParityOnCorpus(t *testing.T) {
 		{`SELECT Courses.CourseID, Title FROM Courses JOIN CourseYears ON Courses.CourseID = CourseYears.CourseID WHERE CourseYears.Year = 2008`, nil},
 		{`SELECT c.DepID, COUNT(*) AS n, AVG(m.Rating) AS avg FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID GROUP BY c.DepID ORDER BY c.DepID`, nil},
 		{`SELECT o.CourseID, o.Year, i.Name FROM Offerings o JOIN Instructors i ON o.InstructorID = i.InstructorID WHERE o.Year >= 2008 ORDER BY o.OfferingID LIMIT 50`, nil},
-		{`SELECT DISTINCT DepID FROM Courses ORDER BY DepID`, nil},
+		{`SELECT DepID FROM Courses GROUP BY DepID ORDER BY DepID`, nil},
 	}
 	for _, q := range queries {
 		p, n := runBothModes(t, r, func(flex *flexrecs.Engine) (any, error) {
