@@ -348,6 +348,45 @@ func TestFlexRecsAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCloudAllocBudget is the deterministic half of BenchmarkFigure3Cloud:
+// warm, at Small scale, the Figure 3 cloud takes at most 16 allocations
+// and 16 KB a call (10 736 and 1.45 MB when it counted strings in a map).
+// The counts live in a pooled scratch; only the result escapes. Both
+// figures are medians of single calls, because under the race detector
+// sync.Pool drops a quarter of what is put back, and each drop costs a
+// fresh vocabulary-sized scratch.
+func TestCloudAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the Small-scale site")
+	}
+	r := runner(t)
+	res, err := r.Site.SearchCourses("american")
+	if err != nil {
+		t.Fatal(err)
+	}
+	figure3 := func() {
+		if _, err := r.Site.CourseCloud(res, 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	figure3()
+	allocsPerCall, bytesPerCall := make([]float64, 21), make([]float64, 21)
+	for i := range allocsPerCall {
+		allocsPerCall[i] = testing.AllocsPerRun(1, figure3)
+		_, bytesPerCall[i] = costOf(1, figure3)
+	}
+	sort.Float64s(allocsPerCall)
+	sort.Float64s(bytesPerCall)
+	allocs, bytes := allocsPerCall[10], bytesPerCall[10]
+	t.Logf("Figure 3 cloud: %.1f allocs, %.0f B a call (median)", allocs, bytes)
+	if allocs > 16 {
+		t.Errorf("Figure 3 cloud takes %.1f allocations a call, budget 16", allocs)
+	}
+	if bytes > 16<<10 {
+		t.Errorf("Figure 3 cloud allocates %.0f B a call, budget 16 KB", bytes)
+	}
+}
+
 // shardedSmall is a second Small-scale site split over two shards — the
 // shape the bench harness's campus workload serves from.
 var shardedSmall struct {

@@ -6,12 +6,24 @@
 // "Indians", "politics" for the query "American") rather than globally
 // common words. Cloud terms are hyperlink-like handles for refinement:
 // clicking one narrows the search (Figure 3 → Figure 4).
+//
+// The kernel works on textindex term ids, never on strings. Per-call
+// state lives in a scratch taken from a sync.Pool: dense counts and
+// bigram maxima indexed by term id, sized to the vocabulary and grown on
+// demand, plus a touch list of the ids whose count left zero. Filtering,
+// subsumption and ranking all read ids; only the few surviving terms
+// become Terms, whose Text is the index's own string. The invariant that
+// makes the pool safe: before a scratch goes back, every slot the touch
+// list names is zeroed, so each call starts from all-zero slices.
 package cloud
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"courserank/internal/textindex"
 )
@@ -28,7 +40,7 @@ type Term struct {
 const MaxWeight = 5
 
 // Options tunes cloud computation. The zero value selects sensible
-// defaults (40 terms, minimum 2 result docs, subsumption on).
+// defaults (40 terms, minimum 2 result docs).
 type Options struct {
 	// MaxTerms caps the cloud size; 0 means 40.
 	MaxTerms int
@@ -38,10 +50,6 @@ type Options struct {
 	// Exclude removes the given terms (typically the query's own terms);
 	// matching is on tokenized form.
 	Exclude []string
-	// KeepSubsumed retains unigrams that occur almost exclusively inside
-	// a selected bigram (by default "latin" is dropped when nearly all of
-	// its result occurrences are inside "latin american").
-	KeepSubsumed bool
 }
 
 func (o Options) maxTerms() int {
@@ -64,6 +72,50 @@ type Cloud struct {
 	ResultSize int // number of result documents summarized
 }
 
+// scratch is one Compute call's working state. counts and bigramMax are
+// indexed by term id and are all zero between calls; touched lists the
+// ids whose count left zero, which are the only slots either slice may
+// hold non-zero (a bigram in a result document puts both its words there
+// too).
+type scratch struct {
+	counts    []int32 // term id → result documents containing it
+	bigramMax []int32 // unigram id → largest rdf of a bigram subsuming it
+	touched   []int32
+	excluded  []int32
+	cands     []cand
+}
+
+// cand is a term that passed the filters.
+type cand struct {
+	id    int32
+	rdf   int32
+	score float64
+	text  string
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a zeroed scratch whose slices cover vocab ids.
+func getScratch(vocab int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if len(s.counts) < vocab {
+		s.counts = make([]int32, vocab)
+		s.bigramMax = make([]int32, vocab)
+	}
+	return s
+}
+
+// putScratch zeroes the touched slots and returns s to the pool.
+func putScratch(s *scratch) {
+	for _, id := range s.touched {
+		s.counts[id] = 0
+		s.bigramMax[id] = 0
+	}
+	clear(s.cands) // drop the term texts, so an idle scratch pins no index
+	s.touched, s.excluded, s.cands = s.touched[:0], s.excluded[:0], s.cands[:0]
+	scratchPool.Put(s)
+}
+
 // Compute builds the data cloud for a set of result document ids over the
 // given index. Each term's significance is
 //
@@ -71,88 +123,51 @@ type Cloud struct {
 //
 // where rdf counts result documents containing the term, df counts corpus
 // documents, and N is the corpus size — result-frequency damped by
-// corpus-rarity, the classic "significant terms" contrast.
+// corpus-rarity, the classic "significant terms" contrast. The index must
+// be finished.
 func Compute(ix *textindex.Index, docIDs []int64, opts Options) *Cloud {
+	s := getScratch(ix.VocabSize())
+	defer putScratch(s)
 	n := float64(ix.DocCount())
-	excluded := make(map[string]bool, len(opts.Exclude))
 	for _, t := range opts.Exclude {
-		toks := textindex.Tokenize(t)
-		if len(toks) > 0 {
-			excluded[strings.Join(toks, " ")] = true
+		if id, ok := ix.TermID(t); ok {
+			s.excluded = append(s.excluded, id)
 		}
 	}
+	s.touched = ix.CountTerms(docIDs, s.counts, s.touched)
 
-	rdf := make(map[string]int)
-	for _, id := range docIDs {
-		ix.DocTerms(id, func(term string, _ int) bool {
-			rdf[term]++
-			return true
-		})
-	}
-
-	type cand struct {
-		text  string
-		rdf   int
-		score float64
-	}
-	var cands []cand
-	for term, c := range rdf {
-		if c < opts.minDocs() || excluded[term] {
+	minDocs := int32(opts.minDocs())
+	for _, id := range s.touched {
+		c := s.counts[id]
+		if c < minDocs || ix.Numeric(id) || slices.Contains(s.excluded, id) {
 			continue
 		}
-		if isNumeric(term) {
-			continue
-		}
-		df := ix.DocFreq(term)
-		if df == 0 {
-			df = c
-		}
-		score := float64(c) * math.Log(1+n/float64(df))
-		cands = append(cands, cand{text: term, rdf: c, score: score})
+		score := float64(c) * math.Log(1+n/float64(ix.DF(id)))
+		s.cands = append(s.cands, cand{id: id, rdf: c, score: score})
 	}
 
 	// Subsumption: a unigram that occurs (almost) only inside a candidate
 	// bigram is redundant — the bigram carries the concept. Excluded
 	// phrases subsume too: refining by "african american" must not
 	// resurface the bare "african".
-	if !opts.KeepSubsumed {
-		bigramMax := make(map[string]int)
-		noteBigram := func(text string, n int) {
-			if i := strings.IndexByte(text, ' '); i > 0 {
-				for _, w := range [2]string{text[:i], text[i+1:]} {
-					if n > bigramMax[w] {
-						bigramMax[w] = n
-					}
-				}
+	for _, c := range s.cands {
+		s.noteBigram(ix, c.id)
+	}
+	for _, id := range s.excluded {
+		s.noteBigram(ix, id)
+	}
+	kept := s.cands[:0]
+	for _, c := range s.cands {
+		if left, _ := ix.Bigram(c.id); left < 0 {
+			if bm := s.bigramMax[c.id]; bm > 0 && float64(bm) >= 0.8*float64(c.rdf) {
+				continue
 			}
 		}
-		for _, c := range cands {
-			noteBigram(c.text, c.rdf)
-		}
-		for phrase := range excluded {
-			noteBigram(phrase, rdf[phrase])
-		}
-		kept := cands[:0]
-		for _, c := range cands {
-			if !strings.Contains(c.text, " ") {
-				if bm := bigramMax[c.text]; bm > 0 && float64(bm) >= 0.8*float64(c.rdf) {
-					continue
-				}
-			}
-			kept = append(kept, c)
-		}
-		cands = kept
+		c.text = ix.Term(c.id)
+		kept = append(kept, c)
 	}
-
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].score != cands[b].score {
-			return cands[a].score > cands[b].score
-		}
-		return cands[a].text < cands[b].text
-	})
-	if len(cands) > opts.maxTerms() {
-		cands = cands[:opts.maxTerms()]
-	}
+	slices.SortFunc(kept, byScore)
+	cands := kept[:min(len(kept), opts.maxTerms())]
 
 	out := &Cloud{ResultSize: len(docIDs), Terms: make([]Term, len(cands))}
 	if len(cands) == 0 {
@@ -173,27 +188,29 @@ func Compute(ix *textindex.Index, docIDs []int64, opts Options) *Cloud {
 				w = 1
 			}
 		}
-		out.Terms[i] = Term{Text: c.text, ResultDocs: c.rdf, Score: c.score, Weight: w}
+		out.Terms[i] = Term{Text: c.text, ResultDocs: int(c.rdf), Score: c.score, Weight: w}
 	}
 	return out
 }
 
-// isNumeric reports whether the term consists only of digit tokens —
-// years and section numbers are not useful cloud themes.
-func isNumeric(term string) bool {
-	for _, tok := range strings.Split(term, " ") {
-		hasAlpha := false
-		for _, r := range tok {
-			if r >= 'a' && r <= 'z' {
-				hasAlpha = true
-				break
-			}
-		}
-		if hasAlpha {
-			return false
-		}
+// noteBigram raises bigramMax for both words of bigram id to its result
+// count; a unigram notes nothing.
+func (s *scratch) noteBigram(ix *textindex.Index, id int32) {
+	left, right := ix.Bigram(id)
+	if left < 0 {
+		return
 	}
-	return true
+	c := s.counts[id]
+	s.bigramMax[left] = max(s.bigramMax[left], c)
+	s.bigramMax[right] = max(s.bigramMax[right], c)
+}
+
+// byScore orders candidates by descending score, then ascending text.
+func byScore(a, b cand) int {
+	if c := cmp.Compare(b.score, a.score); c != 0 {
+		return c
+	}
+	return strings.Compare(a.text, b.text)
 }
 
 // Has reports whether the cloud contains the term (tokenized form).

@@ -3,6 +3,7 @@ package textindex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,18 +26,20 @@ type posting struct {
 	freq  int32
 }
 
-// termFreq is one entry of a document's forward index (term id → count,
-// aggregated across fields, unigrams and bigrams together).
-type termFreq struct {
-	term int32
-	freq int32
+// termInfo is what the index knows about one term id. Everything but df
+// is fixed when the term is interned.
+type termInfo struct {
+	text        string
+	df          int32 // documents containing the term
+	left, right int32 // a bigram's two unigram ids; -1 for a unigram
+	numeric     bool  // every rune of every token is a decimal digit
 }
 
 // docEntry is the per-document state.
 type docEntry struct {
 	id       int64
 	fieldLen []int32 // tokens per field
-	terms    []termFreq
+	terms    []int32 // forward index: the distinct term ids, ascending
 }
 
 // Index is an inverted index over documents with weighted fields. Add all
@@ -48,8 +51,7 @@ type Index struct {
 	fieldIdx map[string]int
 
 	vocab    map[string]int32
-	words    []string
-	df       []int32     // term id → number of docs containing it
+	terms    []termInfo  // term id → text, df and interned facts
 	postings [][]posting // term id → postings, in doc-ordinal order
 
 	docs     []docEntry
@@ -99,17 +101,24 @@ func MustNew(fields ...Field) *Index {
 // Fields returns the field definitions.
 func (ix *Index) Fields() []Field { return append([]Field(nil), ix.fields...) }
 
-func (ix *Index) intern(term string) int32 {
+// intern returns the term's id, adding it to the vocabulary on first
+// sight. left and right are a bigram's unigram ids, -1 for a unigram.
+func (ix *Index) intern(term string, left, right int32) int32 {
 	if id, ok := ix.vocab[term]; ok {
 		return id
 	}
 	// Tokenize returns slices into the document's lowered text; clone
 	// before storing so the vocabulary doesn't pin whole documents.
 	term = strings.Clone(term)
-	id := int32(len(ix.words))
+	id := int32(len(ix.terms))
+	info := termInfo{text: term, left: left, right: right}
+	if left < 0 {
+		info.numeric = allDigits(term)
+	} else {
+		info.numeric = ix.terms[left].numeric && ix.terms[right].numeric
+	}
 	ix.vocab[term] = id
-	ix.words = append(ix.words, term)
-	ix.df = append(ix.df, 0)
+	ix.terms = append(ix.terms, info)
 	ix.postings = append(ix.postings, nil)
 	return id
 }
@@ -131,21 +140,25 @@ func (ix *Index) Add(docID int64, fieldValues []string) error {
 	ord := int32(len(ix.docs))
 	entry := docEntry{id: docID, fieldLen: make([]int32, len(ix.fields))}
 	perField := make([]map[int32]int32, len(ix.fields))
-	docTotals := make(map[int32]int32)
+	docTerms := make(map[int32]struct{})
+	var words []int32 // one field's unigram ids, in token order
 	for fi, text := range fieldValues {
 		toks := Tokenize(text)
 		entry.fieldLen[fi] = int32(len(toks))
 		ix.totalLen[fi] += int64(len(toks))
 		counts := make(map[int32]int32, len(toks)*2)
+		words = words[:0]
 		for _, w := range toks {
-			counts[ix.intern(w)]++
+			id := ix.intern(w, -1, -1)
+			words = append(words, id)
+			counts[id]++
 		}
-		for _, bg := range Bigrams(toks) {
-			counts[ix.intern(bg)]++
+		for i, bg := range Bigrams(toks) {
+			counts[ix.intern(bg, words[i], words[i+1])]++
 		}
 		perField[fi] = counts
-		for id, c := range counts {
-			docTotals[id] += c
+		for id := range counts {
+			docTerms[id] = struct{}{}
 		}
 	}
 	for fi, counts := range perField {
@@ -153,12 +166,12 @@ func (ix *Index) Add(docID int64, fieldValues []string) error {
 			ix.postings[id] = append(ix.postings[id], posting{doc: ord, field: uint8(fi), freq: c})
 		}
 	}
-	entry.terms = make([]termFreq, 0, len(docTotals))
-	for id, c := range docTotals {
-		entry.terms = append(entry.terms, termFreq{term: id, freq: c})
-		ix.df[id]++
+	entry.terms = make([]int32, 0, len(docTerms))
+	for id := range docTerms {
+		entry.terms = append(entry.terms, id)
+		ix.terms[id].df++
 	}
-	sort.Slice(entry.terms, func(a, b int) bool { return entry.terms[a].term < entry.terms[b].term })
+	slices.Sort(entry.terms)
 	ix.docs = append(ix.docs, entry)
 	ix.byID[docID] = ord
 	return nil
@@ -190,41 +203,79 @@ func (ix *Index) DocCount() int {
 	return len(ix.docs)
 }
 
-// DocFreq returns how many documents contain the term (unigram or
-// "w1 w2" bigram), matching on the tokenized form.
-func (ix *Index) DocFreq(term string) int {
+// The term-id API. Ids are dense, 0 … VocabSize()-1, and a finished
+// index never changes them, so a caller can keep per-term state in plain
+// slices indexed by id. Term, DF, Bigram and Numeric take no lock: they
+// are valid once Finish has returned, which CountTerms enforces.
+
+// TermID returns the id of a term or "w1 w2" bigram, matching on the
+// tokenized form ("Latin American" finds "latin american"). ok is false
+// when the index has no such term; a phrase of three or more tokens is
+// never one.
+func (ix *Index) TermID(term string) (id int32, ok bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	id, ok := ix.vocab[normalizeTerm(term)]
-	if !ok {
-		return 0
+	return ix.lookup(term)
+}
+
+// lookup is TermID under the caller's lock. Tokens and key live in
+// stack buffers, so a short term allocates nothing.
+func (ix *Index) lookup(term string) (int32, bool) {
+	var tokBuf [4]string
+	var keyBuf [64]byte
+	key := keyBuf[:0]
+	for i, tok := range TokenizeInto(term, tokBuf[:0]) {
+		if i > 0 {
+			key = append(key, ' ')
+		}
+		key = append(key, tok...)
 	}
-	return int(ix.df[id])
+	id, ok := ix.vocab[string(key)]
+	return id, ok
 }
 
-// normalizeTerm canonicalizes a user-supplied term or phrase to the
-// indexed form (lowercased tokens joined by single spaces).
-func normalizeTerm(term string) string {
-	toks := Tokenize(term)
-	return strings.Join(toks, " ")
+// Term returns the indexed text of term id: the index's own string, not
+// a copy.
+func (ix *Index) Term(id int32) string { return ix.terms[id].text }
+
+// DF returns how many documents contain term id.
+func (ix *Index) DF(id int32) int { return int(ix.terms[id].df) }
+
+// Bigram returns the unigram ids of bigram id, or -1, -1 for a unigram.
+func (ix *Index) Bigram(id int32) (left, right int32) {
+	return ix.terms[id].left, ix.terms[id].right
 }
 
-// DocTerms streams the (term, frequency) pairs of one document in
-// deterministic term order; fn returning false stops iteration. It
-// reports whether the document exists.
-func (ix *Index) DocTerms(docID int64, fn func(term string, freq int) bool) bool {
+// Numeric reports whether term id consists only of digits: every rune
+// of every token is a decimal digit in some script.
+func (ix *Index) Numeric(id int32) bool { return ix.terms[id].numeric }
+
+// CountTerms adds one to counts[t] for each distinct term t of each
+// listed document, appends t to touched when its count leaves zero, and
+// returns touched. counts needs VocabSize() slots and must be zero
+// outside what touched already lists; a caller resets it by zeroing
+// exactly the touched slots. Ids the index lacks are skipped, a repeated
+// id counts again, and one read lock covers the whole list. It panics
+// before Finish.
+func (ix *Index) CountTerms(docIDs []int64, counts, touched []int32) []int32 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ord, ok := ix.byID[docID]
-	if !ok {
-		return false
+	if !ix.finished {
+		panic("textindex: CountTerms before Finish")
 	}
-	for _, tf := range ix.docs[ord].terms {
-		if !fn(ix.words[tf.term], int(tf.freq)) {
-			return false
+	for _, id := range docIDs {
+		ord, ok := ix.byID[id]
+		if !ok {
+			continue
+		}
+		for _, t := range ix.docs[ord].terms {
+			if counts[t] == 0 {
+				touched = append(touched, t)
+			}
+			counts[t]++
 		}
 	}
-	return true
+	return touched
 }
 
 // Hit is one search result.
@@ -306,14 +357,14 @@ func (ix *Index) Search(q Query, limit int) []Hit {
 	}
 	terms := make([]int32, 0, len(q.Keywords)+len(q.Phrases))
 	for _, t := range q.Terms() {
-		id, ok := ix.vocab[normalizeTerm(t)]
+		id, ok := ix.lookup(t)
 		if !ok {
 			return nil // conjunctive: an unknown term matches nothing
 		}
 		terms = append(terms, id)
 	}
 	// Intersect candidate docs starting from the rarest term.
-	sort.Slice(terms, func(a, b int) bool { return ix.df[terms[a]] < ix.df[terms[b]] })
+	sort.Slice(terms, func(a, b int) bool { return ix.terms[terms[a]].df < ix.terms[terms[b]].df })
 	candidates := docSet(ix.postings[terms[0]])
 	for _, t := range terms[1:] {
 		if len(candidates) == 0 {
@@ -341,7 +392,7 @@ func (ix *Index) Search(q Query, limit int) []Hit {
 	}
 	scores := make(map[int32]float64, len(candidates))
 	for _, t := range terms {
-		df := float64(ix.df[t])
+		df := float64(ix.terms[t].df)
 		idf := math.Log(1 + (n-df+0.5)/(df+0.5))
 		for _, p := range ix.postings[t] {
 			if _, ok := candidates[p.doc]; !ok {
@@ -379,13 +430,13 @@ func (ix *Index) Count(q Query) int {
 	}
 	terms := make([]int32, 0, 4)
 	for _, t := range q.Terms() {
-		id, ok := ix.vocab[normalizeTerm(t)]
+		id, ok := ix.lookup(t)
 		if !ok {
 			return 0
 		}
 		terms = append(terms, id)
 	}
-	sort.Slice(terms, func(a, b int) bool { return ix.df[terms[a]] < ix.df[terms[b]] })
+	sort.Slice(terms, func(a, b int) bool { return ix.terms[terms[a]].df < ix.terms[terms[b]].df })
 	candidates := docSet(ix.postings[terms[0]])
 	for _, t := range terms[1:] {
 		next := make(map[int32]struct{}, len(candidates))
@@ -412,5 +463,5 @@ func docSet(ps []posting) map[int32]struct{} {
 func (ix *Index) VocabSize() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.words)
+	return len(ix.terms)
 }

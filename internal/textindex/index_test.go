@@ -165,38 +165,108 @@ func TestCountMatchesSearch(t *testing.T) {
 	}
 }
 
-func TestDocFreqAndDocTerms(t *testing.T) {
+func TestTermIDAPI(t *testing.T) {
 	ix := buildIndex(t)
-	if df := ix.DocFreq("american"); df != 4 {
-		t.Errorf("DocFreq(american) = %d, want 4", df)
+	df := func(term string) int {
+		id, ok := ix.TermID(term)
+		if !ok {
+			return 0
+		}
+		if got := ix.Term(id); got != strings.Join(Tokenize(term), " ") {
+			t.Errorf("Term(TermID(%q)) = %q", term, got)
+		}
+		return ix.DF(id)
 	}
-	if df := ix.DocFreq("African American"); df != 1 {
-		t.Errorf("DocFreq(bigram) = %d, want 1", df)
+	if got := df("american"); got != 4 {
+		t.Errorf("DF(american) = %d, want 4", got)
 	}
-	if df := ix.DocFreq("nope"); df != 0 {
-		t.Errorf("DocFreq(nope) = %d", df)
+	if got := df("African American"); got != 1 {
+		t.Errorf("DF(bigram) = %d, want 1", got)
 	}
-	seen := map[string]int{}
-	if !ix.DocTerms(3, func(term string, freq int) bool {
-		seen[term] = freq
-		return true
-	}) {
-		t.Fatal("DocTerms(3) should exist")
+	if _, ok := ix.TermID("nope"); ok {
+		t.Error("TermID(nope) should report false")
 	}
-	if seen["african american"] != 2 {
-		t.Errorf("doc 3 'african american' freq = %d, want 2", seen["african american"])
+	if _, ok := ix.TermID("african american experience"); ok {
+		t.Error("a three-token phrase is never a term")
 	}
-	if seen["american"] != 3 {
-		t.Errorf("doc 3 'american' freq = %d, want 3", seen["american"])
+
+	// Interned facts: a bigram knows its unigrams, a unigram has none.
+	bg, _ := ix.TermID("african american")
+	african, _ := ix.TermID("african")
+	american, _ := ix.TermID("american")
+	if l, r := ix.Bigram(bg); l != african || r != american {
+		t.Errorf("Bigram(african american) = %d, %d, want %d, %d", l, r, african, american)
 	}
-	if ix.DocTerms(99, func(string, int) bool { return true }) {
-		t.Error("DocTerms(99) should report false")
+	if l, r := ix.Bigram(american); l != -1 || r != -1 {
+		t.Errorf("Bigram(american) = %d, %d, want -1, -1", l, r)
 	}
-	// Early stop.
-	calls := 0
-	ix.DocTerms(3, func(string, int) bool { calls++; return false })
-	if calls != 1 {
-		t.Errorf("early stop made %d calls", calls)
+
+	// CountTerms counts documents, not occurrences: doc 3 says
+	// "american" three times and "african american" twice.
+	counts := make([]int32, ix.VocabSize())
+	touched := ix.CountTerms([]int64{3, 99}, counts, nil)
+	if counts[american] != 1 || counts[bg] != 1 {
+		t.Errorf("doc 3 counts: american %d, african american %d, want 1, 1", counts[american], counts[bg])
+	}
+	// A repeated doc counts again; each id is touched once.
+	touched = ix.CountTerms([]int64{3}, counts, touched)
+	seen := map[int32]bool{}
+	for _, id := range touched {
+		if seen[id] {
+			t.Fatalf("id %d touched twice", id)
+		}
+		seen[id] = true
+		if counts[id] != 2 {
+			t.Errorf("%q counted %d times, want 2", ix.Term(id), counts[id])
+		}
+	}
+	for id, c := range counts {
+		if c != 0 && !seen[int32(id)] {
+			t.Errorf("%q counted but not touched", ix.Term(int32(id)))
+		}
+	}
+	if !seen[bg] || !seen[american] || len(touched) == 0 {
+		t.Errorf("touched misses doc 3's terms: %v", touched)
+	}
+}
+
+func TestNumericFlag(t *testing.T) {
+	ix := MustNew(Field{Name: "f", Weight: 1})
+	if err := ix.Add(1, []string{"cs106 offered 2008 2009, λόγος ٢٠٠٨"}); err != nil {
+		t.Fatal(err)
+	}
+	ix.Finish()
+	for term, want := range map[string]bool{
+		"2008": true, "2008 2009": true, "٢٠٠٨": true, // Arabic-Indic digits
+		"cs106": false, "offered 2008": false, "λόγος": false, "2009 λόγος": false,
+	} {
+		id, ok := ix.TermID(term)
+		if !ok {
+			t.Fatalf("%q not indexed", term)
+		}
+		if got := ix.Numeric(id); got != want {
+			t.Errorf("Numeric(%q) = %v, want %v", term, got, want)
+		}
+	}
+}
+
+func TestCountTermsBeforeFinishPanics(t *testing.T) {
+	ix := MustNew(Field{Name: "f", Weight: 1})
+	if err := ix.Add(1, []string{"hello world"}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CountTerms before Finish should panic")
+		}
+	}()
+	ix.CountTerms([]int64{1}, make([]int32, ix.VocabSize()), nil)
+}
+
+func TestTermIDAllocatesNothing(t *testing.T) {
+	ix := buildIndex(t)
+	if n := testing.AllocsPerRun(100, func() { ix.TermID("african american") }); n != 0 {
+		t.Errorf("TermID allocates %.0f times per call, want 0", n)
 	}
 }
 

@@ -3,6 +3,15 @@
 // statistics. It indexes both unigrams and bigrams, which lets the data
 // cloud layer (package cloud) surface multi-word concepts such as
 // "Latin American" (paper §3.1) and lets searches refine by phrase.
+//
+// Every term has a dense id, and the cloud works on ids, never on
+// strings. When a term is interned the index records the two facts the
+// cloud filters on: a bigram's two unigram ids, and whether the term is
+// numeric. CountTerms then tallies a result list's term ids into the
+// caller's counts slice under one read lock and appends each id it
+// touches for the first time to a touch list. The caller resets counts
+// by zeroing only the touched slots, so a reused counts slice costs
+// O(touched) per call, not O(vocabulary).
 package textindex
 
 import (
@@ -79,6 +88,16 @@ func TokenizeInto(text string, buf []string) []string {
 	}
 	flush(len(lower))
 	return out
+}
+
+// allDigits reports whether every rune of tok is a decimal digit.
+func allDigits(tok string) bool {
+	for _, r := range tok {
+		if !unicode.IsDigit(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // Bigrams returns the adjacent-pair phrases of a token stream, each as
