@@ -1009,3 +1009,91 @@ func BenchmarkSnapshotReadUnderWriteStorm(b *testing.B) {
 	}
 	b.StopTimer()
 }
+
+// TestExtendMaintenanceAllocBudget is the deterministic form of the ε
+// views' maintenance claim, at Small scale on the mono and the 2-shard
+// site: a rated comment by a random student followed by a
+// department-popular read of that course's department costs at most
+// 300 KB and no full build of the ratings nesting (rebuilt per comment,
+// every such pair paid about 2.8 MB), and what the 100 patches leave is
+// exactly what a build returns.
+func TestExtendMaintenanceAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two Small-scale sites")
+	}
+	for _, site := range []struct {
+		name string
+		r    *experiments.Runner
+	}{{"mono", runner(t)}, {"2shard", shardedRunner(t)}} {
+		s := site.r.Site
+		var courses []catalog.Course
+		s.Catalog.EachCourse(func(c catalog.Course) bool {
+			courses = append(courses, c)
+			return true
+		})
+		sort.Slice(courses, func(a, b int) bool { return courses[a].ID < courses[b].ID })
+		res, err := s.SQL.Query(`SELECT SuID FROM Comments GROUP BY SuID`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(31))
+		const marker = "extend maintenance budget"
+		read := func(dep string) {
+			if _, err := s.Strategies.Run(s.Flex, "department-popular", map[string]any{"dep": dep, "k": 10}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pair := func() {
+			c := courses[rng.Intn(len(courses))]
+			if _, err := s.Comments.Add(comments.Comment{
+				SuID: res.Rows[rng.Intn(len(res.Rows))][0].(int64), CourseID: c.ID, Year: 2009, Term: "Spr",
+				Text: marker, Rating: float64(1 + rng.Intn(5)),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			read(c.DepID)
+		}
+		read(courses[0].DepID)
+		var v *matview.View
+		for _, view := range s.Views.Views() {
+			if strings.HasPrefix(view.Name(), "flex/ratings-extend@") {
+				v = view
+			}
+		}
+		if v == nil {
+			t.Fatalf("%s: department-popular registered no ratings nesting", site.name)
+		}
+		pair() // warm-up: plans the patch statement
+		before := v.Stats()
+		_, bytes := costOf(100, pair)
+		t.Logf("%s: %.1f KB per comment + department-popular read", site.name, bytes/1024)
+		if bytes > 300<<10 {
+			t.Errorf("%s: a comment and a department-popular read allocate %.0f KB, budget 300 KB", site.name, bytes/1024)
+		}
+		if st := v.Stats(); st.Refreshes != before.Refreshes || st.Patches < before.Patches+100 {
+			t.Errorf("%s: %d full builds and %d patches over 100 pairs, want 0 and 100: %+v",
+				site.name, st.Refreshes-before.Refreshes, st.Patches-before.Patches, st)
+		}
+
+		maintained, _, err := v.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Invalidate()
+		built, serve, err := v.Get()
+		if err != nil || serve.Kind != matview.ServeBuilt {
+			t.Fatalf("%s: read after Invalidate: %v %v", site.name, serve.Kind, err)
+		}
+		if !reflect.DeepEqual(maintained, built) {
+			t.Errorf("%s: the nesting 100 patches left differs from a fresh build", site.name)
+		}
+
+		// The sites are shared with the other scenarios: take the comments
+		// back out.
+		tbl := s.DB.MustTable("Comments")
+		ti := tbl.Schema().MustIndex("Text")
+		if n, err := tbl.DeleteWhere(func(r relation.Row) bool { return r[ti] == marker }); err != nil || n != 101 {
+			t.Fatalf("%s: removed %d of the 101 budget comments: %v", site.name, n, err)
+		}
+	}
+}

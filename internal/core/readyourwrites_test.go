@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"courserank/internal/catalog"
@@ -21,7 +22,8 @@ import (
 // again after a review that rates the course in a transaction, the
 // maintained feed is served fresh with no rebuild, and department-popular
 // and cf-courses answer what a registry-less engine over the same
-// backend computes from scratch; the course page's standalone rating
+// backend computes from scratch — off the maintained ratings nesting,
+// which is patched, not rebuilt; the course page's standalone rating
 // average follows the review and a later rating.
 func TestReadYourWrites(t *testing.T) {
 	for _, durable := range []bool{false, true} {
@@ -70,6 +72,16 @@ func readYourWrites(t *testing.T, s *Site, course int64) {
 	// after its comment must differ.
 	cfBefore, err := s.Strategies.Run(s.Flex, "cf-courses", map[string]any{"student": int64(student), "k": 50})
 	must(err)
+	var nesting *matview.View
+	for _, v := range s.Views.Views() {
+		if strings.HasPrefix(v.Name(), "flex/ratings-extend@") {
+			nesting = v
+		}
+	}
+	if nesting == nil {
+		t.Fatal("cf-courses registered no ratings nesting")
+	}
+	nestingBuilds := nesting.Stats().Refreshes
 
 	reads := func(step string, raters int64) {
 		t.Helper()
@@ -104,6 +116,9 @@ func readYourWrites(t *testing.T, s *Site, course int64) {
 				}
 				cfBefore = nil
 			}
+		}
+		if st := nesting.Stats(); st.Refreshes != nestingBuilds || st.Patches == 0 {
+			t.Fatalf("%s: the ratings nesting made %d full builds, want %d, and %d patches", step, st.Refreshes, nestingBuilds, st.Patches)
 		}
 	}
 	avg := func(step string, want float64, raters int) {

@@ -216,9 +216,10 @@ func checkDraws(t *testing.T, phase string, s *core.Site, draws []draw) {
 		}
 		if !d.forced || s.Sharded != nil {
 			// Forced execution reads the unsharded base in storage order;
-			// a cluster gathers shard by shard, which reorders ε's groups
-			// and with them every positional tie — with or without the
-			// rewriter. The twin above shares the cluster and is exact.
+			// a cluster gathers shard by shard, which reorders rows and
+			// with them every positional tie outside ε (whose groups come
+			// out in key order) — with or without the rewriter. The twin
+			// above shares the cluster and is exact.
 			continue
 		}
 		naive, err := s.Strategies.Run(forced, d.strategy, d.params)

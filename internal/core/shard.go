@@ -41,9 +41,9 @@ func (b shardBackend) Explain(sql string, args ...any) (string, error) {
 //   - FlexRecs workflows recompile onto the cluster: each compiled
 //     subtree routes to a single shard when its predicates pin the
 //     shard key, and scatter-gathers otherwise.
-//   - The top-rated feed view is untouched: it is built and maintained
-//     from the base tables, which hold every row and are what the view
-//     fingerprints.
+//   - The maintained views are untouched: the top-rated feed and the
+//     FlexRecs extend views are built and patched from the base tables,
+//     which hold every row and are what the views fingerprint.
 //
 // Call after bulk loading and RefreshDerived: base-side DDL after
 // enabling (for example re-running RefreshDerived, which drops and

@@ -573,7 +573,7 @@ func (s *Site) registerDefaultStrategies() error {
 		},
 		{
 			Name:        "department-popular",
-			Description: "Best-rated courses within one department — the extend over every rating materializes once and is shared by all departments",
+			Description: "Best-rated courses within one department — the extend over every rating is one maintained view, shared by all departments and patched per rater after a write",
 			Params:      []string{"dep", "k"},
 			Build: func(p map[string]any) (*flexrecs.Step, error) {
 				dep, ok := p["dep"].(string)
@@ -583,7 +583,8 @@ func (s *Site) registerDefaultStrategies() error {
 				// The reference side — nesting EVERY student's ratings — has
 				// no personalization parameters, so the engine materializes
 				// it on its own: the one ratings-extend view that cf-courses
-				// and hybrid read too, until a rating lands.
+				// and hybrid read too. A comment re-nests only its rater's
+				// ratings there; the view is not rebuilt.
 				return flexrecs.Recommend(
 					flexrecs.Rel("Courses").Select("DepID = ?", dep),
 					flexrecs.Rel("Comments").Project("SuID", "CourseID", "Rating").

@@ -137,9 +137,10 @@ func (e *Engine) analyzeSQL(s *Step) (*Relation, *analyzeNode, error) {
 }
 
 // analyzeMat runs one materialize step, annotating how it was served.
-// A hit never ran the child, so the line is the whole story; a build
-// ran the child uninstrumented inside the registry's single-flight, and
-// the line says what that cost.
+// A hit never ran the child, so the line is the whole story — a hit that
+// brought a maintained view current also says how many keys it
+// recomputed; a build ran the child uninstrumented inside the registry's
+// single-flight, and the line says what that cost.
 func (e *Engine) analyzeMat(s *Step, private bool) (*Relation, *analyzeNode, error) {
 	t0 := time.Now()
 	rel, serve, hadRegistry, err := e.runMatServe(s, private)
@@ -151,6 +152,12 @@ func (e *Engine) analyzeMat(s *Step, private bool) (*Relation, *analyzeNode, err
 	switch {
 	case !hadRegistry:
 		how = "no registry (transparent, ran child)"
+	case serve.Kind == matview.ServeFresh && serve.Patched > 0:
+		keys := "keys"
+		if serve.Patched == 1 {
+			keys = "key"
+		}
+		how = fmt.Sprintf("matview hit (age=%v, fresh, patched %d %s)", serve.Age.Round(time.Millisecond), serve.Patched, keys)
 	case serve.Kind == matview.ServeFresh:
 		how = fmt.Sprintf("matview hit (age=%v, fresh)", serve.Age.Round(time.Millisecond))
 	default:

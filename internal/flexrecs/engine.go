@@ -38,6 +38,11 @@ type Engine struct {
 	views     *matview.Registry
 	matHits   atomic.Uint64
 	matMisses atomic.Uint64
+
+	// base runs statements on the SQL engine's own tables when the
+	// backend is elsewhere (a shard cluster): maintained views build and
+	// patch from the tables they fingerprint. nil = the engine itself.
+	base *Engine
 }
 
 // PreparedQuery is one prepared SELECT a backend hands back:
@@ -96,7 +101,7 @@ func NewEngineOver(sql *sqlmini.Engine) *Engine {
 // engine is still required: expression parsing, step-wise residual
 // evaluation and ForceScan parity run against it.
 func NewEngineWithBackend(sql *sqlmini.Engine, backend Backend) *Engine {
-	return &Engine{sql: sql, backend: backend}
+	return &Engine{sql: sql, backend: backend, base: NewEngineOver(sql)}
 }
 
 // ForceScan returns a workflow engine whose compiled statements execute
@@ -710,7 +715,9 @@ func encodeJoinKey(row []any, cols []int) (string, bool, error) {
 }
 
 // extend implements ε: group child rows by groupBy and nest each group's
-// (key, value) pairs as a Vector attribute. Rows with NULL key or
+// (key, value) pairs as a Vector attribute, one output row per group in
+// ascending group-key order (relation.Compare). Within a group a later
+// row's value for a key replaces an earlier one's. Rows with NULL key or
 // non-numeric value are skipped — a student's unrated comment
 // contributes nothing to the rating vector.
 func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, error) {
@@ -800,6 +807,11 @@ func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, err
 		}
 		vecFor(g)[k] = val
 	}
+	// Groups come out in ascending key order, whatever order the rows
+	// arrived in: the nesting of a table is then one list however its
+	// rows are stored or gathered, and a maintained view finds a group by
+	// binary search (materialize.go).
+	slices.SortStableFunc(order, relation.Compare)
 	out := &Relation{Cols: []string{groupBy, as}, Rows: make([][]any, 0, len(order))}
 	slab := make([]any, 2*len(order)) // one backing array for every (group, vector) pair
 	for i, g := range order {

@@ -3,11 +3,13 @@ package flexrecs
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"courserank/internal/matview"
+	"courserank/internal/relation"
 )
 
 // This file wires the rewriter's materialize steps to the matview
@@ -16,6 +18,15 @@ import (
 // the child), later requests serve the snapshot — single-flighted when
 // cold, brought up to date when a dependency changed. Without
 // UseMatviews the step is transparent and simply runs its child.
+//
+// A view over an ε whose operand is a chain of σ/π over one base table
+// is MAINTAINED (matview's Keys and Patch): a committed row change names
+// the groups it touches by the group column's value, and the next read
+// recomputes just those groups — σ[g = ?] of the operand, one index
+// probe, nested again — and splices them into a copy of the snapshot's
+// row list, which ε keeps in ascending group order. Such a view builds
+// and patches from the base tables it fingerprints, also on a sharded
+// site. Every other view rebuilds when a dependency moves.
 
 // UseMatviews attaches a materialized-view registry: the rewriter
 // (rewrite.go), which needs somewhere to put its views, starts
@@ -105,6 +116,10 @@ func baseTables(s *Step) []string {
 
 // viewFor resolves (lazily registering) the matview behind a matStep.
 func (e *Engine) viewFor(s *Step) (*matview.View, error) {
+	name := matKey(s)
+	if v, ok := e.views.View(name); ok {
+		return v, nil
+	}
 	deps := baseTables(s.child)
 	if len(deps) == 0 {
 		return nil, fmt.Errorf("flexrecs: materialize %q wraps a subtree with no base tables", s.view)
@@ -113,13 +128,99 @@ func (e *Engine) viewFor(s *Step) (*matview.View, error) {
 	// construct a fresh immutable tree per request, so the captured one
 	// stays valid for the view's lifetime.
 	child := s.child
-	return e.views.GetOrRegister(matview.Options{
-		Name: matKey(s),
+	o := matview.Options{
+		Name: name,
 		Deps: deps,
 		Build: func() (any, error) {
 			return e.runStep(child, true)
 		},
-	})
+	}
+	if m := e.maintainedExtend(child, deps[0]); m != nil {
+		o.Build, o.Keys, o.Patch = m.build, m.keys, m.patch
+	}
+	return e.views.GetOrRegister(o)
+}
+
+// extendView is the maintenance of one view over ε[g](x₀), x₀ a chain of
+// σ/π over one base table: the view's keys are g's values.
+type extendView struct {
+	base *Engine // runs x₀'s statements on the base tables
+	ext  *Step   // the ε
+	col  int     // g's position in the base table's rows
+}
+
+// maintainedExtend returns the maintenance of a view over child, or nil
+// when the view cannot be maintained: child is not an ε over a
+// single-table spine, or its group column is not a column of that table.
+// The column's position is read once, from the table the registry sees
+// at registration; a table dropped and created again under the view
+// (RefreshDerived's EnrollmentPoints) comes back with the same columns.
+func (e *Engine) maintainedExtend(child *Step, table string) *extendView {
+	if child.kind != extendStep || !singleTableSpine(child.child) {
+		return nil
+	}
+	t, ok := e.views.DB().Table(table)
+	if !ok {
+		return nil
+	}
+	col, ok := t.Schema().Index(child.groupBy)
+	if !ok {
+		return nil
+	}
+	base := e
+	if e.base != nil {
+		base = e.base
+	}
+	return &extendView{base: base, ext: child, col: col}
+}
+
+func (m *extendView) build() (any, error) { return m.base.runStep(m.ext, true) }
+
+// keys names the groups a row change touches: the group value the row
+// had and the one it has.
+func (m *extendView) keys(_ string, _ relation.MutKind, before, after relation.Row) ([]any, bool) {
+	var keys []any
+	if before != nil && before[m.col] != nil {
+		keys = append(keys, before[m.col])
+	}
+	if after != nil && after[m.col] != nil && (before == nil || after[m.col] != before[m.col]) {
+		keys = append(keys, after[m.col])
+	}
+	return keys, true
+}
+
+// patch returns prev with every listed group recomputed from the base
+// table: replaced, inserted at its place in the key order, or removed
+// when no row of it is left. prev and its rows are shared with readers
+// and stay untouched; the result shares the rows it did not recompute.
+// A recomputed group nests its rows in slot order, as the build's scan
+// does, so a patched view equals a built one exactly.
+func (m *extendView) patch(prev any, keys []any) (any, error) {
+	old := prev.(*Relation)
+	rows := slices.Clone(old.Rows)
+	for _, k := range keys {
+		group := &Step{kind: selectStep, cond: m.ext.groupBy + " = ?", args: []any{k}, child: m.ext.child}
+		in, err := m.base.runSQL(group)
+		if err != nil {
+			return nil, err
+		}
+		fresh, err := extend(in, m.ext.groupBy, m.ext.keyCol, m.ext.valCol, m.ext.as)
+		if err != nil {
+			return nil, err
+		}
+		at, found := slices.BinarySearchFunc(rows, k, func(row []any, k any) int {
+			return relation.Compare(row[0], k)
+		})
+		switch {
+		case len(fresh.Rows) > 0 && found:
+			rows[at] = fresh.Rows[0]
+		case len(fresh.Rows) > 0:
+			rows = slices.Insert(rows, at, fresh.Rows[0])
+		case found:
+			rows = slices.Delete(rows, at, at+1)
+		}
+	}
+	return &Relation{Cols: old.Cols, Rows: rows}, nil
 }
 
 // runMatServe executes a matStep — through the registry when one is
@@ -160,8 +261,9 @@ func (e *Engine) runMatServe(s *Step, private bool) (*Relation, matview.Serve, b
 
 // explainMat renders a matStep for Explain, annotating how a request
 // would be served right now: a warm view shows "matview hit" with the
-// snapshot's age and freshness, a cold or invalidated one shows the
-// build that the next request pays. Peek never builds or counts.
+// snapshot's age and freshness — for a stale one, whether the next read
+// patches or rebuilds — and a cold or invalidated one shows the build
+// that the next request pays. Peek never builds or counts.
 func (e *Engine) explainMat(s *Step) string {
 	line := s.describe()
 	if e.views == nil {
@@ -173,11 +275,18 @@ func (e *Engine) explainMat(s *Step) string {
 	}
 	_, serve, ok := v.Peek()
 	if !ok {
+		if v.Stats().Refreshes > 0 {
+			return line + " — invalidated, next read rebuilds"
+		}
 		return line + " — cold (view not built yet)"
 	}
 	state := "fresh"
-	if serve.Kind != matview.ServeFresh {
-		state = "stale"
+	switch {
+	case serve.Kind == matview.ServeFresh:
+	case v.Maintained():
+		state = "stale, next read patches"
+	default:
+		state = "stale, next read rebuilds"
 	}
 	return fmt.Sprintf("%s — matview hit (age=%v, %s)", line, serve.Age.Round(time.Millisecond), state)
 }

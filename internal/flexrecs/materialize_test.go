@@ -56,7 +56,8 @@ func TestMaterializeParityAndServing(t *testing.T) {
 		t.Fatalf("registered %d views, want 1 shared across departments", len(reg.Views()))
 	}
 
-	// DML invalidates: a new rating must appear in the next run.
+	// A new rating must appear in the next run. The view nests one table's
+	// rows, so the read patches the rater's group instead of rebuilding.
 	addComments(plain.SQL().DB(), relation.Row{447, 4, 2008, "Aut", "neat", 5, "d"})
 	res, err := mat.Run(deptPopular("HIST"))
 	if err != nil {
@@ -69,8 +70,11 @@ func TestMaterializeParityAndServing(t *testing.T) {
 	if !reflect.DeepEqual(res.Rows, fresh.Rows) {
 		t.Fatalf("post-DML materialized run diverged:\n got %v\nwant %v", res.Rows, fresh.Rows)
 	}
-	if _, m := mat.MatStats(); m != 2 {
-		t.Fatalf("misses = %d, want the DML to force a rebuild", m)
+	if _, m := mat.MatStats(); m != 1 {
+		t.Fatalf("misses = %d, want the DML served by a patch, not a rebuild", m)
+	}
+	if st := reg.Views()[0].Stats(); st.Refreshes != 1 || st.Patches != 1 {
+		t.Fatalf("view stats %+v, want the cold build and one patch", st)
 	}
 }
 
@@ -166,6 +170,49 @@ func TestMaterializeExplainAnnotates(t *testing.T) {
 	bare := NewEngine(db) // no registry
 	if out := bare.Explain(wf); !strings.Contains(out, "no registry") {
 		t.Fatalf("registry-less explain should say the step is transparent:\n%s", out)
+	}
+}
+
+// TestMaterializeExplainSaysPatchOrRebuild: on a maintained ε view,
+// Explain says what the next read does — patch after a write, rebuild
+// after DDL dropped the snapshot — and analyze says how many keys a hit
+// recomputed.
+func TestMaterializeExplainSaysPatchOrRebuild(t *testing.T) {
+	db := paperDB(t)
+	e := NewEngine(db)
+	e.UseMatviews(matview.NewRegistry(db))
+	if _, err := e.Run(deptPopular("CS")); err != nil {
+		t.Fatal(err)
+	}
+	if out := e.Explain(deptPopular("CS")); !strings.Contains(out, "matview[ratings-extend] — matview hit (age=") || !strings.Contains(out, ", fresh)") {
+		t.Fatalf("warm explain:\n%s", out)
+	}
+	addComments(db, relation.Row{447, 4, 2008, "Aut", "neat", 5, "d"}, relation.Row{446, 4, 2008, "Aut", "dull", 1, "d"})
+	if out := e.Explain(deptPopular("CS")); !strings.Contains(out, ", stale, next read patches)") {
+		t.Fatalf("explain after a write:\n%s", out)
+	}
+	_, report, err := e.RunAnalyze(deptPopular("CS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report, ", fresh, patched 2 keys)") {
+		t.Fatalf("analyze after a write:\n%s", report)
+	}
+
+	// An index added to a live table moves its schema epoch: the snapshot
+	// can no longer serve, whatever the change logs say.
+	if err := db.MustTable("Comments").AddOrderedIndex("Year"); err != nil {
+		t.Fatal(err)
+	}
+	if out := e.Explain(deptPopular("CS")); !strings.Contains(out, "matview[ratings-extend] — invalidated, next read rebuilds") {
+		t.Fatalf("explain after DDL:\n%s", out)
+	}
+	_, report, err = e.RunAnalyze(deptPopular("CS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report, "matview miss (built by this request)") {
+		t.Fatalf("analyze after DDL:\n%s", report)
 	}
 }
 

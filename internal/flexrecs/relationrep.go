@@ -20,9 +20,10 @@
 // pass it through a small rewriter (rewrite.go) that moves selections on
 // an extend's group key above the extend and materializes every
 // parameter-free extend and ▷/blend operand as a shared, version-keyed
-// view. Figure 5(b), drawn with its selections below the extends, so
-// reads one nesting of everybody's ratings instead of re-nesting them
-// per request. And a top over SQL is a LIMIT: top[k] of a subtree that
+// view — an extend over one table maintained per group, so a write
+// re-nests only the groups it touches. Figure 5(b), drawn with its
+// selections below the extends, so reads one nesting of everybody's
+// ratings instead of re-nesting them per request. And a top over SQL is a LIMIT: top[k] of a subtree that
 // compiles to one statement ships as that statement plus LIMIT ?, so the
 // DBMS stops at k rows instead of returning everything to be cut.
 // Relations a workflow returns may share Vector cells with the views:

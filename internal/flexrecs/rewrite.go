@@ -15,14 +15,16 @@ import (
 //	    alone, so a selection of X that mentions no column but g keeps or
 //	    drops whole groups and may run after the nesting instead of
 //	    before it: ε(σ[c](X₀)) ≡ σ[c](ε(X₀)). ε emits groups in
-//	    first-appearance order, so the surviving groups keep their order.
+//	    ascending group-key order, so the surviving groups keep theirs.
 //	    The move is made only when it leaves X₀ free of '?' arguments —
 //	    the point is to expose a prefix every request shares.
 //	(b) Automatic materialization. Every maximal parameter-free subtree
 //	    that is an ε, or a whole operand of ▷/blend, is wrapped in a
 //	    materialize step named as a pure function of the subtree, so all
 //	    templates (and all students) that nest the same ratings read ONE
-//	    view, invalidated by its base tables' (SchemaEpoch, Version).
+//	    view, kept current against its base tables' (SchemaEpoch,
+//	    Version): an ε over one table is patched per group a write
+//	    touches (materialize.go), any other view rebuilds.
 //	(d) τ pushdown. top[k](X) over a subtree X that compiles to one SQL
 //	    statement — with or without an outermost order — is that
 //	    statement plus LIMIT ?, k bound as its last argument: one compiled
@@ -36,7 +38,7 @@ import (
 //
 //	▷[inv_Euclidean]( ε(σ[SuID <> ?](ratings)), ε(σ[SuID = ?](ratings)) )
 //
-// therefore runs as two cheap selections over one shared, version-keyed
+// therefore runs as two cheap selections over one shared, maintained
 // nesting instead of re-nesting every student's ratings per request.
 //
 // The pass needs somewhere to put the views: on an engine without a

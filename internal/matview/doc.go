@@ -3,7 +3,10 @@
 // value (a rating map, a feed relation, an extend-step result) that
 // interactive requests read instead of recomputing — the precomputation
 // pattern social-systems infrastructure leans on to keep recommendation
-// and feed queries at interactive latencies.
+// and feed queries at interactive latencies. The top-rated feed and
+// FlexRecs' extend views over one table are maintained: a write costs
+// the keys it touched, not a rebuild. Every other view rebuilds when a
+// dependency moves.
 //
 // # Versioned invalidation
 //

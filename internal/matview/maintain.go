@@ -111,8 +111,9 @@ func (v *View) trimLogs(fps []tableFP) {
 
 // advance brings the snapshot up to the heads of the change logs under
 // the single-flight lock: concurrent stale readers take turns, and all
-// but the first find the work done. ok is false when a log has a gap or
-// an opaque change, or the patch failed — only a rebuild helps then.
+// but the first find the work done. patched counts the keys this call
+// recomputed. ok is false when a log has a gap or an opaque change, or
+// the patch failed — only a rebuild helps then.
 //
 // Every delivery lands in the change log within the lock hold that moved
 // its table's version, so a log's head is never behind a change the
@@ -123,12 +124,12 @@ func (v *View) trimLogs(fps []tableFP) {
 // chains from the table's version, shows the gap and rebuilds; and a
 // change that lands while the patch runs is recomputed again by the read
 // after it — harmless.
-func (v *View) advance() (*snapshot, bool) {
+func (v *View) advance() (_ *snapshot, patched int, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	s := v.snap.Load()
 	if s == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	fps := s.fps // cloned at the first dependency that moves
 	var keys []any
@@ -144,7 +145,7 @@ func (v *View) advance() (*snapshot, bool) {
 		}
 		lg := v.logs[fp.name]
 		if lg == nil || lg.tbl != fp.tbl {
-			return s, false
+			return s, 0, false
 		}
 		head, ok := lg.collect(fp.version, func(k any) {
 			if _, dup := seen[k]; dup {
@@ -157,7 +158,7 @@ func (v *View) advance() (*snapshot, bool) {
 			keys = append(keys, k)
 		})
 		if !ok {
-			return s, false
+			return s, 0, false
 		}
 		if head != fp.version {
 			if !moved {
@@ -167,19 +168,19 @@ func (v *View) advance() (*snapshot, bool) {
 		}
 	}
 	if !moved {
-		return s, true
+		return s, 0, true
 	}
 	val := s.value
 	if len(keys) > 0 {
 		var err error
 		if val, err = guarded(func() (any, error) { return v.patch(s.value, keys) }); err != nil {
 			v.errors.Add(1)
-			return s, false
+			return s, 0, false
 		}
 	}
 	ns := &snapshot{value: val, fps: fps, builtAt: time.Now(), buildDur: s.buildDur}
 	v.snap.Store(ns)
 	v.trimLogs(fps)
 	v.patches.Add(1)
-	return ns, true
+	return ns, len(keys), true
 }

@@ -25,12 +25,15 @@ const (
 	ServeBuilt
 )
 
-// Serve describes how a Get was answered: the path taken and the age of
+// Serve describes how a Get was answered: the path taken, the age of
 // the snapshot it returned (time since its build; zero for a snapshot
-// built by this read).
+// built by this read) and, for a maintained view, how many keys this read
+// recomputed to bring the snapshot current (zero when it served the
+// snapshot as it stood).
 type Serve struct {
-	Kind ServeKind
-	Age  time.Duration
+	Kind    ServeKind
+	Age     time.Duration
+	Patched int
 }
 
 // Options declares one materialized view.
@@ -230,7 +233,8 @@ func (v *View) current(s *snapshot) (*snapshot, bool) {
 		return s, true
 	}
 	if v.patch != nil {
-		return v.advance()
+		s, _, ok := v.advance()
+		return s, ok
 	}
 	return nil, false
 }
@@ -300,9 +304,9 @@ func (v *View) Get() (any, Serve, error) {
 				v.invalidations.Add(1)
 			}
 		case v.patch != nil:
-			if ps, ok := v.advance(); ok {
+			if ps, patched, ok := v.advance(); ok {
 				v.hits.Add(1)
-				return ps.value, Serve{Kind: ServeFresh, Age: time.Since(ps.builtAt)}, nil
+				return ps.value, Serve{Kind: ServeFresh, Age: time.Since(ps.builtAt), Patched: patched}, nil
 			}
 		}
 	}
@@ -316,19 +320,29 @@ func (v *View) Get() (any, Serve, error) {
 
 // Peek returns the current snapshot without serving it: no build is
 // triggered and no counter moves. ok is false when the view has never
-// been built (or was invalidated by a schema change). Explain-style
+// been built, or when a schema change invalidated the snapshot — dropped
+// already, or due to be dropped by the next read. Explain-style
 // introspection uses it to annotate plans without perturbing stats.
 func (v *View) Peek() (value any, serve Serve, ok bool) {
 	s := v.snap.Load()
 	if s == nil {
 		return nil, Serve{}, false
 	}
+	sameShape, fresh := s.compare(v.reg.db)
+	if !sameShape {
+		return nil, Serve{}, false
+	}
 	kind := ServeStale
-	if _, fresh := s.compare(v.reg.db); fresh {
+	if fresh {
 		kind = ServeFresh
 	}
 	return s.value, Serve{Kind: kind, Age: time.Since(s.builtAt)}, true
 }
+
+// Maintained reports whether the view declares Keys and Patch: a read
+// that finds its snapshot stale patches it rather than rebuilding,
+// unless the change logs cannot say what changed.
+func (v *View) Maintained() bool { return v.patch != nil }
 
 // Invalidate drops the current snapshot, so the next read rebuilds.
 // Registered as a manual invalidation in the counters.
