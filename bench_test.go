@@ -471,6 +471,55 @@ func BenchmarkTopRated(b *testing.B) {
 	}
 }
 
+// recommendHeadKB is what one warm request of each FlexRecs strategy in
+// the recommend mix allocated before ▷, π and blend passed scores (mean
+// TotalAlloc growth over 20 runs, this corpus, k = 10). hybrid copied the
+// catalog four times and sorted 3 700 rows to keep ten;
+// department-popular folded every rating into a table keyed by every
+// rated course to look up a department's.
+var recommendHeadKB = map[string]float64{
+	"hybrid": 1517, "department-popular": 187.6,
+	"cf-courses": 57.9, "grade-peers": 57.4, "related-courses": 50.4, "rated-courses": 30.7,
+}
+
+// TestRecommendMixAllocBudget is the deterministic half of the recommend
+// workload's alloc_kb_per_req: warm, at Small scale, hybrid allocates at
+// most 400 KB a request and department-popular at most 64 KB, and every
+// other FlexRecs strategy of the mix stays within 5 % of its reading
+// before the change.
+func TestRecommendMixAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the Small-scale site")
+	}
+	r := runner(t)
+	intro, ok := r.Site.Catalog.Course(r.Man.Planted["intro-programming"])
+	if !ok {
+		t.Fatal("no intro-programming course")
+	}
+	student := r.Man.SampleStudent
+	budgetKB := map[string]float64{"hybrid": 400, "department-popular": 64}
+	for name, params := range map[string]map[string]any{
+		"hybrid":             {"student": student, "title": intro.Title, "k": 10},
+		"department-popular": {"dep": intro.DepID, "k": 10},
+		"cf-courses":         {"student": student, "k": 10},
+		"grade-peers":        {"student": student, "k": 10},
+		"related-courses":    {"title": intro.Title, "k": 10},
+		"rated-courses":      {"student": student, "k": 10},
+	} {
+		run, _ := strategyRun(t, r, name, params)
+		_, bytes := costOf(20, func() { run() })
+		kb, head := bytes/1024, recommendHeadKB[name]
+		t.Logf("%s: %.1f KB/run (before the change: %.1f KB)", name, kb, head)
+		if budget, ok := budgetKB[name]; ok {
+			if kb > budget {
+				t.Errorf("%s allocates %.0f KB/run, budget %.0f KB", name, kb, budget)
+			}
+		} else if kb > 1.05*head || kb < 0.95*head {
+			t.Errorf("%s allocates %.1f KB/run, more than 5 %% off the %.1f KB it did", name, kb, head)
+		}
+	}
+}
+
 // topKHeadKB is what one warm request allocated at the commit before
 // τ pushdown (mean TotalAlloc growth over 20 runs, this corpus): the
 // whole 7 015-row answer was joined, copied and merged to keep ten rows.

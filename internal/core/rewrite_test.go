@@ -271,6 +271,12 @@ func writeBatch(t *testing.T, s *core.Site, man *datagen.Manifest, students []in
 	}
 }
 
+// TestRewriteParityAllTemplates checks the rewriter, not the operators:
+// the registry-less twin runs the same applyStep, so ▷, π, blend and the
+// fused tops execute the score-first path on both sides, and a fault in
+// that path would agree with itself here. flexrecs' own
+// TestScoreFirstMatchesReference and TestScoreFirstMatchesReferenceAtSmall
+// compare it with the materializing operators it replaced.
 func TestRewriteParityAllTemplates(t *testing.T) {
 	mono, sharded, man := shardedPair(t)
 	for _, site := range []struct {

@@ -79,22 +79,51 @@ func (e *Engine) analyzeStep(s *Step, private bool) (*Relation, *analyzeNode, er
 		return e.analyzeMat(s, private)
 	}
 	node := &analyzeNode{}
-	run := func(cs *Step, private bool) (*Relation, error) {
-		rel, child, err := e.analyzeStep(cs, private)
-		if err != nil {
-			return nil, err
-		}
-		node.children = append(node.children, child)
-		return rel, nil
-	}
 	t0 := time.Now()
-	rel, err := e.applyStep(s, run)
+	rel, err := e.applyStep(s, analyzeOperands{e, node})
 	if err != nil {
 		return nil, nil, err
 	}
 	node.line = fmt.Sprintf("%s (actual rows=%d time=%s)",
 		s.explainLine(), len(rel.Rows), time.Since(t0).Round(time.Microsecond))
 	return rel, node, nil
+}
+
+// analyzeOperands runs a step's operands instrumented, each one's report
+// node a child of node. An operator that runs fused into its consumer
+// builds no rows of its own, so its node says what it read instead of
+// rows out, and the report keeps every line Explain prints.
+type analyzeOperands struct {
+	e    *Engine
+	node *analyzeNode
+}
+
+func (a analyzeOperands) run(s *Step, private bool) (*Relation, error) {
+	rel, child, err := a.e.analyzeStep(s, private)
+	if err != nil {
+		return nil, err
+	}
+	a.node.children = append(a.node.children, child)
+	return rel, nil
+}
+
+func (a analyzeOperands) fuse(s, into *Step) (operands, func(rows int)) {
+	n := &analyzeNode{}
+	a.node.children = append(a.node.children, n)
+	consumer := into.describe()
+	if into.kind == blendStep {
+		consumer = "blend"
+	}
+	return analyzeOperands{a.e, n}, func(rows int) {
+		what := "read"
+		switch s.kind {
+		case recommendStep:
+			what = "scored"
+		case blendStep:
+			what = "ranked"
+		}
+		n.line = fmt.Sprintf("%s (fused into %s: %s %d)", s.explainLine(), consumer, what, rows)
+	}
 }
 
 // analyzeSQL runs one compiled subtree, preferring the backend

@@ -203,28 +203,69 @@ func (c *wavgCmp) bind(target, ref *Relation) (func([]any) (float64, error), err
 	}
 	// Fold the reference vectors into one aggregation table up front:
 	// scoring a target is then a single lookup instead of a pass over
-	// every reference vector per target row.
-	type agg struct{ num, den float64 }
-	table := map[relation.Value]agg{}
+	// every reference vector per target row. The table is keyed by the
+	// smaller side — the target's keys when the reference holds more
+	// values than the target has rows (a department's courses against
+	// everybody's ratings), the reference's keys otherwise — and each
+	// key sums in reference-row order whichever side keys it, so the
+	// scores repeat bit for bit. A first pass reads every vector and
+	// weight, raising any error, and counts the values.
+	values := 0
 	for _, r := range ref.Rows {
 		vec, err := attrVector(r, vi)
 		if err != nil {
 			return nil, err
 		}
-		w := 1.0
 		if wi >= 0 {
-			if w, err = toWeight(r[wi]); err != nil {
+			if _, err := toWeight(r[wi]); err != nil {
 				return nil, err
 			}
+		}
+		values += len(vec)
+	}
+	type agg struct{ num, den float64 }
+	var (
+		slots    map[relation.Value]int32
+		table    []agg
+		byTarget = values > len(target.Rows)
+	)
+	if byTarget {
+		slots = make(map[relation.Value]int32, len(target.Rows))
+		for _, trow := range target.Rows {
+			key, err := relation.Normalize(trow[ki])
+			if err != nil {
+				return nil, err
+			}
+			if _, ok := slots[key]; !ok {
+				slots[key] = int32(len(slots))
+			}
+		}
+		table = make([]agg, len(slots))
+	} else {
+		slots = make(map[relation.Value]int32, values)
+		table = make([]agg, 0, values)
+	}
+	for _, r := range ref.Rows {
+		vec, _ := attrVector(r, vi)
+		w := 1.0
+		if wi >= 0 {
+			w, _ = toWeight(r[wi])
 		}
 		if w <= 0 {
 			continue
 		}
 		for k, v := range vec {
-			a := table[k]
-			a.num += w * v
-			a.den += w
-			table[k] = a
+			slot, ok := slots[k]
+			if !ok {
+				if byTarget {
+					continue
+				}
+				slot = int32(len(table))
+				slots[k] = slot
+				table = append(table, agg{})
+			}
+			table[slot].num += w * v
+			table[slot].den += w
 		}
 	}
 	return func(trow []any) (float64, error) {
@@ -232,11 +273,11 @@ func (c *wavgCmp) bind(target, ref *Relation) (func([]any) (float64, error), err
 		if err != nil {
 			return 0, err
 		}
-		a := table[key]
-		if a.den == 0 {
+		slot, ok := slots[key]
+		if !ok || table[slot].den == 0 {
 			return 0, nil
 		}
-		return a.num / a.den, nil
+		return table[slot].num / table[slot].den, nil
 	}, nil
 }
 

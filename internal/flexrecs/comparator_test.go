@@ -1,6 +1,9 @@
 package flexrecs
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -89,6 +92,116 @@ func TestAvgOfComparator(t *testing.T) {
 	if scores[4] != 2 {
 		t.Errorf("course 4 avg = %v", scores[4])
 	}
+}
+
+// TestWeightedAvgMatchesReference: AvgOf and WeightedAvg key their table
+// by whichever side is smaller, and score every target row bit for bit
+// as the fold over every reference key did — over random targets
+// (repeated and NULL keys) and references (overlapping vectors, zero,
+// negative and NULL weights) on both sides of the switch.
+func TestWeightedAvgMatchesReference(t *testing.T) {
+	for seed := range int64(400) {
+		rng := rand.New(rand.NewSource(seed))
+		target := &Relation{Cols: []string{"CourseID", "Title"}}
+		for range rng.Intn(12) {
+			var key any = int64(rng.Intn(15))
+			if rng.Intn(10) == 0 {
+				key = nil
+			}
+			target.Rows = append(target.Rows, []any{key, "t"})
+		}
+		ref := &Relation{Cols: []string{"SuID", "Ratings", "Score"}}
+		for i := range rng.Intn(8) {
+			vec := Vector{}
+			for range rng.Intn(6) {
+				vec[int64(rng.Intn(15))] = []float64{1, 2.5, 3.7, 4, 5, 0.1}[rng.Intn(6)]
+			}
+			var w any = []float64{0.3, 1, 0.1, 0, -1, 0.7}[rng.Intn(6)]
+			if rng.Intn(10) == 0 {
+				w = nil
+			}
+			ref.Rows = append(ref.Rows, []any{int64(i), vec, w})
+		}
+		for _, c := range []*wavgCmp{AvgOf("CourseID", "Ratings").(*wavgCmp), WeightedAvg("courseid", "Ratings", "Score").(*wavgCmp)} {
+			got, err := c.bind(target, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refWavgBind(c, target, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range target.Rows {
+				g, err := got(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("seed %d %s key %v: score %v, reference %v", seed, c.Label(), row[0], g, w)
+				}
+			}
+		}
+	}
+}
+
+// refWavgBind is AvgOf/WeightedAvg's bind as it was, kept verbatim: one
+// map keyed by every key of every reference vector.
+func refWavgBind(c *wavgCmp, target, ref *Relation) (func([]any) (float64, error), error) {
+	ki, ok := target.Col(c.keyAttr)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: target has no attribute %q", c.keyAttr)
+	}
+	vi, ok := ref.Col(c.vecAttr)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: reference has no attribute %q", c.vecAttr)
+	}
+	wi := -1
+	if c.weightAttr != "" {
+		if wi, ok = ref.Col(c.weightAttr); !ok {
+			return nil, fmt.Errorf("flexrecs: reference has no attribute %q", c.weightAttr)
+		}
+	}
+	// Fold the reference vectors into one aggregation table up front:
+	// scoring a target is then a single lookup instead of a pass over
+	// every reference vector per target row.
+	type agg struct{ num, den float64 }
+	table := map[relation.Value]agg{}
+	for _, r := range ref.Rows {
+		vec, err := attrVector(r, vi)
+		if err != nil {
+			return nil, err
+		}
+		w := 1.0
+		if wi >= 0 {
+			if w, err = toWeight(r[wi]); err != nil {
+				return nil, err
+			}
+		}
+		if w <= 0 {
+			continue
+		}
+		for k, v := range vec {
+			a := table[k]
+			a.num += w * v
+			a.den += w
+			table[k] = a
+		}
+	}
+	return func(trow []any) (float64, error) {
+		key, err := relation.Normalize(trow[ki])
+		if err != nil {
+			return 0, err
+		}
+		a := table[key]
+		if a.den == 0 {
+			return 0, nil
+		}
+		return a.num / a.den, nil
+	}, nil
 }
 
 func TestExplainResidualOperators(t *testing.T) {

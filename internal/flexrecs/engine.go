@@ -2,6 +2,7 @@ package flexrecs
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -395,17 +396,32 @@ func (e *Engine) runStep(s *Step, private bool) (*Relation, error) {
 		rel, _, _, err := e.runMatServe(s, private)
 		return rel, err
 	}
-	return e.applyStep(s, e.runStep)
+	return e.applyStep(s, plainOperands{e})
 }
 
+// operands is how applyStep obtains what an operator reads: Run's plain
+// recursion, or RunAnalyze's instrumented one (analyze.go).
+type operands interface {
+	// run executes a subtree; private as for runStep.
+	run(s *Step, private bool) (*Relation, error)
+	// fuse announces that s executes inside its consumer into instead of
+	// as a step of its own: in obtains s's operands, and done reports how
+	// many rows s read.
+	fuse(s, into *Step) (in operands, done func(rows int))
+}
+
+type plainOperands struct{ e *Engine }
+
+func (p plainOperands) run(s *Step, private bool) (*Relation, error) { return p.e.runStep(s, private) }
+func (p plainOperands) fuse(_, _ *Step) (operands, func(int))        { return p, func(int) {} }
+
 // applyStep executes one non-sqlable operator other than materialize,
-// obtaining operand relations through run — e.runStep normally, the
-// instrumented recursion under RunAnalyze. Operators that only read
+// obtaining operand relations through ops. Operators that only read
 // their operands (all but the in-place top and order) take them shared.
-func (e *Engine) applyStep(s *Step, run func(s *Step, private bool) (*Relation, error)) (*Relation, error) {
+func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 	switch s.kind {
 	case selectStep:
-		child, err := run(s.child, false)
+		child, err := ops.run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +458,7 @@ func (e *Engine) applyStep(s *Step, run func(s *Step, private bool) (*Relation, 
 		return out, nil
 
 	case projectStep:
-		child, err := run(s.child, false)
+		child, err := ops.run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
@@ -465,63 +481,57 @@ func (e *Engine) applyStep(s *Step, run func(s *Step, private bool) (*Relation, 
 		return out, nil
 
 	case joinStep:
-		left, err := run(s.child, false)
+		left, err := ops.run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
-		right, err := run(s.other, false)
+		right, err := ops.run(s.other, false)
 		if err != nil {
 			return nil, err
 		}
 		return joinRelations(left, right, s.on)
 
 	case extendStep:
-		child, err := run(s.child, false)
+		child, err := ops.run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
 		return extend(child, s.groupBy, s.keyCol, s.valCol, s.as)
 
 	case recommendStep:
-		target, err := run(s.child, false)
+		r, err := e.rank(s, allRows, ops)
 		if err != nil {
 			return nil, err
 		}
-		ref, err := run(s.other, false)
-		if err != nil {
-			return nil, err
-		}
-		return recommend(target, ref, s.cmp, s.scoreAs)
+		return r.relation(), nil
 
 	case blendStep:
-		left, err := run(s.child, false)
-		if err != nil {
-			return nil, err
-		}
-		right, err := run(s.other, false)
-		if err != nil {
-			return nil, err
-		}
-		return blend(left, right, s.blendKey, s.scoreAs, s.wL, s.wR)
+		rel, _, err := e.blend(s, allRows, ops)
+		return rel, err
 
 	case topStep:
-		if s.child.kind == recommendStep {
-			// Fuse ▷ with the following top-k: score everything but sort
-			// and materialize only the k survivors. Recommend feeding Top
-			// is the shape every shipped strategy ends with, and the fused
-			// path skips the whole-catalog stable sort plus one output row
-			// per discarded candidate.
-			target, err := run(s.child.child, false)
+		// A top over ▷ or blend passes k down: every candidate is still
+		// scored (so scoring errors surface as they would unfused), but
+		// only the k rows that survive are built.
+		switch s.child.kind {
+		case recommendStep:
+			in, done := ops.fuse(s.child, s)
+			r, err := e.rank(s.child, s.k, in)
 			if err != nil {
 				return nil, err
 			}
-			ref, err := run(s.child.other, false)
+			done(len(r.src))
+			return r.relation(), nil
+		case blendStep:
+			in, done := ops.fuse(s.child, s)
+			rel, ranked, err := e.blend(s.child, s.k, in)
 			if err != nil {
 				return nil, err
 			}
-			return recommendTop(target, ref, s.child.cmp, s.child.scoreAs, s.k)
+			done(ranked)
+			return rel, nil
 		}
-		child, err := run(s.child, true)
+		child, err := ops.run(s.child, true)
 		if err != nil {
 			return nil, err
 		}
@@ -531,7 +541,7 @@ func (e *Engine) applyStep(s *Step, run func(s *Step, private bool) (*Relation, 
 		return child, nil
 
 	case orderStep:
-		child, err := run(s.child, true)
+		child, err := ops.run(s.child, true)
 		if err != nil {
 			return nil, err
 		}
@@ -822,212 +832,364 @@ func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, err
 	return out, nil
 }
 
-// recommend implements ▷: score every target row against the reference
-// set, append the score column, and sort best-first (ties broken by
-// original order for determinism).
-func recommend(target, ref *Relation, cmp Comparator, scoreAs string) (*Relation, error) {
-	if _, exists := target.Col(scoreAs); exists {
-		return nil, fmt.Errorf("flexrecs: recommend: target already has column %q", scoreAs)
-	}
-	score, err := cmp.bind(target, ref)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: append(append([]string{}, target.Cols...), scoreAs)}
-	out.Rows = make([][]any, len(target.Rows))
-	// Carve the output rows from one slab instead of one make per row:
-	// recommend runs over whole catalogs, and the per-row slices are the
-	// operator's dominant garbage.
-	stride := len(target.Cols) + 1
-	slab := make([]any, len(target.Rows)*stride)
-	for i, row := range target.Rows {
-		s, err := score(row)
-		if err != nil {
-			return nil, err
-		}
-		var nr []any
-		if len(row)+1 == stride {
-			nr = slab[:0:stride]
-			slab = slab[stride:]
-		} else {
-			nr = make([]any, 0, len(row)+1)
-		}
-		nr = append(nr, row...)
-		nr = append(nr, s)
-		out.Rows[i] = nr
-	}
-	si := len(out.Cols) - 1
-	sortByScoreDesc(out.Rows, si)
-	return out, nil
+// allRows is the k of an operator whose every row is kept.
+const allRows = math.MaxInt
+
+// scored is an operator's answer before its rows are built. Output row i
+// is source row ranked[i].pos, or src[i] when ranked is nil; its column j
+// is that row's column pick[j], or its score where pick[j] is negative.
+// ▷ answers this way — its target rows in place, ranked best-first with
+// their scores — a π over it narrows pick, and blend reads its operands
+// through it, so no intermediate row is copied: relation builds only the
+// rows kept.
+type scored struct {
+	cols   []string
+	src    [][]any
+	ranked []rankedRow // nil only for asScored; empty when nothing is kept
+	pick   []int
 }
 
-// recommendTop is recommend fused with a following top-k. Every target
-// row is still scored (so scoring errors surface identically), but only
-// the k best — ties broken by original position, exactly the prefix a
-// stable best-first sort would keep — are materialized as output rows.
-// The selection runs a binary-search insertion into a k-bounded list:
-// for the catalog-sized inputs and ten-to-fifty k the strategies use,
-// that replaces an O(n log n) interface-typed sort with O(n log k)
-// float compares and shrinks the output slab from n rows to k.
-func recommendTop(target, ref *Relation, cmp Comparator, scoreAs string, k int) (*Relation, error) {
-	if k <= 0 || k >= (len(target.Rows)+3)/4 {
-		// Nothing (or too little) to discard: the fused path saves only
-		// when most candidates drop, so keep the plain sort's behavior.
-		// (k*4 would overflow for a huge k.)
-		out, err := recommend(target, ref, cmp, scoreAs)
-		if err != nil {
-			return nil, err
-		}
-		if len(out.Rows) > k {
-			out.Rows = out.Rows[:k]
-		}
-		return out, nil
+// rankedRow is one scored source row.
+type rankedRow struct {
+	pos   int32
+	score float64
+}
+
+// asScored reads a materialized relation as a scored answer: its rows
+// in order, every column its own.
+func asScored(rel *Relation) *scored {
+	pick := make([]int, len(rel.Cols))
+	for j := range pick {
+		pick[j] = j
 	}
-	if _, exists := target.Col(scoreAs); exists {
-		return nil, fmt.Errorf("flexrecs: recommend: target already has column %q", scoreAs)
+	return &scored{cols: rel.Cols, src: rel.Rows, pick: pick}
+}
+
+func (r *scored) len() int {
+	if r.ranked == nil {
+		return len(r.src)
 	}
-	score, err := cmp.bind(target, ref)
+	return len(r.ranked)
+}
+
+// cell is column j of output row i.
+func (r *scored) cell(i, j int) any {
+	if r.ranked == nil {
+		return r.src[i][r.pick[j]]
+	}
+	if c := r.pick[j]; c >= 0 {
+		return r.src[r.ranked[i].pos][c]
+	}
+	return r.ranked[i].score
+}
+
+// weight is column j of output row i as a number, unboxed for a score.
+func (r *scored) weight(i, j int) (float64, error) {
+	if r.ranked != nil && r.pick[j] < 0 {
+		return r.ranked[i].score, nil
+	}
+	return toWeight(r.cell(i, j))
+}
+
+// fill writes output row i into row.
+func (r *scored) fill(i int, row []any) {
+	for j := range r.pick {
+		row[j] = r.cell(i, j)
+	}
+}
+
+// project narrows r to π's columns, resolved against r's own the way π
+// resolves them against a materialized child.
+func (r *scored) project(cols []string) error {
+	pick := make([]int, len(cols))
+	for i, c := range cols {
+		ci, ok := colIndex(r.cols, c)
+		if !ok {
+			return fmt.Errorf("flexrecs: project: no column %q", c)
+		}
+		pick[i] = r.pick[ci]
+	}
+	r.cols, r.pick = append([]string(nil), cols...), pick
+	return nil
+}
+
+// relation builds r's rows.
+func (r *scored) relation() *Relation {
+	return &Relation{Cols: r.cols, Rows: buildRows(r.len(), len(r.cols), r.fill)}
+}
+
+// buildRows is the one row builder: n rows of width cells carved from
+// one slab, row i written by fill.
+func buildRows(n, width int, fill func(i int, row []any)) [][]any {
+	rows := make([][]any, n)
+	slab := make([]any, n*width)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+		fill(i, rows[i])
+	}
+	return rows
+}
+
+// rank implements ▷ short of its rows: every target row is scored
+// against the reference set and the k best (all for allRows) are
+// ranked best-first, ties by target position — the order a stable
+// best-first sort gives. The columns are the target's plus the score.
+func (e *Engine) rank(s *Step, k int, ops operands) (*scored, error) {
+	target, err := ops.run(s.child, false)
 	if err != nil {
 		return nil, err
 	}
-	type scored struct {
-		idx int
-		s   float64
+	ref, err := ops.run(s.other, false)
+	if err != nil {
+		return nil, err
 	}
-	// kept stays sorted best-first on (score desc, index asc); better
-	// mirrors sortByScoreDesc's comparator, with the index as the
-	// stability tiebreak.
-	better := func(a, b scored) bool {
-		if a.s != b.s {
-			return a.s > b.s
-		}
-		return a.idx < b.idx
+	if _, exists := target.Col(s.scoreAs); exists {
+		return nil, fmt.Errorf("flexrecs: recommend: target already has column %q", s.scoreAs)
 	}
-	kept := make([]scored, 0, k)
+	score, err := s.cmp.bind(target, ref)
+	if err != nil {
+		return nil, err
+	}
+	best := newBestFirst(len(target.Rows), k)
 	for i, row := range target.Rows {
-		s, err := score(row)
+		sc, err := score(row)
 		if err != nil {
 			return nil, err
 		}
-		cand := scored{idx: i, s: s}
-		if len(kept) == k && !better(cand, kept[k-1]) {
-			continue
+		best.add(i, sc)
+	}
+	pick := make([]int, len(target.Cols)+1)
+	for j := range target.Cols {
+		pick[j] = j
+	}
+	pick[len(target.Cols)] = -1
+	return &scored{
+		cols:   append(append([]string{}, target.Cols...), s.scoreAs),
+		src:    target.Rows,
+		ranked: best.rows(),
+		pick:   pick,
+	}, nil
+}
+
+// bestFirst keeps the k highest-scored of at most n positions offered in
+// ascending order (every one for allRows), ranked best-first, ties by
+// position. Scores compare as numbers: a NaN, which no comparator derives
+// from finite data, has no defined place.
+type bestFirst struct {
+	k      int
+	sorted bool // kept is ranked as it grows
+	kept   []rankedRow
+}
+
+func newBestFirst(n, k int) *bestFirst {
+	if k >= (n+3)/4 {
+		// Too little to discard for the bounded insertion to pay: keep
+		// every position and sort once. (k*4 would overflow for allRows.)
+		return &bestFirst{k: k, kept: make([]rankedRow, 0, n)}
+	}
+	// A binary-search insertion into a list at most k long: for the
+	// catalog-sized inputs and ten-to-fifty k the strategies use,
+	// O(n log k) float compares instead of a sort, and k rows kept.
+	return &bestFirst{k: k, sorted: true, kept: make([]rankedRow, 0, k)}
+}
+
+// better orders a before b: higher score, then lower position.
+func better(a, b rankedRow) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.pos < b.pos
+}
+
+func (b *bestFirst) add(pos int, score float64) {
+	cand := rankedRow{pos: int32(pos), score: score}
+	if !b.sorted {
+		b.kept = append(b.kept, cand)
+		return
+	}
+	kept := b.kept
+	if len(kept) == b.k && !better(cand, kept[b.k-1]) {
+		return
+	}
+	lo, hi := 0, len(kept)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if better(cand, kept[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		lo, hi := 0, len(kept)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if better(cand, kept[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
+	}
+	if len(kept) < b.k {
+		kept = append(kept, rankedRow{})
+	}
+	copy(kept[lo+1:], kept[lo:])
+	kept[lo] = cand
+	b.kept = kept
+}
+
+// rows returns the ranking.
+func (b *bestFirst) rows() []rankedRow {
+	if !b.sorted {
+		slices.SortFunc(b.kept, func(x, y rankedRow) int {
+			if better(x, y) {
+				return -1
 			}
-		}
-		if len(kept) < k {
-			kept = append(kept, scored{})
-		}
-		copy(kept[lo+1:], kept[lo:])
-		kept[lo] = cand
+			if better(y, x) {
+				return 1
+			}
+			return 0
+		})
+		b.kept, b.sorted = b.kept[:min(b.k, len(b.kept))], true
 	}
-	out := &Relation{Cols: append(append([]string{}, target.Cols...), scoreAs)}
-	out.Rows = make([][]any, len(kept))
-	stride := len(target.Cols) + 1
-	slab := make([]any, len(kept)*stride)
-	for i, sc := range kept {
-		row := target.Rows[sc.idx]
-		var nr []any
-		if len(row)+1 == stride {
-			nr = slab[:0:stride]
-			slab = slab[stride:]
-		} else {
-			nr = make([]any, 0, len(row)+1)
-		}
-		nr = append(nr, row...)
-		nr = append(nr, sc.s)
-		out.Rows[i] = nr
-	}
-	return out, nil
+	return b.kept
 }
 
-// sortByScoreDesc stably sorts rows best-first on the float score
-// column, without the reflection-based swapper of sort.SliceStable —
-// these sorts run over whole catalogs per recommendation.
-func sortByScoreDesc(rows [][]any, si int) {
-	slices.SortStableFunc(rows, func(a, b []any) int {
-		av, bv := a[si].(float64), b[si].(float64)
-		switch {
-		case av > bv:
-			return -1
-		case av < bv:
-			return 1
+// blendOperand reads one operand of blend: a ▷, bare or under one π, in
+// place as its scores and order, with no row built; any other operand
+// runs and is read as its rows.
+func (e *Engine) blendOperand(s, blend *Step, ops operands) (*scored, error) {
+	switch {
+	case s.kind == recommendStep:
+		in, done := ops.fuse(s, blend)
+		r, err := e.rank(s, allRows, in)
+		if err != nil {
+			return nil, err
 		}
-		return 0
-	})
+		done(len(r.src))
+		return r, nil
+	case s.kind == projectStep && s.child.kind == recommendStep:
+		in, done := ops.fuse(s, blend)
+		rin, rdone := in.fuse(s.child, blend)
+		r, err := e.rank(s.child, allRows, rin)
+		if err != nil {
+			return nil, err
+		}
+		rdone(len(r.src))
+		if err := r.project(s.cols); err != nil {
+			return nil, err
+		}
+		done(r.len())
+		return r, nil
+	}
+	rel, err := ops.run(s, false)
+	if err != nil {
+		return nil, err
+	}
+	return asScored(rel), nil
 }
 
-// blend implements the blend operator: rows of two scored relations are
-// matched on key; output score = wL·scoreL + wR·scoreR with missing
-// sides contributing 0. Output rows order by blended score descending.
-func blend(left, right *Relation, key, scoreCol string, wL, wR float64) (*Relation, error) {
-	lk, ok := left.Col(key)
+// blend implements the blend operator: rows of two scored operands match
+// on key, and a row's score is wL·scoreL + wR·scoreR, an absent side
+// contributing 0. Every left row comes out with the left columns; a
+// right row whose key no left row has comes out with the key (normalized)
+// and the score, its other columns NULL; a key repeated on the right
+// scores by its last row. The k best rows (all for allRows) are built,
+// ordered best-first, ties by position in that concatenation — what a
+// stable sort of it gives. ranked counts the candidates.
+func (e *Engine) blend(s *Step, k int, ops operands) (rel *Relation, ranked int, err error) {
+	left, err := e.blendOperand(s.child, s, ops)
+	if err != nil {
+		return nil, 0, err
+	}
+	right, err := e.blendOperand(s.other, s, ops)
+	if err != nil {
+		return nil, 0, err
+	}
+	lk, ok := colIndex(left.cols, s.blendKey)
 	if !ok {
-		return nil, fmt.Errorf("flexrecs: blend: left has no column %q", key)
+		return nil, 0, fmt.Errorf("flexrecs: blend: left has no column %q", s.blendKey)
 	}
-	ls, ok := left.Col(scoreCol)
+	ls, ok := colIndex(left.cols, s.scoreAs)
 	if !ok {
-		return nil, fmt.Errorf("flexrecs: blend: left has no column %q", scoreCol)
+		return nil, 0, fmt.Errorf("flexrecs: blend: left has no column %q", s.scoreAs)
 	}
-	rk, ok := right.Col(key)
+	rk, ok := colIndex(right.cols, s.blendKey)
 	if !ok {
-		return nil, fmt.Errorf("flexrecs: blend: right has no column %q", key)
+		return nil, 0, fmt.Errorf("flexrecs: blend: right has no column %q", s.blendKey)
 	}
-	rs, ok := right.Col(scoreCol)
+	rs, ok := colIndex(right.cols, s.scoreAs)
 	if !ok {
-		return nil, fmt.Errorf("flexrecs: blend: right has no column %q", scoreCol)
+		return nil, 0, fmt.Errorf("flexrecs: blend: right has no column %q", s.scoreAs)
 	}
-	rightScore := map[relation.Value]float64{}
-	for _, row := range right.Rows {
-		k, err := relation.Normalize(row[rk])
+
+	// One slot per distinct right key, holding its last row's score.
+	nL, nR := left.len(), right.len()
+	slots := make(map[relation.Value]int32, nR)
+	slotOf := make([]int32, nR)
+	slotScore := make([]float64, 0, nR)
+	for i := range nR {
+		v, err := relation.Normalize(right.cell(i, rk))
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		w, err := toWeight(row[rs])
+		w, err := right.weight(i, rs)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		rightScore[k] = w
-	}
-	out := &Relation{Cols: append([]string(nil), left.Cols...)}
-	seen := map[relation.Value]bool{}
-	for _, row := range left.Rows {
-		k, err := relation.Normalize(row[lk])
-		if err != nil {
-			return nil, err
-		}
-		seen[k] = true
-		lw, err := toWeight(row[ls])
-		if err != nil {
-			return nil, err
-		}
-		nr := append([]any(nil), row...)
-		nr[ls] = wL*lw + wR*rightScore[k]
-		out.Rows = append(out.Rows, nr)
-	}
-	// Right-only rows: key and blended score, other columns NULL.
-	for _, row := range right.Rows {
-		k, err := relation.Normalize(row[rk])
-		if err != nil {
-			return nil, err
-		}
-		if seen[k] {
+		if v != v { // NaN: a map finds no such key, so it matches no row
+			slotOf[i] = -1
 			continue
 		}
-		nr := make([]any, len(out.Cols))
-		nr[lk] = k
-		nr[ls] = wR * rightScore[k]
-		out.Rows = append(out.Rows, nr)
+		slot, ok := slots[v]
+		if !ok {
+			slot = int32(len(slotScore))
+			slots[v] = slot
+			slotScore = append(slotScore, 0)
+		}
+		slotScore[slot] = w
+		slotOf[i] = slot
 	}
-	sortByScoreDesc(out.Rows, ls)
-	return out, nil
+
+	// Candidates: left position i is i, right-only position i is nL+i —
+	// in the concatenation's order.
+	best := newBestFirst(nL+nR, k)
+	seen := make([]bool, len(slotScore))
+	for i := range nL {
+		v, err := relation.Normalize(left.cell(i, lk))
+		if err != nil {
+			return nil, 0, err
+		}
+		lw, err := left.weight(i, ls)
+		if err != nil {
+			return nil, 0, err
+		}
+		rw := 0.0
+		if slot, ok := slots[v]; ok {
+			seen[slot] = true
+			rw = slotScore[slot]
+		}
+		best.add(i, s.wL*lw+s.wR*rw)
+	}
+	ranked = nL
+	for i, slot := range slotOf {
+		rw := 0.0
+		if slot >= 0 {
+			if seen[slot] {
+				continue
+			}
+			rw = slotScore[slot]
+		}
+		best.add(nL+i, s.wR*rw)
+		ranked++
+	}
+
+	kept := best.rows()
+	out := &Relation{Cols: append([]string(nil), left.cols...)}
+	if len(kept) == 0 {
+		return out, ranked, nil
+	}
+	out.Rows = buildRows(len(kept), len(out.Cols), func(i int, row []any) {
+		c := int(kept[i].pos)
+		if c < nL {
+			left.fill(c, row)
+		} else {
+			// Normalized without error once already.
+			row[lk], _ = relation.Normalize(right.cell(c-nL, rk))
+		}
+		row[ls] = kept[i].score
+	})
+	return out, ranked, nil
 }
 
 // Explain renders the workflow plan: operator tree with SQL-compiled

@@ -1,10 +1,15 @@
 package flexrecs
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"courserank/internal/matview"
 	"courserank/internal/relation"
 )
 
@@ -547,4 +552,388 @@ func TestCompileMemoization(t *testing.T) {
 	if _, misses3 := e.CompileStats(); misses3 != misses2 {
 		t.Fatalf("repeated new shape recompiled: misses %d → %d", misses2, misses3)
 	}
+}
+
+// The reference for the score-first path: ▷, π and blend as they were
+// before they passed scores, kept verbatim — every operator builds all of
+// its rows, blend re-keys both operands in maps and sorts them whole, and
+// a top cuts the finished relation.
+
+// refRecommend is ▷ as it was: ▷: score every target row against the reference
+// set, append the score column, and sort best-first (ties broken by
+// original order for determinism).
+func refRecommend(target, ref *Relation, cmp Comparator, scoreAs string) (*Relation, error) {
+	if _, exists := target.Col(scoreAs); exists {
+		return nil, fmt.Errorf("flexrecs: recommend: target already has column %q", scoreAs)
+	}
+	score, err := cmp.bind(target, ref)
+	if err != nil {
+		return nil, err
+	}
+	out := &Relation{Cols: append(append([]string{}, target.Cols...), scoreAs)}
+	out.Rows = make([][]any, len(target.Rows))
+	// Carve the output rows from one slab instead of one make per row:
+	// recommend runs over whole catalogs, and the per-row slices are the
+	// operator's dominant garbage.
+	stride := len(target.Cols) + 1
+	slab := make([]any, len(target.Rows)*stride)
+	for i, row := range target.Rows {
+		s, err := score(row)
+		if err != nil {
+			return nil, err
+		}
+		var nr []any
+		if len(row)+1 == stride {
+			nr = slab[:0:stride]
+			slab = slab[stride:]
+		} else {
+			nr = make([]any, 0, len(row)+1)
+		}
+		nr = append(nr, row...)
+		nr = append(nr, s)
+		out.Rows[i] = nr
+	}
+	si := len(out.Cols) - 1
+	refSortByScoreDesc(out.Rows, si)
+	return out, nil
+}
+
+// refProject is π over a materialized child as it was.
+func refProject(child *Relation, cols []string) (*Relation, error) {
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		ci, ok := child.Col(c)
+		if !ok {
+			return nil, fmt.Errorf("flexrecs: project: no column %q", c)
+		}
+		idx[i] = ci
+	}
+	out := &Relation{Cols: append([]string(nil), cols...), Rows: make([][]any, len(child.Rows))}
+	for i, row := range child.Rows {
+		nr := make([]any, len(idx))
+		for j, ci := range idx {
+			nr[j] = row[ci]
+		}
+		out.Rows[i] = nr
+	}
+	return out, nil
+}
+
+// refSortByScoreDesc stably sorts rows best-first on the float score
+// column, without the reflection-based swapper of sort.SliceStable —
+// these sorts run over whole catalogs per recommendation.
+func refSortByScoreDesc(rows [][]any, si int) {
+	slices.SortStableFunc(rows, func(a, b []any) int {
+		av, bv := a[si].(float64), b[si].(float64)
+		switch {
+		case av > bv:
+			return -1
+		case av < bv:
+			return 1
+		}
+		return 0
+	})
+}
+
+// refBlend is blend as it was: rows of two scored relations are
+// matched on key; output score = wL·scoreL + wR·scoreR with missing
+// sides contributing 0. Output rows order by blended score descending.
+func refBlend(left, right *Relation, key, scoreCol string, wL, wR float64) (*Relation, error) {
+	lk, ok := left.Col(key)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: blend: left has no column %q", key)
+	}
+	ls, ok := left.Col(scoreCol)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: blend: left has no column %q", scoreCol)
+	}
+	rk, ok := right.Col(key)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: blend: right has no column %q", key)
+	}
+	rs, ok := right.Col(scoreCol)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: blend: right has no column %q", scoreCol)
+	}
+	rightScore := map[relation.Value]float64{}
+	for _, row := range right.Rows {
+		k, err := relation.Normalize(row[rk])
+		if err != nil {
+			return nil, err
+		}
+		w, err := toWeight(row[rs])
+		if err != nil {
+			return nil, err
+		}
+		rightScore[k] = w
+	}
+	out := &Relation{Cols: append([]string(nil), left.Cols...)}
+	seen := map[relation.Value]bool{}
+	for _, row := range left.Rows {
+		k, err := relation.Normalize(row[lk])
+		if err != nil {
+			return nil, err
+		}
+		seen[k] = true
+		lw, err := toWeight(row[ls])
+		if err != nil {
+			return nil, err
+		}
+		nr := append([]any(nil), row...)
+		nr[ls] = wL*lw + wR*rightScore[k]
+		out.Rows = append(out.Rows, nr)
+	}
+	// Right-only rows: key and blended score, other columns NULL.
+	for _, row := range right.Rows {
+		k, err := relation.Normalize(row[rk])
+		if err != nil {
+			return nil, err
+		}
+		if seen[k] {
+			continue
+		}
+		nr := make([]any, len(out.Cols))
+		nr[lk] = k
+		nr[ls] = wR * rightScore[k]
+		out.Rows = append(out.Rows, nr)
+	}
+	refSortByScoreDesc(out.Rows, ls)
+	return out, nil
+}
+
+// refOperands hands the reference's recursion to applyStep for the
+// operators the score-first path left alone; nothing fuses.
+type refOperands struct {
+	fn func(s *Step, private bool) (*Relation, error)
+}
+
+func (r refOperands) run(s *Step, private bool) (*Relation, error) { return r.fn(s, private) }
+func (r refOperands) fuse(_, _ *Step) (operands, func(int))        { return r, func(int) {} }
+
+// refRun executes w on e the way the engine did before the score-first
+// path: the rewritten tree, with ▷, π, blend and top built by the
+// reference operators above and every other step by the engine.
+func refRun(e *Engine, w *Step) (*Relation, error) {
+	var run func(s *Step, private bool) (*Relation, error)
+	run = func(s *Step, private bool) (*Relation, error) {
+		if sqlable(s) || s.kind == matStep {
+			return e.runStep(s, private)
+		}
+		switch s.kind {
+		case recommendStep:
+			target, err := run(s.child, false)
+			if err != nil {
+				return nil, err
+			}
+			ref, err := run(s.other, false)
+			if err != nil {
+				return nil, err
+			}
+			return refRecommend(target, ref, s.cmp, s.scoreAs)
+		case projectStep:
+			child, err := run(s.child, false)
+			if err != nil {
+				return nil, err
+			}
+			return refProject(child, s.cols)
+		case blendStep:
+			left, err := run(s.child, false)
+			if err != nil {
+				return nil, err
+			}
+			right, err := run(s.other, false)
+			if err != nil {
+				return nil, err
+			}
+			return refBlend(left, right, s.blendKey, s.scoreAs, s.wL, s.wR)
+		case topStep:
+			child, err := run(s.child, true)
+			if err != nil {
+				return nil, err
+			}
+			if len(child.Rows) > s.k {
+				child.Rows = child.Rows[:s.k]
+			}
+			return child, nil
+		}
+		return e.applyStep(s, refOperands{run})
+	}
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	return run(e.rewrite(w), true)
+}
+
+// colScore scores a target row by one of its numeric columns, NULL as 0:
+// a comparator whose ties and zeros the test decides.
+type colScore struct{ attr string }
+
+func (c colScore) Label() string { return "Col[" + c.attr + "]" }
+
+func (c colScore) bind(target, _ *Relation) (func([]any) (float64, error), error) {
+	i, ok := target.Col(c.attr)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: target has no attribute %q", c.attr)
+	}
+	return func(row []any) (float64, error) { return toWeight(row[i]) }, nil
+}
+
+// scoreFirstDB holds two random tables T and U of (ID, Grp, F, Name,
+// Val, Score): Grp repeats and is sometimes NULL, so blend keys collide
+// on both sides; F is a float key holding NaN, which matches no key, and
+// -0, which matches 0; Val and Score take few values, sometimes NULL and
+// sometimes all zero, so scores tie.
+func scoreFirstDB(rng *rand.Rand) *relation.DB {
+	db := relation.NewDB()
+	for _, name := range []string{"T", "U"} {
+		t := db.MustCreate(relation.MustTable(name, relation.NewSchema(
+			relation.NotNullCol("ID", relation.TypeInt),
+			relation.Col("Grp", relation.TypeInt),
+			relation.Col("F", relation.TypeFloat),
+			relation.Col("Name", relation.TypeString),
+			relation.Col("Val", relation.TypeFloat),
+			relation.Col("Score", relation.TypeFloat),
+		)))
+		zeros := rng.Intn(4) == 0
+		num := func() any {
+			if rng.Intn(6) == 0 {
+				return nil
+			}
+			if zeros {
+				return 0.0
+			}
+			return []float64{0, 0.5, 1, 1, 2, 3.25}[rng.Intn(6)]
+		}
+		for i := range rng.Intn(13) {
+			var grp any = int64(rng.Intn(5))
+			if rng.Intn(8) == 0 {
+				grp = nil
+			}
+			f := []float64{0.5, math.NaN(), math.Copysign(0, -1), 0}[rng.Intn(4)]
+			t.MustInsert(relation.Row{int64(i), grp, f, fmt.Sprintf("course n%d", rng.Intn(4)), num(), num()})
+		}
+	}
+	return db
+}
+
+// scoreFirstOperand draws a scored operand over table tbl that carries
+// the blend key column key: a ▷, a π over one (reordered, names in
+// another case, now and then a column that does not exist), or an
+// operand the score-first path does not read in place — the table
+// itself, a π or σ over it, a top over a ▷.
+func scoreFirstOperand(rng *rand.Rand, tbl, key string) *Step {
+	target := Rel(tbl).Project("ID", "Grp", "F", "Name", "Val")
+	if rng.Intn(2) == 0 {
+		target = Rel(tbl).Select("ID >= ?", int64(rng.Intn(4))).Project("ID", "Grp", "F", "Name", "Val")
+	}
+	ref := "U"
+	if tbl == "U" {
+		ref = "T"
+	}
+	cmps := []Comparator{colScore{"Val"}, colScore{"val"}, JaccardOn("Name")}
+	rec := Recommend(target, Rel(ref).Select("ID < ?", int64(2)), cmps[rng.Intn(len(cmps))])
+	switch rng.Intn(7) {
+	case 0, 1:
+		return rec
+	case 2, 3:
+		cols := []string{"Score", strings.ToLower(key)}
+		for _, c := range []string{"ID", "name", "VAL"} {
+			if rng.Intn(2) == 0 {
+				cols = append(cols, c)
+			}
+		}
+		if rng.Intn(20) == 0 {
+			cols = append(cols, "Nope")
+		}
+		rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+		return rec.Project(cols...)
+	case 4:
+		return Rel(tbl)
+	case 5:
+		return Rel(tbl).Select("Grp <> ?", int64(rng.Intn(5))).Project("Score", key, "ID")
+	}
+	return rec.Top(1 + rng.Intn(4))
+}
+
+// TestScoreFirstMatchesReference is the score-first path's differential
+// oracle: over random operands — duplicate keys on both sides of a
+// blend, NaN and -0 keys, tied, all-zero and NULL scores, π reordering or
+// recasing a ▷'s columns, operands that are not a ▷ — every workflow,
+// under every top k from 1 to two past its row count and under none,
+// answers exactly what the materializing reference answers (or fails the
+// same way), through Run and RunAnalyze, with and without a matview
+// registry.
+func TestScoreFirstMatchesReference(t *testing.T) {
+	for seed := range int64(300) {
+		rng := rand.New(rand.NewSource(seed))
+		db := scoreFirstDB(rng)
+		views := NewEngine(db)
+		views.UseMatviews(matview.NewRegistry(db))
+		var w *Step
+		key := []string{"Grp", "grp", "GRP", "F"}[rng.Intn(4)]
+		switch rng.Intn(4) {
+		case 0:
+			w = scoreFirstOperand(rng, "T", key)
+		default:
+			weights := []float64{1, 0.2, 0, -0.5}
+			w = Blend(scoreFirstOperand(rng, "T", key), scoreFirstOperand(rng, "U", key), key, "Score",
+				weights[rng.Intn(4)], weights[rng.Intn(4)])
+		}
+		for _, e := range []*Engine{NewEngine(db), views} {
+			want, err := refRun(e, w)
+			n := 0
+			if err == nil {
+				n = len(want.Rows)
+			}
+			for k := 0; k <= n+2; k++ {
+				wk := w
+				if k > 0 {
+					wk = w.Top(k)
+				}
+				checkScoreFirst(t, fmt.Sprintf("seed %d k %d", seed, k), e, wk)
+			}
+		}
+	}
+}
+
+// checkScoreFirst runs w on e through Run, RunAnalyze and the reference.
+// Rows compare as reflect.DeepEqual would, except that floats compare bit
+// for bit, so NaN equals NaN and -0 differs from 0.
+func checkScoreFirst(t *testing.T, what string, e *Engine, w *Step) {
+	t.Helper()
+	want, wantErr := refRun(e, w)
+	got, gotErr := e.Run(w)
+	analyzed, _, analyzeErr := e.RunAnalyze(w)
+	if wantErr != nil || gotErr != nil || analyzeErr != nil {
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(analyzeErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: errors differ: run %v, analyze %v, reference %v", what, gotErr, analyzeErr, wantErr)
+		}
+		return
+	}
+	if !sameBits(got, want) {
+		t.Fatalf("%s: %s\n got %v %v\nwant %v %v", what, tree(w), got.Cols, got.Rows, want.Cols, want.Rows)
+	}
+	if !sameBits(analyzed, want) {
+		t.Fatalf("%s: RunAnalyze answers differently\n got %v\nwant %v", what, analyzed.Rows, want.Rows)
+	}
+}
+
+func sameBits(a, b *Relation) bool {
+	if !slices.Equal(a.Cols, b.Cols) || len(a.Rows) != len(b.Rows) || (a.Rows == nil) != (b.Rows == nil) {
+		return false
+	}
+	for i, ra := range a.Rows {
+		rb := b.Rows[i]
+		if len(ra) != len(rb) {
+			return false
+		}
+		for j, x := range ra {
+			xf, xok := x.(float64)
+			yf, yok := rb[j].(float64)
+			if xok != yok || xok && math.Float64bits(xf) != math.Float64bits(yf) || !xok && !reflect.DeepEqual(x, rb[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -26,6 +26,13 @@
 // ratings instead of re-nesting them per request. And a top over SQL is a LIMIT: top[k] of a subtree that
 // compiles to one statement ships as that statement plus LIMIT ?, so the
 // DBMS stops at k rows instead of returning everything to be cut.
+//
+// The scoring operators score before they copy. ▷ scores its target rows
+// in place and ranks them best-first; a π over it only picks columns,
+// blend reads such operands in place through their scores, and a top
+// over ▷ or blend tells the operator its k — so the hybrid strategy,
+// top[k](blend(π(▷), π(▷))), builds its k output rows and no other.
+// RunAnalyze still reports each fused operator on its own line.
 // Relations a workflow returns may share Vector cells with the views:
 // treat them as read-only.
 package flexrecs
@@ -60,8 +67,12 @@ type Relation struct {
 }
 
 // Col returns the position of the named column, case-insensitively.
-func (r *Relation) Col(name string) (int, bool) {
-	for i, c := range r.Cols {
+func (r *Relation) Col(name string) (int, bool) { return colIndex(r.Cols, name) }
+
+// colIndex is the position of the first of cols that equals name,
+// case-insensitively.
+func colIndex(cols []string, name string) (int, bool) {
+	for i, c := range cols {
 		if strings.EqualFold(c, name) {
 			return i, true
 		}

@@ -31,8 +31,10 @@ import (
 //	    shape and one cached plan for every k. The DBMS then stops at k
 //	    rows (sqlmini ends the pipeline at the window and plans its joins
 //	    for k rows, a shard fan-out asks each shard for k) instead of
-//	    handing over its whole result to be cut. top over ▷ keeps the
-//	    fused recommendTop, and a top over anything else stays a slice.
+//	    handing over its whole result to be cut. Not a rewrite but its
+//	    executor twin: a top over ▷ or blend passes k to the operator,
+//	    which scores every candidate and builds only the k rows kept
+//	    (engine.go applyStep); a top over anything else stays a slice.
 //
 // Figure 5(b) as the template draws it,
 //

@@ -8,6 +8,7 @@ package courserank
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -303,6 +304,67 @@ func TestWorkflowExplainShowsRewrite(t *testing.T) {
 	}
 	if strings.Contains(report, "top[") {
 		t.Errorf("top-rated analyze report still truncates above the statement:\n%s", report)
+	}
+}
+
+// TestAnalyzeTreeMatchesExplain: RunAnalyze prints the operator tree
+// Explain prints, line for line, for every registered template — an
+// operator that runs fused into its consumer (▷ under top or blend, π
+// under blend, blend under top) keeps its own line, saying what it read
+// instead of rows out — and Run and RunAnalyze answer the same rows.
+// Compared are the operator lines without their actuals, without the
+// "|" plan lines and without a view's state; Explain also prints the
+// subtree a view caches, which a served view did not run.
+func TestAnalyzeTreeMatchesExplain(t *testing.T) {
+	r := parityRunner(t)
+	flex := r.Site.Flex
+	actuals := regexp.MustCompile(` \((actual rows=|fused into )[^()]*\)$`)
+	ops := func(text string, explain bool) []string {
+		var out []string
+		viewDepth := -1
+		for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+			body := strings.TrimLeft(line, " ")
+			depth := len(line) - len(body)
+			if viewDepth >= 0 && depth > viewDepth {
+				continue // the view's own subtree
+			}
+			viewDepth = -1
+			if strings.HasPrefix(body, "| ") || strings.HasPrefix(body, "analyzed workflow: ") {
+				continue
+			}
+			line = actuals.ReplaceAllString(line, "")
+			if i := strings.Index(line, " — "); i >= 0 && strings.HasPrefix(body, "matview[") {
+				line = line[:i]
+				if explain {
+					viewDepth = depth
+				}
+			}
+			out = append(out, line)
+		}
+		return out
+	}
+	for _, tpl := range r.Site.Strategies.List() {
+		wf, err := tpl.Build(map[string]any{"student": r.Man.SampleStudent, "title": "Introduction to Programming",
+			"dep": "CS", "course": r.Man.Planted["intro-programming"]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran, err := flex.Run(wf) // warm: every view built
+		if err != nil {
+			t.Fatal(err)
+		}
+		explain := flex.Explain(wf)
+		analyzed, report, err := flex.RunAnalyze(wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(analyzed, ran) {
+			t.Errorf("%s: Run and RunAnalyze answer differently\n run %v\n analyze %v", tpl.Name, ran.Rows, analyzed.Rows)
+		}
+		if got, want := ops(report, false), ops(explain, true); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RunAnalyze's operator lines differ from Explain's\nanalyze:\n%s\nexplain:\n%s\nfull report:\n%s",
+				tpl.Name, strings.Join(got, "\n"), strings.Join(want, "\n"), report)
+		}
 	}
 }
 
