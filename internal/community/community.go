@@ -322,12 +322,12 @@ func (s *Service) Award(userID int64, kind string, points int, note string) erro
 	return err
 }
 
-// Points sums a user's ledger.
+// Points sums a user's ledger, reading each event in place.
 func (s *Service) Points(userID int64) int {
 	total := 0
-	for _, r := range s.db.MustTable("PointEvents").Lookup("UserID", userID) {
+	s.db.MustTable("PointEvents").EachRef("UserID", userID, func(r relation.Row) {
 		total += int(r[3].(int64))
-	}
+	})
 	return total
 }
 
@@ -340,7 +340,7 @@ type LedgerEntry struct {
 
 // Ledger returns a user's point history in insertion order.
 func (s *Service) Ledger(userID int64) []LedgerEntry {
-	rows := s.db.MustTable("PointEvents").Lookup("UserID", userID)
+	rows := s.db.MustTable("PointEvents").LookupManyRef("UserID", []relation.Value{userID}) // stored rows: read, never modified
 	out := make([]LedgerEntry, len(rows))
 	for i, r := range rows {
 		var note string

@@ -206,6 +206,21 @@ func TestMaintainedExtendEqualsFreshBuild(t *testing.T) {
 			must(err)
 			step("maintained again after the rebuild")
 
+			// A NULL rating in a hot group adds nothing to its Vector, and a
+			// group of NULL ratings alone is no group at all.
+			_, err = s.Comments.Add(comments.Comment{SuID: man.SampleStudent, CourseID: intro, Year: 2009, Term: "Spring", Text: "unrated"})
+			must(err)
+			step("unrated comment in the hot group")
+			_, err = s.Comments.Add(comments.Comment{SuID: 9_999_997, CourseID: intro, Year: 2009, Term: "Spring", Text: "unrated alone"})
+			must(err)
+			step("a group of one unrated comment")
+			// The moved comment is the silent student's only row: deleting it
+			// takes the group out of the nesting.
+			if n, err := tbl.DeleteWhere(func(r relation.Row) bool { return r[colID] == id }); err != nil || n != 1 {
+				t.Fatalf("delete of comment %d removed %d rows: %v", id, n, err)
+			}
+			step("delete of a group's last row")
+
 			for prefix, v := range o.views {
 				if st := v.Stats(); st.Patches == 0 {
 					t.Errorf("%s was never patched: %+v", prefix, st)

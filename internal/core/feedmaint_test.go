@@ -216,6 +216,26 @@ func runFeedScript(t *testing.T, s *Site) {
 	add(35, cs[4], 3)
 	o.check("maintained again after the title rebuild", false)
 
+	// A course whose last rated comment loses its rating leaves the feed
+	// (the patch finds its department in the catalog), and returns when
+	// the comment is rated again.
+	leaves := cs[feedTopPerDept]
+	listed := func() bool {
+		return slices.ContainsFunc(o.deps("CS"), func(e FeedEntry) bool { return e.CourseID == leaves })
+	}
+	last := add(36, leaves, 4)
+	o.check("a rated comment on an unrated course", false)
+	set(last, colRating, nil)
+	o.check("the course's last rating set to NULL", false)
+	if listed() {
+		t.Fatalf("course %d is still in the feed with no rating left", leaves)
+	}
+	set(last, colRating, 2.5)
+	o.check("the course rated again", false)
+	if !listed() {
+		t.Fatalf("course %d did not return to the feed when rated again", leaves)
+	}
+
 	if st := v.Stats(); st.Patches == 0 || st.Errors != 0 {
 		t.Fatalf("feed view stats = %+v", st)
 	}

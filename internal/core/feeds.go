@@ -27,18 +27,19 @@ type FeedEntry struct {
 // is replaced by the next one without a rebuild.
 const feedTopPerDept = 20
 
-// The feed's one statement: average rating and rater count per course.
-// Build runs it over every comment; the patch runs it for one course,
-// through the Comments(CourseID) index. Either way a course's comments
-// reach AVG in slot order, so a patched average equals a built one bit
-// for bit.
+// The feed's two statements. Build joins every comment to its course
+// and aggregates per course. The patch reads one course's average and
+// rater count through the Comments(CourseID) index, without a join: the
+// engine folds each probed comment into AVG and COUNT as the index hands
+// it over, so the read allocates the same however many comments the
+// course has. It takes the department and title from the catalog.
+// Either way a course's comments reach AVG in slot order, so a patched
+// average equals a built one bit for bit.
 const (
-	feedSelect = `SELECT c.DepID, c.CourseID, c.Title, AVG(m.Rating), COUNT(m.Rating)
-		FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID`
-	feedGroup = ` GROUP BY c.DepID, c.CourseID, c.Title`
-
-	feedBuildSQL = feedSelect + feedGroup
-	feedPatchSQL = feedSelect + ` WHERE m.CourseID = ?` + feedGroup
+	feedBuildSQL = `SELECT c.DepID, c.CourseID, c.Title, AVG(m.Rating), COUNT(m.Rating)
+		FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID
+		GROUP BY c.DepID, c.CourseID, c.Title`
+	feedPatchSQL = `SELECT AVG(Rating), COUNT(Rating) FROM Comments WHERE CourseID = ?`
 )
 
 // registerFeedViews installs the site's precomputed feed views — the
@@ -77,10 +78,10 @@ func (s *Site) registerFeedViews() error {
 	return err
 }
 
-// feedEntries runs one of the feed statements and hands each rated
-// course to add.
-func (s *Site) feedEntries(sql string, args []any, add func(dep string, e FeedEntry)) error {
-	rows, err := s.SQL.QueryRows(sql, args...)
+// feedEntries runs the build statement and hands each rated course to
+// add.
+func (s *Site) feedEntries(add func(dep string, e FeedEntry)) error {
+	rows, err := s.SQL.QueryRows(feedBuildSQL)
 	if err != nil {
 		return err
 	}
@@ -92,20 +93,23 @@ func (s *Site) feedEntries(sql string, args []any, add func(dep string, e FeedEn
 		if err := rows.Scan(&dep, &e.CourseID, &e.Title, &avg, &e.Raters); err != nil {
 			return err
 		}
-		if e.Raters == 0 {
-			continue // a course whose comments carry no ratings
+		if feedRated(&e, avg) {
+			add(dep, e)
 		}
-		switch x := avg.(type) {
-		case float64:
-			e.Avg = x
-		case int64:
-			e.Avg = float64(x)
-		default:
-			continue
-		}
-		add(dep, e)
 	}
 	return rows.Err()
+}
+
+// feedRated sets e's average from an AVG cell and reports whether the
+// course belongs in the feed: a course whose comments carry no ratings
+// does not.
+func feedRated(e *FeedEntry, avg any) bool {
+	x, ok := avg.(float64)
+	if !ok || e.Raters == 0 {
+		return false
+	}
+	e.Avg = x
+	return true
 }
 
 // feedBefore is the feed's order: average rating descending, course id
@@ -121,7 +125,7 @@ func feedBefore(a, b FeedEntry) bool {
 // every rated course, grouped into departments, each list best-first.
 func (s *Site) buildTopRatedFeed() (map[string][]FeedEntry, error) {
 	out := map[string][]FeedEntry{}
-	err := s.feedEntries(feedBuildSQL, nil, func(dep string, e FeedEntry) {
+	err := s.feedEntries(func(dep string, e FeedEntry) {
 		out[dep] = append(out[dep], e)
 	})
 	if err != nil {
@@ -137,31 +141,27 @@ func (s *Site) buildTopRatedFeed() (map[string][]FeedEntry, error) {
 // is re-aggregated from its comments and put back in place in a copy of
 // its department's list — or taken out of the feed when no rated
 // comment of it is left. Recomputing the group rather than adjusting
-// running sums makes the result exactly what Build would return.
+// running sums makes the result exactly what Build would return. The
+// department and title come from the catalog: a Courses change rebuilds
+// the view, so the catalog agrees with what the build joined.
 func (s *Site) patchTopRatedFeed(prev map[string][]FeedEntry, keys []any) (map[string][]FeedEntry, error) {
 	next := maps.Clone(prev)
 	for _, key := range keys {
-		course := key.(int64)
-		var dep string
-		var entry FeedEntry
-		rated := false
-		err := s.feedEntries(feedPatchSQL, []any{course}, func(d string, e FeedEntry) {
-			dep, entry, rated = d, e, true
-		})
+		course, ok := s.Catalog.Course(key.(int64))
+		if !ok {
+			continue // the build's join drops a comment on no course
+		}
+		entry := FeedEntry{CourseID: course.ID, Title: course.Title}
+		res, err := s.SQL.Query(feedPatchSQL, course.ID)
 		if err != nil {
 			return nil, err
 		}
-		if !rated {
-			// Out of the feed, so the statement no longer names its
-			// department; Courses cannot have changed under the snapshot.
-			if dep = feedDeptOf(next, course); dep == "" {
-				continue
-			}
-		}
-		old := next[dep]
+		entry.Raters = res.Rows[0][1].(int64)
+		rated := feedRated(&entry, res.Rows[0][0])
+		old := next[course.DepID]
 		list := make([]FeedEntry, 0, len(old)+1)
 		for _, e := range old {
-			if e.CourseID != course {
+			if e.CourseID != course.ID {
 				list = append(list, e)
 			}
 		}
@@ -170,24 +170,12 @@ func (s *Site) patchTopRatedFeed(prev map[string][]FeedEntry, keys []any) (map[s
 			list = slices.Insert(list, at, entry)
 		}
 		if len(list) == 0 {
-			delete(next, dep)
+			delete(next, course.DepID)
 		} else {
-			next[dep] = list
+			next[course.DepID] = list
 		}
 	}
 	return next, nil
-}
-
-// feedDeptOf finds the department whose list holds course.
-func feedDeptOf(feed map[string][]FeedEntry, course int64) string {
-	for dep, list := range feed {
-		for _, e := range list {
-			if e.CourseID == course {
-				return dep
-			}
-		}
-	}
-	return ""
 }
 
 // TopRatedFeed returns one department's top-rated courses (at most k)

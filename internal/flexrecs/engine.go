@@ -369,11 +369,7 @@ func (e *Engine) runSQL(s *Step) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	args := gatherShapeArgs(s, nil)
-	for i, j := 0, len(args)-1; i < j; i, j = i+1, j-1 {
-		args[i], args[j] = args[j], args[i]
-	}
-	res, err := cs.stmt.Query(args...)
+	res, err := cs.stmt.Query(shapeArgs(s)...)
 	if err != nil {
 		return nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
 	}
@@ -382,6 +378,34 @@ func (e *Engine) runSQL(s *Step) (*Relation, error) {
 		rel.Rows[i] = r
 	}
 	return rel, nil
+}
+
+// streamSQL runs a sqlable subtree on the engine's own SQL engine as a
+// transient pipeline: its rows arrive one at a time, and none is copied
+// into a result.
+func (e *Engine) streamSQL(s *Step) (*sqlmini.Rows, error) {
+	cs, err := e.compiledFor(s)
+	if err != nil {
+		return nil, err
+	}
+	st, ok := cs.stmt.(*sqlmini.Stmt)
+	if !ok {
+		return nil, fmt.Errorf("flexrecs: %q runs on a backend that does not stream", cs.sql)
+	}
+	rows, err := st.QueryRows(shapeArgs(s)...)
+	if err != nil {
+		return nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
+	}
+	return rows, nil
+}
+
+// shapeArgs returns a sqlable subtree's arguments in the order its
+// compiled statement binds them: gatherShapeArgs's list, reversed as
+// CompileSQL reverses its own.
+func shapeArgs(s *Step) []any {
+	args := gatherShapeArgs(s, nil)
+	slices.Reverse(args)
+	return args
 }
 
 // runStep executes a subtree. private asks for a relation the caller may
@@ -731,17 +755,9 @@ func encodeJoinKey(row []any, cols []int) (string, bool, error) {
 // non-numeric value are skipped — a student's unrated comment
 // contributes nothing to the rating vector.
 func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, error) {
-	gi, ok := child.Col(groupBy)
-	if !ok {
-		return nil, fmt.Errorf("flexrecs: extend: no column %q", groupBy)
-	}
-	ki, ok := child.Col(keyCol)
-	if !ok {
-		return nil, fmt.Errorf("flexrecs: extend: no column %q", keyCol)
-	}
-	vi, ok := child.Col(valCol)
-	if !ok {
-		return nil, fmt.Errorf("flexrecs: extend: no column %q", valCol)
+	gi, ki, vi, err := extendCols(child.Cols, groupBy, keyCol, valCol)
+	if err != nil {
+		return nil, err
 	}
 	// Pre-size each group's vector with one integer-keyed counting pass.
 	// The build loop below assigns into interface-keyed Vector maps —
@@ -790,32 +806,13 @@ func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, err
 		return vec
 	}
 	for _, row := range child.Rows {
-		g, err := relation.Normalize(row[gi])
+		g, k, val, ok, err := extendCell(row[gi], row[ki], row[vi], valCol)
 		if err != nil {
 			return nil, err
 		}
-		if g == nil {
-			continue
+		if ok {
+			vecFor(g)[k] = val
 		}
-		k, err := relation.Normalize(row[ki])
-		if err != nil {
-			return nil, err
-		}
-		if k == nil {
-			continue
-		}
-		var val float64
-		switch x := row[vi].(type) {
-		case int64:
-			val = float64(x)
-		case float64:
-			val = x
-		case nil:
-			continue
-		default:
-			return nil, fmt.Errorf("flexrecs: extend: value column %q is %T, want number", valCol, row[vi])
-		}
-		vecFor(g)[k] = val
 	}
 	// Groups come out in ascending key order, whatever order the rows
 	// arrived in: the nesting of a table is then one list however its
@@ -830,6 +827,41 @@ func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, err
 		out.Rows = append(out.Rows, nr)
 	}
 	return out, nil
+}
+
+// extendCols finds ε's group, key and value columns among cols.
+func extendCols(cols []string, groupBy, keyCol, valCol string) (gi, ki, vi int, err error) {
+	at := [3]int{}
+	for i, name := range [3]string{groupBy, keyCol, valCol} {
+		var ok bool
+		if at[i], ok = colIndex(cols, name); !ok {
+			return 0, 0, 0, fmt.Errorf("flexrecs: extend: no column %q", name)
+		}
+	}
+	return at[0], at[1], at[2], nil
+}
+
+// extendCell reads what one row adds to ε's nesting: value val for key k
+// in group g's Vector. ok is false for a row that adds nothing — a NULL
+// group, key or value — and a value that is not a number is an error.
+func extendCell(group, key, value any, valCol string) (g, k relation.Value, val float64, ok bool, err error) {
+	if g, err = relation.Normalize(group); err != nil || g == nil {
+		return nil, nil, 0, false, err
+	}
+	if k, err = relation.Normalize(key); err != nil || k == nil {
+		return nil, nil, 0, false, err
+	}
+	switch x := value.(type) {
+	case int64:
+		val = float64(x)
+	case float64:
+		val = x
+	case nil:
+		return nil, nil, 0, false, nil
+	default:
+		return nil, nil, 0, false, fmt.Errorf("flexrecs: extend: value column %q is %T, want number", valCol, value)
+	}
+	return g, k, val, true, nil
 }
 
 // allRows is the k of an operator whose every row is kept.

@@ -23,10 +23,11 @@ import (
 // is MAINTAINED (matview's Keys and Patch): a committed row change names
 // the groups it touches by the group column's value, and the next read
 // recomputes just those groups — σ[g = ?] of the operand, one index
-// probe, nested again — and splices them into a copy of the snapshot's
-// row list, which ε keeps in ascending group order. Such a view builds
-// and patches from the base tables it fingerprints, also on a sharded
-// site. Every other view rebuilds when a dependency moves.
+// probe streamed through a transient pipeline and nested as its rows
+// arrive — and splices them into a copy of the snapshot's row list,
+// which ε keeps in ascending group order. Such a view builds and patches
+// from the base tables it fingerprints, also on a sharded site. Every
+// other view rebuilds when a dependency moves.
 
 // UseMatviews attaches a materialized-view registry: the rewriter
 // (rewrite.go), which needs somewhere to put its views, starts
@@ -193,18 +194,11 @@ func (m *extendView) keys(_ string, _ relation.MutKind, before, after relation.R
 // table: replaced, inserted at its place in the key order, or removed
 // when no row of it is left. prev and its rows are shared with readers
 // and stay untouched; the result shares the rows it did not recompute.
-// A recomputed group nests its rows in slot order, as the build's scan
-// does, so a patched view equals a built one exactly.
 func (m *extendView) patch(prev any, keys []any) (any, error) {
 	old := prev.(*Relation)
 	rows := slices.Clone(old.Rows)
 	for _, k := range keys {
-		group := &Step{kind: selectStep, cond: m.ext.groupBy + " = ?", args: []any{k}, child: m.ext.child}
-		in, err := m.base.runSQL(group)
-		if err != nil {
-			return nil, err
-		}
-		fresh, err := extend(in, m.ext.groupBy, m.ext.keyCol, m.ext.valCol, m.ext.as)
+		fresh, err := m.nestGroup(k)
 		if err != nil {
 			return nil, err
 		}
@@ -212,15 +206,60 @@ func (m *extendView) patch(prev any, keys []any) (any, error) {
 			return relation.Compare(row[0], k)
 		})
 		switch {
-		case len(fresh.Rows) > 0 && found:
-			rows[at] = fresh.Rows[0]
-		case len(fresh.Rows) > 0:
-			rows = slices.Insert(rows, at, fresh.Rows[0])
+		case fresh != nil && found:
+			rows[at] = fresh
+		case fresh != nil:
+			rows = slices.Insert(rows, at, fresh)
 		case found:
 			rows = slices.Delete(rows, at, at+1)
 		}
 	}
 	return &Relation{Cols: old.Cols, Rows: rows}, nil
+}
+
+// nestGroup recomputes group k of the nesting: it streams σ[g = k](x₀)
+// and folds each row into the group's Vector as it arrives, by ε's own
+// per-row rule (extendCell). It returns the group's (g, Vector) row, nil
+// when no row of the group adds to the nesting. Rows arrive in slot
+// order, as the build's scan reads them, so a patched group equals a
+// built one exactly.
+func (m *extendView) nestGroup(k any) ([]any, error) {
+	group := &Step{kind: selectStep, cond: m.ext.groupBy + " = ?", args: []any{k}, child: m.ext.child}
+	rows, err := m.base.streamSQL(group)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	gi, ki, vi, err := extendCols(rows.Columns(), m.ext.groupBy, m.ext.keyCol, m.ext.valCol)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]any, len(rows.Columns()))
+	dest := make([]any, len(cells))
+	for i := range cells {
+		dest[i] = &cells[i]
+	}
+	var out []any
+	for rows.Next() {
+		if err := rows.Scan(dest...); err != nil {
+			return nil, err
+		}
+		g, key, val, ok, err := extendCell(cells[gi], cells[ki], cells[vi], m.ext.valCol)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		if out == nil {
+			out = []any{g, Vector{}}
+		}
+		out[1].(Vector)[key] = val
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // runMatServe executes a matStep — through the registry when one is
@@ -230,7 +269,9 @@ func (m *extendView) patch(prev any, keys []any) (any, error) {
 // and immutable: a consumer that only reads takes the snapshot as is;
 // one that sorts or truncates in place (private) gets a fresh Relation
 // header and row slice. The row cells themselves — Vector maps included
-// — are never mutated by any operator.
+// — are never mutated: not by an operator, and not by a patch, which
+// nests a new Vector for each group it recomputes and shares every
+// other row with the snapshot it started from.
 func (e *Engine) runMatServe(s *Step, private bool) (*Relation, matview.Serve, bool, error) {
 	if e.views == nil {
 		rel, err := e.runStep(s.child, private)

@@ -123,6 +123,44 @@ func TestLookupMany(t *testing.T) {
 	}
 }
 
+// TestEachRef pins EachRef as LookupManyRef for one key: the same
+// stored rows in slot order, also once a delete has left the key's index
+// entries out of slot order and the freed slot is reused.
+func TestEachRef(t *testing.T) {
+	tbl := statsTable(t)
+	each := func(col string, key Value) []Row {
+		var out []Row
+		tbl.EachRef(col, key, func(r Row) { out = append(out, r) })
+		return out
+	}
+	same := func(step string) {
+		t.Helper()
+		for _, q := range []struct {
+			col string
+			key Value
+		}{{"Dep", "cs"}, {"Dep", "ee"}, {"Dep", "nope"}, {"Dep", nil}, {"Age", int64(22)}} {
+			got, want := each(q.col, q.key), tbl.LookupManyRef(q.col, []Value{q.key})
+			if len(got) != len(want) {
+				t.Fatalf("%s: EachRef(%s, %v) = %v, LookupManyRef %v", step, q.col, q.key, got, want)
+			}
+			for i := range got {
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("%s: EachRef(%s, %v) row %d is %v, LookupManyRef's %v", step, q.col, q.key, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	same("fresh")
+	if n, err := tbl.DeleteWhere(func(r Row) bool { return r[0] == int64(1) }); err != nil || n != 1 {
+		t.Fatalf("delete: %d %v", n, err)
+	}
+	tbl.MustInsert(Row{int64(7), "cs", int64(30)}) // into slot 0, behind slots 1 and 5 in the index
+	if rows := each("Dep", "cs"); len(rows) != 3 || rows[0][0] != int64(7) {
+		t.Fatalf("EachRef after slot reuse = %v, want the reused slot's row first", rows)
+	}
+	same("after a delete and a reused slot")
+}
+
 func TestGetMany(t *testing.T) {
 	tbl := statsTable(t)
 	rows := tbl.GetManyRef([]Value{int64(5)}, []Value{int64(99)}, []Value{int64(2)}, []Value{int64(5)})

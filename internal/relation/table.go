@@ -773,6 +773,50 @@ func (t *Table) LookupManyRef(col string, keys []Value) []Row {
 	return out
 }
 
+// EachRef calls fn with a reference to each latest committed row whose
+// named column equals key, in slot (scan) order: LookupManyRef for one
+// key, without building its result. A caller that folds the rows as
+// they come allocates nothing per row as long as the key's index entries
+// are in slot order (a delete can break that; the entries are then
+// sorted in a copy). A NULL key matches nothing; with no index on the
+// column it degrades to LookupManyRef. fn runs under the table's read
+// lock: it must not call into the table, and must not mutate or keep
+// the row beyond what GetRef allows.
+func (t *Table) EachRef(col string, key Value, fn func(Row)) {
+	nk, err := Normalize(key)
+	if err != nil || nk == nil {
+		return
+	}
+	sn := LatestSnap()
+	t.mu.RLock()
+	ix, ok := t.indexes[strings.ToLower(col)]
+	if !ok {
+		t.mu.RUnlock()
+		for _, r := range t.LookupManyRef(col, []Value{nk}) {
+			fn(r)
+		}
+		return
+	}
+	defer t.mu.RUnlock()
+	ek := encodeKey([]Value{nk})
+	slots := ix.slots[ek]
+	if !sort.IntsAreSorted(slots) {
+		slots = append([]int(nil), slots...)
+		sort.Ints(slots)
+	}
+	fast := len(t.vslots) == 0
+	for _, s := range slots {
+		r := t.rows[s]
+		if !fast {
+			r = t.visibleLocked(s, sn)
+			if r == nil || r[ix.col] == nil || encodeKey([]Value{r[ix.col]}) != ek {
+				continue
+			}
+		}
+		fn(r)
+	}
+}
+
 // HasIndex reports whether a secondary index exists on the column.
 func (t *Table) HasIndex(col string) bool {
 	t.mu.RLock()

@@ -139,7 +139,12 @@
 // consumed through Rows — or cut short by a streaming LIMIT or an
 // early Close — never pays for rows nobody reads. Aggregation and
 // un-elided ORDER BY drain the pipeline first, since they need the full
-// result anyway. WithBatchSize returns a handle whose
+// result anyway — except an aggregate with no GROUP BY, ORDER BY, LIMIT
+// or residual filter over one index key (the top-rated feed's patch
+// statement), which folds each probed row into its aggregates as the
+// table hands it over (foldProbe over Table.EachRef), in the slot order
+// the drained path reads, and so allocates the same however many rows
+// the key matches. WithBatchSize returns a handle whose
 // pipelines use a different slab size — primarily a testing knob: the
 // differential fuzz harness replays its corpus at batch sizes 1, 7 and
 // 256 to prove slab boundaries never change results.

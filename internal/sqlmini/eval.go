@@ -257,36 +257,51 @@ func toFloat(v relation.Value) (float64, error) {
 	return 0, fmt.Errorf("sqlmini: %T is not numeric", v)
 }
 
-// computeAggregate reduces one aggregate item over a group: COUNT(*)
-// counts rows; COUNT(x) and AVG(x) skip NULLs, and AVG over no value is
-// NULL.
+// computeAggregate reduces one aggregate item over a group.
 func computeAggregate(c *Call, group []relation.Row, rs *rowset) (relation.Value, error) {
-	if c.Star {
-		return int64(len(group)), nil
-	}
-	n, sum := 0, 0.0
+	var a aggState
 	for _, row := range group {
-		v, err := evalScalar(c.Arg, row, rs)
-		if err != nil {
+		if err := a.add(c, row, rs); err != nil {
 			return nil, err
 		}
-		if v == nil {
-			continue
+	}
+	return a.value(c), nil
+}
+
+// aggState folds one aggregate item over a group's rows, one row at a
+// time: COUNT(*) counts rows; COUNT(x) and AVG(x) skip NULLs, and AVG
+// over no value is NULL. AVG sums in the order the rows are added.
+type aggState struct {
+	n   int
+	sum float64
+}
+
+func (a *aggState) add(c *Call, row relation.Row, rs *rowset) error {
+	if c.Star {
+		a.n++
+		return nil
+	}
+	v, err := evalScalar(c.Arg, row, rs)
+	if err != nil || v == nil {
+		return err
+	}
+	if c.Name == "AVG" {
+		f, err := toFloat(v)
+		if err != nil {
+			return err
 		}
-		if c.Name == "AVG" {
-			f, err := toFloat(v)
-			if err != nil {
-				return nil, err
-			}
-			sum += f
-		}
-		n++
+		a.sum += f
 	}
-	if c.Name == "COUNT" {
-		return int64(n), nil
+	a.n++
+	return nil
+}
+
+func (a *aggState) value(c *Call) relation.Value {
+	if c.Star || c.Name == "COUNT" {
+		return int64(a.n)
 	}
-	if n == 0 {
-		return nil, nil
+	if a.n == 0 {
+		return nil
 	}
-	return sum / float64(n), nil
+	return a.sum / float64(a.n)
 }

@@ -290,6 +290,10 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		}
 	}
 
+	if probeOnly && ps.foldsProbe(plan) {
+		return e.foldProbe(ps, plan, params)
+	}
+
 	var drained []relation.Row
 	if probeOnly {
 		// Probe-only plan: the result is key-bounded; materialize it
@@ -482,6 +486,76 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		}
 	}
 	return ps.result(outRows), nil
+}
+
+// foldsProbe reports whether the bound plan is an aggregate over one
+// index key that foldProbe answers: no GROUP BY, ORDER BY, LIMIT or
+// residual filter.
+func (ps *preparedSelect) foldsProbe(plan *selectPlan) bool {
+	s := plan.scan
+	return ps.aggMode && len(ps.groupBy) == 0 && len(ps.order) == 0 && ps.sel.Limit == nil &&
+		s.access == accessIndex && len(s.probeKeys) == 1 && len(s.filter) == 0
+}
+
+// foldProbe answers a foldsProbe statement by folding each probed row
+// into the aggregates as the table hands it over (Table.EachRef): no
+// group of row references is built, so the statement allocates the same
+// however many rows its key matches. The rows arrive in slot order, as
+// probeRows returns them, so every aggregate equals what the drained
+// path computes, bit for bit.
+func (e *Engine) foldProbe(ps *preparedSelect, plan *selectPlan, params []relation.Value) (*Result, error) {
+	s := plan.scan
+	t, ok := e.db.Table(s.ref.Name)
+	if !ok {
+		return nil, fmt.Errorf("sqlmini: unknown table %q", s.ref.Name)
+	}
+	var t0 time.Time
+	if e.an != nil {
+		t0 = time.Now()
+	}
+	rs := &rowset{cols: plan.cols}
+	key, err := evalScalar(s.probeKeys[0], nil, rs)
+	if err != nil {
+		return nil, err
+	}
+	bound := substItems(ps.items, params)
+	states := make([]aggState, len(bound))
+	var first []relation.Row // the group's first row, for non-aggregate items
+	n := 0
+	t.EachRef(s.probeCol, key, func(row relation.Row) {
+		if err != nil {
+			return
+		}
+		if n++; first == nil {
+			first = []relation.Row{row}
+		}
+		for i, item := range bound {
+			if c, ok := item.Expr.(*Call); ok {
+				if err = states[i].add(c, row, rs); err != nil {
+					return
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if e.an != nil {
+		st := e.an.nodeStat(s)
+		st.ns += int64(time.Since(t0))
+		st.rows += int64(n)
+		st.batches++
+		st.loops++
+	}
+	out := make(relation.Row, len(bound))
+	for i, item := range bound {
+		if c, ok := item.Expr.(*Call); ok {
+			out[i] = states[i].value(c)
+		} else if out[i], err = evalGroupItem(item.Expr, first, rs); err != nil {
+			return nil, err
+		}
+	}
+	return ps.result([]relation.Row{out}), nil
 }
 
 // evalGroupItem evaluates a select item or ORDER BY key over one group:

@@ -180,6 +180,9 @@ func TestPlannerParity(t *testing.T) {
 		{`SELECT m.CourseID, c.Title FROM Comments m JOIN Courses c ON m.CourseID = c.CourseID AND c.DepID = 'cs' WHERE m.Rating >= 2 ORDER BY m.CourseID LIMIT 5`, nil},
 		{`SELECT * FROM Comments WHERE SuID >= 2 AND SuID <= 4 AND -Rating > -4`, nil},
 		{`SELECT c.Title FROM Courses c JOIN CourseYears y ON c.CourseID = y.CourseID WHERE y.Year = 2009 AND c.DepID = 'cs'`, nil},
+		{`SELECT AVG(Rating), COUNT(Rating), COUNT(*) FROM Comments WHERE CourseID = ?`, []any{5}},
+		{`SELECT CourseID, AVG(Rating) FROM Comments WHERE SuID = 3`, nil},
+		{`SELECT SuID, AVG(Rating), COUNT(*) FROM Comments WHERE CourseID = 99`, nil},
 	}
 	for _, q := range queries {
 		plan, err := e.Query(q.sql, q.args...)
@@ -649,5 +652,66 @@ func TestPlannerSeesMutations(t *testing.T) {
 	out, err := e.Explain(`SELECT * FROM Courses WHERE CourseID = 99`)
 	if err != nil || !strings.Contains(out, "of 12 rows") {
 		t.Fatalf("stats should reflect the delete: %q %v", out, err)
+	}
+}
+
+// TestFoldedProbeMatchesDrained pins the folded aggregate over one index
+// key (foldProbe) to the drained path and to a forced scan, bit for bit:
+// the rows reach AVG in slot order even when a delete has left the key's
+// index entries out of slot order, with and without versions retained
+// for an open snapshot. The values cancel, so any other order changes
+// the average.
+func TestFoldedProbeMatchesDrained(t *testing.T) {
+	db := relation.NewDB()
+	tbl := db.MustCreate(relation.MustTable("R", relation.NewSchema(
+		relation.NotNullCol("ID", relation.TypeInt),
+		relation.NotNullCol("K", relation.TypeInt),
+		relation.Col("V", relation.TypeFloat),
+	), relation.WithPrimaryKey("ID"), relation.WithIndex("K")))
+	tbl.MustInsert(relation.Row{int64(1), int64(8), 0.5})
+	tbl.MustInsert(relation.Row{int64(2), int64(7), 1e16})
+	tbl.MustInsert(relation.Row{int64(3), int64(7), -1e16})
+	tbl.MustInsert(relation.Row{int64(4), int64(7), nil})
+	if n, err := tbl.DeleteWhere(func(r relation.Row) bool { return r[0] == int64(1) }); err != nil || n != 1 {
+		t.Fatalf("delete: %d %v", n, err)
+	}
+	tbl.MustInsert(relation.Row{int64(5), int64(7), 1.0}) // slot 0: first in slot order, last in the index
+	e := New(db)
+	forced := e.ForceScan()
+	const folded = `SELECT K, AVG(V), COUNT(V), COUNT(*) FROM R WHERE K = ?`
+	const drained = folded + ` LIMIT 5` // a LIMIT keeps the statement off the fold
+	check := func(step string) {
+		t.Helper()
+		for _, k := range []any{int64(7), int64(8), nil} {
+			want := []relation.Row{{nil, nil, int64(0), int64(0)}} // no row: K reads a row of NULLs
+			if k == int64(7) {
+				want = []relation.Row{{k, 0.0, int64(3), int64(4)}} // (1 + 1e16) - 1e16
+			}
+			for _, q := range []struct {
+				e   *Engine
+				sql string
+			}{{e, folded}, {e, drained}, {forced, folded}} {
+				res, err := q.e.Query(q.sql, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Rows, want) {
+					t.Fatalf("%s: %q with K = %v = %v, want %v", step, q.sql, k, res.Rows, want)
+				}
+			}
+		}
+	}
+	check("latest rows only")
+	// Under an open snapshot a row moved to K = 8 and back leaves a
+	// retained index entry under 8 that the latest rows no longer match.
+	tx := db.Begin()
+	for _, k := range []int64{8, 7} {
+		if err := tbl.UpdateByKey([]relation.Value{int64(2)}, func(r relation.Row) relation.Row { r[1] = k; return r }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("versions retained for an open snapshot")
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
 	}
 }
