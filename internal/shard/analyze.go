@@ -69,7 +69,7 @@ func (s *Stmt) fanoutAnalyze(args []any) (*sqlmini.Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	out := applyLimit(s.merge(results), limit)
+	out := s.merge(results, limit)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Route: fan-out over %d shards, merge=%s\n", s.c.n, s.mergeName())

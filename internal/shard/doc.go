@@ -52,14 +52,15 @@
 //   - by-order: ORDER BY fan-outs reuse the engine's sort contract —
 //     each shard's result arrives sorted, so the gather is a k-way
 //     merge on output columns. With LIMIT k every shard runs the
-//     statement as written and stops at its k-th row, and the first k
-//     rows of the merge are the answer. Where the statement streams
-//     (the ORDER BY elided into an index walk) the shard's executor
-//     ends its pipeline there and reads a batch or two of its
-//     partition, so the coordinator merges shards × k rows, not the
-//     table.
+//     statement as written and stops at its k-th row, and the merge
+//     stops at its k-th row too: it is the answer. Where the statement
+//     streams (the ORDER BY elided into an index walk) the shard's
+//     executor ends its pipeline there and, for a k below one fetch,
+//     reads about k rows of its partition, so the coordinator reads
+//     shards × k rows and keeps k, not the table.
 //   - concat: unordered fan-outs append the per-shard results in
-//     shard order, each leg cut to the LIMIT like an ordered one.
+//     shard order, each leg cut to the LIMIT like an ordered one, and
+//     stop at the LIMIT.
 //
 // # Writes follow the base
 //

@@ -457,7 +457,7 @@ func TestShardWindowIsSliceOfUnwindowed(t *testing.T) {
 				t.Fatalf("%q: sharded and mono rows diverge before any LIMIT", sh.sql)
 			}
 		}
-		for _, k := range []int{0, 1, 3, 255, 256, 257, n, n + 1} {
+		for _, k := range []int{0, 1, 2, 3, 8, 9, 10, 31, 32, 33, 255, 256, 257, n, n + 1} {
 			want := all.Rows[:min(k, n)]
 			literal := fmt.Sprintf("%s LIMIT %d", sh.sql, k)
 			bound := append(append([]any{}, sh.args...), int64(k))

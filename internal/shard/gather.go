@@ -11,7 +11,7 @@ import (
 // fanoutQuery executes the statement on every shard in parallel and
 // gathers the materialized result. Each leg runs the statement as
 // written, so a LIMIT k stops every shard at its k-th row; the merge
-// then keeps the first k rows overall.
+// then stops at the k-th row overall.
 func (s *Stmt) fanoutQuery(args []any) (*sqlmini.Result, error) {
 	if s.fanoutErr != nil {
 		return nil, s.fanoutErr
@@ -27,18 +27,19 @@ func (s *Stmt) fanoutQuery(args []any) (*sqlmini.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sqlmini.Result{Columns: results[0].Columns, Rows: applyLimit(s.merge(results), limit)}, nil
+	return &sqlmini.Result{Columns: results[0].Columns, Rows: s.merge(results, limit)}, nil
 }
 
-// merge gathers the per-shard results by the statement's merge
-// strategy, counting which one ran.
-func (s *Stmt) merge(results []*sqlmini.Result) []relation.Row {
+// merge gathers the first limit rows (all of them for a negative limit)
+// of the per-shard results by the statement's merge strategy, counting
+// which one ran.
+func (s *Stmt) merge(results []*sqlmini.Result, limit int64) []relation.Row {
 	if s.info.HasOrder {
 		s.c.mergeOrdered.Add(1)
-		return mergeByOrder(results, s.info.MergeKeys)
+		return mergeByOrder(results, s.info.MergeKeys, limit)
 	}
 	s.c.mergeConcat.Add(1)
-	return concatRows(results)
+	return concatRows(results, limit)
 }
 
 // parQuery runs one task per shard on a pool of min(shards, workers)
@@ -73,28 +74,36 @@ func (s *Stmt) parQuery(run func(i int) (*sqlmini.Result, error)) ([]*sqlmini.Re
 
 // --- merge strategies (materialized) -----------------------------------
 
-func concatRows(results []*sqlmini.Result) []relation.Row {
+// wanted is how many of the per-shard results' rows a LIMIT lets through.
+func wanted(results []*sqlmini.Result, limit int64) int {
 	total := 0
 	for _, r := range results {
 		total += len(r.Rows)
 	}
-	out := make([]relation.Row, 0, total)
+	if limit >= 0 && limit < int64(total) {
+		return int(limit)
+	}
+	return total
+}
+
+// concatRows appends the shards' rows in shard order, stopping at limit.
+func concatRows(results []*sqlmini.Result, limit int64) []relation.Row {
+	want := wanted(results, limit)
+	out := make([]relation.Row, 0, want)
 	for _, r := range results {
-		out = append(out, r.Rows...)
+		out = append(out, r.Rows[:min(len(r.Rows), want-len(out))]...)
 	}
 	return out
 }
 
 // mergeByOrder k-way merges per-shard results that each arrive sorted
-// by keys — the engine's sort contract makes the heads comparable.
-func mergeByOrder(results []*sqlmini.Result, keys []sqlmini.MergeKey) []relation.Row {
-	total := 0
+// by keys — the engine's sort contract makes the heads comparable — and
+// stops at limit.
+func mergeByOrder(results []*sqlmini.Result, keys []sqlmini.MergeKey, limit int64) []relation.Row {
 	heads := make([]int, len(results))
-	for _, r := range results {
-		total += len(r.Rows)
-	}
-	out := make([]relation.Row, 0, total)
-	for {
+	want := wanted(results, limit)
+	out := make([]relation.Row, 0, want)
+	for len(out) < want {
 		best := -1
 		for i, r := range results {
 			if heads[i] >= len(r.Rows) {
@@ -104,12 +113,10 @@ func mergeByOrder(results []*sqlmini.Result, keys []sqlmini.MergeKey) []relation
 				best = i
 			}
 		}
-		if best < 0 {
-			return out
-		}
 		out = append(out, results[best].Rows[heads[best]])
 		heads[best]++
 	}
+	return out
 }
 
 func lessRows(a, b relation.Row, keys []sqlmini.MergeKey) bool {
@@ -123,11 +130,4 @@ func lessRows(a, b relation.Row, keys []sqlmini.MergeKey) bool {
 		}
 	}
 	return false
-}
-
-func applyLimit(rows []relation.Row, limit int64) []relation.Row {
-	if limit >= 0 && limit < int64(len(rows)) {
-		rows = rows[:limit]
-	}
-	return rows
 }

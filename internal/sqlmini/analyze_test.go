@@ -107,9 +107,9 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 				batchLine + "analyzed: 12 rows out, total T\n",
 		},
 		{
-			name: "LIMIT ends a streaming pipeline: the footer says so, and the join emitted one ramp-up batch of its 200 rows",
+			name: "LIMIT ends a streaming pipeline: the footer says so, and the join emitted one batch of the 5 rows wanted, not a ramp-up batch of its 200",
 			sql:  `SELECT y.CourseID, en.SuID FROM CourseYears y JOIN Enrollments en ON y.CourseID = en.CourseID LIMIT 5`,
-			want: "hash join on (y.CourseID = en.CourseID), build=left (INNER) (actual rows=32 batches=1 time=T)\n" +
+			want: "hash join on (y.CourseID = en.CourseID), build=left (INNER) (actual rows=5 batches=1 time=T)\n" +
 				"  scan Enrollments AS en ~200 of 200 rows (actual rows=200 batches=3 loops=1 time=T)\n" +
 				"  scan CourseYears AS y ~12 of 12 rows (actual rows=12 batches=1 loops=1 time=T)\n" +
 				batchLine + "analyzed: 5 rows out, total T (stopped at limit)\n",

@@ -41,20 +41,41 @@ import (
 // (the basis of ORDER BY elision).
 
 // defaultBatch is the pipeline's slab size when the engine does not
-// override it (Engine.WithBatchSize): the ceiling on how many rows a
-// storage cursor fetches per lock acquisition and how many rows a join
-// emits per dispatch.
+// override it (Engine.WithBatchSize): the ceiling the ramps below grow
+// to — how many rows a storage cursor fetches per lock acquisition and
+// how many rows a join emits per dispatch once a pipeline has proven
+// long. No buffer starts at it.
 const defaultBatch = 256
 
 // Buffers start small and grow geometrically toward the batch size:
 // point lookups and tiny scans (the common case in probe-heavy
 // workloads) must not pay kilobytes of slab allocation per cursor open
-// just because wide scans want 256-row slabs.
+// just because wide scans want 256-row slabs. A streaming statement's
+// execution row goal (its bound LIMIT, see firstSlab) below
+// scanBatchMin starts the driver's fetch, each join's emit and the INLJ
+// and projection arenas at the goal instead; every later fetch, emit
+// and slab grows from there as it does without one.
 const (
-	arenaSlabMin  = 8    // rows in an arena's first slab
+	arenaSlabMin  = 8    // rows in an arena's first slab without a goal
 	arenaSlabRows = 2048 // rows per slab once an arena has proven hot
-	scanBatchMin  = 32   // rows in a scan's first storage fetch
+	scanBatchMin  = 32   // rows in a scan's first fetch and a join's first emit without a goal
 )
+
+// firstSlab is the size an execution row goal gives a pipeline's first
+// storage fetch, join emit and arena slab: the goal, capped at the
+// engine's batch. It returns 0, "start at the default", without a goal
+// (goal <= 0) and for a goal of scanBatchMin or more, which would not
+// shrink the fetch or the emit and would only enlarge an arena's first
+// slab past arenaSlabMin. For a goal between arenaSlabMin and
+// scanBatchMin the arena's first slab is larger than the default only
+// for a statement that returns arenaSlabMin rows or fewer; one that
+// returns more carves fewer rows than the default's 8 + 32.
+func (e *Engine) firstSlab(goal int64) int {
+	if goal <= 0 || goal >= scanBatchMin {
+		return 0
+	}
+	return int(min(goal, int64(e.batch())))
+}
 
 // cursor is the executor's pull interface. NextBatch returns the next
 // slab of rows under the batch contract above. After an error or Close
@@ -77,38 +98,30 @@ func markTransientCursor(c cursor) {
 }
 
 // rowArena carves fixed-width rows out of large value slabs, replacing
-// one allocation per combined/projected row with one per arenaSlabRows
-// rows. Carved rows use full-capacity slicing, so appending to one can
-// never bleed into a neighbor. Retained mode (reset never called) keeps
-// every carved row valid for the arena's lifetime; a transient owner
-// calls reset at its safe reuse point — after which previously carved
-// rows alias new ones, exactly the invalidation the batch contract
-// already declares.
+// one allocation per combined/projected row with one per slab. Slabs
+// grow ×4 from the first (rows, arenaSlabMin when zero) up to
+// arenaSlabRows. Carved rows use full-capacity slicing, so appending to
+// one can never bleed into a neighbor. Retained mode (reset never
+// called) keeps every carved row valid for the arena's lifetime; a
+// transient owner calls reset at its safe reuse point — after which
+// previously carved rows alias new ones, exactly the invalidation the
+// batch contract already declares.
 type rowArena struct {
 	slab []relation.Value
 	off  int
-	rows int // rows per freshly allocated slab, grows geometrically
+	rows int // rows in the next fresh slab; zero means arenaSlabMin
 }
 
 // alloc carves one n-wide row. The caller must write every cell: after
 // a reset the slab holds stale values.
 func (a *rowArena) alloc(n int) relation.Row {
 	if a.off+n > len(a.slab) {
-		switch {
-		case a.rows == 0:
+		if a.rows == 0 {
 			a.rows = arenaSlabMin
-		case a.rows < arenaSlabRows:
-			a.rows *= 4
-			if a.rows > arenaSlabRows {
-				a.rows = arenaSlabRows
-			}
 		}
-		sz := a.rows * n
-		if sz < n {
-			sz = n
-		}
-		a.slab = make([]relation.Value, sz)
+		a.slab = make([]relation.Value, a.rows*n)
 		a.off = 0
+		a.rows = min(4*a.rows, arenaSlabRows)
 	}
 	row := a.slab[a.off : a.off+n : a.off+n]
 	a.off += n
@@ -127,10 +140,11 @@ func (a *rowArena) combine(l, r relation.Row) relation.Row {
 	return row
 }
 
-// emitRamp sizes a join cursor's output batches: the first slab stays
-// small so an early-LIMIT consumer never pays for hundreds of joined
-// rows it will not read, and every filled batch grows the next one
-// toward the engine batch size.
+// emitRamp sizes a join cursor's output batches: the first batch holds
+// n rows — the execution row goal's firstSlab when the statement has
+// one, else scanBatchMin — so an early-LIMIT consumer never pays for
+// joined rows it will not read, and every filled batch doubles the next
+// one toward the engine batch size.
 type emitRamp struct{ n int }
 
 func (r *emitRamp) next(max int) int {
@@ -284,9 +298,10 @@ type batchScanCursor struct {
 	filter   []Expr
 	check    *rangeCheck // optional degraded-path bounds re-check
 	batchN   int
+	first    int // rows in the first storage fetch; zero means scanBatchMin
 	buf      []relation.Row
 	pos, n   int
-	lastFull bool // last storage fetch filled buf: grow it next refill
+	lastFull bool // last storage fetch filled buf: grow it before the next
 	done     bool
 }
 
@@ -295,23 +310,20 @@ func (c *batchScanCursor) refill() error {
 	if max <= 0 {
 		max = defaultBatch
 	}
-	if c.buf == nil {
-		n := max
-		if n > scanBatchMin {
-			n = scanBatchMin
-		}
-		c.buf = make([]relation.Row, n)
-	} else if c.lastFull && len(c.buf) < max {
-		// The last fetch came back full: the table is big enough to
-		// deserve bigger slabs, up to the engine's batch size.
-		n := len(c.buf) * 4
-		if n > max {
-			n = max
-		}
-		c.buf = make([]relation.Row, n)
-	}
 	for {
-		n := c.src.NextBatch(c.buf[:cap(c.buf)])
+		if c.buf == nil {
+			n := c.first
+			if n <= 0 {
+				n = scanBatchMin
+			}
+			c.buf = make([]relation.Row, min(n, max))
+		} else if c.lastFull && len(c.buf) < max {
+			// The last fetch came back full — whether its rows went out or
+			// the filters emptied it — so the table is big enough to
+			// deserve bigger slabs, up to the engine's batch size.
+			c.buf = make([]relation.Row, min(4*len(c.buf), max))
+		}
+		n := c.src.NextBatch(c.buf)
 		c.lastFull = n == len(c.buf)
 		if n == 0 {
 			c.done = true
@@ -423,17 +435,18 @@ func probeRows(s *scanNode, t *relation.Table, rs *rowset) ([]relation.Row, erro
 // scans and range scans stream in batches. keyOrder demands the output
 // come back in the range column's key order even on the degraded path —
 // set when the plan elided an ORDER BY on the strength of this scan.
-// Scanned rows are retained by reference: the relation store never
-// mutates a stored row in place, so references stay consistent
-// snapshots. Under EXPLAIN ANALYZE (one nil check otherwise) the
+// first sizes a streamed scan's first storage fetch (firstSlab; zero for
+// the default). Scanned rows are retained by reference: the relation
+// store never mutates a stored row in place, so references stay
+// consistent snapshots. Under EXPLAIN ANALYZE (one nil check otherwise) the
 // returned cursor is wrapped with per-operator instrumentation.
-func (e *Engine) openScan(s *scanNode, keyOrder bool) (cursor, error) {
+func (e *Engine) openScan(s *scanNode, keyOrder bool, first int) (cursor, error) {
 	if e.an == nil {
-		return e.openScanRaw(s, keyOrder)
+		return e.openScanRaw(s, keyOrder, first)
 	}
 	st := e.an.nodeStat(s)
 	t0 := time.Now()
-	cur, err := e.openScanRaw(s, keyOrder)
+	cur, err := e.openScanRaw(s, keyOrder, first)
 	st.ns += int64(time.Since(t0)) // eager work: probes, degraded-path sorts
 	st.loops++
 	if err != nil {
@@ -442,7 +455,7 @@ func (e *Engine) openScan(s *scanNode, keyOrder bool) (cursor, error) {
 	return &instrCursor{in: cur, st: st}, nil
 }
 
-func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
+func (e *Engine) openScanRaw(s *scanNode, keyOrder bool, first int) (cursor, error) {
 	t, ok := e.db.Table(s.ref.Name)
 	if !ok {
 		return nil, fmt.Errorf("sqlmini: unknown table %q", s.ref.Name)
@@ -465,10 +478,10 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 		}
 		if s.rangeDesc {
 			if dc, ok := t.NewDescCursor(s.rangeCol, lo, hi); ok {
-				return &batchScanCursor{src: dc, rs: rs, filter: s.filter, batchN: e.batch()}, nil
+				return &batchScanCursor{src: dc, rs: rs, filter: s.filter, batchN: e.batch(), first: first}, nil
 			}
 		} else if rc, ok := t.NewRangeCursor(s.rangeCol, lo, hi); ok {
-			return &batchScanCursor{src: rc, rs: rs, filter: s.filter, batchN: e.batch()}, nil
+			return &batchScanCursor{src: rc, rs: rs, filter: s.filter, batchN: e.batch(), first: first}, nil
 		}
 		// The ordered index vanished beneath a replaced table: degrade
 		// to a checked full scan so results stay correct. The plan is
@@ -481,7 +494,7 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 			return nil, err
 		}
 		check := &rangeCheck{col: ci, lo: lo, hi: hi}
-		cur := cursor(&batchScanCursor{src: t.NewScanCursor(), rs: rs, filter: s.filter, check: check, batchN: e.batch()})
+		cur := cursor(&batchScanCursor{src: t.NewScanCursor(), rs: rs, filter: s.filter, check: check, batchN: e.batch(), first: first})
 		if keyOrder {
 			rows, err := drainCursor(cur, int(s.est))
 			if err != nil {
@@ -492,7 +505,7 @@ func (e *Engine) openScanRaw(s *scanNode, keyOrder bool) (cursor, error) {
 		}
 		return cur, nil
 	default:
-		return &batchScanCursor{src: t.NewScanCursor(), rs: rs, filter: s.filter, batchN: e.batch()}, nil
+		return &batchScanCursor{src: t.NewScanCursor(), rs: rs, filter: s.filter, batchN: e.batch(), first: first}, nil
 	}
 }
 
@@ -536,7 +549,7 @@ func (c *hashJoinCursor) markTransient() {
 }
 
 func (c *hashJoinCursor) start() error {
-	rc, err := c.e.openScan(c.jn.scan, false)
+	rc, err := c.e.openScan(c.jn.scan, false, 0)
 	if err != nil {
 		return err
 	}
@@ -674,7 +687,7 @@ func (c *buildLeftJoinCursor) start() error {
 		}
 	}
 	c.matches = make([][]relation.Row, len(leftRows))
-	rc, err := c.e.openScan(c.jn.scan, false)
+	rc, err := c.e.openScan(c.jn.scan, false, 0)
 	if err != nil {
 		return err
 	}
@@ -1139,7 +1152,7 @@ func (c *nestedLoopCursor) markTransient() {
 }
 
 func (c *nestedLoopCursor) start() error {
-	rc, err := c.e.openScan(c.jn.scan, false)
+	rc, err := c.e.openScan(c.jn.scan, false, 0)
 	if err != nil {
 		return err
 	}
@@ -1285,9 +1298,27 @@ func (c *limitCursor) Close() { c.in.Close() }
 // order when the plan elided its ORDER BY on it. retain
 // declares the consumer's retention: true when rows outlive their batch
 // (drainCursor into aggregation/sort), false for the streaming Rows
-// path, which lets transient cursors recycle their arena slabs.
-func (e *Engine) openPlan(p *selectPlan, retain bool) (cursor, error) {
-	cur, err := e.openScan(p.scan, p.orderElide)
+// path, which lets transient cursors recycle their arena slabs. goal is
+// the execution row goal — the LIMIT a streaming statement bound, or
+// noLimit — and sizes the driver's first fetch, each join's first emit
+// and the INLJ arena's first slab (firstSlab); the plan itself never
+// changes with it. A build-left hash join drains every stage beneath it
+// before it emits a row, so only the stages from the last such join up
+// are sized by the goal.
+func (e *Engine) openPlan(p *selectPlan, retain bool, goal int64) (cursor, error) {
+	drained := 0 // stages below this one are drained: 0 is the driver, i+1 join i
+	for i, jn := range p.joins {
+		if len(jn.leftKeys) > 0 && jn.buildLeft {
+			drained = i + 1
+		}
+	}
+	firstAt := func(stage int) int {
+		if stage < drained {
+			return 0
+		}
+		return e.firstSlab(goal)
+	}
+	cur, err := e.openScan(p.scan, p.orderElide, firstAt(0))
 	if err != nil {
 		return nil, err
 	}
@@ -1295,28 +1326,30 @@ func (e *Engine) openPlan(p *selectPlan, retain bool) (cursor, error) {
 	if len(p.joins) > 0 {
 		acc = append(acc, p.scan.cols...)
 	}
-	for _, jn := range p.joins {
+	for i, jn := range p.joins {
+		first := firstAt(i + 1)
 		leftWidth := len(acc)
 		acc = append(acc, jn.scan.cols...)
 		combined := &rowset{cols: append([]colRef(nil), acc...)}
 		switch {
 		case jn.inlj:
 			cur = &inljCursor{e: e, left: cur, jn: jn, combined: combined,
-				rightRS: &rowset{cols: jn.scan.cols}}
+				rightRS: &rowset{cols: jn.scan.cols}, arena: rowArena{rows: first}}
 		case jn.band:
 			// Only band joins evaluate bounds against the left row alone,
 			// so only they pay for the left-layout rowset.
 			cur = &bandJoinCursor{e: e, left: cur, jn: jn, combined: combined,
-				ldrain: leftDrain{c: cur},
+				ldrain: leftDrain{c: cur}, ramp: emitRamp{n: first},
 				leftRS: &rowset{cols: combined.cols[:leftWidth]}, rightRS: &rowset{cols: jn.scan.cols}}
 		case len(jn.leftKeys) > 0 && jn.buildLeft:
-			cur = &buildLeftJoinCursor{e: e, left: cur, jn: jn, combined: combined}
+			cur = &buildLeftJoinCursor{e: e, left: cur, jn: jn, combined: combined,
+				ramp: emitRamp{n: first}}
 		case len(jn.leftKeys) > 0:
 			cur = &hashJoinCursor{e: e, left: cur, jn: jn, combined: combined,
-				ldrain: leftDrain{c: cur}}
+				ldrain: leftDrain{c: cur}, ramp: emitRamp{n: first}}
 		default:
 			cur = &nestedLoopCursor{e: e, left: cur, jn: jn, combined: combined,
-				ldrain: leftDrain{c: cur}}
+				ldrain: leftDrain{c: cur}, ramp: emitRamp{n: first}}
 		}
 		if e.an != nil {
 			// The join's own line measures inclusively (its time covers

@@ -130,10 +130,11 @@
 // per row — which run in carve-only retained mode when the consumer
 // materializes, and recycle their slabs (zero steady-state allocation)
 // when the consumer is the streaming Rows path, which never retains
-// rows past the current batch. Join cursors additionally ramp their
-// output batches up from a small first slab, so a consumer that stops
-// after a handful of rows never pays for a full slab of joined rows it
-// will not read.
+// rows past the current batch. Scans, join outputs and arenas start
+// small and grow geometrically toward the batch — from the execution
+// row goal when the statement has one (see LIMIT below) — so a consumer
+// that stops after a handful of rows never pays for a full slab of rows
+// it will not read.
 //
 // Nothing below a hash-join build side materializes, so a wide join
 // consumed through Rows — or cut short by a streaming LIMIT or an
@@ -161,7 +162,7 @@
 // by … elided"); elided-order queries stream through Rows like
 // unordered ones.
 //
-// # LIMIT: the window contract and the row goal
+// # LIMIT: the window contract and the two row goals
 //
 // A statement STREAMS when nothing blocking stands between its scan and
 // its LIMIT: no aggregate, and an ORDER BY that is absent or elided.
@@ -169,29 +170,49 @@
 // limitCursor on top of the plan, built from one evaluation of the
 // LIMIT clause — under BOTH entry points: Stmt.Query (and so every
 // shard leg) as well as the QueryRows iterator stop pulling batches at
-// the last row wanted, so the scan and every join below read a batch or
-// two instead of the table, and the result slice is sized to the limit.
-// A statement that does not stream needs its whole input before its
-// first output row; it executes exactly as it would without the LIMIT
-// and keeps the first rows of the finished result. So does the
-// key-bounded probe-only plan, which has no pipeline to stop. EXPLAIN
-// ANALYZE's footer says "(stopped at limit)" when the LIMIT, not the
-// end of the input, ended the execution. Either way `… LIMIT k` is the
-// first k rows of the statement without one, ties included
+// the last row wanted, so the scan and every join below read about the
+// rows wanted instead of the table, and the result slice is sized to
+// the limit. A statement that does not stream needs its whole input
+// before its first output row; it executes exactly as it would without
+// the LIMIT and keeps the first rows of the finished result. So does
+// the key-bounded probe-only plan, which has no pipeline to stop.
+// EXPLAIN ANALYZE's footer says "(stopped at limit)" when the LIMIT, not
+// the end of the input, ended the execution. Either way `… LIMIT k` is
+// the first k rows of the statement without one, ties included
 // (window_test.go holds every entry point to it).
 //
-// A streaming statement that carries a LIMIT also gives the planner a
-// ROW GOAL: the pipeline will be closed after limit rows, so
-// join algorithms are re-decided with each join's left input costed at
-// that many rows — which turns "hash all of Courses to emit ten rows"
-// into an index nested loop through its primary key. The goal is the
-// literal's value, and ONE EXECUTOR BATCH (256) for a '?': plans are
-// cached by statement text and bake in access paths, never data, so the
-// goal cannot depend on the value an execution binds. It may change a
-// hash join into an INLJ and nothing else — not the driver's access
-// path, a band join, or order elision, all decided before it — and both
-// algorithms emit left-major order with right matches in slot order, so
-// the limited statement returns exactly the prefix of the unlimited one.
+// A streaming LIMIT sets two row goals, one per phase.
+//
+// The PLAN GOAL comes from the statement text and decides join
+// algorithms: the pipeline will be closed after limit rows, so each
+// join's left input is costed at that many rows — which turns "hash all
+// of Courses to emit ten rows" into an index nested loop through its
+// primary key. It is the literal's value, and ONE EXECUTOR BATCH (256)
+// for a '?' (rowGoalParam): plans are cached by statement text and bake
+// in access paths, never data, so it cannot depend on the value an
+// execution binds. It may change a hash join into an INLJ and nothing
+// else — not the driver's access path, a band join, or order elision,
+// all decided before it — and both algorithms emit left-major order with
+// right matches in slot order, so the limited statement returns exactly
+// the prefix of the unlimited one.
+//
+// The EXECUTION GOAL is the value the LIMIT has at execution, literal or
+// bound, and decides buffer sizes, never the plan: execSelect and
+// rowsEntry pass it to openPlan as an argument (no Engine field, so a
+// cached plan and a shared engine stay goal-free). A goal below 32
+// sizes four first buffers at the goal (capped at the engine's batch):
+// the driver scan's first storage fetch, each join's first emitted batch
+// (emitRamp), the INLJ arena's first slab and the streaming projection's
+// output arena. Every later fetch, emit and slab grows from there
+// exactly as without a goal, so a `LIMIT ?` bound to 10 fetches, joins
+// and builds ten rows, not 32 and an 8 + 32-row arena, while a join that
+// drops most driver rows still grows its fetches ×4 toward the batch.
+// An arena's first slab is larger than the default 8 rows only for a
+// goal of 9 to 31 on a statement that returns 8 rows or fewer. A goal of
+// 32 or more would not shrink the fetch or the emit, so it sizes nothing,
+// and a build-left hash join, which drains every stage beneath it before
+// it emits, leaves those stages unsized. A statement without a LIMIT, or
+// one that does not stream, gets no goal.
 //
 // Explain returns the chosen plan as text without executing; the
 // FlexRecs engine surfaces it beneath each compiled statement, and the

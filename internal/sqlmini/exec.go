@@ -229,9 +229,10 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		(plan.scan.access == accessPK || plan.scan.access == accessIndex)
 
 	// A streaming statement's LIMIT is a pipeline stage: the limitCursor
-	// ends the scan and every join below it at the last row wanted.
-	// Blocking statements (and the key-bounded probe-only plan) apply it
-	// to the finished rows instead.
+	// ends the scan and every join below it at the last row wanted, and
+	// the bound value is the execution row goal openPlan sizes the first
+	// fetch, emit and slab by. Blocking statements (and the key-bounded
+	// probe-only plan) apply it to the finished rows instead, with no goal.
 	limit := int64(noLimit)
 	streams := ps.streams() && !probeOnly
 	if streams {
@@ -261,12 +262,12 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 			}
 		}
 		if allDirect {
-			cur, err := e.openPlan(plan, false)
+			cur, err := e.openPlan(plan, false, limit)
 			if err != nil {
 				return nil, err
 			}
 			cur = e.limited(cur, limit)
-			var arena rowArena
+			arena := rowArena{rows: e.firstSlab(limit)}
 			outRows := make([]relation.Row, 0, capHint(limit, plan.estOut()))
 			for {
 				batch, err := cur.NextBatch()
@@ -322,7 +323,7 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 	} else {
 		// retain=true: the drained rows feed aggregation/sort/projection
 		// below and must outlive every batch boundary.
-		cur, err := e.openPlan(plan, true)
+		cur, err := e.openPlan(plan, true, limit)
 		if err != nil {
 			return nil, err
 		}

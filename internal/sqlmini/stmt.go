@@ -256,7 +256,7 @@ func (e *Engine) rowsEntry(en *cacheEntry, args []any) (*Rows, error) {
 	plan := bindPlan(ps.plan, params)
 	// retain=false: Rows only ever reads the current batch, so transient
 	// cursors may recycle their arena slabs batch over batch.
-	cur, err := e.openPlan(plan, false)
+	cur, err := e.openPlan(plan, false, limit)
 	if err != nil {
 		return nil, err
 	}

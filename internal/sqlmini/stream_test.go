@@ -271,3 +271,46 @@ func TestDegradedRangeFallbackKeepsElidedOrder(t *testing.T) {
 		}
 	}
 }
+
+// countingSource is a batchSource over the rows 0…n-1 that counts its
+// fetches — each one a storage lock acquisition on a real table.
+type countingSource struct {
+	next, n, fetches int
+}
+
+func (s *countingSource) NextBatch(dst []relation.Row) int {
+	s.fetches++
+	k := 0
+	for ; k < len(dst) && s.next < s.n; k++ {
+		dst[k] = relation.Row{int64(s.next)}
+		s.next++
+	}
+	return k
+}
+
+// TestScanRefillGrowsThroughFilteredFetches: a selective pushed filter
+// that empties fetch after fetch must not pin the scan to its first
+// fetch size. Whatever the first fetch (the default, or the one row a
+// LIMIT 1 goal asks for), every full fetch grows the next ×4 up to the
+// batch, so reading 10 000 rows for the one that passes takes about
+// 10 000/defaultBatch fetches, not one per first-fetch size of rows.
+func TestScanRefillGrowsThroughFilteredFetches(t *testing.T) {
+	const n = 10_000
+	last := &Binary{Op: "=", L: &boundRef{idx: 0, orig: &Ref{Name: "ID"}}, R: &Lit{V: int64(n - 1)}}
+	for _, first := range []int{0, 1} {
+		src := &countingSource{n: n}
+		cur := &limitCursor{remain: 1, in: &batchScanCursor{src: src, rs: &rowset{cols: []colRef{{name: "ID"}}},
+			filter: []Expr{last}, batchN: defaultBatch, first: first}}
+		rows, err := drainCursor(cur, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0][0] != int64(n-1) {
+			t.Fatalf("first fetch %d: got %v, want the last row alone", first, rows)
+		}
+		if max := n/defaultBatch + 8; src.fetches > max {
+			t.Errorf("first fetch %d: LIMIT 1 took %d storage fetches for %d rows, want at most %d",
+				first, src.fetches, n, max)
+		}
+	}
+}

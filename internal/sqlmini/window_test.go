@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,6 +28,9 @@ type windowShape struct {
 	Args []any
 	// Blocking statements need every row before the first: no early stop.
 	Blocking bool
+	// Sparse statements keep few of their driver's rows, so the driver's
+	// fetches must grow past the first before a small LIMIT fills.
+	Sparse bool
 }
 
 // windowCorpus builds the corpus's tables on e and returns its shapes.
@@ -78,7 +82,7 @@ func windowCorpus(t testing.TB, e *Engine) []windowShape {
 		{Name: "fact probe", SQL: `SELECT Owner, Course, Rating FROM Notes WHERE Owner = ?`, Args: []any{int64(3)}},
 		{Name: "fact scan", SQL: `SELECT Owner, Course, Rating FROM Notes WHERE Owner <> ?`, Args: []any{int64(3)}},
 		{Name: "computed projection", SQL: `SELECT ID, Rating + 2 AS Plus FROM Notes WHERE Rating >= ?`, Args: []any{2.0}},
-		{Name: "reference join", SQL: `SELECT s.CourseID, Title FROM Subjects s JOIN Years y ON s.CourseID = y.CourseID WHERE y.Year = 2008`},
+		{Name: "reference join", SQL: `SELECT s.CourseID, Title FROM Subjects s JOIN Years y ON s.CourseID = y.CourseID WHERE y.Year = 2008`, Sparse: true},
 		{Name: "join, total order", SQL: `SELECT m.ID, m.Course, t.Name FROM Notes m JOIN Teachers t ON m.Teacher = t.TeacherID
 			WHERE m.Rating >= 2 ORDER BY m.ID`, Blocking: true},
 		{Name: "three tables", SQL: `SELECT m.ID, s.Title, y.Year FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
@@ -90,6 +94,10 @@ func windowCorpus(t testing.TB, e *Engine) []windowShape {
 		{Name: "tied asc over a join", SQL: `SELECT s.CourseID, Title, Rating FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
 			WHERE m.Rating <= ? ORDER BY Rating`, Args: []any{4.0}},
 		{Name: "tied desc, one table", SQL: `SELECT ID, Rating FROM Notes ORDER BY Rating DESC`},
+		// top-rated with a department: one driver row in twelve survives
+		// the join.
+		{Name: "tied desc over a sparse join", SQL: `SELECT m.ID, Title, Rating FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
+			WHERE m.Rating >= ? AND s.Dep = ? ORDER BY Rating DESC`, Args: []any{1.5, "D03"}, Sparse: true},
 		{Name: "real sort", SQL: `SELECT s.CourseID, Title, Rating FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
 			WHERE m.Owner = ? ORDER BY Rating DESC`, Args: []any{int64(3)}, Blocking: true},
 		{Name: "aggregate", SQL: `SELECT s.Dep, COUNT(*) AS N, AVG(m.Rating) AS Mean FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
@@ -99,9 +107,11 @@ func windowCorpus(t testing.TB, e *Engine) []windowShape {
 }
 
 // limitsFor lists the LIMITs to check for a statement with n rows:
-// batch boundaries and both ends of the result.
+// both sides of the first arena slab (arenaSlabMin), the first fetch
+// (scanBatchMin) and the batch (defaultBatch), and both ends of the
+// result.
 func limitsFor(n int) []int64 {
-	return []int64{0, 1, 3, 255, 256, 257, int64(n), int64(n) + 1}
+	return []int64{0, 1, 2, 3, 8, 9, 10, 31, 32, 33, 255, 256, 257, int64(n), int64(n) + 1}
 }
 
 // firstRows is the first k rows of rows, clipped.
@@ -139,6 +149,12 @@ func TestWindowIsSliceOfUnwindowed(t *testing.T) {
 	e := New(relation.NewDB())
 	shapes := windowCorpus(t, e)
 	forced := e.ForceScan()
+	// Handles whose batch is below the execution row goal: it must cap
+	// the first fetch, emit and slab without changing a row.
+	handles := []struct {
+		name string
+		e    *Engine
+	}{{"", e}, {"batch 1 ", e.WithBatchSize(1)}, {"batch 7 ", e.WithBatchSize(7)}}
 	for _, sh := range shapes {
 		base, err := e.Prepare(sh.SQL)
 		if err != nil {
@@ -162,7 +178,7 @@ func TestWindowIsSliceOfUnwindowed(t *testing.T) {
 		if n, err := base.Limit(sh.Args...); err != nil || n != -1 {
 			t.Fatalf("%s: Limit() = %d, %v; want -1 for a statement without one", sh.Name, n, err)
 		}
-		for ki, k := range limitsFor(len(all.Rows)) {
+		for _, k := range limitsFor(len(all.Rows)) {
 			want := firstRows(all.Rows, k)
 			check := func(entry string, got []relation.Row) {
 				t.Helper()
@@ -176,34 +192,36 @@ func TestWindowIsSliceOfUnwindowed(t *testing.T) {
 			literal := fmt.Sprintf("%s LIMIT %d", sh.SQL, k)
 			bound := sh.SQL + " LIMIT ?"
 			boundArgs := append(append([]any{}, sh.Args...), k)
-			for _, v := range []struct {
-				entry, sql string
-				args       []any
-			}{{"literal", literal, sh.Args}, {"bound", bound, boundArgs}} {
-				st, err := e.Prepare(v.sql)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", sh.Name, v.entry, err)
-				}
-				res, err := st.Query(v.args...)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", sh.Name, v.entry, err)
-				}
-				check(v.entry+" Query", res.Rows)
-				rows, err := st.QueryRows(v.args...)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", sh.Name, v.entry, err)
-				}
-				check(v.entry+" QueryRows", drainRows(t, rows))
-				if n, err := st.Limit(v.args...); err != nil || n != k {
-					t.Fatalf("%s: %s Limit() = %d, %v; want %d", sh.Name, v.entry, n, err, k)
+			for _, h := range handles {
+				for _, v := range []struct {
+					entry, sql string
+					args       []any
+				}{{h.name + "literal", literal, sh.Args}, {h.name + "bound", bound, boundArgs}} {
+					st, err := h.e.Prepare(v.sql)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", sh.Name, v.entry, err)
+					}
+					res, err := st.Query(v.args...)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", sh.Name, v.entry, err)
+					}
+					check(v.entry+" Query", res.Rows)
+					rows, err := st.QueryRows(v.args...)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", sh.Name, v.entry, err)
+					}
+					check(v.entry+" QueryRows", drainRows(t, rows))
+					if n, err := st.Limit(v.args...); err != nil || n != k {
+						t.Fatalf("%s: %s Limit() = %d, %v; want %d", sh.Name, v.entry, n, err, k)
+					}
 				}
 			}
 
 			// The forced handle against its own unwindowed result (without
 			// a pinned order the two engines may differ in row order). Its
 			// joins are nested loops over every pair of rows, so a join
-			// shape checks one LIMIT, 256, not eight.
-			if forcedAll != nil && (!strings.Contains(sh.SQL, " JOIN ") || ki == 4) {
+			// shape checks one LIMIT, 256, not fifteen.
+			if forcedAll != nil && (!strings.Contains(sh.SQL, " JOIN ") || k == defaultBatch) {
 				got, err := forced.Query(literal, sh.Args...)
 				if err != nil {
 					t.Fatalf("%s: forced: %v", sh.Name, err)
@@ -223,12 +241,33 @@ func clip(rows []relation.Row) []relation.Row {
 	return rows
 }
 
-var actualRowsRe = regexp.MustCompile(`actual rows=(\d+)`)
+var (
+	actualRowsRe = regexp.MustCompile(`actual rows=(\d+)`)
+	operatorRe   = regexp.MustCompile(`(?m)^.*actual rows=(\d+) batches=(\d+).*$`)
+)
+
+// driverFetches reads the driver's line, the last operator line: the
+// rows and batches it reports, and whether it is a storage scan (a
+// probe driver materializes its key-bounded rows at once).
+func driverFetches(t *testing.T, report string) (rows, batches int, scan bool) {
+	t.Helper()
+	m := operatorRe.FindAllStringSubmatch(report, -1)
+	if m == nil {
+		t.Fatalf("no operator line in:\n%s", report)
+	}
+	last := m[len(m)-1]
+	rows, _ = strconv.Atoi(last[1])
+	batches, _ = strconv.Atoi(last[2])
+	scan = !strings.Contains(last[0], "probe ") && !strings.Contains(last[0], "pk lookup ")
+	return rows, batches, scan
+}
 
 // TestWindowStopsOnlyStreamingStatements reads EXPLAIN ANALYZE: under
-// LIMIT 5 a streaming statement's driver hands over one storage batch
-// and the footer says the window ended the pipeline; a blocking
-// statement's operators read every row they read without the LIMIT.
+// LIMIT 5 a streaming statement's driver fetches the 5 rows wanted,
+// growing ×4 only when a filter or join dropped some, and the footer
+// says the window ended the pipeline; a blocking statement's operators
+// read every row they read without the LIMIT. A handle whose batch is
+// below the goal caps the driver's fetches at its batch.
 func TestWindowStopsOnlyStreamingStatements(t *testing.T) {
 	e := New(relation.NewDB())
 	for _, sh := range windowCorpus(t, e) {
@@ -258,12 +297,102 @@ func TestWindowStopsOnlyStreamingStatements(t *testing.T) {
 		if !stopped {
 			t.Errorf("%s: LIMIT 5 did not end the pipeline:\n%s", sh.Name, limited)
 		}
-		// The driver is the last operator line: at most one default
-		// storage batch left it.
-		m := actualRowsRe.FindAllStringSubmatch(limited, -1)
-		if n, _ := strconv.Atoi(m[len(m)-1][1]); n > defaultBatch {
-			t.Errorf("%s: driver emitted %d rows for LIMIT 5:\n%s", sh.Name, n, limited)
+		// Whatever drives it, a streaming statement's driver hands over
+		// at most one default batch under LIMIT 5.
+		rows, batches, scan := driverFetches(t, limited)
+		if rows > defaultBatch {
+			t.Errorf("%s: driver emitted %d rows for LIMIT 5, more than one batch:\n%s", sh.Name, rows, limited)
 		}
+		if !scan {
+			continue
+		}
+		// A driving scan's first fetch holds the 5 rows wanted and each
+		// later one four times the last: 5, 20, 80, … A statement that
+		// keeps most driver rows stops within the first fetch plus one
+		// grown fetch, 25 rows; a sparse one finds its fifth row in the
+		// third fetch, 105 rows.
+		ramp, fetch := 0, 5
+		for i := 0; i < batches; i++ {
+			ramp, fetch = ramp+fetch, 4*fetch
+		}
+		limit := 5 + 20
+		if sh.Sparse {
+			limit = 5 + 20 + 80
+		}
+		if rows > ramp || rows > limit {
+			t.Errorf("%s: driver emitted %d rows in %d batches for LIMIT 5, want at most %d on the 5, 20, 80, … ramp:\n%s",
+				sh.Name, rows, batches, limit, limited)
+		}
+		for _, n := range []int{1, 7} {
+			report, err := e.WithBatchSize(n).ExplainAnalyze(sh.SQL+" LIMIT ?", append(append([]any{}, sh.Args...), int64(10))...)
+			if err != nil {
+				t.Fatalf("%s: batch %d: %v", sh.Name, n, err)
+			}
+			if rows, batches, _ := driverFetches(t, report); rows > n*batches {
+				t.Errorf("%s: batch %d: driver emitted %d rows in %d batches for LIMIT 10, more than the batch allows:\n%s",
+					sh.Name, n, rows, batches, report)
+			}
+		}
+	}
+}
+
+// TestLargeGoalKeepsDefaultSlabs: an execution row goal of scanBatchMin
+// or more sizes nothing. A selective streaming join whose plan the
+// LIMIT does not change allocates under LIMIT 50 what it allocates
+// without a LIMIT — its INLJ and projection arenas start at
+// arenaSlabMin rows, not at the goal — give or take the limit stage.
+func TestLargeGoalKeepsDefaultSlabs(t *testing.T) {
+	e := New(relation.NewDB())
+	windowCorpus(t, e)
+	const sql = `SELECT m.ID, Title, Rating FROM Notes m JOIN Subjects s ON m.Course = s.CourseID
+		WHERE m.Owner = ? AND m.Rating >= ?`
+	plain, err := e.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limited, err := e.Prepare(sql + " LIMIT ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Stmt{plain, limited} {
+		if ex, err := st.Explain(); err != nil || !strings.Contains(ex, "index nested loop") {
+			t.Fatalf("want an index nested loop with and without the LIMIT (%v):\n%s", err, ex)
+		}
+	}
+	all, err := plain.Query(int64(3), 4.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(all.Rows); n == 0 || n > arenaSlabMin {
+		t.Fatalf("the statement returns %d rows, want 1 to %d", n, arenaSlabMin)
+	}
+	perRun := func(st *Stmt, args ...any) float64 {
+		t.Helper()
+		run := func() {
+			res, err := st.Query(args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Rows, all.Rows) {
+				t.Fatalf("got %v, want %v", res.Rows, all.Rows)
+			}
+		}
+		run() // warm the plan cache
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	without := perRun(plain, int64(3), 4.0)
+	with := perRun(limited, int64(3), 4.0, int64(50))
+	t.Logf("%d rows: without a LIMIT %.0f B/run, LIMIT 50 %.0f B/run", len(all.Rows), without, with)
+	if with > without+256 {
+		t.Errorf("LIMIT 50 allocates %.0f B/run against %.0f B/run without a LIMIT: a goal of scanBatchMin or more enlarged a slab",
+			with, without)
 	}
 }
 
