@@ -24,13 +24,23 @@ type Review struct {
 
 // EnrollCommentRate records a course evaluation atomically: the
 // enrollment, the comment and the standalone rating commit together or
-// not at all. Readers — including the feed matviews and the stats
-// pages — never observe a comment without its enrollment or a rating
-// without its comment. The whole workflow runs in one
-// snapshot-isolation transaction; a write-write conflict (for example
-// two devices submitting ratings for the same student concurrently)
-// surfaces as relation.ErrTxConflict with nothing applied, and the
-// caller can simply retry.
+// not at all, in one serializable relation.Tx. What a reader sees
+// depends on how it reads:
+//   - a read of one table sees all of the review's row in it or none;
+//   - a relation.Tx that reads several tables and commits saw the whole
+//     review or none of it, because its Commit fails if any of those
+//     reads changed;
+//   - autocommit reads of two tables are two reads: Commit applies the
+//     three tables under all three locks, so either read sees the
+//     review's row or not, but a reader that finishes one table before
+//     the commit and starts the next after it can see half a review.
+//     The feed and ε matviews follow each table separately and catch
+//     up on the next delivery.
+//
+// The transaction reads the student's enrollments and the rating's key.
+// If either changes before Commit — another enrollment of the same
+// student, or a concurrent rating of the same course — it fails with
+// relation.ErrTxConflict, nothing applied, and the caller can retry.
 func (s *Site) EnrollCommentRate(rv Review) (commentID int64, err error) {
 	if _, ok := s.Catalog.Course(rv.CourseID); !ok {
 		return 0, fmt.Errorf("core: unknown course %d", rv.CourseID)
@@ -59,10 +69,9 @@ func (s *Site) EnrollCommentRate(rv Review) (commentID int64, err error) {
 		}
 	}()
 
-	// Duplicate-enrollment check inside the transaction: it sees prior
-	// committed entries and this transaction's own staged ones, and the
-	// first-committer-wins rule at Commit keeps two racing submissions
-	// from both slipping past it.
+	// Duplicate-enrollment check inside the transaction: it sees the
+	// committed entries, and Commit re-runs the lookup, so two racing
+	// submissions cannot both slip past it.
 	for _, r := range tx.Lookup(enroll, "SuID", rv.SuID) {
 		if r[1] == rv.CourseID && r[2] == rv.Year && r[3] == string(rv.Term) {
 			return 0, fmt.Errorf("core: duplicate enrollment for course %d in %s %d", rv.CourseID, rv.Term, rv.Year)
@@ -88,12 +97,10 @@ func (s *Site) EnrollCommentRate(rv Review) (commentID int64, err error) {
 	}
 	commentID = crow[0].(int64)
 
-	// Standalone rating upsert, mirroring comments.Store.Rate but under
-	// the transaction's snapshot.
+	// Standalone rating upsert, mirroring comments.Store.Rate; both
+	// branches read the rating by key only.
 	if _, exists := tx.Get(ratings, rv.SuID, rv.CourseID); exists {
-		if _, err = tx.UpdateWhere(ratings, func(r relation.Row) bool {
-			return r[0] == rv.SuID && r[1] == rv.CourseID
-		}, func(r relation.Row) relation.Row {
+		if err = tx.UpdateByKey(ratings, []relation.Value{rv.SuID, rv.CourseID}, func(r relation.Row) relation.Row {
 			r[2] = rv.Rating
 			return r
 		}); err != nil {

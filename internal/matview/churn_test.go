@@ -511,8 +511,10 @@ func TestChurnMaintainedView(t *testing.T) {
 					}
 				}
 				if i%10 == 9 {
+					// By key: the transaction reads only its own row, which
+					// no other writer touches, so it never conflicts.
 					tx := db.Begin()
-					_, err := tx.UpdateWhere(items, func(r relation.Row) bool { return r[0] == id }, func(r relation.Row) relation.Row { r[1] = int64(7); return r })
+					err := tx.UpdateByKey(items, []relation.Value{id}, func(r relation.Row) relation.Row { r[1] = int64(7); return r })
 					if err == nil {
 						err = tx.Commit()
 					} else {

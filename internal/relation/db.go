@@ -11,13 +11,20 @@ import (
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	store  Storage  // nil = ephemeral; set once via attachStorage before serving
-	clock  *txClock // transaction-ID allocator + committed-snapshot watermark
+	store  Storage // nil = ephemeral; set once via attachStorage before serving
+	tx     txCounters
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{tables: make(map[string]*Table), clock: newTxClock()}
+	return &DB{tables: make(map[string]*Table)}
+}
+
+// storage returns the attached backend, nil for an ephemeral DB.
+func (db *DB) storage() Storage {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.store
 }
 
 // attachStorage wires s behind every current table and every table
@@ -29,7 +36,6 @@ func (db *DB) attachStorage(s Storage) {
 	box := &storageBox{s: s}
 	for _, t := range db.tables {
 		t.store.Store(box)
-		t.clock = db.clock
 	}
 }
 
@@ -55,7 +61,6 @@ func (db *DB) Create(t *Table) error {
 		if _, dup := db.tables[t.name]; dup {
 			return fmt.Errorf("relation: table %q already exists", t.name)
 		}
-		t.clock = db.clock
 		db.tables[t.name] = t
 		return nil
 	}
@@ -76,7 +81,6 @@ func (db *DB) Create(t *Table) error {
 		return err
 	}
 	t.store.Store(&storageBox{s: s})
-	t.clock = db.clock
 	db.tables[t.name] = t
 	db.mu.Unlock()
 	s.EndMutate()

@@ -19,17 +19,34 @@
 //	LogCreate / LogDrop / LogAlter  journal DDL
 //	WaitDurable(lsn)            block until the LSN is commit-durable
 //
-// A nil Storage is the in-memory backend: the mutation path is exactly
-// the pre-durability code — one atomic pointer load and no effect
-// collection, so memory-backed deployments pay nothing for the
-// subsystem's existence. With a Storage attached, every
-// Insert/UpdateByKey/UpdateWhere/DeleteWhere and every DDL call
-// collects the row effects it applied (Mutation: kind, slot,
-// post-image), journals them while still holding the table lock — so
-// WAL order always equals apply order — and then waits for durability
-// outside all locks. If the journal write fails, the already-applied
-// effects are rolled back slot-for-slot (undoLocked) and the error is
-// returned: a mutation is either applied-and-journaled or not applied.
+// A nil Storage is the in-memory backend: a write applies under the
+// table lock and delivers to the observers, and that is all. With a
+// Storage attached, every Insert/UpdateByKey/UpdateWhere/DeleteWhere,
+// every Tx.Commit and every DDL call journals the row effects it
+// applied (Mutation: kind, slot, post-image) while still holding the
+// table locks — so WAL order always equals apply order — and then waits
+// for durability outside all locks. If the journal write fails, the
+// already-applied effects are rolled back slot-for-slot (undoLocked),
+// the table's version with them, and the error is returned: a mutation
+// is either applied-and-journaled or not applied.
+//
+// # Transactions
+//
+// A table holds one version of each row; there is one write path, and
+// autocommit writes never conflict. relation.Tx (DB.Begin) is an
+// optimistic write batch. It buffers its writes outside the tables and
+// reads the latest committed rows plus its own buffer, recording what
+// each read returned: a Get's key and row reference (or the miss), a
+// Lookup's index value with the slots and references it found, and the
+// table version for a full scan (Scan, UpdateWhere, DeleteWhere).
+// Commit enters the checkpoint gate, locks the touched tables in name
+// order and re-runs every recorded read. Rows compare by reference,
+// because a stored row is never changed in place; a replaced row, a
+// deleted one, or a new row matching a read (a phantom) is a change,
+// and Commit returns ErrTxConflict with nothing applied. Otherwise it
+// applies, journals, delivers to the observers and unlocks: every
+// committed Tx is serializable in commit order. An open Tx holds no
+// lock, so it delays neither writers nor checkpoints.
 //
 // # Effect-based redo logging
 //
@@ -53,7 +70,10 @@
 // The CRC covers (LSN, type, payload). Payloads here are JSON:
 // recDML (1) is {table, [op "i"/"u"/"d", slot, row-cells]...};
 // recCreate (2) is the table's snapshot header; recDrop (3) and
-// recAlter (4) name the table (and ordered-index column). On open, the
+// recAlter (4) name the table (and ordered-index column); recTxDML (5)
+// is a recDML tagged with a transaction id, redone only if that
+// transaction's recTxCommit (6) is in the log; recTxAbort (7), written
+// by older versions, is skipped. On open, the
 // scan stops at the first short or CRC-failing record and physically
 // truncates the file there: a torn final record from a crash is
 // discarded, every earlier record is preserved.

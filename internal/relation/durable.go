@@ -87,7 +87,7 @@ const (
 	recAlter    byte = 4
 	recTxDML    byte = 5 // transaction statement effects; redo only if committed
 	recTxCommit byte = 6 // transaction commit marker
-	recTxAbort  byte = 7 // transaction abort marker (advisory)
+	recTxAbort  byte = 7 // transaction abort marker; older logs carry it, replay skips it
 )
 
 // walMut is one row effect inside a DML record.
@@ -111,7 +111,7 @@ type walTxDML struct {
 	Muts  []walMut `json:"m"`
 }
 
-// walTx is a commit or abort marker.
+// walTx is a commit (or, in older logs, abort) marker.
 type walTx struct {
 	Tx uint64 `json:"x"`
 }
@@ -303,11 +303,9 @@ func loadDurableSnapshot(db *DB, data []byte) error {
 		}
 		// Tombstone tail: grow the slice to the recorded slot count so
 		// replayed records addressing trailing tombstones stay in range.
-		// Version stamps grow in lockstep (len(meta) == len(rows)).
 		t.mu.Lock()
 		for len(t.rows) < head.Slots {
 			t.rows = append(t.rows, nil)
-			t.meta = append(t.meta, slotMeta{})
 		}
 		if head.NextAuto > t.nextAut {
 			t.nextAut = head.NextAuto
@@ -324,7 +322,9 @@ func loadDurableSnapshot(db *DB, data []byte) error {
 // the IDs of transactions whose commit record made it to the log, the
 // second applies records in LSN order, skipping transaction effects
 // whose commit never landed — a crash mid-transaction loses the whole
-// transaction, never a prefix.
+// transaction, never a prefix. New transaction ids continue past every
+// id in the log, so a later commit record can never adopt the records
+// of a transaction that did not commit.
 func (s *DurableStore) replay(recs []wal.Record, ckLSN uint64) error {
 	var committed map[uint64]bool
 	for _, rec := range recs {
@@ -399,6 +399,9 @@ func (s *DurableStore) applyRecord(rec wal.Record, committed map[uint64]bool) er
 		var op walTxDML
 		if err := json.Unmarshal(rec.Data, &op); err != nil {
 			return err
+		}
+		if op.Tx > s.db.tx.lastID.Load() {
+			s.db.tx.lastID.Store(op.Tx)
 		}
 		if !committed[op.Tx] {
 			return nil // transaction never committed; drop its effects
@@ -486,15 +489,6 @@ func encodeWalMuts(muts []Mutation) ([]walMut, error) {
 	return wm, nil
 }
 
-// --- TxStorage interface ------------------------------------------------
-
-// EnterTxGate enters the checkpoint gate for a transaction's lifetime,
-// so a checkpoint never snapshots uncommitted transaction effects.
-func (s *DurableStore) EnterTxGate() { s.gate.RLock() }
-
-// LeaveTxGate leaves the gate entered by EnterTxGate.
-func (s *DurableStore) LeaveTxGate() { s.gate.RUnlock() }
-
 // LogTxMutations appends one transaction statement's row effects;
 // replay ignores them unless tx's commit record follows.
 func (s *DurableStore) LogTxMutations(tx uint64, table string, muts []Mutation) (uint64, error) {
@@ -509,11 +503,6 @@ func (s *DurableStore) LogTxMutations(tx uint64, table string, muts []Mutation) 
 // redo-visible at recovery.
 func (s *DurableStore) LogTxCommit(tx uint64) (uint64, error) {
 	return s.append(recTxCommit, walTx{Tx: tx})
-}
-
-// LogTxAbort appends an advisory abort marker for tx.
-func (s *DurableStore) LogTxAbort(tx uint64) (uint64, error) {
-	return s.append(recTxAbort, walTx{Tx: tx})
 }
 
 // LogCreate appends a redo record carrying the table definition.
@@ -610,13 +599,6 @@ func (s *DurableStore) encodeSnapshot(w io.Writer) error {
 		}
 		for slot, r := range t.rows {
 			if r == nil {
-				continue
-			}
-			// A committed-dead head (deleted, retained only for late
-			// snapshot readers) is not part of the durable image. Staged
-			// transaction heads cannot occur here: transactions hold the
-			// gate shared and the checkpoint holds it exclusively.
-			if slot < len(t.meta) && t.meta[slot].end != 0 {
 				continue
 			}
 			line := make([]any, 0, len(r)+1)

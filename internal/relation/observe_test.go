@@ -10,7 +10,7 @@ import (
 	"courserank/internal/shard"
 )
 
-// parkedStore is a TxStorage that accepts every record and parks each
+// parkedStore is a Storage that accepts every record and parks each
 // WaitDurable until the test releases it: the window between a durable
 // write being applied and its fsync being confirmed, held open.
 type parkedStore struct {
@@ -29,8 +29,6 @@ func (p *parkedStore) next() (uint64, error) {
 
 func (p *parkedStore) BeginMutate()                                             {}
 func (p *parkedStore) EndMutate()                                               {}
-func (p *parkedStore) EnterTxGate()                                             {}
-func (p *parkedStore) LeaveTxGate()                                             {}
 func (p *parkedStore) LogMutations(string, []relation.Mutation) (uint64, error) { return p.next() }
 func (p *parkedStore) LogCreate(*relation.Table) (uint64, error)                { return p.next() }
 func (p *parkedStore) LogDrop(string) (uint64, error)                           { return p.next() }
@@ -39,7 +37,6 @@ func (p *parkedStore) LogTxMutations(uint64, string, []relation.Mutation) (uint6
 	return p.next()
 }
 func (p *parkedStore) LogTxCommit(uint64) (uint64, error) { return p.next() }
-func (p *parkedStore) LogTxAbort(uint64) (uint64, error)  { return p.next() }
 
 func (p *parkedStore) WaitDurable(uint64) error {
 	p.parked <- struct{}{}

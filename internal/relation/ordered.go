@@ -193,24 +193,6 @@ func (t *Table) addOrderedIndexLocked(col string) error {
 		if r != nil && r[ci] != nil {
 			ix.entries = append(ix.entries, orderedEntry{val: r[ci], slot: slot})
 		}
-		if len(t.vslots) == 0 {
-			continue
-		}
-		// Retained versions index too (set semantics per slot), so
-		// snapshot range reads opened after the DDL still find them.
-		for nd := t.meta[slot].prev; nd != nil; nd = nd.prev {
-			v := nd.row[ci]
-			if v == nil {
-				continue
-			}
-			dup := r != nil && r[ci] != nil && Equal(r[ci], v)
-			for x := t.meta[slot].prev; !dup && x != nd; x = x.prev {
-				dup = x.row[ci] != nil && Equal(x.row[ci], v)
-			}
-			if !dup {
-				ix.entries = append(ix.entries, orderedEntry{val: v, slot: slot})
-			}
-		}
 	}
 	sort.Slice(ix.entries, func(a, b int) bool {
 		c := Compare(ix.entries[a].val, ix.entries[b].val)
@@ -277,10 +259,7 @@ func (t *Table) RangeCount(col string, lo, hi *RangeBound) (int, bool) {
 // cursor; no slot is ever emitted twice — a row already emitted and then
 // re-keyed ahead of the cursor is not seen again — and rows inserted
 // ahead of the cursor may be seen, the same read-committed-flavored
-// visibility the scan cursor has. The walk emits the latest committed
-// versions: superseded versions keep their index entries while an open
-// transaction's snapshot can still read them, and staged heads are
-// skipped.
+// visibility the scan cursor has.
 type RangeCursor struct {
 	t      *Table
 	ix     *orderedIndex
@@ -402,24 +381,12 @@ func (c *RangeCursor) NextBatch(dst []Row) int {
 		c.seek()
 	}
 	n := 0
-	fast := len(c.t.vslots) == 0
-	col := c.ix.col
 	for n < len(dst) {
 		en, ok := c.step()
 		if !ok {
 			break
 		}
 		c.started, c.lastVal, c.lastSlot = true, en.val, en.slot
-		if en.slot >= len(c.t.rows) {
-			continue
-		}
-		row := c.t.rows[en.slot]
-		if !fast {
-			row = c.t.visibleLocked(en.slot, LatestSnap())
-		}
-		if row == nil || row[col] == nil || !Equal(row[col], en.val) {
-			continue
-		}
 		if c.seen != nil {
 			if _, dup := c.seen[en.slot]; dup {
 				continue
@@ -431,7 +398,7 @@ func (c *RangeCursor) NextBatch(dst []Row) int {
 			}
 			c.emitted = append(c.emitted, en.slot)
 		}
-		dst[n] = row
+		dst[n] = c.t.rows[en.slot]
 		n++
 	}
 	return n
@@ -486,8 +453,7 @@ type ScanCursor struct {
 	next int
 }
 
-// NewScanCursor opens a batched full-table iteration over the latest
-// committed rows.
+// NewScanCursor opens a batched full-table iteration.
 func (t *Table) NewScanCursor() *ScanCursor {
 	return &ScanCursor{t: t}
 }
@@ -498,14 +464,9 @@ func (c *ScanCursor) NextBatch(dst []Row) int {
 	c.t.mu.RLock()
 	defer c.t.mu.RUnlock()
 	n := 0
-	fast := len(c.t.vslots) == 0
 	for c.next < len(c.t.rows) && n < len(dst) {
-		slot := c.next
+		row := c.t.rows[c.next]
 		c.next++
-		row := c.t.rows[slot]
-		if !fast {
-			row = c.t.visibleLocked(slot, LatestSnap())
-		}
 		if row == nil {
 			continue
 		}

@@ -71,10 +71,9 @@ func stepTo(version uint64) VersionSpan {
 // nothing was delivered: every mutation made before the observer was
 // attached (recovery replay included) and, after that, only versions
 // that changed no row a reader can see — a row a transaction both
-// inserted and deleted (committed born dead), or the apply-then-undo of
-// a mutation the WAL refused. A consumer whose chain of spans breaks
-// knows only that it no longer knows the table state and must re-read
-// it. A statement that changes n rows delivers n spans, one per row,
+// inserted and deleted (committed born dead). A consumer whose chain of
+// spans breaks knows only that it no longer knows the table state and
+// must re-read it. A statement that changes n rows delivers n spans, one per row,
 // after its last row is applied.
 //
 // Observers run synchronously under the table's write lock, within the
@@ -82,17 +81,19 @@ func stepTo(version uint64) VersionSpan {
 // after the WAL accepted its record and before WaitDurable. A reader
 // that sees Version() == v therefore finds every span up to v already
 // delivered, and anything an observer maintains agrees with what SQL
-// readers of the table see. A WAL append rejection rolls the rows back
-// without notifying. Every observer the program attaches keeps
+// readers of the table see. A WAL append rejection rolls the rows back,
+// and the version with them, without notifying. Every observer the program attaches keeps
 // in-memory state only (matview change logs, shard.FollowBase into
 // memory shards rebuilt at start), so a crash cannot leave one holding
 // a row the recovered base never committed; after a WaitDurable
 // failure the base keeps the row in memory, and its observers agree.
 //
-// Observers must be fast, must not call back into the observed table,
-// and must copy any row they retain — the slices are the stored rows
-// themselves. Recovery replay and WAL-failure rollback bypass
-// observers: they reconstruct state, they do not originate mutations.
+// Observers must be fast and must copy any row they retain — the slices
+// are the stored rows themselves. They must not call back into the
+// observed table, nor into any other table of its database: a
+// transaction's Commit delivers while it holds every table it touched.
+// Recovery replay and WAL-failure rollback bypass observers: they
+// reconstruct state, they do not originate mutations.
 type RowObserver func(kind MutKind, before, after Row, span VersionSpan)
 
 // Observe attaches a row observer. Observers cannot be detached;
@@ -103,53 +104,17 @@ func (t *Table) Observe(fn RowObserver) {
 	t.obs = append(t.obs, fn)
 }
 
-// observedLocked reports whether any observer is attached; caller
-// holds at least the read lock.
-func (t *Table) observedLocked() bool { return len(t.obs) > 0 }
-
-// notifyLocked fans out the committed mutation that moved the table to
-// version; caller holds the write lock.
-func (t *Table) notifyLocked(kind MutKind, before, after Row, version uint64) {
-	for _, fn := range t.obs {
-		fn(kind, before, after, stepTo(version))
-	}
-}
-
-// firstVersionOf returns the version the first of a statement's n row
-// mutations produced, read after the last one: a multi-row statement
-// bumps the version once per row and notifies after its loop. Caller
-// holds the write lock.
-func (t *Table) firstVersionOf(n int) uint64 { return t.version - uint64(n) + 1 }
-
-// notifyUpdatesLocked replays collected update effects (post-images in
-// muts, pre-images in undo, index-aligned) to the observers.
-func (t *Table) notifyUpdatesLocked(muts, undo []Mutation) {
+// notifyLocked delivers effs, the changes that moved the table through
+// its last len(effs) versions, to the observers in order, one version
+// step each; caller holds the write lock.
+func (t *Table) notifyLocked(effs []effect) {
 	if len(t.obs) == 0 {
 		return
 	}
-	first := t.firstVersionOf(len(muts))
-	for i := range muts {
-		t.notifyLocked(MutUpdate, undo[i].Row, muts[i].Row, first+uint64(i))
-	}
-}
-
-// notifyDeletesLocked replays collected delete effects (pre-images in
-// undo) to the observers.
-func (t *Table) notifyDeletesLocked(undo []Mutation) {
-	if len(t.obs) == 0 {
-		return
-	}
-	first := t.firstVersionOf(len(undo))
-	for i := range undo {
-		t.notifyLocked(MutDelete, undo[i].Row, nil, first+uint64(i))
-	}
-}
-
-// notifyDeletedRowsLocked replays the pre-images of a version-retaining
-// delete to the observers.
-func (t *Table) notifyDeletedRowsLocked(pre []Row) {
-	first := t.firstVersionOf(len(pre))
-	for i, r := range pre {
-		t.notifyLocked(MutDelete, r, nil, first+uint64(i))
+	first := t.version - uint64(len(effs))
+	for i, e := range effs {
+		for _, fn := range t.obs {
+			fn(e.kind(), e.before, e.after, stepTo(first+uint64(i)+1))
+		}
 	}
 }

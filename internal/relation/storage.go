@@ -6,20 +6,28 @@ package relation
 // durable backend (DurableStore) journals every mutation through a
 // write-ahead log before the mutator returns.
 //
-// The protocol a journaled mutation follows, in order:
+// Every write, autocommit statement or transaction commit, follows one
+// protocol, in order:
 //
 //  1. BeginMutate — enter the checkpoint gate (shared side). While any
-//     mutator is inside the gate a checkpoint cannot start, so the
+//     writer is inside the gate a checkpoint cannot start, so the
 //     snapshot a checkpoint captures is always on a record boundary.
-//  2. Apply the change in memory under the table lock, collecting the
-//     applied row effects as Mutations.
-//  3. LogMutations — still under the table lock, so WAL order equals
-//     apply order. On error the caller reverses the in-memory effects
-//     with the slot-addressed undo helpers and reports failure.
-//  4. EndMutate — leave the gate.
+//  2. Lock the tables written (a transaction: every table it touched,
+//     in name order, after validating its reads), apply the change in
+//     memory and collect the applied row effects as Mutations.
+//  3. Journal them, still under the table locks, so WAL order equals
+//     apply order: LogMutations for a statement; for a transaction,
+//     LogTxMutations per table and then LogTxCommit. On error the
+//     writer reverses the in-memory effects with the slot-addressed
+//     undo helpers and reports failure.
+//  4. Deliver the effects to the row observers, unlock, EndMutate.
 //  5. WaitDurable — outside every lock, block until the record's LSN
 //     is durable per the store's commit policy (fsync now, or return
 //     immediately and let the background flusher catch up).
+//
+// A transaction holds nothing before Commit, so an open one never
+// delays a checkpoint. Recovery replays a transaction's records if and
+// only if its commit record made it to the log.
 //
 // DDL goes through LogCreate/LogDrop/LogAlter with the same bracket.
 type Storage interface {
@@ -32,6 +40,12 @@ type Storage interface {
 	// effects of a single statement against table. Called under the
 	// table's write lock.
 	LogMutations(table string, muts []Mutation) (lsn uint64, err error)
+	// LogTxMutations appends one redo record covering transaction tx's
+	// row effects on table; replay ignores it unless tx's commit record
+	// is also in the log.
+	LogTxMutations(tx uint64, table string, muts []Mutation) (lsn uint64, err error)
+	// LogTxCommit appends the commit record for tx.
+	LogTxCommit(tx uint64) (lsn uint64, err error)
 	// LogCreate appends a redo record for a table definition.
 	LogCreate(t *Table) (lsn uint64, err error)
 	// LogDrop appends a redo record dropping the named table.
@@ -41,38 +55,6 @@ type Storage interface {
 	// WaitDurable blocks until the record at lsn is durable under the
 	// store's commit policy. Called outside all locks.
 	WaitDurable(lsn uint64) error
-}
-
-// TxStorage is the optional transactional extension of Storage. A
-// backend that implements it can journal multi-statement transactions
-// atomically: per-statement effects are logged as transaction records
-// (no-ops at replay unless the transaction committed), and a single
-// commit record makes the whole transaction redo-visible. Recovery
-// replays a transaction's effects if and only if its commit record made
-// it to the log — a crash mid-transaction loses the transaction as a
-// unit, never a prefix of it.
-//
-// The gate discipline differs from autocommit: a transaction enters the
-// checkpoint gate once at Begin (EnterTxGate) and leaves at
-// Commit/Rollback (LeaveTxGate), so a checkpoint never captures a table
-// image with uncommitted transaction effects in it.
-type TxStorage interface {
-	Storage
-	// EnterTxGate enters the checkpoint gate (shared side) for the
-	// lifetime of one transaction.
-	EnterTxGate()
-	// LeaveTxGate leaves the gate entered by EnterTxGate.
-	LeaveTxGate()
-	// LogTxMutations appends one transaction redo record covering the
-	// staged row effects of a single statement against table. Called
-	// under the table's write lock. The effects are ignored at replay
-	// unless tx's commit record is also in the log.
-	LogTxMutations(tx uint64, table string, muts []Mutation) (lsn uint64, err error)
-	// LogTxCommit appends the commit record for tx.
-	LogTxCommit(tx uint64) (lsn uint64, err error)
-	// LogTxAbort appends an abort record for tx (advisory: replay
-	// ignores uncommitted transactions with or without it).
-	LogTxAbort(tx uint64) (lsn uint64, err error)
 }
 
 // MutKind discriminates the row effects a statement applied.

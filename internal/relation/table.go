@@ -112,9 +112,8 @@ type Table struct {
 	mu       sync.RWMutex
 	name     string
 	schema   *Schema
-	rows     []Row      // nil entries are tombstones; always the NEWEST version
-	meta     []slotMeta // parallel to rows: MVCC visibility stamps (see txn.go)
-	free     []int      // tombstone slots available for reuse
+	rows     []Row // nil entries are tombstones
+	free     []int // tombstone slots available for reuse
 	live     int
 	pk       []int
 	pkIndex  map[string]int
@@ -127,13 +126,6 @@ type Table struct {
 	version  uint64
 	epoch    uint64
 	store    atomic.Pointer[storageBox] // nil = ephemeral (memory-only) backend
-	clock    *txClock                   // owning DB's transaction clock; nil until registered
-
-	// vslots marks slots carrying transactional residue — staged
-	// writes, retained version chains, or committed-dead heads awaiting
-	// GC. Empty vslots is the fast path: every slot is plain and reads
-	// skip version resolution.
-	vslots map[int]struct{}
 }
 
 // Version returns a counter that increases on every mutation (insert,
@@ -285,120 +277,127 @@ func (t *Table) pkKey(row Row) string {
 	return encodeKey(vals)
 }
 
-// insertLocked validates and stores a row; the caller holds the write
-// lock and stamps meta[slot].begin before releasing it. It returns the
-// slot and the stored row.
-func (t *Table) insertLocked(row Row) (int, Row, error) {
-	r, err := t.validate(row)
+// keyOf encodes primary-key values the way pkKey encodes a stored
+// row's, reporting false when they cannot be a key of this table.
+func (t *Table) keyOf(key []Value) (string, bool) {
+	if t.pkIndex == nil || len(key) != len(t.pk) {
+		return "", false
+	}
+	norm := make([]Value, len(key))
+	for i, v := range key {
+		nv, err := Normalize(v)
+		if err != nil {
+			return "", false
+		}
+		norm[i] = nv
+	}
+	return encodeKey(norm), true
+}
+
+// effect is one applied row change at slot: before is nil for an
+// insert and after is nil for a delete. A write collects its effects to
+// journal them, deliver them to the observers and, if the WAL refuses
+// them, undo them.
+type effect struct {
+	slot          int
+	before, after Row
+}
+
+func (e effect) kind() MutKind {
+	switch {
+	case e.before == nil:
+		return MutInsert
+	case e.after == nil:
+		return MutDelete
+	}
+	return MutUpdate
+}
+
+// mutationsOf is the WAL image of effs.
+func mutationsOf(effs []effect) []Mutation {
+	muts := make([]Mutation, len(effs))
+	for i, e := range effs {
+		muts[i] = Mutation{Kind: e.kind(), Slot: e.slot, Row: e.after}
+	}
+	return muts
+}
+
+// write runs one autocommit statement following the Storage protocol
+// (see storage.go). apply changes the table under its write lock and
+// returns the effects it applied; write journals them, delivers them
+// to the observers in the same lock hold and waits for durability
+// outside it. If the WAL refuses the record the effects are undone and
+// the WAL error returned. An error from apply itself is returned after
+// whatever it applied before failing is published. n is the number of
+// effects that stand.
+func (t *Table) write(apply func() ([]effect, error)) (n int, err error) {
+	var s Storage
+	if sb := t.store.Load(); sb != nil {
+		s = sb.s
+		s.BeginMutate()
+	}
+	t.mu.Lock()
+	from := t.version
+	effs, err := apply()
+	var lsn uint64
+	if s != nil && len(effs) > 0 {
+		var lerr error
+		if lsn, lerr = s.LogMutations(t.name, mutationsOf(effs)); lerr != nil {
+			t.undoLocked(effs, from)
+			effs, err = nil, lerr
+		}
+	}
+	t.notifyLocked(effs)
+	t.mu.Unlock()
+	if s == nil {
+		return len(effs), err
+	}
+	s.EndMutate()
+	if lsn != 0 {
+		if werr := s.WaitDurable(lsn); err == nil {
+			err = werr
+		}
+	}
+	return len(effs), err
+}
+
+// insert validates and stores a row, returning its slot and the stored
+// row.
+func (t *Table) insert(row Row) (slot int, stored Row, err error) {
+	_, err = t.write(func() ([]effect, error) {
+		r, err := t.validate(row)
+		if err != nil {
+			return nil, err
+		}
+		if t.pkIndex != nil {
+			if _, dup := t.pkIndex[t.pkKey(r)]; dup {
+				return nil, fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, t.pkKey(r))
+			}
+		}
+		slot = t.takeSlotLocked()
+		t.placeLocked(slot, r)
+		stored = r
+		return []effect{{slot: slot, after: r}}, nil
+	})
 	if err != nil {
 		return 0, nil, err
 	}
-	var key string
-	if t.pkIndex != nil {
-		key = t.pkKey(r)
-		if slot, dup := t.pkIndex[key]; dup {
-			// The mapping can be stale: retained versions of a deleted
-			// row keep their key mapped until GC. Only a claim that is
-			// live in the latest-committed view (or staged by an open
-			// transaction) blocks the insert.
-			if row := t.visibleLocked(slot, LatestSnap()); row != nil && t.pkKey(row) == key {
-				return 0, nil, fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, key)
-			}
-			if m := &t.meta[slot]; m.btx != 0 && t.pkKey(t.rows[slot]) == key {
-				t.countConflict()
-				return 0, nil, fmt.Errorf("relation: table %s key %v staged by an open transaction: %w", t.name, key, ErrTxConflict)
-			}
-		}
-	}
-	slot := t.newSlotLocked(r)
-	if t.pkIndex != nil {
-		t.pkIndex[key] = slot
-	}
-	for _, ix := range t.indexes {
-		ix.add(slot, r)
-	}
-	for _, ix := range t.ordered {
-		ix.add(slot, r)
-	}
-	t.live++
-	t.version++
-	return slot, r, nil
+	return slot, stored, nil
 }
 
 // Insert validates and stores a row, returning the slot it occupies.
 // On a table with attached Storage the insert is journaled before
 // Insert returns; a WAL failure rolls the row back out of memory.
 func (t *Table) Insert(row Row) (int, error) {
-	if sb := t.store.Load(); sb != nil {
-		slot, _, err := t.insertDurable(sb.s, row)
-		return slot, err
-	}
-	seq, _ := t.clock.alloc()
-	t.mu.Lock()
-	slot, r, err := t.insertLocked(row)
-	if err == nil {
-		t.meta[slot].begin = seq
-		t.notifyLocked(MutInsert, nil, r, t.version)
-	}
-	t.mu.Unlock()
-	t.clock.complete(seq)
+	slot, _, err := t.insert(row)
 	return slot, err
 }
 
 // InsertGet inserts a row and returns a copy of the stored row, which
 // reflects auto-increment assignment and type coercion.
 func (t *Table) InsertGet(row Row) (Row, error) {
-	if sb := t.store.Load(); sb != nil {
-		_, r, err := t.insertDurable(sb.s, row)
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-	seq, _ := t.clock.alloc()
-	t.mu.Lock()
-	slot, r, err := t.insertLocked(row)
-	if err != nil {
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		return nil, err
-	}
-	t.meta[slot].begin = seq
-	t.notifyLocked(MutInsert, nil, r, t.version)
-	clone := r.Clone()
-	t.mu.Unlock()
-	t.clock.complete(seq)
-	return clone, nil
-}
-
-// insertDurable applies an insert and journals it following the
-// Storage protocol (see storage.go). The returned row is a copy.
-func (t *Table) insertDurable(s Storage, row Row) (int, Row, error) {
-	s.BeginMutate()
-	seq, _ := t.clock.alloc()
-	t.mu.Lock()
-	slot, r, err := t.insertLocked(row)
-	if err != nil {
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return 0, nil, err
-	}
-	lsn, err := s.LogMutations(t.name, []Mutation{{Kind: MutInsert, Slot: slot, Row: r}})
-	if err != nil {
-		t.applyDeleteSlot(slot)
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return 0, nil, err
-	}
-	t.meta[slot].begin = seq
-	t.notifyLocked(MutInsert, nil, r, t.version)
-	clone := r.Clone()
-	t.mu.Unlock()
-	t.clock.complete(seq)
-	s.EndMutate()
-	return slot, clone, s.WaitDurable(lsn)
+	_, r, err := t.insert(row)
+	return r.Clone(), err
 }
 
 // MustInsert inserts and panics on error; for generator/loader code paths
@@ -413,51 +412,8 @@ func (t *Table) MustInsert(row Row) int {
 
 // Get returns a copy of the row with the given primary-key values.
 func (t *Table) Get(key ...Value) (Row, bool) {
-	return t.GetSnap(LatestSnap(), key...)
-}
-
-// GetSnap is Get as of a snapshot. When the pk mapping misses but the
-// table carries transactional residue it falls back to a scan: a
-// re-inserted key remaps the pk index to the newest slot, which an old
-// snapshot may not see even though an older version elsewhere matches.
-func (t *Table) GetSnap(sn Snap, key ...Value) (Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	slot, ok := t.pkSlotLocked(key)
-	if ok {
-		if r := t.visibleLocked(slot, sn); r != nil {
-			return r.Clone(), true
-		}
-	}
-	if len(t.vslots) == 0 || t.pkIndex == nil || len(key) != len(t.pk) {
-		return nil, false
-	}
-	norm := make([]Value, len(key))
-	for i, v := range key {
-		nv, err := Normalize(v)
-		if err != nil {
-			return nil, false
-		}
-		norm[i] = nv
-	}
-	if r, ok := t.pkFallbackLocked(sn, encodeKey(norm)); ok {
-		return r.Clone(), true
-	}
-	return nil, false
-}
-
-// pkFallbackLocked scans for the visible row carrying primary key want.
-// It backs up the pk mapping while transactional residue exists: a
-// re-inserted key remaps the index to the newest slot, which a given
-// snapshot (including the latest, while the re-insert is only staged)
-// may not see even though the version it can see lives in another slot.
-func (t *Table) pkFallbackLocked(sn Snap, want string) (Row, bool) {
-	for slot := range t.rows {
-		if r := t.visibleLocked(slot, sn); r != nil && t.pkKey(r) == want {
-			return r, true
-		}
-	}
-	return nil, false
+	r, ok := t.GetRef(key...)
+	return r.Clone(), ok
 }
 
 // pkSlotLocked resolves primary-key values to a row slot; the caller
@@ -494,41 +450,20 @@ func (t *Table) pkSlotLocked(key []Value) (int, bool) {
 		}
 	}
 general:
-	norm := make([]Value, len(key))
-	for i, v := range key {
-		nv, err := Normalize(v)
-		if err != nil {
-			return 0, false
-		}
-		norm[i] = nv
+	k, ok := t.keyOf(key)
+	if !ok {
+		return 0, false
 	}
-	slot, ok := t.pkIndex[encodeKey(norm)]
+	slot, ok := t.pkIndex[k]
 	return slot, ok
 }
 
 // Scan calls fn for every live row in slot order; fn returning false stops
 // the scan. The row passed to fn must not be mutated or retained.
 func (t *Table) Scan(fn func(slot int, row Row) bool) {
-	t.ScanSnap(LatestSnap(), fn)
-}
-
-// ScanSnap is Scan as of a snapshot.
-func (t *Table) ScanSnap(sn Snap, fn func(slot int, row Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if sn.latest() && len(t.vslots) == 0 {
-		for slot, r := range t.rows {
-			if r == nil {
-				continue
-			}
-			if !fn(slot, r) {
-				return
-			}
-		}
-		return
-	}
-	for slot := range t.rows {
-		r := t.visibleLocked(slot, sn)
+	for slot, r := range t.rows {
 		if r == nil {
 			continue
 		}
@@ -551,13 +486,6 @@ func (t *Table) Rows() []Row {
 // Lookup returns copies of the rows whose named column equals v, using a
 // secondary index when one exists, and a scan otherwise.
 func (t *Table) Lookup(col string, v Value) []Row {
-	return t.LookupSnap(LatestSnap(), col, v)
-}
-
-// LookupSnap is Lookup as of a snapshot. Index entries over-approximate
-// when versions are retained, so hits re-validate against the resolved
-// row.
-func (t *Table) LookupSnap(sn Snap, col string, v Value) []Row {
 	nv, err := Normalize(v)
 	if err != nil {
 		return nil
@@ -565,16 +493,11 @@ func (t *Table) LookupSnap(sn Snap, col string, v Value) []Row {
 	t.mu.RLock()
 	ix, ok := t.indexes[strings.ToLower(col)]
 	if ok {
-		slots := ix.slots[encodeKey([]Value{nv})]
-		out := make([]Row, 0, len(slots))
-		sorted := append([]int(nil), slots...)
-		sort.Ints(sorted)
-		for _, s := range sorted {
-			r := t.visibleLocked(s, sn)
-			if r == nil || !Equal(r[ix.col], nv) {
-				continue
-			}
-			out = append(out, r.Clone())
+		slots := append([]int(nil), ix.slots[encodeKey([]Value{nv})]...)
+		sort.Ints(slots)
+		out := make([]Row, len(slots))
+		for i, s := range slots {
+			out[i] = t.rows[s].Clone()
 		}
 		t.mu.RUnlock()
 		return out
@@ -585,7 +508,7 @@ func (t *Table) LookupSnap(sn Snap, col string, v Value) []Row {
 		return nil
 	}
 	var out []Row
-	t.ScanSnap(sn, func(_ int, r Row) bool {
+	t.Scan(func(_ int, r Row) bool {
 		if Equal(r[ci], nv) {
 			out = append(out, r.Clone())
 		}
@@ -594,79 +517,45 @@ func (t *Table) LookupSnap(sn Snap, col string, v Value) []Row {
 	return out
 }
 
-// GetManyRef returns references to the latest committed rows matching
-// the given primary keys — a batch GetRef under one read lock. Rows come
-// back in slot (scan) order with duplicates removed, matching
-// LookupManyRef, so planned multi-key probes order rows exactly as a
-// scan would; absent keys are skipped. Mappings can be stale while
-// versions are retained, so non-plain hits re-validate the resolved
-// row's key. Rows must not be mutated; see GetRef.
+// probeLocked returns the slots, ascending, and the rows the index
+// holds under an encoded key. Caller holds at least the read lock.
+func (t *Table) probeLocked(ix *secondaryIndex, key string) ([]int, []Row) {
+	slots := append([]int(nil), ix.slots[key]...)
+	sort.Ints(slots)
+	rows := make([]Row, len(slots))
+	for i, s := range slots {
+		rows[i] = t.rows[s]
+	}
+	return slots, rows
+}
+
+// GetManyRef returns references to the rows matching the given primary
+// keys — a batch GetRef under one read lock. Rows come back in slot
+// (scan) order with duplicates removed, matching LookupManyRef, so
+// planned multi-key probes order rows exactly as a scan would; absent
+// keys are skipped. Rows must not be mutated; see GetRef.
 func (t *Table) GetManyRef(keys ...[]Value) []Row {
-	sn := LatestSnap()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.pkIndex == nil {
 		return nil
 	}
 	slots := make([]int, 0, len(keys))
-	var wantKeys map[string]bool
-	fast := len(t.vslots) == 0
-	if !fast {
-		wantKeys = make(map[string]bool, len(keys))
-	}
 	for _, key := range keys {
-		if len(key) != len(t.pk) {
-			continue
-		}
-		norm := make([]Value, len(key))
-		bad := false
-		for i, v := range key {
-			nv, err := Normalize(v)
-			if err != nil {
-				bad = true
-				break
+		if k, ok := t.keyOf(key); ok {
+			if slot, ok := t.pkIndex[k]; ok {
+				slots = append(slots, slot)
 			}
-			norm[i] = nv
-		}
-		if bad {
-			continue
-		}
-		ek := encodeKey(norm)
-		if !fast {
-			wantKeys[ek] = true
-		}
-		if slot, ok := t.pkIndex[ek]; ok {
-			slots = append(slots, slot)
 		}
 	}
 	sort.Ints(slots)
 	out := make([]Row, 0, len(slots))
 	prev := -1
 	for _, s := range slots {
-		if s == prev {
-			continue
+		if s != prev {
+			out = append(out, t.rows[s])
 		}
 		prev = s
-		r := t.rows[s]
-		if !fast {
-			r = t.visibleLocked(s, sn)
-			if r == nil || !wantKeys[t.pkKey(r)] {
-				continue
-			}
-			delete(wantKeys, t.pkKey(r))
-		}
-		out = append(out, r)
-	}
-	// Keys the mapping could not resolve may still have a visible
-	// version in a displaced slot; see pkFallbackLocked. Fallback rows
-	// append after the mapped ones, so strict slot order is only kept
-	// while no key is displaced.
-	if !fast && len(wantKeys) > 0 && len(t.vslots) > 0 {
-		for want := range wantKeys {
-			if r, ok := t.pkFallbackLocked(sn, want); ok {
-				out = append(out, r)
-			}
-		}
 	}
 	return out
 }
@@ -676,42 +565,26 @@ func (t *Table) GetManyRef(keys ...[]Value) []Row {
 // updates validate a replacement and swap the slot pointer — so the
 // reference stays a consistent snapshot; the caller must not mutate or
 // grow it. Query executors batch through this to skip one allocation
-// per probed row.
+// per probed row, and a transaction validates its reads by comparing
+// the references it was given with the ones the table holds at Commit.
 func (t *Table) GetRef(key ...Value) (Row, bool) {
-	sn := LatestSnap()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	slot, ok := t.pkSlotLocked(key)
-	if ok {
-		if r := t.visibleLocked(slot, sn); r != nil {
-			return r, true
-		}
-	}
-	if len(t.vslots) == 0 || t.pkIndex == nil || len(key) != len(t.pk) {
+	if !ok {
 		return nil, false
 	}
-	norm := make([]Value, len(key))
-	for i, v := range key {
-		nv, err := Normalize(v)
-		if err != nil {
-			return nil, false
-		}
-		norm[i] = nv
-	}
-	return t.pkFallbackLocked(sn, encodeKey(norm))
+	return t.rows[slot], true
 }
 
-// LookupManyRef returns references to the latest committed rows whose
-// named column equals any of the keys, in slot (scan) order with
-// duplicates removed, acquiring the read lock once for the whole batch.
-// The executor drives index probes and batched index nested-loop joins
-// through it without per-row locking. NULL keys match nothing,
-// mirroring SQL equality; with no index on the column it degrades to a
-// single scan. Index hits on a slot that carries residue re-validate
-// the probed value (retained entries over-approximate the visible
-// rows). Rows must not be mutated; see GetRef.
+// LookupManyRef returns references to the rows whose named column
+// equals any of the keys, in slot (scan) order with duplicates removed,
+// acquiring the read lock once for the whole batch. The executor drives
+// index probes and batched index nested-loop joins through it without
+// per-row locking. NULL keys match nothing, mirroring SQL equality;
+// with no index on the column it degrades to a single scan. Rows must
+// not be mutated; see GetRef.
 func (t *Table) LookupManyRef(col string, keys []Value) []Row {
-	sn := LatestSnap()
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if k == nil {
@@ -736,20 +609,11 @@ func (t *Table) LookupManyRef(col string, keys []Value) []Row {
 		sort.Ints(slots)
 		out := make([]Row, 0, len(slots))
 		prev := -1
-		fast := len(t.vslots) == 0
 		for _, s := range slots {
-			if s == prev {
-				continue // same row reached via equal-encoding keys
+			if s != prev { // the same row reached via equal-encoding keys
+				out = append(out, t.rows[s])
 			}
 			prev = s
-			r := t.rows[s]
-			if !fast {
-				r = t.visibleLocked(s, sn)
-				if r == nil || r[ix.col] == nil || !want[encodeKey([]Value{r[ix.col]})] {
-					continue
-				}
-			}
-			out = append(out, r)
 		}
 		return out
 	}
@@ -758,36 +622,28 @@ func (t *Table) LookupManyRef(col string, keys []Value) []Row {
 		return nil
 	}
 	var out []Row
-	fast := len(t.vslots) == 0
-	for slot, r := range t.rows {
-		if !fast {
-			r = t.visibleLocked(slot, sn)
-		}
-		if r == nil || r[ci] == nil {
-			continue
-		}
-		if want[encodeKey([]Value{r[ci]})] {
+	for _, r := range t.rows {
+		if r != nil && r[ci] != nil && want[encodeKey([]Value{r[ci]})] {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// EachRef calls fn with a reference to each latest committed row whose
-// named column equals key, in slot (scan) order: LookupManyRef for one
-// key, without building its result. A caller that folds the rows as
-// they come allocates nothing per row as long as the key's index entries
-// are in slot order (a delete can break that; the entries are then
-// sorted in a copy). A NULL key matches nothing; with no index on the
-// column it degrades to LookupManyRef. fn runs under the table's read
-// lock: it must not call into the table, and must not mutate or keep
-// the row beyond what GetRef allows.
+// EachRef calls fn with a reference to each row whose named column
+// equals key, in slot (scan) order: LookupManyRef for one key, without
+// building its result. A caller that folds the rows as they come
+// allocates nothing per row as long as the key's index entries are in
+// slot order (a delete can break that; the entries are then sorted in a
+// copy). A NULL key matches nothing; with no index on the column it
+// degrades to LookupManyRef. fn runs under the table's read lock: it
+// must not call into the table, and must not mutate or keep the row
+// beyond what GetRef allows.
 func (t *Table) EachRef(col string, key Value, fn func(Row)) {
 	nk, err := Normalize(key)
 	if err != nil || nk == nil {
 		return
 	}
-	sn := LatestSnap()
 	t.mu.RLock()
 	ix, ok := t.indexes[strings.ToLower(col)]
 	if !ok {
@@ -798,22 +654,13 @@ func (t *Table) EachRef(col string, key Value, fn func(Row)) {
 		return
 	}
 	defer t.mu.RUnlock()
-	ek := encodeKey([]Value{nk})
-	slots := ix.slots[ek]
+	slots := ix.slots[encodeKey([]Value{nk})]
 	if !sort.IntsAreSorted(slots) {
 		slots = append([]int(nil), slots...)
 		sort.Ints(slots)
 	}
-	fast := len(t.vslots) == 0
 	for _, s := range slots {
-		r := t.rows[s]
-		if !fast {
-			r = t.visibleLocked(s, sn)
-			if r == nil || r[ix.col] == nil || encodeKey([]Value{r[ix.col]}) != ek {
-				continue
-			}
-		}
-		fn(r)
+		fn(t.rows[s])
 	}
 }
 
@@ -831,148 +678,37 @@ func (t *Table) HasIndex(col string) bool {
 // update is journaled before returning; a WAL failure restores the old
 // row.
 func (t *Table) UpdateByKey(key []Value, set func(Row) Row) error {
-	if sb := t.store.Load(); sb != nil {
-		return t.updateByKeyDurable(sb.s, key, set)
-	}
-	seq, keep := t.clock.alloc()
-	t.mu.Lock()
-	slot, old, repl, node, err := t.updateByKeyLocked(key, set, keep)
-	if err == nil {
-		t.sealUpdateLocked(slot, node, seq)
-		t.notifyLocked(MutUpdate, old, repl, t.version)
-	}
-	t.mu.Unlock()
-	t.clock.complete(seq)
+	_, err := t.write(func() ([]effect, error) {
+		slot, ok := t.pkSlotLocked(key)
+		if !ok {
+			return nil, fmt.Errorf("%w: table %s key %v", ErrNotFound, t.name, key)
+		}
+		e, err := t.updateLocked(slot, set)
+		if err != nil {
+			return nil, err
+		}
+		return []effect{e}, nil
+	})
 	return err
 }
 
-func (t *Table) updateByKeyDurable(s Storage, key []Value, set func(Row) Row) error {
-	s.BeginMutate()
-	seq, keep := t.clock.alloc()
-	t.mu.Lock()
-	slot, old, repl, node, err := t.updateByKeyLocked(key, set, keep)
-	if err != nil {
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return err
-	}
-	lsn, err := s.LogMutations(t.name, []Mutation{{Kind: MutUpdate, Slot: slot, Row: repl}})
-	if err != nil {
-		if node != nil {
-			t.popHeadLocked(slot, node)
-		} else {
-			t.applyUpdateSlot(slot, old)
-		}
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return err
-	}
-	t.sealUpdateLocked(slot, node, seq)
-	t.notifyLocked(MutUpdate, old, repl, t.version)
-	t.mu.Unlock()
-	t.clock.complete(seq)
-	s.EndMutate()
-	return s.WaitDurable(lsn)
-}
-
-// sealUpdateLocked stamps an applied autocommit update with its commit
-// seq: the new head begins at seq and the retained version (if any)
-// ends there.
-func (t *Table) sealUpdateLocked(slot int, node *rowVersion, seq uint64) {
-	t.meta[slot].begin = seq
-	if node != nil {
-		node.end = seq
-	}
-}
-
-// updateByKeyLocked performs the update under the write lock, returning
-// the slot plus the pre- and post-image rows for journaling/undo. With
-// keep set the superseded version is pushed onto the slot's chain (and
-// returned) so active snapshots keep seeing it; the caller stamps it
-// via sealUpdateLocked once the write is final.
-func (t *Table) updateByKeyLocked(key []Value, set func(Row) Row, keep bool) (int, Row, Row, *rowVersion, error) {
-	if t.pkIndex == nil || len(key) != len(t.pk) {
-		return 0, nil, nil, nil, fmt.Errorf("%w: table %s has no matching primary key", ErrNotFound, t.name)
-	}
-	if len(t.vslots) > 0 {
-		t.gcLocked(t.clock.minActive())
-	}
-	norm := make([]Value, len(key))
-	for i, v := range key {
-		nv, err := Normalize(v)
-		if err != nil {
-			return 0, nil, nil, nil, err
-		}
-		norm[i] = nv
-	}
-	oldKey := encodeKey(norm)
-	slot, ok := t.pkIndex[oldKey]
-	if !ok {
-		return 0, nil, nil, nil, fmt.Errorf("%w: table %s key %v", ErrNotFound, t.name, norm)
-	}
-	if m := &t.meta[slot]; m.btx != 0 || m.etx != 0 {
-		t.countConflict()
-		return 0, nil, nil, nil, fmt.Errorf("relation: table %s key %v staged by an open transaction: %w", t.name, norm, ErrTxConflict)
-	}
-	old := t.visibleLocked(slot, LatestSnap())
-	if old == nil || t.pkKey(old) != oldKey {
-		return 0, nil, nil, nil, fmt.Errorf("%w: table %s key %v", ErrNotFound, t.name, norm)
-	}
+// updateLocked replaces the row at slot with set's validated image of
+// it, refusing a changed primary key that another row holds.
+func (t *Table) updateLocked(slot int, set func(Row) Row) (effect, error) {
+	old := t.rows[slot]
 	repl, err := t.validate(set(old.Clone()))
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return effect{}, err
 	}
-	newKey := t.pkKey(repl)
-	if newKey != oldKey {
-		if s, dup := t.pkIndex[newKey]; dup {
-			if r := t.visibleLocked(s, LatestSnap()); r != nil && t.pkKey(r) == newKey {
-				return 0, nil, nil, nil, fmt.Errorf("%w: table %s", ErrDuplicateKey, t.name)
-			}
-			if m := &t.meta[s]; m.btx != 0 && t.pkKey(t.rows[s]) == newKey {
-				t.countConflict()
-				return 0, nil, nil, nil, fmt.Errorf("relation: table %s key staged by an open transaction: %w", t.name, ErrTxConflict)
+	if t.pkIndex != nil {
+		if key := t.pkKey(repl); key != t.pkKey(old) {
+			if _, dup := t.pkIndex[key]; dup {
+				return effect{}, fmt.Errorf("%w: table %s", ErrDuplicateKey, t.name)
 			}
 		}
-		if !keep {
-			delete(t.pkIndex, oldKey)
-		}
-		t.pkIndex[newKey] = slot
 	}
-	node := t.applyUpdateVersionLocked(slot, old, repl, keep)
-	t.version++
-	return slot, old, repl, node, nil
-}
-
-// applyUpdateVersionLocked swaps repl in as slot's head. With keep set
-// the committed head goes onto the version chain (returned, unstamped)
-// and its index entries are retained; otherwise the indexes rekey in
-// place exactly as before MVCC.
-func (t *Table) applyUpdateVersionLocked(slot int, old, repl Row, keep bool) *rowVersion {
-	if !keep {
-		for _, ix := range t.indexes {
-			ix.update(slot, old, repl)
-		}
-		for _, ix := range t.ordered {
-			ix.update(slot, old, repl)
-		}
-		t.rows[slot] = repl
-		return nil
-	}
-	m := &t.meta[slot]
-	node := &rowVersion{row: old, begin: m.begin, prev: m.prev}
-	t.addEntriesLocked(slot, repl, nil)
-	t.rows[slot] = repl
-	m.begin, m.prev = 0, node
-	t.vslotAdd(slot)
-	return node
-}
-
-// appliedUpdate records one retained-version update for stamping/undo.
-type appliedUpdate struct {
-	slot int
-	node *rowVersion
+	t.applyUpdateSlot(slot, repl)
+	return effect{slot: slot, before: old, after: repl}, nil
 }
 
 // UpdateWhere applies set to every row satisfying pred and reports how
@@ -981,334 +717,62 @@ type appliedUpdate struct {
 // validation error leaves earlier updates applied (and, with attached
 // Storage, journaled); a WAL failure instead rolls the whole batch back.
 func (t *Table) UpdateWhere(pred func(Row) bool, set func(Row) Row) (int, error) {
-	sb := t.store.Load()
-	if sb == nil {
-		seq, keep := t.clock.alloc()
-		t.mu.Lock()
-		// Effects are collected only when an observer needs the pre/post
-		// image pairs; the unobserved path keeps its zero-allocation shape.
-		n, muts, undo, ups, err := t.updateWhereLocked(pred, set, t.observedLocked(), keep)
-		for _, u := range ups {
-			t.sealUpdateLocked(u.slot, u.node, seq)
-		}
-		t.notifyUpdatesLocked(muts, undo)
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		return n, err
-	}
-	s := sb.s
-	s.BeginMutate()
-	seq, keep := t.clock.alloc()
-	t.mu.Lock()
-	n, muts, undo, ups, uerr := t.updateWhereLocked(pred, set, true, keep)
-	if n == 0 {
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return 0, uerr
-	}
-	lsn, err := s.LogMutations(t.name, muts)
-	if err != nil {
-		if len(ups) > 0 {
-			for i := len(ups) - 1; i >= 0; i-- {
-				t.popHeadLocked(ups[i].slot, ups[i].node)
-			}
-		} else {
-			t.undoLocked(undo)
-		}
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return 0, err
-	}
-	for _, u := range ups {
-		t.sealUpdateLocked(u.slot, u.node, seq)
-	}
-	t.notifyUpdatesLocked(muts, undo)
-	t.mu.Unlock()
-	t.clock.complete(seq)
-	s.EndMutate()
-	if werr := s.WaitDurable(lsn); uerr == nil {
-		uerr = werr
-	}
-	return n, uerr
-}
-
-// updateWhereLocked is UpdateWhere's body under the write lock. With
-// collect set it gathers the applied effects (post-images) and their
-// inverses (pre-images) for journaling and rollback; the memory path
-// skips both allocations. While transaction snapshots are active (keep,
-// or leftover residue) it routes through the version-retaining path and
-// additionally returns the applied slots/chain nodes for stamping.
-func (t *Table) updateWhereLocked(pred func(Row) bool, set func(Row) Row, collect, keep bool) (int, []Mutation, []Mutation, []appliedUpdate, error) {
-	if len(t.vslots) > 0 {
-		t.gcLocked(t.clock.minActive())
-	}
-	n := 0
-	var muts, undo []Mutation
-	if !keep && len(t.vslots) == 0 {
+	return t.write(func() ([]effect, error) {
+		var effs []effect
 		for slot, r := range t.rows {
 			if r == nil || !pred(r) {
 				continue
 			}
-			repl, err := t.validate(set(r.Clone()))
+			e, err := t.updateLocked(slot, set)
 			if err != nil {
-				return n, muts, undo, nil, err
+				return effs, err
 			}
-			if t.pkIndex != nil {
-				oldKey, newKey := t.pkKey(r), t.pkKey(repl)
-				if oldKey != newKey {
-					if _, dup := t.pkIndex[newKey]; dup {
-						return n, muts, undo, nil, fmt.Errorf("%w: table %s", ErrDuplicateKey, t.name)
-					}
-					delete(t.pkIndex, oldKey)
-					t.pkIndex[newKey] = slot
-				}
-			}
-			for _, ix := range t.indexes {
-				ix.update(slot, r, repl)
-			}
-			for _, ix := range t.ordered {
-				ix.update(slot, r, repl)
-			}
-			t.rows[slot] = repl
-			t.version++
-			n++
-			if collect {
-				muts = append(muts, Mutation{Kind: MutUpdate, Slot: slot, Row: repl})
-				undo = append(undo, Mutation{Kind: MutUpdate, Slot: slot, Row: r})
-			}
+			effs = append(effs, e)
 		}
-		return n, muts, undo, nil, nil
-	}
-	// Version-retaining path: snapshots are active, so superseded
-	// versions go onto the chains and staged rows conflict.
-	var ups []appliedUpdate
-	for slot := range t.rows {
-		cur := t.visibleLocked(slot, LatestSnap())
-		if cur == nil || !pred(cur) {
-			continue
-		}
-		if m := &t.meta[slot]; m.btx != 0 || m.etx != 0 {
-			t.countConflict()
-			return n, muts, undo, ups, fmt.Errorf("relation: table %s slot %d staged by an open transaction: %w", t.name, slot, ErrTxConflict)
-		}
-		repl, err := t.validate(set(cur.Clone()))
-		if err != nil {
-			return n, muts, undo, ups, err
-		}
-		if t.pkIndex != nil {
-			oldKey, newKey := t.pkKey(cur), t.pkKey(repl)
-			if oldKey != newKey {
-				if s, dup := t.pkIndex[newKey]; dup && s != slot {
-					if r := t.visibleLocked(s, LatestSnap()); r != nil && t.pkKey(r) == newKey {
-						return n, muts, undo, ups, fmt.Errorf("%w: table %s", ErrDuplicateKey, t.name)
-					}
-				}
-				t.pkIndex[newKey] = slot
-			}
-		}
-		node := t.applyUpdateVersionLocked(slot, cur, repl, true)
-		t.version++
-		n++
-		ups = append(ups, appliedUpdate{slot: slot, node: node})
-		if collect {
-			muts = append(muts, Mutation{Kind: MutUpdate, Slot: slot, Row: repl})
-			undo = append(undo, Mutation{Kind: MutUpdate, Slot: slot, Row: cur})
-		}
-	}
-	return n, muts, undo, ups, nil
+		return effs, nil
+	})
 }
 
 // DeleteWhere removes every row satisfying pred and reports the count.
 // With attached Storage the batch is journaled as one record; if the
-// WAL rejects it the deletes are rolled back and the error is returned
-// (previously this was silently reported as 0 rows). While transaction
-// snapshots are active, deleted versions are retained on their slots
-// until no snapshot can see them; a row staged by an open transaction
-// makes the statement fail with ErrTxConflict before any row is
-// removed.
+// WAL rejects it the deletes are rolled back and the error is returned.
 func (t *Table) DeleteWhere(pred func(Row) bool) (int, error) {
-	sb := t.store.Load()
-	if sb == nil {
-		seq, keep := t.clock.alloc()
-		t.mu.Lock()
-		if !keep && t.sweptPlainLocked() {
-			n, _, undo := t.deleteWhereLocked(pred, t.observedLocked())
-			t.notifyDeletesLocked(undo)
-			t.mu.Unlock()
-			t.clock.complete(seq)
-			return n, nil
+	return t.write(func() ([]effect, error) {
+		var effs []effect
+		for slot, r := range t.rows {
+			if r != nil && pred(r) {
+				t.applyDeleteSlot(slot)
+				effs = append(effs, effect{slot: slot, before: r})
+			}
 		}
-		slots, pre, err := t.deleteWhereVersionedLocked(pred)
-		if err != nil {
-			t.mu.Unlock()
-			t.clock.complete(seq)
-			return 0, err
-		}
-		t.sealDeletesLocked(slots, seq)
-		t.notifyDeletedRowsLocked(pre)
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		return len(slots), nil
-	}
-	s := sb.s
-	s.BeginMutate()
-	seq, keep := t.clock.alloc()
-	t.mu.Lock()
-	if !keep && t.sweptPlainLocked() {
-		n, muts, undo := t.deleteWhereLocked(pred, true)
-		if n == 0 {
-			t.mu.Unlock()
-			t.clock.complete(seq)
-			s.EndMutate()
-			return 0, nil
-		}
-		lsn, err := s.LogMutations(t.name, muts)
-		if err != nil {
-			t.undoLocked(undo)
-			t.mu.Unlock()
-			t.clock.complete(seq)
-			s.EndMutate()
-			return 0, err
-		}
-		t.notifyDeletesLocked(undo)
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return n, s.WaitDurable(lsn)
-	}
-	// Version-retaining path: nothing is applied until the WAL accepts
-	// the record, so a rejection needs no undo.
-	slots, pre, err := t.deleteWhereVersionedLocked(pred)
-	if err != nil || len(slots) == 0 {
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return 0, err
-	}
-	muts := make([]Mutation, len(slots))
-	for i, slot := range slots {
-		muts[i] = Mutation{Kind: MutDelete, Slot: slot}
-	}
-	lsn, err := s.LogMutations(t.name, muts)
-	if err != nil {
-		t.mu.Unlock()
-		t.clock.complete(seq)
-		s.EndMutate()
-		return 0, err
-	}
-	t.sealDeletesLocked(slots, seq)
-	t.notifyDeletedRowsLocked(pre)
-	t.mu.Unlock()
-	t.clock.complete(seq)
-	s.EndMutate()
-	return len(slots), s.WaitDurable(lsn)
-}
-
-// sweptPlainLocked sweeps residue and reports whether every slot came
-// out plain — the precondition for the legacy physical-delete path.
-func (t *Table) sweptPlainLocked() bool {
-	if len(t.vslots) > 0 {
-		t.gcLocked(t.clock.minActive())
-	}
-	return len(t.vslots) == 0
-}
-
-// deleteWhereVersionedLocked collects the latest-visible rows matching
-// pred without applying anything; sealDeletesLocked makes them dead.
-// A matching row staged by an open transaction aborts the statement.
-func (t *Table) deleteWhereVersionedLocked(pred func(Row) bool) ([]int, []Row, error) {
-	var slots []int
-	var pre []Row
-	for slot := range t.rows {
-		cur := t.visibleLocked(slot, LatestSnap())
-		if cur == nil || !pred(cur) {
-			continue
-		}
-		if m := &t.meta[slot]; m.btx != 0 || m.etx != 0 {
-			t.countConflict()
-			return nil, nil, fmt.Errorf("relation: table %s slot %d staged by an open transaction: %w", t.name, slot, ErrTxConflict)
-		}
-		slots = append(slots, slot)
-		pre = append(pre, cur)
-	}
-	return slots, pre, nil
-}
-
-// sealDeletesLocked stamps the collected slots dead at seq, retaining
-// their versions (rows, index entries, pk mappings) for snapshots that
-// still see them; GC reclaims the slots once no snapshot can.
-func (t *Table) sealDeletesLocked(slots []int, seq uint64) {
-	for _, slot := range slots {
-		m := &t.meta[slot]
-		m.end = seq
-		t.vslotAdd(slot)
-		t.live--
-		t.version++
-	}
-}
-
-// deleteWhereLocked is DeleteWhere's physical body under the write
-// lock; with collect set it gathers effects and their inverses for
-// journaling. Only valid when every slot is plain (no active
-// snapshots).
-func (t *Table) deleteWhereLocked(pred func(Row) bool, collect bool) (int, []Mutation, []Mutation) {
-	n := 0
-	var muts, undo []Mutation
-	for slot, r := range t.rows {
-		if r == nil || !pred(r) {
-			continue
-		}
-		if t.pkIndex != nil {
-			delete(t.pkIndex, t.pkKey(r))
-		}
-		for _, ix := range t.indexes {
-			ix.remove(slot, r)
-		}
-		for _, ix := range t.ordered {
-			ix.remove(slot, r)
-		}
-		t.rows[slot] = nil
-		t.free = append(t.free, slot)
-		t.live--
-		t.version++
-		n++
-		if collect {
-			muts = append(muts, Mutation{Kind: MutDelete, Slot: slot})
-			undo = append(undo, Mutation{Kind: MutInsert, Slot: slot, Row: r})
-		}
-	}
-	return n, muts, undo
+		return effs, nil
+	})
 }
 
 // --- slot-addressed effect application ---------------------------------
 //
-// The helpers below re-apply (or reverse) row effects at exact slots,
+// The helpers below apply (or reverse) row effects at exact slots,
 // maintaining every index, the free list and the live/version counters
-// without re-validation. Recovery replay drives them forward; the
-// journaled mutators drive them backward when the WAL rejects a record.
-// Caller holds the write lock.
+// without re-validation. The write paths and Tx.Commit drive them
+// forward, recovery replay re-applies journaled effects through them,
+// and undoLocked drives them backward when the WAL rejects a record.
+// A primary-key mapping is only removed while it still names the slot
+// being changed, so a batch that swaps keys between rows lands on the
+// right mapping in any order. Caller holds the write lock.
 
-// applyInsertSlot places r at slot, growing the row slice as needed.
-// Replayed rows carry the "ancient" begin stamp: recovery runs with no
-// live snapshots, so every recovered row predates every future one.
-func (t *Table) applyInsertSlot(slot int, r Row) error {
-	for len(t.rows) <= slot {
-		t.rows = append(t.rows, nil)
-		t.meta = append(t.meta, slotMeta{})
+// takeSlotLocked returns a free slot, reusing a tombstone if any.
+func (t *Table) takeSlotLocked() int {
+	if n := len(t.free); n > 0 {
+		slot := t.free[n-1]
+		t.free = t.free[:n-1]
+		return slot
 	}
-	if t.rows[slot] != nil {
-		return fmt.Errorf("relation: table %s replay insert into occupied slot %d", t.name, slot)
-	}
-	t.meta[slot] = slotMeta{begin: 1}
-	for i, s := range t.free {
-		if s == slot {
-			t.free[i] = t.free[len(t.free)-1]
-			t.free = t.free[:len(t.free)-1]
-			break
-		}
-	}
+	t.rows = append(t.rows, nil)
+	return len(t.rows) - 1
+}
+
+// placeLocked stores r at the free slot and indexes it.
+func (t *Table) placeLocked(slot int, r Row) {
 	t.rows[slot] = r
 	if t.pkIndex != nil {
 		t.pkIndex[t.pkKey(r)] = slot
@@ -1321,8 +785,36 @@ func (t *Table) applyInsertSlot(slot int, r Row) error {
 	}
 	t.live++
 	t.version++
+}
+
+// applyInsertSlot places r at slot, growing the row slice as needed.
+func (t *Table) applyInsertSlot(slot int, r Row) error {
+	for len(t.rows) <= slot {
+		t.rows = append(t.rows, nil)
+	}
+	if t.rows[slot] != nil {
+		return fmt.Errorf("relation: table %s replay insert into occupied slot %d", t.name, slot)
+	}
+	for i, s := range t.free {
+		if s == slot {
+			t.free[i] = t.free[len(t.free)-1]
+			t.free = t.free[:len(t.free)-1]
+			break
+		}
+	}
+	t.placeLocked(slot, r)
 	t.bumpAutoLocked(r)
 	return nil
+}
+
+// unmapKeyLocked drops r's primary-key mapping if it still names slot.
+func (t *Table) unmapKeyLocked(slot int, r Row) {
+	if t.pkIndex == nil {
+		return
+	}
+	if key := t.pkKey(r); t.pkIndex[key] == slot {
+		delete(t.pkIndex, key)
+	}
 }
 
 // applyUpdateSlot replaces the live row at slot with repl.
@@ -1332,10 +824,9 @@ func (t *Table) applyUpdateSlot(slot int, repl Row) error {
 	}
 	old := t.rows[slot]
 	if t.pkIndex != nil {
-		oldKey, newKey := t.pkKey(old), t.pkKey(repl)
-		if oldKey != newKey {
-			delete(t.pkIndex, oldKey)
-			t.pkIndex[newKey] = slot
+		if key := t.pkKey(repl); key != t.pkKey(old) {
+			t.unmapKeyLocked(slot, old)
+			t.pkIndex[key] = slot
 		}
 	}
 	for _, ix := range t.indexes {
@@ -1345,7 +836,6 @@ func (t *Table) applyUpdateSlot(slot int, repl Row) error {
 		ix.update(slot, old, repl)
 	}
 	t.rows[slot] = repl
-	t.meta[slot] = slotMeta{begin: 1}
 	t.version++
 	t.bumpAutoLocked(repl)
 	return nil
@@ -1356,11 +846,8 @@ func (t *Table) applyDeleteSlot(slot int) error {
 	if slot < 0 || slot >= len(t.rows) || t.rows[slot] == nil {
 		return fmt.Errorf("relation: table %s replay delete of dead slot %d", t.name, slot)
 	}
-	t.meta[slot] = slotMeta{}
 	r := t.rows[slot]
-	if t.pkIndex != nil {
-		delete(t.pkIndex, t.pkKey(r))
-	}
+	t.unmapKeyLocked(slot, r)
 	for _, ix := range t.indexes {
 		ix.remove(slot, r)
 	}
@@ -1374,17 +861,19 @@ func (t *Table) applyDeleteSlot(slot int) error {
 	return nil
 }
 
-// undoLocked reverses a batch of inverse effects, newest first.
-func (t *Table) undoLocked(undo []Mutation) {
-	for i := len(undo) - 1; i >= 0; i-- {
-		m := undo[i]
-		switch m.Kind {
+// undoLocked reverses applied effects, newest first, and returns the
+// version to from, the one before them: the versions in between came
+// and went inside one hold of the write lock, so no reader saw them.
+func (t *Table) undoLocked(effs []effect, from uint64) {
+	defer func() { t.version = from }()
+	for i := len(effs) - 1; i >= 0; i-- {
+		switch e := effs[i]; e.kind() {
 		case MutInsert:
-			t.applyInsertSlot(m.Slot, m.Row)
+			t.applyDeleteSlot(e.slot)
 		case MutUpdate:
-			t.applyUpdateSlot(m.Slot, m.Row)
+			t.applyUpdateSlot(e.slot, e.before)
 		case MutDelete:
-			t.applyDeleteSlot(m.Slot)
+			t.applyInsertSlot(e.slot, e.before)
 		}
 	}
 }
@@ -1402,19 +891,12 @@ func (t *Table) bumpAutoLocked(r Row) {
 
 // rebuildFreeLocked recomputes the free list from the tombstones —
 // recovery's final step, after snapshot load and replay both poked
-// slots directly. It also squares up the meta slice with the rows
-// (recovered rows carry the ancient begin stamp).
+// slots directly.
 func (t *Table) rebuildFreeLocked() {
 	t.free = t.free[:0]
-	for len(t.meta) < len(t.rows) {
-		t.meta = append(t.meta, slotMeta{})
-	}
 	for slot, r := range t.rows {
 		if r == nil {
 			t.free = append(t.free, slot)
-			t.meta[slot] = slotMeta{}
-		} else if t.meta[slot].begin == 0 {
-			t.meta[slot] = slotMeta{begin: 1}
 		}
 	}
 }

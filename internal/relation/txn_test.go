@@ -20,43 +20,51 @@ func getVal(t *testing.T, tbl *Table, id int64) (string, bool) {
 	return r[1].(string), true
 }
 
+// TestTxSnapshotIsolation pins what a transaction's reads are: the
+// latest committed state on every read path, and a promise checked at
+// Commit. A write committed after the read is visible to the next read
+// at once, and the transaction that read the old row can no longer
+// commit: a repeatable read is enforced by refusing the commit, not by
+// keeping an old version.
 func TestTxSnapshotIsolation(t *testing.T) {
 	db := NewDB()
 	tbl := db.MustCreate(kvTable())
 	tbl.MustInsert(Row{int64(1), "old", int64(10)})
 
 	tx := db.Begin()
-	defer tx.Rollback()
-	// A write committed after the snapshot is invisible to the
-	// transaction but immediately visible to plain readers.
+	if r, ok := tx.Get(tbl, int64(1)); !ok || r[1] != "old" {
+		t.Fatalf("tx read = %v, want old", r)
+	}
 	if err := tbl.UpdateByKey([]Value{int64(1)}, func(r Row) Row { r[1] = "new"; return r }); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := getVal(t, tbl, 1); v != "new" {
 		t.Fatalf("plain read = %q, want new", v)
 	}
-	if r, ok := tx.Get(tbl, int64(1)); !ok || r[1] != "old" {
-		t.Fatalf("tx read = %v, want old", r)
+	// Get, Lookup and Scan all read the latest committed rows.
+	if r, ok := tx.Get(tbl, int64(1)); !ok || r[1] != "new" {
+		t.Fatalf("tx Get = %v, want new", r)
 	}
-	// Index and scan paths honor the snapshot too.
-	if got := tx.Lookup(tbl, "Num", int64(10)); len(got) != 1 || got[0][1] != "old" {
-		t.Fatalf("tx Lookup = %v, want the old version", got)
+	if got := tx.Lookup(tbl, "Num", int64(10)); len(got) != 1 || got[0][1] != "new" {
+		t.Fatalf("tx Lookup = %v, want the new row", got)
 	}
 	n := 0
-	tx.Scan(tbl, func(r Row) bool {
-		if r[1] != "old" {
-			t.Fatalf("tx Scan saw %v", r)
-		}
-		n++
-		return true
-	})
+	tx.Scan(tbl, func(r Row) bool { n++; return r[1] == "new" })
 	if n != 1 {
 		t.Fatalf("tx Scan saw %d rows, want 1", n)
 	}
-	// Rows inserted after the snapshot are invisible.
-	tbl.MustInsert(Row{int64(2), "later", int64(20)})
-	if _, ok := tx.Get(tbl, int64(2)); ok {
-		t.Fatal("tx sees a row inserted after its snapshot")
+	if _, err := tx.Insert(tbl, Row{int64(2), "after a stale read", int64(20)}); err != nil {
+		t.Fatal(err)
+	}
+	// The first Get returned a row that has since been replaced.
+	if err := tx.Commit(); !errors.Is(err, ErrTxConflict) {
+		t.Fatalf("Commit after the read changed = %v, want ErrTxConflict", err)
+	}
+	if _, ok := tbl.Get(int64(2)); ok {
+		t.Fatal("a conflicted transaction applied its insert")
+	}
+	if st := db.TxStats(); st.Conflicts != 1 || st.Aborted != 1 || st.Active != 0 {
+		t.Fatalf("TxStats = %+v, want one conflict, one abort, none active", st)
 	}
 }
 
@@ -155,44 +163,48 @@ func TestTxRollbackRestoresEverything(t *testing.T) {
 	}
 }
 
+// TestTxWriteWriteConflict: two writers of one row. A transaction's
+// update reads the row it replaces, so whichever write commits first
+// wins and the transaction that read the row before it is refused at
+// Commit. Autocommit writes never wait for or conflict with an open
+// transaction.
 func TestTxWriteWriteConflict(t *testing.T) {
 	db := NewDB()
 	tbl := db.MustCreate(kvTable())
 	tbl.MustInsert(Row{int64(1), "base", int64(1)})
+	set := func(v string) func(Row) Row { return func(r Row) Row { r[1] = v; return r } }
+	byID := func(r Row) bool { return r[0] == int64(1) }
 
 	t.Run("staged-vs-tx", func(t *testing.T) {
-		tx1 := db.Begin()
-		tx2 := db.Begin()
-		if _, err := tx1.UpdateWhere(tbl, func(r Row) bool { return r[0] == int64(1) },
-			func(r Row) Row { r[1] = "one"; return r }); err != nil {
+		tx1, tx2 := db.Begin(), db.Begin()
+		if _, err := tx1.UpdateWhere(tbl, byID, set("one")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx2.UpdateWhere(tbl, func(r Row) bool { return r[0] == int64(1) },
-			func(r Row) Row { r[1] = "two"; return r }); !errors.Is(err, ErrTxConflict) {
-			t.Fatalf("second writer got %v, want ErrTxConflict", err)
-		}
-		// tx2 is poisoned: Commit reports the conflict and rolls back.
-		if err := tx2.Commit(); !errors.Is(err, ErrTxConflict) {
-			t.Fatalf("poisoned Commit = %v, want ErrTxConflict", err)
-		}
-		if err := tx1.Commit(); err != nil {
+		if err := tx2.UpdateByKey(tbl, []Value{int64(1)}, set("two")); err != nil {
 			t.Fatal(err)
 		}
-		if v, _ := getVal(t, tbl, 1); v != "one" {
-			t.Fatalf("winner's write lost: %q", v)
+		if err := tx2.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx1.Commit(); !errors.Is(err, ErrTxConflict) {
+			t.Fatalf("the later committer got %v, want ErrTxConflict", err)
+		}
+		if v, _ := getVal(t, tbl, 1); v != "two" {
+			t.Fatalf("first committer's write lost: %q", v)
 		}
 	})
 
 	t.Run("committed-after-snapshot", func(t *testing.T) {
 		tx := db.Begin()
-		if err := tbl.UpdateByKey([]Value{int64(1)}, func(r Row) Row { r[1] = "newer"; return r }); err != nil {
+		if _, err := tx.UpdateWhere(tbl, byID, set("stale")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tx.UpdateWhere(tbl, func(r Row) bool { return r[0] == int64(1) },
-			func(r Row) Row { r[1] = "stale"; return r }); !errors.Is(err, ErrTxConflict) {
+		if err := tbl.UpdateByKey([]Value{int64(1)}, set("newer")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); !errors.Is(err, ErrTxConflict) {
 			t.Fatalf("stale writer got %v, want ErrTxConflict", err)
 		}
-		tx.Rollback()
 		if v, _ := getVal(t, tbl, 1); v != "newer" {
 			t.Fatalf("first committer's write lost: %q", v)
 		}
@@ -200,34 +212,36 @@ func TestTxWriteWriteConflict(t *testing.T) {
 
 	t.Run("autocommit-vs-staged", func(t *testing.T) {
 		tx := db.Begin()
-		if _, err := tx.UpdateWhere(tbl, func(r Row) bool { return r[0] == int64(1) },
-			func(r Row) Row { r[1] = "staged"; return r }); err != nil {
+		if err := tx.UpdateByKey(tbl, []Value{int64(1)}, set("staged")); err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.UpdateByKey([]Value{int64(1)}, func(r Row) Row { r[1] = "auto"; return r }); !errors.Is(err, ErrTxConflict) {
-			t.Fatalf("autocommit writer got %v, want ErrTxConflict", err)
+		if err := tbl.UpdateByKey([]Value{int64(1)}, set("auto")); err != nil {
+			t.Fatalf("autocommit writer beside an open transaction: %v", err)
 		}
-		tx.Rollback()
+		if err := tx.Commit(); !errors.Is(err, ErrTxConflict) {
+			t.Fatalf("transaction after the autocommit write got %v, want ErrTxConflict", err)
+		}
+		if v, _ := getVal(t, tbl, 1); v != "auto" {
+			t.Fatalf("autocommit write lost: %q", v)
+		}
 	})
 
 	st := db.TxStats()
-	if st.Conflicts < 3 {
-		t.Fatalf("Conflicts = %d, want >= 3", st.Conflicts)
+	if st.Conflicts != 3 {
+		t.Fatalf("Conflicts = %d, want 3", st.Conflicts)
 	}
 	if st.Active != 0 {
 		t.Fatalf("Active = %d, want 0", st.Active)
 	}
 }
 
-// TestSnapshotIsolationAllowsWriteSkew pins the anomaly snapshot
-// isolation admits and SERIALIZABLE would not. Invariant: x + y >= 1
-// (say, "at least one of two TAs stays on call"). Two transactions each
-// read both rows from their snapshot, see x + y = 2, and each zero a
-// DIFFERENT row. Their write sets are disjoint, so first-committer-wins
-// finds no conflict and both commit, leaving x + y = 0. This is expected
-// under SI; an application that needs the invariant must make both
-// transactions write a common row.
-func TestSnapshotIsolationAllowsWriteSkew(t *testing.T) {
+// TestTxRefusesWriteSkew pins the anomaly snapshot isolation admits and
+// a serializable transaction does not. Invariant: x + y >= 1 (say, "at
+// least one of two TAs stays on call"). Two transactions each read both
+// rows, see x + y = 2, and each zero a DIFFERENT row. Their write sets
+// are disjoint, but the second to commit read the row the first one
+// zeroed, so its Commit is refused and the invariant holds.
+func TestTxRefusesWriteSkew(t *testing.T) {
 	db := NewDB()
 	tbl := db.MustCreate(kvTable())
 	tbl.MustInsert(Row{int64(1), "x", int64(1)})
@@ -247,11 +261,10 @@ func TestSnapshotIsolationAllowsWriteSkew(t *testing.T) {
 	zero := func(tx *Tx, key int64) {
 		t.Helper()
 		if sum(func(k int64) (Row, bool) { return tx.Get(tbl, k) }) < 2 {
-			t.Fatal("the invariant check must pass inside both snapshots")
+			t.Fatal("the invariant check must pass inside both transactions")
 		}
-		if n, err := tx.UpdateWhere(tbl, func(r Row) bool { return r[0] == key },
-			func(r Row) Row { r[2] = int64(0); return r }); err != nil || n != 1 {
-			t.Fatalf("zero row %d: n=%d err=%v", key, n, err)
+		if err := tx.UpdateByKey(tbl, []Value{key}, func(r Row) Row { r[2] = int64(0); return r }); err != nil {
+			t.Fatalf("zero row %d: %v", key, err)
 		}
 	}
 
@@ -261,14 +274,14 @@ func TestSnapshotIsolationAllowsWriteSkew(t *testing.T) {
 	if err := tx1.Commit(); err != nil {
 		t.Fatalf("tx1 commit: %v", err)
 	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatalf("tx2 commit: %v (disjoint write sets do not conflict under SI)", err)
+	if err := tx2.Commit(); !errors.Is(err, ErrTxConflict) {
+		t.Fatalf("tx2 commit = %v, want ErrTxConflict: it read row 1, which tx1 changed", err)
 	}
-	if got := sum(func(k int64) (Row, bool) { return tbl.Get(k) }); got != 0 {
-		t.Fatalf("x + y = %d after both commits, want 0: the write skew SI allows", got)
+	if got := sum(func(k int64) (Row, bool) { return tbl.Get(k) }); got != 1 {
+		t.Fatalf("x + y = %d after both commits, want 1", got)
 	}
-	if st := db.TxStats(); st.Conflicts != 0 || st.Committed != 2 {
-		t.Fatalf("TxStats = %+v, want 2 commits and no conflict", st)
+	if st := db.TxStats(); st.Conflicts != 1 || st.Committed != 1 {
+		t.Fatalf("TxStats = %+v, want 1 commit and 1 conflict", st)
 	}
 }
 
@@ -303,8 +316,8 @@ func TestTxInsertAfterOwnDelete(t *testing.T) {
 
 // TestTxCommitAtomicity is the isolation property test: concurrent
 // readers poll a multi-row invariant while transactions move value
-// between two rows; under snapshot isolation no reader may ever observe
-// a partial transaction (a sum off balance).
+// between two rows; no reader may ever observe a partial transaction
+// (a sum off balance).
 func TestTxCommitAtomicity(t *testing.T) {
 	db := NewDB()
 	tbl := db.MustCreate(MustTable("Acct",
@@ -394,49 +407,6 @@ func TestTxCommitAtomicity(t *testing.T) {
 	}
 }
 
-func TestTxVersionGC(t *testing.T) {
-	db := NewDB()
-	tbl := db.MustCreate(kvTable())
-	tbl.MustInsert(Row{int64(1), "v0", int64(0)})
-
-	// Pin a snapshot, then churn versions under it.
-	pin := db.Begin()
-	for i := 1; i <= 5; i++ {
-		tx := db.Begin()
-		if _, err := tx.UpdateWhere(tbl, func(r Row) bool { return r[0] == int64(1) },
-			func(r Row) Row { r[1] = fmt.Sprintf("v%d", i); return r }); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r, ok := pin.Get(tbl, int64(1)); !ok || r[1] != "v0" {
-		t.Fatalf("pinned snapshot reads %v, want v0", r)
-	}
-	pin.Rollback()
-
-	tbl.MaybeGC()
-	tbl.mu.RLock()
-	residue := len(tbl.vslots)
-	var chain int
-	for _, m := range tbl.meta {
-		for n := m.prev; n != nil; n = n.prev {
-			chain++
-		}
-	}
-	tbl.mu.RUnlock()
-	if residue != 0 || chain != 0 {
-		t.Fatalf("after GC: %d residue slots, %d chain nodes", residue, chain)
-	}
-	if v, _ := getVal(t, tbl, 1); v != "v5" {
-		t.Fatalf("latest = %q, want v5", v)
-	}
-	if got := tbl.Lookup("Num", int64(0)); len(got) != 1 {
-		t.Fatalf("Lookup after GC = %v", got)
-	}
-}
-
 // failingStore is a Storage stub whose LogMutations fails on demand —
 // the poisoned-log regression harness for write-path error surfacing.
 type failingStore struct {
@@ -456,6 +426,10 @@ func (f *failingStore) LogMutations(string, []Mutation) (uint64, error) {
 	f.logs++
 	return uint64(f.logs), nil
 }
+func (f *failingStore) LogTxMutations(_ uint64, table string, muts []Mutation) (uint64, error) {
+	return f.LogMutations(table, muts)
+}
+func (f *failingStore) LogTxCommit(uint64) (uint64, error)      { return f.LogMutations("", nil) }
 func (f *failingStore) LogCreate(*Table) (uint64, error)        { return 0, nil }
 func (f *failingStore) LogDrop(string) (uint64, error)          { return 0, nil }
 func (f *failingStore) LogAlter(string, string) (uint64, error) { return 0, nil }
@@ -593,10 +567,52 @@ func TestKillReplayMidTransaction(t *testing.T) {
 	check("after-commit", copyDir(t, dir), want)
 }
 
-// TestTxCheckpointWaitsForOpenTx pins the gate discipline: a checkpoint
-// cannot run while a transaction is open, so a checkpointed snapshot
-// never contains uncommitted effects.
-func TestTxCheckpointWaitsForOpenTx(t *testing.T) {
+// TestTxIDsContinuePastReplay: records of a transaction whose commit
+// record never reached the log stay dead across restarts. A transaction
+// committed after reopening takes an id past every id in the log, so
+// its commit record cannot adopt the orphan's records.
+func TestTxIDsContinuePastReplay(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*DB, *DurableStore) {
+		t.Helper()
+		db, store, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, store
+	}
+	db, store := open()
+	db.MustCreate(kvTable())
+	store.BeginMutate()
+	_, err := store.LogTxMutations(1, "KV", []Mutation{{Kind: MutInsert, Slot: 0, Row: Row{int64(1), "orphan", int64(1)}}})
+	store.EndMutate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	db, store = open()
+	tx := db.Begin()
+	if _, err := tx.Insert(db.MustTable("KV"), Row{int64(2), "committed", int64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	db, store = open()
+	defer store.Close()
+	if got := fingerprint(db)["KV"]; len(got) != 1 || got[0] != `i2|s"committed"|i2|` {
+		t.Fatalf("after the second reopen KV = %v, want the committed row alone", got)
+	}
+}
+
+// TestTxOpenAcrossCheckpoint: an open transaction holds nothing, so a
+// checkpoint runs to completion beside it and captures none of its
+// writes; the transaction then commits, and a crash after the commit
+// recovers its row from the WAL past the checkpoint.
+func TestTxOpenAcrossCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, store, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncAlways, CheckpointEvery: -1})
 	if err != nil {
@@ -605,32 +621,42 @@ func TestTxCheckpointWaitsForOpenTx(t *testing.T) {
 	defer store.Close()
 	db.MustCreate(kvTable())
 	tbl := db.MustTable("KV")
+	tbl.MustInsert(Row{int64(1), "before", int64(1)})
 
 	tx := db.Begin()
-	if _, err := tx.Insert(tbl, Row{int64(1), "staged", int64(1)}); err != nil {
+	if _, err := tx.Insert(tbl, Row{int64(2), "buffered", int64(2)}); err != nil {
 		t.Fatal(err)
 	}
 	ckDone := make(chan error, 1)
 	go func() { ckDone <- store.Checkpoint() }()
 	select {
 	case err := <-ckDone:
-		t.Fatalf("checkpoint finished under an open transaction: %v", err)
-	default:
+		if err != nil {
+			t.Fatalf("checkpoint beside an open transaction: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("checkpoint blocked by an open transaction")
 	}
+	mid, midStore, err := OpenDurable(copyDir(t, dir), DurableOptions{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mid.MustTable("KV").Get(int64(2)); ok {
+		t.Fatal("the checkpoint captured an uncommitted row")
+	}
+	midStore.Close()
+
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-ckDone; err != nil {
-		t.Fatalf("checkpoint after commit: %v", err)
-	}
-	// The checkpoint image alone (WAL truncated) must hold the tx row.
+	want := fingerprint(db)
 	db2, store2, err := OpenDurable(copyDir(t, dir), DurableOptions{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	if r, ok := db2.MustTable("KV").Get(int64(1)); !ok || r[1] != "staged" {
-		t.Fatalf("checkpointed tx row = %v", r)
+	if got := fingerprint(db2); !equalPrints(want, got) {
+		t.Fatalf("kill-replay after the commit\nwant %v\ngot  %v", want, got)
 	}
 }
 
@@ -698,8 +724,8 @@ func TestTxCommitCrossingAutoCheckpoint(t *testing.T) {
 // the chain breaks exactly where the version moved with nothing
 // delivered — a row committed born dead, and whatever happened before
 // the observer attached. Autocommit and transactional writes, with and
-// without an open snapshot beside them (the version-retaining paths), on
-// a memory and on a durable table.
+// without an open transaction beside them, on a memory and on a durable
+// table.
 func TestMaintainedSpanContract(t *testing.T) {
 	script := func(t *testing.T, db *DB) {
 		tbl := db.MustCreate(kvTable())
@@ -714,7 +740,7 @@ func TestMaintainedSpanContract(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			var reader *Tx
 			if round == 1 {
-				reader = db.Begin() // an open snapshot: writers retain versions
+				reader = db.Begin() // open beside the writers; changes nothing they deliver
 			}
 			base := int64(10 * (round + 1))
 			for i := int64(0); i < 3; i++ {

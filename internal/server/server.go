@@ -257,10 +257,10 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, u communi
 }
 
 // handleReview runs the atomic enroll+comment+rate workflow for the
-// logged-in student: all three writes commit in one snapshot-isolation
+// logged-in student: all three writes commit in one serializable
 // transaction or none do. A concurrent submission for the same student
-// (two devices racing) loses first-committer-wins and reports 409 so
-// the client can retry.
+// (two devices racing) changes what the later commit read, so that one
+// is refused and reports 409; the client can retry.
 func (s *Server) handleReview(w http.ResponseWriter, r *http.Request, u community.User) {
 	var req struct {
 		CourseID int64   `json:"courseId"`

@@ -292,21 +292,25 @@
 //
 // # Transactions and visibility
 //
-// Every statement reads the latest committed state of
-// internal/relation's MVCC store: each access path (pk and index
-// probes, range and desc cursors, full scans, the inner sides of
-// index-nested-loop and band joins) opens at relation.LatestSnap().
-// Transactions are relation.Tx (DB.Begin), the one transaction API —
-// core.EnrollCommentRate is its client. A Tx stages row versions that
-// no statement of this engine sees until Commit publishes them
-// atomically; after Rollback they never existed. The engine needs no
-// transaction awareness for that: an in-flight row version is visible
-// only to the transaction that staged it, and the latest snapshot
-// belongs to none, so every path above skips it.
+// Every statement reads the committed rows of internal/relation, which
+// holds one version of each row: each access path (pk and index probes,
+// range and desc cursors, full scans, the inner sides of
+// index-nested-loop and band joins) reads a batch at a time under the
+// table's read lock. Transactions are relation.Tx (DB.Begin), the one
+// transaction API — core.EnrollCommentRate is its client. A Tx buffers
+// its writes outside the tables, so no statement of this engine sees
+// them until Commit applies them, under the write lock of every table
+// they touch; after Rollback they never existed. The engine needs no
+// transaction awareness for that.
+//
+// A statement reading one table sees a commit's rows in it all or
+// none. A statement joining two tables takes their locks one batch at
+// a time, so like any two autocommit reads it may see a commit's row in
+// one table and not yet in the other.
 //
 // Plan fingerprints (SchemaEpoch + row-count drift) and view
 // fingerprints (the full mutation version) likewise read committed
-// state only, so a transaction's staged writes neither replan a
+// state only, so a transaction's buffered writes neither replan a
 // statement nor stale a materialized view before Commit.
 //
 // # Cross-shard order contracts

@@ -702,16 +702,12 @@ func TestFoldedProbeMatchesDrained(t *testing.T) {
 		}
 	}
 	check("latest rows only")
-	// Under an open snapshot a row moved to K = 8 and back leaves a
-	// retained index entry under 8 that the latest rows no longer match.
-	tx := db.Begin()
+	// A row moved to K = 8 and back re-enters K = 7's index entries out
+	// of slot order.
 	for _, k := range []int64{8, 7} {
 		if err := tbl.UpdateByKey([]relation.Value{int64(2)}, func(r relation.Row) relation.Row { r[1] = k; return r }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("versions retained for an open snapshot")
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
+	check("a row moved away and back")
 }

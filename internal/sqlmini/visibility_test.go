@@ -95,7 +95,7 @@ func resultText(res *Result) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestStagedTxInvisibleToSQL is the MVCC guarantee the SQL layer keeps
+// TestStagedTxInvisibleToSQL is the isolation guarantee the SQL layer keeps
 // for relation.Tx, the one transaction API: rows a transaction has
 // staged — inserted, updated or deleted — are invisible to
 // autocommit statements on every access path until Commit, appear
