@@ -107,20 +107,23 @@ func (a analyzeOperands) run(s *Step, private bool) (*Relation, error) {
 	return rel, nil
 }
 
-func (a analyzeOperands) fuse(s, into *Step) (operands, func(rows int)) {
+func (a analyzeOperands) fuse(s, into *Step) (operands, func(rows, of int)) {
 	n := &analyzeNode{}
 	a.node.children = append(a.node.children, n)
 	consumer := into.describe()
 	if into.kind == blendStep {
 		consumer = "blend"
 	}
-	return analyzeOperands{a.e, n}, func(rows int) {
+	return analyzeOperands{a.e, n}, func(rows, of int) {
 		what := "read"
 		switch s.kind {
 		case recommendStep:
 			what = "scored"
 		case blendStep:
 			what = "ranked"
+		case selectStep:
+			n.line = fmt.Sprintf("%s (fused into %s: kept %d of %d)", s.explainLine(), consumer, rows, of)
+			return
 		}
 		n.line = fmt.Sprintf("%s (fused into %s: %s %d)", s.explainLine(), consumer, what, rows)
 	}

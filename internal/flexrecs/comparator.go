@@ -10,6 +10,13 @@ import (
 // Comparator scores one target tuple against the set of reference
 // tuples inside a recommend operator. Implementations resolve their
 // attribute columns once per execution via bind.
+//
+// A row's score depends only on that row and the reference, never on
+// which other target rows exist, and a row's error is raised when that
+// row is scored. ▷ relies on it to score a σ target where it stands:
+// bind sees the σ's input, the rows the σ drops included, and only the
+// kept rows are scored. bind may read the target's rows to size what it
+// builds, as wavgCmp does, but not to decide a score or an error.
 type Comparator interface {
 	// Label renders the comparator the way the paper annotates recommend
 	// triangles, e.g. "Jaccard[Title]" or "inv_Euclidean[Ratings]".
@@ -74,19 +81,20 @@ func (c *jaccardCmp) bind(target, ref *Relation) (func([]any) (float64, error), 
 		}
 		refSets = append(refSets, Tokens(s))
 	}
-	// recommend drives the closure sequentially, so one token buffer
-	// can serve every target row — tokens are consumed by the Jaccard
-	// intersections below and never escape a call.
-	var tokBuf []string
+	// recommend drives the closure sequentially, so one tokenizer can
+	// serve every target row — tokens are consumed by the Jaccard
+	// intersections below and never escape a call, and a title's tokens
+	// are slices of the tokenizer's one lowered-text buffer.
+	var tok textindex.Tokenizer
 	return func(trow []any) (float64, error) {
 		s, err := attrString(trow, ti)
 		if err != nil {
 			return 0, err
 		}
-		tokBuf = textindex.TokenizeInto(s, tokBuf)
+		toks := tok.Tokens(s)
 		best := 0.0
 		for _, rt := range refSets {
-			if j := JaccardAgainst(tokBuf, rt); j > best {
+			if j := JaccardAgainst(toks, rt); j > best {
 				best = j
 			}
 		}
@@ -208,8 +216,11 @@ func (c *wavgCmp) bind(target, ref *Relation) (func([]any) (float64, error), err
 	// values than the target has rows (a department's courses against
 	// everybody's ratings), the reference's keys otherwise — and each
 	// key sums in reference-row order whichever side keys it, so the
-	// scores repeat bit for bit. A first pass reads every vector and
-	// weight, raising any error, and counts the values.
+	// scores repeat bit for bit. That keeps the Comparator contract: a
+	// row's score is its key's sum whichever rows beside it sized the
+	// table, and a target key that does not normalize is left to the
+	// closure, which raises it if that row is scored. A first pass reads
+	// every vector and weight, raising any error, and counts the values.
 	values := 0
 	for _, r := range ref.Rows {
 		vec, err := attrVector(r, vi)
@@ -234,7 +245,7 @@ func (c *wavgCmp) bind(target, ref *Relation) (func([]any) (float64, error), err
 		for _, trow := range target.Rows {
 			key, err := relation.Normalize(trow[ki])
 			if err != nil {
-				return nil, err
+				continue // scoring the row raises it, if the row is scored
 			}
 			if _, ok := slots[key]; !ok {
 				slots[key] = int32(len(slots))

@@ -1,6 +1,7 @@
 package flexrecs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -430,14 +431,15 @@ type operands interface {
 	run(s *Step, private bool) (*Relation, error)
 	// fuse announces that s executes inside its consumer into instead of
 	// as a step of its own: in obtains s's operands, and done reports how
-	// many rows s read.
-	fuse(s, into *Step) (in operands, done func(rows int))
+	// many rows s read — for a σ, how many it kept of how many (other
+	// operators pass of = 0).
+	fuse(s, into *Step) (in operands, done func(rows, of int))
 }
 
 type plainOperands struct{ e *Engine }
 
 func (p plainOperands) run(s *Step, private bool) (*Relation, error) { return p.e.runStep(s, private) }
-func (p plainOperands) fuse(_, _ *Step) (operands, func(int))        { return p, func(int) {} }
+func (p plainOperands) fuse(_, _ *Step) (operands, func(int, int))   { return p, func(int, int) {} }
 
 // applyStep executes one non-sqlable operator other than materialize,
 // obtaining operand relations through ops. Operators that only read
@@ -449,27 +451,14 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		expr, err := sqlmini.ParseExpr(s.cond, s.args...)
+		keep, n, err := selectKeep(s, child)
 		if err != nil {
 			return nil, err
 		}
-		eval := sqlmini.Evaluator(expr, child.Cols)
-		// Mark, count, then size the output exactly: a selection hoisted
-		// above a shared nesting keeps nearly every row (SuID <> ?) or
-		// nearly none (SuID = ?), and growing by doubling costs the
-		// former twice the slice it ends up with.
-		keep := make([]bool, len(child.Rows))
-		n := 0
-		for i, row := range child.Rows {
-			v, err := eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if relation.Truthy(v) {
-				keep[i] = true
-				n++
-			}
-		}
+		// Size the output exactly: a selection hoisted above a shared
+		// nesting keeps nearly every row (SuID <> ?) or nearly none
+		// (SuID = ?), and growing by doubling costs the former twice the
+		// slice it ends up with.
 		out := &Relation{Cols: child.Cols}
 		if n > 0 {
 			out.Rows = make([][]any, 0, n)
@@ -523,7 +512,7 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 		return extend(child, s.groupBy, s.keyCol, s.valCol, s.as)
 
 	case recommendStep:
-		r, err := e.rank(s, allRows, ops)
+		r, _, err := e.rank(s, allRows, ops)
 		if err != nil {
 			return nil, err
 		}
@@ -540,11 +529,11 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 		switch s.child.kind {
 		case recommendStep:
 			in, done := ops.fuse(s.child, s)
-			r, err := e.rank(s.child, s.k, in)
+			r, n, err := e.rank(s.child, s.k, in)
 			if err != nil {
 				return nil, err
 			}
-			done(len(r.src))
+			done(n, 0)
 			return r.relation(), nil
 		case blendStep:
 			in, done := ops.fuse(s.child, s)
@@ -552,7 +541,7 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			done(ranked)
+			done(ranked, 0)
 			return rel, nil
 		}
 		child, err := ops.run(s.child, true)
@@ -867,24 +856,39 @@ func extendCell(group, key, value any, valCol string) (g, k relation.Value, val 
 // allRows is the k of an operator whose every row is kept.
 const allRows = math.MaxInt
 
-// scored is an operator's answer before its rows are built. Output row i
-// is source row ranked[i].pos, or src[i] when ranked is nil; its column j
-// is that row's column pick[j], or its score where pick[j] is negative.
-// ▷ answers this way — its target rows in place, ranked best-first with
-// their scores — a π over it narrows pick, and blend reads its operands
-// through it, so no intermediate row is copied: relation builds only the
-// rows kept.
+// unranked is the k of a ▷ blend reads: every target row is scored and
+// none is ranked.
+const unranked = -1
+
+// scored is an operator's answer before its rows are built, read where
+// it stands so that no intermediate row is copied; relation builds only
+// the rows kept. It has one of two shapes:
+//
+//   - ranked, for ▷ under a top or bare: output row i is source row
+//     ranked[i].pos, the best rows best-first with their scores;
+//   - unranked, for blend's operands: row i is source row i, unless keep
+//     (a σ fused into the ▷) drops it; a ▷ scores it scores[i], and a
+//     relation read asScored has no scores.
+//
+// Column j of a row is its source row's column pick[j], or its score
+// where pick[j] is negative; a π over a ▷ narrows pick.
 type scored struct {
 	cols   []string
 	src    [][]any
-	ranked []rankedRow // nil only for asScored; empty when nothing is kept
+	keep   []bool
+	ranked []rankedRow // empty when nothing is kept
+	scores []float64
 	pick   []int
 }
 
-// rankedRow is one scored source row.
+// rankedRow is one candidate row: source row pos and its score. Blend's
+// candidates also say which operand they come from and their score in
+// it (prior), which order their ties as the operands rank their rows.
 type rankedRow struct {
 	pos   int32
+	right bool // a right-only blend row: after every left row it ties
 	score float64
+	prior float64
 }
 
 // asScored reads a materialized relation as a scored answer: its rows
@@ -897,6 +901,8 @@ func asScored(rel *Relation) *scored {
 	return &scored{cols: rel.Cols, src: rel.Rows, pick: pick}
 }
 
+// len is the number of output rows: ranked's, or src's, counting any a
+// fused σ dropped.
 func (r *scored) len() int {
 	if r.ranked == nil {
 		return len(r.src)
@@ -904,23 +910,68 @@ func (r *scored) len() int {
 	return len(r.ranked)
 }
 
+// has reports whether row i is one: a fused σ kept it.
+func (r *scored) has(i int) bool { return r.keep == nil || r.keep[i] }
+
 // cell is column j of output row i.
 func (r *scored) cell(i, j int) any {
-	if r.ranked == nil {
-		return r.src[i][r.pick[j]]
-	}
-	if c := r.pick[j]; c >= 0 {
+	c := r.pick[j]
+	switch {
+	case r.ranked != nil && c >= 0:
 		return r.src[r.ranked[i].pos][c]
+	case r.ranked != nil:
+		return r.ranked[i].score
+	case c >= 0:
+		return r.src[i][c]
 	}
-	return r.ranked[i].score
+	return r.scores[i]
 }
 
 // weight is column j of output row i as a number, unboxed for a score.
 func (r *scored) weight(i, j int) (float64, error) {
-	if r.ranked != nil && r.pick[j] < 0 {
+	switch {
+	case r.pick[j] >= 0:
+		return toWeight(r.cell(i, j))
+	case r.ranked != nil:
 		return r.ranked[i].score, nil
 	}
-	return toWeight(r.cell(i, j))
+	return r.scores[i], nil
+}
+
+// prior orders the rows of an unranked r among themselves, higher
+// first: a ▷'s score for row i, or 0 for every row of a relation read
+// asScored, which keeps its order.
+func (r *scored) prior(i int) float64 {
+	if r.scores == nil {
+		return 0
+	}
+	return r.scores[i]
+}
+
+// before reports whether source row i precedes row j in r's order:
+// higher prior, then lower position — how rank would have ranked them.
+func (r *scored) before(i, j int) bool {
+	if pi, pj := r.prior(i), r.prior(j); pi != pj {
+		return pi > pj
+	}
+	return i < j
+}
+
+// scan visits r's rows in source order and returns the error of the
+// erring row r's own order puts first: the one an operator that walked
+// r's rows in that order and stopped at its first error would report.
+func (r *scored) scan(visit func(i int) error) error {
+	var first error
+	at := 0
+	for i := range r.src {
+		if !r.has(i) {
+			continue
+		}
+		if err := visit(i); err != nil && (first == nil || r.before(i, at)) {
+			first, at = err, i
+		}
+	}
+	return first
 }
 
 // fill writes output row i into row.
@@ -945,7 +996,7 @@ func (r *scored) project(cols []string) error {
 	return nil
 }
 
-// relation builds r's rows.
+// relation builds r's rows; r is ranked or asScored.
 func (r *scored) relation() *Relation {
 	return &Relation{Cols: r.cols, Rows: buildRows(r.len(), len(r.cols), r.fill)}
 }
@@ -962,51 +1013,116 @@ func buildRows(n, width int, fill func(i int, row []any)) [][]any {
 	return rows
 }
 
-// rank implements ▷ short of its rows: every target row is scored
-// against the reference set and the k best (all for allRows) are
-// ranked best-first, ties by target position — the order a stable
-// best-first sort gives. The columns are the target's plus the score.
-func (e *Engine) rank(s *Step, k int, ops operands) (*scored, error) {
-	target, err := ops.run(s.child, false)
+// selectKeep evaluates σ's predicate over rel's rows in order, marking
+// the n rows it keeps.
+func selectKeep(s *Step, rel *Relation) (keep []bool, n int, err error) {
+	expr, err := sqlmini.ParseExpr(s.cond, s.args...)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	eval := sqlmini.Evaluator(expr, rel.Cols)
+	keep = make([]bool, len(rel.Rows))
+	for i, row := range rel.Rows {
+		v, err := eval(row)
+		if err != nil {
+			return nil, 0, err
+		}
+		if relation.Truthy(v) {
+			keep[i] = true
+			n++
+		}
+	}
+	return keep, n, nil
+}
+
+// rank implements ▷ short of its rows: every target row is scored
+// against the reference set, and the k best (all for allRows) are ranked
+// best-first, ties by target position — the order a stable best-first
+// sort gives — or, for unranked, each score is kept at its row's
+// position. The columns are the target's plus the score; n counts the
+// rows scored.
+//
+// A σ target that did not compile to SQL — one hoisted above a shared
+// nesting — runs fused: its input is the target, read where it stands,
+// and only the rows the σ keeps are scored. It marks them all before any
+// is scored, as it raised its errors when it ran first; it keeps row
+// order, so positions in its input order ties as they did in its output;
+// and a comparator scores a row by that row alone (Comparator), so the
+// rows it drops change no score.
+func (e *Engine) rank(s *Step, k int, ops operands) (r *scored, n int, err error) {
+	var (
+		target *Relation
+		keep   []bool
+	)
+	if sel := s.child; sel.kind == selectStep && !sqlable(sel) {
+		in, done := ops.fuse(sel, s)
+		if target, err = in.run(sel.child, false); err != nil {
+			return nil, 0, err
+		}
+		if keep, n, err = selectKeep(sel, target); err != nil {
+			return nil, 0, err
+		}
+		done(n, len(target.Rows))
+	} else {
+		if target, err = ops.run(sel, false); err != nil {
+			return nil, 0, err
+		}
+		n = len(target.Rows)
 	}
 	ref, err := ops.run(s.other, false)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if _, exists := target.Col(s.scoreAs); exists {
-		return nil, fmt.Errorf("flexrecs: recommend: target already has column %q", s.scoreAs)
+		return nil, 0, fmt.Errorf("flexrecs: recommend: target already has column %q", s.scoreAs)
 	}
 	score, err := s.cmp.bind(target, ref)
 	if err != nil {
-		return nil, err
-	}
-	best := newBestFirst(len(target.Rows), k)
-	for i, row := range target.Rows {
-		sc, err := score(row)
-		if err != nil {
-			return nil, err
-		}
-		best.add(i, sc)
+		return nil, 0, err
 	}
 	pick := make([]int, len(target.Cols)+1)
 	for j := range target.Cols {
 		pick[j] = j
 	}
 	pick[len(target.Cols)] = -1
-	return &scored{
-		cols:   append(append([]string{}, target.Cols...), s.scoreAs),
-		src:    target.Rows,
-		ranked: best.rows(),
-		pick:   pick,
-	}, nil
+	r = &scored{
+		cols: append(append([]string{}, target.Cols...), s.scoreAs),
+		src:  target.Rows,
+		keep: keep,
+		pick: pick,
+	}
+	var best *bestFirst
+	if k == unranked {
+		r.scores = make([]float64, len(target.Rows))
+	} else {
+		best = newBestFirst(n, k)
+	}
+	for p, row := range target.Rows {
+		if !r.has(p) {
+			continue
+		}
+		sc, err := score(row)
+		if err != nil {
+			return nil, 0, err
+		}
+		if best == nil {
+			r.scores[p] = sc
+		} else {
+			best.add(rankedRow{pos: int32(p), score: sc})
+		}
+	}
+	if best != nil {
+		r.ranked = best.rows()
+	}
+	return r, n, nil
 }
 
-// bestFirst keeps the k highest-scored of at most n positions offered in
-// ascending order (every one for allRows), ranked best-first, ties by
-// position. Scores compare as numbers: a NaN, which no comparator derives
-// from finite data, has no defined place.
+// bestFirst keeps the k best of at most n candidates (every one for
+// allRows), ranked best-first: higher score, then a left blend row
+// before a right-only one, then higher prior, then lower position. The
+// order is total, so what is kept does not depend on the order the
+// candidates come in. Scores compare as numbers: a NaN, which no
+// comparator derives from finite data, has no defined place.
 type bestFirst struct {
 	k      int
 	sorted bool // kept is ranked as it grows
@@ -1016,7 +1132,7 @@ type bestFirst struct {
 func newBestFirst(n, k int) *bestFirst {
 	if k >= (n+3)/4 {
 		// Too little to discard for the bounded insertion to pay: keep
-		// every position and sort once. (k*4 would overflow for allRows.)
+		// every candidate and sort once. (k*4 would overflow for allRows.)
 		return &bestFirst{k: k, kept: make([]rankedRow, 0, n)}
 	}
 	// A binary-search insertion into a list at most k long: for the
@@ -1025,16 +1141,20 @@ func newBestFirst(n, k int) *bestFirst {
 	return &bestFirst{k: k, sorted: true, kept: make([]rankedRow, 0, k)}
 }
 
-// better orders a before b: higher score, then lower position.
+// better orders a before b.
 func better(a, b rankedRow) bool {
-	if a.score != b.score {
+	switch {
+	case a.score != b.score:
 		return a.score > b.score
+	case a.right != b.right:
+		return b.right
+	case a.prior != b.prior:
+		return a.prior > b.prior
 	}
 	return a.pos < b.pos
 }
 
-func (b *bestFirst) add(pos int, score float64) {
-	cand := rankedRow{pos: int32(pos), score: score}
+func (b *bestFirst) add(cand rankedRow) {
 	if !b.sorted {
 		b.kept = append(b.kept, cand)
 		return
@@ -1078,30 +1198,30 @@ func (b *bestFirst) rows() []rankedRow {
 }
 
 // blendOperand reads one operand of blend: a ▷, bare or under one π, in
-// place as its scores and order, with no row built; any other operand
+// place as its scores by row, neither ranked nor built; any other operand
 // runs and is read as its rows.
 func (e *Engine) blendOperand(s, blend *Step, ops operands) (*scored, error) {
 	switch {
 	case s.kind == recommendStep:
 		in, done := ops.fuse(s, blend)
-		r, err := e.rank(s, allRows, in)
+		r, n, err := e.rank(s, unranked, in)
 		if err != nil {
 			return nil, err
 		}
-		done(len(r.src))
+		done(n, 0)
 		return r, nil
 	case s.kind == projectStep && s.child.kind == recommendStep:
 		in, done := ops.fuse(s, blend)
 		rin, rdone := in.fuse(s.child, blend)
-		r, err := e.rank(s.child, allRows, rin)
+		r, n, err := e.rank(s.child, unranked, rin)
 		if err != nil {
 			return nil, err
 		}
-		rdone(len(r.src))
+		rdone(n, 0)
 		if err := r.project(s.cols); err != nil {
 			return nil, err
 		}
-		done(r.len())
+		done(n, 0)
 		return r, nil
 	}
 	rel, err := ops.run(s, false)
@@ -1111,14 +1231,61 @@ func (e *Engine) blendOperand(s, blend *Step, ops operands) (*scored, error) {
 	return asScored(rel), nil
 }
 
+// keyCmp orders normalized blend keys totally, equal exactly where Go's
+// == finds them equal — as a map keyed by them would match them: NULL,
+// then bools, int64s, float64s and strings, each kind apart, so 1 and
+// 1.0 differ while -0 and 0 do not. NaN, which equals nothing, must not
+// be compared.
+func keyCmp(a, b relation.Value) int {
+	if ka, kb := keyKind(a), keyKind(b); ka != kb {
+		return cmp.Compare(ka, kb)
+	}
+	switch x := a.(type) {
+	case bool:
+		if y := b.(bool); x != y {
+			if y {
+				return -1
+			}
+			return 1
+		}
+	case int64:
+		return cmp.Compare(x, b.(int64))
+	case float64:
+		return cmp.Compare(x, b.(float64))
+	case string:
+		return strings.Compare(x, b.(string))
+	}
+	return 0
+}
+
+func keyKind(v relation.Value) int {
+	switch v.(type) {
+	case bool:
+		return 1
+	case int64:
+		return 2
+	case float64:
+		return 3
+	case string:
+		return 4
+	}
+	return 0
+}
+
 // blend implements the blend operator: rows of two scored operands match
 // on key, and a row's score is wL·scoreL + wR·scoreR, an absent side
 // contributing 0. Every left row comes out with the left columns; a
 // right row whose key no left row has comes out with the key (normalized)
 // and the score, its other columns NULL; a key repeated on the right
 // scores by its last row. The k best rows (all for allRows) are built,
-// ordered best-first, ties by position in that concatenation — what a
-// stable sort of it gives. ranked counts the candidates.
+// ordered best-first, ties by position in the concatenation of the
+// ranked operands — what a stable sort of it gives. ranked counts the
+// candidates.
+//
+// Neither operand is ranked: a candidate's place in its operand is its
+// score there and its position (rankedRow.prior), and the right side's
+// key index is its row positions sorted by key, ties in the right
+// operand's order, searched once per left row.
 func (e *Engine) blend(s *Step, k int, ops operands) (rel *Relation, ranked int, err error) {
 	left, err := e.blendOperand(s.child, s, ops)
 	if err != nil {
@@ -1144,66 +1311,93 @@ func (e *Engine) blend(s *Step, k int, ops operands) (rel *Relation, ranked int,
 	if !ok {
 		return nil, 0, fmt.Errorf("flexrecs: blend: right has no column %q", s.scoreAs)
 	}
-
-	// One slot per distinct right key, holding its last row's score.
-	nL, nR := left.len(), right.len()
-	slots := make(map[relation.Value]int32, nR)
-	slotOf := make([]int32, nR)
-	slotScore := make([]float64, 0, nR)
-	for i := range nR {
-		v, err := relation.Normalize(right.cell(i, rk))
-		if err != nil {
-			return nil, 0, err
-		}
-		w, err := right.weight(i, rs)
-		if err != nil {
-			return nil, 0, err
-		}
-		if v != v { // NaN: a map finds no such key, so it matches no row
-			slotOf[i] = -1
-			continue
-		}
-		slot, ok := slots[v]
-		if !ok {
-			slot = int32(len(slotScore))
-			slots[v] = slot
-			slotScore = append(slotScore, 0)
-		}
-		slotScore[slot] = w
-		slotOf[i] = slot
+	// Keys normalized without error once are read again without a check.
+	rightKey := func(p int32) relation.Value {
+		v, _ := relation.Normalize(right.cell(int(p), rk))
+		return v
 	}
 
-	// Candidates: left position i is i, right-only position i is nL+i —
-	// in the concatenation's order.
-	best := newBestFirst(nL+nR, k)
-	seen := make([]bool, len(slotScore))
-	for i := range nL {
+	// Candidates: left rows, then right rows no left row matches. A NaN
+	// key matches nothing and scores wR·0 (−0 for a negative wR).
+	best := newBestFirst(left.len()+right.len(), k)
+	byKey := make([]int32, 0, right.len())
+	if err := right.scan(func(i int) error {
+		v, err := relation.Normalize(right.cell(i, rk))
+		if err != nil {
+			return err
+		}
+		if _, err := right.weight(i, rs); err != nil {
+			return err
+		}
+		if v != v {
+			best.add(rankedRow{pos: int32(i), right: true, score: s.wR * 0, prior: right.prior(i)})
+			ranked++
+		} else {
+			byKey = append(byKey, int32(i))
+		}
+		return nil
+	}); err != nil {
+		return nil, 0, err
+	}
+	slices.SortFunc(byKey, func(a, b int32) int {
+		if c := keyCmp(rightKey(a), rightKey(b)); c != 0 || a == b {
+			return c
+		}
+		if right.before(int(a), int(b)) {
+			return -1
+		}
+		return 1
+	})
+
+	// A key's run in byKey ends at the row whose score it takes; matched
+	// marks that end once a left row has the key.
+	matched := make([]bool, len(byKey))
+	if err := left.scan(func(i int) error {
 		v, err := relation.Normalize(left.cell(i, lk))
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		lw, err := left.weight(i, ls)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		rw := 0.0
-		if slot, ok := slots[v]; ok {
-			seen[slot] = true
-			rw = slotScore[slot]
-		}
-		best.add(i, s.wL*lw+s.wR*rw)
-	}
-	ranked = nL
-	for i, slot := range slotOf {
-		rw := 0.0
-		if slot >= 0 {
-			if seen[slot] {
-				continue
+		if v == v {
+			// The first index whose key sorts after v; its predecessor
+			// ends v's run, if v has one.
+			lo, hi := 0, len(byKey)
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if keyCmp(rightKey(byKey[mid]), v) <= 0 {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
 			}
-			rw = slotScore[slot]
+			if end := lo - 1; end >= 0 && keyCmp(rightKey(byKey[end]), v) == 0 {
+				matched[end] = true
+				rw, _ = right.weight(int(byKey[end]), rs)
+			}
 		}
-		best.add(nL+i, s.wR*rw)
+		best.add(rankedRow{pos: int32(i), score: s.wL*lw + s.wR*rw, prior: left.prior(i)})
 		ranked++
+		return nil
+	}); err != nil {
+		return nil, 0, err
+	}
+	for lo := 0; lo < len(byKey); {
+		hi := lo + 1
+		for hi < len(byKey) && keyCmp(rightKey(byKey[hi]), rightKey(byKey[lo])) == 0 {
+			hi++
+		}
+		if !matched[hi-1] {
+			rw, _ := right.weight(int(byKey[hi-1]), rs)
+			for _, p := range byKey[lo:hi] {
+				best.add(rankedRow{pos: p, right: true, score: s.wR * rw, prior: right.prior(int(p))})
+				ranked++
+			}
+		}
+		lo = hi
 	}
 
 	kept := best.rows()
@@ -1212,14 +1406,13 @@ func (e *Engine) blend(s *Step, k int, ops operands) (rel *Relation, ranked int,
 		return out, ranked, nil
 	}
 	out.Rows = buildRows(len(kept), len(out.Cols), func(i int, row []any) {
-		c := int(kept[i].pos)
-		if c < nL {
-			left.fill(c, row)
+		c := kept[i]
+		if c.right {
+			row[lk] = rightKey(c.pos)
 		} else {
-			// Normalized without error once already.
-			row[lk], _ = relation.Normalize(right.cell(c-nL, rk))
+			left.fill(int(c.pos), row)
 		}
-		row[ls] = kept[i].score
+		row[ls] = c.score
 	})
 	return out, ranked, nil
 }

@@ -708,7 +708,7 @@ type refOperands struct {
 }
 
 func (r refOperands) run(s *Step, private bool) (*Relation, error) { return r.fn(s, private) }
-func (r refOperands) fuse(_, _ *Step) (operands, func(int))        { return r, func(int) {} }
+func (r refOperands) fuse(_, _ *Step) (operands, func(int, int))   { return r, func(int, int) {} }
 
 // refRun executes w on e the way the engine did before the score-first
 // path: the rewritten tree, with ▷, π, blend and top built by the
@@ -778,18 +778,22 @@ func (c colScore) bind(target, _ *Relation) (func([]any) (float64, error), error
 	return func(row []any) (float64, error) { return toWeight(row[i]) }, nil
 }
 
-// scoreFirstDB holds two random tables T and U of (ID, Grp, F, Name,
+// scoreFirstDB holds two random tables T and U of (ID, Grp, F, K, Name,
 // Val, Score): Grp repeats and is sometimes NULL, so blend keys collide
 // on both sides; F is a float key holding NaN, which matches no key, and
-// -0, which matches 0; Val and Score take few values, sometimes NULL and
+// -0, which matches 0; K holds small whole numbers, an int64 column in
+// one table and a float64 one in the other as often as not, where 1 and
+// 1.0 must not match; Val and Score take few values, sometimes NULL and
 // sometimes all zero, so scores tie.
 func scoreFirstDB(rng *rand.Rand) *relation.DB {
 	db := relation.NewDB()
 	for _, name := range []string{"T", "U"} {
+		kType := []relation.Type{relation.TypeInt, relation.TypeFloat}[rng.Intn(2)]
 		t := db.MustCreate(relation.MustTable(name, relation.NewSchema(
 			relation.NotNullCol("ID", relation.TypeInt),
 			relation.Col("Grp", relation.TypeInt),
 			relation.Col("F", relation.TypeFloat),
+			relation.Col("K", kType),
 			relation.Col("Name", relation.TypeString),
 			relation.Col("Val", relation.TypeFloat),
 			relation.Col("Score", relation.TypeFloat),
@@ -810,7 +814,11 @@ func scoreFirstDB(rng *rand.Rand) *relation.DB {
 				grp = nil
 			}
 			f := []float64{0.5, math.NaN(), math.Copysign(0, -1), 0}[rng.Intn(4)]
-			t.MustInsert(relation.Row{int64(i), grp, f, fmt.Sprintf("course n%d", rng.Intn(4)), num(), num()})
+			var k any = int64(rng.Intn(3))
+			if kType == relation.TypeFloat {
+				k = []float64{0, 1, 2, math.Copysign(0, -1), math.NaN()}[rng.Intn(5)]
+			}
+			t.MustInsert(relation.Row{int64(i), grp, f, k, fmt.Sprintf("course n%d", rng.Intn(4)), num(), num()})
 		}
 	}
 	return db
@@ -820,17 +828,33 @@ func scoreFirstDB(rng *rand.Rand) *relation.DB {
 // the blend key column key: a ▷, a π over one (reordered, names in
 // another case, now and then a column that does not exist), or an
 // operand the score-first path does not read in place — the table
-// itself, a π or σ over it, a top over a ▷.
+// itself, a π or σ over it, a top over a ▷. The ▷'s target is a π, σ and
+// π over the table, or a σ the ▷ reads in place: one over an ε nesting
+// the table by key, or one over another ▷.
 func scoreFirstOperand(rng *rand.Rand, tbl, key string) *Step {
-	target := Rel(tbl).Project("ID", "Grp", "F", "Name", "Val")
-	if rng.Intn(2) == 0 {
-		target = Rel(tbl).Select("ID >= ?", int64(rng.Intn(4))).Project("ID", "Grp", "F", "Name", "Val")
-	}
 	ref := "U"
 	if tbl == "U" {
 		ref = "T"
 	}
+	target := Rel(tbl).Project("ID", "Grp", "F", "K", "Name", "Val")
 	cmps := []Comparator{colScore{"Val"}, colScore{"val"}, JaccardOn("Name")}
+	switch rng.Intn(4) {
+	case 0:
+		target = Rel(tbl).Select("ID >= ?", int64(rng.Intn(4))).Project("ID", "Grp", "F", "K", "Name", "Val")
+	case 1:
+		op := []string{"<>", "=", ">="}[rng.Intn(3)]
+		target = Rel(tbl).Extend(key, "ID", "Val", "Vec").Select(key+" "+op+" ?", int64(rng.Intn(3)))
+		cmps = []Comparator{InvEuclideanOn("Vec"), CosineOn("vec"), OverlapOn("Vec")}
+		rec := Recommend(target, Rel(ref).Extend(key, "ID", "Val", "Vec").Select(key+" < ?", int64(2)), cmps[rng.Intn(len(cmps))])
+		if rng.Intn(2) == 0 {
+			return rec
+		}
+		return rec.Project("Score", key)
+	case 2:
+		inner := Recommend(target, Rel(ref).Select("ID < ?", int64(2)), cmps[rng.Intn(len(cmps))]).As("Pre")
+		target = inner.Select("Pre >= ?", []float64{0, 0.5, 1}[rng.Intn(3)])
+		cmps = append(cmps, colScore{"Pre"})
+	}
 	rec := Recommend(target, Rel(ref).Select("ID < ?", int64(2)), cmps[rng.Intn(len(cmps))])
 	switch rng.Intn(7) {
 	case 0, 1:
@@ -857,8 +881,10 @@ func scoreFirstOperand(rng *rand.Rand, tbl, key string) *Step {
 
 // TestScoreFirstMatchesReference is the score-first path's differential
 // oracle: over random operands — duplicate keys on both sides of a
-// blend, NaN and -0 keys, tied, all-zero and NULL scores, π reordering or
-// recasing a ▷'s columns, operands that are not a ▷ — every workflow,
+// blend, NaN and -0 keys, keys equal as numbers but int64 on one side
+// and float64 on the other, tied, all-zero and NULL scores, π reordering
+// or recasing a ▷'s columns, ▷ targets that are a σ over an ε or over
+// another ▷ (read in place), operands that are not a ▷ — every workflow,
 // under every top k from 1 to two past its row count and under none,
 // answers exactly what the materializing reference answers (or fails the
 // same way), through Run and RunAnalyze, with and without a matview
@@ -870,7 +896,7 @@ func TestScoreFirstMatchesReference(t *testing.T) {
 		views := NewEngine(db)
 		views.UseMatviews(matview.NewRegistry(db))
 		var w *Step
-		key := []string{"Grp", "grp", "GRP", "F"}[rng.Intn(4)]
+		key := []string{"Grp", "grp", "GRP", "F", "K", "k"}[rng.Intn(6)]
 		switch rng.Intn(4) {
 		case 0:
 			w = scoreFirstOperand(rng, "T", key)

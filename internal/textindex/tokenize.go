@@ -17,6 +17,8 @@ package textindex
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // stopwords is a compact English stopword list. Stopwords are excluded
@@ -54,8 +56,13 @@ func TokenizeInto(text string, buf []string) []string {
 	// each token shares its backing memory instead of being built rune
 	// by rune — this is the hot path of indexing, clouds and Jaccard
 	// comparisons alike.
-	lower := strings.ToLower(text)
-	out := buf[:0]
+	return tokenizeLower(strings.ToLower(text), buf[:0])
+}
+
+// tokenizeLower is the tokenizer proper over already lowercased text,
+// appending to out. Tokens are substrings of lower, except that a token
+// holding an apostrophe is a new string without it.
+func tokenizeLower(lower string, out []string) []string {
 	start := -1
 	apos := false
 	flush := func(end int) {
@@ -88,6 +95,48 @@ func TokenizeInto(text string, buf []string) []string {
 	}
 	flush(len(lower))
 	return out
+}
+
+// Tokenizer tokenizes text after text, each as Tokenize would, for a
+// caller that is done with one text's tokens before it asks for the
+// next: a scoring loop over a catalog's titles. Text that is all ASCII
+// is lowercased into one buffer the tokenizer reuses, and its tokens are
+// slices of that buffer, so such a text allocates nothing; other text
+// is lowercased by strings.ToLower. The zero value is ready to use; a
+// Tokenizer is not safe for concurrent use.
+type Tokenizer struct {
+	lower []byte
+	toks  []string
+}
+
+// Tokens returns text's tokens. The slice and the tokens in it are valid
+// only until the next call: the next text overwrites them.
+func (t *Tokenizer) Tokens(text string) []string {
+	lower, ok := t.lowerASCII(text)
+	if !ok {
+		lower = strings.ToLower(text)
+	}
+	t.toks = tokenizeLower(lower, t.toks[:0])
+	return t.toks
+}
+
+// lowerASCII lowercases text into t's buffer and views the buffer as a
+// string, reporting false for text that is not all ASCII.
+func (t *Tokenizer) lowerASCII(text string) (string, bool) {
+	buf := t.lower[:0]
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			t.lower = buf
+			return "", false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	t.lower = buf
+	return unsafe.String(unsafe.SliceData(buf), len(buf)), true
 }
 
 // allDigits reports whether every rune of tok is a decimal digit.
