@@ -272,10 +272,9 @@ func courseFromRow(r relation.Row) Course {
 	}
 }
 
-// Course fetches a course by id. The row reference is safe without a
-// clone: courseFromRow copies every field out before the lock drops.
+// Course fetches a course by id.
 func (s *Store) Course(id int64) (Course, bool) {
-	row, ok := s.db.MustTable("Courses").GetRef(id)
+	row, ok := s.db.MustTable("Courses").Get(id)
 	if !ok {
 		return Course{}, false
 	}

@@ -113,21 +113,37 @@ func commentFromRow(r relation.Row) Comment {
 }
 
 // ByCourse returns a course's comments ordered by quality score (best
-// first; ties by id for determinism).
+// first; ties by id for determinism). Each comment's votes are counted
+// once, before the sort, so the order is consistent even while votes
+// land.
 func (s *Store) ByCourse(courseID int64) []Comment {
 	rows := s.db.MustTable("Comments").Lookup("CourseID", courseID)
-	out := make([]Comment, len(rows))
+	byq := byQuality{cs: make([]Comment, len(rows)), q: make([]float64, len(rows))}
 	for i, r := range rows {
-		out[i] = commentFromRow(r)
+		byq.cs[i] = commentFromRow(r)
+		byq.q[i] = s.Quality(byq.cs[i].ID)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		qa, qb := s.Quality(out[a].ID), s.Quality(out[b].ID)
-		if qa != qb {
-			return qa > qb
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out
+	sort.Sort(byq)
+	return byq.cs
+}
+
+// byQuality sorts comments by precomputed quality, descending, then by
+// id.
+type byQuality struct {
+	cs []Comment
+	q  []float64
+}
+
+func (b byQuality) Len() int { return len(b.cs) }
+func (b byQuality) Less(i, j int) bool {
+	if b.q[i] != b.q[j] {
+		return b.q[i] > b.q[j]
+	}
+	return b.cs[i].ID < b.cs[j].ID
+}
+func (b byQuality) Swap(i, j int) {
+	b.cs[i], b.cs[j] = b.cs[j], b.cs[i]
+	b.q[i], b.q[j] = b.q[j], b.q[i]
 }
 
 // ByStudent returns the student's comments in insertion order.
@@ -166,15 +182,15 @@ func (s *Store) RatingCount() int { return s.db.MustTable("Ratings").Len() }
 // AvgRating returns the mean standalone rating of a course and the
 // number of raters.
 func (s *Store) AvgRating(courseID int64) (float64, int) {
-	rows := s.db.MustTable("Ratings").Lookup("CourseID", courseID)
-	if len(rows) == 0 {
+	sum, n := 0.0, 0
+	s.db.MustTable("Ratings").Each("CourseID", courseID, func(r relation.Row) {
+		sum += r[2].(float64)
+		n++
+	})
+	if n == 0 {
 		return 0, 0
 	}
-	sum := 0.0
-	for _, r := range rows {
-		sum += r[2].(float64)
-	}
-	return sum / float64(len(rows)), len(rows)
+	return sum / float64(n), n
 }
 
 // VoteAccuracy records one student's accuracy judgment of a comment,
@@ -194,13 +210,13 @@ func (s *Store) VoteAccuracy(commentID, voterID int64, accurate bool) error {
 
 // Votes returns a comment's (accurate, inaccurate) vote counts.
 func (s *Store) Votes(commentID int64) (accurate, inaccurate int) {
-	for _, r := range s.db.MustTable("CommentVotes").Lookup("CommentID", commentID) {
+	s.db.MustTable("CommentVotes").Each("CommentID", commentID, func(r relation.Row) {
 		if r[2].(bool) {
 			accurate++
 		} else {
 			inaccurate++
 		}
-	}
+	})
 	return accurate, inaccurate
 }
 

@@ -325,7 +325,7 @@ func (s *Service) Award(userID int64, kind string, points int, note string) erro
 // Points sums a user's ledger, reading each event in place.
 func (s *Service) Points(userID int64) int {
 	total := 0
-	s.db.MustTable("PointEvents").EachRef("UserID", userID, func(r relation.Row) {
+	s.db.MustTable("PointEvents").Each("UserID", userID, func(r relation.Row) {
 		total += int(r[3].(int64))
 	})
 	return total
@@ -340,7 +340,7 @@ type LedgerEntry struct {
 
 // Ledger returns a user's point history in insertion order.
 func (s *Service) Ledger(userID int64) []LedgerEntry {
-	rows := s.db.MustTable("PointEvents").LookupManyRef("UserID", []relation.Value{userID}) // stored rows: read, never modified
+	rows := s.db.MustTable("PointEvents").Lookup("UserID", userID)
 	out := make([]LedgerEntry, len(rows))
 	for i, r := range rows {
 		var note string

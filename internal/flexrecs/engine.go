@@ -740,9 +740,10 @@ func encodeJoinKey(row []any, cols []int) (string, bool, error) {
 // extend implements ε: group child rows by groupBy and nest each group's
 // (key, value) pairs as a Vector attribute, one output row per group in
 // ascending group-key order (relation.Compare). Within a group a later
-// row's value for a key replaces an earlier one's. Rows with NULL key or
-// non-numeric value are skipped — a student's unrated comment
-// contributes nothing to the rating vector.
+// row's value for a key replaces an earlier one's. Every NaN group key
+// falls in one group, as NULL ones would if they were kept. Rows with
+// NULL key or non-numeric value are skipped — a student's unrated
+// comment contributes nothing to the rating vector.
 func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, error) {
 	gi, ki, vi, err := extendCols(child.Cols, groupBy, keyCol, valCol)
 	if err != nil {
@@ -769,6 +770,7 @@ func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, err
 		order     []relation.Value
 		intGroups = map[int64]Vector{}
 		anyGroups map[relation.Value]Vector
+		nanGroup  Vector // NaN equals no map key, itself included
 	)
 	vecFor := func(g relation.Value) Vector {
 		if anyGroups == nil {
@@ -785,6 +787,13 @@ func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, err
 			for k, v := range intGroups {
 				anyGroups[k] = v
 			}
+		}
+		if f, ok := g.(float64); ok && math.IsNaN(f) {
+			if nanGroup == nil {
+				nanGroup = Vector{}
+				order = append(order, g)
+			}
+			return nanGroup
 		}
 		vec, seen := anyGroups[g]
 		if !seen {

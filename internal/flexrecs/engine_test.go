@@ -267,6 +267,32 @@ func TestExtendSemantics(t *testing.T) {
 	}
 }
 
+// TestExtendNaNGroup pins ε's NaN rule: every NaN group key falls in one
+// group carrying all its values; each used to open a group of its own,
+// and the groups came out empty.
+func TestExtendNaNGroup(t *testing.T) {
+	nan := math.NaN()
+	child := &Relation{Cols: []string{"G", "K", "V"}, Rows: [][]any{
+		{nan, int64(1), 2.0}, {0.5, int64(1), 3.0}, {nan, int64(2), 4.0},
+	}}
+	out, err := extend(child, "G", "K", "V", "Vec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Rows) != 2 {
+		t.Fatalf("ε over two group keys, one of them NaN twice = %v, want 2 groups", out.Rows)
+	}
+	if g := out.Rows[0][0].(float64); !math.IsNaN(g) {
+		t.Errorf("first group key = %v, want NaN (it arrived first and compares equal to 0.5)", g)
+	}
+	if v := out.Rows[0][1].(Vector); !reflect.DeepEqual(v, Vector{int64(1): 2.0, int64(2): 4.0}) {
+		t.Errorf("NaN group = %v, want both NaN rows' values", v)
+	}
+	if g, v := out.Rows[1][0], out.Rows[1][1].(Vector); g != 0.5 || !reflect.DeepEqual(v, Vector{int64(1): 3.0}) {
+		t.Errorf("second group = %v %v, want 0.5 map[1:3]", g, v)
+	}
+}
+
 func TestPostExtendSelect(t *testing.T) {
 	// A select above extend cannot compile to SQL; it runs as a residual
 	// filter over the materialized relation.

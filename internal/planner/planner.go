@@ -157,29 +157,31 @@ func (s *Store) PlannedBy(courseID int64, shareOK func(suID int64) bool) []int64
 // student's record, with the units that counted. Ungraded and planned
 // entries are excluded.
 func (s *Store) QuarterGPA(suID, year int64, term catalog.Term) (gpa float64, units int64) {
-	var pts float64
-	for _, e := range s.Entries(suID) {
-		if e.Year != year || e.Term != term || e.Planned {
-			continue
-		}
-		p, ok := e.Grade.Points()
-		if !ok {
-			continue
-		}
-		c, _ := s.cat.Course(e.CourseID)
-		pts += p * float64(c.Units)
-		units += c.Units
-	}
-	if units == 0 {
-		return 0, 0
-	}
-	return pts / float64(units), units
+	return s.gpa(inQuarter(s.Entries(suID), year, term))
 }
 
 // CumulativeGPA computes the units-weighted GPA over the whole record.
 func (s *Store) CumulativeGPA(suID int64) (gpa float64, units int64) {
+	return s.gpa(s.Entries(suID))
+}
+
+// inQuarter returns the entries of one quarter, in order.
+func inQuarter(entries []Entry, year int64, term catalog.Term) []Entry {
+	var out []Entry
+	for _, e := range entries {
+		if e.Year == year && e.Term == term {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// gpa is the units-weighted GPA of the graded taken entries, with the
+// units that counted.
+func (s *Store) gpa(entries []Entry) (float64, int64) {
 	var pts float64
-	for _, e := range s.Entries(suID) {
+	var units int64
+	for _, e := range entries {
 		if e.Planned {
 			continue
 		}
@@ -207,13 +209,16 @@ type Conflict struct {
 // scheduled offering that quarter are skipped; for multi-offering
 // courses the first offering is assumed.
 func (s *Store) Conflicts(suID, year int64, term catalog.Term) []Conflict {
+	return s.QuarterConflicts(PlanQuarter{Year: year, Term: term, Entries: inQuarter(s.Entries(suID), year, term)})
+}
+
+// QuarterConflicts is Conflicts for one quarter of a plan, read from
+// the plan's entries.
+func (s *Store) QuarterConflicts(q PlanQuarter) []Conflict {
 	var offs []catalog.Offering
-	for _, e := range s.Entries(suID) {
-		if e.Year != year || e.Term != term {
-			continue
-		}
+	for _, e := range q.Entries {
 		for _, o := range s.cat.Offerings(e.CourseID) {
-			if o.Year == year && o.Term == term {
+			if o.Year == q.Year && o.Term == q.Term {
 				offs = append(offs, o)
 				break
 			}
@@ -232,11 +237,13 @@ func (s *Store) Conflicts(suID, year int64, term catalog.Term) []Conflict {
 
 // UnitLoad sums the units of one quarter's entries.
 func (s *Store) UnitLoad(suID, year int64, term catalog.Term) int64 {
+	return s.unitLoad(inQuarter(s.Entries(suID), year, term))
+}
+
+// unitLoad sums the entries' units.
+func (s *Store) unitLoad(entries []Entry) int64 {
 	var units int64
-	for _, e := range s.Entries(suID) {
-		if e.Year != year || e.Term != term {
-			continue
-		}
+	for _, e := range entries {
 		c, _ := s.cat.Course(e.CourseID)
 		units += c.Units
 	}
@@ -288,25 +295,39 @@ type PrereqViolation struct {
 // ValidatePrereqs checks that every entry's prerequisites are completed
 // or scheduled in a strictly earlier quarter.
 func (s *Store) ValidatePrereqs(suID int64) []PrereqViolation {
-	entries := s.Entries(suID)
+	return s.validatePrereqs([]PlanQuarter{{Entries: s.Entries(suID)}})
+}
+
+// PlanPrereqs is ValidatePrereqs read from a plan's entries.
+func (s *Store) PlanPrereqs(p FourYearPlan) []PrereqViolation {
+	return s.validatePrereqs(p.Quarters)
+}
+
+// validatePrereqs checks the entries of the quarters; only their
+// Entries are read.
+func (s *Store) validatePrereqs(quarters []PlanQuarter) []PrereqViolation {
 	// Earliest quarter each course appears in.
 	pos := map[int64]int64{} // courseID → year*4 + term index
-	for _, e := range entries {
-		key := e.Year*4 + int64(catalog.TermIndex(e.Term))
-		if old, ok := pos[e.CourseID]; !ok || key < old {
-			pos[e.CourseID] = key
+	for _, q := range quarters {
+		for _, e := range q.Entries {
+			key := e.Year*4 + int64(catalog.TermIndex(e.Term))
+			if old, ok := pos[e.CourseID]; !ok || key < old {
+				pos[e.CourseID] = key
+			}
 		}
 	}
 	var out []PrereqViolation
-	for _, e := range entries {
-		ekey := e.Year*4 + int64(catalog.TermIndex(e.Term))
-		if pos[e.CourseID] != ekey {
-			continue // only check the first occurrence
-		}
-		for _, req := range s.cat.Prereqs(e.CourseID) {
-			rkey, taken := pos[req]
-			if !taken || rkey >= ekey {
-				out = append(out, PrereqViolation{CourseID: e.CourseID, RequiresID: req, Year: e.Year, Term: e.Term})
+	for _, q := range quarters {
+		for _, e := range q.Entries {
+			ekey := e.Year*4 + int64(catalog.TermIndex(e.Term))
+			if pos[e.CourseID] != ekey {
+				continue // only check the first occurrence
+			}
+			for _, req := range s.cat.Prereqs(e.CourseID) {
+				rkey, taken := pos[req]
+				if !taken || rkey >= ekey {
+					out = append(out, PrereqViolation{CourseID: e.CourseID, RequiresID: req, Year: e.Year, Term: e.Term})
+				}
 			}
 		}
 	}
@@ -339,28 +360,27 @@ type PlanQuarter struct {
 	HasGPA  bool
 }
 
-// Plan assembles the student's full multi-year plan.
+// Plan assembles the student's full multi-year plan, reading the
+// student's record once. Entries come in chronological order, so each
+// quarter's entries are one run of them, which the quarter shares.
 func (s *Store) Plan(suID int64) FourYearPlan {
 	entries := s.Entries(suID)
 	var quarters []PlanQuarter
-	index := map[Quarter]int{}
-	for _, e := range entries {
-		q := Quarter{e.Year, e.Term}
-		i, ok := index[q]
-		if !ok {
-			i = len(quarters)
-			index[q] = i
-			quarters = append(quarters, PlanQuarter{Year: e.Year, Term: e.Term})
+	start := 0
+	for i, e := range entries {
+		if i+1 < len(entries) && entries[i+1].Year == e.Year && entries[i+1].Term == e.Term {
+			continue
 		}
-		quarters[i].Entries = append(quarters[i].Entries, e)
+		quarters = append(quarters, PlanQuarter{Year: e.Year, Term: e.Term, Entries: entries[start : i+1 : i+1]})
+		start = i + 1
 	}
 	for i := range quarters {
-		quarters[i].Units = s.UnitLoad(suID, quarters[i].Year, quarters[i].Term)
-		gpa, units := s.QuarterGPA(suID, quarters[i].Year, quarters[i].Term)
+		quarters[i].Units = s.unitLoad(quarters[i].Entries)
+		gpa, units := s.gpa(quarters[i].Entries)
 		if units > 0 {
 			quarters[i].GPA, quarters[i].HasGPA = gpa, true
 		}
 	}
-	cum, units := s.CumulativeGPA(suID)
+	cum, units := s.gpa(entries)
 	return FourYearPlan{SuID: suID, Quarters: quarters, GPA: cum, Units: units}
 }

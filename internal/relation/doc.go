@@ -30,6 +30,28 @@
 // the table's version with them, and the error is returned: a mutation
 // is either applied-and-journaled or not applied.
 //
+// # Reading rows
+//
+// Every read hands out the stored rows themselves, never copies:
+// Table.Get, Lookup, Each, GetMany, LookupMany, Rows, Range and Scan,
+// the cursors (RangeCursor, DescCursor, ScanCursor), InsertGet's result,
+// and Tx.Get, Tx.Lookup, Tx.Scan and Tx.Insert's. A returned row is
+// read-only: its reader must neither write into it nor grow it. In
+// exchange a read allocates only the slice it returns (Each and Scan not
+// even that), and a row stays a consistent snapshot for as long as its
+// reader holds it, because the store never changes a stored row in
+// place: an update validates a replacement row and swaps the slot's
+// pointer, and a delete drops it. A caller that wants to edit a row it
+// read copies it first (Row.Clone); UpdateByKey and UpdateWhere, in a
+// Tx too, hand their set function such a copy.
+//
+// Lookup, Each and Tx.Lookup find the rows whose column equals the
+// given value under Compare's equality through the column's hash index,
+// or a scan without one, in slot order. A NULL value finds the rows
+// whose column is NULL. LookupMany, the executor's batched probe, keeps
+// SQL's rule instead: a NULL key matches nothing. Resolving a column
+// name and encoding a probe key allocate nothing.
+//
 // # Transactions
 //
 // A table holds one version of each row; there is one write path, and

@@ -148,7 +148,7 @@ func WithOrderedIndex(col string) TableOption {
 		if !ok {
 			return fmt.Errorf("relation: ordered index column %q not in schema", col)
 		}
-		t.ordered[strings.ToLower(col)] = &orderedIndex{col: i}
+		t.ordered[i] = &orderedIndex{col: i}
 		return nil
 	}
 }
@@ -178,15 +178,14 @@ func (t *Table) AddOrderedIndex(col string) error {
 }
 
 func (t *Table) addOrderedIndexLocked(col string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := strings.ToLower(col)
-	if _, dup := t.ordered[key]; dup {
-		return nil
-	}
 	ci, ok := t.schema.Index(col)
 	if !ok {
 		return fmt.Errorf("relation: ordered index column %q not in schema", col)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ordered[ci] != nil {
+		return nil
 	}
 	ix := &orderedIndex{col: ci}
 	for slot, r := range t.rows {
@@ -201,27 +200,27 @@ func (t *Table) addOrderedIndexLocked(col string) error {
 		}
 		return ix.entries[a].slot < ix.entries[b].slot
 	})
-	t.ordered[key] = ix
+	t.ordered[ci] = ix
 	t.epoch++
 	return nil
 }
 
 // HasOrderedIndex reports whether an ordered index exists on the column.
 func (t *Table) HasOrderedIndex(col string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.ordered[strings.ToLower(col)]
+	_, ok := t.orderedIndexOf(col)
 	return ok
 }
 
-// OrderedIndexes returns the names of columns with ordered indexes,
-// sorted.
+// OrderedIndexes returns the lower-cased names of columns with ordered
+// indexes, sorted.
 func (t *Table) OrderedIndexes() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.ordered))
-	for name := range t.ordered {
-		out = append(out, name)
+	var out []string
+	for ci, ix := range t.ordered {
+		if ix != nil {
+			out = append(out, strings.ToLower(t.schema.Column(ci).Name))
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -231,12 +230,12 @@ func (t *Table) OrderedIndexes() []string {
 // an O(log n) selectivity estimate for the query planner — and whether
 // the column has an ordered index at all.
 func (t *Table) RangeCount(col string, lo, hi *RangeBound) (int, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.ordered[strings.ToLower(col)]
+	ix, ok := t.orderedIndexOf(col)
 	if !ok {
 		return 0, false
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	i, j := ix.span(lo, hi)
 	return j - i, true
 }
@@ -299,10 +298,14 @@ func (t *Table) NewRangeCursor(col string, lo, hi *RangeBound) (*RangeCursor, bo
 }
 
 func (t *Table) orderedIndexOf(col string) (*orderedIndex, bool) {
+	ci, ok := t.schema.Index(col)
+	if !ok {
+		return nil, false
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ix, ok := t.ordered[strings.ToLower(col)]
-	return ix, ok
+	ix := t.ordered[ci]
+	return ix, ix != nil
 }
 
 // seek positions the walk: at the span's first entry in iteration order
@@ -404,7 +407,7 @@ func (c *RangeCursor) NextBatch(dst []Row) int {
 	return n
 }
 
-// Range returns copies of the rows whose column value lies inside the
+// Range returns the stored rows whose column value lies inside the
 // bounds, in key order — the materialized convenience over RangeCursor.
 func (t *Table) Range(col string, lo, hi *RangeBound) []Row {
 	cur, ok := t.NewRangeCursor(col, lo, hi)
@@ -418,9 +421,7 @@ func (t *Table) Range(col string, lo, hi *RangeBound) []Row {
 		if n == 0 {
 			return out
 		}
-		for _, r := range buf[:n] {
-			out = append(out, r.Clone())
-		}
+		out = append(out, buf[:n]...)
 	}
 }
 

@@ -16,7 +16,7 @@ type Column struct {
 // Schemas are immutable once created.
 type Schema struct {
 	cols   []Column
-	byName map[string]int
+	byName map[string]int // by the declared spelling
 }
 
 // NewSchema builds a schema from columns. Column names must be unique
@@ -25,11 +25,12 @@ type Schema struct {
 func NewSchema(cols ...Column) *Schema {
 	s := &Schema{cols: append([]Column(nil), cols...), byName: make(map[string]int, len(cols))}
 	for i, c := range s.cols {
-		key := strings.ToLower(c.Name)
-		if _, dup := s.byName[key]; dup {
-			panic(fmt.Sprintf("relation: duplicate column %q", c.Name))
+		for _, prev := range s.cols[:i] {
+			if strings.EqualFold(prev.Name, c.Name) {
+				panic(fmt.Sprintf("relation: duplicate column %q", c.Name))
+			}
 		}
-		s.byName[key] = i
+		s.byName[c.Name] = i
 	}
 	return s
 }
@@ -50,9 +51,18 @@ func (s *Schema) Columns() []Column { return append([]Column(nil), s.cols...) }
 func (s *Schema) Column(i int) Column { return s.cols[i] }
 
 // Index returns the position of the named column (case-insensitive).
+// The declared spelling is one map probe; any other folds over the
+// columns. Neither allocates.
 func (s *Schema) Index(name string) (int, bool) {
-	i, ok := s.byName[strings.ToLower(name)]
-	return i, ok
+	if i, ok := s.byName[name]; ok {
+		return i, true
+	}
+	for i, c := range s.cols {
+		if strings.EqualFold(c.Name, name) {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // MustIndex is Index that panics on a missing column; used for columns the

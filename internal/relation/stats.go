@@ -40,16 +40,19 @@ func (s TableStats) Selectivity(col string) float64 {
 func (t *Table) Stats() TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	d := make(map[string]int, len(t.indexes)+1)
-	nullKey := encodeKey([]Value{nil})
-	for name, ix := range t.indexes {
+	d := make(map[string]int, len(t.hash)+1)
+	nullKey := string(appendKey(nil, nil))
+	for ci, ix := range t.hash {
+		if ix == nil {
+			continue
+		}
 		n := len(ix.slots)
 		// NULL is not a value: counting its bucket would inflate the
 		// distinct estimate on sparse columns and skew selectivity.
 		if _, ok := ix.slots[nullKey]; ok {
 			n--
 		}
-		d[name] = n
+		d[strings.ToLower(t.schema.Column(ci).Name)] = n
 	}
 	if len(t.pk) == 1 {
 		d[strings.ToLower(t.schema.Column(t.pk[0]).Name)] = t.live

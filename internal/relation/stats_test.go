@@ -101,53 +101,59 @@ func TestVersionBumps(t *testing.T) {
 
 func TestLookupMany(t *testing.T) {
 	tbl := statsTable(t)
-	rows := tbl.LookupManyRef("Dep", []Value{"cs", "me", nil, "nope"})
+	rows := tbl.LookupMany("Dep", []Value{"cs", "me", nil, "nope"})
 	if len(rows) != 4 {
-		t.Fatalf("LookupManyRef = %d rows, want 4 (3 cs + 1 me; NULL and absent match nothing)", len(rows))
+		t.Fatalf("LookupMany = %d rows, want 4 (3 cs + 1 me; NULL and absent match nothing)", len(rows))
 	}
 	// Slot order, deduplicated even when keys repeat.
-	rows = tbl.LookupManyRef("Dep", []Value{"ee", "ee"})
+	rows = tbl.LookupMany("Dep", []Value{"ee", "ee"})
 	if len(rows) != 2 || rows[0][0] != int64(3) || rows[1][0] != int64(5) {
-		t.Fatalf("LookupManyRef dedup/order broken: %v", rows)
+		t.Fatalf("LookupMany dedup/order broken: %v", rows)
 	}
 	// Unindexed column degrades to one scan with identical semantics.
-	rows = tbl.LookupManyRef("Age", []Value{int64(21), int64(24)})
+	rows = tbl.LookupMany("Age", []Value{int64(21), int64(24)})
 	if len(rows) != 2 {
-		t.Fatalf("unindexed LookupManyRef = %d rows, want 2", len(rows))
+		t.Fatalf("unindexed LookupMany = %d rows, want 2", len(rows))
 	}
-	if got := tbl.LookupManyRef("Dep", nil); got != nil {
+	if got := tbl.LookupMany("Dep", nil); got != nil {
 		t.Fatalf("empty key set should return nil, got %v", got)
 	}
-	if got := tbl.LookupManyRef("Dep", []Value{nil}); got != nil {
+	if got := tbl.LookupMany("Dep", []Value{nil}); got != nil {
 		t.Fatalf("a NULL-only key set should return nil, got %v", got)
 	}
 }
 
-// TestEachRef pins EachRef as LookupManyRef for one key: the same
-// stored rows in slot order, also once a delete has left the key's index
-// entries out of slot order and the freed slot is reused.
-func TestEachRef(t *testing.T) {
+// TestEach pins Each as Lookup without the slice, and both as LookupMany
+// for one non-NULL key: the same stored rows in slot order, also once a
+// delete has left the key's index entries out of slot order and the
+// freed slot is reused.
+func TestEach(t *testing.T) {
 	tbl := statsTable(t)
 	each := func(col string, key Value) []Row {
 		var out []Row
-		tbl.EachRef(col, key, func(r Row) { out = append(out, r) })
+		tbl.Each(col, key, func(r Row) { out = append(out, r) })
 		return out
+	}
+	sameRows := func(step, what string, got, want []Row) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %s = %v, want %v", step, what, got, want)
+		}
+		for i := range got {
+			if &got[i][0] != &want[i][0] {
+				t.Fatalf("%s: %s row %d is %v, want %v", step, what, i, got[i], want[i])
+			}
+		}
 	}
 	same := func(step string) {
 		t.Helper()
 		for _, q := range []struct {
 			col string
 			key Value
-		}{{"Dep", "cs"}, {"Dep", "ee"}, {"Dep", "nope"}, {"Dep", nil}, {"Age", int64(22)}} {
-			got, want := each(q.col, q.key), tbl.LookupManyRef(q.col, []Value{q.key})
-			if len(got) != len(want) {
-				t.Fatalf("%s: EachRef(%s, %v) = %v, LookupManyRef %v", step, q.col, q.key, got, want)
-			}
-			for i := range got {
-				if &got[i][0] != &want[i][0] {
-					t.Fatalf("%s: EachRef(%s, %v) row %d is %v, LookupManyRef's %v", step, q.col, q.key, i, got[i], want[i])
-				}
-			}
+		}{{"Dep", "cs"}, {"Dep", "ee"}, {"Dep", "nope"}, {"Age", int64(22)}, {"Age", 22.0}} {
+			lookup := tbl.Lookup(q.col, q.key)
+			sameRows(step, "Each("+q.col+")", each(q.col, q.key), lookup)
+			sameRows(step, "Lookup("+q.col+") vs LookupMany", lookup, tbl.LookupMany(q.col, []Value{q.key}))
 		}
 	}
 	same("fresh")
@@ -156,22 +162,22 @@ func TestEachRef(t *testing.T) {
 	}
 	tbl.MustInsert(Row{int64(7), "cs", int64(30)}) // into slot 0, behind slots 1 and 5 in the index
 	if rows := each("Dep", "cs"); len(rows) != 3 || rows[0][0] != int64(7) {
-		t.Fatalf("EachRef after slot reuse = %v, want the reused slot's row first", rows)
+		t.Fatalf("Each after slot reuse = %v, want the reused slot's row first", rows)
 	}
 	same("after a delete and a reused slot")
 }
 
 func TestGetMany(t *testing.T) {
 	tbl := statsTable(t)
-	rows := tbl.GetManyRef([]Value{int64(5)}, []Value{int64(99)}, []Value{int64(2)}, []Value{int64(5)})
+	rows := tbl.GetMany([]Value{int64(5)}, []Value{int64(99)}, []Value{int64(2)}, []Value{int64(5)})
 	if len(rows) != 2 {
-		t.Fatalf("GetManyRef = %d rows, want 2 (missing keys skipped, dups collapsed)", len(rows))
+		t.Fatalf("GetMany = %d rows, want 2 (missing keys skipped, dups collapsed)", len(rows))
 	}
 	if rows[0][0] != int64(2) || rows[1][0] != int64(5) {
-		t.Fatalf("GetManyRef should return slot order regardless of key order: %v", rows)
+		t.Fatalf("GetMany should return slot order regardless of key order: %v", rows)
 	}
-	// Returned rows are the stored rows themselves, as GetRef's are.
-	if ref, _ := tbl.GetRef(int64(2)); &ref[0] != &rows[0][0] {
-		t.Fatal("GetManyRef must return references to the stored rows")
+	// Returned rows are the stored rows themselves, as Get's are.
+	if ref, _ := tbl.Get(int64(2)); &ref[0] != &rows[0][0] {
+		t.Fatal("GetMany must return the stored rows")
 	}
 }

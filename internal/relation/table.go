@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,7 +59,7 @@ func WithIndex(col string) TableOption {
 		if !ok {
 			return fmt.Errorf("relation: index column %q not in schema", col)
 		}
-		t.indexes[strings.ToLower(col)] = &secondaryIndex{col: i, slots: make(map[string][]int)}
+		t.hash[i] = &secondaryIndex{col: i, slots: make(map[string][]int)}
 		return nil
 	}
 }
@@ -73,12 +72,14 @@ type secondaryIndex struct {
 }
 
 func (ix *secondaryIndex) add(slot int, row Row) {
-	k := encodeKey([]Value{row[ix.col]})
-	ix.slots[k] = append(ix.slots[k], slot)
+	var kb [64]byte
+	k := appendKey(kb[:0], row[ix.col])
+	ix.slots[string(k)] = append(ix.slots[string(k)], slot)
 }
 
 func (ix *secondaryIndex) remove(slot int, row Row) {
-	k := encodeKey([]Value{row[ix.col]})
+	var kb [64]byte
+	k := string(appendKey(kb[:0], row[ix.col]))
 	list := ix.slots[k]
 	for i, s := range list {
 		if s == slot {
@@ -117,8 +118,8 @@ type Table struct {
 	live     int
 	pk       []int
 	pkIndex  map[string]int
-	indexes  map[string]*secondaryIndex
-	ordered  map[string]*orderedIndex
+	hash     []*secondaryIndex // by column; nil = no hash index. Fixed at construction
+	ordered  []*orderedIndex   // by column; nil = no ordered index
 	autoCol  int
 	nextAut  int64
 	shardCol int           // -1 = no declared shard key (see shard.go)
@@ -175,8 +176,8 @@ func NewTable(name string, schema *Schema, opts ...TableOption) (*Table, error) 
 	t := &Table{
 		name:     name,
 		schema:   schema,
-		indexes:  make(map[string]*secondaryIndex),
-		ordered:  make(map[string]*orderedIndex),
+		hash:     make([]*secondaryIndex, schema.Len()),
+		ordered:  make([]*orderedIndex, schema.Len()),
 		autoCol:  -1,
 		nextAut:  1,
 		shardCol: -1,
@@ -221,14 +222,14 @@ func (t *Table) AutoIncrement() string {
 	return t.schema.Column(t.autoCol).Name
 }
 
-// SecondaryIndexes returns the names of columns with secondary indexes,
-// sorted.
+// SecondaryIndexes returns the lower-cased names of columns with
+// secondary indexes, sorted.
 func (t *Table) SecondaryIndexes() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.indexes))
-	for name := range t.indexes {
-		out = append(out, name)
+	var out []string
+	for ci, ix := range t.hash {
+		if ix != nil {
+			out = append(out, strings.ToLower(t.schema.Column(ci).Name))
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -270,28 +271,35 @@ func (t *Table) validate(row Row) (Row, error) {
 }
 
 func (t *Table) pkKey(row Row) string {
-	vals := make([]Value, len(t.pk))
-	for i, c := range t.pk {
-		vals[i] = row[c]
+	var kb [64]byte
+	b := kb[:0]
+	for _, c := range t.pk {
+		b = appendKey(b, row[c])
 	}
-	return encodeKey(vals)
+	return string(b)
 }
 
-// keyOf encodes primary-key values the way pkKey encodes a stored
-// row's, reporting false when they cannot be a key of this table.
-func (t *Table) keyOf(key []Value) (string, bool) {
+// appendPK appends the encoding of primary-key values to b the way
+// pkKey encodes a stored row's, reporting false when they cannot be a
+// key of this table.
+func (t *Table) appendPK(b []byte, key []Value) ([]byte, bool) {
 	if t.pkIndex == nil || len(key) != len(t.pk) {
-		return "", false
+		return b, false
 	}
-	norm := make([]Value, len(key))
-	for i, v := range key {
+	for _, v := range key {
 		nv, err := Normalize(v)
 		if err != nil {
-			return "", false
+			return b, false
 		}
-		norm[i] = nv
+		b = appendKey(b, nv)
 	}
-	return encodeKey(norm), true
+	return b, true
+}
+
+// keyOf is appendPK's key as a string of its own.
+func (t *Table) keyOf(key []Value) (string, bool) {
+	b, ok := t.appendPK(nil, key)
+	return string(b), ok
 }
 
 // effect is one applied row change at slot: before is nil for an
@@ -393,11 +401,12 @@ func (t *Table) Insert(row Row) (int, error) {
 	return slot, err
 }
 
-// InsertGet inserts a row and returns a copy of the stored row, which
-// reflects auto-increment assignment and type coercion.
+// InsertGet inserts a row and returns the stored row, which reflects
+// auto-increment assignment and type coercion. It is read-only, as every
+// row a read returns is.
 func (t *Table) InsertGet(row Row) (Row, error) {
 	_, r, err := t.insert(row)
-	return r.Clone(), err
+	return r, err
 }
 
 // MustInsert inserts and panics on error; for generator/loader code paths
@@ -410,56 +419,65 @@ func (t *Table) MustInsert(row Row) int {
 	return slot
 }
 
-// Get returns a copy of the row with the given primary-key values.
+// Get returns the stored row with the given primary-key values. The row
+// is read-only (see "Reading rows" in the package documentation).
 func (t *Table) Get(key ...Value) (Row, bool) {
-	r, ok := t.GetRef(key...)
-	return r.Clone(), ok
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	slot, ok := t.pkSlotLocked(key)
+	if !ok {
+		return nil, false
+	}
+	return t.rows[slot], true
 }
 
 // pkSlotLocked resolves primary-key values to a row slot; the caller
-// holds at least the read lock. The single integer key — the dominant
-// probe shape (auto-increment ids) — skips the normalization slice and
-// encodeKey's builder: the key renders into a stack buffer and the
-// string([]byte) map index compiles to a no-allocation lookup.
+// holds at least the read lock. The key renders into a stack buffer and
+// the string([]byte) map index compiles to a no-allocation lookup.
 func (t *Table) pkSlotLocked(key []Value) (int, bool) {
-	if t.pkIndex == nil || len(key) != len(t.pk) {
-		return 0, false
-	}
-	if len(key) == 1 {
-		var x int64
-		switch v := key[0].(type) {
-		case int64:
-			x = v
-		case int:
-			x = int64(v)
-		case float64:
-			if v != float64(int64(v)) {
-				goto general // non-integral floats key with an "f" tag
-			}
-			x = int64(v)
-		default:
-			goto general
-		}
-		{
-			var kb [24]byte
-			b := append(kb[:0], 'i')
-			b = strconv.AppendInt(b, x, 10)
-			b = append(b, '|')
-			slot, ok := t.pkIndex[string(b)]
-			return slot, ok
-		}
-	}
-general:
-	k, ok := t.keyOf(key)
+	var kb [64]byte
+	b, ok := t.appendPK(kb[:0], key)
 	if !ok {
 		return 0, false
 	}
-	slot, ok := t.pkIndex[k]
+	slot, ok := t.pkIndex[string(b)]
 	return slot, ok
 }
 
+// GetMany returns the stored rows matching the given primary keys — a
+// batch Get under one read lock. Rows come back in slot (scan) order with
+// duplicates removed, matching LookupMany, so planned multi-key probes
+// order rows exactly as a scan would; absent keys are skipped.
+func (t *Table) GetMany(keys ...[]Value) []Row {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	slots := make([]int, 0, len(keys))
+	for _, key := range keys {
+		if slot, ok := t.pkSlotLocked(key); ok {
+			slots = append(slots, slot)
+		}
+	}
+	return t.rowsAtLocked(slots)
+}
+
+// rowsAtLocked returns the rows at slots in slot order, each once. It
+// sorts slots in place.
+func (t *Table) rowsAtLocked(slots []int) []Row {
+	sort.Ints(slots)
+	out := make([]Row, 0, len(slots))
+	prev := -1
+	for _, s := range slots {
+		if s != prev { // the same row reached via equal-encoding keys
+			out = append(out, t.rows[s])
+		}
+		prev = s
+	}
+	return out
+}
+
 // Scan calls fn for every live row in slot order; fn returning false stops
-// the scan. The row passed to fn must not be mutated or retained.
+// the scan. fn runs under the table's read lock and must not call into
+// the table.
 func (t *Table) Scan(fn func(slot int, row Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -473,119 +491,95 @@ func (t *Table) Scan(fn func(slot int, row Row) bool) {
 	}
 }
 
-// Rows returns copies of all live rows in slot order.
+// Rows returns every live row in slot order.
 func (t *Table) Rows() []Row {
-	out := make([]Row, 0, t.Len())
-	t.Scan(func(_ int, r Row) bool {
-		out = append(out, r.Clone())
-		return true
-	})
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]Row, 0, t.live)
+	for _, r := range t.rows {
+		if r != nil {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 
-// Lookup returns copies of the rows whose named column equals v, using a
-// secondary index when one exists, and a scan otherwise.
+// Lookup returns the rows whose named column equals v, in slot order,
+// through the column's hash index when it has one and by a scan
+// otherwise. A NULL v finds the rows whose column is NULL — unlike SQL's
+// "=", and unlike LookupMany. An unknown column finds nothing.
 func (t *Table) Lookup(col string, v Value) []Row {
+	ci, ok := t.schema.Index(col)
 	nv, err := Normalize(v)
-	if err != nil {
+	if !ok || err != nil {
 		return nil
 	}
 	t.mu.RLock()
-	ix, ok := t.indexes[strings.ToLower(col)]
-	if ok {
-		slots := append([]int(nil), ix.slots[encodeKey([]Value{nv})]...)
-		sort.Ints(slots)
-		out := make([]Row, len(slots))
-		for i, s := range slots {
-			out[i] = t.rows[s].Clone()
-		}
-		t.mu.RUnlock()
-		return out
+	defer t.mu.RUnlock()
+	slots := t.matchLocked(ci, nv)
+	out := make([]Row, len(slots))
+	for i, s := range slots {
+		out[i] = t.rows[s]
 	}
-	t.mu.RUnlock()
+	return out
+}
+
+// Each calls fn with each row Lookup(col, v) returns, in the same order,
+// without building the slice: a caller that folds the rows as they come
+// allocates nothing as long as the key's index entries are in slot order
+// (a delete can break that; they are then sorted in a copy). fn runs
+// under the table's read lock and must not call into the table.
+func (t *Table) Each(col string, v Value, fn func(Row)) {
+	ci, ok := t.schema.Index(col)
+	nv, err := Normalize(v)
+	if !ok || err != nil {
+		return
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, s := range t.matchLocked(ci, nv) {
+		fn(t.rows[s])
+	}
+}
+
+// matchLocked returns the slots, ascending, of the rows whose column ci
+// equals the normalized value nv — Lookup's and Each's one probe. With a
+// hash index on ci they are the index's own list when it is already in
+// slot order (the caller must neither modify nor keep it) and a sorted
+// copy when it is not; without one, a scan collects them. Caller holds
+// at least the read lock.
+func (t *Table) matchLocked(ci int, nv Value) []int {
+	if ix := t.hash[ci]; ix != nil {
+		var kb [64]byte
+		slots := ix.slots[string(appendKey(kb[:0], nv))]
+		if !sort.IntsAreSorted(slots) {
+			slots = append([]int(nil), slots...)
+			sort.Ints(slots)
+		}
+		return slots
+	}
+	var slots []int
+	for slot, r := range t.rows {
+		if r != nil && Equal(r[ci], nv) {
+			slots = append(slots, slot)
+		}
+	}
+	return slots
+}
+
+// LookupMany returns the rows whose named column equals any of the
+// keys, in slot (scan) order with duplicates removed, acquiring the read
+// lock once for the whole batch. The executor drives index probes and
+// batched index nested-loop joins through it without per-row locking.
+// NULL keys match nothing, mirroring SQL equality; with no index on the
+// column it degrades to a single scan.
+func (t *Table) LookupMany(col string, keys []Value) []Row {
 	ci, ok := t.schema.Index(col)
 	if !ok {
 		return nil
 	}
-	var out []Row
-	t.Scan(func(_ int, r Row) bool {
-		if Equal(r[ci], nv) {
-			out = append(out, r.Clone())
-		}
-		return true
-	})
-	return out
-}
-
-// probeLocked returns the slots, ascending, and the rows the index
-// holds under an encoded key. Caller holds at least the read lock.
-func (t *Table) probeLocked(ix *secondaryIndex, key string) ([]int, []Row) {
-	slots := append([]int(nil), ix.slots[key]...)
-	sort.Ints(slots)
-	rows := make([]Row, len(slots))
-	for i, s := range slots {
-		rows[i] = t.rows[s]
-	}
-	return slots, rows
-}
-
-// GetManyRef returns references to the rows matching the given primary
-// keys — a batch GetRef under one read lock. Rows come back in slot
-// (scan) order with duplicates removed, matching LookupManyRef, so
-// planned multi-key probes order rows exactly as a scan would; absent
-// keys are skipped. Rows must not be mutated; see GetRef.
-func (t *Table) GetManyRef(keys ...[]Value) []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.pkIndex == nil {
-		return nil
-	}
-	slots := make([]int, 0, len(keys))
-	for _, key := range keys {
-		if k, ok := t.keyOf(key); ok {
-			if slot, ok := t.pkIndex[k]; ok {
-				slots = append(slots, slot)
-			}
-		}
-	}
-	sort.Ints(slots)
-	out := make([]Row, 0, len(slots))
-	prev := -1
-	for _, s := range slots {
-		if s != prev {
-			out = append(out, t.rows[s])
-		}
-		prev = s
-	}
-	return out
-}
-
-// GetRef is Get without the defensive copy: the returned row is the
-// stored row itself. The store never mutates a stored row in place —
-// updates validate a replacement and swap the slot pointer — so the
-// reference stays a consistent snapshot; the caller must not mutate or
-// grow it. Query executors batch through this to skip one allocation
-// per probed row, and a transaction validates its reads by comparing
-// the references it was given with the ones the table holds at Commit.
-func (t *Table) GetRef(key ...Value) (Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	slot, ok := t.pkSlotLocked(key)
-	if !ok {
-		return nil, false
-	}
-	return t.rows[slot], true
-}
-
-// LookupManyRef returns references to the rows whose named column
-// equals any of the keys, in slot (scan) order with duplicates removed,
-// acquiring the read lock once for the whole batch. The executor drives
-// index probes and batched index nested-loop joins through it without
-// per-row locking. NULL keys match nothing, mirroring SQL equality;
-// with no index on the column it degrades to a single scan. Rows must
-// not be mutated; see GetRef.
-func (t *Table) LookupManyRef(col string, keys []Value) []Row {
 	want := make(map[string]bool, len(keys))
+	var kb [64]byte
 	for _, k := range keys {
 		if k == nil {
 			continue
@@ -594,82 +588,34 @@ func (t *Table) LookupManyRef(col string, keys []Value) []Row {
 		if err != nil {
 			continue
 		}
-		want[encodeKey([]Value{nk})] = true
+		want[string(appendKey(kb[:0], nk))] = true
 	}
 	if len(want) == 0 {
 		return nil
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if ix, ok := t.indexes[strings.ToLower(col)]; ok {
+	if ix := t.hash[ci]; ix != nil {
 		var slots []int
 		for k := range want {
 			slots = append(slots, ix.slots[k]...)
 		}
-		sort.Ints(slots)
-		out := make([]Row, 0, len(slots))
-		prev := -1
-		for _, s := range slots {
-			if s != prev { // the same row reached via equal-encoding keys
-				out = append(out, t.rows[s])
-			}
-			prev = s
-		}
-		return out
-	}
-	ci, ok := t.schema.Index(col)
-	if !ok {
-		return nil
+		return t.rowsAtLocked(slots)
 	}
 	var out []Row
 	for _, r := range t.rows {
-		if r != nil && r[ci] != nil && want[encodeKey([]Value{r[ci]})] {
+		if r != nil && r[ci] != nil && want[string(appendKey(kb[:0], r[ci]))] {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// EachRef calls fn with a reference to each row whose named column
-// equals key, in slot (scan) order: LookupManyRef for one key, without
-// building its result. A caller that folds the rows as they come
-// allocates nothing per row as long as the key's index entries are in
-// slot order (a delete can break that; the entries are then sorted in a
-// copy). A NULL key matches nothing; with no index on the column it
-// degrades to LookupManyRef. fn runs under the table's read lock: it
-// must not call into the table, and must not mutate or keep the row
-// beyond what GetRef allows.
-func (t *Table) EachRef(col string, key Value, fn func(Row)) {
-	nk, err := Normalize(key)
-	if err != nil || nk == nil {
-		return
-	}
-	t.mu.RLock()
-	ix, ok := t.indexes[strings.ToLower(col)]
-	if !ok {
-		t.mu.RUnlock()
-		for _, r := range t.LookupManyRef(col, []Value{nk}) {
-			fn(r)
-		}
-		return
-	}
-	defer t.mu.RUnlock()
-	slots := ix.slots[encodeKey([]Value{nk})]
-	if !sort.IntsAreSorted(slots) {
-		slots = append([]int(nil), slots...)
-		sort.Ints(slots)
-	}
-	for _, s := range slots {
-		fn(t.rows[s])
-	}
-}
-
-// HasIndex reports whether a secondary index exists on the column.
+// HasIndex reports whether a secondary index exists on the column. The
+// hash indexes are fixed at construction, so it takes no lock.
 func (t *Table) HasIndex(col string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.indexes[strings.ToLower(col)]
-	return ok
+	ci, ok := t.schema.Index(col)
+	return ok && t.hash[ci] != nil
 }
 
 // UpdateByKey updates the row with the given primary-key values via set,
@@ -777,11 +723,13 @@ func (t *Table) placeLocked(slot int, r Row) {
 	if t.pkIndex != nil {
 		t.pkIndex[t.pkKey(r)] = slot
 	}
-	for _, ix := range t.indexes {
-		ix.add(slot, r)
-	}
-	for _, ix := range t.ordered {
-		ix.add(slot, r)
+	for ci, ix := range t.hash {
+		if ix != nil {
+			ix.add(slot, r)
+		}
+		if ox := t.ordered[ci]; ox != nil {
+			ox.add(slot, r)
+		}
 	}
 	t.live++
 	t.version++
@@ -829,11 +777,13 @@ func (t *Table) applyUpdateSlot(slot int, repl Row) error {
 			t.pkIndex[key] = slot
 		}
 	}
-	for _, ix := range t.indexes {
-		ix.update(slot, old, repl)
-	}
-	for _, ix := range t.ordered {
-		ix.update(slot, old, repl)
+	for ci, ix := range t.hash {
+		if ix != nil {
+			ix.update(slot, old, repl)
+		}
+		if ox := t.ordered[ci]; ox != nil {
+			ox.update(slot, old, repl)
+		}
 	}
 	t.rows[slot] = repl
 	t.version++
@@ -848,11 +798,13 @@ func (t *Table) applyDeleteSlot(slot int) error {
 	}
 	r := t.rows[slot]
 	t.unmapKeyLocked(slot, r)
-	for _, ix := range t.indexes {
-		ix.remove(slot, r)
-	}
-	for _, ix := range t.ordered {
-		ix.remove(slot, r)
+	for ci, ix := range t.hash {
+		if ix != nil {
+			ix.remove(slot, r)
+		}
+		if ox := t.ordered[ci]; ox != nil {
+			ox.remove(slot, r)
+		}
 	}
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)

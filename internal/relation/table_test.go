@@ -222,7 +222,10 @@ func checkIndexConsistency(t *testing.T, tbl *Table) {
 	if tbl.pkIndex != nil && len(tbl.pkIndex) != live {
 		t.Fatalf("pk index size %d != live %d", len(tbl.pkIndex), live)
 	}
-	for _, ix := range tbl.indexes {
+	for _, ix := range tbl.hash {
+		if ix == nil {
+			continue
+		}
 		n := 0
 		for _, slots := range ix.slots {
 			for _, s := range slots {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -81,11 +80,12 @@ type keyRead struct {
 	row Row
 }
 
-// lookupRead is one secondary-index probe of the committed rows and
-// the slots and rows it found, slots ascending.
+// lookupRead is one secondary-index probe of the committed rows (column
+// ci equal to the normalized val) and the slots and rows it found, slots
+// ascending.
 type lookupRead struct {
-	ix    *secondaryIndex
-	key   string
+	ci    int
+	val   Value
 	slots []int
 	rows  []Row
 }
@@ -108,8 +108,9 @@ func (tx *Tx) table(t *Table) *txTable {
 	return tt
 }
 
-// Get returns a copy of the row with the given primary key as this
-// transaction sees it.
+// Get returns the row with the given primary key as this transaction
+// sees it: a stored row, or one this transaction buffered. The row is
+// read-only.
 func (tx *Tx) Get(t *Table, key ...Value) (Row, bool) {
 	if tx.done {
 		return nil, false
@@ -119,12 +120,12 @@ func (tx *Tx) Get(t *Table, key ...Value) (Row, bool) {
 		return nil, false
 	}
 	_, r := tx.table(t).find(k)
-	return r.Clone(), r != nil
+	return r, r != nil
 }
 
-// Lookup returns copies of the rows whose column equals v, as this
-// transaction sees them. A column without a secondary index is read by
-// a full scan.
+// Lookup returns the rows whose column equals v, as this transaction
+// sees them, with Table.Lookup's NULL rule. The rows are read-only. A
+// column without a secondary index is read by a full scan.
 func (tx *Tx) Lookup(t *Table, col string, v Value) []Row {
 	ci, ok := t.schema.Index(col)
 	nv, err := Normalize(v)
@@ -135,19 +136,21 @@ func (tx *Tx) Lookup(t *Table, col string, v Value) []Row {
 	var out []Row
 	match := func(_ int, r Row) bool {
 		if Equal(r[ci], nv) {
-			out = append(out, r.Clone())
+			out = append(out, r)
 		}
 		return true
 	}
-	t.mu.RLock()
-	ix, indexed := t.indexes[strings.ToLower(col)]
-	if !indexed {
-		t.mu.RUnlock()
+	if t.hash[ci] == nil {
 		tt.scan(match)
 		return out
 	}
-	lr := lookupRead{ix: ix, key: encodeKey([]Value{nv})}
-	lr.slots, lr.rows = t.probeLocked(ix, lr.key)
+	lr := lookupRead{ci: ci, val: nv}
+	t.mu.RLock()
+	lr.slots = append([]int(nil), t.matchLocked(ci, nv)...)
+	lr.rows = make([]Row, len(lr.slots))
+	for i, s := range lr.slots {
+		lr.rows[i] = t.rows[s]
+	}
 	t.mu.RUnlock()
 	tt.lookups = append(tt.lookups, lr)
 	tt.overlay(lr.slots, lr.rows, match)
@@ -155,8 +158,8 @@ func (tx *Tx) Lookup(t *Table, col string, v Value) []Row {
 }
 
 // Scan calls fn on every row this transaction sees: the committed rows
-// in slot order with its own writes applied, then its inserts. The row
-// must not be mutated or retained.
+// in slot order with its own writes applied, then its inserts. The rows
+// are read-only.
 func (tx *Tx) Scan(t *Table, fn func(row Row) bool) {
 	if !tx.done {
 		tx.table(t).scan(func(_ int, r Row) bool { return fn(r) })
@@ -165,8 +168,9 @@ func (tx *Tx) Scan(t *Table, fn func(row Row) bool) {
 
 // Insert buffers a row insert. The row is validated, and its
 // auto-increment value assigned, under the table lock at once, so the
-// returned stored image carries its id before Commit; a rolled-back or
-// conflicted insert leaves a gap in the ids.
+// returned image, the buffered row itself and read-only, carries its id
+// before Commit; a rolled-back or conflicted insert leaves a gap in the
+// ids.
 func (tx *Tx) Insert(t *Table, row Row) (Row, error) {
 	if tx.done {
 		return nil, ErrTxDone
@@ -182,7 +186,7 @@ func (tx *Tx) Insert(t *Table, row Row) (Row, error) {
 		return nil, err
 	}
 	tt.ins = append(tt.ins, r)
-	return r.Clone(), nil
+	return r, nil
 }
 
 // UpdateByKey buffers an update of the row with the given primary key,
@@ -530,12 +534,12 @@ func (tt *txTable) validLocked() bool {
 		}
 	}
 	for _, lr := range tt.lookups {
-		slots, rows := t.probeLocked(lr.ix, lr.key)
+		slots := t.matchLocked(lr.ci, lr.val)
 		if len(slots) != len(lr.slots) {
 			return false
 		}
 		for i, slot := range slots {
-			if slot != lr.slots[i] || !sameRow(rows[i], lr.rows[i]) {
+			if slot != lr.slots[i] || !sameRow(t.rows[slot], lr.rows[i]) {
 				return false
 			}
 		}

@@ -330,14 +330,14 @@ func stateOf(t *Table) tableState {
 		Rows:    append([]Row(nil), t.rows...),
 		PK:      map[string]int{},
 		Index:   map[string][]int{},
-		Ordered: append([]orderedEntry(nil), t.ordered["num"].entries...),
+		Ordered: append([]orderedEntry(nil), t.ordered[t.schema.MustIndex("num")].entries...),
 		Live:    t.live,
 		Version: t.version,
 	}
 	for k, s := range t.pkIndex {
 		st.PK[k] = s
 	}
-	for k, slots := range t.indexes["num"].slots {
+	for k, slots := range t.hash[t.schema.MustIndex("num")].slots {
 		st.Index[k] = append([]int(nil), slots...)
 		sort.Ints(st.Index[k])
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -85,7 +86,9 @@ func Normalize(v Value) (Value, error) {
 	case float32:
 		return float64(x), nil
 	default:
-		return nil, fmt.Errorf("relation: unsupported value type %T", v)
+		// reflect.TypeOf, unlike formatting v itself, does not make every
+		// caller's v escape to the heap.
+		return nil, fmt.Errorf("relation: unsupported value type %s", reflect.TypeOf(v))
 	}
 }
 
@@ -239,45 +242,36 @@ func Format(v Value) string {
 	return fmt.Sprint(v)
 }
 
-// encodeKey renders a slice of values into a unique string usable as a hash
-// index key. The encoding is injective: it tags each value with its type
-// rank and escapes separator bytes in strings.
-func encodeKey(vals []Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		switch x := v.(type) {
-		case nil:
-			b.WriteString("n|")
-		case bool:
-			if x {
-				b.WriteString("b1|")
-			} else {
-				b.WriteString("b0|")
-			}
-		case int64:
-			b.WriteString("i")
-			b.WriteString(strconv.FormatInt(x, 10))
-			b.WriteString("|")
-		case float64:
-			if x == float64(int64(x)) {
-				// Integral floats key identically to ints so that a lookup
-				// with int64(3) finds rows stored with 3.0.
-				b.WriteString("i")
-				b.WriteString(strconv.FormatInt(int64(x), 10))
-			} else {
-				b.WriteString("f")
-				b.WriteString(strconv.FormatFloat(x, 'b', -1, 64))
-			}
-			b.WriteString("|")
-		case string:
-			b.WriteString("s")
-			b.WriteString(strconv.Quote(x))
-			b.WriteString("|")
-		default:
-			b.WriteString("?")
-			b.WriteString(fmt.Sprint(x))
-			b.WriteString("|")
+// appendKey appends v's hash-index key encoding to b. The encoding is
+// injective over normalized values: it tags each value with its type
+// rank, quotes strings, and ends it with a separator, so a sequence of
+// appended values is itself a unique key. Integral floats key identically
+// to ints so that a lookup with int64(3) finds rows stored with 3.0.
+// Callers encode into a stack buffer and index their maps with
+// string(b), which allocates nothing.
+func appendKey(b []byte, v Value) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(b, "n|"...)
+	case bool:
+		if x {
+			return append(b, "b1|"...)
 		}
+		return append(b, "b0|"...)
+	case int64:
+		b = strconv.AppendInt(append(b, 'i'), x, 10)
+	case float64:
+		if x == float64(int64(x)) {
+			b = strconv.AppendInt(append(b, 'i'), int64(x), 10)
+		} else {
+			b = strconv.AppendFloat(append(b, 'f'), x, 'b', -1, 64)
+		}
+	case string:
+		b = strconv.AppendQuote(append(b, 's'), x)
+	default:
+		// Normalize and validate admit nothing else; formatting x here
+		// would make every probe's key escape to the heap.
+		panic("relation: key value of unsupported type")
 	}
-	return b.String()
+	return append(b, '|')
 }

@@ -160,6 +160,15 @@ func TestFormat(t *testing.T) {
 	}
 }
 
+// encodeKey is appendKey over a sequence of values, as a string.
+func encodeKey(vals []Value) string {
+	var b []byte
+	for _, v := range vals {
+		b = appendKey(b, v)
+	}
+	return string(b)
+}
+
 // Property: encodeKey is injective over distinct single values.
 func TestEncodeKeyInjectiveProperty(t *testing.T) {
 	f := func(a, b int64, s1, s2 string) bool {

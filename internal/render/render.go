@@ -121,7 +121,9 @@ func CoursePage(s *core.Site, courseID int64) (string, error) {
 }
 
 // Plan renders the Figure 1 (right) multi-year planner grid with
-// per-quarter unit loads and GPAs plus the cumulative GPA.
+// per-quarter unit loads and GPAs plus the cumulative GPA. It reads the
+// student's record once: the conflicts and the prerequisite check come
+// from the plan's entries.
 func Plan(s *core.Site, suID int64) string {
 	p := s.Planner.Plan(suID)
 	var b strings.Builder
@@ -147,13 +149,13 @@ func Plan(s *core.Site, suID int64) string {
 		b.WriteString("│ " + strings.Join(cells, " · ") + "\n")
 	}
 	fmt.Fprintf(&b, "%s\nCumulative GPA %.2f over %d graded units\n", line(72), p.GPA, p.Units)
-	if conflicts := quarterConflicts(s, suID, p); len(conflicts) > 0 {
+	if conflicts := quarterConflicts(s, p); len(conflicts) > 0 {
 		b.WriteString("⚠ schedule conflicts:\n")
 		for _, c := range conflicts {
 			b.WriteString("  " + c + "\n")
 		}
 	}
-	if v := s.Planner.ValidatePrereqs(suID); len(v) > 0 {
+	if v := s.Planner.PlanPrereqs(p); len(v) > 0 {
 		b.WriteString("⚠ prerequisite issues:\n")
 		for _, pv := range v {
 			a, _ := s.Catalog.Course(pv.CourseID)
@@ -164,10 +166,10 @@ func Plan(s *core.Site, suID int64) string {
 	return b.String()
 }
 
-func quarterConflicts(s *core.Site, suID int64, p planner.FourYearPlan) []string {
+func quarterConflicts(s *core.Site, p planner.FourYearPlan) []string {
 	var out []string
 	for _, q := range p.Quarters {
-		for _, c := range s.Planner.Conflicts(suID, q.Year, q.Term) {
+		for _, c := range s.Planner.QuarterConflicts(q) {
 			a, _ := s.Catalog.Course(c.A.CourseID)
 			bb, _ := s.Catalog.Course(c.B.CourseID)
 			out = append(out, fmt.Sprintf("%s %d: %s overlaps %s", q.Term, q.Year, a.Code(), bb.Code()))

@@ -399,9 +399,9 @@ func evalRangeBounds(s *scanNode, rs *rowset) (lo, hi *relation.RangeBound, empt
 
 // probeRows materializes a pk-lookup or index-probe access: the result
 // is bounded by the probe keys, so nothing is gained by streaming it.
-// Fetched rows are references (GetRef, LookupManyRef) — the projection
-// stages copy cells out before anything escapes the engine. Pushed
-// residual filters apply before returning.
+// Fetched rows are the stored rows themselves (Get, LookupMany), which
+// are read-only — the projection stages copy cells out before anything
+// escapes the engine. Pushed residual filters apply before returning.
 func probeRows(s *scanNode, t *relation.Table, rs *rowset) ([]relation.Row, error) {
 	keys := make([]relation.Value, len(s.probeKeys))
 	for i, ke := range s.probeKeys {
@@ -416,8 +416,8 @@ func probeRows(s *scanNode, t *relation.Table, rs *rowset) ([]relation.Row, erro
 	}
 	var rows []relation.Row
 	if s.access == accessIndex {
-		rows = t.LookupManyRef(s.probeCol, keys)
-	} else if row, found := t.GetRef(keys...); found {
+		rows = t.LookupMany(s.probeCol, keys)
+	} else if row, found := t.Get(keys...); found {
 		rows = append(rows, row)
 	}
 	if len(s.filter) > 0 {
@@ -769,7 +769,7 @@ func (c *buildLeftJoinCursor) Close() {
 
 // inljCursor is the index nested-loop join: left rows arrive one input
 // batch per dispatch, their join keys drive one batched index probe
-// (LookupManyRef, or GetManyRef through a single-column primary key),
+// (LookupMany, or GetMany through a single-column primary key),
 // and only the right rows that can possibly match are ever fetched.
 // Output is left-major with right matches in slot order — identical to
 // the hash join — and memory is bounded by one batch. The combined-row
@@ -859,9 +859,9 @@ func (c *inljCursor) fillBatch() error {
 			for i, v := range keys {
 				pkKeys[i] = []relation.Value{v}
 			}
-			fetched = t.GetManyRef(pkKeys...)
+			fetched = t.GetMany(pkKeys...)
 		} else {
-			fetched = t.LookupManyRef(c.jn.inljCol, keys)
+			fetched = t.LookupMany(c.jn.inljCol, keys)
 		}
 		if c.probeStat != nil {
 			c.probeStat.ns += int64(time.Since(t0))

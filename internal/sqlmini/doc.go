@@ -143,7 +143,7 @@
 // result anyway — except an aggregate with no GROUP BY, ORDER BY, LIMIT
 // or residual filter over one index key (the top-rated feed's patch
 // statement), which folds each probed row into its aggregates as the
-// table hands it over (foldProbe over Table.EachRef), in the slot order
+// table hands it over (foldProbe over Table.Each), in the slot order
 // the drained path reads, and so allocates the same however many rows
 // the key matches. WithBatchSize returns a handle whose
 // pipelines use a different slab size — primarily a testing knob: the

@@ -499,7 +499,7 @@ func (ps *preparedSelect) foldsProbe(plan *selectPlan) bool {
 }
 
 // foldProbe answers a foldsProbe statement by folding each probed row
-// into the aggregates as the table hands it over (Table.EachRef): no
+// into the aggregates as the table hands it over (Table.Each): no
 // group of row references is built, so the statement allocates the same
 // however many rows its key matches. The rows arrive in slot order, as
 // probeRows returns them, so every aggregate equals what the drained
@@ -523,7 +523,7 @@ func (e *Engine) foldProbe(ps *preparedSelect, plan *selectPlan, params []relati
 	states := make([]aggState, len(bound))
 	var first []relation.Row // the group's first row, for non-aggregate items
 	n := 0
-	t.EachRef(s.probeCol, key, func(row relation.Row) {
+	fold := func(row relation.Row) {
 		if err != nil {
 			return
 		}
@@ -537,7 +537,10 @@ func (e *Engine) foldProbe(ps *preparedSelect, plan *selectPlan, params []relati
 				}
 			}
 		}
-	})
+	}
+	if key != nil { // "= NULL" matches no row, where Each would find the NULLs
+		t.Each(s.probeCol, key, fold)
+	}
 	if err != nil {
 		return nil, err
 	}
