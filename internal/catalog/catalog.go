@@ -354,6 +354,21 @@ func (s *Store) Offerings(courseID int64) []Offering {
 	return out
 }
 
+// OfferingIn returns a course's offering in one quarter, if the course
+// has one: the first by slot, converting no other row.
+func (s *Store) OfferingIn(courseID, year int64, term Term) (Offering, bool) {
+	var (
+		out   Offering
+		found bool
+	)
+	s.db.MustTable("Offerings").Each("CourseID", courseID, func(r relation.Row) {
+		if !found && r[2].(int64) == year && Term(r[3].(string)) == term {
+			out, found = offeringFromRow(r), true
+		}
+	})
+	return out, found
+}
+
 // OfferingsIn returns all offerings in a given quarter.
 func (s *Store) OfferingsIn(year int64, term Term) []Offering {
 	var out []Offering

@@ -236,3 +236,32 @@ func TestDepartments(t *testing.T) {
 		t.Error("Open")
 	}
 }
+
+// TestOfferingIn: a course's offering in one quarter is the first of its
+// offerings, by slot, in that year and term, and no offering when it has
+// none there.
+func TestOfferingIn(t *testing.T) {
+	s := newStore(t)
+	cid, _ := s.AddCourse(Course{DepID: "CS", Number: "106A", Title: "Programming", Units: 5})
+	other, _ := s.AddCourse(Course{DepID: "CS", Number: "106B", Title: "Abstractions", Units: 5})
+	for _, o := range []Offering{
+		{CourseID: cid, Year: 2008, Term: Winter, Days: "TR", StartMin: 600, EndMin: 650},
+		{CourseID: other, Year: 2008, Term: Autumn, Days: "F", StartMin: 600, EndMin: 650},
+		{CourseID: cid, Year: 2008, Term: Autumn, Days: "MWF", StartMin: 600, EndMin: 650},
+		{CourseID: cid, Year: 2008, Term: Autumn, Days: "M", StartMin: 700, EndMin: 750},
+	} {
+		if _, err := s.AddOffering(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, ok := s.OfferingIn(cid, 2008, Autumn)
+	if want := s.Offerings(cid)[1]; !ok || got != want {
+		t.Errorf("OfferingIn(2008 Autumn) = %+v %v, want %+v", got, ok, want)
+	}
+	if got, ok := s.OfferingIn(cid, 2009, Autumn); ok {
+		t.Errorf("OfferingIn(2009 Autumn) = %+v, want none", got)
+	}
+	if got, ok := s.OfferingIn(cid, 2008, Spring); ok {
+		t.Errorf("OfferingIn(2008 Spring) = %+v, want none", got)
+	}
+}

@@ -45,11 +45,12 @@ func courseWithVotes(t *testing.T, n int) (*Store, []int64) {
 	return s, ids
 }
 
-// TestByCourseCountsVotesOnce pins ByCourse's order to a reference sort
-// on qualities computed beforehand, and its cost to one vote probe per
-// comment: what a call allocates does not grow with the comments, as it
-// did while the sort's comparator probed the votes of both comments it
-// compared (thousands of allocations at 64 comments).
+// TestByCourseCountsVotesOnce pins TopByCourse's selection to the first
+// n of a reference sort on qualities computed beforehand, for every n,
+// with the course's total beside it, and its cost to one vote probe per
+// comment: how many allocations a call makes does not grow with the
+// comments, as it did while a sort's comparator probed the votes of both
+// comments it compared (thousands of allocations at 64 comments).
 func TestByCourseCountsVotesOnce(t *testing.T) {
 	s, ids := courseWithVotes(t, 64)
 	q := map[int64]float64{}
@@ -63,26 +64,36 @@ func TestByCourseCountsVotesOnce(t *testing.T) {
 		}
 		return want[a] < want[b]
 	})
-	got := s.ByCourse(7)
-	if len(got) != len(want) {
-		t.Fatalf("ByCourse = %d comments, want %d", len(got), len(want))
-	}
-	for i, c := range got {
-		if c.ID != want[i] {
-			t.Fatalf("ByCourse[%d] = comment %d, want %d", i, c.ID, want[i])
+	for _, n := range []int{0, 1, 3, 10, 63, 64, 100} {
+		got, total := s.TopByCourse(7, n)
+		if total != len(ids) {
+			t.Fatalf("TopByCourse(7, %d) total = %d, want %d", n, total, len(ids))
+		}
+		if len(got) != min(n, len(want)) {
+			t.Fatalf("TopByCourse(7, %d) = %d comments, want %d", n, len(got), min(n, len(want)))
+		}
+		for i, c := range got {
+			if c.ID != want[i] {
+				t.Fatalf("TopByCourse(7, %d)[%d] = comment %d, want %d", n, i, c.ID, want[i])
+			}
+			if c.CourseID != 7 || c.Text != "comment" {
+				t.Fatalf("TopByCourse(7, %d)[%d] = %+v, not the stored comment", n, i, c)
+			}
 		}
 	}
 
 	small, _ := courseWithVotes(t, 8)
-	at8 := testing.AllocsPerRun(20, func() { small.ByCourse(7) })
-	at64 := testing.AllocsPerRun(20, func() { s.ByCourse(7) })
+	at8 := testing.AllocsPerRun(20, func() { small.TopByCourse(7, 3) })
+	at64 := testing.AllocsPerRun(20, func() { s.TopByCourse(7, 3) })
 	if at64 != at8 || at64 > 8 {
-		t.Errorf("ByCourse allocates %.0f times at 64 comments and %.0f at 8, want the same few", at64, at8)
+		t.Errorf("TopByCourse allocates %.0f times at 64 comments and %.0f at 8, want the same few", at64, at8)
 	}
 }
 
-// TestByCourseUnderVoteStorm runs ByCourse while votes land on the same
-// comments: every answer is a permutation of the course's comments.
+// TestByCourseUnderVoteStorm runs TopByCourse while votes land on the
+// same comments: asked for every comment, each answer is a permutation
+// of the course's comments, and asked for three, three distinct ones of
+// them beside the full count.
 func TestByCourseUnderVoteStorm(t *testing.T) {
 	s, ids := courseWithVotes(t, 64)
 	want := slices.Clone(ids)
@@ -107,16 +118,34 @@ func TestByCourseUnderVoteStorm(t *testing.T) {
 			}
 		}()
 	}
+	fail := func(format string, args ...any) {
+		close(stop)
+		wg.Wait()
+		t.Fatalf(format, args...)
+	}
 	for range 200 {
+		all, total := s.TopByCourse(7, len(ids))
 		var got []int64
-		for _, c := range s.ByCourse(7) {
+		for _, c := range all {
 			got = append(got, c.ID)
 		}
 		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("ByCourse under votes = %v, want a permutation of %v", got, want)
+		if total != len(ids) || !slices.Equal(got, want) {
+			fail("TopByCourse under votes = %v of %d, want a permutation of %v", got, total, want)
+		}
+		top, total := s.TopByCourse(7, 3)
+		var got3 []int64
+		for _, c := range top {
+			got3 = append(got3, c.ID)
+		}
+		slices.Sort(got3)
+		if total != len(ids) || len(slices.Compact(got3)) != 3 {
+			fail("TopByCourse(7, 3) under votes = %v of %d, want three distinct comments of %d", got3, total, len(ids))
+		}
+		for _, id := range got3 {
+			if _, ok := slices.BinarySearch(want, id); !ok {
+				fail("TopByCourse(7, 3) under votes returned comment %d, not one of course 7's", id)
+			}
 		}
 	}
 	close(stop)

@@ -112,38 +112,44 @@ func commentFromRow(r relation.Row) Comment {
 	}
 }
 
-// ByCourse returns a course's comments ordered by quality score (best
-// first; ties by id for determinism). Each comment's votes are counted
-// once, before the sort, so the order is consistent even while votes
-// land.
-func (s *Store) ByCourse(courseID int64) []Comment {
+// TopByCourse returns a course's n best comments by quality score (best
+// first; ties by id for determinism) and how many comments the course
+// has. Each comment's votes are counted once, so the order is
+// consistent even while votes land, and only the n returned comments
+// are converted from their rows.
+func (s *Store) TopByCourse(courseID int64, n int) (top []Comment, total int) {
 	rows := s.db.MustTable("Comments").Lookup("CourseID", courseID)
-	byq := byQuality{cs: make([]Comment, len(rows)), q: make([]float64, len(rows))}
-	for i, r := range rows {
-		byq.cs[i] = commentFromRow(r)
-		byq.q[i] = s.Quality(byq.cs[i].ID)
+	type ranked struct {
+		row relation.Row
+		id  int64
+		q   float64
 	}
-	sort.Sort(byq)
-	return byq.cs
-}
-
-// byQuality sorts comments by precomputed quality, descending, then by
-// id.
-type byQuality struct {
-	cs []Comment
-	q  []float64
-}
-
-func (b byQuality) Len() int { return len(b.cs) }
-func (b byQuality) Less(i, j int) bool {
-	if b.q[i] != b.q[j] {
-		return b.q[i] > b.q[j]
+	// best holds the n best so far, best first: a binary-search
+	// insertion, since n (three, on a course page) is small.
+	best := make([]ranked, 0, min(n, len(rows)))
+	for _, r := range rows {
+		c := ranked{row: r, id: r[0].(int64)}
+		c.q = s.Quality(c.id)
+		at := sort.Search(len(best), func(i int) bool {
+			if best[i].q != c.q {
+				return best[i].q < c.q
+			}
+			return best[i].id > c.id
+		})
+		if at == n {
+			continue
+		}
+		if len(best) < n {
+			best = append(best, ranked{})
+		}
+		copy(best[at+1:], best[at:])
+		best[at] = c
 	}
-	return b.cs[i].ID < b.cs[j].ID
-}
-func (b byQuality) Swap(i, j int) {
-	b.cs[i], b.cs[j] = b.cs[j], b.cs[i]
-	b.q[i], b.q[j] = b.q[j], b.q[i]
+	top = make([]Comment, len(best))
+	for i, c := range best {
+		top[i] = commentFromRow(c.row)
+	}
+	return top, len(rows)
 }
 
 // ByStudent returns the student's comments in insertion order.

@@ -117,11 +117,14 @@ func TestByCourseOrdersByQuality(t *testing.T) {
 	s.VoteAccuracy(low, 3, false)
 	s.VoteAccuracy(high, 3, true)
 	s.VoteAccuracy(high, 4, true)
-	got := s.ByCourse(7)
-	if len(got) != 2 || got[0].ID != high || got[1].ID != low {
-		t.Errorf("order = %v", got)
+	got, total := s.TopByCourse(7, 3)
+	if total != 2 || len(got) != 2 || got[0].ID != high || got[1].ID != low {
+		t.Errorf("order = %v of %d", got, total)
 	}
-	if len(s.ByCourse(999)) != 0 {
+	if got, total := s.TopByCourse(7, 1); total != 2 || len(got) != 1 || got[0].ID != high {
+		t.Errorf("top 1 = %v of %d", got, total)
+	}
+	if got, total := s.TopByCourse(999, 3); len(got) != 0 || total != 0 {
 		t.Error("missing course should be empty")
 	}
 }

@@ -346,7 +346,7 @@ func TestDurableSiteRoundTrip(t *testing.T) {
 	if _, err := re.Community.Login("sally", 1); err != nil {
 		t.Fatalf("recovered user cannot log in: %v", err)
 	}
-	got := re.Comments.ByCourse(intro)
+	got, _ := re.Comments.TopByCourse(intro, 10)
 	if len(got) != 1 || got[0].Text != "great intro course" {
 		t.Fatalf("recovered comments = %+v", got)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,7 +32,8 @@ func TestEnrollCommentRate(t *testing.T) {
 		t.Fatalf("enrollment = %+v", entries)
 	}
 	found := false
-	for _, c := range s.Comments.ByCourse(course) {
+	all, _ := s.Comments.TopByCourse(course, math.MaxInt)
+	for _, c := range all {
 		if c.ID == id && c.Text == "great intro" {
 			found = true
 		}
@@ -166,7 +168,7 @@ func TestEnrollCommentRateAtomic(t *testing.T) {
 	if failures.Load() != 0 {
 		t.Fatalf("%d unexpected workflow failures", failures.Load())
 	}
-	if n := len(s.Comments.ByCourse(course)); n != writers*perWriter {
+	if _, n := s.Comments.TopByCourse(course, 0); n != writers*perWriter {
 		t.Fatalf("committed %d comments, want %d", n, writers*perWriter)
 	}
 	if st := s.DB.TxStats(); st.Active != 0 {

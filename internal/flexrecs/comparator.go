@@ -2,6 +2,7 @@ package flexrecs
 
 import (
 	"fmt"
+	"slices"
 
 	"courserank/internal/relation"
 	"courserank/internal/textindex"
@@ -16,7 +17,9 @@ import (
 // row is scored. ▷ relies on it to score a σ target where it stands:
 // bind sees the σ's input, the rows the σ drops included, and only the
 // kept rows are scored. bind may read the target's rows to size what it
-// builds, as wavgCmp does, but not to decide a score or an error.
+// builds, and the closure may keep state from one call to the next to
+// find what it reads faster, as wavgCmp's cursors do, but neither may
+// decide a score or an error.
 type Comparator interface {
 	// Label renders the comparator the way the paper annotates recommend
 	// triangles, e.g. "Jaccard[Title]" or "inv_Euclidean[Ratings]".
@@ -209,22 +212,9 @@ func (c *wavgCmp) bind(target, ref *Relation) (func([]any) (float64, error), err
 			return nil, fmt.Errorf("flexrecs: reference has no attribute %q", c.weightAttr)
 		}
 	}
-	// Fold the reference vectors into one aggregation table up front:
-	// scoring a target is then a single lookup instead of a pass over
-	// every reference vector per target row. The table is keyed by the
-	// smaller side — the target's keys when the reference holds more
-	// values than the target has rows (a department's courses against
-	// everybody's ratings), the reference's keys otherwise — and each
-	// key sums in reference-row order whichever side keys it, so the
-	// scores repeat bit for bit. That keeps the Comparator contract: a
-	// row's score is its key's sum whichever rows beside it sized the
-	// table, and a target key that does not normalize is left to the
-	// closure, which raises it if that row is scored. A first pass reads
-	// every vector and weight, raising any error, and counts the values.
-	values := 0
+	// Read every vector and weight once up front, raising any error.
 	for _, r := range ref.Rows {
-		vec, err := attrVector(r, vi)
-		if err != nil {
+		if _, err := attrVector(r, vi); err != nil {
 			return nil, err
 		}
 		if wi >= 0 {
@@ -232,51 +222,64 @@ func (c *wavgCmp) bind(target, ref *Relation) (func([]any) (float64, error), err
 				return nil, err
 			}
 		}
-		values += len(vec)
 	}
-	type agg struct{ num, den float64 }
-	var (
-		slots    map[relation.Value]int32
-		table    []agg
-		byTarget = values > len(target.Rows)
-	)
-	if byTarget {
-		slots = make(map[relation.Value]int32, len(target.Rows))
-		for _, trow := range target.Rows {
-			key, err := relation.Normalize(trow[ki])
-			if err != nil {
-				continue // scoring the row raises it, if the row is scored
-			}
-			if _, ok := slots[key]; !ok {
-				slots[key] = int32(len(slots))
-			}
+	// A target key's score sums the reference vectors' values at that
+	// key in reference-row order, so it repeats bit for bit, and no key is
+	// hashed. How the sums are found depends on which side is smaller,
+	// so the scratch stays below a few words per reference row.
+	if len(target.Rows) < len(ref.Rows) {
+		return wavgByKey(target, ref, ki, vi, wi), nil
+	}
+	return wavgWalk(ref, ki, vi, wi), nil
+}
+
+// refWeight is reference row r's weight: its column wi, or 1 without
+// one. bind has checked every weight.
+func refWeight(r []any, wi int) float64 {
+	if wi < 0 {
+		return 1
+	}
+	w, _ := toWeight(r[wi])
+	return w
+}
+
+// wavgByKey scores a target with fewer rows than the reference — a
+// department's courses against every student's ratings — from one pass
+// over the reference: the target's keys, sorted and distinct (keyCmp),
+// each gather the values at that key, vector after vector in
+// reference-row order, every entry finding its key by binary search. A
+// target key that does not normalize is left to the closure, which
+// raises it if that row is scored.
+func wavgByKey(target, ref *Relation, ki, vi, wi int) func([]any) (float64, error) {
+	keys := make([]relation.Value, 0, len(target.Rows))
+	for _, trow := range target.Rows {
+		if k, err := relation.Normalize(trow[ki]); err == nil && !isNaNKey(k) {
+			keys = append(keys, k)
 		}
-		table = make([]agg, len(slots))
-	} else {
-		slots = make(map[relation.Value]int32, values)
-		table = make([]agg, 0, values)
 	}
+	slices.SortFunc(keys, keyCmp)
+	keys = slices.CompactFunc(keys, func(a, b relation.Value) bool { return keyCmp(a, b) == 0 })
+	sums := make([]struct{ num, den float64 }, len(keys))
 	for _, r := range ref.Rows {
-		vec, _ := attrVector(r, vi)
-		w := 1.0
-		if wi >= 0 {
-			w, _ = toWeight(r[wi])
-		}
+		w := refWeight(r, wi)
 		if w <= 0 {
 			continue
 		}
-		for k, v := range vec {
-			slot, ok := slots[k]
-			if !ok {
-				if byTarget {
-					continue
-				}
-				slot = int32(len(table))
-				slots[k] = slot
-				table = append(table, agg{})
+		vec, _ := r[vi].(Vector) // checked by bind
+		lo := 0                  // keys below lo are below every entry left
+		for _, e := range vec {
+			j := lowerBound(keys[lo:], e.Key)
+			if lo += j; lo == len(keys) {
+				break
 			}
-			table[slot].num += w * v
-			table[slot].den += w
+			c, ok := intCmp(keys[lo], e.Key)
+			if !ok {
+				c = keyCmp(keys[lo], e.Key) // keys holds no NaN to match
+			}
+			if c == 0 {
+				sums[lo].num += w * e.Value
+				sums[lo].den += w
+			}
 		}
 	}
 	return func(trow []any) (float64, error) {
@@ -284,13 +287,120 @@ func (c *wavgCmp) bind(target, ref *Relation) (func([]any) (float64, error), err
 		if err != nil {
 			return 0, err
 		}
-		slot, ok := slots[key]
-		if !ok || table[slot].den == 0 {
+		if isNaNKey(key) {
 			return 0, nil
 		}
-		return table[slot].num / table[slot].den, nil
-	}, nil
+		j := lowerBound(keys, key)
+		if j == len(keys) || keyCmp(keys[j], key) != 0 || sums[j].den == 0 {
+			return 0, nil
+		}
+		return sums[j].num / sums[j].den, nil
+	}
 }
+
+// lowerBound is the position of the first of keys, sorted by keyCmp, not
+// below key.
+func lowerBound(keys []relation.Value, key relation.Value) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c, ok := intCmp(keys[mid], key)
+		if !ok {
+			c = keyCmp(keys[mid], key)
+		}
+		if c < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// wavgWalk scores a target at least as large as the reference — every
+// course against the similar students — by walking the reference
+// vectors for each target key. Each reference keeps a cursor into its
+// vector, at the first entry above the last key scored, and least is the
+// least key under a cursor. Target keys mostly ascend (a scan of Courses
+// comes in CourseID order): a key below least then scores 0 without a
+// look at any reference, and one at or above it steps the cursors
+// forward; a key below the last one searches each vector again. The
+// cursors are all the scratch there is, one per reference row, and they
+// change no score: the Comparator contract holds.
+func wavgWalk(ref *Relation, ki, vi, wi int) func([]any) (float64, error) {
+	at := make([]int32, len(ref.Rows))
+	var (
+		last, least     relation.Value
+		lastScore       float64
+		walked, anyLeft bool // walked: the cursors stand after last; anyLeft: least is one
+	)
+	return func(trow []any) (float64, error) {
+		key, err := relation.Normalize(trow[ki])
+		if err != nil {
+			return 0, err
+		}
+		if isNaNKey(key) {
+			return 0, nil
+		}
+		back := false
+		if walked {
+			switch c := keyCmp(key, last); {
+			case c == 0:
+				return lastScore, nil
+			case c < 0:
+				back = true
+			case !anyLeft || keyCmp(key, least) < 0:
+				last, lastScore = key, 0
+				return 0, nil
+			}
+		}
+		var num, den float64
+		anyLeft = false
+		for i, r := range ref.Rows {
+			vec, _ := r[vi].(Vector) // checked by bind
+			p := int(at[i])
+			if back {
+				p, _ = slices.BinarySearchFunc(vec[:p], key, entryCmp)
+			}
+			c := 1 // vec[p] against key where the cursor stops
+			for ; p < len(vec); p++ {
+				var ok bool
+				if c, ok = intCmp(vec[p].Key, key); !ok {
+					c = keyCmp(vec[p].Key, key)
+				}
+				if c >= 0 {
+					break
+				}
+			}
+			if c == 0 {
+				if w := refWeight(r, wi); !(w <= 0) {
+					num += w * vec[p].Value
+					den += w
+				}
+				p++
+			}
+			at[i] = int32(p)
+			if p == len(vec) {
+				continue
+			}
+			l, ok := intCmp(vec[p].Key, least)
+			if !ok && anyLeft {
+				l = keyCmp(vec[p].Key, least)
+			}
+			if !anyLeft || l < 0 {
+				least, anyLeft = vec[p].Key, true
+			}
+		}
+		last, walked, lastScore = key, true, 0
+		if den != 0 {
+			lastScore = num / den
+		}
+		return lastScore, nil
+	}
+}
+
+// entryCmp orders an entry against a key by keyCmp.
+func entryCmp(e Entry, k relation.Value) int { return keyCmp(e.Key, k) }
 
 func toWeight(v any) (float64, error) {
 	switch x := v.(type) {

@@ -94,11 +94,11 @@ func TestAvgOfComparator(t *testing.T) {
 	}
 }
 
-// TestWeightedAvgMatchesReference: AvgOf and WeightedAvg key their table
-// by whichever side is smaller, and score every target row bit for bit
-// as the fold over every reference key did — over random targets
-// (repeated and NULL keys) and references (overlapping vectors, zero,
-// negative and NULL weights) on both sides of the switch.
+// TestWeightedAvgMatchesReference: AvgOf and WeightedAvg walk the
+// reference vectors per target key and score every target row bit for
+// bit as the fold over every reference key did — over random targets
+// (repeated and NULL keys, in table order) and references (overlapping
+// vectors, zero, negative and NULL weights).
 func TestWeightedAvgMatchesReference(t *testing.T) {
 	for seed := range int64(400) {
 		rng := rand.New(rand.NewSource(seed))
@@ -112,10 +112,11 @@ func TestWeightedAvgMatchesReference(t *testing.T) {
 		}
 		ref := &Relation{Cols: []string{"SuID", "Ratings", "Score"}}
 		for i := range rng.Intn(8) {
-			vec := Vector{}
+			m := mapVector{}
 			for range rng.Intn(6) {
-				vec[int64(rng.Intn(15))] = []float64{1, 2.5, 3.7, 4, 5, 0.1}[rng.Intn(6)]
+				m[int64(rng.Intn(15))] = []float64{1, 2.5, 3.7, 4, 5, 0.1}[rng.Intn(6)]
 			}
+			vec := m.vector()
 			var w any = []float64{0.3, 1, 0.1, 0, -1, 0.7}[rng.Intn(6)]
 			if rng.Intn(10) == 0 {
 				w = nil
@@ -184,7 +185,7 @@ func refWavgBind(c *wavgCmp, target, ref *Relation) (func([]any) (float64, error
 		if w <= 0 {
 			continue
 		}
-		for k, v := range vec {
+		for k, v := range mapOf(vec) {
 			a := table[k]
 			a.num += w * v
 			a.den += w

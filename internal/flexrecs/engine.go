@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -451,6 +452,15 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
+		if lo, hi, ok := groupRun(s, child); ok {
+			out := &Relation{Cols: child.Cols}
+			if s.keyOp == keyEq {
+				out.Rows = append(out.Rows, child.Rows[lo:hi]...)
+			} else if n := len(child.Rows) - (hi - lo); n > 0 {
+				out.Rows = append(append(make([][]any, 0, n), child.Rows[:lo]...), child.Rows[hi:]...)
+			}
+			return out, nil
+		}
 		keep, n, err := selectKeep(s, child)
 		if err != nil {
 			return nil, err
@@ -749,82 +759,118 @@ func extend(child *Relation, groupBy, keyCol, valCol, as string) (*Relation, err
 	if err != nil {
 		return nil, err
 	}
-	// Pre-size each group's vector with one integer-keyed counting pass.
-	// The build loop below assigns into interface-keyed Vector maps —
-	// extend's dominant cost — and starting every map at its final size
-	// removes the growth rehashes entirely. Overcounts (rows the build
-	// loop later skips for NULL keys or values) only waste capacity.
-	counts := make(map[int64]int32, len(child.Rows)/8+8)
-	for _, row := range child.Rows {
-		if g, ok := row[gi].(int64); ok {
-			counts[g]++
-		} else {
-			counts = nil // non-int group keys: build unsized below
-			break
-		}
-	}
-	// Grouping keys are almost always int64 ids (students, courses); a
-	// dedicated map skips interface hashing in this hot loop and falls
-	// back to a generic map on the first key of any other type.
-	var (
-		order     []relation.Value
-		intGroups = map[int64]Vector{}
-		anyGroups map[relation.Value]Vector
-		nanGroup  Vector // NaN equals no map key, itself included
-	)
-	vecFor := func(g relation.Value) Vector {
-		if anyGroups == nil {
-			if ig, ok := g.(int64); ok {
-				vec, seen := intGroups[ig]
-				if !seen {
-					vec = make(Vector, int(counts[ig])) // counts nil-safe: missing key sizes 0
-					intGroups[ig] = vec
-					order = append(order, g)
-				}
-				return vec
-			}
-			anyGroups = make(map[relation.Value]Vector, len(intGroups))
-			for k, v := range intGroups {
-				anyGroups[k] = v
-			}
-		}
-		if f, ok := g.(float64); ok && math.IsNaN(f) {
-			if nanGroup == nil {
-				nanGroup = Vector{}
-				order = append(order, g)
-			}
-			return nanGroup
-		}
-		vec, seen := anyGroups[g]
-		if !seen {
-			vec = Vector{}
-			anyGroups[g] = vec
-			order = append(order, g)
-		}
-		return vec
-	}
-	for _, row := range child.Rows {
-		g, k, val, ok, err := extendCell(row[gi], row[ki], row[vi], valCol)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			vecFor(g)[k] = val
-		}
+	ids, groups, order, err := extendGroups(child.Rows, gi, ki, vi, valCol)
+	if err != nil {
+		return nil, err
 	}
 	// Groups come out in ascending key order, whatever order the rows
 	// arrived in: the nesting of a table is then one list however its
 	// rows are stored or gathered, and a maintained view finds a group by
-	// binary search (materialize.go).
-	slices.SortStableFunc(order, relation.Compare)
-	out := &Relation{Cols: []string{groupBy, as}, Rows: make([][]any, 0, len(order))}
-	slab := make([]any, 2*len(order)) // one backing array for every (group, vector) pair
-	for i, g := range order {
-		nr := slab[2*i : 2*i+2 : 2*i+2]
-		nr[0], nr[1] = g, vecFor(g)
-		out.Rows = append(out.Rows, nr)
+	// binary search (materialize.go), as a σ on the group key does.
+	slices.SortStableFunc(order, func(a, b int32) int { return relation.Compare(groups[a], groups[b]) })
+	// Every group's entries are carved from one slab, laid out in that
+	// order, each group's in row order; NewVector then sorts each in
+	// place. No key is hashed, and a group costs its Vector's header.
+	start, end := make([]int32, len(groups)), make([]int32, len(groups))
+	for _, id := range ids {
+		if id >= 0 {
+			end[id]++
+		}
+	}
+	off := int32(0)
+	for _, id := range order {
+		start[id], off = off, off+end[id]
+		end[id] = start[id]
+	}
+	slab := make([]Entry, off)
+	for r, row := range child.Rows {
+		if id := ids[r]; id >= 0 {
+			_, k, val, _, _ := extendCell(row[gi], row[ki], row[vi], valCol)
+			slab[end[id]] = Entry{Key: k, Value: val}
+			end[id]++
+		}
+	}
+	out := &Relation{Cols: []string{groupBy, as}, Rows: make([][]any, len(order))}
+	cells := make([]any, 2*len(order)) // one backing array for every (group, vector) pair
+	for i, id := range order {
+		row := cells[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = groups[id], NewVector(slab[start[id]:end[id]])
+		out.Rows[i] = row
 	}
 	return out, nil
+}
+
+// extendGroups numbers the groups of ε's rows: ids[r] is row r's group,
+// -1 for a row that adds nothing (extendCell), groups[id] is the group's
+// key as it first appeared, and order lists the groups in order of first
+// appearance. Keys group as == matches them (keyCmp), except that every
+// NaN falls in one group. Group keys are almost always int64 ids
+// (students, courses), numbered through an integer map as they appear;
+// the first key of another kind hands the rows to extendGroupsAny.
+func extendGroups(rows [][]any, gi, ki, vi int, valCol string) (ids []int32, groups []relation.Value, order []int32, err error) {
+	ids = make([]int32, len(rows))
+	byInt := make(map[int64]int32)
+	for r, row := range rows {
+		g, _, _, ok, err := extendCell(row[gi], row[ki], row[vi], valCol)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if !ok {
+			ids[r] = -1
+			continue
+		}
+		ig, isInt := g.(int64)
+		if !isInt {
+			return extendGroupsAny(rows, ids, gi, ki, vi, valCol)
+		}
+		id, seen := byInt[ig]
+		if !seen {
+			id = int32(len(groups))
+			byInt[ig] = id
+			groups = append(groups, g)
+			order = append(order, id)
+		}
+		ids[r] = id
+	}
+	return ids, groups, order, nil
+}
+
+// extendGroupsAny is extendGroups for keys of any kind, writing into
+// ids: it sorts the rows by group key (keyCmp), stably, so that each
+// group is a run whose first row is the group's first appearance, and
+// numbers the runs in key order.
+func extendGroupsAny(rows [][]any, ids []int32, gi, ki, vi int, valCol string) ([]int32, []relation.Value, []int32, error) {
+	keys := make([]relation.Value, len(rows))
+	var byKey []int32
+	for r, row := range rows {
+		g, _, _, ok, err := extendCell(row[gi], row[ki], row[vi], valCol)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		ids[r] = -1
+		if ok {
+			keys[r] = g
+			byKey = append(byKey, int32(r))
+		}
+	}
+	slices.SortStableFunc(byKey, func(a, b int32) int { return keyCmp(keys[a], keys[b]) })
+	var (
+		groups []relation.Value
+		firsts []int32 // each group's first row
+	)
+	for i, r := range byKey {
+		if i == 0 || keyCmp(keys[byKey[i-1]], keys[r]) != 0 {
+			groups = append(groups, keys[r])
+			firsts = append(firsts, r)
+		}
+		ids[r] = int32(len(groups) - 1)
+	}
+	order := make([]int32, len(groups))
+	for id := range order {
+		order[id] = int32(id)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(firsts[a], firsts[b]) })
+	return ids, groups, order, nil
 }
 
 // extendCols finds ε's group, key and value columns among cols.
@@ -1023,8 +1069,18 @@ func buildRows(n, width int, fill func(i int, row []any)) [][]any {
 }
 
 // selectKeep evaluates σ's predicate over rel's rows in order, marking
-// the n rows it keeps.
+// the n rows it keeps; a σ on an ε's group key marks its run (groupRun).
 func selectKeep(s *Step, rel *Relation) (keep []bool, n int, err error) {
+	if lo, hi, ok := groupRun(s, rel); ok {
+		keep = make([]bool, len(rel.Rows))
+		for i := range keep {
+			keep[i] = (i >= lo && i < hi) == (s.keyOp == keyEq)
+		}
+		if s.keyOp == keyEq {
+			return keep, hi - lo, nil
+		}
+		return keep, len(keep) - (hi - lo), nil
+	}
 	expr, err := sqlmini.ParseExpr(s.cond, s.args...)
 	if err != nil {
 		return nil, 0, err
@@ -1042,6 +1098,33 @@ func selectKeep(s *Step, rel *Relation) (keep []bool, n int, err error) {
 		}
 	}
 	return keep, n, nil
+}
+
+// groupRun finds the rows [lo, hi) of rel, an ε's nesting, whose group
+// key equals the argument of σ s when s is g = ? or g <> ? on that key
+// (Step.keyOp): ε emits its groups in ascending relation.Compare order,
+// and SQL's = holds exactly where Compare returns 0, so the equal rows
+// are one run, found by binary search — the condition is neither parsed
+// nor evaluated. = keeps the run, <> every other row. ok is false for
+// any other σ, and for a nesting with a NaN group key, which Compare
+// calls equal to every number: the evaluator decides those.
+func groupRun(s *Step, rel *Relation) (lo, hi int, ok bool) {
+	if s.keyOp == noKeyOp {
+		return 0, 0, false
+	}
+	v, err := relation.Normalize(s.args[0]) // refsOnly read it
+	if err != nil {
+		return 0, 0, false
+	}
+	rows := rel.Rows
+	for _, row := range rows {
+		if isNaNKey(row[0]) {
+			return 0, 0, false
+		}
+	}
+	lo = sort.Search(len(rows), func(i int) bool { return relation.Compare(rows[i][0], v) >= 0 })
+	hi = lo + sort.Search(len(rows)-lo, func(i int) bool { return relation.Compare(rows[lo+i][0], v) > 0 })
+	return lo, hi, true
 }
 
 // rank implements ▷ short of its rows: every target row is scored
@@ -1238,47 +1321,6 @@ func (e *Engine) blendOperand(s, blend *Step, ops operands) (*scored, error) {
 		return nil, err
 	}
 	return asScored(rel), nil
-}
-
-// keyCmp orders normalized blend keys totally, equal exactly where Go's
-// == finds them equal — as a map keyed by them would match them: NULL,
-// then bools, int64s, float64s and strings, each kind apart, so 1 and
-// 1.0 differ while -0 and 0 do not. NaN, which equals nothing, must not
-// be compared.
-func keyCmp(a, b relation.Value) int {
-	if ka, kb := keyKind(a), keyKind(b); ka != kb {
-		return cmp.Compare(ka, kb)
-	}
-	switch x := a.(type) {
-	case bool:
-		if y := b.(bool); x != y {
-			if y {
-				return -1
-			}
-			return 1
-		}
-	case int64:
-		return cmp.Compare(x, b.(int64))
-	case float64:
-		return cmp.Compare(x, b.(float64))
-	case string:
-		return strings.Compare(x, b.(string))
-	}
-	return 0
-}
-
-func keyKind(v relation.Value) int {
-	switch v.(type) {
-	case bool:
-		return 1
-	case int64:
-		return 2
-	case float64:
-		return 3
-	case string:
-		return 4
-	}
-	return 0
 }
 
 // blend implements the blend operator: rows of two scored operands match

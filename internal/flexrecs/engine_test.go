@@ -262,7 +262,9 @@ func TestExtendSemantics(t *testing.T) {
 		byStudent[r[si].(int64)] = r[vi].(Vector)
 	}
 	v444 := byStudent[444]
-	if len(v444) != 3 || v444[int64(1)] != 5 || v444[int64(4)] != 2 {
+	at1, _ := v444.At(int64(1))
+	at4, _ := v444.At(int64(4))
+	if len(v444) != 3 || at1 != 5 || at4 != 2 {
 		t.Errorf("444 vector = %v", v444)
 	}
 }
@@ -285,11 +287,11 @@ func TestExtendNaNGroup(t *testing.T) {
 	if g := out.Rows[0][0].(float64); !math.IsNaN(g) {
 		t.Errorf("first group key = %v, want NaN (it arrived first and compares equal to 0.5)", g)
 	}
-	if v := out.Rows[0][1].(Vector); !reflect.DeepEqual(v, Vector{int64(1): 2.0, int64(2): 4.0}) {
+	if v := out.Rows[0][1].(Vector); !reflect.DeepEqual(v, mapVector{int64(1): 2.0, int64(2): 4.0}.vector()) {
 		t.Errorf("NaN group = %v, want both NaN rows' values", v)
 	}
-	if g, v := out.Rows[1][0], out.Rows[1][1].(Vector); g != 0.5 || !reflect.DeepEqual(v, Vector{int64(1): 3.0}) {
-		t.Errorf("second group = %v %v, want 0.5 map[1:3]", g, v)
+	if g, v := out.Rows[1][0], out.Rows[1][1].(Vector); g != 0.5 || !reflect.DeepEqual(v, mapVector{int64(1): 3.0}.vector()) {
+		t.Errorf("second group = %v %v, want 0.5 [{1 3}]", g, v)
 	}
 }
 
@@ -510,7 +512,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestRelationHelpers(t *testing.T) {
-	r := &Relation{Cols: []string{"A", "B"}, Rows: [][]any{{int64(1), Vector{int64(2): 3}}}}
+	r := &Relation{Cols: []string{"A", "B"}, Rows: [][]any{{int64(1), mapVector{int64(2): 3}.vector()}}}
 	if _, ok := r.Col("a"); !ok {
 		t.Error("Col should be case-insensitive")
 	}

@@ -239,7 +239,10 @@ func (m *extendView) nestGroup(k any) ([]any, error) {
 	for i := range cells {
 		dest[i] = &cells[i]
 	}
-	var out []any
+	var (
+		gkey    relation.Value
+		entries []Entry
+	)
 	for rows.Next() {
 		if err := rows.Scan(dest...); err != nil {
 			return nil, err
@@ -251,15 +254,18 @@ func (m *extendView) nestGroup(k any) ([]any, error) {
 		if !ok {
 			continue
 		}
-		if out == nil {
-			out = []any{g, Vector{}}
+		if entries == nil {
+			gkey = g
 		}
-		out[1].(Vector)[key] = val
+		entries = append(entries, Entry{Key: key, Value: val})
 	}
 	if err := rows.Err(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	if entries == nil {
+		return nil, nil
+	}
+	return []any{gkey, NewVector(entries)}, nil
 }
 
 // runMatServe executes a matStep — through the registry when one is

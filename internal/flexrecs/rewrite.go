@@ -107,7 +107,8 @@ func hoistGroupSelects(s *Step) *Step {
 	ext.child = x0
 	out := &ext
 	for i := len(moved) - 1; i >= 0; i-- {
-		out = &Step{kind: selectStep, cond: moved[i].cond, args: moved[i].args, child: out}
+		moved[i].child = out
+		out = moved[i]
 	}
 	return out
 }
@@ -126,14 +127,16 @@ func singleTableSpine(s *Step) bool {
 
 // stripGroupSelects rebuilds a single-table spine without the selections
 // that reference only the group column g, collecting those outermost
-// first.
+// first, each as a fresh σ for the caller to place above the ε.
 func stripGroupSelects(s *Step, g string, moved *[]*Step) *Step {
 	if s.kind == relStep {
 		return s
 	}
-	if s.kind == selectStep && refsOnly(s.cond, s.args, g) {
-		*moved = append(*moved, s)
-		return stripGroupSelects(s.child, g, moved)
+	if s.kind == selectStep {
+		if only, op := refsOnly(s.cond, s.args, g); only {
+			*moved = append(*moved, &Step{kind: selectStep, keyOp: op, cond: s.cond, args: s.args})
+			return stripGroupSelects(s.child, g, moved)
+		}
 	}
 	child := stripGroupSelects(s.child, g, moved)
 	if child == s.child {
@@ -146,20 +149,26 @@ func stripGroupSelects(s *Step, g string, moved *[]*Step) *Step {
 
 // refsOnly reports whether a selection condition references no column
 // other than the unqualified g. A condition that does not parse is left
-// where it is, to fail where it always has.
-func refsOnly(cond string, args []any, g string) bool {
+// where it is, to fail where it always has. When the condition is
+// g = ? or g <> ? (either way round) and its one argument is neither
+// NULL nor NaN, op says which: above the ε such a σ keeps a run of its
+// groups, which ε emits in ascending relation.Compare order — the order
+// SQL's = and <> compare by — so it finds them by binary search
+// (groupRun). NULL and NaN are left to the evaluator: SQL compares
+// nothing to NULL, and Compare calls NaN equal to every number.
+func refsOnly(cond string, args []any, g string) (only bool, op keyOp) {
 	expr, err := sqlmini.ParseExpr(cond, args...)
 	if err != nil {
-		return false
+		return false, noKeyOp
 	}
-	ok := true
+	only = true
 	var walk func(sqlmini.Expr)
 	walk = func(e sqlmini.Expr) {
 		switch x := e.(type) {
 		case nil, *sqlmini.Lit, *sqlmini.Param:
 		case *sqlmini.Ref:
 			if x.Qual != "" || !strings.EqualFold(x.Name, g) {
-				ok = false
+				only = false
 			}
 		case *sqlmini.Unary:
 			walk(x.X)
@@ -171,11 +180,28 @@ func refsOnly(cond string, args []any, g string) bool {
 			walk(x.Lo)
 			walk(x.Hi)
 		default:
-			ok = false // an expression form this pass does not know
+			only = false // an expression form this pass does not know
 		}
 	}
 	walk(expr)
-	return ok
+	b, ok := expr.(*sqlmini.Binary)
+	if !only || !ok || len(args) != 1 || (b.Op != "=" && b.Op != "<>") {
+		return only, noKeyOp
+	}
+	// With one argument bound, a literal beside g is that argument.
+	lit, ok := b.R.(*sqlmini.Lit)
+	if !ok {
+		lit, ok = b.L.(*sqlmini.Lit)
+	}
+	_, lref := b.L.(*sqlmini.Ref)
+	_, rref := b.R.(*sqlmini.Ref)
+	if !ok || lref == rref || lit.V == nil || isNaNKey(lit.V) {
+		return only, noKeyOp
+	}
+	if b.Op == "=" {
+		return only, keyEq
+	}
+	return only, keyNe
 }
 
 // paramFree reports whether a subtree's result is the same for every

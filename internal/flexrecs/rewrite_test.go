@@ -398,7 +398,7 @@ func TestRewriteSharesOneViewAndRunsNoSQL(t *testing.T) {
 
 // TestRewriteSharedSnapshotReadOnly pins the sharing rule the skipped
 // serve copy rests on: a consumer that only reads gets the snapshot
-// itself — same rows, same Vector maps — and leaves it untouched, while
+// itself — same rows, same Vectors — and leaves it untouched, while
 // in-place consumers and the caller of Run get a private copy.
 func TestRewriteSharedSnapshotReadOnly(t *testing.T) {
 	rw, _ := rewritingEngine(t)

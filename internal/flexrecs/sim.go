@@ -83,13 +83,16 @@ func JaccardText(a, b string) float64 {
 	return JaccardAgainst(textindex.Tokenize(a), Tokens(b))
 }
 
-// Float addition does not associate and Go randomizes map iteration, so
-// a sum accumulated in map order can move in its last bit from one run
-// to the next — and a similarity that does reorders every ranking built
-// on it (grade points such as 3.7 make the terms inexact; integer
-// ratings never showed it). Every vector similarity below therefore
-// collects its terms first and adds them up in an order that depends on
-// their values alone.
+// The vector similarities below find the keys two vectors share by a
+// merge: both are sorted by key (Vector), so one forward pass over each
+// meets every common key, and no key is hashed. The merge meets them in
+// key order, but the terms are not added in that order: float addition
+// does not associate, and a sum whose order depended on how the pairs
+// were met would move in its last bit with the vectors' layout — and
+// reorder every ranking built on it (grade points such as 3.7 make the
+// terms inexact; integer ratings never showed it). Every similarity
+// therefore collects its terms first and adds them up in an order that
+// depends on their values alone, so a score repeats bit for bit.
 
 // simTerms is the stack buffer the similarities collect into: pairs of
 // students rarely share more courses than this.
@@ -105,27 +108,48 @@ func sortedSum(terms []float64) float64 {
 	return sum
 }
 
+// common appends to pairs a's and b's values at each key the two share,
+// in key order: one merge, no key hashed. A NaN key matches nothing.
+func common(a, b Vector, pairs [][2]float64) [][2]float64 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		ka, kb := a[i].Key, b[j].Key
+		c, ok := intCmp(ka, kb)
+		if !ok {
+			c = keyCmp(ka, kb)
+		}
+		switch {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			if !isNaNKey(ka) {
+				pairs = append(pairs, [2]float64{a[i].Value, b[j].Value})
+			}
+			i++
+			j++
+		}
+	}
+	return pairs
+}
+
 // InvEuclidean computes 1 / (1 + d) where d is the Euclidean distance
 // between two sparse vectors over their common keys — the
 // "inv_Euclidean" function of Figure 5(b). Vectors with no common key
-// have similarity 0 (nothing comparable). The accumulation streams over
-// the smaller vector rather than materializing the common keys: this
-// runs once per candidate pair in the CF hot loop.
+// have similarity 0 (nothing comparable). It runs once per candidate
+// pair in the CF hot loop: one merge, its terms on the stack.
 func InvEuclidean(a, b Vector) float64 {
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
+	var pbuf [simTerms][2]float64
+	pairs := common(a, b, pbuf[:0])
+	if len(pairs) == 0 {
+		return 0
 	}
 	var buf [simTerms]float64
 	terms := buf[:0]
-	for k, x := range small {
-		if y, ok := big[k]; ok {
-			d := x - y
-			terms = append(terms, d*d)
-		}
-	}
-	if len(terms) == 0 {
-		return 0
+	for _, p := range pairs {
+		d := p[0] - p[1]
+		terms = append(terms, d*d)
 	}
 	return 1 / (1 + math.Sqrt(sortedSum(terms)))
 }
@@ -136,16 +160,12 @@ func InvEuclidean(a, b Vector) float64 {
 // a pair with a single shared rating does not degenerate to similarity
 // 1. Zero-norm vectors have similarity 0.
 func Cosine(a, b Vector) float64 {
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
-	}
+	var pbuf [simTerms][2]float64
+	pairs := common(a, b, pbuf[:0])
 	var buf [simTerms]float64
 	terms := buf[:0]
-	for k, x := range small {
-		if y, ok := big[k]; ok {
-			terms = append(terms, x*y)
-		}
+	for _, p := range pairs {
+		terms = append(terms, p[0]*p[1])
 	}
 	dot := sortedSum(terms)
 	if dot == 0 {
@@ -160,8 +180,8 @@ func Cosine(a, b Vector) float64 {
 
 // sumSquares is the squared norm of v, its terms collected into buf.
 func sumSquares(v Vector, buf []float64) float64 {
-	for _, x := range v {
-		buf = append(buf, x*x)
+	for _, e := range v {
+		buf = append(buf, e.Value*e.Value)
 	}
 	return sortedSum(buf)
 }
@@ -170,26 +190,14 @@ func sumSquares(v Vector, buf []float64) float64 {
 // their common keys, in [-1,1]. It requires at least two common keys and
 // non-degenerate variance; otherwise it returns 0.
 func Pearson(a, b Vector) float64 {
-	small, big, swapped := a, b, false
-	if len(b) < len(a) {
-		small, big, swapped = b, a, true
-	}
-	// The common keys' (a, b) value pairs, put in value order: every sum
-	// below then runs over the same sequence whatever the map order was.
-	var buf [simTerms][2]float64
-	pairs := buf[:0]
-	for k, x := range small {
-		if y, ok := big[k]; ok {
-			if swapped {
-				x, y = y, x
-			}
-			pairs = append(pairs, [2]float64{x, y})
-		}
-	}
+	var pbuf [simTerms][2]float64
+	pairs := common(a, b, pbuf[:0])
 	n := float64(len(pairs))
 	if n < 2 {
 		return 0
 	}
+	// The pairs in value order: every sum below then runs over the same
+	// sequence however they were met.
 	slices.SortFunc(pairs, func(p, q [2]float64) int {
 		if c := cmp.Compare(p[0], q[0]); c != 0 {
 			return c
@@ -221,15 +229,6 @@ func Overlap(a, b Vector) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	small, big := a, b
-	if len(b) < len(a) {
-		small, big = b, a
-	}
-	inter := 0
-	for k := range small {
-		if _, ok := big[k]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(small))
+	var pbuf [simTerms][2]float64
+	return float64(len(common(a, b, pbuf[:0]))) / float64(min(len(a), len(b)))
 }

@@ -22,6 +22,15 @@ const (
 	limitStep // top[k] the rewriter pushed into its child's statement (rewrite.go rule d)
 )
 
+// keyOp is the comparison of a σ on an ε's group key, if it is one.
+type keyOp uint8
+
+const (
+	noKeyOp keyOp = iota // any other σ, and every other step
+	keyEq                // g = ?
+	keyNe                // g <> ?
+)
+
 // Step is one node of a workflow DAG. Workflows are built fluently:
 //
 //	similar := flexrecs.Recommend(
@@ -33,6 +42,11 @@ const (
 // which is exactly the related-course workflow of Figure 5(a).
 type Step struct {
 	kind stepKind
+
+	// keyOp marks a selectStep the rewriter hoisted above an ε whose
+	// condition is g = ? or g <> ? on the ε's group key g (refsOnly):
+	// such a σ finds its rows by binary search (groupRun).
+	keyOp keyOp
 
 	table string // relStep: base table (may carry an alias, "Courses c")
 

@@ -217,11 +217,8 @@ func (s *Store) Conflicts(suID, year int64, term catalog.Term) []Conflict {
 func (s *Store) QuarterConflicts(q PlanQuarter) []Conflict {
 	var offs []catalog.Offering
 	for _, e := range q.Entries {
-		for _, o := range s.cat.Offerings(e.CourseID) {
-			if o.Year == q.Year && o.Term == q.Term {
-				offs = append(offs, o)
-				break
-			}
+		if o, ok := s.cat.OfferingIn(e.CourseID, q.Year, q.Term); ok {
+			offs = append(offs, o)
 		}
 	}
 	var out []Conflict

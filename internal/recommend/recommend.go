@@ -140,6 +140,9 @@ func (e *Engine) buildRatings() (map[int64]flexrecs.Vector, error) {
 		return nil, err
 	}
 	defer rows.Close()
+	// Each student's entries arrive in table order; NewVector sorts them
+	// by course and keeps a repeated course's last rating.
+	entries := map[int64][]flexrecs.Entry{}
 	for rows.Next() {
 		var sid int64
 		var cid, rating any
@@ -155,14 +158,15 @@ func (e *Engine) buildRatings() (map[int64]flexrecs.Vector, error) {
 		default: // NULL: unrated comment
 			continue
 		}
-		v, okv := out[sid]
-		if !okv {
-			v = flexrecs.Vector{}
-			out[sid] = v
-		}
-		v[cid] = val
+		entries[sid] = append(entries[sid], flexrecs.Entry{Key: cid, Value: val})
 	}
-	return out, rows.Err()
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	for sid, es := range entries {
+		out[sid] = flexrecs.NewVector(es)
+	}
+	return out, nil
 }
 
 // Popularity ranks courses by mean rating, requiring at least minRaters
@@ -171,9 +175,9 @@ func (e *Engine) Popularity(minRaters, k int) []Scored {
 	sums := map[int64]float64{}
 	counts := map[int64]int{}
 	for _, vec := range e.ratingsBySuID() {
-		for cid, v := range vec {
-			id := cid.(int64)
-			sums[id] += v
+		for _, en := range vec {
+			id := en.Key.(int64)
+			sums[id] += en.Value
 			counts[id]++
 		}
 	}
@@ -226,16 +230,16 @@ func (e *Engine) UserUserCF(suID int64, neighbors, k int, excludeRated bool) []S
 		if s.Score <= 0 {
 			continue
 		}
-		for cid, v := range vecs[s.ID] {
-			id := cid.(int64)
-			num[id] += s.Score * v
+		for _, en := range vecs[s.ID] {
+			id := en.Key.(int64)
+			num[id] += s.Score * en.Value
 			den[id] += s.Score
 		}
 	}
 	var out []Scored
 	for id, n := range num {
 		if excludeRated && target != nil {
-			if _, rated := target[int64(id)]; rated {
+			if _, rated := target.At(id); rated {
 				continue
 			}
 		}

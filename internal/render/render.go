@@ -83,18 +83,17 @@ func CoursePage(s *core.Site, courseID int64) (string, error) {
 		}
 	}
 
-	if comments := s.Comments.ByCourse(c.ID); len(comments) > 0 {
+	if comments, total := s.Comments.TopByCourse(c.ID, 3); total > 0 {
 		b.WriteString("\nComments (best first):\n")
-		for i, cm := range comments {
-			if i == 3 {
-				fmt.Fprintf(&b, "  … and %d more\n", len(comments)-3)
-				break
-			}
+		for _, cm := range comments {
 			r := ""
 			if cm.Rating > 0 {
 				r = fmt.Sprintf(" [%0.f★]", cm.Rating)
 			}
 			fmt.Fprintf(&b, "  %q%s\n", clip(cm.Text, 66), r)
+		}
+		if total > 3 {
+			fmt.Fprintf(&b, "  … and %d more\n", total-3)
 		}
 	}
 

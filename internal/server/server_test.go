@@ -169,7 +169,7 @@ func TestReviewEndpoint(t *testing.T) {
 	if n := len(site.Planner.Entries(u.ID)) - baseEnrolls; n != 1 {
 		t.Errorf("new enrollments = %d, want 1", n)
 	}
-	if n := len(site.Comments.ByCourse(course)); n == 0 {
+	if _, n := site.Comments.TopByCourse(course, 0); n == 0 {
 		t.Error("comment missing")
 	}
 	if _, n := site.Comments.AvgRating(course); n == 0 {

@@ -48,6 +48,14 @@
 // plan (bind.go) — and runs (exec.go). The one-shot Query(sql, args...)
 // is a thin wrapper over the same path.
 //
+// A Result's rows are read-only. A statement that selects every column
+// of one table in order (SELECT *, with or without a WHERE, probe or
+// scan) hands back the stored rows themselves, as the scan or probe
+// read them, and builds no row of its own: relation never changes a
+// stored row in place (a write installs a new one), so the rows stay a
+// consistent snapshot however long the caller keeps them — but a caller
+// that wrote into one would write into the table.
+//
 // Durability is invisible to this whole lifecycle: on a durable store
 // (relation.OpenDurable) relation journals each write through the
 // write-ahead log, and this engine only ever reads what was applied.

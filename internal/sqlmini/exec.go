@@ -81,7 +81,8 @@ func (e *Engine) batch() int {
 // DB exposes the underlying database.
 func (e *Engine) DB() *relation.DB { return e.db }
 
-// Result is a materialized query result.
+// Result is a materialized query result. Its rows are read-only: they
+// may be the table's stored rows (see the package doc).
 type Result struct {
 	Columns []string
 	Rows    []relation.Row
@@ -267,6 +268,9 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 				return nil, err
 			}
 			cur = e.limited(cur, limit)
+			// Without a join the pipeline hands over stored rows, which
+			// outlive the batch: an all-column SELECT returns them.
+			stored := len(plan.joins) == 0 && keepsEveryColumn(direct, len(plan.cols))
 			arena := rowArena{rows: e.firstSlab(limit)}
 			outRows := make([]relation.Row, 0, capHint(limit, plan.estOut()))
 			for {
@@ -277,6 +281,10 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 				}
 				if len(batch) == 0 {
 					break
+				}
+				if stored {
+					outRows = append(outRows, batch...)
+					continue
 				}
 				for _, row := range batch {
 					out := arena.alloc(len(direct))
@@ -393,7 +401,13 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 				break
 			}
 		}
-		if allDirect {
+		switch {
+		case allDirect && keepsEveryColumn(direct, len(rs.cols)):
+			// The drained rows are the result: stored rows, or rows this
+			// execution joined, and either way never written again.
+			outRows = rs.rows
+			sourceRows = rs.rows
+		case allDirect:
 			outRows = make([]relation.Row, len(rs.rows))
 			for ri, row := range rs.rows {
 				out := arena.alloc(len(direct))
@@ -403,7 +417,7 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 				outRows[ri] = out
 			}
 			sourceRows = rs.rows
-		} else {
+		default:
 			for _, row := range rs.rows {
 				out := arena.alloc(len(bound))
 				for i, item := range bound {
@@ -487,6 +501,20 @@ func (e *Engine) execSelect(ps *preparedSelect, params []relation.Value) (*Resul
 		}
 	}
 	return ps.result(outRows), nil
+}
+
+// keepsEveryColumn reports whether a direct projection (output column i
+// reads source column direct[i]) is the identity over width columns.
+func keepsEveryColumn(direct []int, width int) bool {
+	if len(direct) != width {
+		return false
+	}
+	for i, ci := range direct {
+		if ci != i {
+			return false
+		}
+	}
+	return true
 }
 
 // foldsProbe reports whether the bound plan is an aggregate over one

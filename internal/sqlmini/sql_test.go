@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -566,5 +567,76 @@ func TestCommentsAndWhitespace(t *testing.T) {
 	res := mustQuery(t, e, "SELECT Title -- the title\nFROM Courses -- all courses\nWHERE CourseID = 1")
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestAllColumnSelectReturnsStoredRows: a SELECT of every column of one
+// table, in order, hands back the stored rows themselves — the backing
+// arrays Table.Get returns — over a primary-key probe, an index probe,
+// a scan with and without a filter, a sort and a LIMIT, through Query,
+// a prepared statement and a ForceScan handle alike, and carves no
+// output row: its bytes are its row list's, not an arena's. A projection
+// that reorders the columns still builds rows of its own.
+func TestAllColumnSelectReturnsStoredRows(t *testing.T) {
+	e := testDB(t)
+	courses := e.DB().MustTable("Courses")
+	for i := range 2000 {
+		courses.MustInsert(relation.Row{nil, []string{"CS", "HIST", "MATH"}[i%3], fmt.Sprintf("Course %d", i), 3, int64(2000 + i%9)})
+	}
+	stored := func(row relation.Row) bool {
+		s, ok := courses.Get(row[0])
+		return ok && len(s) == len(row) && &s[0] == &row[0]
+	}
+	for _, q := range []struct {
+		sql  string
+		args []any
+	}{
+		{"SELECT * FROM Courses WHERE CourseID = ?", []any{3}},
+		{"SELECT * FROM Courses WHERE DepID = ?", []any{"HIST"}},
+		{"SELECT * FROM Courses", nil},
+		{"SELECT * FROM Courses WHERE Year > ?", []any{2004}},
+		{"SELECT * FROM Courses c WHERE c.Units = ? ORDER BY Title DESC", []any{3}},
+		{"SELECT * FROM Courses LIMIT ?", []any{5}},
+		{"SELECT CourseID, DepID, Title, Units, Year FROM Courses WHERE DepID = ?", []any{"CS"}},
+	} {
+		st, err := e.Prepare(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := st.Query(q.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*Result{
+			"query":     mustQuery(t, e, q.sql, q.args...),
+			"prepared":  prepared,
+			"forcescan": mustQuery(t, e.ForceScan(), q.sql, q.args...),
+		} {
+			if len(res.Rows) == 0 {
+				t.Fatalf("%s %s: no rows", name, q.sql)
+			}
+			for _, row := range res.Rows {
+				if !stored(row) {
+					t.Fatalf("%s %s: row %v is a copy, not the stored row", name, q.sql, row)
+				}
+			}
+		}
+	}
+
+	bytes := func(sql string) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mustQuery(t, e, sql)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	star := bytes("SELECT * FROM Courses")
+	reordered := bytes("SELECT DepID, CourseID, Title, Units, Year FROM Courses")
+	res := mustQuery(t, e, "SELECT DepID, CourseID, Title, Units, Year FROM Courses")
+	if stored(res.Rows[0]) {
+		t.Error("a reordering projection returned a stored row")
+	}
+	if cells := uint64(courses.Len() * 5 * 16); star > cells/2 || reordered < star+cells/2 {
+		t.Errorf("SELECT * over %d rows allocated %d B, the reordered projection %d B: want no arena of %d B", courses.Len(), star, reordered, cells)
 	}
 }

@@ -224,13 +224,16 @@ func plantedIntro(t *testing.T, s *core.Site) int64 {
 // Small scale on the memory mono site, handler and JSON encoding
 // included: the median of routeBudgetRuns requests through
 // Server.ServeHTTP, 10 % above what the route took when its bound was
-// set. The course page is the Zipf-head course's (34.6 KB; 105.0 KB
-// while the page's comment sort probed votes per comparison and every
-// read copied its rows), the plan the sample student's (35.5 KB; 329.2
-// KB while the plan re-read the student's enrolments per quarter).
+// set. The course page is the Zipf-head course's (26.3 KB; 34.6 KB
+// while it converted and sorted every comment of the course to show
+// three, 105.0 KB while that sort probed votes per comparison and every
+// read copied its rows), the plan the sample student's (31.4 KB; 35.5
+// KB while each entry's quarter conflict check converted every offering
+// of the course, 329.2 KB while the plan re-read the student's
+// enrolments per quarter).
 var routeBudgetKB = map[string]float64{
-	"course": 38.1,
-	"plan":   39.1,
+	"course": 28.9,
+	"plan":   34.5,
 }
 
 const routeBudgetRuns = 20
