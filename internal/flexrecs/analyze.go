@@ -54,7 +54,8 @@ func (e *Engine) RunAnalyze(w *Step) (*Relation, string, error) {
 		return nil, "", err
 	}
 	t0 := time.Now()
-	rel, root, err := e.analyzeStep(e.rewrite(w), true)
+	p, bound := e.plan(w)
+	rel, root, err := e.analyzeStep(p, bound, true)
 	if err != nil {
 		return nil, "", err
 	}
@@ -71,21 +72,21 @@ func (e *Engine) ExplainAnalyze(w *Step) (string, error) {
 	return report, err
 }
 
-func (e *Engine) analyzeStep(s *Step, private bool) (*Relation, *analyzeNode, error) {
+func (e *Engine) analyzeStep(s *Step, b binding, private bool) (*Relation, *analyzeNode, error) {
 	if sqlable(s) {
-		return e.analyzeSQL(s)
+		return e.analyzeSQL(s, b)
 	}
 	if s.kind == matStep {
-		return e.analyzeMat(s, private)
+		return e.analyzeMat(s, b, private)
 	}
 	node := &analyzeNode{}
 	t0 := time.Now()
-	rel, err := e.applyStep(s, analyzeOperands{e, node})
+	rel, err := e.applyStep(s, b, analyzeOperands{e, b, node})
 	if err != nil {
 		return nil, nil, err
 	}
 	node.line = fmt.Sprintf("%s (actual rows=%d time=%s)",
-		s.explainLine(), len(rel.Rows), time.Since(t0).Round(time.Microsecond))
+		s.explainLine(b), len(rel.Rows), time.Since(t0).Round(time.Microsecond))
 	return rel, node, nil
 }
 
@@ -95,11 +96,12 @@ func (e *Engine) analyzeStep(s *Step, private bool) (*Relation, *analyzeNode, er
 // rows out, and the report keeps every line Explain prints.
 type analyzeOperands struct {
 	e    *Engine
+	b    binding
 	node *analyzeNode
 }
 
 func (a analyzeOperands) run(s *Step, private bool) (*Relation, error) {
-	rel, child, err := a.e.analyzeStep(s, private)
+	rel, child, err := a.e.analyzeStep(s, a.b, private)
 	if err != nil {
 		return nil, err
 	}
@@ -110,11 +112,11 @@ func (a analyzeOperands) run(s *Step, private bool) (*Relation, error) {
 func (a analyzeOperands) fuse(s, into *Step) (operands, func(rows, of int)) {
 	n := &analyzeNode{}
 	a.node.children = append(a.node.children, n)
-	consumer := into.describe()
+	consumer := into.describe(a.b)
 	if into.kind == blendStep {
 		consumer = "blend"
 	}
-	return analyzeOperands{a.e, n}, func(rows, of int) {
+	return analyzeOperands{a.e, a.b, n}, func(rows, of int) {
 		what := "read"
 		switch s.kind {
 		case recommendStep:
@@ -122,24 +124,21 @@ func (a analyzeOperands) fuse(s, into *Step) (operands, func(rows, of int)) {
 		case blendStep:
 			what = "ranked"
 		case selectStep:
-			n.line = fmt.Sprintf("%s (fused into %s: kept %d of %d)", s.explainLine(), consumer, rows, of)
+			n.line = fmt.Sprintf("%s (fused into %s: kept %d of %d)", s.explainLine(a.b), consumer, rows, of)
 			return
 		}
-		n.line = fmt.Sprintf("%s (fused into %s: %s %d)", s.explainLine(), consumer, what, rows)
+		n.line = fmt.Sprintf("%s (fused into %s: %s %d)", s.explainLine(a.b), consumer, what, rows)
 	}
 }
 
 // analyzeSQL runs one compiled subtree, preferring the backend
 // statement's analyze path for the annotated physical plan.
-func (e *Engine) analyzeSQL(s *Step) (*Relation, *analyzeNode, error) {
-	cs, err := e.compiledFor(s)
+func (e *Engine) analyzeSQL(s *Step, b binding) (*Relation, *analyzeNode, error) {
+	cs, err := e.compiledFor(s, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	args := gatherShapeArgs(s, nil)
-	for i, j := 0, len(args)-1; i < j; i, j = i+1, j-1 {
-		args[i], args[j] = args[j], args[i]
-	}
+	args := shapeArgs(s, b)
 	var res *sqlmini.Result
 	var plan string
 	t0 := time.Now()
@@ -173,9 +172,9 @@ func (e *Engine) analyzeSQL(s *Step) (*Relation, *analyzeNode, error) {
 // brought a maintained view current also says how many keys it
 // recomputed; a build ran the child uninstrumented inside the registry's
 // single-flight, and the line says what that cost.
-func (e *Engine) analyzeMat(s *Step, private bool) (*Relation, *analyzeNode, error) {
+func (e *Engine) analyzeMat(s *Step, b binding, private bool) (*Relation, *analyzeNode, error) {
 	t0 := time.Now()
-	rel, serve, hadRegistry, err := e.runMatServe(s, private)
+	rel, serve, hadRegistry, err := e.runMatServe(s, b, private)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -195,6 +194,6 @@ func (e *Engine) analyzeMat(s *Step, private bool) (*Relation, *analyzeNode, err
 	default:
 		how = "matview miss (built by this request)"
 	}
-	node := &analyzeNode{line: fmt.Sprintf("%s — %s (actual rows=%d time=%s)", s.describe(), how, len(rel.Rows), d)}
+	node := &analyzeNode{line: fmt.Sprintf("%s — %s (actual rows=%d time=%s)", s.describe(b), how, len(rel.Rows), d)}
 	return rel, node, nil
 }

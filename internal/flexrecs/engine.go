@@ -21,16 +21,21 @@ import (
 // nested attributes execute as external functions over materialized
 // results — the hybrid strategy of paper §3.2.
 //
-// Compiled statements memoize per workflow SHAPE: template builds
-// produce a fresh Step tree per personalized request, but the tree's
-// structure — and therefore its SQL text — is stable across requests,
-// only the '?' arguments change. The engine keys a prepared *Stmt on a
-// structural fingerprint of the subtree, so a repeated workflow skips
-// string re-rendering AND the SQL engine's text-keyed cache lookup:
-// per request only argument gathering, bind and execute remain.
+// Workflows memoize per SHAPE: template builds produce a fresh Step tree
+// per personalized request, but the tree's structure — and therefore
+// its rewrite and its SQL text — is stable across requests, only the
+// '?' arguments and the top k change. An engine with a registry runs
+// each shape's rewritten plan (plan.go), binding each request's values
+// into it; a plan's sqlable node keeps its prepared statement. Any other
+// sqlable subtree finds its statement by a structural fingerprint of
+// itself. Either way a repeated workflow skips string re-rendering AND
+// the SQL engine's text-keyed cache lookup: per request only argument
+// gathering, bind and execute remain.
 type Engine struct {
 	sql     *sqlmini.Engine
 	backend Backend // executes compiled statements; defaults to the SQL engine
+
+	plans planCache // workflow shape → rewritten plan; used with a registry
 
 	compiled      sync.Map // shape fingerprint → *compiledSQL
 	compiledN     atomic.Int64
@@ -121,13 +126,15 @@ func (e *Engine) ForceScan() *Engine {
 func (e *Engine) SQL() *sqlmini.Engine { return e.sql }
 
 // Run validates and executes a workflow, returning its materialized
-// result. What executes is the rewritten tree (rewrite.go): the same
+// result. What executes is the rewritten tree (rewrite.go), planned once
+// per workflow shape and run with w's own values (plan.go): the same
 // rows in the same order, computed the way the engine chooses.
 func (e *Engine) Run(w *Step) (*Relation, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	return e.runStep(e.rewrite(w), true)
+	p, b := e.plan(w)
+	return e.runStep(p, b, true)
 }
 
 // sqlable reports whether the subtree compiles to a single SQL
@@ -185,27 +192,28 @@ type sqlParts struct {
 	limit     bool // statement ends in LIMIT ?, bound as the last argument
 }
 
-// gather walks a sqlable subtree, collecting FROM/WHERE/projection.
-func gather(s *Step, p *sqlParts) error {
+// gather walks a sqlable subtree, collecting FROM/WHERE/projection and
+// the arguments b binds.
+func gather(s *Step, b binding, p *sqlParts) error {
 	switch s.kind {
 	case relStep:
 		p.from = s.table
 		return nil
 	case selectStep:
 		p.conds = append(p.conds, s.cond)
-		p.args = append(p.args, s.args...)
-		return gather(s.child, p)
+		p.args = append(p.args, b.of(s).args...)
+		return gather(s.child, b, p)
 	case projectStep:
 		if len(p.proj) == 0 {
 			p.proj = s.cols
 		}
-		return gather(s.child, p)
+		return gather(s.child, b, p)
 	case joinStep:
-		if err := gather(s.child, p); err != nil {
+		if err := gather(s.child, b, p); err != nil {
 			return err
 		}
 		var right sqlParts
-		if err := gather(s.other, &right); err != nil {
+		if err := gather(s.other, b, &right); err != nil {
 			return err
 		}
 		if strings.Contains(right.from, " JOIN ") {
@@ -217,23 +225,27 @@ func gather(s *Step, p *sqlParts) error {
 		return nil
 	case orderStep:
 		p.orderCol, p.orderDesc = s.orderCol, s.desc
-		return gather(s.child, p)
+		return gather(s.child, b, p)
 	case limitStep:
 		// Outermost, so first into the outermost-first argument list:
 		// CompileSQL's reversal lands k behind every WHERE argument.
 		p.limit = true
-		p.args = append(p.args, int64(s.k))
-		return gather(s.child, p)
+		p.args = append(p.args, int64(b.of(s).k))
+		return gather(s.child, b, p)
 	}
-	return fmt.Errorf("flexrecs: step %s is not SQL-compilable", s.describe())
+	return fmt.Errorf("flexrecs: step %s is not SQL-compilable", s.describe(b))
 }
 
 // CompileSQL renders a sqlable subtree as its SQL statement. It is
 // exported so Explain output and tests can show the exact statements
 // shipped to the DBMS.
-func CompileSQL(s *Step) (string, []any, error) {
+func CompileSQL(s *Step) (string, []any, error) { return compileSQL(s, nil) }
+
+// compileSQL is CompileSQL for a plan subtree, with the arguments b
+// binds.
+func compileSQL(s *Step, b binding) (string, []any, error) {
 	var p sqlParts
-	if err := gather(s, &p); err != nil {
+	if err := gather(s, b, &p); err != nil {
 		return "", nil, err
 	}
 	sel := "*"
@@ -312,37 +324,55 @@ func shapeKey(s *Step, b *strings.Builder) {
 	}
 }
 
-// gatherShapeArgs collects the subtree's placeholder arguments in the
-// same traversal order gather uses; CompileSQL reverses its gathered
-// list, so callers reverse this one identically.
-func gatherShapeArgs(s *Step, args []any) []any {
+// gatherShapeArgs collects the subtree's placeholder arguments, as b
+// binds them, in the same traversal order gather uses; CompileSQL
+// reverses its gathered list, so callers reverse this one identically.
+func gatherShapeArgs(s *Step, b binding, args []any) []any {
 	switch s.kind {
 	case selectStep:
-		args = append(args, s.args...)
-		return gatherShapeArgs(s.child, args)
+		args = append(args, b.of(s).args...)
+		return gatherShapeArgs(s.child, b, args)
 	case projectStep, orderStep:
-		return gatherShapeArgs(s.child, args)
+		return gatherShapeArgs(s.child, b, args)
 	case limitStep:
-		return gatherShapeArgs(s.child, append(args, int64(s.k)))
+		return gatherShapeArgs(s.child, b, append(args, int64(b.of(s).k)))
 	case joinStep:
-		args = gatherShapeArgs(s.child, args)
-		return gatherShapeArgs(s.other, args)
+		args = gatherShapeArgs(s.child, b, args)
+		return gatherShapeArgs(s.other, b, args)
 	}
 	return args
 }
 
 // compiledFor resolves a sqlable subtree to its memoized prepared
-// statement, compiling and preparing on first sight of the shape.
-func (e *Engine) compiledFor(s *Step) (*compiledSQL, error) {
-	var b strings.Builder
-	shapeKey(s, &b)
-	key := b.String()
+// statement, a plan subtree's with the values b binds. A plan node keeps
+// the statement from its first run, so later requests build no
+// fingerprint; each still counts the hit.
+func (e *Engine) compiledFor(s *Step, b binding) (*compiledSQL, error) {
+	if s.plan != nil {
+		if cs := s.plan.compiled.Load(); cs != nil {
+			e.compileHits.Add(1)
+			return cs, nil
+		}
+	}
+	cs, err := e.compiledByShape(s, b)
+	if err == nil && s.plan != nil {
+		s.plan.compiled.Store(cs)
+	}
+	return cs, err
+}
+
+// compiledByShape finds a sqlable subtree's statement by its structural
+// fingerprint, compiling and preparing on first sight of the shape.
+func (e *Engine) compiledByShape(s *Step, b binding) (*compiledSQL, error) {
+	var kb strings.Builder
+	shapeKey(s, &kb)
+	key := kb.String()
 	if v, ok := e.compiled.Load(key); ok {
 		e.compileHits.Add(1)
 		return v.(*compiledSQL), nil
 	}
 	e.compileMisses.Add(1)
-	sql, _, err := CompileSQL(s)
+	sql, _, err := compileSQL(s, b)
 	if err != nil {
 		return nil, err
 	}
@@ -366,12 +396,12 @@ func (e *Engine) CompileStats() (hits, misses uint64) {
 	return e.compileHits.Load(), e.compileMisses.Load()
 }
 
-func (e *Engine) runSQL(s *Step) (*Relation, error) {
-	cs, err := e.compiledFor(s)
+func (e *Engine) runSQL(s *Step, b binding) (*Relation, error) {
+	cs, err := e.compiledFor(s, b)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cs.stmt.Query(shapeArgs(s)...)
+	res, err := cs.stmt.Query(shapeArgs(s, b)...)
 	if err != nil {
 		return nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
 	}
@@ -386,7 +416,7 @@ func (e *Engine) runSQL(s *Step) (*Relation, error) {
 // transient pipeline: its rows arrive one at a time, and none is copied
 // into a result.
 func (e *Engine) streamSQL(s *Step) (*sqlmini.Rows, error) {
-	cs, err := e.compiledFor(s)
+	cs, err := e.compiledFor(s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -394,35 +424,36 @@ func (e *Engine) streamSQL(s *Step) (*sqlmini.Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("flexrecs: %q runs on a backend that does not stream", cs.sql)
 	}
-	rows, err := st.QueryRows(shapeArgs(s)...)
+	rows, err := st.QueryRows(shapeArgs(s, nil)...)
 	if err != nil {
 		return nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
 	}
 	return rows, nil
 }
 
-// shapeArgs returns a sqlable subtree's arguments in the order its
-// compiled statement binds them: gatherShapeArgs's list, reversed as
-// CompileSQL reverses its own.
-func shapeArgs(s *Step) []any {
-	args := gatherShapeArgs(s, nil)
+// shapeArgs returns a sqlable subtree's arguments, as b binds them, in
+// the order its compiled statement binds them: gatherShapeArgs's list,
+// reversed as CompileSQL reverses its own.
+func shapeArgs(s *Step, b binding) []any {
+	args := gatherShapeArgs(s, b, nil)
 	slices.Reverse(args)
 	return args
 }
 
-// runStep executes a subtree. private asks for a relation the caller may
-// edit in place (sort, truncate); without it a materialize step hands
-// over the view's shared snapshot itself, which must only be read. Every
-// other step returns a fresh relation either way.
-func (e *Engine) runStep(s *Step, private bool) (*Relation, error) {
+// runStep executes a subtree, a plan's with the values b binds. private
+// asks for a relation the caller may edit in place (sort, truncate);
+// without it a materialize step hands over the view's shared snapshot
+// itself, which must only be read. Every other step returns a fresh
+// relation either way.
+func (e *Engine) runStep(s *Step, b binding, private bool) (*Relation, error) {
 	if sqlable(s) {
-		return e.runSQL(s)
+		return e.runSQL(s, b)
 	}
 	if s.kind == matStep {
-		rel, _, _, err := e.runMatServe(s, private)
+		rel, _, _, err := e.runMatServe(s, b, private)
 		return rel, err
 	}
-	return e.applyStep(s, plainOperands{e})
+	return e.applyStep(s, b, plainOperands{e, b})
 }
 
 // operands is how applyStep obtains what an operator reads: Run's plain
@@ -437,22 +468,29 @@ type operands interface {
 	fuse(s, into *Step) (in operands, done func(rows, of int))
 }
 
-type plainOperands struct{ e *Engine }
+type plainOperands struct {
+	e *Engine
+	b binding
+}
 
-func (p plainOperands) run(s *Step, private bool) (*Relation, error) { return p.e.runStep(s, private) }
-func (p plainOperands) fuse(_, _ *Step) (operands, func(int, int))   { return p, func(int, int) {} }
+func (p plainOperands) run(s *Step, private bool) (*Relation, error) {
+	return p.e.runStep(s, p.b, private)
+}
+func (p plainOperands) fuse(_, _ *Step) (operands, func(int, int)) { return p, func(int, int) {} }
 
 // applyStep executes one non-sqlable operator other than materialize,
-// obtaining operand relations through ops. Operators that only read
-// their operands (all but the in-place top and order) take them shared.
-func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
+// with the values b binds, obtaining operand relations through ops.
+// Operators that only read their operands (all but the in-place top and
+// order) take them shared.
+func (e *Engine) applyStep(s *Step, b binding, ops operands) (*Relation, error) {
 	switch s.kind {
 	case selectStep:
 		child, err := ops.run(s.child, false)
 		if err != nil {
 			return nil, err
 		}
-		if lo, hi, ok := groupRun(s, child); ok {
+		args := b.of(s).args
+		if lo, hi, ok := groupRun(s, args, child); ok {
 			out := &Relation{Cols: child.Cols}
 			if s.keyOp == keyEq {
 				out.Rows = append(out.Rows, child.Rows[lo:hi]...)
@@ -461,7 +499,7 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 			}
 			return out, nil
 		}
-		keep, n, err := selectKeep(s, child)
+		keep, n, err := selectKeep(s, args, child)
 		if err != nil {
 			return nil, err
 		}
@@ -522,24 +560,25 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 		return extend(child, s.groupBy, s.keyCol, s.valCol, s.as)
 
 	case recommendStep:
-		r, _, err := e.rank(s, allRows, ops)
+		r, _, err := e.rank(s, b, allRows, ops)
 		if err != nil {
 			return nil, err
 		}
 		return r.relation(), nil
 
 	case blendStep:
-		rel, _, err := e.blend(s, allRows, ops)
+		rel, _, err := e.blend(s, b, allRows, ops)
 		return rel, err
 
 	case topStep:
 		// A top over ▷ or blend passes k down: every candidate is still
 		// scored (so scoring errors surface as they would unfused), but
 		// only the k rows that survive are built.
+		k := b.of(s).k
 		switch s.child.kind {
 		case recommendStep:
 			in, done := ops.fuse(s.child, s)
-			r, n, err := e.rank(s.child, s.k, in)
+			r, n, err := e.rank(s.child, b, k, in)
 			if err != nil {
 				return nil, err
 			}
@@ -547,7 +586,7 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 			return r.relation(), nil
 		case blendStep:
 			in, done := ops.fuse(s.child, s)
-			rel, ranked, err := e.blend(s.child, s.k, in)
+			rel, ranked, err := e.blend(s.child, b, k, in)
 			if err != nil {
 				return nil, err
 			}
@@ -558,8 +597,8 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(child.Rows) > s.k {
-			child.Rows = child.Rows[:s.k]
+		if len(child.Rows) > k {
+			child.Rows = child.Rows[:k]
 		}
 		return child, nil
 
@@ -581,7 +620,7 @@ func (e *Engine) applyStep(s *Step, ops operands) (*Relation, error) {
 		})
 		return child, nil
 	}
-	return nil, fmt.Errorf("flexrecs: cannot execute step %s", s.describe())
+	return nil, fmt.Errorf("flexrecs: cannot execute step %s", s.describe(b))
 }
 
 // joinRelations joins two materialized relations on a SQL condition
@@ -1068,10 +1107,11 @@ func buildRows(n, width int, fill func(i int, row []any)) [][]any {
 	return rows
 }
 
-// selectKeep evaluates σ's predicate over rel's rows in order, marking
-// the n rows it keeps; a σ on an ε's group key marks its run (groupRun).
-func selectKeep(s *Step, rel *Relation) (keep []bool, n int, err error) {
-	if lo, hi, ok := groupRun(s, rel); ok {
+// selectKeep evaluates σ's predicate, bound to args, over rel's rows in
+// order, marking the n rows it keeps; a σ on an ε's group key marks its
+// run (groupRun).
+func selectKeep(s *Step, args []any, rel *Relation) (keep []bool, n int, err error) {
+	if lo, hi, ok := groupRun(s, args, rel); ok {
 		keep = make([]bool, len(rel.Rows))
 		for i := range keep {
 			keep[i] = (i >= lo && i < hi) == (s.keyOp == keyEq)
@@ -1081,7 +1121,7 @@ func selectKeep(s *Step, rel *Relation) (keep []bool, n int, err error) {
 		}
 		return keep, len(keep) - (hi - lo), nil
 	}
-	expr, err := sqlmini.ParseExpr(s.cond, s.args...)
+	expr, err := sqlmini.ParseExpr(s.cond, args...)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1101,18 +1141,18 @@ func selectKeep(s *Step, rel *Relation) (keep []bool, n int, err error) {
 }
 
 // groupRun finds the rows [lo, hi) of rel, an ε's nesting, whose group
-// key equals the argument of σ s when s is g = ? or g <> ? on that key
+// key equals σ s's argument args[0] when s is g = ? or g <> ? on that key
 // (Step.keyOp): ε emits its groups in ascending relation.Compare order,
 // and SQL's = holds exactly where Compare returns 0, so the equal rows
 // are one run, found by binary search — the condition is neither parsed
 // nor evaluated. = keeps the run, <> every other row. ok is false for
 // any other σ, and for a nesting with a NaN group key, which Compare
 // calls equal to every number: the evaluator decides those.
-func groupRun(s *Step, rel *Relation) (lo, hi int, ok bool) {
+func groupRun(s *Step, args []any, rel *Relation) (lo, hi int, ok bool) {
 	if s.keyOp == noKeyOp {
 		return 0, 0, false
 	}
-	v, err := relation.Normalize(s.args[0]) // refsOnly read it
+	v, err := relation.Normalize(args[0]) // refsOnly read its class
 	if err != nil {
 		return 0, 0, false
 	}
@@ -1141,7 +1181,7 @@ func groupRun(s *Step, rel *Relation) (lo, hi int, ok bool) {
 // order, so positions in its input order ties as they did in its output;
 // and a comparator scores a row by that row alone (Comparator), so the
 // rows it drops change no score.
-func (e *Engine) rank(s *Step, k int, ops operands) (r *scored, n int, err error) {
+func (e *Engine) rank(s *Step, b binding, k int, ops operands) (r *scored, n int, err error) {
 	var (
 		target *Relation
 		keep   []bool
@@ -1151,7 +1191,7 @@ func (e *Engine) rank(s *Step, k int, ops operands) (r *scored, n int, err error
 		if target, err = in.run(sel.child, false); err != nil {
 			return nil, 0, err
 		}
-		if keep, n, err = selectKeep(sel, target); err != nil {
+		if keep, n, err = selectKeep(sel, b.of(sel).args, target); err != nil {
 			return nil, 0, err
 		}
 		done(n, len(target.Rows))
@@ -1292,11 +1332,11 @@ func (b *bestFirst) rows() []rankedRow {
 // blendOperand reads one operand of blend: a ▷, bare or under one π, in
 // place as its scores by row, neither ranked nor built; any other operand
 // runs and is read as its rows.
-func (e *Engine) blendOperand(s, blend *Step, ops operands) (*scored, error) {
+func (e *Engine) blendOperand(s, blend *Step, b binding, ops operands) (*scored, error) {
 	switch {
 	case s.kind == recommendStep:
 		in, done := ops.fuse(s, blend)
-		r, n, err := e.rank(s, unranked, in)
+		r, n, err := e.rank(s, b, unranked, in)
 		if err != nil {
 			return nil, err
 		}
@@ -1305,7 +1345,7 @@ func (e *Engine) blendOperand(s, blend *Step, ops operands) (*scored, error) {
 	case s.kind == projectStep && s.child.kind == recommendStep:
 		in, done := ops.fuse(s, blend)
 		rin, rdone := in.fuse(s.child, blend)
-		r, n, err := e.rank(s.child, unranked, rin)
+		r, n, err := e.rank(s.child, b, unranked, rin)
 		if err != nil {
 			return nil, err
 		}
@@ -1337,12 +1377,12 @@ func (e *Engine) blendOperand(s, blend *Step, ops operands) (*scored, error) {
 // score there and its position (rankedRow.prior), and the right side's
 // key index is its row positions sorted by key, ties in the right
 // operand's order, searched once per left row.
-func (e *Engine) blend(s *Step, k int, ops operands) (rel *Relation, ranked int, err error) {
-	left, err := e.blendOperand(s.child, s, ops)
+func (e *Engine) blend(s *Step, b binding, k int, ops operands) (rel *Relation, ranked int, err error) {
+	left, err := e.blendOperand(s.child, s, b, ops)
 	if err != nil {
 		return nil, 0, err
 	}
-	right, err := e.blendOperand(s.other, s, ops)
+	right, err := e.blendOperand(s.other, s, b, ops)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1472,17 +1512,19 @@ func (e *Engine) blend(s *Step, k int, ops operands) (rel *Relation, ranked int,
 // subtrees shown as the exact statements shipped to the DBMS, each
 // followed by the physical plan the SQL engine's planner chose for it
 // (access paths, join algorithms, pushed predicates). The tree shown is
-// the rewritten one Run executes, not the one the template drew.
+// the rewritten one Run executes — w's shape's plan, with w's values —
+// not the one the template drew.
 func (e *Engine) Explain(w *Step) string {
+	p, bound := e.plan(w)
 	var b strings.Builder
-	e.explain(e.rewrite(w), 0, &b)
+	e.explain(p, bound, 0, &b)
 	return b.String()
 }
 
-func (e *Engine) explain(s *Step, depth int, b *strings.Builder) {
+func (e *Engine) explain(s *Step, bound binding, depth int, b *strings.Builder) {
 	indent := strings.Repeat("  ", depth)
 	if sqlable(s) {
-		sql, args, err := CompileSQL(s)
+		sql, args, err := compileSQL(s, bound)
 		if err != nil {
 			fmt.Fprintf(b, "%s!error: %v\n", indent, err)
 			return
@@ -1500,15 +1542,15 @@ func (e *Engine) explain(s *Step, depth int, b *strings.Builder) {
 		return
 	}
 	if s.kind == matStep {
-		fmt.Fprintf(b, "%s%s\n", indent, e.explainMat(s))
-		e.explain(s.child, depth+1, b)
+		fmt.Fprintf(b, "%s%s\n", indent, e.explainMat(s, bound))
+		e.explain(s.child, bound, depth+1, b)
 		return
 	}
-	fmt.Fprintf(b, "%s%s\n", indent, s.explainLine())
+	fmt.Fprintf(b, "%s%s\n", indent, s.explainLine(bound))
 	if s.child != nil {
-		e.explain(s.child, depth+1, b)
+		e.explain(s.child, bound, depth+1, b)
 	}
 	if s.other != nil {
-		e.explain(s.other, depth+1, b)
+		e.explain(s.other, bound, depth+1, b)
 	}
 }

@@ -371,7 +371,7 @@ func TestOrderByCompilesOnlyOutermost(t *testing.T) {
 		Rel("Courses").OrderBy("Title", false).OrderBy("Units", true),
 	} {
 		if sqlable(wf) {
-			t.Errorf("non-outermost OrderBy must not be SQL-compilable: %s", wf.describe())
+			t.Errorf("non-outermost OrderBy must not be SQL-compilable: %s", wf.describe(nil))
 		}
 	}
 	// A refused tree still executes step-wise with both sorts applied:
@@ -745,7 +745,7 @@ func refRun(e *Engine, w *Step) (*Relation, error) {
 	var run func(s *Step, private bool) (*Relation, error)
 	run = func(s *Step, private bool) (*Relation, error) {
 		if sqlable(s) || s.kind == matStep {
-			return e.runStep(s, private)
+			return e.runStep(s, nil, private)
 		}
 		switch s.kind {
 		case recommendStep:
@@ -784,7 +784,7 @@ func refRun(e *Engine, w *Step) (*Relation, error) {
 			}
 			return child, nil
 		}
-		return e.applyStep(s, refOperands{run})
+		return e.applyStep(s, nil, refOperands{run})
 	}
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -51,13 +51,15 @@ func (e *Engine) MatStats() (hits, misses uint64) {
 // short fingerprint of the child subtree's SHAPE (so a reused name over
 // a different tree — e.g. a band width baked into an ON clause — cannot
 // serve the wrong view), and the subtree's parameter values (so a view
-// over a subtree that binds parameters is one view per binding).
-// Argument values render with their dynamic type, keeping int64(1) and
-// "1" — or differently grouped args that stringify alike — on separate
-// views. Unlike shapeKey/gatherShapeArgs — which only see
-// sqlable kinds — the walk here spans EVERY operator: materialized
-// prefixes routinely hold extend and recommend steps.
-func matKey(s *Step) string {
+// over a subtree that binds parameters is one view per binding), a plan
+// subtree's bound from b. Argument values render with their dynamic
+// type, keeping int64(1) and "1" — or differently grouped args that
+// stringify alike — on separate views. Unlike shapeKey/gatherShapeArgs
+// — which only see sqlable kinds — the walk here spans EVERY operator:
+// materialized prefixes routinely hold extend and recommend steps. A
+// plan computes the key once for a view whose subtree binds nothing
+// (viewKey).
+func matKey(s *Step, b binding) string {
 	var shape strings.Builder
 	var args []any
 	var walk func(*Step)
@@ -65,10 +67,10 @@ func matKey(s *Step) string {
 		if s == nil {
 			return
 		}
-		fmt.Fprintf(&shape, "%d|%s", s.kind, s.describe())
+		fmt.Fprintf(&shape, "%d|%s", s.kind, s.describe(b))
 		shape.WriteByte(0)
 		if s.kind == selectStep {
-			args = append(args, s.args...)
+			args = append(args, b.of(s).args...)
 		}
 		walk(s.child)
 		walk(s.other)
@@ -85,6 +87,15 @@ func matKey(s *Step) string {
 		key += "|" + b.String()
 	}
 	return key
+}
+
+// viewKey is a matStep's registry key: the one its plan keeps, else
+// matKey's.
+func viewKey(s *Step, b binding) string {
+	if s.plan != nil && s.plan.viewKey != "" {
+		return s.plan.viewKey
+	}
+	return matKey(s, b)
 }
 
 // baseTables collects the distinct base-table names a subtree reads —
@@ -116,24 +127,24 @@ func baseTables(s *Step) []string {
 }
 
 // viewFor resolves (lazily registering) the matview behind a matStep.
-func (e *Engine) viewFor(s *Step) (*matview.View, error) {
-	name := matKey(s)
+func (e *Engine) viewFor(s *Step, b binding) (*matview.View, error) {
+	name := viewKey(s, b)
 	if v, ok := e.views.View(name); ok {
 		return v, nil
 	}
-	deps := baseTables(s.child)
+	// The build captures a workflow of its own: a plan's subtree, copied
+	// with this request's values (unplan) — which the view's key names —
+	// or a subtree that carries them, which is never modified.
+	child := unplan(s.child, b)
+	deps := baseTables(child)
 	if len(deps) == 0 {
 		return nil, fmt.Errorf("flexrecs: materialize %q wraps a subtree with no base tables", s.view)
 	}
-	// The build captures the child tree by reference; template builds
-	// construct a fresh immutable tree per request, so the captured one
-	// stays valid for the view's lifetime.
-	child := s.child
 	o := matview.Options{
 		Name: name,
 		Deps: deps,
 		Build: func() (any, error) {
-			return e.runStep(child, true)
+			return e.runStep(child, nil, true)
 		},
 	}
 	if m := e.maintainedExtend(child, deps[0]); m != nil {
@@ -175,7 +186,7 @@ func (e *Engine) maintainedExtend(child *Step, table string) *extendView {
 	return &extendView{base: base, ext: child, col: col}
 }
 
-func (m *extendView) build() (any, error) { return m.base.runStep(m.ext, true) }
+func (m *extendView) build() (any, error) { return m.base.runStep(m.ext, nil, true) }
 
 // keys names the groups a row change touches: the group value the row
 // had and the one it has.
@@ -278,12 +289,12 @@ func (m *extendView) nestGroup(k any) ([]any, error) {
 // — are never mutated: not by an operator, and not by a patch, which
 // nests a new Vector for each group it recomputes and shares every
 // other row with the snapshot it started from.
-func (e *Engine) runMatServe(s *Step, private bool) (*Relation, matview.Serve, bool, error) {
+func (e *Engine) runMatServe(s *Step, b binding, private bool) (*Relation, matview.Serve, bool, error) {
 	if e.views == nil {
-		rel, err := e.runStep(s.child, private)
+		rel, err := e.runStep(s.child, b, private)
 		return rel, matview.Serve{}, false, err
 	}
-	v, err := e.viewFor(s)
+	v, err := e.viewFor(s, b)
 	if err != nil {
 		return nil, matview.Serve{}, false, err
 	}
@@ -311,12 +322,12 @@ func (e *Engine) runMatServe(s *Step, private bool) (*Relation, matview.Serve, b
 // snapshot's age and freshness — for a stale one, whether the next read
 // patches or rebuilds — and a cold or invalidated one shows the build
 // that the next request pays. Peek never builds or counts.
-func (e *Engine) explainMat(s *Step) string {
-	line := s.describe()
+func (e *Engine) explainMat(s *Step, b binding) string {
+	line := s.describe(b)
 	if e.views == nil {
 		return line + " — no registry (transparent)"
 	}
-	v, ok := e.views.View(matKey(s))
+	v, ok := e.views.View(viewKey(s, b))
 	if !ok {
 		return line + " — cold (view not built yet)"
 	}

@@ -9,7 +9,16 @@ import (
 // This file is the workflow rewriter: the one compile-time pass between
 // a validated Step tree and its execution, where the engine — not the
 // template author — decides how a declarative workflow runs (paper
-// §3.2). Three rules, all answer-preserving row for row:
+// §3.2). It runs once per workflow SHAPE, not per request (plan.go):
+// the engine keys its result by a fingerprint of everything the pass
+// reads — operator kinds and text, comparators by kind and
+// configuration, each σ's argument count and each argument's class
+// (NULL, NaN, a value, unbindable) — confirmed node by node, and keeps
+// it with every σ argument and top k stripped out. Each request then
+// binds its own values into that plan: the input tree's σs with
+// arguments and its tops, in preorder, each plan node reading its
+// values through the slot it was given when the pass copied it. Three
+// rules, all answer-preserving row for row:
 //
 //	(a) σ/ε commutation. ε[g: k→v as A](X) decides group membership by g
 //	    alone, so a selection of X that mentions no column but g keeps or
@@ -50,9 +59,11 @@ import (
 // (There is no rule (c): ROADMAP item 1(c) was profile-chosen executor
 // work, not a rewrite.)
 
-// rewrite returns the tree the engine executes for w. The input is never
-// modified — callers reuse trees across engines — and untouched subtrees
-// are shared with it.
+// rewrite returns the tree the engine executes for w, values included;
+// planFor strips them out. The input is never modified — callers reuse
+// trees across engines — and untouched subtrees are shared with it. A
+// node the rewriter replaces hands its plan note (its binding slot) to
+// the node that takes over its values.
 func (e *Engine) rewrite(w *Step) *Step {
 	if e.views == nil {
 		return w
@@ -68,7 +79,7 @@ func pushTopK(s *Step) *Step {
 		return s
 	}
 	if s.kind == topStep && sqlable(s.child) {
-		return &Step{kind: limitStep, k: s.k, child: s.child}
+		return &Step{kind: limitStep, k: s.k, child: s.child, plan: s.plan}
 	}
 	child, other := pushTopK(s.child), pushTopK(s.other)
 	if child == s.child && other == s.other {
@@ -134,7 +145,7 @@ func stripGroupSelects(s *Step, g string, moved *[]*Step) *Step {
 	}
 	if s.kind == selectStep {
 		if only, op := refsOnly(s.cond, s.args, g); only {
-			*moved = append(*moved, &Step{kind: selectStep, keyOp: op, cond: s.cond, args: s.args})
+			*moved = append(*moved, &Step{kind: selectStep, keyOp: op, cond: s.cond, args: s.args, plan: s.plan})
 			return stripGroupSelects(s.child, g, moved)
 		}
 	}

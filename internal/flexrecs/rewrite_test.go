@@ -15,7 +15,7 @@ func tree(s *Step) string {
 	if s == nil {
 		return ""
 	}
-	out := s.describe()
+	out := s.describe(nil)
 	if s.child != nil {
 		out += "(" + tree(s.child)
 		if s.other != nil {

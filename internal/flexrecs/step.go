@@ -73,6 +73,11 @@ type Step struct {
 	view string // matStep: the view's name
 
 	child, other *Step // other = join right side / recommend reference
+
+	// plan is set on the nodes of a cached plan only (plan.go): which of
+	// a request's values the node runs with, and what the plan keeps for
+	// it.
+	plan *planNote
 }
 
 // Rel starts a workflow at a base table. The table string is passed
@@ -152,8 +157,9 @@ func (s *Step) materialize(name string) *Step {
 	return &Step{kind: matStep, view: name, child: s}
 }
 
-// describe renders this single operator for Explain.
-func (s *Step) describe() string {
+// describe renders this single operator for Explain, a plan node with
+// the values b binds to it.
+func (s *Step) describe(b binding) string {
 	switch s.kind {
 	case relStep:
 		return s.table
@@ -170,9 +176,9 @@ func (s *Step) describe() string {
 	case blendStep:
 		return fmt.Sprintf("blend[%s: %.2g·L + %.2g·R on %s]", s.scoreAs, s.wL, s.wR, s.blendKey)
 	case topStep:
-		return fmt.Sprintf("top[%d]", s.k)
+		return fmt.Sprintf("top[%d]", b.of(s).k)
 	case limitStep:
-		return fmt.Sprintf("limit[%d]", s.k)
+		return fmt.Sprintf("limit[%d]", b.of(s).k)
 	case orderStep:
 		dir := "asc"
 		if s.desc {
@@ -188,11 +194,11 @@ func (s *Step) describe() string {
 // explainLine is describe plus what a plan reader needs beyond the
 // operator's shape: the values bound to a residual selection's '?'s,
 // shown the way compiled statements show theirs.
-func (s *Step) explainLine() string {
-	if s.kind == selectStep && len(s.args) > 0 {
-		return fmt.Sprintf("%s  -- args %v", s.describe(), s.args)
+func (s *Step) explainLine(b binding) string {
+	if args := b.of(s).args; s.kind == selectStep && len(args) > 0 {
+		return fmt.Sprintf("%s  -- args %v", s.describe(b), args)
 	}
-	return s.describe()
+	return s.describe(b)
 }
 
 // Validate checks structural well-formedness of the workflow without

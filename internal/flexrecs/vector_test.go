@@ -408,12 +408,12 @@ func TestGroupRunMatchesEvaluator(t *testing.T) {
 			for _, arg := range args {
 				_, op := refsOnly(cond, []any{arg}, "G")
 				s := &Step{kind: selectStep, keyOp: op, cond: cond, args: []any{arg}}
-				if _, _, ok := groupRun(s, nest); ok {
+				if _, _, ok := groupRun(s, s.args, nest); ok {
 					fast++
 				}
-				got, gn, gerr := selectKeep(s, nest)
+				got, gn, gerr := selectKeep(s, s.args, nest)
 				s.keyOp = noKeyOp
-				want, wn, werr := selectKeep(s, nest)
+				want, wn, werr := selectKeep(s, s.args, nest)
 				if (gerr == nil) != (werr == nil) || gn != wn || !slices.Equal(got, want) {
 					t.Fatalf("seed %d σ[%s] %v over %v: kept %v (%d, %v), evaluator %v (%d, %v)",
 						seed, cond, arg, nest.Rows, got, gn, gerr, want, wn, werr)

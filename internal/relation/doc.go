@@ -33,7 +33,7 @@
 // # Reading rows
 //
 // Every read hands out the stored rows themselves, never copies:
-// Table.Get, Lookup, Each, GetMany, LookupMany, Rows, Range and Scan,
+// Table.Get, Lookup, Each, GetEach, LookupMany, Rows, Range and Scan,
 // the cursors (RangeCursor, DescCursor, ScanCursor), InsertGet's result,
 // and Tx.Get, Tx.Lookup, Tx.Scan and Tx.Insert's. A returned row is
 // read-only: its reader must neither write into it nor grow it. In

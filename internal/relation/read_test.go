@@ -44,7 +44,7 @@ func TestReadsReturnStoredRows(t *testing.T) {
 	check("Lookup", tbl.Lookup("Dep", "cs")...)
 	check("Lookup unindexed", tbl.Lookup("Age", int64(22))...)
 	check("Rows", tbl.Rows()...)
-	check("GetMany", tbl.GetMany([]Value{int64(1002)}, []Value{int64(1003)})...)
+	check("GetEach", tbl.GetEach([]Value{int64(1002), int64(1003)}, nil)...)
 	check("LookupMany", tbl.LookupMany("Dep", []Value{"ee"})...)
 	tbl.Each("Dep", "me", func(r Row) { check("Each", r) })
 

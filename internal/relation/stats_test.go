@@ -167,17 +167,34 @@ func TestEach(t *testing.T) {
 	same("after a delete and a reused slot")
 }
 
-func TestGetMany(t *testing.T) {
+func TestGetEach(t *testing.T) {
 	tbl := statsTable(t)
-	rows := tbl.GetMany([]Value{int64(5)}, []Value{int64(99)}, []Value{int64(2)}, []Value{int64(5)})
-	if len(rows) != 2 {
-		t.Fatalf("GetMany = %d rows, want 2 (missing keys skipped, dups collapsed)", len(rows))
+	prefix := []Row{nil}
+	rows := tbl.GetEach([]Value{int64(5), int64(99), nil, 2.0, int64(5), "x"}, prefix)
+	if len(rows) != 7 || rows[0] != nil {
+		t.Fatalf("GetEach = %v, want the prefix and one entry per key", rows)
 	}
-	if rows[0][0] != int64(2) || rows[1][0] != int64(5) {
-		t.Fatalf("GetMany should return slot order regardless of key order: %v", rows)
+	rows = rows[1:]
+	// Keys keep their order; a missing, NULL or mistyped key has no row;
+	// an integral float finds its integer key, as Get does.
+	for i, want := range []any{int64(5), nil, nil, int64(2), int64(5), nil} {
+		if want == nil {
+			if rows[i] != nil {
+				t.Fatalf("GetEach key %d = %v, want no row", i, rows[i])
+			}
+			continue
+		}
+		if rows[i] == nil || rows[i][0] != want {
+			t.Fatalf("GetEach key %d = %v, want the row of %v", i, rows[i], want)
+		}
 	}
 	// Returned rows are the stored rows themselves, as Get's are.
-	if ref, _ := tbl.Get(int64(2)); &ref[0] != &rows[0][0] {
-		t.Fatal("GetMany must return the stored rows")
+	if ref, _ := tbl.Get(int64(2)); &ref[0] != &rows[3][0] {
+		t.Fatal("GetEach must return the stored rows")
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		rows = tbl.GetEach([]Value{int64(5), int64(2)}, rows[:0])
+	}); allocs != 0 {
+		t.Errorf("GetEach into a slice with room allocates %.0f times, want 0", allocs)
 	}
 }

@@ -444,20 +444,25 @@ func (t *Table) pkSlotLocked(key []Value) (int, bool) {
 	return slot, ok
 }
 
-// GetMany returns the stored rows matching the given primary keys — a
-// batch Get under one read lock. Rows come back in slot (scan) order with
-// duplicates removed, matching LookupMany, so planned multi-key probes
-// order rows exactly as a scan would; absent keys are skipped.
-func (t *Table) GetMany(keys ...[]Value) []Row {
+// GetEach resolves each of keys through a single-column primary key
+// under one read lock, appending the key's stored row — nil for NULL or
+// a key no row has — to rows, and returns the extended slice: a batch
+// Get that builds no key slices and keeps the keys' order. The rows are
+// read-only.
+func (t *Table) GetEach(keys []Value, rows []Row) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	slots := make([]int, 0, len(keys))
-	for _, key := range keys {
-		if slot, ok := t.pkSlotLocked(key); ok {
-			slots = append(slots, slot)
+	for _, v := range keys {
+		var row Row
+		if v != nil {
+			key := [1]Value{v}
+			if slot, ok := t.pkSlotLocked(key[:]); ok {
+				row = t.rows[slot]
+			}
 		}
+		rows = append(rows, row)
 	}
-	return t.rowsAtLocked(slots)
+	return rows
 }
 
 // rowsAtLocked returns the rows at slots in slot order, each once. It

@@ -52,9 +52,10 @@ const defaultBatch = 256
 // workloads) must not pay kilobytes of slab allocation per cursor open
 // just because wide scans want 256-row slabs. A streaming statement's
 // execution row goal (its bound LIMIT, see firstSlab) below
-// scanBatchMin starts the driver's fetch, each join's emit and the INLJ
-// and projection arenas at the goal instead; every later fetch, emit
-// and slab grows from there as it does without one.
+// scanBatchMin starts the driver's fetch, each join's emit and the
+// projection arena at the goal instead; every later fetch, emit and
+// slab grows from there as it does without one. An INLJ needs no goal:
+// it counts each batch's matches and carves exactly those rows.
 const (
 	arenaSlabMin  = 8    // rows in an arena's first slab without a goal
 	arenaSlabRows = 2048 // rows per slab once an arena has proven hot
@@ -131,6 +132,16 @@ func (a *rowArena) alloc(n int) relation.Row {
 // reset rewinds the current slab for reuse. Only transient owners call
 // it, at points where no previously carved row can still be live.
 func (a *rowArena) reset() { a.off = 0 }
+
+// fit makes room for n more cells: an owner that knows how many rows it
+// is about to carve replaces a slab too small for them with one of
+// exactly n cells. Rows carved before stay valid in the slab they came
+// from.
+func (a *rowArena) fit(n int) {
+	if a.off+n > len(a.slab) {
+		a.slab, a.off = make([]relation.Value, n), 0
+	}
+}
 
 // combine carves and fills a joined row: left cells, then right cells.
 func (a *rowArena) combine(l, r relation.Row) relation.Row {
@@ -769,12 +780,15 @@ func (c *buildLeftJoinCursor) Close() {
 
 // inljCursor is the index nested-loop join: left rows arrive one input
 // batch per dispatch, their join keys drive one batched index probe
-// (LookupMany, or GetMany through a single-column primary key),
+// (LookupMany, or GetEach through a single-column primary key),
 // and only the right rows that can possibly match are ever fetched.
 // Output is left-major with right matches in slot order — identical to
-// the hash join — and memory is bounded by one batch. The combined-row
-// queue carves from the arena; fillBatch is the transient reset point,
-// reached only when the queue has fully drained.
+// the hash join — and memory is bounded by one batch. The batch's
+// matches are counted before any row is combined, so the combined rows
+// carve from one arena slab of exactly that many rows; fillBatch is the
+// transient reset point, reached only when the queue has fully drained,
+// and a transient cursor's next batch reuses the slab when it is big
+// enough.
 type inljCursor struct {
 	e        *Engine
 	left     cursor
@@ -788,8 +802,16 @@ type inljCursor struct {
 	qi        int
 	leftDone  bool
 	closed    bool
-	seen      map[string]bool
 	keys      []relation.Value
+
+	// Through a primary key, found[i] is left row i's one match, nil for
+	// none; through a secondary index, buckets holds the fetched rows by
+	// full join key, and seen the distinct probe keys.
+	found   []relation.Row
+	buckets map[string][]relation.Row
+	seen    map[string]bool
+	lbuf    []byte
+	rbuf    []byte
 
 	// EXPLAIN ANALYZE hooks (nil when not analyzing): probeStat takes
 	// the right-side fetches — rows and wall time of the batched index
@@ -824,77 +846,46 @@ func (c *inljCursor) fillBatch() error {
 	if !ok {
 		return fmt.Errorf("sqlmini: unknown table %q", c.jn.scan.ref.Name)
 	}
-	// Distinct probe keys across the batch; NULL keys never join.
-	probePos := c.jn.leftKeys[c.jn.inljKeyIdx]
-	if c.seen == nil {
-		c.seen = make(map[string]bool, len(batch))
-	} else {
-		clear(c.seen)
-	}
-	keys := c.keys[:0]
-	var kbuf []byte
-	for _, l := range batch {
-		v := l[probePos]
-		if v == nil {
-			continue
-		}
-		kbuf = appendJoinKeyVal(kbuf[:0], v)
-		if !c.seen[string(kbuf)] {
-			c.seen[string(kbuf)] = true
-			keys = append(keys, v)
-		}
-	}
-	c.keys = keys
 	if c.loopStat != nil {
 		c.loopStat.loops++
 	}
-	var fetched []relation.Row
-	if len(keys) > 0 {
-		var t0 time.Time
-		if c.probeStat != nil {
-			t0 = time.Now()
-		}
-		if c.jn.inljPK {
-			pkKeys := make([][]relation.Value, len(keys))
-			for i, v := range keys {
-				pkKeys[i] = []relation.Value{v}
-			}
-			fetched = t.GetMany(pkKeys...)
-		} else {
-			fetched = t.LookupMany(c.jn.inljCol, keys)
-		}
-		if c.probeStat != nil {
-			c.probeStat.ns += int64(time.Since(t0))
-			c.probeStat.rows += int64(len(fetched))
-			c.probeStat.batches++
-		}
+	if cap(c.keys) < len(batch) {
+		c.keys = make([]relation.Value, 0, len(batch))
 	}
-	// The right side's pushed filters still apply to fetched rows, then
-	// rows bucket by the full join key for the probe pass.
-	buckets := make(map[string][]relation.Row, len(fetched))
-	var rbuf []byte
-	for _, r := range fetched {
-		ok, err := passFilters(c.jn.scan.filter, r, c.rightRS)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		k, okk := rowKey(r, c.jn.rightKeys, rbuf)
-		rbuf = k
-		if okk {
-			buckets[string(k)] = append(buckets[string(k)], r)
-		}
+	var t0 time.Time
+	if c.probeStat != nil {
+		t0 = time.Now()
 	}
-	var lbuf []byte
-	for _, l := range batch {
-		k, okk := rowKey(l, c.jn.leftKeys, lbuf)
-		if !okk {
-			continue
-		}
-		lbuf = k
-		for _, r := range buckets[string(k)] {
+	var (
+		fetched int
+		probed  bool
+	)
+	if c.jn.inljPK {
+		fetched, probed, err = c.probePK(t, batch)
+	} else {
+		fetched, probed, err = c.probeIndex(t, batch)
+	}
+	if err != nil {
+		return err
+	}
+	if c.probeStat != nil && probed {
+		c.probeStat.ns += int64(time.Since(t0))
+		c.probeStat.rows += int64(fetched)
+		c.probeStat.batches++
+	}
+	n := 0
+	for i, l := range batch {
+		n += len(c.matches(i, l))
+	}
+	if n == 0 {
+		return nil
+	}
+	c.arena.fit(n * len(c.combined.cols))
+	if cap(c.queue) < n {
+		c.queue = make([]relation.Row, 0, n)
+	}
+	for i, l := range batch {
+		for _, r := range c.matches(i, l) {
 			row := c.arena.combine(l, r)
 			ok, err := passResidual(c.jn, row, c.combined)
 			if err != nil {
@@ -906,6 +897,125 @@ func (c *inljCursor) fillBatch() error {
 		}
 	}
 	return nil
+}
+
+// probePK resolves each left row's probe key through the primary key,
+// at most one right row a key, and keeps the row in found when it
+// passes the right side's pushed filters and matches the full join key.
+// It returns whether any key was probed — NULL keys never join — and,
+// under EXPLAIN ANALYZE, how many distinct rows the probe fetched.
+func (c *inljCursor) probePK(t *relation.Table, batch []relation.Row) (fetched int, probed bool, err error) {
+	probePos := c.jn.leftKeys[c.jn.inljKeyIdx]
+	keys := c.keys[:0]
+	for _, l := range batch {
+		keys = append(keys, l[probePos]) // found lines up with the batch
+		probed = probed || l[probePos] != nil
+	}
+	c.keys = keys
+	if cap(c.found) < len(keys) {
+		c.found = make([]relation.Row, 0, len(keys))
+	}
+	c.found = t.GetEach(keys, c.found[:0])
+	if c.probeStat != nil {
+		fetched = distinctRows(c.found)
+	}
+	for i, r := range c.found {
+		if r == nil {
+			continue
+		}
+		ok, err := passFilters(c.jn.scan.filter, r, c.rightRS)
+		if err != nil {
+			return 0, false, err
+		}
+		if ok {
+			var lk, rk []byte
+			lk, ok = rowKey(batch[i], c.jn.leftKeys, c.lbuf)
+			rk, _ = rowKey(r, c.jn.rightKeys, c.rbuf)
+			c.lbuf, c.rbuf = lk, rk
+			ok = ok && string(lk) == string(rk)
+		}
+		if !ok {
+			c.found[i] = nil
+		}
+	}
+	return fetched, probed, nil
+}
+
+// distinctRows counts the stored rows in found, each once however many
+// left rows share it.
+func distinctRows(found []relation.Row) int {
+	seen := make(map[*relation.Value]bool, len(found))
+	for _, r := range found {
+		if r != nil {
+			seen[&r[0]] = true
+		}
+	}
+	return len(seen)
+}
+
+// probeIndex fetches the rows of the batch's distinct probe keys through
+// the secondary index and buckets those that pass the right side's
+// pushed filters by full join key. It returns how many rows the probe
+// fetched and whether any key was probed.
+func (c *inljCursor) probeIndex(t *relation.Table, batch []relation.Row) (int, bool, error) {
+	// Distinct probe keys across the batch; NULL keys never join.
+	probePos := c.jn.leftKeys[c.jn.inljKeyIdx]
+	if c.seen == nil {
+		c.seen = make(map[string]bool, len(batch))
+		c.buckets = make(map[string][]relation.Row, len(batch))
+	} else {
+		clear(c.seen)
+		clear(c.buckets)
+	}
+	keys := c.keys[:0]
+	kbuf := c.lbuf
+	for _, l := range batch {
+		v := l[probePos]
+		if v == nil {
+			continue
+		}
+		kbuf = appendJoinKeyVal(kbuf[:0], v)
+		if !c.seen[string(kbuf)] {
+			c.seen[string(kbuf)] = true
+			keys = append(keys, v)
+		}
+	}
+	c.keys, c.lbuf = keys, kbuf
+	if len(keys) == 0 {
+		return 0, false, nil
+	}
+	fetched := t.LookupMany(c.jn.inljCol, keys)
+	for _, r := range fetched {
+		ok, err := passFilters(c.jn.scan.filter, r, c.rightRS)
+		if err != nil {
+			return 0, false, err
+		}
+		if !ok {
+			continue
+		}
+		k, okk := rowKey(r, c.jn.rightKeys, c.rbuf)
+		c.rbuf = k
+		if okk {
+			c.buckets[string(k)] = append(c.buckets[string(k)], r)
+		}
+	}
+	return len(fetched), true, nil
+}
+
+// matches returns left row i's right matches, as the probe left them.
+func (c *inljCursor) matches(i int, l relation.Row) []relation.Row {
+	if c.jn.inljPK {
+		if c.found[i] == nil {
+			return nil
+		}
+		return c.found[i : i+1]
+	}
+	k, ok := rowKey(l, c.jn.leftKeys, c.lbuf)
+	c.lbuf = k
+	if !ok {
+		return nil
+	}
+	return c.buckets[string(k)]
 }
 
 func (c *inljCursor) NextBatch() ([]relation.Row, error) {
@@ -1300,8 +1410,8 @@ func (c *limitCursor) Close() { c.in.Close() }
 // (drainCursor into aggregation/sort), false for the streaming Rows
 // path, which lets transient cursors recycle their arena slabs. goal is
 // the execution row goal — the LIMIT a streaming statement bound, or
-// noLimit — and sizes the driver's first fetch, each join's first emit
-// and the INLJ arena's first slab (firstSlab); the plan itself never
+// noLimit — and sizes the driver's first fetch and each join's first
+// emit (firstSlab); the plan itself never
 // changes with it. A build-left hash join drains every stage beneath it
 // before it emits a row, so only the stages from the last such join up
 // are sized by the goal.
@@ -1334,7 +1444,7 @@ func (e *Engine) openPlan(p *selectPlan, retain bool, goal int64) (cursor, error
 		switch {
 		case jn.inlj:
 			cur = &inljCursor{e: e, left: cur, jn: jn, combined: combined,
-				rightRS: &rowset{cols: jn.scan.cols}, arena: rowArena{rows: first}}
+				rightRS: &rowset{cols: jn.scan.cols}}
 		case jn.band:
 			// Only band joins evaluate bounds against the left row alone,
 			// so only they pay for the left-layout rowset.

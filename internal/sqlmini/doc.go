@@ -107,7 +107,7 @@
 //
 //   - index nested loop: the probe input is far smaller than an indexed
 //     right scan → left rows arrive in batches whose keys drive
-//     LookupMany (or GetMany through a single-column primary key), so
+//     LookupMany (or GetEach through a single-column primary key), so
 //     only right rows that can match are ever fetched
 //   - hash join: remaining equi joins, with the smaller side as build
 //   - band join: a join without equi keys whose ON clause holds
@@ -208,10 +208,11 @@
 // bound, and decides buffer sizes, never the plan: execSelect and
 // rowsEntry pass it to openPlan as an argument (no Engine field, so a
 // cached plan and a shared engine stay goal-free). A goal below 32
-// sizes four first buffers at the goal (capped at the engine's batch):
+// sizes three first buffers at the goal (capped at the engine's batch):
 // the driver scan's first storage fetch, each join's first emitted batch
-// (emitRamp), the INLJ arena's first slab and the streaming projection's
-// output arena. Every later fetch, emit and slab grows from there
+// (emitRamp) and the streaming projection's output arena; an INLJ
+// carves exactly the rows each batch matches, goal or none. Every later
+// fetch, emit and slab grows from there
 // exactly as without a goal, so a `LIMIT ?` bound to 10 fetches, joins
 // and builds ten rows, not 32 and an 8 + 32-row arena, while a join that
 // drops most driver rows still grows its fetches ×4 toward the batch.

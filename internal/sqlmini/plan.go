@@ -71,12 +71,12 @@ type joinNode struct {
 
 	// inlj replaces building a hash over the whole right side with
 	// batched index probes: left rows arrive in batches, their keys
-	// drive LookupMany (or GetMany when inljPK) against inljCol, and
+	// drive LookupMany (or GetEach when inljPK) against inljCol, and
 	// only the matching right rows are ever fetched. Chosen when the
 	// probe side is far smaller than the build side.
 	inlj       bool
 	inljCol    string // right column probed through its index
-	inljPK     bool   // probe the single-column primary key via GetMany
+	inljPK     bool   // probe the single-column primary key via GetEach
 	inljKeyIdx int    // which leftKeys/rightKeys pair feeds the probe
 
 	// band replaces a key-less nested loop with per-left-row range

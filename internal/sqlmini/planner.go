@@ -451,7 +451,7 @@ func leftComputable(e Expr, combined *rowset, leftWidth int) bool {
 
 // inljProbe finds a right-side join key column answerable through an
 // index: a secondary hash index, or a single-column primary key (probed
-// batched via GetMany).
+// batched via GetEach).
 func inljProbe(right *planTable, rightKeys []int) (int, string, bool, bool) {
 	for ki, rpos := range rightKeys {
 		col := right.rs.cols[rpos].name

@@ -339,8 +339,9 @@ func TestWindowStopsOnlyStreamingStatements(t *testing.T) {
 // TestLargeGoalKeepsDefaultSlabs: an execution row goal of scanBatchMin
 // or more sizes nothing. A selective streaming join whose plan the
 // LIMIT does not change allocates under LIMIT 50 what it allocates
-// without a LIMIT — its INLJ and projection arenas start at
-// arenaSlabMin rows, not at the goal — give or take the limit stage.
+// without a LIMIT — its projection arena starts at arenaSlabMin rows,
+// not at the goal, and its INLJ carves exactly its matches either way —
+// give or take the limit stage.
 func TestLargeGoalKeepsDefaultSlabs(t *testing.T) {
 	e := New(relation.NewDB())
 	windowCorpus(t, e)
