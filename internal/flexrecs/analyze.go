@@ -66,12 +66,6 @@ func (e *Engine) RunAnalyze(w *Step) (*Relation, string, error) {
 	return rel, b.String(), nil
 }
 
-// ExplainAnalyze is RunAnalyze discarding the rows.
-func (e *Engine) ExplainAnalyze(w *Step) (string, error) {
-	_, report, err := e.RunAnalyze(w)
-	return report, err
-}
-
 func (e *Engine) analyzeStep(s *Step, b binding, private bool) (*Relation, *analyzeNode, error) {
 	if sqlable(s) {
 		return e.analyzeSQL(s, b)
@@ -134,11 +128,11 @@ func (a analyzeOperands) fuse(s, into *Step) (operands, func(rows, of int)) {
 // analyzeSQL runs one compiled subtree, preferring the backend
 // statement's analyze path for the annotated physical plan.
 func (e *Engine) analyzeSQL(s *Step, b binding) (*Relation, *analyzeNode, error) {
-	cs, err := e.compiledFor(s, b)
+	cs, err := e.compiled(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	args := shapeArgs(s, b)
+	args := bindArgs(cs.binds, b)
 	var res *sqlmini.Result
 	var plan string
 	t0 := time.Now()
@@ -151,16 +145,9 @@ func (e *Engine) analyzeSQL(s *Step, b binding) (*Relation, *analyzeNode, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
 	}
-	rel := &Relation{Cols: res.Columns, Rows: make([][]any, len(res.Rows))}
-	for i, r := range res.Rows {
-		rel.Rows[i] = r
-	}
-	node := &analyzeNode{}
-	head := "SQL> " + cs.sql
-	if len(args) > 0 {
-		head += fmt.Sprintf("  -- args %v", args)
-	}
-	node.line = fmt.Sprintf("%s (actual rows=%d time=%s)", head, len(rel.Rows), d.Round(time.Microsecond))
+	rel := relationOf(res)
+	node := &analyzeNode{line: fmt.Sprintf("%s (actual rows=%d time=%s)",
+		sqlLine(cs.sql, args), len(rel.Rows), d.Round(time.Microsecond))}
 	if plan != "" {
 		node.sub = strings.Split(strings.TrimRight(plan, "\n"), "\n")
 	}
@@ -174,14 +161,14 @@ func (e *Engine) analyzeSQL(s *Step, b binding) (*Relation, *analyzeNode, error)
 // single-flight, and the line says what that cost.
 func (e *Engine) analyzeMat(s *Step, b binding, private bool) (*Relation, *analyzeNode, error) {
 	t0 := time.Now()
-	rel, serve, hadRegistry, err := e.runMatServe(s, b, private)
+	rel, serve, err := e.runMatServe(s, b, private)
 	if err != nil {
 		return nil, nil, err
 	}
 	d := time.Since(t0).Round(time.Microsecond)
 	var how string
 	switch {
-	case !hadRegistry:
+	case e.views == nil:
 		how = "no registry (transparent, ran child)"
 	case serve.Kind == matview.ServeFresh && serve.Patched > 0:
 		keys := "keys"

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"courserank/internal/matview"
@@ -21,24 +20,19 @@ import (
 // nested attributes execute as external functions over materialized
 // results — the hybrid strategy of paper §3.2.
 //
-// Workflows memoize per SHAPE: template builds produce a fresh Step tree
-// per personalized request, but the tree's structure — and therefore
-// its rewrite and its SQL text — is stable across requests, only the
-// '?' arguments and the top k change. An engine with a registry runs
-// each shape's rewritten plan (plan.go), binding each request's values
-// into it; a plan's sqlable node keeps its prepared statement. Any other
-// sqlable subtree finds its statement by a structural fingerprint of
-// itself. Either way a repeated workflow skips string re-rendering AND
-// the SQL engine's text-keyed cache lookup: per request only argument
-// gathering, bind and execute remain.
+// A strategy is defined once and personalized per request (§2.1): a
+// template builds a fresh Step tree per request, but the tree's shape —
+// and so its rewrite and its SQL text — is the same every time; only the
+// σ arguments and the top k change. So every engine runs each shape's
+// plan (plan.go), binding each request's values into it, and a plan's
+// sqlable node keeps its prepared statement and the order its
+// placeholders bind in: per request only binding and execution remain.
 type Engine struct {
 	sql     *sqlmini.Engine
 	backend Backend // executes compiled statements; defaults to the SQL engine
 
-	plans planCache // workflow shape → rewritten plan; used with a registry
+	plans planCache // workflow shape → plan
 
-	compiled      sync.Map // shape fingerprint → *compiledSQL
-	compiledN     atomic.Int64
 	compileHits   atomic.Uint64
 	compileMisses atomic.Uint64
 
@@ -78,16 +72,18 @@ func (b sqlBackend) Explain(sql string, args ...any) (string, error) {
 	return b.e.Explain(sql, args...)
 }
 
-// compiledSQL is one memoized sqlable subtree: its rendered statement
-// text and the prepared statement executing it.
+// compiledSQL is a sqlable plan node's statement: its text, the prepared
+// statement, and the nodes whose values bind its placeholders, in the
+// order the placeholders appear in the text (render).
 type compiledSQL struct {
-	sql  string
-	stmt PreparedQuery
+	sql   string
+	stmt  PreparedQuery
+	binds []*Step
 }
 
-// compiledCacheMax bounds the shape cache. Deployed sites register a
+// compiledCacheMax bounds the plan cache. Deployed sites register a
 // fixed handful of strategies, so the bound only guards degenerate
-// workloads; past it, new shapes compile per call without caching.
+// workloads; past it, a new shape is planned and compiled per call.
 const compiledCacheMax = 256
 
 // NewEngine builds an engine over the database with its own SQL engine
@@ -183,37 +179,33 @@ func containsOrder(s *Step) bool {
 
 // sqlParts accumulates the pieces of a compiled statement.
 type sqlParts struct {
-	from      string   // "T" or "T JOIN U ON ... JOIN V ON ..."
-	conds     []string // WHERE conjuncts, outermost first
-	args      []any
-	proj      []string // outermost projection wins; empty = *
-	orderCol  string   // ORDER BY column; empty = none
-	orderDesc bool
-	limit     bool // statement ends in LIMIT ?, bound as the last argument
+	from  string   // "T" or "T JOIN U ON ... JOIN V ON ..."
+	conds []*Step  // the σs, outermost first
+	proj  []string // outermost projection wins; empty = *
+	order *Step    // the ORDER BY, if any
+	limit *Step    // the LIMIT ?, if any
 }
 
-// gather walks a sqlable subtree, collecting FROM/WHERE/projection and
-// the arguments b binds.
-func gather(s *Step, b binding, p *sqlParts) error {
+// gather walks a sqlable subtree, collecting FROM/WHERE/projection.
+func gather(s *Step, p *sqlParts) error {
 	switch s.kind {
 	case relStep:
 		p.from = s.table
 		return nil
 	case selectStep:
-		p.conds = append(p.conds, s.cond)
-		p.args = append(p.args, b.of(s).args...)
-		return gather(s.child, b, p)
+		p.conds = append(p.conds, s)
+		return gather(s.child, p)
 	case projectStep:
 		if len(p.proj) == 0 {
 			p.proj = s.cols
 		}
-		return gather(s.child, b, p)
+		return gather(s.child, p)
 	case joinStep:
-		if err := gather(s.child, b, p); err != nil {
+		if err := gather(s.child, p); err != nil {
 			return err
 		}
 		var right sqlParts
-		if err := gather(s.other, b, &right); err != nil {
+		if err := gather(s.other, &right); err != nil {
 			return err
 		}
 		if strings.Contains(right.from, " JOIN ") {
@@ -221,31 +213,23 @@ func gather(s *Step, b binding, p *sqlParts) error {
 		}
 		p.from += " JOIN " + right.from + " ON " + s.on
 		p.conds = append(p.conds, right.conds...)
-		p.args = append(p.args, right.args...)
 		return nil
 	case orderStep:
-		p.orderCol, p.orderDesc = s.orderCol, s.desc
-		return gather(s.child, b, p)
+		p.order = s
+		return gather(s.child, p)
 	case limitStep:
-		// Outermost, so first into the outermost-first argument list:
-		// CompileSQL's reversal lands k behind every WHERE argument.
-		p.limit = true
-		p.args = append(p.args, int64(b.of(s).k))
-		return gather(s.child, b, p)
+		p.limit = s
+		return gather(s.child, p)
 	}
-	return fmt.Errorf("flexrecs: step %s is not SQL-compilable", s.describe(b))
+	return fmt.Errorf("flexrecs: step %s is not SQL-compilable", s.describe(nil))
 }
 
-// CompileSQL renders a sqlable subtree as its SQL statement. It is
-// exported so Explain output and tests can show the exact statements
-// shipped to the DBMS.
-func CompileSQL(s *Step) (string, []any, error) { return compileSQL(s, nil) }
-
-// compileSQL is CompileSQL for a plan subtree, with the arguments b
-// binds.
-func compileSQL(s *Step, b binding) (string, []any, error) {
+// render writes a sqlable subtree's statement: its text, and the nodes
+// whose values bind its placeholders — each σ's arguments, a limit's k —
+// in the order the placeholders appear in the text.
+func render(s *Step) (string, []*Step, error) {
 	var p sqlParts
-	if err := gather(s, b, &p); err != nil {
+	if err := gather(s, &p); err != nil {
 		return "", nil, err
 	}
 	sel := "*"
@@ -253,126 +237,62 @@ func compileSQL(s *Step, b binding) (string, []any, error) {
 		sel = strings.Join(p.proj, ", ")
 	}
 	sql := "SELECT " + sel + " FROM " + p.from
-	if len(p.conds) > 0 {
-		// Conditions were gathered outermost-first; apply innermost first
-		// for readability (order is irrelevant under AND).
-		for i, j := 0, len(p.conds)-1; i < j; i, j = i+1, j-1 {
-			p.conds[i], p.conds[j] = p.conds[j], p.conds[i]
+	// Conditions were gathered outermost-first; apply innermost first
+	// for readability (order is irrelevant under AND).
+	binds := p.conds
+	slices.Reverse(binds)
+	if len(binds) > 0 {
+		conds := make([]string, len(binds))
+		for i, c := range binds {
+			conds[i] = c.cond
 		}
-		sql += " WHERE " + strings.Join(p.conds, " AND ")
+		sql += " WHERE " + strings.Join(conds, " AND ")
 	}
-	if p.orderCol != "" {
-		sql += " ORDER BY " + p.orderCol
-		if p.orderDesc {
+	if p.order != nil {
+		sql += " ORDER BY " + p.order.orderCol
+		if p.order.desc {
 			sql += " DESC"
 		}
 	}
-	if p.limit {
+	if p.limit != nil {
 		sql += " LIMIT ?"
+		binds = append(binds, p.limit)
 	}
-	// Placeholder args attach in the same outermost-first order the
-	// conditions were gathered, so reverse them alongside.
-	args := make([]any, 0, len(p.args))
-	for i := len(p.args) - 1; i >= 0; i-- {
-		args = append(args, p.args[i])
-	}
-	return sql, args, nil
+	return sql, binds, nil
 }
 
-// shapeKey writes a structural fingerprint of a sqlable subtree:
-// operator kinds and their SQL text fragments, excluding argument
-// values. Two trees with equal fingerprints compile to identical SQL.
-func shapeKey(s *Step, b *strings.Builder) {
-	switch s.kind {
-	case relStep:
-		b.WriteString("R|")
-		b.WriteString(s.table)
-		b.WriteByte(0)
-	case selectStep:
-		b.WriteString("S|")
-		b.WriteString(s.cond)
-		b.WriteByte(0)
-		shapeKey(s.child, b)
-	case projectStep:
-		b.WriteString("P|")
-		for _, c := range s.cols {
-			b.WriteString(c)
-			b.WriteByte(1)
+// bindArgs returns the values b binds to a statement's placeholders, in
+// the order render recorded.
+func bindArgs(binds []*Step, b binding) []any {
+	var args []any
+	for _, s := range binds {
+		if v := b.of(s); s.kind == limitStep {
+			args = append(args, int64(v.k))
+		} else {
+			args = append(args, v.args...)
 		}
-		b.WriteByte(0)
-		shapeKey(s.child, b)
-	case joinStep:
-		b.WriteString("J|")
-		b.WriteString(s.on)
-		b.WriteByte(0)
-		shapeKey(s.child, b)
-		shapeKey(s.other, b)
-	case orderStep:
-		b.WriteString("O|")
-		b.WriteString(s.orderCol)
-		if s.desc {
-			b.WriteString("|D")
-		}
-		b.WriteByte(0)
-		shapeKey(s.child, b)
-	case limitStep:
-		// The marker keeps a limited statement out of its unlimited
-		// twin's cache slot; k is an argument, not part of the shape.
-		b.WriteString("L|")
-		b.WriteByte(0)
-		shapeKey(s.child, b)
-	}
-}
-
-// gatherShapeArgs collects the subtree's placeholder arguments, as b
-// binds them, in the same traversal order gather uses; CompileSQL
-// reverses its gathered list, so callers reverse this one identically.
-func gatherShapeArgs(s *Step, b binding, args []any) []any {
-	switch s.kind {
-	case selectStep:
-		args = append(args, b.of(s).args...)
-		return gatherShapeArgs(s.child, b, args)
-	case projectStep, orderStep:
-		return gatherShapeArgs(s.child, b, args)
-	case limitStep:
-		return gatherShapeArgs(s.child, b, append(args, int64(b.of(s).k)))
-	case joinStep:
-		args = gatherShapeArgs(s.child, b, args)
-		return gatherShapeArgs(s.other, b, args)
 	}
 	return args
 }
 
-// compiledFor resolves a sqlable subtree to its memoized prepared
-// statement, a plan subtree's with the values b binds. A plan node keeps
-// the statement from its first run, so later requests build no
-// fingerprint; each still counts the hit.
-func (e *Engine) compiledFor(s *Step, b binding) (*compiledSQL, error) {
-	if s.plan != nil {
-		if cs := s.plan.compiled.Load(); cs != nil {
-			e.compileHits.Add(1)
-			return cs, nil
-		}
-	}
-	cs, err := e.compiledByShape(s, b)
-	if err == nil && s.plan != nil {
-		s.plan.compiled.Store(cs)
-	}
-	return cs, err
+// CompileSQL renders a sqlable subtree as its SQL statement and its
+// arguments in placeholder order. It is exported so tests can show the
+// exact statements shipped to the DBMS.
+func CompileSQL(s *Step) (string, []any, error) {
+	sql, binds, err := render(s)
+	return sql, bindArgs(binds, nil), err
 }
 
-// compiledByShape finds a sqlable subtree's statement by its structural
-// fingerprint, compiling and preparing on first sight of the shape.
-func (e *Engine) compiledByShape(s *Step, b binding) (*compiledSQL, error) {
-	var kb strings.Builder
-	shapeKey(s, &kb)
-	key := kb.String()
-	if v, ok := e.compiled.Load(key); ok {
+// compiled returns a sqlable plan node's statement, compiled and
+// prepared on the node's first run, which counts a miss; every later run
+// counts a hit.
+func (e *Engine) compiled(s *Step) (*compiledSQL, error) {
+	if cs := s.plan.compiled.Load(); cs != nil {
 		e.compileHits.Add(1)
-		return v.(*compiledSQL), nil
+		return cs, nil
 	}
 	e.compileMisses.Add(1)
-	sql, _, err := compileSQL(s, b)
+	sql, binds, err := render(s)
 	if err != nil {
 		return nil, err
 	}
@@ -380,43 +300,53 @@ func (e *Engine) compiledByShape(s *Step, b binding) (*compiledSQL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flexrecs: compiling %q: %w", sql, err)
 	}
-	cs := &compiledSQL{sql: sql, stmt: st}
-	if e.compiledN.Load() < compiledCacheMax {
-		if _, loaded := e.compiled.LoadOrStore(key, cs); !loaded {
-			e.compiledN.Add(1)
-		}
-	}
+	cs := &compiledSQL{sql: sql, stmt: st, binds: binds}
+	s.plan.compiled.Store(cs)
 	return cs, nil
 }
 
-// CompileStats reports the workflow-shape compile cache's counters: a
-// hit means a request skipped SQL re-rendering and statement lookup
-// entirely, going straight to bind + execute.
+// CompileStats reports the statement cache's counters: a hit means a
+// request skipped SQL rendering and statement lookup entirely, going
+// straight to bind + execute.
 func (e *Engine) CompileStats() (hits, misses uint64) {
 	return e.compileHits.Load(), e.compileMisses.Load()
 }
 
-func (e *Engine) runSQL(s *Step, b binding) (*Relation, error) {
-	cs, err := e.compiledFor(s, b)
-	if err != nil {
-		return nil, err
+// sqlLine renders a statement and its arguments as Explain and Analyze
+// print them.
+func sqlLine(sql string, args []any) string {
+	if len(args) > 0 {
+		return fmt.Sprintf("SQL> %s  -- args %v", sql, args)
 	}
-	res, err := cs.stmt.Query(shapeArgs(s, b)...)
-	if err != nil {
-		return nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
-	}
+	return "SQL> " + sql
+}
+
+// relationOf takes a statement's result as a Relation, sharing its rows.
+func relationOf(res *sqlmini.Result) *Relation {
 	rel := &Relation{Cols: res.Columns, Rows: make([][]any, len(res.Rows))}
 	for i, r := range res.Rows {
 		rel.Rows[i] = r
 	}
-	return rel, nil
+	return rel
 }
 
-// streamSQL runs a sqlable subtree on the engine's own SQL engine as a
-// transient pipeline: its rows arrive one at a time, and none is copied
-// into a result.
-func (e *Engine) streamSQL(s *Step) (*sqlmini.Rows, error) {
-	cs, err := e.compiledFor(s, nil)
+func (e *Engine) runSQL(s *Step, b binding) (*Relation, error) {
+	cs, err := e.compiled(s)
+	if err != nil {
+		return nil, err
+	}
+	res, err := cs.stmt.Query(bindArgs(cs.binds, b)...)
+	if err != nil {
+		return nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
+	}
+	return relationOf(res), nil
+}
+
+// streamSQL runs a sqlable plan subtree, with the values b binds, on the
+// engine's own SQL engine as a transient pipeline: its rows arrive one
+// at a time, and none is copied into a result.
+func (e *Engine) streamSQL(s *Step, b binding) (*sqlmini.Rows, error) {
+	cs, err := e.compiled(s)
 	if err != nil {
 		return nil, err
 	}
@@ -424,20 +354,11 @@ func (e *Engine) streamSQL(s *Step) (*sqlmini.Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("flexrecs: %q runs on a backend that does not stream", cs.sql)
 	}
-	rows, err := st.QueryRows(shapeArgs(s, nil)...)
+	rows, err := st.QueryRows(bindArgs(cs.binds, b)...)
 	if err != nil {
 		return nil, fmt.Errorf("flexrecs: executing %q: %w", cs.sql, err)
 	}
 	return rows, nil
-}
-
-// shapeArgs returns a sqlable subtree's arguments, as b binds them, in
-// the order its compiled statement binds them: gatherShapeArgs's list,
-// reversed as CompileSQL reverses its own.
-func shapeArgs(s *Step, b binding) []any {
-	args := gatherShapeArgs(s, b, nil)
-	slices.Reverse(args)
-	return args
 }
 
 // runStep executes a subtree, a plan's with the values b binds. private
@@ -450,7 +371,7 @@ func (e *Engine) runStep(s *Step, b binding, private bool) (*Relation, error) {
 		return e.runSQL(s, b)
 	}
 	if s.kind == matStep {
-		rel, _, _, err := e.runMatServe(s, b, private)
+		rel, _, err := e.runMatServe(s, b, private)
 		return rel, err
 	}
 	return e.applyStep(s, b, plainOperands{e, b})
@@ -1524,16 +1445,13 @@ func (e *Engine) Explain(w *Step) string {
 func (e *Engine) explain(s *Step, bound binding, depth int, b *strings.Builder) {
 	indent := strings.Repeat("  ", depth)
 	if sqlable(s) {
-		sql, args, err := compileSQL(s, bound)
+		sql, binds, err := render(s)
 		if err != nil {
 			fmt.Fprintf(b, "%s!error: %v\n", indent, err)
 			return
 		}
-		if len(args) > 0 {
-			fmt.Fprintf(b, "%sSQL> %s  -- args %v\n", indent, sql, args)
-		} else {
-			fmt.Fprintf(b, "%sSQL> %s\n", indent, sql)
-		}
+		args := bindArgs(binds, bound)
+		fmt.Fprintf(b, "%s%s\n", indent, sqlLine(sql, args))
 		if plan, err := e.backend.Explain(sql, args...); err == nil {
 			for _, line := range strings.Split(strings.TrimRight(plan, "\n"), "\n") {
 				fmt.Fprintf(b, "%s  | %s\n", indent, line)

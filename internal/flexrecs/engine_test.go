@@ -745,7 +745,7 @@ func refRun(e *Engine, w *Step) (*Relation, error) {
 	var run func(s *Step, private bool) (*Relation, error)
 	run = func(s *Step, private bool) (*Relation, error) {
 		if sqlable(s) || s.kind == matStep {
-			return e.runStep(s, nil, private)
+			return e.Run(s)
 		}
 		switch s.kind {
 		case recommendStep:

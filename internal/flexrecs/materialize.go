@@ -2,7 +2,6 @@ package flexrecs
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -19,15 +18,18 @@ import (
 // cold, brought up to date when a dependency changed. Without
 // UseMatviews the step is transparent and simply runs its child.
 //
-// A view over an ε whose operand is a chain of σ/π over one base table
-// is MAINTAINED (matview's Keys and Patch): a committed row change names
-// the groups it touches by the group column's value, and the next read
-// recomputes just those groups — σ[g = ?] of the operand, one index
-// probe streamed through a transient pipeline and nested as its rows
-// arrive — and splices them into a copy of the snapshot's row list,
-// which ε keeps in ascending group order. Such a view builds and patches
-// from the base tables it fingerprints, also on a sharded site. Every
-// other view rebuilds when a dependency moves.
+// A view is keyed by its subtree's exact shape and bound values (matKey)
+// and builds from a copy of the plan subtree with notes of its own
+// (unplan). One over an ε whose operand is a chain of σ/π over one base
+// table is MAINTAINED (matview's Keys and Patch): a committed row change
+// names the groups it touches by the group column's value, and the next
+// read recomputes just those groups — σ[g = ?] of the operand, planned
+// once per view and bound to each key, streamed through a transient
+// pipeline and nested as its rows arrive — and splices them into a copy
+// of the snapshot's row list, which ε keeps in ascending group order.
+// Such a view builds and patches from the base tables it fingerprints,
+// also on a sharded site. Every other view rebuilds when a dependency
+// moves.
 
 // UseMatviews attaches a materialized-view registry: the rewriter
 // (rewrite.go), which needs somewhere to put its views, starts
@@ -47,52 +49,50 @@ func (e *Engine) MatStats() (hits, misses uint64) {
 	return e.matHits.Load(), e.matMisses.Load()
 }
 
-// matKey derives the registry key for a matStep: the declared name, a
-// short fingerprint of the child subtree's SHAPE (so a reused name over
-// a different tree — e.g. a band width baked into an ON clause — cannot
-// serve the wrong view), and the subtree's parameter values (so a view
-// over a subtree that binds parameters is one view per binding), a plan
-// subtree's bound from b. Argument values render with their dynamic
-// type, keeping int64(1) and "1" — or differently grouped args that
-// stringify alike — on separate views. Unlike shapeKey/gatherShapeArgs
-// — which only see sqlable kinds — the walk here spans EVERY operator:
-// materialized prefixes routinely hold extend and recommend steps. A
-// plan computes the key once for a view whose subtree binds nothing
-// (viewKey).
+// matKey derives a matStep's registry key: the declared name, a hash of
+// its child subtree's exact shape — every field sameShape compares,
+// blend weights by their bits — and the values the subtree binds, b's
+// for a plan subtree, node by node in preorder with their dynamic type.
+// So a reused name over a different tree (a band width baked into an ON
+// clause, a blend weight of 0.201 beside 0.2) is another view, and a
+// view over a subtree that binds values is one view per binding, with
+// int64(1), float64(1) and "1" apart. The walk spans every operator:
+// views routinely hold ε and ▷ steps. A plan computes the key once for a
+// view whose subtree binds nothing (viewKey).
 func matKey(s *Step, b binding) string {
-	var shape strings.Builder
-	var args []any
+	h := shapeHashSeed
+	var vals strings.Builder
 	var walk func(*Step)
 	walk = func(s *Step) {
 		if s == nil {
+			h.byte(0)
 			return
 		}
-		fmt.Fprintf(&shape, "%d|%s", s.kind, s.describe(b))
-		shape.WriteByte(0)
-		if s.kind == selectStep {
-			args = append(args, b.of(s).args...)
+		h.fields(s)
+		if v := b.of(s); carriesValues(v) {
+			for _, a := range v.args {
+				fmt.Fprintf(&vals, "%T:%v\x00", a, a)
+			}
+			if v.kind != selectStep {
+				fmt.Fprintf(&vals, "k:%d\x00", v.k)
+			}
+			vals.WriteByte(1)
 		}
 		walk(s.child)
 		walk(s.other)
 	}
 	walk(s.child)
-	h := fnv.New32a()
-	h.Write([]byte(shape.String()))
-	key := fmt.Sprintf("flex/%s@%08x", s.view, h.Sum32())
-	if len(args) > 0 {
-		var b strings.Builder
-		for _, a := range args {
-			fmt.Fprintf(&b, "%T:%v\x00", a, a)
-		}
-		key += "|" + b.String()
+	key := fmt.Sprintf("flex/%s@%016x", s.view, uint64(h))
+	if vals.Len() > 0 {
+		key += "|" + vals.String()
 	}
 	return key
 }
 
-// viewKey is a matStep's registry key: the one its plan keeps, else
+// viewKey is a matStep's registry key: the one its note keeps, else
 // matKey's.
 func viewKey(s *Step, b binding) string {
-	if s.plan != nil && s.plan.viewKey != "" {
+	if s.plan.viewKey != "" {
 		return s.plan.viewKey
 	}
 	return matKey(s, b)
@@ -132,9 +132,8 @@ func (e *Engine) viewFor(s *Step, b binding) (*matview.View, error) {
 	if v, ok := e.views.View(name); ok {
 		return v, nil
 	}
-	// The build captures a workflow of its own: a plan's subtree, copied
-	// with this request's values (unplan) — which the view's key names —
-	// or a subtree that carries them, which is never modified.
+	// The build captures a workflow of its own: the plan's subtree, copied
+	// with this request's values (unplan), which the view's key names.
 	child := unplan(s.child, b)
 	deps := baseTables(child)
 	if len(deps) == 0 {
@@ -156,9 +155,10 @@ func (e *Engine) viewFor(s *Step, b binding) (*matview.View, error) {
 // extendView is the maintenance of one view over ε[g](x₀), x₀ a chain of
 // σ/π over one base table: the view's keys are g's values.
 type extendView struct {
-	base *Engine // runs x₀'s statements on the base tables
-	ext  *Step   // the ε
-	col  int     // g's position in the base table's rows
+	base  *Engine // runs x₀'s statements on the base tables
+	ext   *Step   // the ε
+	group *Step   // σ[g = ?](x₀), its σ bound to a key (slot 0)
+	col   int     // g's position in the base table's rows
 }
 
 // maintainedExtend returns the maintenance of a view over child, or nil
@@ -183,7 +183,8 @@ func (e *Engine) maintainedExtend(child *Step, table string) *extendView {
 	if e.base != nil {
 		base = e.base
 	}
-	return &extendView{base: base, ext: child, col: col}
+	group := &Step{kind: selectStep, cond: child.groupBy + " = ?", child: child.child, plan: &planNote{slot: 0}}
+	return &extendView{base: base, ext: child, group: group, col: col}
 }
 
 func (m *extendView) build() (any, error) { return m.base.runStep(m.ext, nil, true) }
@@ -235,8 +236,7 @@ func (m *extendView) patch(prev any, keys []any) (any, error) {
 // order, as the build's scan reads them, so a patched group equals a
 // built one exactly.
 func (m *extendView) nestGroup(k any) ([]any, error) {
-	group := &Step{kind: selectStep, cond: m.ext.groupBy + " = ?", args: []any{k}, child: m.ext.child}
-	rows, err := m.base.streamSQL(group)
+	rows, err := m.base.streamSQL(m.group, binding{{args: []any{k}}})
 	if err != nil {
 		return nil, err
 	}
@@ -280,27 +280,26 @@ func (m *extendView) nestGroup(k any) ([]any, error) {
 }
 
 // runMatServe executes a matStep — through the registry when one is
-// attached, transparently otherwise — also reporting how the request
-// was served (the serve kind, and whether a registry was consulted at
-// all) for EXPLAIN ANALYZE's matview annotations. Snapshots are shared
-// and immutable: a consumer that only reads takes the snapshot as is;
-// one that sorts or truncates in place (private) gets a fresh Relation
-// header and row slice. The row cells themselves — Vector maps included
+// attached, transparently otherwise — also reporting how a registry
+// served it, for EXPLAIN ANALYZE's matview annotations. Snapshots are
+// shared and immutable: a consumer that only reads takes the snapshot as
+// is; one that sorts or truncates in place (private) gets a fresh
+// Relation header and row slice. The row cells themselves — Vector maps included
 // — are never mutated: not by an operator, and not by a patch, which
 // nests a new Vector for each group it recomputes and shares every
 // other row with the snapshot it started from.
-func (e *Engine) runMatServe(s *Step, b binding, private bool) (*Relation, matview.Serve, bool, error) {
+func (e *Engine) runMatServe(s *Step, b binding, private bool) (*Relation, matview.Serve, error) {
 	if e.views == nil {
 		rel, err := e.runStep(s.child, b, private)
-		return rel, matview.Serve{}, false, err
+		return rel, matview.Serve{}, err
 	}
 	v, err := e.viewFor(s, b)
 	if err != nil {
-		return nil, matview.Serve{}, false, err
+		return nil, matview.Serve{}, err
 	}
 	val, serve, err := v.Get()
 	if err != nil {
-		return nil, matview.Serve{}, false, err
+		return nil, matview.Serve{}, err
 	}
 	if serve.Kind == matview.ServeFresh {
 		e.matHits.Add(1)
@@ -314,7 +313,7 @@ func (e *Engine) runMatServe(s *Step, b binding, private bool) (*Relation, matvi
 			Rows: append([][]any(nil), rel.Rows...),
 		}
 	}
-	return rel, serve, true, nil
+	return rel, serve, nil
 }
 
 // explainMat renders a matStep for Explain, annotating how a request

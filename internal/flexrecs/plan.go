@@ -1,6 +1,7 @@
 package flexrecs
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"reflect"
@@ -11,16 +12,17 @@ import (
 	"courserank/internal/relation"
 )
 
-// This file memoizes the rewriter (rewrite.go) per workflow SHAPE, the
-// way sqlmini caches a plan per statement text. A template builds a
-// fresh Step tree per request, but only the values a student supplies
-// change from one request to the next: the σ arguments and the top k.
-// So the engine rewrites each shape once, strips those values out of
-// the result, and runs every request of the shape on that one plan,
-// each with its own binding: the input tree's value-carrying nodes in
-// preorder (binding). A plan node that reads a value reads it from the
-// binding, through the slot its note names — with no binding it panics
-// instead of answering with another request's values.
+// This file plans workflows: every engine runs a workflow through the
+// plan of its SHAPE, the way sqlmini caches a plan per statement text. A
+// template builds a fresh Step tree per request, but only the values a
+// student supplies change from one request to the next: the σ arguments
+// and the top k. So the engine rewrites each shape once (rewrite.go; the
+// identity on an engine without a registry), strips those values out of
+// the result, and runs every request of the shape on that one plan, each
+// with its own binding: the input tree's value-carrying nodes in preorder
+// (binding). A plan node that reads a value reads it from the binding,
+// through the slot its note names — with no binding it panics instead of
+// answering with another request's values.
 //
 // A shape is everything the rewriter reads of a tree except those
 // values: operator kinds and their text fields, the comparator's kind
@@ -33,9 +35,11 @@ import (
 // bind. The cache holds compiledCacheMax plans at most; past that a
 // new shape is planned per call, by the same function.
 //
-// A plan also keeps what a request would otherwise rebuild: a view whose
-// subtree binds nothing keeps its registry key, and a sqlable node keeps
-// its compiled statement after its first run.
+// Every node that executes carries a note, and the note is what a plan
+// keeps for it: a sqlable node's statement and the order its
+// placeholders bind in, compiled on the node's first run, and a view's
+// registry key, computed once when its subtree binds nothing. A view's
+// key is made from the same exact shape (matKey).
 
 // planNote is what a plan keeps for one of its nodes.
 type planNote struct {
@@ -44,7 +48,7 @@ type planNote struct {
 	slot int
 	// viewKey is a matStep's registry key when its subtree binds nothing.
 	viewKey string
-	// compiled is a sqlable node's statement, kept from its first run.
+	// compiled is a sqlable node's statement, compiled on its first run.
 	compiled atomic.Pointer[compiledSQL]
 }
 
@@ -133,13 +137,9 @@ func (c *planCache) publish(h uint64, w *Step, p *cachedPlan) *cachedPlan {
 	return p
 }
 
-// plan returns the tree the engine runs for w and w's binding to it: the
-// plan of w's shape, or, on an engine without a registry — where the
-// rewriter is the identity — w itself, which binds its own values.
+// plan returns the tree the engine runs for w — the plan of w's shape —
+// and w's binding to it.
 func (e *Engine) plan(w *Step) (*Step, binding) {
-	if e.views == nil {
-		return w, nil
-	}
 	h := hashShape(w)
 	p := e.plans.lookup(h, w)
 	if p == nil {
@@ -207,16 +207,17 @@ func notePlan(s *Step) bool {
 }
 
 // unplan copies a plan subtree back into a workflow that carries its own
-// values, b's: what a view builds from. The registry then holds no plan
-// node — a node's compiled statement belongs to the engine whose plan it
-// is, and a maintained view builds on another — and no binding.
+// values, b's: what a view builds from. Each node gets a note of its own
+// that binds nothing — a statement belongs to the engine that runs it,
+// and a maintained view builds on another — so every rebuild reuses the
+// statements the first build compiled.
 func unplan(s *Step, b binding) *Step {
-	if s == nil || s.plan == nil {
-		return s
+	if s == nil {
+		return nil
 	}
 	dup := *s
 	v := b.of(s)
-	dup.plan, dup.args, dup.k = nil, v.args, v.k
+	dup.plan, dup.args, dup.k = &planNote{slot: -1}, v.args, v.k
 	dup.child, dup.other = unplan(s.child, b), unplan(s.other, b)
 	return &dup
 }
@@ -261,8 +262,10 @@ func (s *Step) texts() [11]string {
 // shapeHash is FNV-1a over a shape in preorder.
 type shapeHash uint64
 
+const shapeHashSeed shapeHash = 14695981039346656037
+
 func hashShape(w *Step) uint64 {
-	h := shapeHash(14695981039346656037)
+	h := shapeHashSeed
 	h.node(w)
 	return uint64(h)
 }
@@ -287,17 +290,27 @@ func (h *shapeHash) node(s *Step) {
 		h.byte(0)
 		return
 	}
+	h.fields(s)
+	h.byte(byte(len(s.args)))
+	for _, a := range s.args {
+		h.byte(byte(classOf(a)))
+	}
+	h.node(s.child)
+	h.node(s.other)
+}
+
+// fields hashes what sameShape compares of a node besides its arguments
+// and operands: kind, text fields, comparator by value, blend weights by
+// their bits and direction.
+func (h *shapeHash) fields(s *Step) {
 	h.byte(byte(s.kind))
 	h.byte(byte(s.keyOp))
 	for _, t := range s.texts() {
 		h.str(t)
 	}
+	h.byte(byte(len(s.cols)))
 	for _, c := range s.cols {
 		h.str(c)
-	}
-	h.byte(byte(len(s.args)))
-	for _, a := range s.args {
-		h.byte(byte(classOf(a)))
 	}
 	switch c := s.cmp.(type) {
 	case *jaccardCmp:
@@ -309,14 +322,15 @@ func (h *shapeHash) node(s *Step) {
 		h.str(c.keyAttr)
 		h.str(c.vecAttr)
 		h.str(c.weightAttr)
+	case nil:
+	default: // any other comparator (only tests define one), by value
+		h.str(fmt.Sprintf("%#v", c))
 	}
 	h.float(s.wL)
 	h.float(s.wR)
 	if s.desc {
 		h.byte(1)
 	}
-	h.node(s.child)
-	h.node(s.other)
 }
 
 // sameShape reports whether w has the shape.
